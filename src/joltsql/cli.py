@@ -14,7 +14,7 @@ import time
 
 from . import corpus as corpus_mod
 from . import evaluation, pipeline
-from .errors import JoltError
+from .errors import JoltError, ShapeMismatch
 from .masks import build_causal_mask, build_joint_mask, render_ascii, render_ppm, render_svg
 from .model import ModelConfig, ModelParams
 from .sampling import WeightCache
@@ -198,6 +198,9 @@ def cmd_train(args) -> int:
 def _load_ckpt(ckpt: str) -> tuple[ModelParams, Vocab]:
     params = ModelParams.load(os.path.join(ckpt, "params.npz"))
     vocab = Vocab.load(os.path.join(ckpt, "vocab.json"))
+    if params.config.vocab_size != len(vocab):
+        raise ShapeMismatch(f"{ckpt}: checkpoint vocab_size {params.config.vocab_size} "
+                            f"!= {len(vocab)} tokens in vocab.json")
     return params, vocab
 
 

@@ -1,13 +1,24 @@
-"""Dev-set evaluation: linking metrics, execution accuracy, threshold sweep."""
+"""Dev-set evaluation: linking metrics, execution accuracy, threshold sweep.
+
+`evaluate` and `threshold_sweep` share one loop over examples. Each
+example's prompt is encoded once; that pass gives its marker scores and the
+K/V that every decode of it reuses. Within an example, decoding and sqlite
+execution run once per distinct predicted column set, however many
+thresholds share that set. Corpus databases are opened read-only, so SQL
+the model writes cannot change them.
+"""
 from __future__ import annotations
 
 import sqlite3
+import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
+from .errors import DbUnavailable
 from .metrics import (ExReport, execution_accuracy, pr_auc, precision_recall,
                       roc_auc)
 from .model import ModelParams
-from .pipeline import TrainingExample, infer, link_schema
+from .pipeline import TrainingExample, encode_prompt, generate_sql, marker_scores
 from .tokenizer import Vocab
 
 SWEEP_THRESHOLDS = [0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.01]
@@ -36,18 +47,70 @@ class EvalResult:
         }
 
 
-def collect_link_scores(params: ModelParams, examples: list[TrainingExample]
-                        ) -> tuple[list[float], list[int]]:
-    """Micro-averaged pools of marker scores and gold labels."""
-    scores: list[float] = []
-    labels: list[int] = []
-    for ex in examples:
-        scored = link_schema(params, ex)
-        gold = ex.link
-        for t, c, s in scored:
-            scores.append(s)
-            labels.append(1 if (t, c) in gold else 0)
-    return scores, labels
+@dataclass
+class _Pass:
+    """One pass over the examples at several thresholds."""
+    scores: list[list[float]]   # per example, marker scores in column order
+    labels: list[list[int]]     # per example, gold labels aligned with scores
+    reports: list[ExReport]     # per threshold
+    records: list[list[dict]]   # per threshold, one record per example
+
+    def pooled(self) -> tuple[list[float], list[int]]:
+        """Micro-averaging pools: every example's scores and labels."""
+        return ([s for scores in self.scores for s in scores],
+                [y for labels in self.labels for y in labels])
+
+
+def _connect_readonly(path: str) -> sqlite3.Connection:
+    try:
+        return sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
+    except sqlite3.OperationalError as e:
+        raise DbUnavailable(f"cannot open {path} read-only: {e}") from e
+
+
+def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
+         db_paths: dict[str, str], thresholds: list[float], max_new: int) -> _Pass:
+    """The loop evaluate and threshold_sweep share. Examples run one at a
+    time, so only one prompt encoding's K/V is alive at once."""
+    out = _Pass([], [], [ExReport() for _ in thresholds], [[] for _ in thresholds])
+    connections: dict[str, sqlite3.Connection] = {}
+    try:
+        for ex in examples:
+            if ex.db_id not in connections:
+                connections[ex.db_id] = _connect_readonly(db_paths[ex.db_id])
+            t0 = time.perf_counter()
+            encoded = encode_prompt(params, ex)
+            scored = marker_scores(ex, encoded)
+            linking_ms = (time.perf_counter() - t0) * 1000.0
+            out.scores.append([s for _, _, s in scored])
+            out.labels.append([1 if (t, c) in ex.link else 0 for t, c, _ in scored])
+            by_set: dict[frozenset, dict] = {}
+            for report, records, threshold in zip(out.reports, out.records, thresholds):
+                predicted = [(t, c, s) for t, c, s in scored if s > threshold]
+                key = frozenset((t, c) for t, c, _ in predicted)
+                if key not in by_set:
+                    t1 = time.perf_counter()
+                    sql, _, used_fallback = generate_sql(params, ex, encoded, key,
+                                                         vocab, max_new)
+                    generation_ms = (time.perf_counter() - t1) * 1000.0
+                    by_set[key] = {
+                        "example_id": ex.example_id,
+                        "verdict": execution_accuracy(sql, ex.gold_sql,
+                                                      connections[ex.db_id]),
+                        "pred_sql": sql,
+                        "gold_sql": ex.gold_sql,
+                        "timings_ms": {"linking": linking_ms,
+                                       "generation": generation_ms,
+                                       "end_to_end": linking_ms + generation_ms},
+                        "predicted_columns": predicted,
+                        "used_fallback": used_fallback,
+                    }
+                report.add(by_set[key]["verdict"])
+                records.append(by_set[key])
+    finally:
+        for conn in connections.values():
+            conn.close()
+    return out
 
 
 def evaluate(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
@@ -55,63 +118,40 @@ def evaluate(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
              max_new: int = 64, average: str = "micro") -> EvalResult:
     if average not in ("micro", "macro"):
         raise ValueError("average must be micro or macro")
-    scores, labels = collect_link_scores(params, examples)
+    run = _run(params, examples, vocab, db_paths, [threshold], max_new)
+    scores, labels = run.pooled()
     if average == "macro":
         # per-example precision/recall, then mean; AUCs stay pooled because
         # single-example pools can be single-class
-        ps, rs = [], []
-        for ex in examples:
-            s = [sc for _, _, sc in link_schema(params, ex)]
-            l = [1 if (t, c) in ex.link else 0
-                 for t, c, _ in ex.seg.marker_columns]
-            ep, er = precision_recall(s, l, threshold)
-            ps.append(ep)
-            rs.append(er)
-        p, r = sum(ps) / len(ps), sum(rs) / len(rs)
+        per = [precision_recall(s, l, threshold) for s, l in zip(run.scores, run.labels)]
+        p = sum(ep for ep, _ in per) / len(per)
+        r = sum(er for _, er in per) / len(per)
     else:
         p, r = precision_recall(scores, labels, threshold)
     roc = roc_auc(scores, labels)
     pr = pr_auc(scores, labels)
-    report = ExReport()
-    per_example = []
-    connections: dict[str, sqlite3.Connection] = {}
-    try:
-        for ex in examples:
-            if ex.db_id not in connections:
-                connections[ex.db_id] = sqlite3.connect(db_paths[ex.db_id])
-            result = infer(params, ex, vocab, threshold=threshold, max_new=max_new)
-            verdict = execution_accuracy(result.sql, ex.gold_sql, connections[ex.db_id])
-            report.add(verdict)
-            per_example.append({
-                "example_id": ex.example_id,
-                "verdict": verdict,
-                "pred_sql": result.sql,
-                "gold_sql": ex.gold_sql,
-                "timings_ms": result.timings_ms,
-            })
-    finally:
-        for conn in connections.values():
-            conn.close()
+    report = run.reports[0]
     return EvalResult(p, r, roc, pr, report.accuracy, report.counts(),
-                      threshold, per_example)
+                      threshold, run.records[0])
 
 
 def threshold_sweep(params: ModelParams, examples: list[TrainingExample],
                     vocab: Vocab, db_paths: dict[str, str],
                     thresholds: list[float] | None = None,
                     max_new: int = 64) -> list[dict]:
-    """(threshold -> precision, recall, EX) rows, one linking pass reused
-    across thresholds; generation reruns per threshold since pruning
-    depends on the predicted set."""
+    """(threshold -> precision, recall, EX) rows. Precision and recall are
+    micro-averaged over the pooled marker scores; EX at each threshold
+    decodes from the predicted set at that threshold. One prompt encoding
+    per example serves every threshold, and each distinct predicted set of
+    an example is decoded and executed once."""
     thresholds = thresholds if thresholds is not None else SWEEP_THRESHOLDS
-    scores, labels = collect_link_scores(params, examples)
+    run = _run(params, examples, vocab, db_paths, thresholds, max_new)
+    scores, labels = run.pooled()
     rows = []
-    for t in thresholds:
+    for t, report in zip(thresholds, run.reports):
         p, r = precision_recall(scores, labels, t)
-        result = evaluate(params, examples, vocab, db_paths, threshold=t,
-                          max_new=max_new)
         rows.append({"threshold": t, "precision": p, "recall": r,
-                     "ex": result.ex})
+                     "ex": report.accuracy})
     return rows
 
 

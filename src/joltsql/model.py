@@ -102,11 +102,19 @@ class ModelParams:
 
     @staticmethod
     def load(path: str) -> "ModelParams":
+        """Read a checkpoint written by `save`. Every array must be present
+        with the shape its stored config gives it."""
         with np.load(path, allow_pickle=False) as z:
             config = ModelConfig(**json.loads(str(z["__config__"])))
             params = ModelParams(config)
             for k, v in params.named_params().items():
-                v.data = z[k].copy()
+                if k not in z:
+                    raise ShapeMismatch(f"{path}: missing array {k!r}")
+                stored = z[k]
+                if stored.shape != v.data.shape:
+                    raise ShapeMismatch(f"{path}: {k!r} has shape {stored.shape}, "
+                                        f"config gives {v.data.shape}")
+                v.data = stored.copy()
         return params
 
 

@@ -264,8 +264,10 @@ def encode_prompt(params: ModelParams, example: TrainingExample) -> ForwardOutpu
     return no_grad_forward(params, example.tokens.ids[:n_ps], build_joint_mask(seg))
 
 
-def _marker_scores(example: TrainingExample,
-                   out: ForwardOutput) -> list[tuple[str, str, float]]:
+def marker_scores(example: TrainingExample,
+                  out: ForwardOutput) -> list[tuple[str, str, float]]:
+    """(table, column, score) for every column, read off a prompt
+    encoding's marker rows."""
     probs = out.marker_probs.data[:, 0]
     return [(t, c, float(probs[pos])) for t, c, pos in example.seg.marker_columns]
 
@@ -275,7 +277,7 @@ def link_schema(params: ModelParams, example: TrainingExample,
     """Score every column's marker under the joint mask (prefix+schema only)
     and keep those above the threshold. Returns (table, column, score) for
     all columns; filter by score > threshold for the predicted set."""
-    return _marker_scores(example, encode_prompt(params, example))
+    return marker_scores(example, encode_prompt(params, example))
 
 
 def prune_prompt(example: TrainingExample,
@@ -316,20 +318,19 @@ def full_schema_prompt(example: TrainingExample) -> tuple[list[int], list[int]]:
     return prune_prompt(example, all_cols)
 
 
-def infer(params: ModelParams, example: TrainingExample, vocab: Vocab,
-          threshold: float = 0.05, max_new: int = 64) -> InferenceResult:
-    """Link, then decode greedily under the training layout.
+def generate_sql(params: ModelParams, example: TrainingExample,
+                 encoded: ForwardOutput, predicted: set[tuple[str, str]],
+                 vocab: Vocab, max_new: int = 64) -> tuple[str, list[int], bool]:
+    """Greedy SQL for one predicted column set, from a prompt encoding.
 
-    One prompt forward gives the linking scores, the first token's logits
-    and the K/V that every decode step reuses. Decode rows attend to the
-    prefix, the predicted columns and their tables' structure (every column
-    when nothing is predicted), the tokens generated so far and themselves.
+    `encoded` is `encode_prompt(params, example)`; its last row gives the
+    first token and its K/V serve every decode step, so one encoding serves
+    any number of predicted sets. Decode rows attend to the prefix, the
+    predicted columns and their tables' structure (every column when the
+    set is empty), the tokens generated so far and themselves.
+
+    Returns (sql, pruned prompt ids, whether the empty-set fallback ran).
     """
-    t0 = time.perf_counter()
-    encoded = encode_prompt(params, example)
-    scored = _marker_scores(example, encoded)
-    predicted = {(t, c) for t, c, s in scored if s > threshold}
-    t1 = time.perf_counter()
     used_fallback = False
     try:
         pruned, positions = prune_prompt(example, predicted)
@@ -344,10 +345,25 @@ def infer(params: ModelParams, example: TrainingExample, vocab: Vocab,
     new_ids = generated[len(prompt):]
     if new_ids and new_ids[-1] == EOS:
         new_ids = new_ids[:-1]
-    sql = decode(new_ids, vocab)
+    return decode(new_ids, vocab), pruned, used_fallback
+
+
+def infer(params: ModelParams, example: TrainingExample, vocab: Vocab,
+          threshold: float = 0.05, max_new: int = 64) -> InferenceResult:
+    """Link, then decode greedily under the training layout: one prompt
+    encoding gives the linking scores and the K/V that `generate_sql`
+    decodes from."""
+    t0 = time.perf_counter()
+    encoded = encode_prompt(params, example)
+    predicted_columns = [(t, c, s) for t, c, s in marker_scores(example, encoded)
+                         if s > threshold]
+    t1 = time.perf_counter()
+    sql, pruned, used_fallback = generate_sql(
+        params, example, encoded, {(t, c) for t, c, _ in predicted_columns},
+        vocab, max_new)
     t2 = time.perf_counter()
     return InferenceResult(
-        predicted_columns=[(t, c, s) for t, c, s in scored if s > threshold],
+        predicted_columns=predicted_columns,
         pruned_ids=pruned,
         sql=sql,
         timings_ms={

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -134,6 +135,19 @@ class TestInferEval:
         assert code == 0
         obj = json.loads(out)
         assert {"sql", "predicted_columns", "used_fallback", "timings_ms"} <= obj.keys()
+
+    def test_vocab_size_mismatch_rejected(self, capsys, tmp_path, workspace):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace["ckpt"], ckpt)
+        vocab = json.loads((ckpt / "vocab.json").read_text())
+        vocab["zzz-extra-token"] = max(vocab.values()) + 1
+        (ckpt / "vocab.json").write_text(json.dumps(vocab))
+        schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
+        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt),
+                           "--question", "show the name of each row",
+                           "--schema", str(schema_file))
+        assert code == 1
+        assert "vocab_size" in err and "vocab.json" in err
 
     def test_eval_writes_metrics(self, capsys, tmp_path, workspace):
         out_dir = tmp_path / "eval"

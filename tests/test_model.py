@@ -210,6 +210,21 @@ class TestCheckpoint:
         b = forward(loaded, ids, build_causal_mask(4)).lm_logits.data
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("tamper", ["reshape", "drop"])
+    def test_load_rejects_tampered_arrays(self, tmp_path, tamper):
+        params = ModelParams(tiny_config(), seed=9)
+        p = tmp_path / "params.npz"
+        params.save(str(p))
+        with np.load(str(p)) as z:
+            arrays = {k: z[k] for k in z.files}
+        if tamper == "reshape":
+            arrays["layer1.wq"] = arrays["layer1.wq"][:, :-1]
+        else:
+            del arrays["layer1.wq"]
+        np.savez(str(p), **arrays)
+        with pytest.raises(ShapeMismatch, match="layer1.wq"):
+            ModelParams.load(str(p))
+
 
 class TestGreedyGenerate:
     def test_stops_at_stop_id(self):
