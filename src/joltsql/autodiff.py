@@ -2,7 +2,7 @@
 
 Eager tape: every op computes its forward value immediately and registers
 a backward closure. Just enough surface for a small decoder-only
-transformer with additive attention masks.
+transformer whose attention masks are boolean visibility matrices.
 """
 from __future__ import annotations
 
@@ -13,9 +13,8 @@ from .errors import EmptyRow, ShapeMismatch
 __all__ = [
     "Tensor", "tensor", "matmul", "add", "mul", "scale", "transpose",
     "concat", "slice_cols", "gather_rows", "relu", "sigmoid",
-    "masked_softmax", "layer_norm", "bce_loss", "cross_entropy",
-    "cross_entropy_rows",
-    "mean_of", "sum_all", "add_scalars", "backward", "AdamW", "clip_grad_norm",
+    "masked_softmax", "layer_norm", "bce_loss", "cross_entropy_rows",
+    "sum_all", "add_scalars", "backward", "AdamW", "clip_grad_norm",
 ]
 
 BCE_CLAMP = 1e-7
@@ -43,9 +42,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
 
 def tensor(data, requires_grad: bool = False, dtype=np.float32) -> Tensor:
@@ -215,7 +211,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=0))
         if x.requires_grad:
-            d = x.data.shape[-1]
             gx = g * gain.data
             dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
                         - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
@@ -240,23 +235,6 @@ def bce_loss(p: Tensor, y: np.ndarray) -> Tensor:
     return _op(out_data, (p,), backward)
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log-softmax of a 1-D logit vector at the target id."""
-    z = logits.data
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    out_data = np.asarray(lse - z[target], dtype=z.dtype)
-    probs = np.exp(z - lse)
-
-    def backward(g):
-        if logits.requires_grad:
-            d = probs.copy()
-            d[target] -= 1.0
-            logits.accumulate(g * d)
-
-    return _op(out_data, (logits,), backward)
-
-
 def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-softmax over rows of a k x V logit matrix."""
     targets = np.asarray(targets, dtype=np.int64)
@@ -274,18 +252,6 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
             logits.accumulate(g * d / len(targets))
 
     return _op(out_data, (logits,), backward)
-
-
-def mean_of(parts: list[Tensor]) -> Tensor:
-    out_data = np.asarray(np.mean([p.data for p in parts]), dtype=parts[0].data.dtype)
-    k = len(parts)
-
-    def backward(g):
-        for p in parts:
-            if p.requires_grad:
-                p.accumulate(g / k)
-
-    return _op(out_data, tuple(parts), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:

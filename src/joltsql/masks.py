@@ -20,10 +20,6 @@ class AttentionMask:
         self.visible = visible
         self.n = visible.shape[0]
 
-    def additive(self, dtype=np.float32, neg: float = -1e9) -> np.ndarray:
-        """0 where visible, a large negative surrogate where not."""
-        return np.where(self.visible, 0.0, neg).astype(dtype)
-
 
 def build_causal_mask(n: int) -> AttentionMask:
     if n < 1:

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import re
 import sqlite3
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DbUnavailable, DegenerateLabels, LengthMismatch
 
 NUMERIC_REL_TOL = 1e-6
-QUERY_TIMEOUT_S = 5.0
+# sqlite VM steps one statement may take before it is interrupted: a few
+# seconds of work, far above any desk gold query (under 900 steps). A step
+# budget starts no thread and stops a runaway query at the same point on
+# every run.
+QUERY_STEP_BUDGET = 100_000_000
 
 
 def precision_recall(scores: list[float], labels: list[int],
@@ -106,12 +109,13 @@ def _canonical_rows(rows) -> list[tuple]:
 
 
 def _execute(db: sqlite3.Connection, sql: str) -> list[tuple]:
-    timer = threading.Timer(QUERY_TIMEOUT_S, db.interrupt)
-    timer.start()
+    # the handler first runs once the statement has taken the whole budget;
+    # returning nonzero interrupts it with an OperationalError
+    db.set_progress_handler(lambda: 1, QUERY_STEP_BUDGET)
     try:
         return db.execute(sql).fetchall()
     finally:
-        timer.cancel()
+        db.set_progress_handler(None, 0)
 
 
 _ORDER_BY_RE = re.compile(r"\border\s+by\b", re.IGNORECASE)

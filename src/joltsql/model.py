@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import EmptyQuery, NoMarkers, ShapeMismatch
-from .masks import AttentionMask, build_causal_mask
+from .masks import AttentionMask
 
 
 @dataclass
@@ -128,36 +128,28 @@ class ForwardOutput:
 
 
 def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
-            positions: list[int] | None = None,
             past: list[tuple[np.ndarray, np.ndarray]] | None = None) -> ForwardOutput:
-    """Run `ids` through the transformer under `mask`.
+    """Run `ids`, at positions p..p+n-1, through the transformer under `mask`.
 
-    Without `past` the mask is n x n. With `past`, the per-layer K/V of p
-    earlier rows (a previous output's `kv`), the mask is n x (p + n): the new
-    rows attend over the cached rows and themselves. That is exact whenever
-    the cached rows never attend to the new ones, as prefix and schema rows
-    never attend to query rows under the joint mask, so decoding reuses the
-    prompt's K/V instead of re-encoding it.
-
-    Positions default to p..p+n-1. Training, linking and decoding all lay
-    the full prompt out at positions 0..len-1; explicit positions remain for
-    callers that encode a subset of a layout.
+    Without `past`, p is 0 and the mask is n x n. With `past`, the per-layer
+    K/V of p earlier rows (a previous output's `kv`), the mask is n x (p + n):
+    the new rows attend over the cached rows and themselves. That is exact
+    whenever the cached rows never attend to the new ones, as prefix and
+    schema rows never attend to query rows under the joint mask, so decoding
+    reuses the prompt's K/V instead of re-encoding it.
     """
     cfg = params.config
     n = len(ids)
     p = len(past[0][0]) if past else 0
-    pos_ids = np.arange(p, p + n) if positions is None else np.asarray(positions)
-    if p + n > cfg.max_len or (len(pos_ids) and pos_ids.max() >= cfg.max_len):
+    if p + n > cfg.max_len:
         raise ShapeMismatch(f"sequence length {p + n} exceeds max_len {cfg.max_len}")
     if mask.visible.shape != (n, p + n):
         raise ShapeMismatch(f"mask shape {mask.visible.shape} != ({n}, {p + n})")
-    if len(pos_ids) != n:
-        raise ShapeMismatch("positions must align with ids")
     dh = cfg.dim // cfg.heads
     inv_sqrt_dh = 1.0 / float(np.sqrt(dh))
 
     x = ad.add(ad.gather_rows(params.emb, np.asarray(ids)),
-               ad.gather_rows(params.pos, pos_ids))
+               ad.gather_rows(params.pos, np.arange(p, p + n)))
     kv = []
     for li, layer in enumerate(params.layers):
         h = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
@@ -222,45 +214,37 @@ def joint_loss(l_sl: Tensor, l_ntp: Tensor) -> Tensor:
 
 
 def greedy_generate(params: ModelParams, prompt: list[int], max_new: int,
-                    stop_id: int, positions: list[int] | None = None,
-                    first_new_position: int | None = None,
-                    encoded: ForwardOutput | None = None,
-                    attend: np.ndarray | None = None) -> list[int]:
-    """Argmax decoding with the prompt's K/V cached; ties break toward the
-    lowest token id. Deterministic.
+                    stop_id: int, encoded: ForwardOutput,
+                    attend: np.ndarray) -> list[int]:
+    """Argmax decoding from a cached prompt encoding; ties break toward the
+    lowest token id. Deterministic. Returns the prompt followed by the new
+    tokens, the stop id included when it was generated.
 
-    The prompt is encoded once: `encoded` is a forward of `prompt` whose
-    rows never attend past the prompt (infer passes its linking pass, made
-    under the joint mask), else a causal forward is run here. Its last row
-    gives the first token. Each later token is one row through `forward`
-    against the cached K/V; it sees the prompt positions flagged in
-    `attend` (all by default), the tokens generated before it and itself,
-    which is the query row of the joint mask. Pruning is thus a mask over
-    the full prompt, never an edit of its text. Prompt rows use `positions`
-    (default 0..len-1); new tokens continue from first_new_position
-    (default one past the last prompt position) and stop before max_len.
+    `encoded` is a forward of `prompt` at positions 0..len-1 whose rows
+    never attend past the prompt (the pipeline passes its linking pass,
+    made under the joint mask). Its last row gives the first token. Each
+    later token is one row through `forward` against the cached K/V, at the
+    next position; it sees the prompt positions flagged in `attend`, the
+    tokens generated before it and itself, which is the query row of the
+    joint mask. Pruning is thus a mask over the full prompt, never an edit
+    of its text. No token is placed at position max_len or beyond.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
     n = len(prompt)
-    pos = list(positions) if positions is not None else list(range(n))
-    next_pos = first_new_position if first_new_position is not None else pos[-1] + 1
     visible = np.ones(n + max_new, dtype=bool)
-    if attend is not None:
-        visible[:n] = attend
+    visible[:n] = attend
     ids = list(prompt)
+    out = encoded
     with no_grad(params):
-        out = encoded if encoded is not None else forward(
-            params, ids, build_causal_mask(n), positions=pos)
         for _ in range(max_new):
-            if next_pos >= params.config.max_len:
+            if len(ids) >= params.config.max_len:
                 break
             if len(ids) > n:  # feed the previous token as one new row
                 row = AttentionMask(visible[None, :len(ids)])
-                out = forward(params, ids[-1:], row, positions=[next_pos - 1], past=out.kv)
+                out = forward(params, ids[-1:], row, past=out.kv)
             nxt = int(np.argmax(out.lm_logits.data[-1]))
             ids.append(nxt)
-            next_pos += 1
             if nxt == stop_id:
                 break
     return ids

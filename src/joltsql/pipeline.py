@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class TrainConfig:
     beta: float = 0.2
     link_threshold: float = 0.05
     seed: int = 0
-    sl_loss_weight: float = 1.0  # experimentation only; the method uses 1.0
     noise_mode: str = "confusion"  # confusion | random | none
 
     def __post_init__(self):
@@ -81,19 +80,6 @@ class TrainingExample:
     @property
     def marker_positions(self) -> list[int]:
         return [pos for _, _, pos in self.seg.marker_columns]
-
-    def gt_tables(self) -> set[str]:
-        return {t for t, _ in self.link}
-
-    def gt_token_set(self) -> set[int]:
-        """GT column definition tokens plus their tables' structure tokens."""
-        out: set[int] = set()
-        for table, column in self.link:
-            a, b = self.seg.column_token_range(table, column)
-            out.update(range(a, b))
-        for table in self.gt_tables():
-            out.update(self.seg.table_envelope(table))
-        return out
 
     def non_gt_columns(self) -> list[tuple[str, str]]:
         """(table, column) not in the link set, serialization order."""
@@ -127,19 +113,13 @@ def assemble_segments(example: TrainingExample,
                       noisy_columns: set[tuple[str, str]]) -> SegmentMap:
     """Fresh SegmentMap with GT and noisy token sets for one step.
 
-    A noisy column whose table has no GT column drags in that table's
-    header/pk/fk/footer tokens so the attended text stays well-formed DDL.
+    Both come from `SegmentMap.schema_tokens`, so a noisy column whose table
+    has no GT column drags in that table's header/pk/fk/footer tokens and
+    the attended text stays well-formed DDL.
     """
     seg = copy.copy(example.seg)
-    seg.gt_schema = example.gt_token_set()
-    noisy: set[int] = set()
-    gt_tables = example.gt_tables()
-    for table, column in noisy_columns:
-        a, b = seg.column_token_range(table, column)
-        noisy.update(range(a, b))
-        if table not in gt_tables:
-            noisy.update(seg.table_envelope(table))
-    seg.noisy_schema = noisy
+    seg.gt_schema = seg.schema_tokens(example.link)
+    seg.noisy_schema = seg.schema_tokens(noisy_columns) - seg.gt_schema
     return seg
 
 
@@ -147,17 +127,12 @@ def _marker_labels(example: TrainingExample) -> list[int]:
     return [1 if (t, c) in example.link else 0 for t, c, _ in example.seg.marker_columns]
 
 
-def no_grad_forward(params: ModelParams, ids: list[int], mask) -> ForwardOutput:
-    """Forward pass with gradient tracking switched off."""
-    with no_grad(params):
-        return forward(params, ids, mask)
-
-
 def capture_sampling_weights(params: ModelParams, example: TrainingExample) -> list[float]:
     """Predicted probabilities at non-GT markers under the joint mask with
     an empty noisy set; the confusion signal for later sampling."""
     seg = assemble_segments(example, set())
-    out = no_grad_forward(params, example.tokens.ids, build_joint_mask(seg))
+    with no_grad(params):
+        out = forward(params, example.tokens.ids, build_joint_mask(seg))
     probs = out.marker_probs.data[:, 0]
     gt = example.link
     return [float(probs[pos]) for t, c, pos in example.seg.marker_columns if (t, c) not in gt]
@@ -179,6 +154,7 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
     log: list[dict] = []
     num_cols = {ex.example_id: len(ex.seg.marker_columns) for ex in examples}
     step = 0
+    last_step = config.epochs * len(examples) - 1
     accum = 0
     for epoch in range(1, config.epochs + 1):
         order_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 7919, epoch]))
@@ -207,31 +183,26 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
             l_sl = schema_linking_loss(out.marker_probs, _marker_labels(ex),
                                        ex.marker_positions)
             l_ntp = ntp_loss(out.lm_logits, ex.tokens.ids, sorted(ex.seg.query))
-            if config.sl_loss_weight != 1.0:
-                loss = ad.add_scalars(ad.scale(l_sl, config.sl_loss_weight), l_ntp)
-            else:
-                loss = joint_loss(l_sl, l_ntp)
+            loss = joint_loss(l_sl, l_ntp)
             if not np.isfinite(loss.data):
                 raise NonFiniteLoss(
                     f"step {step}: L_SL={l_sl.item()}, L_NTP={l_ntp.item()}")
             ad.backward(ad.scale(loss, 1.0 / config.grad_accum))
             accum += 1
-            if accum >= config.grad_accum:
-                ad.clip_grad_norm(params.all_params(), config.max_grad_norm)
-                opt.step()
-                opt.zero_grad()
-                accum = 0
             entry = {"step": step, "epoch": epoch, "example_id": ex.example_id,
                      "l_sl": l_sl.item(), "l_ntp": l_ntp.item(),
                      "k_noisy": len(noisy_cols)}
+            if accum >= config.grad_accum or step == last_step:
+                # norm of the accumulated gradient, before clipping
+                entry["grad_norm"] = ad.clip_grad_norm(params.all_params(),
+                                                       config.max_grad_norm)
+                opt.step()
+                opt.zero_grad()
+                accum = 0
             log.append(entry)
             if log_fn is not None:
                 log_fn("train_step", entry)
             step += 1
-    if accum > 0:
-        ad.clip_grad_norm(params.all_params(), config.max_grad_norm)
-        opt.step()
-        opt.zero_grad()
     return TrainResult(params, cache, log)
 
 
@@ -252,16 +223,10 @@ def encode_prompt(params: ModelParams, example: TrainingExample) -> ForwardOutpu
     its marker scores, its last row's logits (the first SQL token) and its
     per-layer K/V are exactly those of the training layout."""
     n_ps = len(example.seg.prefix | example.seg.schema)
-    seg = SegmentMap(
-        n=n_ps,
-        prefix=set(example.seg.prefix),
-        schema=set(example.seg.schema),
-        query=set(),
-        markers=set(example.seg.markers),
-        table_elements=example.seg.table_elements,
-        marker_columns=example.seg.marker_columns,
-    )
-    return no_grad_forward(params, example.tokens.ids[:n_ps], build_joint_mask(seg))
+    seg = replace(example.seg, n=n_ps, query=set(), gt_schema=set(),
+                  noisy_schema=set())
+    with no_grad(params):
+        return forward(params, example.tokens.ids[:n_ps], build_joint_mask(seg))
 
 
 def marker_scores(example: TrainingExample,
@@ -282,8 +247,9 @@ def link_schema(params: ModelParams, example: TrainingExample,
 
 def prune_prompt(example: TrainingExample,
                  predicted: set[tuple[str, str]]) -> tuple[list[int], list[int]]:
-    """Prefix tokens, then per table with >=1 predicted column: header,
-    kept column definitions with markers removed, pk, fks, footer.
+    """Prefix tokens plus the predicted columns' schema tokens
+    (`SegmentMap.schema_tokens`: their definitions and their tables'
+    header, pk, fks and footer), markers removed, in prompt order.
 
     Returns (token ids, original positions). The positions are exactly the
     prompt positions a query row sees under the joint mask when the
@@ -293,21 +259,8 @@ def prune_prompt(example: TrainingExample,
     """
     if not predicted:
         raise EmptyPrediction("no columns predicted")
-    keep: list[int] = sorted(example.seg.prefix)
-    markers = example.seg.markers
-    for table, elems in example.seg.table_elements.items():
-        kept = [c for t, c, _ in example.seg.marker_columns
-                if t == table and (t, c) in predicted]
-        if not kept:
-            continue
-        spans = [elems["header"]]
-        spans += [elems[f"col:{c}"] for c in kept]
-        spans.append(elems["pk"])
-        spans += [elems[k] for k in sorted(elems) if k.startswith("fk:")]
-        spans.append(elems["footer"])
-        for a, b in spans:
-            keep.extend(i for i in range(a, b) if i not in markers)
-    keep.sort()
+    seg = example.seg
+    keep = sorted((seg.prefix | seg.schema_tokens(predicted)) - seg.markers)
     ids = example.tokens.ids
     return [ids[i] for i in keep], keep
 
@@ -331,12 +284,9 @@ def generate_sql(params: ModelParams, example: TrainingExample,
 
     Returns (sql, pruned prompt ids, whether the empty-set fallback ran).
     """
-    used_fallback = False
-    try:
-        pruned, positions = prune_prompt(example, predicted)
-    except EmptyPrediction:
-        pruned, positions = full_schema_prompt(example)
-        used_fallback = True
+    used_fallback = not predicted
+    pruned, positions = (full_schema_prompt(example) if used_fallback
+                         else prune_prompt(example, predicted))
     prompt = example.tokens.ids[:len(example.seg.prefix | example.seg.schema)]
     attend = np.zeros(len(prompt), dtype=bool)
     attend[positions] = True
@@ -405,7 +355,7 @@ def example_to_json(ex: TrainingExample) -> dict:
         "example_id": ex.example_id,
         "db_id": ex.db_id,
         "question": ex.question,
-        "text": decode_ids_passthrough(ex),
+        "text": ex.prefix_text + "\n" + ex.schema_text + "\n" + ex.gold_sql,
         "prefix_text": ex.prefix_text,
         "schema_text": ex.schema_text,
         "gold_sql": ex.gold_sql,
@@ -415,10 +365,6 @@ def example_to_json(ex: TrainingExample) -> dict:
         "query_span": [q[0], q[-1] + 1] if q else [0, 0],
         "char_spans": ex.span_index.to_json(),
     }
-
-
-def decode_ids_passthrough(ex: TrainingExample) -> str:
-    return ex.prefix_text + "\n" + ex.schema_text + "\n" + ex.gold_sql
 
 
 def example_from_json(obj: dict, vocab: Vocab, schema_doc: SchemaDocument) -> TrainingExample:

@@ -119,6 +119,18 @@ class SegmentMap:
                 out.update(range(a, b))
         return out
 
+    def schema_tokens(self, columns) -> set[int]:
+        """The schema tokens a set of (table, column) pairs brings in: each
+        column's definition tokens plus its table's envelope. The one rule
+        for gold links in training, noisy columns, and predicted columns at
+        inference."""
+        out: set[int] = set()
+        for table, column in columns:
+            out.update(range(*self.column_token_range(table, column)))
+        for table in {t for t, _ in columns}:
+            out |= self.table_envelope(table)
+        return out
+
 
 def _span_to_token_range(span: tuple[int, int], offsets: list[tuple[int, int]]) -> tuple[int, int]:
     """Minimal token range covering a char span; boundaries must not split tokens."""

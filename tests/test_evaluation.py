@@ -125,10 +125,10 @@ def test_one_prompt_encoding_and_one_decode_per_distinct_set(desk, monkeypatch, 
     generate = pipeline.greedy_generate
     execute = evaluation.execution_accuracy
 
-    def spy_forward(params, ids, mask, positions=None, past=None):
+    def spy_forward(params, ids, mask, past=None):
         if past is None:
             prompts.append(list(ids))
-        return forward(params, ids, mask, positions=positions, past=past)
+        return forward(params, ids, mask, past=past)
 
     def spy_generate(*args, **kwargs):
         decodes.append(1)

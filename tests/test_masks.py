@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from joltsql.errors import InvalidSegmentation
-from joltsql.masks import (AttentionMask, build_causal_mask, build_joint_mask,
-                           render_ascii, render_ppm, render_svg)
+from joltsql.masks import (build_causal_mask, build_joint_mask, render_ascii,
+                           render_ppm, render_svg)
 from joltsql.tokenizer import SegmentMap
 
 
@@ -123,14 +123,6 @@ class TestCausalMask:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             build_causal_mask(0)
-
-
-class TestAdditive:
-    def test_zero_and_negative(self):
-        m = AttentionMask(np.array([[True, False], [True, True]]))
-        add = m.additive()
-        assert add[0, 0] == 0.0 and add[1, 1] == 0.0
-        assert add[0, 1] <= -1e8
 
 
 class TestRenderers:

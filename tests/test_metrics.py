@@ -1,9 +1,11 @@
 import itertools
 import sqlite3
+import threading
 
 import numpy as np
 import pytest
 
+from joltsql import metrics
 from joltsql.errors import DbUnavailable, DegenerateLabels, LengthMismatch
 from joltsql.metrics import (ExReport, _has_top_level_order_by,
                              execution_accuracy, pr_auc, precision_recall,
@@ -177,6 +179,33 @@ class TestExecutionAccuracy:
     def test_no_db_rejected(self):
         with pytest.raises(DbUnavailable):
             execution_accuracy("SELECT 1", "SELECT 1", None)
+
+
+RUNAWAY = ("WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM r) "
+           "SELECT count(*) FROM r")
+
+
+class TestStepBudget:
+    """A query that never ends is stopped by sqlite's VM step budget, with
+    no watchdog thread."""
+
+    @pytest.fixture(autouse=True)
+    def no_threads(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("query execution started a thread")
+        monkeypatch.setattr(threading, "Timer", refuse)
+
+    def test_runaway_prediction_is_pred_error(self, two_row_db):
+        assert execution_accuracy(RUNAWAY, "SELECT a FROM t", two_row_db) == "pred_error"
+
+    def test_runaway_gold_is_gold_error_and_budget_cleared(self, two_row_db, monkeypatch):
+        # a smaller budget keeps this one quick; the rule is the same
+        monkeypatch.setattr(metrics, "QUERY_STEP_BUDGET", 100_000)
+        assert execution_accuracy("SELECT a FROM t", RUNAWAY, two_row_db) == "gold_error"
+        # a connection reused afterwards runs past the budget uninterrupted
+        long = ("WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM r "
+                "LIMIT 100000) SELECT count(*) FROM r")
+        assert two_row_db.execute(long).fetchall() == [(100000,)]
 
 
 class TestTopLevelOrderBy:

@@ -83,34 +83,28 @@ class TestForward:
 
     def test_schema_permutation_invariance(self):
         """Swapping two non-marker schema tokens together with their position
-        ids leaves marker probabilities unchanged (order-free schema rows)."""
+        embeddings leaves marker probabilities unchanged (order-free schema
+        rows)."""
         params = ModelParams(tiny_config(), seed=2)
         seg = tiny_segment()
         mask = build_joint_mask(seg)
         ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-        positions = list(range(10))
-        base = forward(params, ids, mask, positions=positions)
-        # swap schema positions 3 and 5 (both non-marker) along with ids
-        ids2, pos2 = list(ids), list(positions)
+        base = forward(params, ids, mask)
+        # swap schema positions 3 and 5 (both non-marker): the ids, and the
+        # position table's rows, so each token keeps its position vector
+        ids2 = list(ids)
         ids2[3], ids2[5] = ids2[5], ids2[3]
-        pos2[3], pos2[5] = pos2[5], pos2[3]
+        params.pos.data[[3, 5]] = params.pos.data[[5, 3]]
         # the mask is unchanged: rows 3 and 5 have identical visibility rows,
         # and columns 3/5 are identically visible to every row... except query
         # rows, where gt/noisy membership is positional; swap those too
         seg2 = SegmentMap(n=10, prefix={0, 1, 2}, schema={3, 4, 5, 6},
                           query={7, 8, 9}, markers={4, 6}, table_elements={},
                           marker_columns=[], gt_schema={5}, noisy_schema={3})
-        pert = forward(params, ids2, build_joint_mask(seg2), positions=pos2)
+        pert = forward(params, ids2, build_joint_mask(seg2))
         np.testing.assert_allclose(pert.marker_probs.data[[4, 6]],
                                    base.marker_probs.data[[4, 6]],
                                    rtol=0, atol=1e-6)
-
-    def test_custom_positions_change_output(self):
-        params = ModelParams(tiny_config(), seed=0)
-        ids = [1, 2, 3]
-        a = forward(params, ids, build_causal_mask(3)).lm_logits.data
-        b = forward(params, ids, build_causal_mask(3), positions=[5, 6, 7]).lm_logits.data
-        assert not np.array_equal(a, b)
 
 
 class TestLosses:
@@ -226,36 +220,36 @@ class TestCheckpoint:
             ModelParams.load(str(p))
 
 
+def generate(params, prompt, max_new, stop_id):
+    """Greedy decoding of a causally encoded prompt, every prompt token
+    visible to the decode rows."""
+    encoded = forward(params, prompt, build_causal_mask(len(prompt)))
+    return greedy_generate(params, prompt, max_new, stop_id, encoded=encoded,
+                           attend=np.ones(len(prompt), dtype=bool))
+
+
 class TestGreedyGenerate:
     def test_stops_at_stop_id(self):
         params = ModelParams(tiny_config(), seed=0)
-        out = greedy_generate(params, [1, 2], max_new=20, stop_id=-1)
+        out = generate(params, [1, 2], max_new=20, stop_id=-1)
         assert len(out) <= 22
-        out2 = greedy_generate(params, [1, 2], max_new=20, stop_id=out[2])
+        out2 = generate(params, [1, 2], max_new=20, stop_id=out[2])
         assert out2[2] == out[2] and len(out2) == 3
 
     def test_deterministic(self):
         params = ModelParams(tiny_config(), seed=0)
-        a = greedy_generate(params, [1, 2, 3], max_new=5, stop_id=0)
-        b = greedy_generate(params, [1, 2, 3], max_new=5, stop_id=0)
+        a = generate(params, [1, 2, 3], max_new=5, stop_id=0)
+        b = generate(params, [1, 2, 3], max_new=5, stop_id=0)
         assert a == b
 
     def test_max_len_respected(self):
         params = ModelParams(tiny_config(max_len=6), seed=0)
-        out = greedy_generate(params, [1, 2, 3], max_new=50, stop_id=-1)
+        out = generate(params, [1, 2, 3], max_new=50, stop_id=-1)
         assert len(out) <= 6
 
     def test_empty_prompt_rejected(self):
         params = ModelParams(tiny_config(), seed=0)
+        encoded = forward(params, [1], build_causal_mask(1))
         with pytest.raises(ValueError):
-            greedy_generate(params, [], max_new=5, stop_id=0)
-
-    def test_position_continuation(self):
-        """Generation with original position ids matches generation over the
-        same layout laid out contiguously."""
-        params = ModelParams(tiny_config(max_len=32), seed=4)
-        prompt = [1, 2, 3]
-        plain = greedy_generate(params, prompt, max_new=4, stop_id=-1)
-        explicit = greedy_generate(params, prompt, max_new=4, stop_id=-1,
-                                   positions=[0, 1, 2], first_new_position=3)
-        assert plain == explicit
+            greedy_generate(params, [], max_new=5, stop_id=0, encoded=encoded,
+                            attend=np.ones(0, dtype=bool))

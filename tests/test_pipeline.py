@@ -99,6 +99,34 @@ class TestAssembleSegments:
         assert s1.noisy_schema != s2.noisy_schema
         assert example.seg.gt_schema == set()  # original untouched
 
+    @pytest.mark.parametrize("which", ["example", "join_example"])
+    def test_one_column_token_rule(self, request, which):
+        """Training's attended schema and inference's pruned prompt come from
+        one rule, checked against the table layout on random column sets."""
+        ex = request.getfixturevalue(which)
+        columns = [(t, c) for t, c, _ in ex.seg.marker_columns]
+        n_ps = len(ex.seg.prefix | ex.seg.schema)
+        query_row = min(ex.seg.query)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            k = int(rng.integers(1, len(columns) + 1))
+            noisy = {columns[i] for i in rng.choice(len(columns), size=k, replace=False)}
+            union = ex.link | noisy
+            # reference: every element of a touched table except the
+            # definitions of its columns outside the set
+            expected = set()
+            for table, elems in ex.seg.table_elements.items():
+                if any(t == table for t, _ in union):
+                    for key, (a, b) in elems.items():
+                        if not key.startswith("col:") or (table, key[4:]) in union:
+                            expected.update(range(a, b))
+            assert ex.seg.schema_tokens(union) == expected
+            seg = assemble_segments(ex, noisy)
+            assert seg.gt_schema | seg.noisy_schema == expected
+            visible = build_joint_mask(seg).visible[query_row, :n_ps]
+            _, positions = prune_prompt(ex, union)
+            assert np.flatnonzero(visible).tolist() == positions
+
 
 class TestTrainLoop:
     def test_capture_counter_epoch_one_only(self, example, join_example, vocab):
@@ -150,6 +178,26 @@ class TestTrainLoop:
         for entry in res.log:
             assert {"step", "epoch", "example_id", "l_sl", "l_ntp"} <= entry.keys()
             assert np.isfinite(entry["l_sl"]) and np.isfinite(entry["l_ntp"])
+
+    def test_grad_norm_logged_on_optimizer_steps(self, example, vocab, monkeypatch):
+        from joltsql import autodiff as ad
+        norms = []
+        clip = ad.clip_grad_norm
+
+        def spy(params, max_norm):
+            norms.append(clip(params, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(ad, "clip_grad_norm", spy)
+        events = []
+        res = train([example], tiny_model(vocab),
+                    TrainConfig(epochs=3, learning_rate=1e-3, grad_accum=2, seed=8),
+                    log_fn=lambda stage, entry: events.append(entry))
+        # steps 0-1 fill one accumulation; step 2 is the final partial one
+        assert [e["step"] for e in res.log if "grad_norm" in e] == [1, 2]
+        assert [e["grad_norm"] for e in res.log if "grad_norm" in e] == norms
+        assert all(np.isfinite(n) and n > 0 for n in norms)
+        assert events == res.log
 
     def test_deterministic_training(self, example, join_example, vocab):
         cfg = TrainConfig(epochs=2, learning_rate=1e-3, grad_accum=2, seed=7)
@@ -257,11 +305,7 @@ def joint_layout(example, columns, n_query):
     seg = copy.copy(example.seg)
     seg.n = n_ps + n_query
     seg.query = set(range(n_ps, n_ps + n_query))
-    seg.gt_schema = set()
-    for table, column in columns:
-        seg.gt_schema.update(range(*example.seg.column_token_range(table, column)))
-    for table in {t for t, _ in columns}:
-        seg.gt_schema |= example.seg.table_envelope(table)
+    seg.gt_schema = example.seg.schema_tokens(columns)
     seg.noisy_schema = set()
     return seg
 
@@ -318,9 +362,9 @@ class TestDecodeUnderTrainingMask:
         threshold = split_threshold(params, example) if case == "predicted" else 0.999
         calls = []
 
-        def spy(params, ids, mask, positions=None, past=None):
+        def spy(params, ids, mask, past=None):
             calls.append((len(ids), mask.visible.copy(), past is not None))
-            return forward(params, ids, mask, positions=positions, past=past)
+            return forward(params, ids, mask, past=past)
 
         monkeypatch.setattr(model, "forward", spy)
         monkeypatch.setattr(pipeline, "forward", spy)
