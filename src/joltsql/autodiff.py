@@ -2,7 +2,10 @@
 
 Eager tape: every op computes its forward value immediately and registers
 a backward closure. Just enough surface for a small decoder-only
-transformer whose attention masks are boolean visibility matrices.
+transformer. Multi-head attention is one op, `attention`, over
+(heads, n, dh) arrays under one boolean visibility matrix, with a
+hand-written backward; per head, `slice_cols`, `transpose`,
+`masked_softmax` and `concat` compose its slow reference.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from .errors import EmptyRow, ShapeMismatch
 __all__ = [
     "Tensor", "tensor", "matmul", "add", "mul", "scale", "transpose",
     "concat", "slice_cols", "gather_rows", "relu", "sigmoid",
-    "masked_softmax", "layer_norm", "bce_loss", "cross_entropy_rows",
+    "masked_softmax", "attention", "layer_norm", "bce_loss", "cross_entropy_rows",
     "sum_all", "add_scalars", "backward", "AdamW", "clip_grad_norm",
 ]
 
@@ -37,8 +40,10 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: ops may hand the same array to several parents
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def item(self) -> float:
         return float(self.data)
@@ -174,20 +179,27 @@ def sigmoid(a: Tensor) -> Tensor:
     return _op(out_data, (a,), backward)
 
 
-def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
-    """Row-stochastic over visible entries; invisible entries exactly 0.
-
-    Stabilized by row-max subtraction over the visible set.
-    """
-    if scores.shape != visible.shape:
-        raise ShapeMismatch(f"scores {scores.shape} vs mask {visible.shape}")
+def _check_visible(shape: tuple, visible: np.ndarray):
+    if shape != visible.shape:
+        raise ShapeMismatch(f"scores {shape} vs mask {visible.shape}")
     if not visible.any(axis=1).all():
         raise EmptyRow("attention mask has a row with no visible entries")
-    neg = np.where(visible, scores.data, -np.inf)
-    row_max = neg.max(axis=1, keepdims=True)
-    ex = np.exp(neg - row_max)
+
+
+def _softmax_visible(scores: np.ndarray, visible: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis over the visible entries, stabilized by
+    the row maximum over the visible set; invisible entries are exactly 0.
+    `visible` broadcasts against `scores`."""
+    neg = np.where(visible, scores, -np.inf)
+    ex = np.exp(neg - neg.max(axis=-1, keepdims=True))
     ex = np.where(visible, ex, 0.0)
-    out_data = ex / ex.sum(axis=1, keepdims=True)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
+    """Row-stochastic over visible entries; invisible entries exactly 0."""
+    _check_visible(scores.shape, visible)
+    out_data = _softmax_visible(scores.data, visible)
 
     def backward(g):
         if scores.requires_grad:
@@ -196,6 +208,51 @@ def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
             scores.accumulate(out_data * (g - dot))
 
     return _op(out_data.astype(scores.data.dtype), (scores,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
+              heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one op.
+
+    q is n x d, k and v are m x d; the n x m mask `visible` holds for every
+    head. Head h owns columns h*dh..(h+1)*dh (dh = d / heads), and all heads
+    run as one batched product over (heads, rows, dh) views. The n x d
+    output equals, per head, softmax(q_h k_h^T / sqrt(dh)) over the visible
+    entries times v_h, with the heads concatenated. Backward, per head, from
+    the saved probabilities p: dV = p^T g,
+    dS = p * (g V^T - rowsum(g V^T * p)) / sqrt(dh), dQ = dS K, dK = (Q^T dS)^T.
+    """
+    n, d = q.shape
+    m = k.shape[0]
+    if k.shape != (m, d) or v.shape != (m, d) or d % heads:
+        raise ShapeMismatch(f"attention q {q.shape}, k {k.shape}, v {v.shape}, "
+                            f"{heads} heads")
+    _check_visible((n, m), visible)
+    dh = d // heads
+    s = 1.0 / float(np.sqrt(dh))
+
+    def split(a):  # rows x d -> heads x rows x dh
+        return a.reshape(len(a), heads, dh).transpose(1, 0, 2)
+
+    def merge(a):  # heads x rows x dh -> rows x d
+        return a.transpose(1, 0, 2).reshape(a.shape[1], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = _softmax_visible((qh @ kh.transpose(0, 2, 1)) * s, visible)
+
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            v.accumulate(merge(probs.transpose(0, 2, 1) @ gh))
+        if q.requires_grad or k.requires_grad:
+            gp = gh @ vh.transpose(0, 2, 1)
+            ds = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * s
+            if q.requires_grad:
+                q.accumulate(merge(ds @ kh))
+            if k.requires_grad:
+                k.accumulate(merge((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)))
+
+    return _op(merge(probs @ vh), (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

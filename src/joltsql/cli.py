@@ -9,8 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
+
+import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, pipeline
@@ -155,6 +158,14 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
+def platform_record() -> dict:
+    """What the byte-for-byte promise depends on: outputs repeat only on
+    the same Python, numpy and BLAS build."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version")}
+
+
 def cmd_train(args) -> int:
     overrides: dict = {"train": {}, "model": {}}
     if args.seed is not None:
@@ -184,7 +195,8 @@ def cmd_train(args) -> int:
     result.cache.save(cache_path)
     vocab.save(os.path.join(args.out, "vocab.json"))
     snapshot = {"train": cfg["train"], "model": cfg["model"],
-                "corpus_path": os.path.abspath(args.corpus)}
+                "corpus_path": os.path.abspath(args.corpus),
+                "platform": platform_record()}
     with open(os.path.join(args.out, "config.snapshot.json"), "w") as f:
         json.dump(snapshot, f, indent=1, sort_keys=True)
     log.log_event("train_done", {"steps": len(result.log)})

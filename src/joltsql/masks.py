@@ -31,33 +31,24 @@ def build_joint_mask(seg: SegmentMap) -> AttentionMask:
     if not seg.validate_partition():
         raise InvalidSegmentation("prefix/schema/query do not partition the sequence")
     n = seg.n
-    visible = np.zeros((n, n), dtype=bool)
 
-    prefix = np.zeros(n, dtype=bool)
-    prefix[list(seg.prefix)] = True
-    schema = np.zeros(n, dtype=bool)
-    schema[list(seg.schema)] = True
-    marker = np.zeros(n, dtype=bool)
-    marker[list(seg.markers)] = True
-    attended_schema = np.zeros(n, dtype=bool)
-    attended_schema[list(seg.gt_schema | seg.noisy_schema)] = True
+    def region(positions) -> np.ndarray:
+        out = np.zeros(n, dtype=bool)
+        out[list(positions)] = True
+        return out
 
-    for i in range(n):
-        row = visible[i]
-        if prefix[i]:
-            # plain causal within the prefix
-            row[: i + 1] = prefix[: i + 1]
-        elif schema[i] and not marker[i]:
-            row[:] = (prefix | schema) & ~marker
-        elif marker[i]:
-            row[:] = prefix | schema
-        else:  # query
-            causal_query = np.zeros(n, dtype=bool)
-            for j in seg.query:
-                if j <= i:
-                    causal_query[j] = True
-            row[:] = (prefix | attended_schema | causal_query) & ~marker
-        row[i] = True  # every token sees itself
+    prefix, schema, query = region(seg.prefix), region(seg.schema), region(seg.query)
+    marker = region(seg.markers)
+    attended = region(seg.gt_schema | seg.noisy_schema)
+    context = prefix | schema
+    tri = np.tri(n, dtype=bool)  # tri[i, j]: j <= i
+
+    # each row takes the view of its region; the regions partition the rows
+    visible = prefix[:, None] & tri & prefix  # causal within the prefix
+    visible |= (schema & ~marker)[:, None] & (context & ~marker)
+    visible |= marker[:, None] & context
+    visible |= query[:, None] & (((prefix | attended) | (tri & query)) & ~marker)
+    np.fill_diagonal(visible, True)  # every token sees itself
     return AttentionMask(visible)
 
 

@@ -1,5 +1,6 @@
-"""Toy decoder-only transformer with pluggable attention masks, a
-marker-probability linking head, and the linking / next-token / joint losses."""
+"""Toy decoder-only transformer with pluggable attention masks, one fused
+multi-head attention op per layer, a marker-probability linking head, and
+the linking / next-token / joint losses."""
 from __future__ import annotations
 
 import contextlib
@@ -137,6 +138,9 @@ def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
     whenever the cached rows never attend to the new ones, as prefix and
     schema rows never attend to query rows under the joint mask, so decoding
     reuses the prompt's K/V instead of re-encoding it.
+
+    Each layer's attention is one `autodiff.attention` op over (heads, rows,
+    dh) views of Q, K and V, whatever the number of heads.
     """
     cfg = params.config
     n = len(ids)
@@ -145,8 +149,6 @@ def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
         raise ShapeMismatch(f"sequence length {p + n} exceeds max_len {cfg.max_len}")
     if mask.visible.shape != (n, p + n):
         raise ShapeMismatch(f"mask shape {mask.visible.shape} != ({n}, {p + n})")
-    dh = cfg.dim // cfg.heads
-    inv_sqrt_dh = 1.0 / float(np.sqrt(dh))
 
     x = ad.add(ad.gather_rows(params.emb, np.asarray(ids)),
                ad.gather_rows(params.pos, np.arange(p, p + n)))
@@ -160,16 +162,7 @@ def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
             k = ad.concat([Tensor(past[li][0]), k], axis=0)
             v = ad.concat([Tensor(past[li][1]), v], axis=0)
         kv.append((k.data, v.data))
-        heads = []
-        for hidx in range(cfg.heads):
-            lo, hi = hidx * dh, (hidx + 1) * dh
-            qh = ad.slice_cols(q, lo, hi)
-            kh = ad.slice_cols(k, lo, hi)
-            vh = ad.slice_cols(v, lo, hi)
-            scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt_dh)
-            probs = ad.masked_softmax(scores, mask.visible)
-            heads.append(ad.matmul(probs, vh))
-        attn = ad.matmul(ad.concat(heads, axis=1), layer["wo"])
+        attn = ad.matmul(ad.attention(q, k, v, mask.visible, cfg.heads), layer["wo"])
         x = ad.add(x, attn)
         h2 = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
         ffn = ad.matmul(ad.relu(ad.add(ad.matmul(h2, layer["w1"]), layer["b1"])), layer["w2"])

@@ -49,15 +49,12 @@ class TrainConfig:
     grad_accum: int = 6
     max_grad_norm: float = 1.0
     beta: float = 0.2
-    link_threshold: float = 0.05
     seed: int = 0
     noise_mode: str = "confusion"  # confusion | random | none
 
     def __post_init__(self):
         if not 0 < self.beta < 1:
             raise ValueError("beta must be in (0, 1)")
-        if not 0 < self.link_threshold < 1:
-            raise ValueError("link_threshold must be in (0, 1)")
         if self.noise_mode not in ("confusion", "random", "none"):
             raise ValueError("noise_mode must be confusion, random, or none")
 
@@ -237,11 +234,11 @@ def marker_scores(example: TrainingExample,
     return [(t, c, float(probs[pos])) for t, c, pos in example.seg.marker_columns]
 
 
-def link_schema(params: ModelParams, example: TrainingExample,
-                threshold: float = 0.05) -> list[tuple[str, str, float]]:
-    """Score every column's marker under the joint mask (prefix+schema only)
-    and keep those above the threshold. Returns (table, column, score) for
-    all columns; filter by score > threshold for the predicted set."""
+def link_schema(params: ModelParams,
+                example: TrainingExample) -> list[tuple[str, str, float]]:
+    """Score every column's marker under the joint mask (prefix+schema
+    only). Returns (table, column, score) for every column; the predicted
+    set at a threshold is the columns whose score exceeds it."""
     return marker_scores(example, encode_prompt(params, example))
 
 

@@ -195,6 +195,101 @@ class TestGradientChecks:
             assert rel_err(got, want) < REL_TOL, name
 
 
+def unfused_attention(q, k, v, visible, heads):
+    """The per-head composition `ad.attention` replaces: the slow reference."""
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        lo, hi = h * dh, (h + 1) * dh
+        qh, kh, vh = (ad.slice_cols(t, lo, hi) for t in (q, k, v))
+        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / float(np.sqrt(dh)))
+        outs.append(ad.matmul(ad.masked_softmax(scores, visible), vh))
+    return ad.concat(outs, axis=1)
+
+
+def attention_masks():
+    """A square mask whose rows are partly hidden, and a rectangular
+    n x (p + n) one: two new rows over three cached rows and themselves."""
+    square = np.array([[True, False, True, False],
+                       [True, True, False, False],
+                       [False, True, True, True],
+                       [True, False, False, True]])
+    past = np.array([[True, False, True, True, False],
+                     [False, True, True, True, True]])
+    return {"square": square, "past": past}
+
+
+class TestFusedAttention:
+    D = 4
+
+    @pytest.mark.parametrize("wrt", ["q", "k", "v"])
+    @pytest.mark.parametrize("shape", ["square", "past"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_gradient(self, wrt, shape, heads):
+        rng = np.random.default_rng(7)
+        visible = attention_masks()[shape]
+        n, m = visible.shape
+        rows = {"q": n, "k": m, "v": m}
+        fixed = {name: ad.tensor(rng.normal(0, 1, (r, self.D)), dtype=np.float64)
+                 for name, r in rows.items()}
+        w = ad.tensor(rng.normal(0, 1, (n, self.D)), dtype=np.float64)
+
+        def build(t):
+            args = dict(fixed, **{wrt: t})
+            out = ad.attention(args["q"], args["k"], args["v"], visible, heads)
+            return ad.sum_all(ad.mul(out, w))
+        check_op(build, (rows[wrt], self.D), rng)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_unfused_composition(self, dtype, tol, heads):
+        rng = np.random.default_rng(heads)
+        d = 8
+        causal = np.tri(7, dtype=bool)
+        past = np.concatenate([rng.random((3, 6)) > 0.5, np.tri(3, dtype=bool)], axis=1)
+        for visible in (causal, past):
+            n, m = visible.shape
+            data = [rng.normal(0, 1, (r, d)) for r in (n, m, m)]
+            w = rng.normal(0, 1, (n, d))
+            results = []
+            for op in (ad.attention, unfused_attention):
+                q, k, v = (ad.tensor(x, requires_grad=True, dtype=dtype) for x in data)
+                out = op(q, k, v, visible, heads)
+                ad.backward(ad.sum_all(ad.mul(out, ad.tensor(w, dtype=dtype))))
+                results.append([out.data, q.grad, k.grad, v.grad])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype == dtype
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    def test_hidden_entries_get_no_weight(self):
+        rng = np.random.default_rng(3)
+        visible = attention_masks()["past"].copy()
+        visible[:, 0] = False  # no query row may see cached row 0
+        q = ad.tensor(rng.normal(0, 1, (2, 4)), dtype=np.float64)
+        k = ad.tensor(rng.normal(0, 1, (5, 4)), dtype=np.float64)
+        v = ad.tensor(rng.normal(0, 1, (5, 4)), dtype=np.float64)
+        base = ad.attention(q, k, v, visible, 2).data
+        k.data[0] += 100.0
+        v.data[0] -= 100.0
+        assert np.array_equal(ad.attention(q, k, v, visible, 2).data, base)
+
+    def test_empty_row_rejected(self):
+        visible = np.array([[True, True], [False, False]])
+        x = ad.tensor(np.zeros((2, 4)))
+        with pytest.raises(EmptyRow):
+            ad.attention(x, x, x, visible, 2)
+
+    def test_shape_mismatch_rejected(self):
+        q = ad.tensor(np.zeros((2, 4)))
+        kv = ad.tensor(np.zeros((3, 4)))
+        with pytest.raises(ShapeMismatch):  # mask not n x m
+            ad.attention(q, kv, kv, np.ones((2, 2), dtype=bool), 2)
+        with pytest.raises(ShapeMismatch):  # k and v differ
+            ad.attention(q, kv, ad.tensor(np.zeros((2, 4))), np.ones((2, 3), dtype=bool), 2)
+        with pytest.raises(ShapeMismatch):  # width not divisible by heads
+            ad.attention(q, kv, kv, np.ones((2, 3), dtype=bool), 3)
+
+
 class TestWorkedValues:
     def test_bce_half(self):
         p = ad.tensor([[0.5]], dtype=np.float64)
@@ -270,6 +365,21 @@ class TestGraphMechanics:
         y = ad.tensor(np.ones((2, 2)), requires_grad=True, dtype=np.float64)
         ad.backward(ad.sum_all(ad.mul(x, x)))
         assert y.grad is None
+
+    def test_first_gradient_is_a_private_copy(self):
+        # add hands the same array to both parents; each must own its grad
+        a = ad.tensor(np.ones((2, 2)), requires_grad=True, dtype=np.float64)
+        b = ad.tensor(np.ones((2, 2)), requires_grad=True, dtype=np.float64)
+        ad.backward(ad.sum_all(ad.mul(ad.add(a, b), ad.add(a, a))))
+        assert a.grad is not b.grad
+        np.testing.assert_array_equal(b.grad, np.full((2, 2), 2.0))
+        np.testing.assert_array_equal(a.grad, np.full((2, 2), 6.0))
+
+    def test_first_gradient_takes_the_tensor_dtype(self):
+        p = ad.tensor(np.ones((2, 2)), requires_grad=True, dtype=np.float32)
+        c = ad.tensor(np.full((2, 2), 0.1), dtype=np.float64)
+        ad.backward(ad.sum_all(ad.mul(p, c)))  # p's gradient arrives as float64
+        assert p.grad.dtype == np.float32
 
     def test_shared_node_accumulates(self):
         x = ad.tensor(np.array([[2.0]]), requires_grad=True, dtype=np.float64)

@@ -1,7 +1,9 @@
 import json
 import os
+import platform
 import shutil
 
+import numpy as np
 import pytest
 
 from joltsql.cli import EventLog, main
@@ -125,6 +127,21 @@ class TestTrainArtifacts:
         assert snap["train"]["epochs"] == 1
         assert snap["model"]["dim"] == 16
 
+    def test_snapshot_records_platform(self, workspace):
+        snap = json.loads((workspace["ckpt"] / "config.snapshot.json").read_text())
+        record = snap["platform"]
+        assert record.keys() == {"python", "numpy", "blas", "blas_version"}
+        assert record["python"] == platform.python_version()
+        assert record["numpy"] == np.__version__
+        assert all(isinstance(v, str) and v for v in record.values())
+
+    def test_removed_link_threshold_key_rejected(self, workspace, tmp_path):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"train": {"epochs": 1, "link_threshold": 0.05}}))
+        with pytest.raises(TypeError, match="link_threshold"):
+            main(["train", "--corpus", str(workspace["corpus"] / "train.jsonl"),
+                  "--config", str(cfg), "--out", str(tmp_path / "ckpt")])
+
 
 class TestInferEval:
     def test_infer_outputs_sql_json(self, capsys, workspace):
@@ -159,6 +176,7 @@ class TestInferEval:
         metrics = json.loads((out_dir / "metrics.json").read_text())
         for key in ("precision", "recall", "roc_auc", "pr_auc", "ex"):
             assert key in metrics
+        assert "platform" not in metrics  # it goes to config.snapshot.json
 
     def test_sweep_writes_csv_and_svg(self, capsys, tmp_path, workspace):
         out_dir = tmp_path / "sweep"

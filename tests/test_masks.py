@@ -1,10 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from joltsql import pipeline
+from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import InvalidSegmentation
 from joltsql.masks import (build_causal_mask, build_joint_mask, render_ascii,
                            render_ppm, render_svg)
-from joltsql.tokenizer import SegmentMap
+from joltsql.model import ModelConfig, ModelParams
+from joltsql.sampling import draw_noise_count, example_rng, sample_noisy
+from joltsql.tokenizer import SegmentMap, Vocab
 
 
 def random_segment(rng: np.random.Generator, n_max: int = 64) -> SegmentMap:
@@ -51,6 +57,13 @@ def oracle_visible(seg: SegmentMap) -> np.ndarray:
     return out
 
 
+@pytest.fixture(scope="module")
+def desk_examples(tmp_path_factory):
+    generated = generate_corpus(CorpusConfig(), str(tmp_path_factory.mktemp("desk")))
+    vocab = Vocab.load(generated.vocab_path)
+    return pipeline.load_corpus(generated.train_path, vocab, generated.schemas)[:40], vocab
+
+
 class TestJointMaskOracle:
     def test_matches_oracle_on_100_random_segmentations(self):
         rng = np.random.default_rng(12345)
@@ -59,6 +72,50 @@ class TestJointMaskOracle:
             got = build_joint_mask(seg).visible
             want = oracle_visible(seg)
             assert np.array_equal(got, want)
+
+    def test_matches_oracle_on_prompt_only_segmentations(self):
+        """Prefix and schema with an empty query, as the prompt encoding
+        builds them."""
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            seg = random_segment(rng)
+            seg = replace(seg, n=min(seg.query), query=set(), gt_schema=set(),
+                          noisy_schema=set())
+            assert np.array_equal(build_joint_mask(seg).visible, oracle_visible(seg))
+
+    def test_matches_oracle_on_desk_training_segments(self, desk_examples):
+        """`assemble_segments` maps of desk-corpus examples, with noisy
+        columns sampled as a training step samples them."""
+        examples, _ = desk_examples
+        with_noise = 0
+        for epoch in (1, 2, 3):
+            for ex in examples:
+                rng = example_rng(0, ex.example_id, epoch)
+                pool = ex.non_gt_columns()
+                k = draw_noise_count(len(ex.seg.marker_columns), 0.2, rng)
+                drawn = sample_noisy(list(range(len(pool))), [1.0] * len(pool), k, rng)
+                seg = pipeline.assemble_segments(ex, {pool[i] for i in drawn})
+                assert np.array_equal(build_joint_mask(seg).visible, oracle_visible(seg))
+                with_noise += bool(seg.noisy_schema)
+        assert with_noise > 20
+
+    def test_matches_oracle_on_desk_prompt_encodings(self, desk_examples, monkeypatch):
+        examples, vocab = desk_examples
+        params = ModelParams(ModelConfig(vocab_size=len(vocab), dim=8, heads=2, layers=1),
+                             seed=0)
+        built = []
+
+        def spy(seg):
+            built.append(seg)
+            return build_joint_mask(seg)
+
+        monkeypatch.setattr(pipeline, "build_joint_mask", spy)
+        for ex in examples[:10]:
+            pipeline.encode_prompt(params, ex)
+        assert len(built) == 10
+        for seg in built:
+            assert not seg.query
+            assert np.array_equal(build_joint_mask(seg).visible, oracle_visible(seg))
 
 
 class TestMarkerRules:

@@ -5,10 +5,11 @@ import pytest
 
 from joltsql import autodiff as ad
 from joltsql.errors import EmptyQuery, NoMarkers, ShapeMismatch
-from joltsql.masks import build_causal_mask, build_joint_mask
+from joltsql.masks import AttentionMask, build_causal_mask, build_joint_mask
 from joltsql.model import (ModelConfig, ModelParams, forward, greedy_generate,
-                           joint_loss, ntp_loss, schema_linking_loss)
+                           joint_loss, ntp_loss, no_grad, schema_linking_loss)
 from joltsql.tokenizer import SegmentMap
+from test_autodiff import unfused_attention
 
 
 def tiny_config(**kw):
@@ -105,6 +106,71 @@ class TestForward:
         np.testing.assert_allclose(pert.marker_probs.data[[4, 6]],
                                    base.marker_probs.data[[4, 6]],
                                    rtol=0, atol=1e-6)
+
+
+def training_loss(params):
+    seg = tiny_segment()
+    ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    out = forward(params, ids, build_joint_mask(seg))
+    l_sl = schema_linking_loss(out.marker_probs, [1, 0], [4, 6])
+    l_ntp = ntp_loss(out.lm_logits, ids, sorted(seg.query))
+    return joint_loss(l_sl, l_ntp)
+
+
+def tape_nodes(loss) -> int:
+    """Op nodes (tensors with a backward closure) in the loss graph."""
+    found, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in found:
+            found[id(t)] = t
+            stack.extend(t._parents)
+    return sum(t._backward is not None for t in found.values())
+
+
+class TestAttentionOp:
+    def test_tape_size_independent_of_heads(self):
+        counts = {heads: tape_nodes(training_loss(ModelParams(tiny_config(heads=heads), seed=0)))
+                  for heads in (1, 2, 4)}
+        assert len(set(counts.values())) == 1, counts
+
+    @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
+    def test_training_gradients_match_unfused(self, monkeypatch, dtype, tol):
+        def grads():
+            params = ModelParams(tiny_config(dtype=dtype), seed=4)
+            ad.backward(training_loss(params))
+            return {k: p.grad for k, p in params.named_params().items()}
+        fused = grads()
+        monkeypatch.setattr(ad, "attention", unfused_attention)
+        reference = grads()
+        for k in reference:
+            np.testing.assert_allclose(fused[k], reference[k], rtol=0, atol=tol, err_msg=k)
+
+    @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
+    def test_decode_rows_with_past_match_unfused(self, monkeypatch, dtype, tol):
+        """The prompt pass, then one row per token against the cached K/V,
+        give the logits of the per-head composition."""
+        params = ModelParams(tiny_config(dtype=dtype, heads=4), seed=2)
+        ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+        visible = build_joint_mask(tiny_segment()).visible
+        n_prompt = 7  # prefix and schema; rows 7..9 are query rows
+
+        def logits():
+            with no_grad(params):
+                out = forward(params, ids[:n_prompt],
+                              AttentionMask(visible[:n_prompt, :n_prompt]))
+                rows = [out.lm_logits.data]
+                for i in range(n_prompt, len(ids)):
+                    out = forward(params, ids[i:i + 1],
+                                  AttentionMask(visible[i:i + 1, :i + 1]), past=out.kv)
+                    rows.append(out.lm_logits.data)
+            return rows
+        fused = logits()
+        monkeypatch.setattr(ad, "attention", unfused_attention)
+        reference = logits()
+        assert len(fused) == 4
+        for got, want in zip(fused, reference):
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
 
 class TestLosses:

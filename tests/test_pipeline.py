@@ -212,8 +212,6 @@ class TestTrainLoop:
             TrainConfig(beta=1.5)
         with pytest.raises(ValueError):
             TrainConfig(noise_mode="bogus")
-        with pytest.raises(ValueError):
-            TrainConfig(link_threshold=0.0)
 
 
 class TestCaptureWeights:
