@@ -6,6 +6,12 @@ transformer. Multi-head attention is one op, `attention`, over
 (heads, n, dh) arrays under one boolean visibility matrix, with a
 hand-written backward; per head, `slice_cols`, `transpose`,
 `masked_softmax` and `concat` compose its slow reference.
+
+The hot kernels make as few array passes as keep their results bit for
+bit: the masked softmax adds a 0/-inf bias built from the boolean mask and
+then works in place, attention scales its scores and builds its score
+gradient in place, layer norm sums instead of calling `mean`/`var`, and
+AdamW updates in place through two scratch buffers shared by all tensors.
 """
 from __future__ import annotations
 
@@ -30,7 +36,9 @@ class Tensor:
                  parents: tuple = (), backward=None):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        if not requires_grad and parents:
+            requires_grad = any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward
 
@@ -54,8 +62,9 @@ def tensor(data, requires_grad: bool = False, dtype=np.float32) -> Tensor:
 
 
 def _op(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, parents=parents, backward=backward)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, True, parents, backward)
     return Tensor(data)
 
 
@@ -119,12 +128,12 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    sizes = [t.data.shape[axis] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    bounds = np.cumsum([0] + sizes)
 
     def backward(g):
-        for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
+        hi = 0
+        for t in tensors:
+            lo, hi = hi, hi + t.data.shape[axis]
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
@@ -146,14 +155,20 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup (embedding gather)."""
+    """Row lookup (embedding gather). The backward of a contiguous range
+    (the position table) is a slice add; any other index list, with
+    repeats, goes through `np.add.at`."""
     indices = np.asarray(indices, dtype=np.int64)
     out_data = a.data[indices]
 
     def backward(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, indices, g)
+            lo = int(indices[0]) if len(indices) else -1
+            if lo >= 0 and (np.diff(indices) == 1).all():
+                full[lo:lo + len(indices)] += g
+            else:
+                np.add.at(full, indices, g)
             a.accumulate(full)
 
     return _op(out_data, (a,), backward)
@@ -189,11 +204,18 @@ def _check_visible(shape: tuple, visible: np.ndarray):
 def _softmax_visible(scores: np.ndarray, visible: np.ndarray) -> np.ndarray:
     """Softmax along the last axis over the visible entries, stabilized by
     the row maximum over the visible set; invisible entries are exactly 0.
-    `visible` broadcasts against `scores`."""
-    neg = np.where(visible, scores, -np.inf)
-    ex = np.exp(neg - neg.max(axis=-1, keepdims=True))
-    ex = np.where(visible, ex, 0.0)
-    return ex / ex.sum(axis=-1, keepdims=True)
+
+    One n x m bias in the scores' dtype, 0 where `visible` and -inf where
+    not, broadcasts over any leading (head) axis. The sum scores + bias is
+    the one new array; the row max is subtracted, `exp` taken and the rows
+    normalized in place, and exp(-inf) makes the hidden entries 0."""
+    bias = np.zeros(visible.shape, dtype=scores.dtype)
+    bias[~visible] = -np.inf
+    ex = scores + bias
+    ex -= ex.max(axis=-1, keepdims=True)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=-1, keepdims=True)
+    return ex
 
 
 def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
@@ -207,7 +229,7 @@ def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
             dot = (g * out_data).sum(axis=1, keepdims=True)
             scores.accumulate(out_data * (g - dot))
 
-    return _op(out_data.astype(scores.data.dtype), (scores,), backward)
+    return _op(out_data, (scores,), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
@@ -238,15 +260,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
         return a.transpose(1, 0, 2).reshape(a.shape[1], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    probs = _softmax_visible((qh @ kh.transpose(0, 2, 1)) * s, visible)
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores *= s
+    probs = _softmax_visible(scores, visible)
 
     def backward(g):
         gh = split(g)
         if v.requires_grad:
             v.accumulate(merge(probs.transpose(0, 2, 1) @ gh))
         if q.requires_grad or k.requires_grad:
-            gp = gh @ vh.transpose(0, 2, 1)
-            ds = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * s
+            ds = gh @ vh.transpose(0, 2, 1)
+            ds -= (ds * probs).sum(axis=-1, keepdims=True)
+            ds *= probs
+            ds *= s
             if q.requires_grad:
                 q.accumulate(merge(ds @ kh))
             if k.requires_grad:
@@ -256,10 +282,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    """Row-wise layer norm. Means are sums divided by the width, which is
+    what `np.mean` and `np.var` compute, without their wrapper cost."""
+    d = x.data.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
     def backward(g):
@@ -269,8 +298,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias.accumulate(g.sum(axis=0))
         if x.requires_grad:
             gx = g * gain.data
-            dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                        - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+            dx = inv * (gx - gx.sum(axis=-1, keepdims=True) / d
+                        - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d))
             x.accumulate(dx)
 
     return _op(out_data, (x, gain, bias), backward)
@@ -355,7 +384,9 @@ def backward(loss: Tensor):
 
 
 class AdamW:
-    """Plain 32/64-bit AdamW with decoupled weight decay."""
+    """Plain 32/64-bit AdamW with decoupled weight decay. Each tensor's
+    update runs in the textbook order, in place, through two scratch arrays
+    of its shape, so a step allocates no temporaries."""
 
     def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
@@ -366,20 +397,44 @@ class AdamW:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
+        # The scratch pairs view the front of two buffers per dtype, as long
+        # as the largest tensor: tensors are updated one at a time, so they
+        # share warm memory. In a desk training loop a separate pair per
+        # tensor was no faster than allocating temporaries.
+        size = max((p.data.size for p in params), default=0)
+        buffers: dict = {}
+        self._scratch = []
+        for p in params:
+            if p.data.dtype not in buffers:
+                buffers[p.data.dtype] = [np.empty(size, p.data.dtype) for _ in range(2)]
+            self._scratch.append(tuple(buf[:p.data.size].reshape(p.data.shape)
+                                       for buf in buffers[p.data.dtype]))
 
     def step(self):
+        """p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p), with
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and bias-corrected
+        mhat, vhat; a missing gradient counts as zeros."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self.m, self.v):
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v, (a, b) in zip(self.params, self.m, self.v, self._scratch):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            np.multiply(g, 1 - b1, out=a)
             m *= b1
-            m += (1 - b1) * g
+            m += a
+            np.multiply(g, 1 - b2, out=a)
+            a *= g
             v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)
-                                 + self.weight_decay * p.data)
+            v += a
+            np.divide(m, c1, out=a)  # mhat
+            np.divide(v, c2, out=b)  # vhat
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            np.multiply(p.data, self.weight_decay, out=b)
+            a += b
+            a *= self.lr
+            p.data -= a
 
     def zero_grad(self):
         for p in self.params:

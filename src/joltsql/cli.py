@@ -17,7 +17,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, pipeline
-from .errors import JoltError, ShapeMismatch
+from .errors import ConfigError, JoltError, ShapeMismatch
 from .masks import build_causal_mask, build_joint_mask, render_ascii, render_ppm, render_svg
 from .model import ModelConfig, ModelParams
 from .sampling import WeightCache
@@ -49,8 +49,8 @@ class EventLog:
 
 
 def _load_run_config(path: str | None, overrides: dict) -> dict:
-    """Merge config file sections with CLI overrides; unknown keys rejected
-    by the dataclass constructors downstream."""
+    """Merge config file sections with CLI overrides; `_section` checks
+    each section's keys and values when its dataclass is built."""
     cfg: dict = {"train": {}, "model": {}, "corpus": {}}
     if path:
         with open(path) as f:
@@ -66,6 +66,16 @@ def _load_run_config(path: str | None, overrides: dict) -> dict:
         cfg["train"]["seed"] = int(env_seed)
         cfg["corpus"]["seed"] = int(env_seed)
     return cfg
+
+
+def _section(name: str, build):
+    """Build one config section; a key the section does not know
+    (`TypeError`) or a value it rejects (`ValueError`, `ConfigError`)
+    becomes a `ConfigError` naming the section."""
+    try:
+        return build()
+    except (TypeError, ValueError, ConfigError) as e:
+        raise ConfigError(f"config section {name!r}: {e}") from e
 
 
 def _read_text(path: str) -> str:
@@ -151,7 +161,7 @@ def cmd_mask_viz(args) -> int:
 
 def cmd_gen_corpus(args) -> int:
     cfg = _load_run_config(args.config, {})
-    corpus_cfg = corpus_mod.CorpusConfig.from_json(cfg["corpus"])
+    corpus_cfg = _section("corpus", lambda: corpus_mod.CorpusConfig.from_json(cfg["corpus"]))
     generated = corpus_mod.generate_corpus(corpus_cfg, args.out)
     stats = corpus_mod.corpus_stats(generated.train_path)
     print(json.dumps({"out": args.out, "train_stats": stats}))
@@ -173,34 +183,37 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         overrides["train"]["epochs"] = args.epochs
     cfg = _load_run_config(args.config, overrides)
-    train_cfg = pipeline.TrainConfig(**cfg["train"])
-
+    # every section is checked before the corpus loads
+    train_cfg = _section("train", lambda: pipeline.TrainConfig(**cfg["train"]))
+    _section("corpus", lambda: corpus_mod.CorpusConfig.from_json(cfg["corpus"]))
     corpus_dir = os.path.dirname(os.path.abspath(args.corpus))
     schema_dir = args.schema_dir or os.path.join(corpus_dir, "schema")
     vocab = Vocab.load(args.vocab or os.path.join(corpus_dir, "vocab.json"))
+    model_cfg = _section("model", lambda: ModelConfig(vocab_size=len(vocab), **cfg["model"]))
+
     schemas = corpus_mod.load_schemas(schema_dir)
     examples = pipeline.load_corpus(args.corpus, vocab, schemas,
                                     fraction=args.train_fraction)
-
-    model_cfg = ModelConfig(vocab_size=len(vocab), **cfg["model"])
     os.makedirs(args.out, exist_ok=True)
-    log = EventLog(os.path.join(args.out, "train_log.jsonl"))
     cache = None
     cache_path = os.path.join(args.out, "weights.cache.json")
     if os.path.exists(cache_path) and args.resume:
         cache = WeightCache.load(cache_path)
-    result = pipeline.train(examples, model_cfg, train_cfg,
-                            log_fn=log.log_event, cache=cache)
-    result.params.save(os.path.join(args.out, "params.npz"))
-    result.cache.save(cache_path)
-    vocab.save(os.path.join(args.out, "vocab.json"))
-    snapshot = {"train": cfg["train"], "model": cfg["model"],
-                "corpus_path": os.path.abspath(args.corpus),
-                "platform": platform_record()}
-    with open(os.path.join(args.out, "config.snapshot.json"), "w") as f:
-        json.dump(snapshot, f, indent=1, sort_keys=True)
-    log.log_event("train_done", {"steps": len(result.log)})
-    log.close()
+    log = EventLog(os.path.join(args.out, "train_log.jsonl"))
+    try:
+        result = pipeline.train(examples, model_cfg, train_cfg,
+                                log_fn=log.log_event, cache=cache)
+        result.params.save(os.path.join(args.out, "params.npz"))
+        result.cache.save(cache_path)
+        vocab.save(os.path.join(args.out, "vocab.json"))
+        snapshot = {"train": cfg["train"], "model": cfg["model"],
+                    "corpus_path": os.path.abspath(args.corpus),
+                    "platform": platform_record()}
+        with open(os.path.join(args.out, "config.snapshot.json"), "w") as f:
+            json.dump(snapshot, f, indent=1, sort_keys=True)
+        log.log_event("train_done", {"steps": len(result.log)})
+    finally:
+        log.close()
     print(json.dumps({"out": args.out, "steps": len(result.log),
                       "final_l_sl": result.log[-1]["l_sl"],
                       "final_l_ntp": result.log[-1]["l_ntp"]}))

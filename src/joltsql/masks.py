@@ -14,7 +14,9 @@ from .tokenizer import SegmentMap
 
 
 class AttentionMask:
-    """n x n boolean visibility; visible[i, j] means row i may attend to j."""
+    """n × (p+n) boolean visibility: n new rows over p cached rows and
+    themselves (p = 0 without a cache); visible[i, j] means row i may
+    attend to column j."""
 
     def __init__(self, visible: np.ndarray):
         self.visible = visible

@@ -410,3 +410,182 @@ class TestGraphMechanics:
         left = ad.transpose(ad.matmul(a, b)).data
         right = ad.matmul(ad.transpose(b), ad.transpose(a)).data
         assert np.allclose(left, right)
+
+
+# ------------------------------------------------------------------ slow references
+# The kernels as they were before they were rewritten to make fewer array
+# passes. The rewrites must agree with them bit for bit, not within a
+# tolerance: training logs, checkpoints and decoded SQL repeat byte for byte.
+
+def reference_softmax(scores, visible):
+    neg = np.where(visible, scores, -np.inf)
+    ex = np.exp(neg - neg.max(axis=-1, keepdims=True))
+    ex = np.where(visible, ex, 0.0)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def reference_attention(q, k, v, visible, heads, g):
+    """Output and (dQ, dK, dV) for upstream gradient g, all n x d / m x d."""
+    d = q.shape[1]
+    dh = d // heads
+    s = 1.0 / float(np.sqrt(dh))
+    split = lambda a: a.reshape(len(a), heads, dh).transpose(1, 0, 2)  # noqa: E731
+    merge = lambda a: a.transpose(1, 0, 2).reshape(a.shape[1], d)  # noqa: E731
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    probs = reference_softmax((qh @ kh.transpose(0, 2, 1)) * s, visible)
+    gp = gh @ vh.transpose(0, 2, 1)
+    ds = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * s
+    return (merge(probs @ vh), merge(ds @ kh),
+            merge((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)),
+            merge(probs.transpose(0, 2, 1) @ gh))
+
+
+def reference_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Output and (dx, dgain, dbias) for upstream gradient g."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    gx = g * gain
+    dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gain + bias, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def reference_gather_grad(table, indices, g):
+    full = np.zeros_like(table)
+    np.add.at(full, indices, g)
+    return full
+
+
+class ReferenceAdamW:
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+        self.params, self.lr = params, lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mhat = m / (1 - b1 ** self.t)
+            vhat = v / (1 - b2 ** self.t)
+            p.data -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)
+                                 + self.weight_decay * p.data)
+
+
+def same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def kernel_masks(rng):
+    """Partly hidden square masks (every row keeps its diagonal) and
+    rectangular n x (p + n) masks: new rows over cached rows and a causal
+    block of themselves."""
+    out = []
+    for n, p in ((7, 0), (12, 0), (3, 6), (1, 9), (5, 20)):
+        cached = rng.random((n, p)) > 0.4
+        own = np.tri(n, dtype=bool) & (rng.random((n, n)) > 0.3)
+        own[np.arange(n), np.arange(n)] = True
+        out.append(np.concatenate([cached, own], axis=1))
+    return out
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestKernelsMatchSlowReferences:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_softmax(self, dtype):
+        rng = np.random.default_rng(11)
+        for visible in kernel_masks(rng):
+            for shape in (visible.shape, (4,) + visible.shape):
+                scores = rng.normal(0, 3, shape).astype(dtype)
+                same_bytes(ad._softmax_visible(scores, visible),
+                           reference_softmax(scores, visible))
+            got = ad.masked_softmax(ad.tensor(scores[0], dtype=dtype), visible).data
+            same_bytes(got, reference_softmax(scores[0], visible))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_forward_and_backward(self, dtype, heads):
+        rng = np.random.default_rng(heads)
+        d = 8
+        for visible in kernel_masks(rng):
+            n, m = visible.shape
+            data = [rng.normal(0, 1, (r, d)).astype(dtype) for r in (n, m, m)]
+            g = rng.normal(0, 1, (n, d)).astype(dtype)
+            q, k, v = (ad.tensor(x, requires_grad=True, dtype=dtype) for x in data)
+            out = ad.attention(q, k, v, visible, heads)
+            ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g, dtype=dtype))))
+            want = reference_attention(*data, visible, heads, g)
+            for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+                same_bytes(got, ref)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_layer_norm(self, dtype):
+        rng = np.random.default_rng(5)
+        for rows, d in ((1, 80), (7, 5), (204, 80), (3, 320)):
+            x = rng.normal(0.5, 2, (rows, d)).astype(dtype)
+            gain = rng.normal(1, 0.2, d).astype(dtype)
+            bias = rng.normal(0, 0.2, d).astype(dtype)
+            g = rng.normal(0, 1, (rows, d)).astype(dtype)
+            xt, gt, bt = (ad.tensor(a, requires_grad=True, dtype=dtype)
+                          for a in (x, gain, bias))
+            out = ad.layer_norm(xt, gt, bt)
+            ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g, dtype=dtype))))
+            want = reference_layer_norm(x, gain, bias, g)
+            for got, ref in zip((out.data, xt.grad, gt.grad, bt.grad), want):
+                same_bytes(got, ref)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_gather_rows_backward(self, dtype):
+        rng = np.random.default_rng(9)
+        table = rng.normal(0, 1, (30, 6)).astype(dtype)
+        cases = [np.arange(0, 12), np.arange(7, 19),  # position ranges
+                 np.arange(29, 30),
+                 np.array([3, 1, 3, 3, 0, 29]),  # token rows, with repeats
+                 np.array([4, 5, 6, 6, 7]),  # nearly a range
+                 np.array([-2, -1, 0])]  # negative indices
+        for idx in cases:
+            g = rng.normal(0, 1, (len(idx), 6)).astype(dtype)
+            g[0, :3] = -0.0  # add.at stores 0 + (-0.0) = +0.0
+            t = ad.tensor(table, requires_grad=True, dtype=dtype)
+            out = ad.gather_rows(t, idx)
+            same_bytes(out.data, table[idx])
+            ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g, dtype=dtype))))
+            same_bytes(t.grad, reference_gather_grad(table, idx, g))
+            if (idx == idx[0]).sum() == 1:
+                assert not np.signbit(t.grad[idx[0], :3]).any()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_adamw_thirty_steps(self, dtype):
+        rng = np.random.default_rng(21)
+        shapes = [(5, 3), (4,), (2, 2), (1,)]
+        init = [rng.normal(0, 1, s).astype(dtype) for s in shapes]
+        fast = [ad.tensor(a.copy(), requires_grad=True, dtype=dtype) for a in init]
+        slow = [ad.tensor(a.copy(), requires_grad=True, dtype=dtype) for a in init]
+        opts = (ad.AdamW(fast, lr=3e-2, weight_decay=1e-2),
+                ReferenceAdamW(slow, lr=3e-2, weight_decay=1e-2))
+        for step in range(30):
+            for i, s in enumerate(shapes):
+                # the third tensor never has a gradient; the last one skips odd steps
+                skip = i == 2 or (i == 3 and step % 2)
+                g = None if skip else rng.normal(0, 1, s).astype(dtype)
+                fast[i].grad = None if g is None else g.copy()
+                slow[i].grad = None if g is None else g.copy()
+            for opt in opts:
+                opt.step()
+            for a, b in zip(fast, slow):
+                same_bytes(a.data, b.data)
+        for m_fast, m_slow in zip(opts[0].m + opts[0].v, opts[1].m + opts[1].v):
+            same_bytes(m_fast, m_slow)

@@ -135,12 +135,73 @@ class TestTrainArtifacts:
         assert record["numpy"] == np.__version__
         assert all(isinstance(v, str) and v for v in record.values())
 
-    def test_removed_link_threshold_key_rejected(self, workspace, tmp_path):
+    def test_removed_link_threshold_key_rejected(self, capsys, workspace, tmp_path):
         cfg = tmp_path / "old.json"
         cfg.write_text(json.dumps({"train": {"epochs": 1, "link_threshold": 0.05}}))
-        with pytest.raises(TypeError, match="link_threshold"):
-            main(["train", "--corpus", str(workspace["corpus"] / "train.jsonl"),
-                  "--config", str(cfg), "--out", str(tmp_path / "ckpt")])
+        code, _, err = run(capsys, "train",
+                           "--corpus", str(workspace["corpus"] / "train.jsonl"),
+                           "--config", str(cfg), "--out", str(tmp_path / "ckpt"))
+        assert code == 1
+        assert err.startswith("error:") and "link_threshold" in err
+
+    @pytest.mark.parametrize("section,values,named", [
+        ("train", {"beta": 2.0}, "beta"),
+        ("model", {"dim": 10, "heads": 4}, "divisible by heads"),
+        ("model", {"width": 16}, "width"),
+        ("corpus", {"split": 1.5}, "split"),
+        ("corpus", {"num_tables": 3}, "num_tables"),
+    ])
+    def test_bad_section_rejected_before_corpus_loads(self, capsys, monkeypatch,
+                                                      workspace, tmp_path,
+                                                      section, values, named):
+        from joltsql import pipeline
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("corpus loaded before the config was checked")
+        monkeypatch.setattr(pipeline, "load_corpus", no_load)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: values}))
+        code, _, err = run(capsys, "train",
+                           "--corpus", str(workspace["corpus"] / "train.jsonl"),
+                           "--config", str(cfg), "--out", str(tmp_path / "ckpt"))
+        assert code == 1
+        assert err.startswith(f"error: config section '{section}'")
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_bad_corpus_key_in_gen_corpus(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"corpus": {"num_tables": 3}}))
+        code, _, err = run(capsys, "gen-corpus", "--config", str(cfg),
+                           "--out", str(tmp_path / "corpus"))
+        assert code == 1
+        assert "num_tables" in err
+
+    def test_log_closed_when_training_fails(self, capsys, monkeypatch, workspace, tmp_path):
+        from joltsql import cli, pipeline
+        from joltsql.errors import NonFiniteLoss
+
+        logs = []
+
+        class RecordingLog(EventLog):
+            def __init__(self, path):
+                super().__init__(path)
+                logs.append(self)
+
+        def diverge(examples, model_config, config, log_fn=None, cache=None):
+            log_fn("train_step", {"step": 0})
+            raise NonFiniteLoss("step 0: L_SL=nan, L_NTP=nan")
+        monkeypatch.setattr(cli, "EventLog", RecordingLog)
+        monkeypatch.setattr(pipeline, "train", diverge)
+        out_dir = tmp_path / "ckpt"
+        code, _, err = run(capsys, "train",
+                           "--corpus", str(workspace["corpus"] / "train.jsonl"),
+                           "--config", str(workspace["config"]), "--out", str(out_dir))
+        assert code == 1
+        assert "NaN" in err or "nan" in err
+        assert len(logs) == 1 and logs[0]._fh.closed
+        events = (out_dir / "train_log.jsonl").read_text().splitlines()
+        assert [json.loads(e)["stage"] for e in events] == ["train_step"]
 
 
 class TestInferEval:
