@@ -100,18 +100,10 @@ def cmd_serialize(args) -> int:
     if args.db:
         import sqlite3
 
-        from .schema import Column, Table, sample_value_examples
+        from .schema import with_value_examples
         conn = sqlite3.connect(args.db)
         try:
-            tables = []
-            for t in schema.tables:
-                cols = tuple(
-                    Column(c.name, c.sql_type,
-                           tuple(sample_value_examples(conn, t.name, c.name)))
-                    for c in t.columns
-                )
-                tables.append(Table(t.name, cols, t.primary_key, t.foreign_keys))
-            schema = SchemaDocument(tuple(tables))
+            schema = with_value_examples(schema, conn)
         finally:
             conn.close()
     text, spans = serialize_schema(schema)

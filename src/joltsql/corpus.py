@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .pipeline import build_training_example, example_to_json
-from .schema import Column, SchemaDocument, Table, sample_value_examples
+from .schema import Column, SchemaDocument, Table, with_value_examples
 from .tokenizer import Vocab, build_vocab
 
 _TABLE_POOL = [
@@ -134,17 +134,9 @@ def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
             ph = ", ".join("?" * len(t.columns))
             conn.executemany(f'INSERT INTO "{t.name}" VALUES ({ph})', rows)
         conn.commit()
-        tables = []
-        for t in doc.tables:
-            cols = tuple(
-                Column(c.name, c.sql_type,
-                       tuple(sample_value_examples(conn, t.name, c.name)))
-                for c in t.columns
-            )
-            tables.append(Table(t.name, cols, t.primary_key, t.foreign_keys))
+        return with_value_examples(doc, conn)
     finally:
         conn.close()
-    return SchemaDocument(tuple(tables))
 
 
 def _numeric_columns(t: Table) -> list[str]:

@@ -83,15 +83,15 @@ def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
             scored = marker_scores(ex, encoded)
             linking_ms = (time.perf_counter() - t0) * 1000.0
             out.scores.append([s for _, _, s in scored])
-            out.labels.append([1 if (t, c) in ex.link else 0 for t, c, _ in scored])
+            out.labels.append(ex.label)
             by_set: dict[frozenset, dict] = {}
             for report, records, threshold in zip(out.reports, out.records, thresholds):
                 predicted = [(t, c, s) for t, c, s in scored if s > threshold]
                 key = frozenset((t, c) for t, c, _ in predicted)
                 if key not in by_set:
                     t1 = time.perf_counter()
-                    sql, _, used_fallback = generate_sql(params, ex, encoded, key,
-                                                         vocab, max_new)
+                    sql, used_fallback = generate_sql(params, ex, encoded, key,
+                                                      vocab, max_new)
                     generation_ms = (time.perf_counter() - t1) * 1000.0
                     by_set[key] = {
                         "example_id": ex.example_id,

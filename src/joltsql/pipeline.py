@@ -120,10 +120,6 @@ def assemble_segments(example: TrainingExample,
     return seg
 
 
-def _marker_labels(example: TrainingExample) -> list[int]:
-    return [1 if (t, c) in example.link else 0 for t, c, _ in example.seg.marker_columns]
-
-
 def capture_sampling_weights(params: ModelParams, example: TrainingExample) -> list[float]:
     """Predicted probabilities at non-GT markers under the joint mask with
     an empty noisy set; the confusion signal for later sampling."""
@@ -177,7 +173,7 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
             seg = assemble_segments(ex, noisy_cols)
             mask = build_joint_mask(seg)
             out = forward(params, ex.tokens.ids, mask)
-            l_sl = schema_linking_loss(out.marker_probs, _marker_labels(ex),
+            l_sl = schema_linking_loss(out.marker_probs, ex.label,
                                        ex.marker_positions)
             l_ntp = ntp_loss(out.lm_logits, ex.tokens.ids, sorted(ex.seg.query))
             loss = joint_loss(l_sl, l_ntp)
@@ -208,7 +204,6 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
 @dataclass
 class InferenceResult:
     predicted_columns: list[tuple[str, str, float]]
-    pruned_ids: list[int]
     sql: str
     timings_ms: dict[str, float]
     used_fallback: bool = False
@@ -252,7 +247,7 @@ def prune_prompt(example: TrainingExample,
     prompt positions a query row sees under the joint mask when the
     predicted columns stand in for the gold ones, so inference uses them as
     the decode rows' visibility over the full prompt; the ids are the
-    pruned prompt's text, reported in InferenceResult.pruned_ids.
+    pruned prompt's text.
     """
     if not predicted:
         raise EmptyPrediction("no columns predicted")
@@ -270,7 +265,7 @@ def full_schema_prompt(example: TrainingExample) -> tuple[list[int], list[int]]:
 
 def generate_sql(params: ModelParams, example: TrainingExample,
                  encoded: ForwardOutput, predicted: set[tuple[str, str]],
-                 vocab: Vocab, max_new: int = 64) -> tuple[str, list[int], bool]:
+                 vocab: Vocab, max_new: int = 64) -> tuple[str, bool]:
     """Greedy SQL for one predicted column set, from a prompt encoding.
 
     `encoded` is `encode_prompt(params, example)`; its last row gives the
@@ -279,11 +274,11 @@ def generate_sql(params: ModelParams, example: TrainingExample,
     predicted columns and their tables' structure (every column when the
     set is empty), the tokens generated so far and themselves.
 
-    Returns (sql, pruned prompt ids, whether the empty-set fallback ran).
+    Returns (sql, whether the empty-set fallback ran).
     """
     used_fallback = not predicted
-    pruned, positions = (full_schema_prompt(example) if used_fallback
-                         else prune_prompt(example, predicted))
+    _, positions = (full_schema_prompt(example) if used_fallback
+                    else prune_prompt(example, predicted))
     prompt = example.tokens.ids[:len(example.seg.prefix | example.seg.schema)]
     attend = np.zeros(len(prompt), dtype=bool)
     attend[positions] = True
@@ -292,7 +287,7 @@ def generate_sql(params: ModelParams, example: TrainingExample,
     new_ids = generated[len(prompt):]
     if new_ids and new_ids[-1] == EOS:
         new_ids = new_ids[:-1]
-    return decode(new_ids, vocab), pruned, used_fallback
+    return decode(new_ids, vocab), used_fallback
 
 
 def infer(params: ModelParams, example: TrainingExample, vocab: Vocab,
@@ -305,13 +300,12 @@ def infer(params: ModelParams, example: TrainingExample, vocab: Vocab,
     predicted_columns = [(t, c, s) for t, c, s in marker_scores(example, encoded)
                          if s > threshold]
     t1 = time.perf_counter()
-    sql, pruned, used_fallback = generate_sql(
+    sql, used_fallback = generate_sql(
         params, example, encoded, {(t, c) for t, c, _ in predicted_columns},
         vocab, max_new)
     t2 = time.perf_counter()
     return InferenceResult(
         predicted_columns=predicted_columns,
-        pruned_ids=pruned,
         sql=sql,
         timings_ms={
             "linking": (t1 - t0) * 1000.0,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import DbError, UnknownColumn
 
@@ -234,6 +234,15 @@ def sample_value_examples(db: sqlite3.Connection, table: str, column: str, limit
     except sqlite3.Error as e:
         raise DbError(str(e)) from e
     return [_quote_value(v) for v in seen]
+
+
+def with_value_examples(doc: SchemaDocument, db: sqlite3.Connection) -> SchemaDocument:
+    """`doc` with every column's value examples sampled from `db`."""
+    return SchemaDocument(tuple(
+        replace(t, columns=tuple(
+            replace(c, examples=tuple(sample_value_examples(db, t.name, c.name)))
+            for c in t.columns))
+        for t in doc.tables))
 
 
 def _quote_value(v) -> str:

@@ -1,10 +1,13 @@
-"""SQL parsing, scope/alias resolution, and ground-truth link extraction.
+"""SQL parsing and ground-truth link extraction in one scoped tree walk.
 
 Supports a SQLite-flavored subset: SELECT with FROM/JOIN..ON, WHERE,
 GROUP BY, HAVING, ORDER BY, LIMIT, UNION/INTERSECT/EXCEPT, scalar/EXISTS/IN
 subqueries, aliases, star, aggregates, and ordinary expressions. CTEs,
 window functions, and derived tables are rejected with a clear error.
 Identifiers are matched case-insensitively and reported lowercase.
+
+As in SQLite, a trailing ORDER BY/LIMIT binds to the whole compound, and a
+compound's ORDER BY terms name output columns, so they add no link.
 """
 from __future__ import annotations
 
@@ -71,16 +74,14 @@ def _lex(text: str) -> list[Tok]:
 class ColumnRef:
     qualifier: str | None  # alias or table name as written
     column: str
-    offset: int
-    resolved_table: str | None = None  # physical table, lowercase, set by resolver
+    # not compared, so a compound's ORDER BY term can equal a select item
+    offset: int = field(compare=False)
 
 
 @dataclass
 class Star:
     qualifier: str | None
     offset: int
-    # physical tables this star expands over, set by resolver
-    expanded_tables: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -251,12 +252,11 @@ class _Parser:
                 op = "UNION ALL"
             right = self.parse_select_core()
             node = SetOp(op, node, right)
-        # trailing ORDER BY / LIMIT bind to the whole set operation
-        if isinstance(node, SetOp):
-            if self.at_kw("ORDER"):
-                node.order_by = self.parse_order_by()
-            if self.at_kw("LIMIT"):
-                node.limit = self.parse_limit()
+        # trailing ORDER BY / LIMIT bind to the whole set operation, if any
+        self.parse_order_limit(node)
+        if self.at_kw("UNION", "INTERSECT", "EXCEPT"):
+            raise self.error("ORDER BY and LIMIT must follow the last SELECT "
+                             "of a compound")
         if self.peek().kind != "EOF":
             raise self.error("unexpected trailing input")
         return node
@@ -297,11 +297,17 @@ class _Parser:
         if self.at_kw("HAVING"):
             self.next()
             sel.having = self.parse_expr()
-        if self.at_kw("ORDER"):
-            sel.order_by = self.parse_order_by()
-        if self.at_kw("LIMIT"):
-            sel.limit = self.parse_limit()
         return sel
+
+    def parse_subquery(self) -> Select:
+        return self.parse_order_limit(self.parse_select_core())
+
+    def parse_order_limit(self, node):
+        if self.at_kw("ORDER"):
+            node.order_by = self.parse_order_by()
+        if self.at_kw("LIMIT"):
+            node.limit = self.parse_limit()
+        return node
 
     def parse_order_by(self) -> list[OrderItem]:
         self.eat_kw("ORDER")
@@ -342,16 +348,7 @@ class _Parser:
             self.next(); self.next(); self.next()
             return SelectItem(Star(t.text, t.offset))
         expr = self.parse_expr()
-        alias = None
-        if self.at_kw("AS"):
-            self.next()
-            alias_tok = self.next()
-            if alias_tok.kind != "IDENT":
-                raise self.error("expected alias name", alias_tok)
-            alias = alias_tok.text
-        elif self.peek().kind == "IDENT":
-            alias = self.next().text
-        return SelectItem(expr, alias)
+        return SelectItem(expr, self.parse_alias())
 
     def parse_table_ref(self) -> TableRef:
         t = self.peek()
@@ -360,16 +357,19 @@ class _Parser:
         if t.kind != "IDENT":
             raise self.error("expected table name")
         self.next()
-        alias = None
+        return TableRef(t.text, self.parse_alias(), t.offset)
+
+    def parse_alias(self) -> str | None:
+        """`AS name` or a bare name after a table or select item."""
         if self.at_kw("AS"):
             self.next()
-            alias_tok = self.next()
-            if alias_tok.kind != "IDENT":
-                raise self.error("expected alias name", alias_tok)
-            alias = alias_tok.text
-        elif self.peek().kind == "IDENT":
-            alias = self.next().text
-        return TableRef(t.text, alias, t.offset)
+            tok = self.next()
+            if tok.kind != "IDENT":
+                raise self.error("expected alias name", tok)
+            return tok.text
+        if self.peek().kind == "IDENT":
+            return self.next().text
+        return None
 
     def parse_join(self) -> Join:
         kind_words = []
@@ -439,7 +439,7 @@ class _Parser:
                 self.next()
                 self.eat_op("(")
                 if self.at_kw("SELECT"):
-                    sub = self.parse_select_core()
+                    sub = self.parse_subquery()
                     self.eat_op(")")
                     node = InExpr(node, None, sub, negated)
                 else:
@@ -507,7 +507,7 @@ class _Parser:
         if t.kind == "KEYWORD" and t.text.upper() == "EXISTS":
             self.next()
             self.eat_op("(")
-            sub = self.parse_select_core()
+            sub = self.parse_subquery()
             self.eat_op(")")
             return Exists(sub)
         if t.kind == "KEYWORD" and t.text.upper() == "CASE":
@@ -515,7 +515,7 @@ class _Parser:
         if t.kind == "OP" and t.text == "(":
             self.next()
             if self.at_kw("SELECT"):
-                sub = self.parse_select_core()
+                sub = self.parse_subquery()
                 self.eat_op(")")
                 return Subquery(sub)
             expr = self.parse_expr()
@@ -614,23 +614,42 @@ class _Scope:
         raise UnknownColumn(f"column {column!r} not found in any in-scope table")
 
 
-def resolve_scopes(ast: SqlAst, schema: SchemaDocument) -> SqlAst:
-    """Annotate every column reference with its physical table and every
-    star with the tables it expands over. Mutates and returns the AST."""
-    _resolve_node(ast, schema, None)
-    return ast
+# ---------------------------------------------------------------- links
+
+def extract_ground_truth(sql: str, schema: SchemaDocument) -> set[tuple[str, str]]:
+    """Gold (table, column) links of one statement: parse, then one walk
+    that resolves every reference in its scope and adds its link.
+
+    `t.*` and bare `*` contribute every column of the tables they expand
+    over; COUNT(*) and a compound's ORDER BY terms contribute nothing.
+    """
+    links: set[tuple[str, str]] = set()
+    _link_query(parse_sql(sql), schema, None, links)
+    for table, column in links:
+        if not schema.has_column(table, column):
+            raise UnknownColumn(f"{table}.{column} leaked past resolution")
+    return links
 
 
-def _resolve_node(node, schema: SchemaDocument, parent: _Scope | None):
+def _link_query(node, schema: SchemaDocument, parent: _Scope | None,
+                links: set) -> list[tuple[Select, _Scope]]:
+    """Add the links of a SELECT or compound; returns each SELECT with its
+    scope, left to right. Per SELECT the walk visits its tables, items,
+    JOIN ONs, WHERE/HAVING/LIMIT, GROUP BY and ORDER BY, in that order."""
     if isinstance(node, SetOp):
-        _resolve_node(node.left, schema, parent)
-        _resolve_node(node.right, schema, parent)
-        return
+        selects = (_link_query(node.left, schema, parent, links)
+                   + _link_query(node.right, schema, parent, links))
+        if node.order_by:
+            outputs = [_output_columns(select, scope, schema) for select, scope in selects]
+            for o in node.order_by:
+                _match_output_column(o.expr, outputs)
+        if node.limit is not None:
+            _link_expr(node.limit, schema, _Scope(parent), links)
+        return selects
     assert isinstance(node, Select)
     scope = _Scope(parent)
     for ref in node.from_tables + [j.table for j in node.joins]:
-        table = schema.table(ref.name)
-        if table is None:
+        if schema.table(ref.name) is None:
             raise UnknownTable(f"table {ref.name!r} not in schema")
         scope.bind(ref.alias or ref.name, ref.name, ref.offset)
     exprs: list = [it.expr for it in node.items]
@@ -643,10 +662,20 @@ def _resolve_node(node, schema: SchemaDocument, parent: _Scope | None):
     if node.order_by:
         exprs += [o.expr for o in node.order_by]
     for e in exprs:
-        _resolve_expr(e, schema, scope)
+        _link_expr(e, schema, scope, links)
+    return [(node, scope)]
 
 
-def _resolve_expr(node, schema: SchemaDocument, scope: _Scope):
+def _star_tables(star: Star, scope: _Scope) -> list[str]:
+    if star.qualifier is None:
+        return scope.local_tables()
+    table = scope.resolve_qualifier(star.qualifier)
+    if table is None:
+        raise UnknownTable(f"unknown table or alias {star.qualifier!r}")
+    return [table]
+
+
+def _link_expr(node, schema: SchemaDocument, scope: _Scope, links: set):
     if isinstance(node, ColumnRef):
         if node.qualifier is not None:
             table = scope.resolve_qualifier(node.qualifier)
@@ -654,125 +683,70 @@ def _resolve_expr(node, schema: SchemaDocument, scope: _Scope):
                 raise UnknownTable(f"unknown table or alias {node.qualifier!r}")
             if not schema.has_column(table, node.column):
                 raise UnknownColumn(f"{table}.{node.column} not in schema")
-            node.resolved_table = table
         else:
-            node.resolved_table = scope.resolve_unqualified(node.column, schema)
+            table = scope.resolve_unqualified(node.column, schema)
+        links.add((table, node.column.lower()))
     elif isinstance(node, Star):
-        if node.qualifier is not None:
-            table = scope.resolve_qualifier(node.qualifier)
-            if table is None:
-                raise UnknownTable(f"unknown table or alias {node.qualifier!r}")
-            node.expanded_tables = [table]
-        else:
-            node.expanded_tables = scope.local_tables()
+        for table in _star_tables(node, scope):
+            links.update((table, col) for col in schema.table(table).column_names())
     elif isinstance(node, FuncCall):
         for a in node.args:
-            _resolve_expr(a, schema, scope)
+            _link_expr(a, schema, scope, links)
     elif isinstance(node, BinaryOp):
-        _resolve_expr(node.left, schema, scope)
-        _resolve_expr(node.right, schema, scope)
+        _link_expr(node.left, schema, scope, links)
+        _link_expr(node.right, schema, scope, links)
     elif isinstance(node, UnaryOp):
-        _resolve_expr(node.operand, schema, scope)
+        _link_expr(node.operand, schema, scope, links)
     elif isinstance(node, Between):
-        _resolve_expr(node.expr, schema, scope)
-        _resolve_expr(node.low, schema, scope)
-        _resolve_expr(node.high, schema, scope)
+        _link_expr(node.expr, schema, scope, links)
+        _link_expr(node.low, schema, scope, links)
+        _link_expr(node.high, schema, scope, links)
     elif isinstance(node, IsNull):
-        _resolve_expr(node.expr, schema, scope)
+        _link_expr(node.expr, schema, scope, links)
     elif isinstance(node, InExpr):
-        _resolve_expr(node.expr, schema, scope)
+        _link_expr(node.expr, schema, scope, links)
         if node.values:
             for v in node.values:
-                _resolve_expr(v, schema, scope)
+                _link_expr(v, schema, scope, links)
         if node.subquery is not None:
-            _resolve_node(node.subquery, schema, scope)
+            _link_query(node.subquery, schema, scope, links)
     elif isinstance(node, Exists):
-        _resolve_node(node.subquery, schema, scope)
+        _link_query(node.subquery, schema, scope, links)
     elif isinstance(node, Subquery):
-        _resolve_node(node.select, schema, scope)
+        _link_query(node.select, schema, scope, links)
     elif isinstance(node, Literal):
         pass
     else:
         raise TypeError(f"unexpected expression node {type(node).__name__}")
 
 
-def extract_links(ast: SqlAst, schema: SchemaDocument) -> set[tuple[str, str]]:
-    """Union of all resolved (table, column) references.
-
-    `t.*` and bare `*` contribute every column of the expanded tables;
-    COUNT(*) contributes nothing. Requires resolve_scopes to have run.
-    """
-    links: set[tuple[str, str]] = set()
-    _collect(ast, schema, links)
-    for table, column in links:
-        if not schema.has_column(table, column):
-            raise UnknownColumn(f"{table}.{column} leaked past resolution")
-    return links
-
-
-def _collect(node, schema: SchemaDocument, links: set):
-    if isinstance(node, SetOp):
-        _collect(node.left, schema, links)
-        _collect(node.right, schema, links)
-        if node.order_by:
-            for o in node.order_by:
-                _collect_expr(o.expr, schema, links)
+def _match_output_column(term, outputs: list[list[tuple[object, set[str]]]]):
+    """A compound's ORDER BY term must name an output column of one of its
+    SELECTs (`_output_columns` of each): by 1-based position, by alias or
+    column name, or by repeating a select item's expression as written.
+    Raises UnknownColumn otherwise, as SQLite does."""
+    if isinstance(term, Literal) and isinstance(term.value, int):
+        if 1 <= term.value <= len(outputs[0]):
+            return
+    elif any(term == expr or isinstance(term, ColumnRef) and term.column.lower() in names
+             for columns in outputs for expr, names in columns):
         return
-    assert isinstance(node, Select)
-    for it in node.items:
-        _collect_expr(it.expr, schema, links)
-    for j in node.joins:
-        if j.on is not None:
-            _collect_expr(j.on, schema, links)
-    for attr in (node.where, node.having, node.limit):
-        if attr is not None:
-            _collect_expr(attr, schema, links)
-    if node.group_by:
-        for g in node.group_by:
-            _collect_expr(g, schema, links)
-    if node.order_by:
-        for o in node.order_by:
-            _collect_expr(o.expr, schema, links)
+    raise UnknownColumn("compound ORDER BY term does not match any column "
+                        "in the result set")
 
 
-def _collect_expr(node, schema: SchemaDocument, links: set):
-    if isinstance(node, ColumnRef):
-        assert node.resolved_table is not None, "run resolve_scopes first"
-        links.add((node.resolved_table, node.column.lower()))
-    elif isinstance(node, Star):
-        for table in node.expanded_tables:
-            t = schema.table(table)
-            for col in t.column_names():
-                links.add((table, col))
-    elif isinstance(node, FuncCall):
-        for a in node.args:
-            _collect_expr(a, schema, links)
-    elif isinstance(node, BinaryOp):
-        _collect_expr(node.left, schema, links)
-        _collect_expr(node.right, schema, links)
-    elif isinstance(node, UnaryOp):
-        _collect_expr(node.operand, schema, links)
-    elif isinstance(node, Between):
-        _collect_expr(node.expr, schema, links)
-        _collect_expr(node.low, schema, links)
-        _collect_expr(node.high, schema, links)
-    elif isinstance(node, IsNull):
-        _collect_expr(node.expr, schema, links)
-    elif isinstance(node, InExpr):
-        _collect_expr(node.expr, schema, links)
-        if node.values:
-            for v in node.values:
-                _collect_expr(v, schema, links)
-        if node.subquery is not None:
-            _collect(node.subquery, schema, links)
-    elif isinstance(node, Exists):
-        _collect(node.subquery, schema, links)
-    elif isinstance(node, Subquery):
-        _collect(node.select, schema, links)
-
-
-def extract_ground_truth(sql: str, schema: SchemaDocument) -> set[tuple[str, str]]:
-    """parse -> resolve -> extract, the full ground-truth pipeline."""
-    ast = parse_sql(sql)
-    resolve_scopes(ast, schema)
-    return extract_links(ast, schema)
+def _output_columns(select: Select, scope: _Scope,
+                    schema: SchemaDocument) -> list[tuple[object, set[str]]]:
+    """(expression, names) per output column of a SELECT, stars expanded;
+    the names are its alias and, for a column reference, the column."""
+    columns: list[tuple[object, set[str]]] = []
+    for it in select.items:
+        if isinstance(it.expr, Star):
+            columns += [(None, {col}) for table in _star_tables(it.expr, scope)
+                        for col in schema.table(table).column_names()]
+            continue
+        names = {it.alias.lower()} if it.alias else set()
+        if isinstance(it.expr, ColumnRef):
+            names.add(it.expr.column.lower())
+        columns.append((it.expr, names))
+    return columns

@@ -89,6 +89,30 @@ class TestExtractAndSerialize:
         assert "CREATE TABLE" in out
         assert spans_out.exists()
 
+    def test_serialize_db_refills_value_examples(self, capsys, tmp_path, workspace):
+        # a stored corpus schema with its value examples stripped, plus the
+        # database they were sampled from, serializes to the stored text
+        schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
+        db_file = workspace["corpus"] / "dbs" / (schema_file.stem + ".sqlite")
+        stored = json.loads(schema_file.read_text())
+        stripped = json.loads(schema_file.read_text())
+        for table in stripped["tables"]:
+            for col in table["columns"]:
+                col.pop("examples", None)
+        assert stripped != stored
+        bare_file = tmp_path / "bare.json"
+        bare_file.write_text(json.dumps(stripped))
+
+        code, want, _ = run(capsys, "serialize", "--schema", str(schema_file),
+                            "--spans-out", str(tmp_path / "want.json"))
+        assert code == 0
+        code, got, _ = run(capsys, "serialize", "--schema", str(bare_file),
+                           "--db", str(db_file),
+                           "--spans-out", str(tmp_path / "got.json"))
+        assert code == 0
+        assert got == want
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
 
 class TestMaskViz:
     def test_causal(self, capsys):

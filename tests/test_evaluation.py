@@ -170,7 +170,7 @@ def test_predicted_writes_fail_and_leave_databases_unchanged(desk, monkeypatch, 
     before = {db_id: sha256(path) for db_id, path in db_paths.items()}
 
     def writing_sql(params, example, encoded, predicted, vocab, max_new):
-        return write.format(table=example.schema_doc.tables[0].name), [], False
+        return write.format(table=example.schema_doc.tables[0].name), False
 
     monkeypatch.setattr(evaluation, "generate_sql", writing_sql)
     result = evaluate(params, examples, vocab, db_paths, max_new=MAX_NEW)

@@ -56,6 +56,11 @@ class TestBuildExample:
         assert sum(example.label) == 2
         assert len(example.label) == len(concert_schema.all_columns())
 
+    @pytest.mark.parametrize("which", ["example", "join_example"])
+    def test_label_follows_marker_order(self, request, which):
+        ex = request.getfixturevalue(which)
+        assert ex.label == [int((t, c) in ex.link) for t, c, _ in ex.seg.marker_columns]
+
     def test_query_ends_with_eos(self, example):
         last = max(example.seg.query)
         assert example.tokens.ids[last] == EOS
@@ -371,13 +376,12 @@ class TestDecodeUnderTrainingMask:
         if case == "predicted":
             assert 0 < len(predicted) < len(example.seg.marker_columns)
             assert not result.used_fallback
-            pruned, positions = prune_prompt(example, predicted)
+            _, positions = prune_prompt(example, predicted)
             columns = predicted
         else:
             assert predicted == set() and result.used_fallback
-            pruned, positions = full_schema_prompt(example)
+            _, positions = full_schema_prompt(example)
             columns = {(t, c) for t, c, _ in example.seg.marker_columns}
-        assert result.pruned_ids == pruned
 
         # one prompt forward, then one row per decode step
         assert calls[0][0] == n_ps and not calls[0][2]

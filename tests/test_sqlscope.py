@@ -1,8 +1,8 @@
 import pytest
 
 from joltsql.errors import AmbiguousColumn, SqlSyntaxError, UnknownColumn, UnknownTable
-from joltsql.sqlscope import (ColumnRef, Select, TableRef, extract_ground_truth,
-                              parse_sql, resolve_scopes)
+from joltsql.sqlscope import (ColumnRef, Select, SetOp, TableRef, extract_ground_truth,
+                              parse_sql)
 
 # 25+ hand-labeled queries against the concert_singer-style fixture schema.
 HAND_LABELED = [
@@ -27,6 +27,11 @@ HAND_LABELED = [
      "(SELECT 1 FROM singer_in_concert WHERE singer_in_concert.singer_id = singer.id)",
      {"singer.name", "singer_in_concert.singer_id", "singer.id"}),
     ("SELECT age FROM singer UNION SELECT capacity FROM stadium",
+     {"singer.age", "stadium.capacity"}),
+    # a compound's ORDER BY names an output column of either SELECT
+    ("SELECT age FROM singer UNION SELECT capacity FROM stadium ORDER BY age",
+     {"singer.age", "stadium.capacity"}),
+    ("SELECT age FROM singer UNION SELECT capacity FROM stadium ORDER BY capacity",
      {"singer.age", "stadium.capacity"}),
     ("SELECT name FROM singer INTERSECT SELECT name FROM stadium",
      {"singer.name", "stadium.name"}),
@@ -118,6 +123,21 @@ class TestParse:
         with pytest.raises(SqlSyntaxError):
             parse_sql("SELECT a FROM t xyz zzz")
 
+    def test_compound_order_by_binds_to_compound(self):
+        ast = parse_sql("SELECT age FROM singer UNION SELECT capacity FROM stadium "
+                        "ORDER BY age LIMIT 3")
+        assert isinstance(ast, SetOp)
+        assert [o.expr.column for o in ast.order_by] == ["age"]
+        assert ast.limit is not None
+        assert ast.right.order_by is None and ast.right.limit is None
+
+    @pytest.mark.parametrize("clause", ["ORDER BY age", "LIMIT 1"])
+    def test_order_by_before_union_rejected(self, clause):
+        sql = f"SELECT age FROM singer {clause} UNION SELECT capacity FROM stadium"
+        with pytest.raises(SqlSyntaxError) as e:
+            parse_sql(sql)
+        assert e.value.offset == sql.index("UNION")
+
     def test_trailing_semicolon_ok(self):
         parse_sql("SELECT name FROM singer;")
 
@@ -165,6 +185,36 @@ class TestResolve:
                "(SELECT stadium_id FROM concert WHERE year > 2000)")
         links = extract_ground_truth(sql, concert_schema)
         assert ("concert", "year") in links
+
+    def test_compound_order_by_unknown_output_column(self, concert_schema):
+        with pytest.raises(UnknownColumn, match="result set"):
+            extract_ground_truth(
+                "SELECT age FROM singer UNION SELECT capacity FROM stadium ORDER BY name",
+                concert_schema)
+
+    @pytest.mark.parametrize("sql", [
+        # position, alias, qualified column, repeated expression
+        "SELECT age FROM singer UNION SELECT capacity FROM stadium ORDER BY 1",
+        "SELECT age AS a FROM singer UNION SELECT capacity FROM stadium ORDER BY a",
+        "SELECT age FROM singer UNION SELECT capacity FROM stadium ORDER BY singer.age",
+        "SELECT max(age) FROM singer UNION SELECT capacity FROM stadium ORDER BY max(age)",
+    ])
+    def test_compound_order_by_output_column_forms(self, concert_schema, sql):
+        assert extract_ground_truth(sql, concert_schema) == \
+            as_pairs({"singer.age", "stadium.capacity"})
+
+    def test_compound_order_by_star_column(self, concert_schema):
+        sql = "SELECT * FROM singer UNION SELECT * FROM stadium ORDER BY city"
+        assert extract_ground_truth(sql, concert_schema) == as_pairs(
+            {"singer.id", "singer.name", "singer.age", "singer.country",
+             "stadium.id", "stadium.name", "stadium.capacity", "stadium.city"})
+
+    @pytest.mark.parametrize("term", ["2", "age + 1", "'age'"])
+    def test_compound_order_by_non_output_rejected(self, concert_schema, term):
+        with pytest.raises(UnknownColumn):
+            extract_ground_truth("SELECT age FROM singer UNION "
+                                 f"SELECT capacity FROM stadium ORDER BY {term}",
+                                 concert_schema)
 
     def test_duplicate_alias_rejected(self, concert_schema):
         with pytest.raises(SqlSyntaxError):
