@@ -247,7 +247,7 @@ def cmd_eval(args) -> int:
     db_paths = {db_id: os.path.join(args.dbs, f"{db_id}.sqlite")
                 for db_id in schemas}
     os.makedirs(args.out, exist_ok=True)
-    if args.sweep:
+    if args.command == "sweep":
         rows = evaluation.threshold_sweep(params, examples, vocab, db_paths,
                                           max_new=args.max_new)
         with open(os.path.join(args.out, "sweep.csv"), "w") as f:
@@ -328,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dbs", required=True)
         p.add_argument("--schema-dir", default=None)
         p.add_argument("--out", default="eval_out")
-        p.add_argument("--threshold", type=float, default=0.05)
         p.add_argument("--max-new", type=int, default=64)
-        p.add_argument("--average", choices=("micro", "macro"), default="micro")
-        p.add_argument("--sweep", action="store_true", default=(name == "sweep"))
+        if name == "eval":
+            p.add_argument("--threshold", type=float, default=0.05)
+            p.add_argument("--average", choices=("micro", "macro"), default="micro")
         p.set_defaults(fn=cmd_eval)
 
     return ap

@@ -81,21 +81,19 @@ class ModelParams:
         self.link_w = p(d, 1)
         self.link_b = ad.tensor(np.full(1, -2.0), requires_grad=True, dtype=dt)
 
-    def all_params(self) -> list[Tensor]:
-        out = [self.emb, self.pos]
-        for layer in self.layers:
-            out.extend(layer.values())
-        out.extend([self.lnf_g, self.lnf_b, self.link_w, self.link_b])
-        return out
-
     def named_params(self) -> dict[str, Tensor]:
-        out = {"emb": self.emb, "pos": self.pos,
-               "lnf_g": self.lnf_g, "lnf_b": self.lnf_b,
-               "link_w": self.link_w, "link_b": self.link_b}
+        """Every parameter by name, in the order AdamW and gradient
+        clipping walk them."""
+        out = {"emb": self.emb, "pos": self.pos}
         for i, layer in enumerate(self.layers):
             for k, v in layer.items():
                 out[f"layer{i}.{k}"] = v
+        out.update({"lnf_g": self.lnf_g, "lnf_b": self.lnf_b,
+                    "link_w": self.link_w, "link_b": self.link_b})
         return out
+
+    def all_params(self) -> list[Tensor]:
+        return list(self.named_params().values())
 
     def save(self, path: str):
         arrays = {k: v.data for k, v in self.named_params().items()}

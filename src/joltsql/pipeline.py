@@ -95,7 +95,6 @@ def build_training_example(question: str, schema_doc: SchemaDocument, gold_sql: 
     # terminate the query with EOS so generation learns to stop
     eos_pos = len(tokens.ids)
     tokens.ids.append(EOS)
-    tokens.char_offsets.append((len(gold_sql), len(gold_sql)))
     seg.query.add(eos_pos)
     seg.n += 1
     return TrainingExample(
@@ -334,13 +333,8 @@ def prepare_inference_example(question: str, schema_doc: SchemaDocument,
 
 def example_to_json(ex: TrainingExample) -> dict:
     """JSON-lines record mirroring the training-data file format."""
-    token_spans = {}
-    for table, elems in ex.seg.table_elements.items():
-        entry = {"header": list(elems["header"]), "pk": list(elems["pk"]),
-                 "fk": [list(elems[k]) for k in sorted(elems) if k.startswith("fk:")],
-                 "footer": list(elems["footer"]),
-                 "columns": {k[4:]: list(v) for k, v in elems.items() if k.startswith("col:")}}
-        token_spans[table] = entry
+    token_spans = {t: {k: v for k, v in ts.items() if k != "markers"}
+                   for t, ts in SpanIndex(ex.seg.table_elements).to_json().items()}
     q = sorted(ex.seg.query)
     return {
         "example_id": ex.example_id,

@@ -1,14 +1,15 @@
 """Database schema description and its DDL-style serialization.
 
 The serialized text carries one marker literal per column; a SpanIndex
-records the character range of every structural element so the tokenizer
-can map them to token ranges later.
+records the character range of every structural element. The tokenizer
+maps each table's layout to token ranges with `TableSpans.map`, so one
+type describes the layout in characters and in tokens.
 """
 from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import DbError, UnknownColumn
 
@@ -113,6 +114,9 @@ class SchemaDocument:
 
 @dataclass
 class TableSpans:
+    """One table's layout as half-open ranges: characters of the serialized
+    text, or token positions once `encode` has mapped it."""
+
     header: tuple[int, int]
     pk: tuple[int, int]
     fk: list[tuple[int, int]]
@@ -124,6 +128,12 @@ class TableSpans:
 
     def envelope_spans(self) -> list[tuple[int, int]]:
         return [self.header, self.pk, *self.fk, self.footer]
+
+    def map(self, fn) -> "TableSpans":
+        """The same layout with every span replaced by `fn(span)`."""
+        return TableSpans(fn(self.header), fn(self.pk), [fn(s) for s in self.fk],
+                          fn(self.footer), {c: fn(s) for c, s in self.columns.items()},
+                          {c: fn(s) for c, s in self.markers.items()})
 
 
 @dataclass
@@ -140,31 +150,11 @@ class SpanIndex:
         return out
 
     def to_json(self) -> dict:
-        return {
-            t: {
-                "header": list(ts.header),
-                "pk": list(ts.pk),
-                "fk": [list(s) for s in ts.fk],
-                "footer": list(ts.footer),
-                "columns": {c: list(s) for c, s in ts.columns.items()},
-                "markers": {c: list(s) for c, s in ts.markers.items()},
-            }
-            for t, ts in self.tables.items()
-        }
+        return {t: asdict(ts.map(list)) for t, ts in self.tables.items()}
 
     @staticmethod
     def from_json(obj: dict) -> "SpanIndex":
-        tables = {}
-        for t, ts in obj.items():
-            tables[t] = TableSpans(
-                header=tuple(ts["header"]),
-                pk=tuple(ts["pk"]),
-                fk=[tuple(s) for s in ts["fk"]],
-                footer=tuple(ts["footer"]),
-                columns={c: tuple(s) for c, s in ts["columns"].items()},
-                markers={c: tuple(s) for c, s in ts["markers"].items()},
-            )
-        return SpanIndex(tables)
+        return SpanIndex({t: TableSpans(**ts).map(tuple) for t, ts in obj.items()})
 
 
 def _render_examples(examples: tuple[str, ...]) -> str:
@@ -173,7 +163,7 @@ def _render_examples(examples: tuple[str, ...]) -> str:
     return ", ".join(examples)
 
 
-def serialize_schema(doc: SchemaDocument, marker_text: str = MARKER_TEXT) -> tuple[str, SpanIndex]:
+def serialize_schema(doc: SchemaDocument) -> tuple[str, SpanIndex]:
     """Render CREATE-TABLE-style text, one marker per column, plus spans.
 
     Layout is frozen: header line, one column line per column (type, then a
@@ -181,8 +171,6 @@ def serialize_schema(doc: SchemaDocument, marker_text: str = MARKER_TEXT) -> tup
     KEY line per fk, closing paren footer. Spans are half-open char ranges
     over the returned text and exclude the trailing newline of each line.
     """
-    if not marker_text:
-        raise ValueError("marker_text must be non-empty")
     parts: list[str] = []
     pos = 0
     index: dict[str, TableSpans] = {}
@@ -199,10 +187,10 @@ def serialize_schema(doc: SchemaDocument, marker_text: str = MARKER_TEXT) -> tup
         col_spans: dict[str, tuple[int, int]] = {}
         marker_spans: dict[str, tuple[int, int]] = {}
         for c in t.columns:
-            line = f"  {c.name} {c.sql_type.upper()} -- examples: {_render_examples(c.examples)} {marker_text}"
+            line = f"  {c.name} {c.sql_type.upper()} -- examples: {_render_examples(c.examples)} {MARKER_TEXT}"
             span = emit(line)
             col_spans[c.name.lower()] = span
-            marker_spans[c.name.lower()] = (span[1] - len(marker_text), span[1])
+            marker_spans[c.name.lower()] = (span[1] - len(MARKER_TEXT), span[1])
         pk = emit(f"  PRIMARY KEY ({', '.join(t.primary_key)})")
         fk_spans = [
             emit(f"  FOREIGN KEY ({local}) REFERENCES {ftable} ({fcol})")

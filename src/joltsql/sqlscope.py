@@ -6,13 +6,14 @@ subqueries, aliases, star, aggregates, and ordinary expressions. CTEs,
 window functions, and derived tables are rejected with a clear error.
 Identifiers are matched case-insensitively and reported lowercase.
 
-As in SQLite, a trailing ORDER BY/LIMIT binds to the whole compound, and a
-compound's ORDER BY terms name output columns, so they add no link.
+As in SQLite, a subquery may be a compound, a trailing ORDER BY/LIMIT binds
+to the whole compound, and a compound's ORDER BY terms name output columns,
+so they add no link.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import AmbiguousColumn, SqlSyntaxError, UnknownColumn, UnknownTable
 from .schema import SchemaDocument
@@ -128,19 +129,19 @@ class IsNull:
 class InExpr:
     expr: object
     values: list | None  # literal/expr list, or None when subquery
-    subquery: "Select | None" = None
+    subquery: "SqlAst | None" = None
     negated: bool = False
 
 
 @dataclass
 class Exists:
-    subquery: "Select"
+    subquery: "SqlAst"
     negated: bool = False
 
 
 @dataclass
 class Subquery:
-    select: "Select"
+    select: "SqlAst"
 
 
 @dataclass
@@ -243,6 +244,14 @@ class _Parser:
     def parse_statement(self) -> SqlAst:
         if self.at_kw("WITH"):
             raise self.error("CTEs (WITH) are not supported")
+        node = self.parse_query()
+        if self.peek().kind != "EOF":
+            raise self.error("unexpected trailing input")
+        return node
+
+    def parse_query(self) -> SqlAst:
+        """A SELECT or compound and its trailing ORDER BY/LIMIT: a whole
+        statement, or the body of a parenthesized subquery."""
         node = self.parse_select_core()
         while self.at_kw("UNION", "INTERSECT", "EXCEPT"):
             op_tok = self.next()
@@ -253,12 +262,13 @@ class _Parser:
             right = self.parse_select_core()
             node = SetOp(op, node, right)
         # trailing ORDER BY / LIMIT bind to the whole set operation, if any
-        self.parse_order_limit(node)
+        if self.at_kw("ORDER"):
+            node.order_by = self.parse_order_by()
+        if self.at_kw("LIMIT"):
+            node.limit = self.parse_limit()
         if self.at_kw("UNION", "INTERSECT", "EXCEPT"):
             raise self.error("ORDER BY and LIMIT must follow the last SELECT "
                              "of a compound")
-        if self.peek().kind != "EOF":
-            raise self.error("unexpected trailing input")
         return node
 
     def parse_select_core(self) -> Select:
@@ -298,16 +308,6 @@ class _Parser:
             self.next()
             sel.having = self.parse_expr()
         return sel
-
-    def parse_subquery(self) -> Select:
-        return self.parse_order_limit(self.parse_select_core())
-
-    def parse_order_limit(self, node):
-        if self.at_kw("ORDER"):
-            node.order_by = self.parse_order_by()
-        if self.at_kw("LIMIT"):
-            node.limit = self.parse_limit()
-        return node
 
     def parse_order_by(self) -> list[OrderItem]:
         self.eat_kw("ORDER")
@@ -439,7 +439,7 @@ class _Parser:
                 self.next()
                 self.eat_op("(")
                 if self.at_kw("SELECT"):
-                    sub = self.parse_subquery()
+                    sub = self.parse_query()
                     self.eat_op(")")
                     node = InExpr(node, None, sub, negated)
                 else:
@@ -507,7 +507,7 @@ class _Parser:
         if t.kind == "KEYWORD" and t.text.upper() == "EXISTS":
             self.next()
             self.eat_op("(")
-            sub = self.parse_subquery()
+            sub = self.parse_query()
             self.eat_op(")")
             return Exists(sub)
         if t.kind == "KEYWORD" and t.text.upper() == "CASE":
@@ -515,7 +515,7 @@ class _Parser:
         if t.kind == "OP" and t.text == "(":
             self.next()
             if self.at_kw("SELECT"):
-                sub = self.parse_subquery()
+                sub = self.parse_query()
                 self.eat_op(")")
                 return Subquery(sub)
             expr = self.parse_expr()
@@ -723,12 +723,15 @@ def _link_expr(node, schema: SchemaDocument, scope: _Scope, links: set):
 def _match_output_column(term, outputs: list[list[tuple[object, set[str]]]]):
     """A compound's ORDER BY term must name an output column of one of its
     SELECTs (`_output_columns` of each): by 1-based position, by alias or
-    column name, or by repeating a select item's expression as written.
+    column name, or by repeating a select item's expression, identifiers
+    and function names in any case.
     Raises UnknownColumn otherwise, as SQLite does."""
+    folded = _folded(term)
     if isinstance(term, Literal) and isinstance(term.value, int):
         if 1 <= term.value <= len(outputs[0]):
             return
-    elif any(term == expr or isinstance(term, ColumnRef) and term.column.lower() in names
+    elif any(folded == expr
+             or isinstance(term, ColumnRef) and term.column.lower() in names
              for columns in outputs for expr, names in columns):
         return
     raise UnknownColumn("compound ORDER BY term does not match any column "
@@ -737,8 +740,9 @@ def _match_output_column(term, outputs: list[list[tuple[object, set[str]]]]):
 
 def _output_columns(select: Select, scope: _Scope,
                     schema: SchemaDocument) -> list[tuple[object, set[str]]]:
-    """(expression, names) per output column of a SELECT, stars expanded;
-    the names are its alias and, for a column reference, the column."""
+    """(folded expression, names) per output column of a SELECT, stars
+    expanded; the names are its alias and, for a column reference, the
+    column."""
     columns: list[tuple[object, set[str]]] = []
     for it in select.items:
         if isinstance(it.expr, Star):
@@ -748,5 +752,20 @@ def _output_columns(select: Select, scope: _Scope,
         names = {it.alias.lower()} if it.alias else set()
         if isinstance(it.expr, ColumnRef):
             names.add(it.expr.column.lower())
-        columns.append((it.expr, names))
+        columns.append((_folded(it.expr), names))
     return columns
+
+
+def _folded(node):
+    """`node` with every column reference lowercased, the form in which a
+    repeated expression is compared. String literals stay as written;
+    function names are lowercase from the parser."""
+    if isinstance(node, ColumnRef):
+        return replace(node, column=node.column.lower(),
+                       qualifier=node.qualifier and node.qualifier.lower())
+    if isinstance(node, list):
+        return [_folded(x) for x in node]
+    if is_dataclass(node):
+        return replace(node, **{f.name: _folded(getattr(node, f.name))
+                                for f in fields(node)})
+    return node

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import SpanMisaligned
-from .schema import MARKER_TEXT, SpanIndex
+from .schema import MARKER_TEXT, SpanIndex, TableSpans
 
 PAD, BOS, EOS, MARKER, UNK = 0, 1, 2, 3, 4
 _SPECIAL_TOKENS = {PAD: "<pad>", BOS: "<bos>", EOS: "<eos>", MARKER: MARKER_TEXT, UNK: "<unk>"}
@@ -75,10 +76,6 @@ def build_vocab(corpus: list[str]) -> Vocab:
 @dataclass
 class TokenSequence:
     ids: list[int]
-    char_offsets: list[tuple[int, int]]  # spans into the per-part source text
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 @dataclass
@@ -90,9 +87,9 @@ class SegmentMap:
     schema: set[int]
     query: set[int]
     markers: set[int]  # subset of schema
-    # lowercase table -> element name -> token range (half-open);
-    # elements: header, pk, footer, fk:<i>, col:<column>
-    table_elements: dict[str, dict[str, tuple[int, int]]]
+    # lowercase table -> its serialized layout in absolute token positions
+    # (half-open ranges)
+    table_elements: dict[str, TableSpans]
     # column marker token position in serialization order: (table, column, pos)
     marker_columns: list[tuple[str, str, int]]
     gt_schema: set[int] = field(default_factory=set)
@@ -109,14 +106,13 @@ class SegmentMap:
         )
 
     def column_token_range(self, table: str, column: str) -> tuple[int, int]:
-        return self.table_elements[table][f"col:{column}"]
+        return self.table_elements[table].columns[column]
 
     def table_envelope(self, table: str) -> set[int]:
         """Token positions of the table's header/pk/fk/footer structure."""
         out: set[int] = set()
-        for key, (a, b) in self.table_elements[table].items():
-            if not key.startswith("col:"):
-                out.update(range(a, b))
+        for a, b in self.table_elements[table].envelope_spans():
+            out.update(range(a, b))
         return out
 
     def schema_tokens(self, columns) -> set[int]:
@@ -132,21 +128,22 @@ class SegmentMap:
         return out
 
 
-def _span_to_token_range(span: tuple[int, int], offsets: list[tuple[int, int]]) -> tuple[int, int]:
-    """Minimal token range covering a char span; boundaries must not split tokens."""
+def _span_to_token_range(span: tuple[int, int], starts: list[int],
+                         ends: list[int]) -> tuple[int, int]:
+    """Minimal token range covering a char span; boundaries must not split
+    tokens. `starts`/`ends` are the tokens' char offsets, both ascending
+    since tokens neither overlap nor run backwards. The tokens meeting the
+    span are those ending after its start and starting before its end, so
+    two bisections find them and only the outer two can split."""
     lo, hi = span
-    first = last = None
-    for i, (a, b) in enumerate(offsets):
-        if b <= lo or a >= hi:
-            continue
-        if a < lo or b > hi:
-            raise SpanMisaligned(f"char span {span} splits token at {(a, b)}")
-        if first is None:
-            first = i
-        last = i
-    if first is None:
+    first = bisect_right(ends, lo)
+    stop = bisect_left(starts, hi)
+    if first >= stop:
         raise SpanMisaligned(f"char span {span} covers no tokens")
-    return (first, last + 1)
+    for i in (first, stop - 1):
+        if starts[i] < lo or ends[i] > hi:
+            raise SpanMisaligned(f"char span {span} splits token at {(starts[i], ends[i])}")
+    return (first, stop)
 
 
 def encode(
@@ -156,46 +153,40 @@ def encode(
     query: str,
     vocab: Vocab,
 ) -> tuple[TokenSequence, SegmentMap]:
-    """Tokenize the three input parts and map schema spans to token ranges."""
+    """Tokenize the three input parts in order and map the schema's
+    character layout to absolute token positions: each table's `TableSpans`
+    becomes `SegmentMap.table_elements[table]`, and each column's marker
+    span must cover exactly one token. Raises SpanMisaligned when a span
+    splits a token or covers none."""
     ids: list[int] = []
-    offsets: list[tuple[int, int]] = []
     regions: dict[str, set[int]] = {"prefix": set(), "schema": set(), "query": set()}
     markers: set[int] = set()
-
-    schema_token_offsets: list[tuple[int, int]] = []  # into schema_text
-    schema_token_positions: list[int] = []
+    starts: list[int] = []  # schema token char offsets into schema_text
+    ends: list[int] = []
 
     for region, text in (("prefix", prefix), ("schema", schema_text), ("query", query)):
         for tok, a, b in split_words(text):
             pos = len(ids)
             ids.append(vocab.lookup(tok))
-            offsets.append((a, b))
             regions[region].add(pos)
             if region == "schema":
-                schema_token_offsets.append((a, b))
-                schema_token_positions.append(pos)
+                starts.append(a)
+                ends.append(b)
                 if tok == MARKER_TEXT:
                     markers.add(pos)
 
-    base = schema_token_positions[0] if schema_token_positions else 0
+    base = len(regions["prefix"])  # position of the first schema token
 
-    table_elements: dict[str, dict[str, tuple[int, int]]] = {}
+    def to_tokens(span: tuple[int, int]) -> tuple[int, int]:
+        lo, hi = _span_to_token_range(span, starts, ends)
+        return (base + lo, base + hi)
+
+    table_elements = {t: ts.map(to_tokens) for t, ts in spans.tables.items()}
     marker_columns: list[tuple[str, str, int]] = []
-    for tname, ts in spans.tables.items():
-        elems: dict[str, tuple[int, int]] = {}
-        elems["header"] = _shift(_span_to_token_range(ts.header, schema_token_offsets), base)
-        elems["pk"] = _shift(_span_to_token_range(ts.pk, schema_token_offsets), base)
-        for i, fk in enumerate(ts.fk):
-            elems[f"fk:{i}"] = _shift(_span_to_token_range(fk, schema_token_offsets), base)
-        elems["footer"] = _shift(_span_to_token_range(ts.footer, schema_token_offsets), base)
-        for cname, cspan in ts.columns.items():
-            elems[f"col:{cname}"] = _shift(_span_to_token_range(cspan, schema_token_offsets), base)
-        table_elements[tname] = elems
-        for cname, mspan in ts.markers.items():
-            lo, hi = _shift(_span_to_token_range(mspan, schema_token_offsets), base)
-            if hi - lo != 1:
-                raise SpanMisaligned(f"marker for {tname}.{cname} spans {hi - lo} tokens")
-            marker_columns.append((tname, cname, lo))
+    for tname, cname, (lo, hi) in SpanIndex(table_elements).marker_positions():
+        if hi - lo != 1:
+            raise SpanMisaligned(f"marker for {tname}.{cname} spans {hi - lo} tokens")
+        marker_columns.append((tname, cname, lo))
 
     seg = SegmentMap(
         n=len(ids),
@@ -206,11 +197,7 @@ def encode(
         table_elements=table_elements,
         marker_columns=marker_columns,
     )
-    return TokenSequence(ids, offsets), seg
-
-
-def _shift(rng: tuple[int, int], base: int) -> tuple[int, int]:
-    return (rng[0] + base, rng[1] + base)
+    return TokenSequence(ids), seg
 
 
 def decode(ids: list[int], vocab: Vocab) -> str:

@@ -53,6 +53,15 @@ class TestUsage:
             main(["frobnicate"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["sweep", "--threshold", "0.3"],
+                                       ["sweep", "--average", "macro"],
+                                       ["eval", "--sweep"]])
+    def test_flag_the_subcommand_does_not_read_exits_two(self, capsys, flags):
+        with pytest.raises(SystemExit) as e:
+            main(flags + ["--ckpt", "c", "--dev", "d.jsonl", "--dbs", "dbs"])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_domain_error_exits_one(self, capsys, tmp_path):
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps({"tables": [

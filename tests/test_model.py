@@ -49,6 +49,18 @@ class TestForward:
                                       sorted(b.named_params().items())):
             assert ka == kb and np.array_equal(pa.data, pb.data)
 
+    def test_all_params_is_named_params_in_order(self):
+        """One parameter list: AdamW and gradient clipping walk the same
+        tensors, in the same order, as checkpoints name them."""
+        params = ModelParams(tiny_config(), seed=0)
+        named = params.named_params()
+        flat = params.all_params()
+        assert len(flat) == len(named) == len({id(t) for t in flat})
+        assert all(a is b for a, b in zip(flat, named.values()))
+        names = list(named)
+        assert names[:3] == ["emb", "pos", "layer0.ln1_g"]
+        assert names[-4:] == ["lnf_g", "lnf_b", "link_w", "link_b"]
+
     def test_too_long_rejected(self):
         params = ModelParams(tiny_config(max_len=4), seed=0)
         with pytest.raises(ShapeMismatch):

@@ -15,7 +15,8 @@ from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
                               full_schema_prompt, infer, link_schema,
                               load_corpus, prepare_inference_example,
                               prune_prompt, train)
-from joltsql.schema import MARKER_TEXT, serialize_schema
+from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, Table,
+                            serialize_schema)
 from joltsql.tokenizer import EOS, MARKER, build_vocab, decode
 
 GOLD = "SELECT name FROM singer WHERE age > 30"
@@ -120,11 +121,11 @@ class TestAssembleSegments:
             # reference: every element of a touched table except the
             # definitions of its columns outside the set
             expected = set()
-            for table, elems in ex.seg.table_elements.items():
+            for table, ts in ex.seg.table_elements.items():
                 if any(t == table for t, _ in union):
-                    for key, (a, b) in elems.items():
-                        if not key.startswith("col:") or (table, key[4:]) in union:
-                            expected.update(range(a, b))
+                    kept = [span for c, span in ts.columns.items() if (table, c) in union]
+                    for a, b in ts.envelope_spans() + kept:
+                        expected.update(range(a, b))
             assert ex.seg.schema_tokens(union) == expected
             seg = assemble_segments(ex, noisy)
             assert seg.gt_schema | seg.noisy_schema == expected
@@ -478,6 +479,27 @@ class TestSerialization:
             assert key in obj
         spans = obj["schema_element_token_spans"]["singer"]
         assert {"header", "pk", "fk", "footer", "columns"} <= spans.keys()
+
+    def test_fk_spans_keep_serialization_order(self):
+        """With 12 foreign keys, fk 10 and 11 follow fk 9 in the written
+        token spans, as in the text."""
+        parents = [Table(f"p{i}", (Column("id", "INTEGER"),), primary_key=("id",))
+                   for i in range(12)]
+        child = Table("child",
+                      (Column("id", "INTEGER"),
+                       *(Column(f"p{i}_id", "INTEGER") for i in range(12))),
+                      primary_key=("id",),
+                      foreign_keys=tuple((f"p{i}_id", f"p{i}", "id") for i in range(12)))
+        doc = SchemaDocument((child, *parents))
+        gold = "SELECT p11_id FROM child"
+        text, _ = serialize_schema(doc)
+        vocab = build_vocab([gold, text])
+        ex = build_training_example("which parent ?", doc, gold, vocab, "fk-0")
+        fk = example_to_json(ex)["schema_element_token_spans"]["child"]["fk"]
+        assert len(fk) == 12
+        for i, (a, b) in enumerate(fk):
+            assert decode(ex.tokens.ids[a:b], vocab).startswith(
+                f"FOREIGN KEY ( p{i}_id )")
 
     def test_link_serialized_sorted_dotted(self, example):
         obj = example_to_json(example)

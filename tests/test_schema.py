@@ -63,10 +63,6 @@ class TestSerialize:
         text, _ = serialize_schema(doc)
         assert "-- examples: None" in text
 
-    def test_empty_marker_rejected(self, concert_schema):
-        with pytest.raises(ValueError):
-            serialize_schema(concert_schema, marker_text="")
-
 
 class TestValueSampling:
     def setup_db(self, db, rows):

@@ -71,6 +71,19 @@ HAND_LABELED = [
      "(SELECT id FROM concert WHERE year > 2010)",
      {"singer_in_concert.singer_id", "singer_in_concert.concert_id",
       "concert.id", "concert.year"}),
+    # a parenthesized subquery may be a compound, with its own ORDER BY/LIMIT
+    ("SELECT name FROM singer WHERE id IN "
+     "(SELECT id FROM singer UNION SELECT id FROM stadium)",
+     {"singer.name", "singer.id", "stadium.id"}),
+    ("SELECT name FROM stadium WHERE EXISTS (SELECT stadium_id FROM concert "
+     "WHERE concert.stadium_id = stadium.id EXCEPT SELECT id FROM singer)",
+     {"stadium.name", "concert.stadium_id", "stadium.id", "singer.id"}),
+    ("SELECT name FROM singer WHERE age = "
+     "(SELECT age FROM singer INTERSECT SELECT capacity FROM stadium)",
+     {"singer.name", "singer.age", "stadium.capacity"}),
+    ("SELECT name FROM stadium WHERE capacity IN "
+     "(SELECT capacity FROM stadium UNION SELECT age FROM singer ORDER BY 1 LIMIT 3)",
+     {"stadium.name", "stadium.capacity", "singer.age"}),
 ]
 
 
@@ -138,6 +151,13 @@ class TestParse:
             parse_sql(sql)
         assert e.value.offset == sql.index("UNION")
 
+    def test_subquery_order_by_before_union_rejected(self):
+        sql = ("SELECT name FROM singer WHERE id IN "
+               "(SELECT id FROM singer ORDER BY id UNION SELECT id FROM stadium)")
+        with pytest.raises(SqlSyntaxError) as e:
+            parse_sql(sql)
+        assert e.value.offset == sql.index("UNION")
+
     def test_trailing_semicolon_ok(self):
         parse_sql("SELECT name FROM singer;")
 
@@ -198,6 +218,10 @@ class TestResolve:
         "SELECT age AS a FROM singer UNION SELECT capacity FROM stadium ORDER BY a",
         "SELECT age FROM singer UNION SELECT capacity FROM stadium ORDER BY singer.age",
         "SELECT max(age) FROM singer UNION SELECT capacity FROM stadium ORDER BY max(age)",
+        # a repeated expression matches in any identifier case
+        "SELECT max(age) FROM singer UNION SELECT capacity FROM stadium ORDER BY MAX(Age)",
+        "SELECT max(T1.age) FROM singer AS T1 UNION SELECT capacity FROM stadium "
+        "ORDER BY MAX(t1.AGE)",
     ])
     def test_compound_order_by_output_column_forms(self, concert_schema, sql):
         assert extract_ground_truth(sql, concert_schema) == \
@@ -215,6 +239,14 @@ class TestResolve:
             extract_ground_truth("SELECT age FROM singer UNION "
                                  f"SELECT capacity FROM stadium ORDER BY {term}",
                                  concert_schema)
+
+    def test_compound_order_by_string_literal_case_kept(self, concert_schema):
+        sql = ("SELECT lower('A') FROM singer UNION SELECT capacity FROM stadium "
+               "ORDER BY lower({})")
+        assert extract_ground_truth(sql.format("'A'"), concert_schema) == \
+            as_pairs({"stadium.capacity"})
+        with pytest.raises(UnknownColumn):
+            extract_ground_truth(sql.format("'a'"), concert_schema)
 
     def test_duplicate_alias_rejected(self, concert_schema):
         with pytest.raises(SqlSyntaxError):

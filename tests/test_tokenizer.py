@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import SpanMisaligned
 from joltsql.schema import MARKER_TEXT, serialize_schema
-from joltsql.tokenizer import (BOS, EOS, MARKER, PAD, UNK, Vocab, build_vocab,
-                               decode, encode, split_words)
+from joltsql.tokenizer import (BOS, EOS, MARKER, PAD, UNK, Vocab,
+                               _span_to_token_range, build_vocab, decode,
+                               encode, split_words)
 
 PREFIX = "translate the question to sql . question : what is the name ?"
 QUERY = "SELECT name FROM singer"
@@ -97,11 +99,10 @@ class TestEncode:
         text, spans = serialize_schema(concert_schema)
         vocab = make_vocab(concert_schema)
         _, seg = encode(PREFIX, text, spans, QUERY, vocab)
-        for t in seg.table_elements:
+        for t, ts in seg.table_elements.items():
             env = seg.table_envelope(t)
-            for key, (a, b) in seg.table_elements[t].items():
-                if key.startswith("col:"):
-                    assert env.isdisjoint(range(a, b))
+            for a, b in ts.columns.values():
+                assert env.isdisjoint(range(a, b))
 
     def test_segments_ordered(self, concert_schema):
         text, spans = serialize_schema(concert_schema)
@@ -126,6 +127,82 @@ def _shift_header(spans, table_name):
     out.tables[table_name] = dataclasses.replace(
         ts, header=(ts.header[0] + 2, ts.header[1] + 2))
     return out
+
+
+def _scan_token_range(span, offsets):
+    """The linear scan over every token that `_span_to_token_range`
+    replaced, kept as its slow reference."""
+    lo, hi = span
+    first = last = None
+    for i, (a, b) in enumerate(offsets):
+        if b <= lo or a >= hi:
+            continue
+        if a < lo or b > hi:
+            raise SpanMisaligned(f"char span {span} splits token at {(a, b)}")
+        if first is None:
+            first = i
+        last = i
+    if first is None:
+        raise SpanMisaligned(f"char span {span} covers no tokens")
+    return (first, last + 1)
+
+
+def _outcome(fn, *args):
+    """A range, or the SpanMisaligned message, so results and errors compare."""
+    try:
+        return fn(*args)
+    except SpanMisaligned as e:
+        return f"SpanMisaligned: {e}"
+
+
+def _both(spans, text):
+    """(bisection outcome, scan outcome) per span over the tokens of `text`."""
+    offsets = [(a, b) for _, a, b in split_words(text)]
+    starts, ends = [a for a, _ in offsets], [b for _, b in offsets]
+    return [(_outcome(_span_to_token_range, span, starts, ends),
+             _outcome(_scan_token_range, span, offsets)) for span in spans]
+
+
+@pytest.fixture(scope="module")
+def desk_schemas(tmp_path_factory):
+    """The desk corpus schemas for seeds 3, 7 and 11. Schemas and their
+    value examples are drawn before any question, so one example per
+    database gives the same schemas as the full corpus."""
+    out = {}
+    for seed in (3, 7, 11):
+        generated = generate_corpus(CorpusConfig(seed=seed, examples_per_db=1),
+                                    str(tmp_path_factory.mktemp(f"seed{seed}")))
+        out.update({f"seed{seed}/{db}": doc for db, doc in generated.schemas.items()})
+    return out
+
+
+class TestSpanToTokenRange:
+    def test_matches_scan_on_every_layout_span(self, concert_schema, desk_schemas):
+        docs = {"concert": concert_schema, **desk_schemas}
+        assert len(docs) == 13
+        for doc in docs.values():
+            text, spans = serialize_schema(doc)
+            layout = [span for ts in spans.tables.values()
+                      for span in (ts.envelope_spans() + list(ts.columns.values())
+                                   + list(ts.markers.values()))]
+            for span, (got, want) in zip(layout, _both(layout, text)):
+                assert got == want and isinstance(got, tuple), span
+
+    def test_matches_scan_on_every_span_of_a_table(self, concert_schema):
+        text, spans = serialize_schema(concert_schema)
+        text = text[:spans.tables["singer"].footer[1]]
+        every = [(lo, hi) for lo in range(len(text) + 1)
+                 for hi in range(lo, len(text) + 1)]
+        for span, (got, want) in zip(every, _both(every, text)):
+            assert got == want, span
+
+    @pytest.mark.parametrize("span", [(1, 12), (0, 9), (6, 7), (7, 7), (2, 2)],
+                             ids=["start-inside-token", "end-inside-token",
+                                  "between-tokens", "empty", "empty-inside-token"])
+    def test_misaligned_raises_like_scan(self, span):
+        [(got, want)] = _both([span], "CREATE TABLE singer (")
+        assert got == want
+        assert got.startswith("SpanMisaligned")
 
 
 class TestDecode:
