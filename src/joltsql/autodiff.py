@@ -3,15 +3,16 @@
 Eager tape: every op computes its forward value immediately and registers
 a backward closure. Just enough surface for a small decoder-only
 transformer. Multi-head attention is one op, `attention`, over
-(heads, n, dh) arrays under one boolean visibility matrix, with a
+(heads, n, dh) arrays under one additive 0/-inf mask bias, with a
 hand-written backward; per head, `slice_cols`, `transpose`,
 `masked_softmax` and `concat` compose its slow reference.
 
 The hot kernels make as few array passes as keep their results bit for
-bit: the masked softmax adds a 0/-inf bias built from the boolean mask and
-then works in place, attention scales its scores and builds its score
-gradient in place, layer norm sums instead of calling `mean`/`var`, and
-AdamW updates in place through two scratch buffers shared by all tensors.
+bit: attention adds the mask bias into the score array its own product
+allocated and runs the softmax in that array, and builds its score
+gradient in place; layer norm sums instead of calling `mean`/`var`; AdamW
+updates in place through two scratch buffers shared by all tensors; and a
+first gradient an op built for one tensor is kept without a copy.
 """
 from __future__ import annotations
 
@@ -46,10 +47,14 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def accumulate(self, g: np.ndarray):
+    def accumulate(self, g: np.ndarray, shared: bool = False):
+        """Add `g` into this tensor's gradient. A first gradient is kept as
+        it is, in the tensor's dtype, when the op built `g` for this tensor
+        alone; a `shared` one (the op's incoming gradient or a view of it,
+        which other tensors may receive too) is copied, since gradients are
+        later added to and scaled in place."""
         if self.grad is None:
-            # a copy: ops may hand the same array to several parents
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = (np.array if shared else np.asarray)(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -90,9 +95,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g)
+            a.accumulate(g, shared=True)
         if b.requires_grad:
-            b.accumulate(g.sum(axis=0) if b.shape != a.shape else g)
+            if b.shape != a.shape:
+                b.accumulate(g.sum(axis=0))
+            else:
+                b.accumulate(g, shared=True)
 
     return _op(out_data, (a, b), backward)
 
@@ -122,7 +130,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g.T)
+            a.accumulate(g.T, shared=True)
 
     return _op(a.data.T, (a,), backward)
 
@@ -137,7 +145,7 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t.accumulate(g[tuple(idx)])
+                t.accumulate(g[tuple(idx)], shared=True)
 
     return _op(out_data, tuple(tensors), backward)
 
@@ -232,24 +240,31 @@ def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
     return _op(out_data, (scores,), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
               heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one op.
 
-    q is n x d, k and v are m x d; the n x m mask `visible` holds for every
-    head. Head h owns columns h*dh..(h+1)*dh (dh = d / heads), and all heads
-    run as one batched product over (heads, rows, dh) views. The n x d
-    output equals, per head, softmax(q_h k_h^T / sqrt(dh)) over the visible
-    entries times v_h, with the heads concatenated. Backward, per head, from
-    the saved probabilities p: dV = p^T g,
+    q is n x d, k and v are m x d; `bias` is the n x m additive mask of
+    `masks.AttentionMask.bias`, 0 where visible and -inf where hidden, and
+    holds for every head. Every row must see something; the mask checks
+    that when it builds the bias. Head h owns columns h*dh..(h+1)*dh
+    (dh = d / heads), and all heads run as one batched product over
+    (heads, rows, dh) views. The n x d output equals, per head,
+    softmax(q_h k_h^T / sqrt(dh)) over the visible entries times v_h, with
+    the heads concatenated.
+
+    The bias is added into the score array the product allocated, and the
+    row max is subtracted, `exp` taken and the rows normalized in that same
+    array, so the forward allocates one heads x n x m array. Backward, per
+    head, from the saved probabilities p: dV = p^T g,
     dS = p * (g V^T - rowsum(g V^T * p)) / sqrt(dh), dQ = dS K, dK = (Q^T dS)^T.
     """
     n, d = q.shape
     m = k.shape[0]
-    if k.shape != (m, d) or v.shape != (m, d) or d % heads:
+    if (k.shape != (m, d) or v.shape != (m, d) or d % heads
+            or bias.shape != (n, m)):
         raise ShapeMismatch(f"attention q {q.shape}, k {k.shape}, v {v.shape}, "
-                            f"{heads} heads")
-    _check_visible((n, m), visible)
+                            f"bias {bias.shape}, {heads} heads")
     dh = d // heads
     s = 1.0 / float(np.sqrt(dh))
 
@@ -260,9 +275,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, visible: np.ndarray,
         return a.transpose(1, 0, 2).reshape(a.shape[1], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = qh @ kh.transpose(0, 2, 1)
-    scores *= s
-    probs = _softmax_visible(scores, visible)
+    probs = qh @ kh.transpose(0, 2, 1)
+    probs *= s
+    probs += bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
 
     def backward(g):
         gh = split(g)
@@ -351,9 +369,9 @@ def sum_all(a: Tensor) -> Tensor:
 def add_scalars(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g)
+            a.accumulate(g, shared=True)
         if b.requires_grad:
-            b.accumulate(g)
+            b.accumulate(g, shared=True)
 
     return _op(a.data + b.data, (a, b), backward)
 

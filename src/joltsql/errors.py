@@ -29,6 +29,10 @@ class SpanMisaligned(JoltError):
     """A character span boundary falls inside a token."""
 
 
+class InvalidSpans(JoltError):
+    """A spans file entry lacks a key of a table's layout, or has an unknown one."""
+
+
 class InvalidSegmentation(JoltError):
     """Segment index sets do not partition the sequence."""
 

@@ -9,18 +9,52 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidSegmentation
+from .errors import EmptyRow, InvalidSegmentation
 from .tokenizer import SegmentMap
 
 
 class AttentionMask:
     """n × (p+n) boolean visibility: n new rows over p cached rows and
     themselves (p = 0 without a cache); visible[i, j] means row i may
-    attend to column j."""
+    attend to column j.
+
+    Attention reads the mask as an additive bias over its scores, 0 where
+    visible and -inf where hidden (`bias`). The bias is built once per mask
+    and dtype, and that is where a row with nothing visible is rejected.
+    """
 
     def __init__(self, visible: np.ndarray):
         self.visible = visible
         self.n = visible.shape[0]
+        self._bias: np.ndarray | None = None
+
+    def bias(self, dtype) -> np.ndarray:
+        """The n × (p+n) additive bias in `dtype`, built on the first call.
+        Raises EmptyRow when a row sees no column."""
+        if self._bias is None or self._bias.dtype != dtype:
+            self._bias = additive_bias(self.visible, dtype)
+        return self._bias
+
+    def columns(self, m: int) -> "AttentionMask":
+        """The mask over the first m columns. A bias already built is shared
+        as a view, not built again, so its rows are not checked again: every
+        row must keep a visible column among the first m, as a decode row
+        does, which sees itself in its last column."""
+        out = AttentionMask(self.visible[:, :m])
+        if self._bias is not None:
+            out._bias = self._bias[:, :m]
+        return out
+
+
+def additive_bias(visible: np.ndarray, dtype) -> np.ndarray:
+    """0 where `visible`, -inf elsewhere, in `dtype`; exp(-inf) makes a
+    hidden entry's attention weight exactly 0. Raises EmptyRow when a row
+    has no visible entry, whose softmax would be 0/0."""
+    if not visible.any(axis=1).all():
+        raise EmptyRow("attention mask has a row with no visible entries")
+    bias = np.zeros(visible.shape, dtype=dtype)
+    bias[~visible] = -np.inf
+    return bias
 
 
 def build_causal_mask(n: int) -> AttentionMask:

@@ -121,8 +121,10 @@ class ModelParams:
 class ForwardOutput:
     hidden: Tensor       # n x d
     lm_logits: Tensor    # n x V
-    marker_probs: Tensor  # n x 1, meaningful at marker positions
-    # per layer, (K, V) over the cached rows and these rows: (p + n) x d each
+    # n x 1, meaningful at marker positions; None for rows run against a
+    # `past`, which are query rows and hold no markers
+    marker_probs: Tensor | None
+    # per layer, (K, V) of the cached rows and these rows: (p + n) x d each
     kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
@@ -130,23 +132,37 @@ def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
             past: list[tuple[np.ndarray, np.ndarray]] | None = None) -> ForwardOutput:
     """Run `ids`, at positions p..p+n-1, through the transformer under `mask`.
 
-    Without `past`, p is 0 and the mask is n x n. With `past`, the per-layer
-    K/V of p earlier rows (a previous output's `kv`), the mask is n x (p + n):
-    the new rows attend over the cached rows and themselves. That is exact
-    whenever the cached rows never attend to the new ones, as prefix and
-    schema rows never attend to query rows under the joint mask, so decoding
-    reuses the prompt's K/V instead of re-encoding it.
+    The mask is n x (p + n): the new rows over p cached rows and
+    themselves. Without `past`, p is 0. With `past`, one (K, V) pair of
+    buffers per layer, each with at least p + n rows whose first p rows hold
+    the K/V of the rows before: this call writes its rows' K and V into rows
+    p..p+n-1 of the buffers, in place, and attends over rows 0..p+n-1. That
+    is exact whenever the cached rows never attend to the new ones, as
+    prefix and schema rows never attend to query rows under the joint mask,
+    so decoding reuses the prompt's K/V instead of re-encoding it. Buffers
+    written in place carry no gradient, so a forward with `past` runs under
+    `no_grad`; its rows are query rows, so it skips the linking head.
 
-    Each layer's attention is one `autodiff.attention` op over (heads, rows,
-    dh) views of Q, K and V, whatever the number of heads.
+    The mask's bias is built once (`AttentionMask.bias`) and every layer's
+    attention, one `autodiff.attention` op over (heads, rows, dh) views of
+    Q, K and V, adds that same array.
     """
     cfg = params.config
     n = len(ids)
-    p = len(past[0][0]) if past else 0
+    rows, cols = mask.visible.shape
+    p = cols - n
+    if rows != n or p < 0 or (p and past is None):
+        raise ShapeMismatch(f"mask shape {mask.visible.shape} for {n} new rows "
+                            f"{'with' if past is not None else 'without'} a past")
     if p + n > cfg.max_len:
         raise ShapeMismatch(f"sequence length {p + n} exceeds max_len {cfg.max_len}")
-    if mask.visible.shape != (n, p + n):
-        raise ShapeMismatch(f"mask shape {mask.visible.shape} != ({n}, {p + n})")
+    if past is not None:
+        if len(past[0][0]) < p + n:
+            raise ShapeMismatch(f"past buffers hold {len(past[0][0])} rows, "
+                                f"the mask needs {p + n}")
+        if params.emb.requires_grad:
+            raise ValueError("forward with a past writes K/V in place; run it under no_grad")
+    bias = mask.bias(cfg.np_dtype)
 
     x = ad.add(ad.gather_rows(params.emb, np.asarray(ids)),
                ad.gather_rows(params.pos, np.arange(p, p + n)))
@@ -156,11 +172,13 @@ def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
         q = ad.matmul(h, layer["wq"])
         k = ad.matmul(h, layer["wk"])
         v = ad.matmul(h, layer["wv"])
-        if past:
-            k = ad.concat([Tensor(past[li][0]), k], axis=0)
-            v = ad.concat([Tensor(past[li][1]), v], axis=0)
+        if past is not None:
+            k_buf, v_buf = past[li]
+            k_buf[p:p + n] = k.data
+            v_buf[p:p + n] = v.data
+            k, v = Tensor(k_buf[:p + n]), Tensor(v_buf[:p + n])
         kv.append((k.data, v.data))
-        attn = ad.matmul(ad.attention(q, k, v, mask.visible, cfg.heads), layer["wo"])
+        attn = ad.matmul(ad.attention(q, k, v, bias, cfg.heads), layer["wo"])
         x = ad.add(x, attn)
         h2 = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
         ffn = ad.matmul(ad.relu(ad.add(ad.matmul(h2, layer["w1"]), layer["b1"])), layer["w2"])
@@ -168,8 +186,10 @@ def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
         x = ad.add(x, ffn)
     hidden = ad.layer_norm(x, params.lnf_g, params.lnf_b)
     lm_logits = ad.matmul(hidden, ad.transpose(params.emb))
-    marker_logits = ad.add(ad.matmul(hidden, params.link_w), params.link_b)
-    marker_probs = ad.sigmoid(marker_logits)
+    marker_probs = None
+    if past is None:
+        marker_logits = ad.add(ad.matmul(hidden, params.link_w), params.link_b)
+        marker_probs = ad.sigmoid(marker_logits)
     return ForwardOutput(hidden, lm_logits, marker_probs, kv)
 
 
@@ -214,27 +234,43 @@ def greedy_generate(params: ModelParams, prompt: list[int], max_new: int,
     `encoded` is a forward of `prompt` at positions 0..len-1 whose rows
     never attend past the prompt (the pipeline passes its linking pass,
     made under the joint mask). Its last row gives the first token. Each
-    later token is one row through `forward` against the cached K/V, at the
-    next position; it sees the prompt positions flagged in `attend`, the
-    tokens generated before it and itself, which is the query row of the
-    joint mask. Pruning is thus a mask over the full prompt, never an edit
-    of its text. No token is placed at position max_len or beyond.
+    later token is one row through `forward` at the next position; it sees
+    the prompt positions flagged in `attend`, the tokens generated before it
+    and itself, which is the query row of the joint mask. Pruning is thus a
+    mask over the full prompt, never an edit of its text. No token is placed
+    at position max_len or beyond.
+
+    One mask row over the prompt and `max_new` positions has its bias built
+    once; step t's mask is a view of its first n + t columns. Per-layer K/V
+    buffers of n + max_new rows are filled once from `encoded`, and each
+    step's forward writes its row into them in place (the `past` contract
+    of `forward`). `encoded` itself is never written, so one encoding serves
+    any number of decodes.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
+    cfg = params.config
     n = len(prompt)
     visible = np.ones(n + max_new, dtype=bool)
     visible[:n] = attend
+    row = AttentionMask(visible[None, :])
+    row.bias(cfg.np_dtype)  # built here, once; every step's mask is a view of it
+    buffers = np.empty((len(encoded.kv), 2, n + max_new, cfg.dim), dtype=cfg.np_dtype)
+    past = []
+    for buf, (k, v) in zip(buffers, encoded.kv):
+        buf[0, :n] = k
+        buf[1, :n] = v
+        past.append((buf[0], buf[1]))
     ids = list(prompt)
-    out = encoded
+    logits = encoded.lm_logits.data[-1]
     with no_grad(params):
         for _ in range(max_new):
-            if len(ids) >= params.config.max_len:
+            if len(ids) >= cfg.max_len:
                 break
             if len(ids) > n:  # feed the previous token as one new row
-                row = AttentionMask(visible[None, :len(ids)])
-                out = forward(params, ids[-1:], row, past=out.kv)
-            nxt = int(np.argmax(out.lm_logits.data[-1]))
+                out = forward(params, ids[-1:], row.columns(len(ids)), past=past)
+                logits = out.lm_logits.data[-1]
+            nxt = int(np.argmax(logits))
             ids.append(nxt)
             if nxt == stop_id:
                 break

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
-from .errors import DbError, UnknownColumn
+from .errors import DbError, InvalidSpans, UnknownColumn
 
 MARKER_TEXT = "<|marker|>"
 
@@ -154,7 +154,21 @@ class SpanIndex:
 
     @staticmethod
     def from_json(obj: dict) -> "SpanIndex":
-        return SpanIndex({t: TableSpans(**ts).map(tuple) for t, ts in obj.items()})
+        """Read `to_json`'s form. Raises InvalidSpans naming the table when
+        an entry lacks a required key or has one `TableSpans` does not."""
+        known = {f.name for f in fields(TableSpans)}
+        required = {f.name for f in fields(TableSpans) if f.default_factory is MISSING}
+        tables = {}
+        for t, ts in obj.items():
+            if not isinstance(ts, dict):
+                raise InvalidSpans(f"spans of table {t!r}: expected an object")
+            problems = [f"{what} keys {', '.join(sorted(keys))}"
+                        for what, keys in (("missing", required - ts.keys()),
+                                           ("unknown", ts.keys() - known)) if keys]
+            if problems:
+                raise InvalidSpans(f"spans of table {t!r}: {'; '.join(problems)}")
+            tables[t] = TableSpans(**ts).map(tuple)
+        return SpanIndex(tables)
 
 
 def _render_examples(examples: tuple[str, ...]) -> str:

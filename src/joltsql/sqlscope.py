@@ -642,7 +642,7 @@ def _link_query(node, schema: SchemaDocument, parent: _Scope | None,
         if node.order_by:
             outputs = [_output_columns(select, scope, schema) for select, scope in selects]
             for o in node.order_by:
-                _match_output_column(o.expr, outputs)
+                _match_output_column(o.expr, selects, outputs, schema)
         if node.limit is not None:
             _link_expr(node.limit, schema, _Scope(parent), links)
         return selects
@@ -675,17 +675,22 @@ def _star_tables(star: Star, scope: _Scope) -> list[str]:
     return [table]
 
 
+def _resolve_column(ref: ColumnRef, scope: _Scope, schema: SchemaDocument) -> str:
+    """The table `ref` names in `scope`. Raises UnknownTable, UnknownColumn
+    or AmbiguousColumn when it names none or several."""
+    if ref.qualifier is None:
+        return scope.resolve_unqualified(ref.column, schema)
+    table = scope.resolve_qualifier(ref.qualifier)
+    if table is None:
+        raise UnknownTable(f"unknown table or alias {ref.qualifier!r}")
+    if not schema.has_column(table, ref.column):
+        raise UnknownColumn(f"{table}.{ref.column} not in schema")
+    return table
+
+
 def _link_expr(node, schema: SchemaDocument, scope: _Scope, links: set):
     if isinstance(node, ColumnRef):
-        if node.qualifier is not None:
-            table = scope.resolve_qualifier(node.qualifier)
-            if table is None:
-                raise UnknownTable(f"unknown table or alias {node.qualifier!r}")
-            if not schema.has_column(table, node.column):
-                raise UnknownColumn(f"{table}.{node.column} not in schema")
-        else:
-            table = scope.resolve_unqualified(node.column, schema)
-        links.add((table, node.column.lower()))
+        links.add((_resolve_column(node, scope, schema), node.column.lower()))
     elif isinstance(node, Star):
         for table in _star_tables(node, scope):
             links.update((table, col) for col in schema.table(table).column_names())
@@ -720,27 +725,36 @@ def _link_expr(node, schema: SchemaDocument, scope: _Scope, links: set):
         raise TypeError(f"unexpected expression node {type(node).__name__}")
 
 
-def _match_output_column(term, outputs: list[list[tuple[object, set[str]]]]):
+def _match_output_column(term, selects: list[tuple[Select, _Scope]],
+                         outputs: list[list[tuple[object, set[str]]]],
+                         schema: SchemaDocument):
     """A compound's ORDER BY term must name an output column of one of its
     SELECTs (`_output_columns` of each): by 1-based position, by alias or
-    column name, or by repeating a select item's expression, identifiers
-    and function names in any case.
-    Raises UnknownColumn otherwise, as SQLite does."""
-    folded = _folded(term)
+    column name, or by repeating a select item's expression. As in SQLite,
+    a repeated expression is compared with its column references resolved
+    in each SELECT's scope in turn, so `max(singer.age)` repeats
+    `max(age)`; a SELECT in whose scope the term does not resolve cannot
+    match it. Raises UnknownColumn otherwise, as SQLite does."""
     if isinstance(term, Literal) and isinstance(term.value, int):
         if 1 <= term.value <= len(outputs[0]):
             return
-    elif any(folded == expr
-             or isinstance(term, ColumnRef) and term.column.lower() in names
-             for columns in outputs for expr, names in columns):
-        return
+    else:
+        for (_, scope), columns in zip(selects, outputs):
+            try:
+                resolved = _folded(term, scope, schema)
+            except (UnknownTable, UnknownColumn, AmbiguousColumn):
+                resolved = None
+            if any(resolved is not None and resolved == expr
+                   or isinstance(term, ColumnRef) and term.column.lower() in names
+                   for expr, names in columns):
+                return
     raise UnknownColumn("compound ORDER BY term does not match any column "
                         "in the result set")
 
 
 def _output_columns(select: Select, scope: _Scope,
                     schema: SchemaDocument) -> list[tuple[object, set[str]]]:
-    """(folded expression, names) per output column of a SELECT, stars
+    """(resolved expression, names) per output column of a SELECT, stars
     expanded; the names are its alias and, for a column reference, the
     column."""
     columns: list[tuple[object, set[str]]] = []
@@ -752,20 +766,25 @@ def _output_columns(select: Select, scope: _Scope,
         names = {it.alias.lower()} if it.alias else set()
         if isinstance(it.expr, ColumnRef):
             names.add(it.expr.column.lower())
-        columns.append((_folded(it.expr), names))
+        columns.append((_folded(it.expr, scope, schema), names))
     return columns
 
 
-def _folded(node):
-    """`node` with every column reference lowercased, the form in which a
-    repeated expression is compared. String literals stay as written;
-    function names are lowercase from the parser."""
+def _folded(node, scope: _Scope | None, schema: SchemaDocument):
+    """`node` in the form in which a repeated expression is compared: every
+    column reference bound to its table in `scope` (identifiers lowercase),
+    and inside a nested query, where `scope` does not apply, lowercased as
+    written. String literals stay as written; function names are lowercase
+    from the parser."""
     if isinstance(node, ColumnRef):
-        return replace(node, column=node.column.lower(),
-                       qualifier=node.qualifier and node.qualifier.lower())
+        qualifier = (_resolve_column(node, scope, schema) if scope is not None
+                     else node.qualifier and node.qualifier.lower())
+        return replace(node, column=node.column.lower(), qualifier=qualifier)
+    if isinstance(node, (Select, SetOp)):
+        scope = None
     if isinstance(node, list):
-        return [_folded(x) for x in node]
+        return [_folded(x, scope, schema) for x in node]
     if is_dataclass(node):
-        return replace(node, **{f.name: _folded(getattr(node, f.name))
+        return replace(node, **{f.name: _folded(getattr(node, f.name), scope, schema)
                                 for f in fields(node)})
     return node

@@ -10,7 +10,7 @@ import pytest
 from joltsql import autodiff as ad
 from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.evaluation import evaluate, sweep_csv, threshold_sweep
-from joltsql.masks import build_joint_mask
+from joltsql.masks import additive_bias, build_joint_mask
 from joltsql.metrics import pr_auc, roc_auc
 from joltsql.model import (ModelConfig, ModelParams, forward, ntp_loss,
                            schema_linking_loss)
@@ -161,7 +161,7 @@ def test_criterion_03_gradient_checks():
 
     t0 = time.time()
     visible = np.ones((3, 3), dtype=bool)
-    causal = np.tri(3, dtype=bool)
+    causal_bias = additive_bias(np.tri(3, dtype=bool), np.float64)
     w = ad.tensor(rng.normal(0, 1, (3, 3)), dtype=np.float64)
     b = ad.tensor(rng.normal(0, 1, (4, 3)), dtype=np.float64)
     gain = ad.tensor(rng.normal(1, 0.2, 4), dtype=np.float64)
@@ -187,7 +187,7 @@ def test_criterion_03_gradient_checks():
         "layer_norm": (lambda t: ad.sum_all(ad.mul(ad.layer_norm(t, gain, bias),
                                                    ad.layer_norm(t, gain, bias))), (3, 4)),
         "cross_entropy_rows": (lambda t: ad.cross_entropy_rows(t, idx), (3, 5)),
-        "attention": (lambda t: ad.sum_all(ad.mul(ad.attention(t, t, t, causal, 2),
+        "attention": (lambda t: ad.sum_all(ad.mul(ad.attention(t, t, t, causal_bias, 2),
                                                   ad.transpose(b))), (3, 4)),
     }
     worst_overall, worst_name = 0.0, ""

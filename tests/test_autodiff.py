@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from joltsql import autodiff as ad
 from joltsql.errors import EmptyRow, ShapeMismatch
+from joltsql.masks import AttentionMask, additive_bias
 
 REL_TOL = 1e-4
 H = 1e-5
@@ -13,6 +15,18 @@ H = 1e-5
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the peak of `fn()` beyond what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def finite_diff(make_loss, x: np.ndarray) -> np.ndarray:
@@ -195,8 +209,10 @@ class TestGradientChecks:
             assert rel_err(got, want) < REL_TOL, name
 
 
-def unfused_attention(q, k, v, visible, heads):
-    """The per-head composition `ad.attention` replaces: the slow reference."""
+def unfused_attention(q, k, v, bias, heads):
+    """The per-head composition `ad.attention` replaces: the slow reference.
+    It reads the mask bias as the boolean mask it encodes."""
+    visible = bias == 0
     dh = q.shape[1] // heads
     outs = []
     for h in range(heads):
@@ -236,7 +252,8 @@ class TestFusedAttention:
 
         def build(t):
             args = dict(fixed, **{wrt: t})
-            out = ad.attention(args["q"], args["k"], args["v"], visible, heads)
+            out = ad.attention(args["q"], args["k"], args["v"],
+                               additive_bias(visible, np.float64), heads)
             return ad.sum_all(ad.mul(out, w))
         check_op(build, (rows[wrt], self.D), rng)
 
@@ -254,7 +271,7 @@ class TestFusedAttention:
             results = []
             for op in (ad.attention, unfused_attention):
                 q, k, v = (ad.tensor(x, requires_grad=True, dtype=dtype) for x in data)
-                out = op(q, k, v, visible, heads)
+                out = op(q, k, v, additive_bias(visible, dtype), heads)
                 ad.backward(ad.sum_all(ad.mul(out, ad.tensor(w, dtype=dtype))))
                 results.append([out.data, q.grad, k.grad, v.grad])
             for got, want in zip(*results):
@@ -268,26 +285,39 @@ class TestFusedAttention:
         q = ad.tensor(rng.normal(0, 1, (2, 4)), dtype=np.float64)
         k = ad.tensor(rng.normal(0, 1, (5, 4)), dtype=np.float64)
         v = ad.tensor(rng.normal(0, 1, (5, 4)), dtype=np.float64)
-        base = ad.attention(q, k, v, visible, 2).data
+        bias = additive_bias(visible, np.float64)
+        base = ad.attention(q, k, v, bias, 2).data
         k.data[0] += 100.0
         v.data[0] -= 100.0
-        assert np.array_equal(ad.attention(q, k, v, visible, 2).data, base)
+        assert np.array_equal(ad.attention(q, k, v, bias, 2).data, base)
 
     def test_empty_row_rejected(self):
-        visible = np.array([[True, True], [False, False]])
-        x = ad.tensor(np.zeros((2, 4)))
+        # rejected where the mask builds its bias, before any attention
+        mask = AttentionMask(np.array([[True, True], [False, False]]))
         with pytest.raises(EmptyRow):
-            ad.attention(x, x, x, visible, 2)
+            mask.bias(np.float64)
+
+    def test_no_grad_peak_is_one_score_array(self):
+        """Without gradients, attention allocates its heads x n x m score
+        array and the heads x n x dh products; the mask bias is added into
+        the scores in place, not into a second array."""
+        rng = np.random.default_rng(0)
+        n, d, heads = 192, 80, 4
+        bias = additive_bias(np.tri(n, dtype=bool), np.float32)
+        q, k, v = (ad.tensor(rng.normal(0, 1, (n, d)), dtype=np.float32) for _ in range(3))
+        peak = traced_peak(lambda: ad.attention(q, k, v, bias, heads))
+        scores = heads * n * n * 4
+        assert peak <= 1.25 * scores, peak / scores
 
     def test_shape_mismatch_rejected(self):
         q = ad.tensor(np.zeros((2, 4)))
         kv = ad.tensor(np.zeros((3, 4)))
         with pytest.raises(ShapeMismatch):  # mask not n x m
-            ad.attention(q, kv, kv, np.ones((2, 2), dtype=bool), 2)
+            ad.attention(q, kv, kv, np.zeros((2, 2), dtype=np.float32), 2)
         with pytest.raises(ShapeMismatch):  # k and v differ
-            ad.attention(q, kv, ad.tensor(np.zeros((2, 4))), np.ones((2, 3), dtype=bool), 2)
+            ad.attention(q, kv, ad.tensor(np.zeros((2, 4))), np.zeros((2, 3), dtype=np.float32), 2)
         with pytest.raises(ShapeMismatch):  # width not divisible by heads
-            ad.attention(q, kv, kv, np.ones((2, 3), dtype=bool), 3)
+            ad.attention(q, kv, kv, np.zeros((2, 3), dtype=np.float32), 3)
 
 
 class TestWorkedValues:
@@ -440,6 +470,28 @@ def reference_attention(q, k, v, visible, heads, g):
             merge(probs.transpose(0, 2, 1) @ gh))
 
 
+def prechange_attention(q, k, v, visible, heads, g):
+    """The attention op as it was while it took the boolean mask: scores
+    scaled in place, then `ad._softmax_visible`, which builds the 0/-inf bias
+    and a second score array on every call. Output and (dQ, dK, dV)."""
+    d = q.shape[1]
+    dh = d // heads
+    s = 1.0 / float(np.sqrt(dh))
+    split = lambda a: a.reshape(len(a), heads, dh).transpose(1, 0, 2)  # noqa: E731
+    merge = lambda a: a.transpose(1, 0, 2).reshape(a.shape[1], d)  # noqa: E731
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores *= s
+    probs = ad._softmax_visible(scores, visible)
+    ds = gh @ vh.transpose(0, 2, 1)
+    ds -= (ds * probs).sum(axis=-1, keepdims=True)
+    ds *= probs
+    ds *= s
+    return (merge(probs @ vh), merge(ds @ kh),
+            merge((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)),
+            merge(probs.transpose(0, 2, 1) @ gh))
+
+
 def reference_layer_norm(x, gain, bias, g, eps=1e-5):
     """Output and (dx, dgain, dbias) for upstream gradient g."""
     mu = x.mean(axis=-1, keepdims=True)
@@ -525,11 +577,12 @@ class TestKernelsMatchSlowReferences:
             data = [rng.normal(0, 1, (r, d)).astype(dtype) for r in (n, m, m)]
             g = rng.normal(0, 1, (n, d)).astype(dtype)
             q, k, v = (ad.tensor(x, requires_grad=True, dtype=dtype) for x in data)
-            out = ad.attention(q, k, v, visible, heads)
+            out = ad.attention(q, k, v, additive_bias(visible, dtype), heads)
             ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g, dtype=dtype))))
-            want = reference_attention(*data, visible, heads, g)
-            for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
-                same_bytes(got, ref)
+            for reference in (reference_attention, prechange_attention):
+                want = reference(*data, visible, heads, g)
+                for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+                    same_bytes(got, ref)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_layer_norm(self, dtype):

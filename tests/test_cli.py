@@ -122,6 +122,18 @@ class TestExtractAndSerialize:
         assert got == want
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
+    def test_encode_rejects_malformed_spans(self, capsys, tmp_path, workspace):
+        spans = tmp_path / "spans.json"
+        spans.write_text(json.dumps({"t": {"header": [0, 5]}}))
+        text = tmp_path / "text.txt"
+        text.write_text("x")
+        code, _, err = run(capsys, "encode", "--prefix", str(text), "--schema", str(text),
+                           "--spans", str(spans), "--query", str(text),
+                           "--vocab", str(workspace["corpus"] / "vocab.json"))
+        assert code == 1
+        assert err.startswith("error:") and "'t'" in err
+        assert "missing keys fk, footer, pk" in err
+
 
 class TestMaskViz:
     def test_causal(self, capsys):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from joltsql import autodiff as ad
-from joltsql.errors import EmptyQuery, NoMarkers, ShapeMismatch
+from joltsql import masks
+from joltsql.errors import EmptyQuery, EmptyRow, NoMarkers, ShapeMismatch
 from joltsql.masks import AttentionMask, build_causal_mask, build_joint_mask
 from joltsql.model import (ModelConfig, ModelParams, forward, greedy_generate,
                            joint_loss, ntp_loss, no_grad, schema_linking_loss)
 from joltsql.tokenizer import SegmentMap
-from test_autodiff import unfused_attention
+from test_autodiff import traced_peak, unfused_attention
 
 
 def tiny_config(**kw):
@@ -22,6 +23,17 @@ def tiny_segment():
     return SegmentMap(n=10, prefix={0, 1, 2}, schema={3, 4, 5, 6}, query={7, 8, 9},
                       markers={4, 6}, table_elements={}, marker_columns=[],
                       gt_schema={3}, noisy_schema={5})
+
+
+def kv_buffers(kv, rows):
+    """`forward`'s `past`: per layer, K and V buffers of `rows` rows whose
+    first rows are copies of `kv`."""
+    past = []
+    for k, v in kv:
+        buf = np.zeros((2, rows, k.shape[1]), dtype=k.dtype)
+        buf[0, :len(k)], buf[1, :len(v)] = k, v
+        past.append((buf[0], buf[1]))
+    return past
 
 
 class TestForward:
@@ -70,6 +82,13 @@ class TestForward:
         params = ModelParams(tiny_config(), seed=0)
         with pytest.raises(ShapeMismatch):
             forward(params, [1, 2, 3], build_causal_mask(4))
+
+    def test_mask_row_with_nothing_visible_rejected(self):
+        params = ModelParams(tiny_config(), seed=0)
+        visible = np.tri(3, dtype=bool)
+        visible[1] = False
+        with pytest.raises(EmptyRow):
+            forward(params, [1, 2, 3], AttentionMask(visible))
 
     def test_masked_influence(self):
         """Changing a token invisible to position i leaves H[i] bit-identical."""
@@ -172,9 +191,10 @@ class TestAttentionOp:
                 out = forward(params, ids[:n_prompt],
                               AttentionMask(visible[:n_prompt, :n_prompt]))
                 rows = [out.lm_logits.data]
+                past = kv_buffers(out.kv, len(ids))
                 for i in range(n_prompt, len(ids)):
                     out = forward(params, ids[i:i + 1],
-                                  AttentionMask(visible[i:i + 1, :i + 1]), past=out.kv)
+                                  AttentionMask(visible[i:i + 1, :i + 1]), past=past)
                     rows.append(out.lm_logits.data)
             return rows
         fused = logits()
@@ -331,3 +351,82 @@ class TestGreedyGenerate:
         with pytest.raises(ValueError):
             greedy_generate(params, [], max_new=5, stop_id=0, encoded=encoded,
                             attend=np.ones(0, dtype=bool))
+
+
+class TestDecodeCache:
+    """Decoding builds one mask bias per generate and writes each decode
+    row's K/V into buffers in place."""
+
+    PROMPT = [1, 2, 3, 4]
+
+    def encoded(self, params):
+        return forward(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
+
+    def decode(self, params, encoded, max_new=6):
+        return greedy_generate(params, self.PROMPT, max_new, stop_id=-1, encoded=encoded,
+                               attend=np.ones(len(self.PROMPT), dtype=bool))
+
+    def test_one_bias_build_per_forward_and_per_generate(self, monkeypatch):
+        params = ModelParams(tiny_config(layers=2), seed=0)
+        builds = []
+        build = masks.additive_bias
+
+        def spy(visible, dtype):
+            builds.append(visible.shape)
+            return build(visible, dtype)
+
+        monkeypatch.setattr(masks, "additive_bias", spy)
+        encoded = self.encoded(params)
+        assert builds == [(4, 4)]  # one bias for both layers
+        builds.clear()
+        assert len(self.decode(params, encoded)) == 10
+        assert builds == [(1, 10)]  # one row over prompt and max_new, for 5 decode rows
+
+    def test_decode_rows_run_no_concat_and_no_linking_head(self, monkeypatch):
+        params = ModelParams(tiny_config(), seed=0)
+        encoded = self.encoded(params)
+        calls = []
+
+        def spy(name, op):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return op(*args, **kwargs)
+            return wrapped
+
+        for name in ("concat", "sigmoid"):
+            monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
+        assert len(self.decode(params, encoded)) == 10
+        assert calls == []
+
+    def test_past_contract_checked(self):
+        params = ModelParams(tiny_config(), seed=0)
+        encoded = self.encoded(params)
+        row = AttentionMask(np.ones((1, 5), dtype=bool))
+        with pytest.raises(ShapeMismatch):  # cached columns without a past
+            forward(params, [5], row)
+        with pytest.raises(ShapeMismatch):  # buffers without a row for the new token
+            with no_grad(params):
+                forward(params, [5], row, past=encoded.kv)
+        with pytest.raises(ValueError):  # an in-place write carries no gradient
+            forward(params, [5], row, past=kv_buffers(encoded.kv, 5))
+
+    def test_decode_step_memory_does_not_grow_with_the_past(self):
+        """One decode step's traced peak grows with the prompt length by
+        about the heads x 1 x m score row, far less than one copy of a
+        layer's past K would add (concatenating the past made two per
+        layer)."""
+        cfg = tiny_config(dim=32, heads=2, max_len=128)
+        params = ModelParams(cfg, seed=0)
+        peaks = {}
+        for n in (8, 72):
+            prompt = list(range(1, 15)) * 6
+            encoded = forward(params, prompt[:n], build_causal_mask(n))
+            past = kv_buffers(encoded.kv, n + 2)
+            row = AttentionMask(np.ones((1, n + 2), dtype=bool))
+            row.bias(cfg.np_dtype)
+            with no_grad(params):
+                forward(params, [5], row.columns(n + 1), past=past)  # warm-up
+                peaks[n] = traced_peak(
+                    lambda: forward(params, [6], row.columns(n + 2), past=past))
+        one_k_copy = (72 - 8) * cfg.dim * 4
+        assert peaks[72] - peaks[8] < one_k_copy / 4, peaks

@@ -427,6 +427,40 @@ class TestDecodeUnderTrainingMask:
                     assert len(seen) == len(expected)
                     np.testing.assert_allclose(seen, expected, rtol=0, atol=tol)
 
+    def test_one_encoding_serves_decodes_of_several_sets(self, example, vocab, decoders,
+                                                         monkeypatch):
+        """Decodes of different predicted sets from one encoding leave its
+        K/V bytes as they were, and each matches a decode from a fresh
+        encoding token for token, with byte-equal decode-row logits."""
+        n_ps = len(example.seg.prefix | example.seg.schema)
+        prompt = example.tokens.ids[:n_ps]
+        sets = [{("singer", "name"), ("singer", "age")}, {("stadium", "city")}]
+        rows = []
+
+        def spy(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            rows.append(out.lm_logits.data.tobytes())
+            return out
+
+        def decode(params, encoded, columns):
+            _, positions = prune_prompt(example, columns)
+            attend = np.zeros(n_ps, dtype=bool)
+            attend[positions] = True
+            rows.clear()
+            ids = greedy_generate(params, prompt, 12, -1, encoded=encoded, attend=attend)
+            return ids, list(rows)
+
+        monkeypatch.setattr(model, "forward", spy)
+        for params in decoders:
+            encoded = encode_prompt(params, example)
+            before = [(k.tobytes(), v.tobytes()) for k, v in encoded.kv]
+            shared = [decode(params, encoded, columns) for columns in sets + sets[:1]]
+            assert [(k.tobytes(), v.tobytes()) for k, v in encoded.kv] == before
+            fresh = [decode(params, encode_prompt(params, example), columns)
+                     for columns in sets]
+            assert shared == fresh + fresh[:1]
+            assert len(fresh[0][1]) == 11 and fresh[0][1] != fresh[1][1]
+
     def test_first_token_and_limits_match_uncached(self, example, vocab, decoders):
         n_ps = len(example.seg.prefix | example.seg.schema)
         prompt = example.tokens.ids[:n_ps]

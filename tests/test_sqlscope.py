@@ -84,6 +84,20 @@ HAND_LABELED = [
     ("SELECT name FROM stadium WHERE capacity IN "
      "(SELECT capacity FROM stadium UNION SELECT age FROM singer ORDER BY 1 LIMIT 3)",
      {"stadium.name", "stadium.capacity", "singer.age"}),
+    # a compound's ORDER BY repeats an expression with its references
+    # resolved in each SELECT's scope: the qualifier may differ
+    ("SELECT max(age) FROM singer UNION SELECT capacity FROM stadium "
+     "ORDER BY max(singer.age)",
+     {"singer.age", "stadium.capacity"}),
+    ("SELECT max(T1.age) FROM singer AS T1 UNION SELECT capacity FROM stadium "
+     "ORDER BY max(age)",
+     {"singer.age", "stadium.capacity"}),
+    ("SELECT count(*) FROM concert UNION SELECT max(capacity) FROM stadium "
+     "ORDER BY max(stadium.capacity)",
+     {"stadium.capacity"}),
+    ("SELECT age + 1 FROM singer AS s UNION SELECT capacity FROM stadium "
+     "ORDER BY s.age + 1",
+     {"singer.age", "stadium.capacity"}),
 ]
 
 
@@ -233,7 +247,7 @@ class TestResolve:
             {"singer.id", "singer.name", "singer.age", "singer.country",
              "stadium.id", "stadium.name", "stadium.capacity", "stadium.city"})
 
-    @pytest.mark.parametrize("term", ["2", "age + 1", "'age'"])
+    @pytest.mark.parametrize("term", ["2", "age + 1", "'age'", "max(singer.age)"])
     def test_compound_order_by_non_output_rejected(self, concert_schema, term):
         with pytest.raises(UnknownColumn):
             extract_ground_truth("SELECT age FROM singer UNION "
