@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyRow, ShapeMismatch
+from .errors import ShapeMismatch
+from .masks import additive_bias
 
 __all__ = [
     "Tensor", "tensor", "matmul", "add", "mul", "scale", "transpose",
@@ -202,34 +203,22 @@ def sigmoid(a: Tensor) -> Tensor:
     return _op(out_data, (a,), backward)
 
 
-def _check_visible(shape: tuple, visible: np.ndarray):
-    if shape != visible.shape:
-        raise ShapeMismatch(f"scores {shape} vs mask {visible.shape}")
-    if not visible.any(axis=1).all():
-        raise EmptyRow("attention mask has a row with no visible entries")
-
-
-def _softmax_visible(scores: np.ndarray, visible: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis over the visible entries, stabilized by
-    the row maximum over the visible set; invisible entries are exactly 0.
-
-    One n x m bias in the scores' dtype, 0 where `visible` and -inf where
-    not, broadcasts over any leading (head) axis. The sum scores + bias is
-    the one new array; the row max is subtracted, `exp` taken and the rows
-    normalized in place, and exp(-inf) makes the hidden entries 0."""
-    bias = np.zeros(visible.shape, dtype=scores.dtype)
-    bias[~visible] = -np.inf
-    ex = scores + bias
-    ex -= ex.max(axis=-1, keepdims=True)
-    np.exp(ex, out=ex)
-    ex /= ex.sum(axis=-1, keepdims=True)
-    return ex
+def _softmax_in_place(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, computed in `x`: the row max is
+    subtracted, `exp` taken and the rows normalized in place. Entries at
+    -inf, where a 0/-inf mask bias hid them, come out exactly 0."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
-    """Row-stochastic over visible entries; invisible entries exactly 0."""
-    _check_visible(scores.shape, visible)
-    out_data = _softmax_visible(scores.data, visible)
+    """Row-stochastic over visible entries; invisible entries exactly 0.
+    A row with nothing visible raises EmptyRow (`masks.additive_bias`)."""
+    if scores.shape != visible.shape:
+        raise ShapeMismatch(f"scores {scores.shape} vs mask {visible.shape}")
+    out_data = _softmax_in_place(scores.data + additive_bias(visible, scores.data.dtype))
 
     def backward(g):
         if scores.requires_grad:
@@ -278,9 +267,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
     probs = qh @ kh.transpose(0, 2, 1)
     probs *= s
     probs += bias
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    _softmax_in_place(probs)
 
     def backward(g):
         gh = split(g)

@@ -55,16 +55,24 @@ def _load_run_config(path: str | None, overrides: dict) -> dict:
     if path:
         with open(path) as f:
             loaded = json.load(f)
-        for key in loaded:
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{path}: the top level must be an object of sections")
+        for key, values in loaded.items():
             if key not in cfg:
-                raise JoltError(f"unknown config section {key!r}")
-            cfg[key].update(loaded[key])
+                raise ConfigError(f"unknown config section {key!r}")
+            if not isinstance(values, dict):
+                raise ConfigError(f"config section {key!r} must be an object")
+            cfg[key].update(values)
     for section, kv in overrides.items():
         cfg[section].update(kv)
     env_seed = os.environ.get("JOLT_SEED")
     if env_seed is not None:
-        cfg["train"]["seed"] = int(env_seed)
-        cfg["corpus"]["seed"] = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"JOLT_SEED must be an integer, got {env_seed!r}") from None
+        cfg["train"]["seed"] = seed
+        cfg["corpus"]["seed"] = seed
     return cfg
 
 
@@ -131,7 +139,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_mask_viz(args) -> int:
-    if args.causal:
+    if args.corpus_dir is None:
+        if args.causal < 1:
+            raise JoltError(f"--causal must be at least 1, got {args.causal}")
         mask = build_causal_mask(args.causal)
         seg = None
     else:
@@ -139,6 +149,8 @@ def cmd_mask_viz(args) -> int:
         schemas = corpus_mod.load_schemas(os.path.join(args.corpus_dir, "schema"))
         examples = pipeline.load_corpus(
             os.path.join(args.corpus_dir, "train.jsonl"), vocab, schemas)
+        if not 0 <= args.index < len(examples):
+            raise JoltError(f"--index {args.index} is outside the {len(examples)} examples")
         ex = examples[args.index]
         seg = pipeline.assemble_segments(ex, set())
         mask = build_joint_mask(seg)
@@ -291,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("mask-viz", help="render an attention mask")
-    p.add_argument("--causal", type=int, default=0)
-    p.add_argument("--corpus-dir", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--causal", type=int, help="causal mask over this many tokens")
+    source.add_argument("--corpus-dir", help="joint mask of a training example")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--out", default=None, help="basename for .ppm/.svg output")
     p.set_defaults(fn=cmd_mask_viz)

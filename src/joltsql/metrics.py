@@ -122,11 +122,17 @@ _ORDER_BY_RE = re.compile(r"\border\s+by\b", re.IGNORECASE)
 
 
 def _has_top_level_order_by(sql: str) -> bool:
-    # strip parenthesized subexpressions, then look for ORDER BY
+    # strip string literals and parenthesized subexpressions, then look for ORDER BY
     depth = 0
+    quoted = False
     flat = []
     for ch in sql:
-        if ch == "(":
+        if ch == "'":
+            quoted = not quoted  # an escaped '' closes the literal and reopens it
+            flat.append(" ")  # keeps the words around a literal apart
+        elif quoted:
+            continue
+        elif ch == "(":
             depth += 1
         elif ch == ")":
             depth = max(0, depth - 1)

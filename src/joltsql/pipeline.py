@@ -1,21 +1,21 @@
 """End-to-end training and inference.
 
-Training follows the joint recipe: one no-gradient forward per example in
-epoch 1 captures linking probabilities into the weight cache; every step
-draws a noisy column subset, assembles the segment map, builds the joint
-mask, and optimizes the summed linking + next-token loss.
+Training follows the joint recipe: in epoch 1 the linking pass fills the
+weight cache with linking probabilities; every step draws a noisy column
+subset, assembles the segment map, builds the joint mask, and optimizes
+the summed linking + next-token loss.
 
 Inference decodes under that same joint mask. One forward over the full
 prefix+schema (positions 0..n-1) gives the linking scores, the first SQL
 token's logits and every layer's K/V; generated tokens take positions n,
-n+1, ... as query tokens do in training. Pruning is a mask over the full
-prompt, not an edit of its text: decode rows see the prefix plus the
-predicted columns and their tables' structure (every column when nothing
-is predicted), the set assemble_segments builds from gold links. Prompt
-rows never see query rows, so each decode step is one row through
-`forward` against the cached K/V. Re-encoding a pruned prompt under a
-causal mask would instead change the schema rows' K/V and the row that
-predicts the first token, a layout training never showed the model.
+n+1, ... as query tokens do in training. Pruning is a boolean mask over
+the full prompt (`prune_prompt`), not an edit of its text: decode rows see
+the prefix plus the predicted columns and their tables' structure (every
+column when nothing is predicted), the set assemble_segments builds from
+gold links. Prompt rows never see query rows, so each decode step is one
+row through `forward` against the cached K/V. Re-encoding a pruned prompt
+under a causal mask would instead change the schema rows' K/V and the row
+that predicts the first token, a layout training never showed the model.
 """
 from __future__ import annotations
 
@@ -120,14 +120,11 @@ def assemble_segments(example: TrainingExample,
 
 
 def capture_sampling_weights(params: ModelParams, example: TrainingExample) -> list[float]:
-    """Predicted probabilities at non-GT markers under the joint mask with
-    an empty noisy set; the confusion signal for later sampling."""
-    seg = assemble_segments(example, set())
-    with no_grad(params):
-        out = forward(params, example.tokens.ids, build_joint_mask(seg))
-    probs = out.marker_probs.data[:, 0]
+    """Non-GT scores of the linking pass, in marker order: the confusion
+    signal for later sampling. Marker rows never see query rows, so a
+    training forward's marker probabilities are these, to rounding."""
     gt = example.link
-    return [float(probs[pos]) for t, c, pos in example.seg.marker_columns if (t, c) not in gt]
+    return [s for t, c, s in link_schema(params, example) if (t, c) not in gt]
 
 
 @dataclass
@@ -237,27 +234,25 @@ def link_schema(params: ModelParams,
 
 
 def prune_prompt(example: TrainingExample,
-                 predicted: set[tuple[str, str]]) -> tuple[list[int], list[int]]:
-    """Prefix tokens plus the predicted columns' schema tokens
+                 predicted: set[tuple[str, str]]) -> np.ndarray:
+    """The decode rows' boolean visibility over the prompt (prefix +
+    schema): the prefix plus the predicted columns' schema tokens
     (`SegmentMap.schema_tokens`: their definitions and their tables'
-    header, pk, fks and footer), markers removed, in prompt order.
+    header, pk, fks and footer), markers hidden.
 
-    Returns (token ids, original positions). The positions are exactly the
-    prompt positions a query row sees under the joint mask when the
-    predicted columns stand in for the gold ones, so inference uses them as
-    the decode rows' visibility over the full prompt; the ids are the
-    pruned prompt's text.
+    These are exactly the prompt positions a query row sees under the joint
+    mask when the predicted columns stand in for the gold ones.
     """
     if not predicted:
         raise EmptyPrediction("no columns predicted")
     seg = example.seg
-    keep = sorted((seg.prefix | seg.schema_tokens(predicted)) - seg.markers)
-    ids = example.tokens.ids
-    return [ids[i] for i in keep], keep
+    attend = np.zeros(len(seg.prefix | seg.schema), dtype=bool)
+    attend[list((seg.prefix | seg.schema_tokens(predicted)) - seg.markers)] = True
+    return attend
 
 
-def full_schema_prompt(example: TrainingExample) -> tuple[list[int], list[int]]:
-    """Marker-pruned full schema, the fallback when linking predicts nothing."""
+def full_schema_prompt(example: TrainingExample) -> np.ndarray:
+    """prune_prompt over every column, the fallback when nothing is predicted."""
     all_cols = {(t, c) for t, c, _ in example.seg.marker_columns}
     return prune_prompt(example, all_cols)
 
@@ -269,18 +264,16 @@ def generate_sql(params: ModelParams, example: TrainingExample,
 
     `encoded` is `encode_prompt(params, example)`; its last row gives the
     first token and its K/V serve every decode step, so one encoding serves
-    any number of predicted sets. Decode rows attend to the prefix, the
-    predicted columns and their tables' structure (every column when the
-    set is empty), the tokens generated so far and themselves.
+    any number of predicted sets. Decode rows attend to the prompt
+    positions `prune_prompt` flags (`full_schema_prompt`'s when the set is
+    empty), the tokens generated so far and themselves.
 
     Returns (sql, whether the empty-set fallback ran).
     """
     used_fallback = not predicted
-    _, positions = (full_schema_prompt(example) if used_fallback
-                    else prune_prompt(example, predicted))
-    prompt = example.tokens.ids[:len(example.seg.prefix | example.seg.schema)]
-    attend = np.zeros(len(prompt), dtype=bool)
-    attend[positions] = True
+    attend = (full_schema_prompt(example) if used_fallback
+              else prune_prompt(example, predicted))
+    prompt = example.tokens.ids[:len(attend)]
     generated = greedy_generate(params, prompt, max_new=max_new, stop_id=EOS,
                                 encoded=encoded, attend=attend)
     new_ids = generated[len(prompt):]

@@ -470,10 +470,23 @@ def reference_attention(q, k, v, visible, heads, g):
             merge(probs.transpose(0, 2, 1) @ gh))
 
 
+def prechange_softmax_visible(scores, visible):
+    """The softmax kernel attention and masked_softmax used while they took
+    the boolean mask: a 0/-inf bias and a second score array built on every
+    call, then the max subtraction, `exp` and normalization in place."""
+    bias = np.zeros(visible.shape, dtype=scores.dtype)
+    bias[~visible] = -np.inf
+    ex = scores + bias
+    ex -= ex.max(axis=-1, keepdims=True)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=-1, keepdims=True)
+    return ex
+
+
 def prechange_attention(q, k, v, visible, heads, g):
     """The attention op as it was while it took the boolean mask: scores
-    scaled in place, then `ad._softmax_visible`, which builds the 0/-inf bias
-    and a second score array on every call. Output and (dQ, dK, dV)."""
+    scaled in place, then `prechange_softmax_visible`. Output and
+    (dQ, dK, dV)."""
     d = q.shape[1]
     dh = d // heads
     s = 1.0 / float(np.sqrt(dh))
@@ -482,7 +495,7 @@ def prechange_attention(q, k, v, visible, heads, g):
     qh, kh, vh, gh = split(q), split(k), split(v), split(g)
     scores = qh @ kh.transpose(0, 2, 1)
     scores *= s
-    probs = ad._softmax_visible(scores, visible)
+    probs = prechange_softmax_visible(scores, visible)
     ds = gh @ vh.transpose(0, 2, 1)
     ds -= (ds * probs).sum(axis=-1, keepdims=True)
     ds *= probs
@@ -561,9 +574,12 @@ class TestKernelsMatchSlowReferences:
         rng = np.random.default_rng(11)
         for visible in kernel_masks(rng):
             for shape in (visible.shape, (4,) + visible.shape):
+                # the in-place kernel over scores plus the mask bias, as
+                # attention runs it over all heads at once
                 scores = rng.normal(0, 3, shape).astype(dtype)
-                same_bytes(ad._softmax_visible(scores, visible),
-                           reference_softmax(scores, visible))
+                biased = scores + additive_bias(visible, dtype)
+                same_bytes(ad._softmax_in_place(biased), reference_softmax(scores, visible))
+                same_bytes(biased, prechange_softmax_visible(scores, visible))
             got = ad.masked_softmax(ad.tensor(scores[0], dtype=dtype), visible).data
             same_bytes(got, reference_softmax(scores[0], visible))
 

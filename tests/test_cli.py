@@ -154,6 +154,30 @@ class TestMaskViz:
         assert (tmp_path / "mask.svg").exists()
 
 
+    def test_missing_source_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["mask-viz"])
+        assert e.value.code == 2
+
+    def test_both_sources_exit_two(self, capsys, workspace):
+        with pytest.raises(SystemExit) as e:
+            main(["mask-viz", "--causal", "4", "--corpus-dir", str(workspace["corpus"])])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_causal_size_below_one_is_an_error_line(self, capsys, n):
+        code, out, err = run(capsys, "mask-viz", "--causal", n)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--causal" in err
+
+    @pytest.mark.parametrize("index", ["1000", "-1"])
+    def test_index_outside_the_split_is_an_error_line(self, capsys, workspace, index):
+        code, out, err = run(capsys, "mask-viz", "--corpus-dir", str(workspace["corpus"]),
+                             "--index", index)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--index" in err
+
+
 class TestTrainArtifacts:
     def test_checkpoint_files(self, workspace):
         for name in ("params.npz", "weights.cache.json", "vocab.json",
@@ -297,6 +321,14 @@ class TestInferEval:
         assert (out_dir / "sweep.svg").read_text().startswith("<svg")
 
 
+def config_command(command, workspace, tmp_path, config):
+    """`jolt train` or `jolt gen-corpus` argv reading the given config file."""
+    if command == "train":
+        return ("train", "--corpus", str(workspace["corpus"] / "train.jsonl"),
+                "--config", str(config), "--out", str(tmp_path / "ckpt"))
+    return ("gen-corpus", "--config", str(config), "--out", str(tmp_path / "corpus"))
+
+
 class TestSeedPlumbing:
     def test_env_seed_override(self, capsys, tmp_path, workspace, monkeypatch):
         monkeypatch.setenv("JOLT_SEED", "99")
@@ -308,6 +340,27 @@ class TestSeedPlumbing:
         assert code == 0
         snap = json.loads((out_dir / "config.snapshot.json").read_text())
         assert snap["train"]["seed"] == 99
+
+    @pytest.mark.parametrize("command", ["train", "gen-corpus"])
+    def test_non_integer_env_seed_is_an_error_line(self, capsys, tmp_path, workspace,
+                                                    monkeypatch, command):
+        monkeypatch.setenv("JOLT_SEED", "abc")
+        code, _, err = run(capsys, *config_command(command, workspace, tmp_path,
+                                                   workspace["config"]))
+        assert code == 1
+        assert err.startswith("error:") and "JOLT_SEED" in err
+
+    @pytest.mark.parametrize("command", ["train", "gen-corpus"])
+    @pytest.mark.parametrize("config, named", [(["train"], "top level"),
+                                               ({"train": 5}, "'train'")])
+    def test_config_that_is_not_an_object_is_an_error_line(self, capsys, tmp_path,
+                                                            workspace, command,
+                                                            config, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code, _, err = run(capsys, *config_command(command, workspace, tmp_path, bad))
+        assert code == 1
+        assert err.startswith("error:") and named in err
 
     def test_unknown_config_section_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import json
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +38,7 @@ class TestGeneration:
         for a, b in ((corpus.train_path, again.train_path),
                      (corpus.dev_path, again.dev_path),
                      (corpus.vocab_path, again.vocab_path)):
-            assert open(a, "rb").read() == open(b, "rb").read()
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_gold_sql_executes(self, corpus):
         with open(corpus.train_path) as f:

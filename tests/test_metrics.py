@@ -137,6 +137,15 @@ def two_row_db():
     conn.close()
 
 
+@pytest.fixture
+def people_db():
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE t (name TEXT, age INTEGER)")
+    conn.executemany("INSERT INTO t VALUES (?, ?)", [("ann", 30), ("bob", 20), ("cy", 40)])
+    yield conn
+    conn.close()
+
+
 class TestExecutionAccuracy:
     def test_identical_trivial(self, two_row_db):
         assert execution_accuracy("SELECT 1", "SELECT 1", two_row_db) == "match"
@@ -171,6 +180,15 @@ class TestExecutionAccuracy:
         assert execution_accuracy("SELECT a FROM t WHERE a = 1 LIMIT 1",
                                   "SELECT a FROM t WHERE a = 1",
                                   two_row_db) == "mismatch"
+
+    def test_parenthesis_in_literal_keeps_order_by(self, people_db):
+        gold = "SELECT name FROM t WHERE name != '(' ORDER BY age"
+        assert execution_accuracy(gold + " DESC", gold, people_db) == "mismatch"
+        assert execution_accuracy(gold, gold, people_db) == "match"
+
+    def test_order_by_in_literal_is_not_ordering(self, people_db):
+        gold = "SELECT name FROM t WHERE name != 'order by'"
+        assert execution_accuracy(gold + " ORDER BY age DESC", gold, people_db) == "match"
 
     def test_numeric_tolerance(self, two_row_db):
         assert execution_accuracy("SELECT 1.0000000001", "SELECT 1.0",
@@ -221,6 +239,13 @@ class TestTopLevelOrderBy:
 
     def test_case_insensitive(self):
         assert _has_top_level_order_by("select a from t order   by a")
+
+    def test_literals_skipped(self):
+        assert _has_top_level_order_by("SELECT a FROM t WHERE b != '(' ORDER BY a")
+        assert _has_top_level_order_by("SELECT a FROM t WHERE b = 'it''s (' ORDER BY a")
+        assert _has_top_level_order_by("SELECT a FROM t WHERE b = 'x'ORDER BY a")
+        assert not _has_top_level_order_by("SELECT a FROM t WHERE b != 'order by'")
+        assert not _has_top_level_order_by("SELECT a FROM t WHERE b = ')'' order by'")
 
 
 class TestExReport:

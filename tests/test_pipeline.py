@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from joltsql import model, pipeline
+from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import DegenerateExample, EmptyPrediction, MissingCacheEntry
 from joltsql.masks import build_joint_mask
 from joltsql.model import ModelConfig, ModelParams, forward, greedy_generate
@@ -17,7 +18,7 @@ from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
                               prune_prompt, train)
 from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, Table,
                             serialize_schema)
-from joltsql.tokenizer import EOS, MARKER, build_vocab, decode
+from joltsql.tokenizer import EOS, MARKER, Vocab, build_vocab, decode
 
 GOLD = "SELECT name FROM singer WHERE age > 30"
 GOLD2 = "SELECT T1 . name , T2 . year FROM stadium AS T1 JOIN concert AS T2 ON T1 . id = T2 . stadium_id"
@@ -45,6 +46,16 @@ def join_example(concert_schema, vocab):
     return build_training_example(
         "show stadium names with concert years", concert_schema, GOLD2,
         vocab, "ex-1", "db-0")
+
+
+def flagged_ids(example, attend):
+    """The prompt token ids a visibility vector flags, in prompt order."""
+    return [example.tokens.ids[i] for i in np.flatnonzero(attend)]
+
+
+def same_vector(got, want):
+    """Boolean vectors of one length, equal entry for entry."""
+    return got.dtype == want.dtype == bool and np.array_equal(got, want)
 
 
 def tiny_model(vocab):
@@ -130,8 +141,7 @@ class TestAssembleSegments:
             seg = assemble_segments(ex, noisy)
             assert seg.gt_schema | seg.noisy_schema == expected
             visible = build_joint_mask(seg).visible[query_row, :n_ps]
-            _, positions = prune_prompt(ex, union)
-            assert np.flatnonzero(visible).tolist() == positions
+            assert same_vector(prune_prompt(ex, union), visible)
 
 
 class TestTrainLoop:
@@ -220,12 +230,45 @@ class TestTrainLoop:
             TrainConfig(noise_mode="bogus")
 
 
+def full_sequence_capture(params, example):
+    """The capture as it was: a no-gradient forward of the whole sequence
+    under the joint mask with an empty noisy set, read at non-GT markers."""
+    seg = assemble_segments(example, set())
+    with model.no_grad(params):
+        out = forward(params, example.tokens.ids, build_joint_mask(seg))
+    probs = out.marker_probs.data[:, 0]
+    return [float(probs[pos]) for t, c, pos in example.seg.marker_columns
+            if (t, c) not in example.link]
+
+
 class TestCaptureWeights:
     def test_length_and_range(self, example, vocab):
         params = ModelParams(tiny_model(vocab), seed=0)
         weights = capture_sampling_weights(params, example)
         assert len(weights) == len(example.non_gt_columns())
         assert all(0.0 < w < 1.0 for w in weights)
+
+    @pytest.mark.parametrize("which", ["example", "join_example"])
+    def test_reads_the_linking_pass(self, request, vocab, which):
+        ex = request.getfixturevalue(which)
+        params = ModelParams(tiny_model(vocab), seed=0)
+        want = [s for t, c, s in link_schema(params, ex) if (t, c) not in ex.link]
+        assert capture_sampling_weights(params, ex) == want
+
+    def test_matches_full_sequence_capture(self, tmp_path):
+        """The prompt-only pass agrees with the capture's former forward of
+        the whole sequence to rounding: marker rows never see query rows."""
+        generated = generate_corpus(CorpusConfig(), str(tmp_path))
+        vocab = Vocab.load(generated.vocab_path)
+        train_set = load_corpus(generated.train_path, vocab, generated.schemas)
+        params = train(train_set[:20], ModelConfig(vocab_size=len(vocab), dim=32, heads=4,
+                                                   layers=2),
+                       TrainConfig(epochs=1, learning_rate=3e-3, grad_accum=1)).params
+        for ex in train_set[:20]:
+            got = capture_sampling_weights(params, ex)
+            want = full_sequence_capture(params, ex)
+            assert len(got) == len(want) == len(ex.non_gt_columns())
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
     def test_missing_cache_lookup_raises(self, example, vocab):
         from joltsql.sampling import WeightCache
@@ -242,7 +285,7 @@ class TestLinkAndPrune:
 
     def test_prune_drops_markers_and_unpredicted(self, example, vocab):
         predicted = {("singer", "name"), ("singer", "age")}
-        ids, positions = prune_prompt(example, predicted)
+        ids = flagged_ids(example, prune_prompt(example, predicted))
         text = decode(ids, vocab)
         assert MARKER_TEXT not in text
         assert MARKER not in ids
@@ -255,14 +298,18 @@ class TestLinkAndPrune:
         assert "country" not in text
 
     def test_prune_positions_are_original_and_sorted(self, example):
-        ids, positions = prune_prompt(example, {("singer", "name")})
+        attend = prune_prompt(example, {("singer", "name")})
+        assert attend.dtype == bool
+        assert len(attend) == len(example.seg.prefix | example.seg.schema)
+        ids = flagged_ids(example, attend)
+        positions = np.flatnonzero(attend).tolist()
         assert positions == sorted(positions)
         assert len(ids) == len(positions)
         for i, p in zip(ids, positions):
             assert example.tokens.ids[p] == i
 
     def test_prune_keeps_prefix(self, example, vocab):
-        ids, positions = prune_prompt(example, {("singer", "name")})
+        positions = np.flatnonzero(prune_prompt(example, {("singer", "name")})).tolist()
         n_prefix = len(example.seg.prefix)
         assert positions[:n_prefix] == sorted(example.seg.prefix)
 
@@ -271,8 +318,9 @@ class TestLinkAndPrune:
             prune_prompt(example, set())
 
     def test_full_schema_prompt_has_all_tables(self, example, vocab):
-        ids, _ = full_schema_prompt(example)
-        text = decode(ids, vocab)
+        attend = full_schema_prompt(example)
+        assert len(attend) == len(example.seg.prefix | example.seg.schema)
+        text = decode(flagged_ids(example, attend), vocab)
         for table in ("singer", "concert", "stadium", "singer_in_concert"):
             assert f"CREATE TABLE {table}" in text
         assert MARKER_TEXT not in text
@@ -377,11 +425,11 @@ class TestDecodeUnderTrainingMask:
         if case == "predicted":
             assert 0 < len(predicted) < len(example.seg.marker_columns)
             assert not result.used_fallback
-            _, positions = prune_prompt(example, predicted)
+            attend = prune_prompt(example, predicted)
             columns = predicted
         else:
             assert predicted == set() and result.used_fallback
-            _, positions = full_schema_prompt(example)
+            attend = full_schema_prompt(example)
             columns = {(t, c) for t, c, _ in example.seg.marker_columns}
 
         # one prompt forward, then one row per decode step
@@ -396,7 +444,7 @@ class TestDecodeUnderTrainingMask:
             assert visible.shape == (1, i + 1)
             assert np.array_equal(visible[0], mask[i, :i + 1])
             assert not mask[i, i + 1:].any()
-            assert np.flatnonzero(visible[0, :n_ps]).tolist() == positions
+            assert same_vector(visible[0, :n_ps], attend)
 
     def test_cached_decode_matches_uncached(self, example, join_example, vocab, decoders,
                                             monkeypatch):
@@ -443,9 +491,7 @@ class TestDecodeUnderTrainingMask:
             return out
 
         def decode(params, encoded, columns):
-            _, positions = prune_prompt(example, columns)
-            attend = np.zeros(n_ps, dtype=bool)
-            attend[positions] = True
+            attend = prune_prompt(example, columns)
             rows.clear()
             ids = greedy_generate(params, prompt, 12, -1, encoded=encoded, attend=attend)
             return ids, list(rows)
@@ -467,11 +513,9 @@ class TestDecodeUnderTrainingMask:
         columns = {("singer", "name"), ("stadium", "city")}
 
         def cached(params, max_new, stop_id):
-            _, positions = prune_prompt(example, columns)
-            attend = np.zeros(n_ps, dtype=bool)
-            attend[positions] = True
             out = greedy_generate(params, prompt, max_new, stop_id,
-                                  encoded=encode_prompt(params, example), attend=attend)
+                                  encoded=encode_prompt(params, example),
+                                  attend=prune_prompt(example, columns))
             return out[n_ps:]
 
         def reference(params, max_new, stop_id):
