@@ -181,6 +181,8 @@ def platform_record() -> dict:
 
 
 def cmd_train(args) -> int:
+    if not 0 < args.train_fraction <= 1:
+        raise ConfigError(f"--train-fraction must be in (0, 1], got {args.train_fraction}")
     overrides: dict = {"train": {}, "model": {}}
     if args.seed is not None:
         overrides["train"]["seed"] = args.seed
@@ -251,6 +253,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.max_new < 0:
+        raise ConfigError(f"--max-new must be at least 0, got {args.max_new}")
     params, vocab = _load_ckpt(args.ckpt)
     corpus_dir = os.path.dirname(os.path.abspath(args.dev))
     schema_dir = args.schema_dir or os.path.join(corpus_dir, "schema")
@@ -354,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except JoltError as e:
+    except (JoltError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

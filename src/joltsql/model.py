@@ -26,6 +26,8 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError("heads must be at least 1")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
 

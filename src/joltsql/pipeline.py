@@ -53,6 +53,12 @@ class TrainConfig:
     noise_mode: str = "confusion"  # confusion | random | none
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if self.grad_accum < 1:
+            raise ValueError("grad_accum must be at least 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
         if not 0 < self.beta < 1:
             raise ValueError("beta must be in (0, 1)")
         if self.noise_mode not in ("confusion", "random", "none"):

@@ -6,6 +6,10 @@ subqueries, aliases, star, aggregates, and ordinary expressions. CTEs,
 window functions, and derived tables are rejected with a clear error.
 Identifiers are matched case-insensitively and reported lowercase.
 
+Every operator, from AND to IN and EXISTS, is one `Op` node holding its
+operands in source order, and a nested query is its `Select`/`SetOp` node,
+so the link walk treats all operators alike.
+
 As in SQLite, a subquery may be a compound, a trailing ORDER BY/LIMIT binds
 to the whole compound, and a compound's ORDER BY terms name output columns,
 so they add no link.
@@ -99,49 +103,13 @@ class FuncCall:
 
 
 @dataclass
-class BinaryOp:
+class Op:
+    """An operator applied to `args`, its operands in source order: `OR`,
+    `AND`, `NOT`, a comparison, `[NOT] LIKE`, `+ - * / %`, unary `-`,
+    `[NOT] BETWEEN` (expr, low, high), `IS [NOT] NULL`, `[NOT] IN` (expr,
+    then its values or one query) or `EXISTS` (one query)."""
     op: str
-    left: object
-    right: object
-
-
-@dataclass
-class UnaryOp:
-    op: str
-    operand: object
-
-
-@dataclass
-class Between:
-    expr: object
-    low: object
-    high: object
-    negated: bool = False
-
-
-@dataclass
-class IsNull:
-    expr: object
-    negated: bool = False
-
-
-@dataclass
-class InExpr:
-    expr: object
-    values: list | None  # literal/expr list, or None when subquery
-    subquery: "SqlAst | None" = None
-    negated: bool = False
-
-
-@dataclass
-class Exists:
-    subquery: "SqlAst"
-    negated: bool = False
-
-
-@dataclass
-class Subquery:
-    select: "SqlAst"
+    args: list
 
 
 @dataclass
@@ -389,26 +357,22 @@ class _Parser:
     # ---- expressions, precedence climbing
 
     def parse_expr(self):
-        return self.parse_or()
+        return self.parse_left(("OR",), lambda: self.parse_left(("AND",), self.parse_not))
 
-    def parse_or(self):
-        node = self.parse_and()
-        while self.at_kw("OR"):
+    def parse_left(self, ops: tuple[str, ...], operand):
+        """`operand` joined by the operators or keywords in `ops`,
+        left-associative. Only a keyword or operator token has text that
+        can equal one of them."""
+        node = operand()
+        while (op := self.peek().text.upper()) in ops:
             self.next()
-            node = BinaryOp("OR", node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_not()
-        while self.at_kw("AND"):
-            self.next()
-            node = BinaryOp("AND", node, self.parse_not())
+            node = Op(op, [node, operand()])
         return node
 
     def parse_not(self):
         if self.at_kw("NOT"):
             self.next()
-            return UnaryOp("NOT", self.parse_not())
+            return Op("NOT", [self.parse_not()])
         return self.parse_comparison()
 
     def parse_comparison(self):
@@ -417,80 +381,58 @@ class _Parser:
             t = self.peek()
             if t.kind == "OP" and t.text in ("=", "!=", "<>", "<", "<=", ">", ">="):
                 self.next()
-                node = BinaryOp(t.text, node, self.parse_additive())
+                node = Op(t.text, [node, self.parse_additive()])
                 continue
-            negated = False
             save = self.i
+            negation = ""
             if self.at_kw("NOT"):
                 self.next()
-                negated = True
+                negation = "NOT "
             if self.at_kw("LIKE"):
                 self.next()
-                node = BinaryOp("NOT LIKE" if negated else "LIKE", node, self.parse_additive())
+                node = Op(negation + "LIKE", [node, self.parse_additive()])
                 continue
             if self.at_kw("BETWEEN"):
                 self.next()
                 low = self.parse_additive()
                 self.eat_kw("AND")
-                high = self.parse_additive()
-                node = Between(node, low, high, negated)
+                node = Op(negation + "BETWEEN", [node, low, self.parse_additive()])
                 continue
             if self.at_kw("IN"):
                 self.next()
                 self.eat_op("(")
                 if self.at_kw("SELECT"):
-                    sub = self.parse_query()
-                    self.eat_op(")")
-                    node = InExpr(node, None, sub, negated)
+                    args = [node, self.parse_query()]
                 else:
-                    values = [self.parse_expr()]
+                    args = [node, self.parse_expr()]
                     while self.try_op(","):
-                        values.append(self.parse_expr())
-                    self.eat_op(")")
-                    node = InExpr(node, values, None, negated)
+                        args.append(self.parse_expr())
+                self.eat_op(")")
+                node = Op(negation + "IN", args)
                 continue
-            if negated:
+            if negation:
                 self.i = save  # bare NOT belongs to parse_not
                 break
             if self.at_kw("IS"):
                 self.next()
-                neg = False
                 if self.at_kw("NOT"):
                     self.next()
-                    neg = True
+                    negation = "NOT "
                 self.eat_kw("NULL")
-                node = IsNull(node, neg)
+                node = Op(f"IS {negation}NULL", [node])
                 continue
             break
         return node
 
     def parse_additive(self):
-        node = self.parse_multiplicative()
-        while True:
-            t = self.peek()
-            if t.kind == "OP" and t.text in ("+", "-"):
-                self.next()
-                node = BinaryOp(t.text, node, self.parse_multiplicative())
-            else:
-                break
-        return node
-
-    def parse_multiplicative(self):
-        node = self.parse_unary()
-        while True:
-            t = self.peek()
-            if t.kind == "OP" and t.text in ("*", "/", "%"):
-                self.next()
-                node = BinaryOp(t.text, node, self.parse_unary())
-            else:
-                break
-        return node
+        return self.parse_left(("+", "-"),
+                               lambda: self.parse_left(("*", "/", "%"), self.parse_unary))
 
     def parse_unary(self):
         t = self.peek()
         if t.kind == "OP" and t.text == "-":
             self.next()
-            return UnaryOp("-", self.parse_unary())
+            return Op("-", [self.parse_unary()])
         return self.parse_primary()
 
     def parse_primary(self):
@@ -509,16 +451,12 @@ class _Parser:
             self.eat_op("(")
             sub = self.parse_query()
             self.eat_op(")")
-            return Exists(sub)
+            return Op("EXISTS", [sub])
         if t.kind == "KEYWORD" and t.text.upper() == "CASE":
             raise self.error("CASE expressions are not supported")
         if t.kind == "OP" and t.text == "(":
             self.next()
-            if self.at_kw("SELECT"):
-                sub = self.parse_query()
-                self.eat_op(")")
-                return Subquery(sub)
-            expr = self.parse_expr()
+            expr = self.parse_query() if self.at_kw("SELECT") else self.parse_expr()
             self.eat_op(")")
             return expr
         if t.kind == "IDENT":
@@ -689,39 +627,20 @@ def _resolve_column(ref: ColumnRef, scope: _Scope, schema: SchemaDocument) -> st
 
 
 def _link_expr(node, schema: SchemaDocument, scope: _Scope, links: set):
+    """Add the links of an expression: a column reference or star resolves
+    in `scope`, a nested query gets a scope of its own below it, and any
+    other node adds those of its operands in order."""
     if isinstance(node, ColumnRef):
         links.add((_resolve_column(node, scope, schema), node.column.lower()))
     elif isinstance(node, Star):
         for table in _star_tables(node, scope):
             links.update((table, col) for col in schema.table(table).column_names())
-    elif isinstance(node, FuncCall):
+    elif isinstance(node, (Select, SetOp)):
+        _link_query(node, schema, scope, links)
+    elif isinstance(node, (Op, FuncCall)):
         for a in node.args:
             _link_expr(a, schema, scope, links)
-    elif isinstance(node, BinaryOp):
-        _link_expr(node.left, schema, scope, links)
-        _link_expr(node.right, schema, scope, links)
-    elif isinstance(node, UnaryOp):
-        _link_expr(node.operand, schema, scope, links)
-    elif isinstance(node, Between):
-        _link_expr(node.expr, schema, scope, links)
-        _link_expr(node.low, schema, scope, links)
-        _link_expr(node.high, schema, scope, links)
-    elif isinstance(node, IsNull):
-        _link_expr(node.expr, schema, scope, links)
-    elif isinstance(node, InExpr):
-        _link_expr(node.expr, schema, scope, links)
-        if node.values:
-            for v in node.values:
-                _link_expr(v, schema, scope, links)
-        if node.subquery is not None:
-            _link_query(node.subquery, schema, scope, links)
-    elif isinstance(node, Exists):
-        _link_query(node.subquery, schema, scope, links)
-    elif isinstance(node, Subquery):
-        _link_query(node.select, schema, scope, links)
-    elif isinstance(node, Literal):
-        pass
-    else:
+    elif not isinstance(node, Literal):
         raise TypeError(f"unexpected expression node {type(node).__name__}")
 
 

@@ -37,6 +37,17 @@ def workspace(tmp_path_factory):
             "config": cfg_path}
 
 
+@pytest.fixture
+def corpus_never_loads(monkeypatch):
+    """Fail the test if `jolt train` loads the corpus before its settings
+    were checked."""
+    from joltsql import pipeline
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("corpus loaded before the settings were checked")
+    monkeypatch.setattr(pipeline, "load_corpus", no_load)
+
+
 class TestUsage:
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -73,6 +84,48 @@ class TestUsage:
                              "--schema", str(schema))
         assert code == 1
         assert "error" in err
+
+
+class TestInputFiles:
+    """A missing or malformed input file is an error line, not a traceback."""
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "gen-corpus", "--config", str(tmp_path / "nothere.json"),
+                           "--out", str(tmp_path / "corpus"))
+        assert code == 1
+        assert err.startswith("error:") and "nothere.json" in err
+
+    def test_config_file_that_is_not_json(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"train": ')
+        code, _, err = run(capsys, "gen-corpus", "--config", str(bad),
+                           "--out", str(tmp_path / "corpus"))
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_missing_checkpoint_in_infer(self, capsys, tmp_path, workspace):
+        schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
+        code, _, err = run(capsys, "infer", "--ckpt", str(tmp_path / "nockpt"),
+                           "--question", "show the name of each row",
+                           "--schema", str(schema_file))
+        assert code == 1
+        assert err.startswith("error:") and "params.npz" in err
+
+    def test_missing_checkpoint_in_eval(self, capsys, tmp_path, workspace):
+        code, _, err = run(capsys, "eval", "--ckpt", str(tmp_path / "nockpt"),
+                           "--dev", str(workspace["corpus"] / "dev.jsonl"),
+                           "--dbs", str(workspace["corpus"] / "dbs"),
+                           "--out", str(tmp_path / "eval"))
+        assert code == 1
+        assert err.startswith("error:") and "params.npz" in err
+
+    def test_missing_schema_in_extract_gt(self, capsys, tmp_path):
+        sql = tmp_path / "q.sql"
+        sql.write_text("SELECT a FROM t")
+        code, _, err = run(capsys, "extract-gt", "--sql", str(sql),
+                           "--schema", str(tmp_path / "missing.json"))
+        assert code == 1
+        assert err.startswith("error:") and "missing.json" in err
 
 
 class TestExtractAndSerialize:
@@ -219,15 +272,14 @@ class TestTrainArtifacts:
         ("model", {"width": 16}, "width"),
         ("corpus", {"split": 1.5}, "split"),
         ("corpus", {"num_tables": 3}, "num_tables"),
+        ("train", {"epochs": 0}, "epochs"),
+        ("train", {"grad_accum": 0}, "grad_accum"),
+        ("train", {"learning_rate": 0}, "learning_rate"),
+        ("model", {"heads": 0}, "heads"),
     ])
-    def test_bad_section_rejected_before_corpus_loads(self, capsys, monkeypatch,
+    def test_bad_section_rejected_before_corpus_loads(self, capsys, corpus_never_loads,
                                                       workspace, tmp_path,
                                                       section, values, named):
-        from joltsql import pipeline
-
-        def no_load(*args, **kwargs):
-            raise AssertionError("corpus loaded before the config was checked")
-        monkeypatch.setattr(pipeline, "load_corpus", no_load)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({section: values}))
         code, _, err = run(capsys, "train",
@@ -237,6 +289,32 @@ class TestTrainArtifacts:
         assert err.startswith(f"error: config section '{section}'")
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--train-fraction", "-2"),
+                                            ("--train-fraction", "0"),
+                                            ("--train-fraction", "1.5")])
+    def test_out_of_range_flag_rejected_before_any_work(self, capsys, corpus_never_loads,
+                                                        workspace, tmp_path, flag, value):
+        out_dir = tmp_path / "ckpt"
+        code, _, err = run(capsys, "train",
+                           "--corpus", str(workspace["corpus"] / "train.jsonl"),
+                           "--config", str(workspace["config"]), "--out", str(out_dir),
+                           flag, value)
+        assert code == 1
+        assert err.startswith("error:") and flag.lstrip("-") in err
+        assert not out_dir.exists()
+
+    def test_resume_into_own_output_reproduces_it(self, capsys, workspace, tmp_path):
+        out_dir = tmp_path / "ckpt"
+        argv = ("train", "--corpus", str(workspace["corpus"] / "train.jsonl"),
+                "--config", str(workspace["config"]), "--out", str(out_dir),
+                "--seed", "1")
+        assert run(capsys, *argv)[0] == 0
+        first = {name: (out_dir / name).read_bytes()
+                 for name in ("weights.cache.json", "params.npz")}
+        assert run(capsys, *argv, "--resume")[0] == 0
+        for name, data in first.items():
+            assert (out_dir / name).read_bytes() == data, name
 
     def test_bad_corpus_key_in_gen_corpus(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -307,6 +385,17 @@ class TestInferEval:
         for key in ("precision", "recall", "roc_auc", "pr_auc", "ex"):
             assert key in metrics
         assert "platform" not in metrics  # it goes to config.snapshot.json
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_negative_max_new_is_an_error_line(self, capsys, tmp_path, workspace, command):
+        out_dir = tmp_path / "eval"
+        code, out, err = run(capsys, command, "--ckpt", str(workspace["ckpt"]),
+                             "--dev", str(workspace["corpus"] / "dev.jsonl"),
+                             "--dbs", str(workspace["corpus"] / "dbs"),
+                             "--out", str(out_dir), "--max-new", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--max-new" in err
+        assert not out_dir.exists()
 
     def test_sweep_writes_csv_and_svg(self, capsys, tmp_path, workspace):
         out_dir = tmp_path / "sweep"

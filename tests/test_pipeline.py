@@ -228,6 +228,10 @@ class TestTrainLoop:
             TrainConfig(beta=1.5)
         with pytest.raises(ValueError):
             TrainConfig(noise_mode="bogus")
+        for bad in ({"epochs": 0}, {"grad_accum": 0}, {"learning_rate": 0.0},
+                    {"learning_rate": float("nan")}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(**bad)
 
 
 def full_sequence_capture(params, example):

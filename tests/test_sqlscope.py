@@ -1,3 +1,5 @@
+import sqlite3
+
 import pytest
 
 from joltsql.errors import AmbiguousColumn, SqlSyntaxError, UnknownColumn, UnknownTable
@@ -253,6 +255,40 @@ class TestResolve:
             extract_ground_truth("SELECT age FROM singer UNION "
                                  f"SELECT capacity FROM stadium ORDER BY {term}",
                                  concert_schema)
+
+    @pytest.mark.parametrize("item,term,accepted", [
+        ("-age", "-age", True),
+        ("age - 1", "age - 1", True),
+        ("age BETWEEN 1 AND 2", "age BETWEEN 1 AND 2", True),
+        ("age IS NULL", "age IS NULL", True),
+        ("age IN (1, 2)", "age IN (1, 2)", True),
+        ("NOT age", "NOT age", True),
+        ("-age", "0 - age", False),
+        ("age BETWEEN 1 AND 2", "age NOT BETWEEN 1 AND 2", False),
+        ("age IS NULL", "age IS NOT NULL", False),
+        ("age IN (1, 2)", "age NOT IN (1, 2)", False),
+        ("name LIKE 'a'", "name NOT LIKE 'a'", False),
+        # a nested query is never the same expression as another
+        ("age IN (SELECT age FROM singer)", "age IN (SELECT age FROM singer)", False),
+        ("EXISTS (SELECT 1 FROM singer)", "EXISTS (SELECT 1 FROM singer)", False),
+        ("(SELECT max(age) FROM singer)", "(SELECT max(age) FROM singer)", False),
+    ])
+    def test_compound_order_by_operator_terms_match_as_sqlite(self, concert_schema, memory_db,
+                                                              item, term, accepted):
+        for table in ("singer", "stadium"):
+            columns = ", ".join(f"{c.name} {c.sql_type}"
+                                for c in concert_schema.table(table).columns)
+            memory_db.execute(f"CREATE TABLE {table} ({columns})")
+        sql = f"SELECT {item} FROM singer UNION SELECT capacity FROM stadium ORDER BY {term}"
+        try:
+            memory_db.execute(sql)
+        except sqlite3.OperationalError:
+            assert not accepted
+            with pytest.raises(UnknownColumn, match="result set"):
+                extract_ground_truth(sql, concert_schema)
+        else:
+            assert accepted
+            assert ("stadium", "capacity") in extract_ground_truth(sql, concert_schema)
 
     def test_compound_order_by_string_literal_case_kept(self, concert_schema):
         sql = ("SELECT lower('A') FROM singer UNION SELECT capacity FROM stadium "
