@@ -18,6 +18,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation, pipeline
 from .errors import ConfigError, JoltError, ShapeMismatch
+from .jsonfile import read_json
 from .masks import build_causal_mask, build_joint_mask, render_ascii, render_ppm, render_svg
 from .model import ModelConfig, ModelParams
 from .sampling import WeightCache
@@ -53,8 +54,7 @@ def _load_run_config(path: str | None, overrides: dict) -> dict:
     each section's keys and values when its dataclass is built."""
     cfg: dict = {"train": {}, "model": {}, "corpus": {}}
     if path:
-        with open(path) as f:
-            loaded = json.load(f)
+        loaded = read_json(path)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: the top level must be an object of sections")
         for key, values in loaded.items():
@@ -123,8 +123,7 @@ def cmd_serialize(args) -> int:
 
 def cmd_encode(args) -> int:
     vocab = Vocab.load(args.vocab)
-    with open(args.spans) as f:
-        spans = SpanIndex.from_json(json.load(f))
+    spans = SpanIndex.from_json(read_json(args.spans))
     tokens, seg = encode(_read_text(args.prefix), _read_text(args.schema),
                          spans, _read_text(args.query), vocab)
     print(json.dumps({
@@ -200,6 +199,8 @@ def cmd_train(args) -> int:
     schemas = corpus_mod.load_schemas(schema_dir)
     examples = pipeline.load_corpus(args.corpus, vocab, schemas,
                                     fraction=args.train_fraction)
+    if not examples:
+        raise JoltError(f"{args.corpus}: no examples to train on")
     os.makedirs(args.out, exist_ok=True)
     cache = None
     cache_path = os.path.join(args.out, "weights.cache.json")
@@ -235,7 +236,13 @@ def _load_ckpt(ckpt: str) -> tuple[ModelParams, Vocab]:
     return params, vocab
 
 
+def _check_threshold(threshold: float):
+    if not 0 <= threshold <= 1:  # NaN fails too
+        raise ConfigError(f"--threshold must be in [0, 1], got {threshold}")
+
+
 def cmd_infer(args) -> int:
+    _check_threshold(args.threshold)
     params, vocab = _load_ckpt(args.ckpt)
     schema = SchemaDocument.load(args.schema)
     ex = pipeline.prepare_inference_example(args.question, schema, vocab)
@@ -255,6 +262,8 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     if args.max_new < 0:
         raise ConfigError(f"--max-new must be at least 0, got {args.max_new}")
+    if args.command == "eval":
+        _check_threshold(args.threshold)
     params, vocab = _load_ckpt(args.ckpt)
     corpus_dir = os.path.dirname(os.path.abspath(args.dev))
     schema_dir = args.schema_dir or os.path.join(corpus_dir, "schema")

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .pipeline import build_training_example, example_to_json
-from .schema import Column, SchemaDocument, Table, with_value_examples
-from .tokenizer import Vocab, build_vocab
+from .jsonfile import read_jsonl
+from .pipeline import PREFIX_TEMPLATE, build_training_example, example_to_json
+from .schema import (Column, SchemaDocument, Table, serialize_schema,
+                     with_value_examples)
+from .tokenizer import build_vocab
 
 _TABLE_POOL = [
     "singer", "concert", "album", "track", "student", "course", "employee",
@@ -60,6 +62,10 @@ class CorpusConfig:
             raise ConfigError("split must be in (0, 1)")
         if self.num_databases < 1 or self.examples_per_db < 1:
             raise ConfigError("need at least one database and one example")
+        total = self.num_databases * self.examples_per_db
+        if not 0 < round(total * self.split) < total:
+            raise ConfigError(f"split {self.split} of {total} examples leaves "
+                              "the train or the dev split empty")
         if not self.templates:
             raise ConfigError("at least one template must be enabled")
 
@@ -275,8 +281,6 @@ def generate_corpus(cfg: CorpusConfig, out_dir: str, max_len: int = 512) -> Gene
     dev_raw = [raw[int(i)] for i in order[n_train:]]
 
     # vocab covers only training-side text
-    from .pipeline import PREFIX_TEMPLATE
-    from .schema import serialize_schema
     texts = []
     for r in train_raw:
         texts.append(PREFIX_TEMPLATE.format(question=r["question"]))
@@ -308,17 +312,10 @@ def generate_corpus(cfg: CorpusConfig, out_dir: str, max_len: int = 512) -> Gene
 
 
 def corpus_stats(jsonl_path: str) -> dict:
-    n = 0
-    total_cols = 0
-    total_pos = 0
-    with open(jsonl_path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            n += 1
-            total_cols += len(obj["label"])
-            total_pos += sum(obj["label"])
+    labels = [obj["label"] for obj in read_jsonl(jsonl_path)]
+    n = len(labels)
+    total_cols = sum(len(label) for label in labels)
+    total_pos = sum(sum(label) for label in labels)
     return {
         "examples": n,
         "avg_columns": total_cols / n if n else 0.0,

@@ -33,6 +33,14 @@ class InvalidSpans(JoltError):
     """A spans file entry lacks a key of a table's layout, or has an unknown one."""
 
 
+class InvalidSchema(JoltError):
+    """A schema file entry lacks a required key or is not an object."""
+
+
+class InvalidJson(JoltError):
+    """An input file is not valid JSON."""
+
+
 class InvalidSegmentation(JoltError):
     """Segment index sets do not partition the sequence."""
 

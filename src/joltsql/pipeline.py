@@ -20,7 +20,6 @@ that predicts the first token, a layout training never showed the model.
 from __future__ import annotations
 
 import copy
-import json
 import time
 from dataclasses import dataclass, field, replace
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DegenerateExample, EmptyPrediction, NonFiniteLoss
+from .jsonfile import read_jsonl
 from .masks import build_joint_mask
 from .model import (ForwardOutput, ModelConfig, ModelParams, forward,
                     greedy_generate, joint_loss, no_grad, ntp_loss,
@@ -70,9 +70,6 @@ class TrainingExample:
     example_id: str
     db_id: str
     question: str
-    prefix_text: str
-    schema_text: str
-    span_index: SpanIndex
     gold_sql: str
     link: set[tuple[str, str]]
     label: list[int]
@@ -89,26 +86,28 @@ class TrainingExample:
         return [(t, c) for t, c, _ in self.seg.marker_columns if (t, c) not in self.link]
 
 
+def _build_example(question: str, schema_doc: SchemaDocument, gold_sql: str,
+                   links: set[tuple[str, str]], vocab: Vocab, example_id: str,
+                   db_id: str) -> TrainingExample:
+    """The one example constructor: prefix, marked schema, `gold_sql`; `links` label it."""
+    schema_text, spans = serialize_schema(schema_doc)
+    tokens, seg = encode(PREFIX_TEMPLATE.format(question=question), schema_text,
+                         spans, gold_sql, vocab)
+    return TrainingExample(example_id, db_id, question, gold_sql, links,
+                           label_vector(links, schema_doc), tokens, seg, schema_doc)
+
+
 def build_training_example(question: str, schema_doc: SchemaDocument, gold_sql: str,
                            vocab: Vocab, example_id: str, db_id: str = "") -> TrainingExample:
     links = extract_ground_truth(gold_sql, schema_doc)
     if not links:
         raise DegenerateExample(f"gold SQL references no columns: {gold_sql!r}")
-    label = label_vector(links, schema_doc)
-    schema_text, spans = serialize_schema(schema_doc)
-    prefix_text = PREFIX_TEMPLATE.format(question=question)
-    tokens, seg = encode(prefix_text, schema_text, spans, gold_sql, vocab)
+    ex = _build_example(question, schema_doc, gold_sql, links, vocab, example_id, db_id)
     # terminate the query with EOS so generation learns to stop
-    eos_pos = len(tokens.ids)
-    tokens.ids.append(EOS)
-    seg.query.add(eos_pos)
-    seg.n += 1
-    return TrainingExample(
-        example_id=example_id, db_id=db_id, question=question,
-        prefix_text=prefix_text, schema_text=schema_text, span_index=spans,
-        gold_sql=gold_sql, link=links, label=label,
-        tokens=tokens, seg=seg, schema_doc=schema_doc,
-    )
+    ex.seg.query.add(len(ex.tokens.ids))
+    ex.tokens.ids.append(EOS)
+    ex.seg.n += 1
+    return ex
 
 
 def assemble_segments(example: TrainingExample,
@@ -147,7 +146,6 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
                    weight_decay=config.weight_decay)
     cache = cache if cache is not None else WeightCache()
     log: list[dict] = []
-    num_cols = {ex.example_id: len(ex.seg.marker_columns) for ex in examples}
     step = 0
     last_step = config.epochs * len(examples) - 1
     accum = 0
@@ -164,13 +162,10 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
             if config.noise_mode == "none":
                 noisy_cols: set[tuple[str, str]] = set()
             else:
-                k = draw_noise_count(num_cols[ex.example_id], config.beta, rng)
-                if config.noise_mode == "confusion":
-                    weights = cache.lookup(ex.example_id)
-                else:
-                    weights = [1.0] * len(pool)
-                drawn = sample_noisy(list(range(len(pool))), weights, k, rng)
-                noisy_cols = {pool[i] for i in drawn}
+                k = draw_noise_count(len(ex.seg.marker_columns), config.beta, rng)
+                weights = (cache.lookup(ex.example_id) if config.noise_mode == "confusion"
+                           else [1.0] * len(pool))
+                noisy_cols = sample_noisy(pool, weights, k, rng)
 
             seg = assemble_segments(ex, noisy_cols)
             mask = build_joint_mask(seg)
@@ -317,21 +312,15 @@ def infer(params: ModelParams, example: TrainingExample, vocab: Vocab,
 def prepare_inference_example(question: str, schema_doc: SchemaDocument,
                               vocab: Vocab, example_id: str = "query") -> TrainingExample:
     """Example shell with an empty query part, for linking+generation only."""
-    schema_text, spans = serialize_schema(schema_doc)
-    prefix_text = PREFIX_TEMPLATE.format(question=question)
-    tokens, seg = encode(prefix_text, schema_text, spans, "", vocab)
-    return TrainingExample(
-        example_id=example_id, db_id="", question=question,
-        prefix_text=prefix_text, schema_text=schema_text, span_index=spans,
-        gold_sql="", link=set(), label=[0] * len(seg.marker_columns),
-        tokens=tokens, seg=seg, schema_doc=schema_doc,
-    )
+    return _build_example(question, schema_doc, "", set(), vocab, example_id, "")
 
 
 # ---------------------------------------------------------------- serialization
 
 def example_to_json(ex: TrainingExample) -> dict:
     """JSON-lines record mirroring the training-data file format."""
+    prefix_text = PREFIX_TEMPLATE.format(question=ex.question)
+    schema_text, char_spans = serialize_schema(ex.schema_doc)
     token_spans = {t: {k: v for k, v in ts.items() if k != "markers"}
                    for t, ts in SpanIndex(ex.seg.table_elements).to_json().items()}
     q = sorted(ex.seg.query)
@@ -339,15 +328,15 @@ def example_to_json(ex: TrainingExample) -> dict:
         "example_id": ex.example_id,
         "db_id": ex.db_id,
         "question": ex.question,
-        "text": ex.prefix_text + "\n" + ex.schema_text + "\n" + ex.gold_sql,
-        "prefix_text": ex.prefix_text,
-        "schema_text": ex.schema_text,
+        "text": prefix_text + "\n" + schema_text + "\n" + ex.gold_sql,
+        "prefix_text": prefix_text,
+        "schema_text": schema_text,
         "gold_sql": ex.gold_sql,
         "link": sorted(f"{t}.{c}" for t, c in ex.link),
         "label": ex.label,
         "schema_element_token_spans": token_spans,
         "query_span": [q[0], q[-1] + 1] if q else [0, 0],
-        "char_spans": ex.span_index.to_json(),
+        "char_spans": char_spans.to_json(),
     }
 
 
@@ -361,8 +350,7 @@ def load_corpus(path: str, vocab: Vocab,
                 schemas: dict[str, SchemaDocument],
                 fraction: float = 1.0) -> list[TrainingExample]:
     examples = []
-    with open(path) as f:
-        records = [json.loads(line) for line in f if line.strip()]
+    records = read_jsonl(path)
     if fraction < 1.0:
         records = records[: max(1, int(len(records) * fraction))]
     for obj in records:

@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from .errors import MissingCacheEntry
+from .jsonfile import read_json
 
 
 def example_rng(global_seed: int, example_id: str, epoch: int, step: int = 0) -> np.random.Generator:
@@ -35,8 +36,8 @@ def draw_noise_count(num_columns: int, beta: float, rng: np.random.Generator) ->
     return int(rng.integers(0, bound + 1))
 
 
-def sample_noisy(pool: list[int], weights: list[float], k: int,
-                 rng: np.random.Generator) -> set[int]:
+def sample_noisy(pool: list, weights: list[float], k: int,
+                 rng: np.random.Generator) -> set:
     """Sequential weighted sampling without replacement; all-zero weights
     fall back to uniform. k is clamped to the pool size."""
     if len(weights) != len(pool):
@@ -46,7 +47,7 @@ def sample_noisy(pool: list[int], weights: list[float], k: int,
     remaining = list(pool)
     w = [float(x) for x in weights]
     k = min(k, len(pool))
-    chosen: set[int] = set()
+    chosen = set()
     for _ in range(k):
         total = sum(w)
         if total <= 0:
@@ -88,6 +89,5 @@ class WeightCache:
     @staticmethod
     def load(path: str) -> "WeightCache":
         cache = WeightCache()
-        with open(path) as f:
-            cache._store = {k: [float(x) for x in v] for k, v in json.load(f).items()}
+        cache._store = {k: [float(x) for x in v] for k, v in read_json(path).items()}
         return cache

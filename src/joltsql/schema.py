@@ -7,11 +7,11 @@ type describes the layout in characters and in tokens.
 """
 from __future__ import annotations
 
-import json
 import sqlite3
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .errors import DbError, InvalidSpans, UnknownColumn
+from .errors import DbError, InvalidSchema, InvalidSpans, UnknownColumn
+from .jsonfile import read_json
 
 MARKER_TEXT = "<|marker|>"
 
@@ -74,15 +74,19 @@ class SchemaDocument:
 
     @staticmethod
     def from_json(obj: dict) -> "SchemaDocument":
+        """Read `to_json`'s form. Raises InvalidSchema naming the entry and
+        the key when an entry lacks a required key or is not an object."""
         tables = []
-        for t in obj["tables"]:
+        for i, t in enumerate(_required(obj, "tables", "schema")):
+            name = _required(t, "name", f"table {i}")
             cols = tuple(
-                Column(c["name"], c.get("type", "TEXT"), tuple(c.get("examples", [])))
-                for c in t["columns"]
+                Column(_required(c, "name", f"column {j} of table {name!r}"),
+                       c.get("type", "TEXT"), tuple(c.get("examples", [])))
+                for j, c in enumerate(_required(t, "columns", f"table {name!r}"))
             )
             tables.append(
                 Table(
-                    t["name"],
+                    name,
                     cols,
                     tuple(t.get("primary_key", [])),
                     tuple(tuple(fk) for fk in t.get("foreign_keys", [])),
@@ -92,8 +96,10 @@ class SchemaDocument:
 
     @staticmethod
     def load(path: str) -> "SchemaDocument":
-        with open(path) as f:
-            return SchemaDocument.from_json(json.load(f))
+        try:
+            return SchemaDocument.from_json(read_json(path))
+        except (InvalidSchema, TypeError, ValueError) as e:
+            raise InvalidSchema(f"{path}: {e}") from None
 
     def to_json(self) -> dict:
         return {
@@ -110,6 +116,15 @@ class SchemaDocument:
                 for t in self.tables
             ]
         }
+
+
+def _required(obj, key: str, where: str):
+    """`obj[key]` of a schema entry; InvalidSchema naming `where` otherwise."""
+    if not isinstance(obj, dict):
+        raise InvalidSchema(f"{where}: expected an object")
+    if key not in obj:
+        raise InvalidSchema(f"{where}: missing key {key!r}")
+    return obj[key]
 
 
 @dataclass
@@ -150,7 +165,8 @@ class SpanIndex:
         return out
 
     def to_json(self) -> dict:
-        return {t: asdict(ts.map(list)) for t, ts in self.tables.items()}
+        # map(list) builds fresh lists, so its fields need no deep copy
+        return {t: vars(ts.map(list)) for t, ts in self.tables.items()}
 
     @staticmethod
     def from_json(obj: dict) -> "SpanIndex":

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import SpanMisaligned
+from .jsonfile import read_json
 from .schema import MARKER_TEXT, SpanIndex, TableSpans
 
 PAD, BOS, EOS, MARKER, UNK = 0, 1, 2, 3, 4
@@ -53,8 +54,7 @@ class Vocab:
 
     @staticmethod
     def load(path: str) -> "Vocab":
-        with open(path) as f:
-            return Vocab(json.load(f))
+        return Vocab(read_json(path))
 
 
 def build_vocab(corpus: list[str]) -> Vocab:
@@ -158,24 +158,13 @@ def encode(
     becomes `SegmentMap.table_elements[table]`, and each column's marker
     span must cover exactly one token. Raises SpanMisaligned when a span
     splits a token or covers none."""
-    ids: list[int] = []
-    regions: dict[str, set[int]] = {"prefix": set(), "schema": set(), "query": set()}
-    markers: set[int] = set()
-    starts: list[int] = []  # schema token char offsets into schema_text
-    ends: list[int] = []
-
-    for region, text in (("prefix", prefix), ("schema", schema_text), ("query", query)):
-        for tok, a, b in split_words(text):
-            pos = len(ids)
-            ids.append(vocab.lookup(tok))
-            regions[region].add(pos)
-            if region == "schema":
-                starts.append(a)
-                ends.append(b)
-                if tok == MARKER_TEXT:
-                    markers.add(pos)
-
-    base = len(regions["prefix"])  # position of the first schema token
+    parts = [split_words(text) for text in (prefix, schema_text, query)]
+    ids = [vocab.lookup(tok) for words in parts for tok, _, _ in words]
+    schema_words = parts[1]
+    base = len(parts[0])  # position of the first schema token
+    stop = base + len(schema_words)  # position of the first query token
+    starts = [a for _, a, _ in schema_words]  # char offsets into schema_text
+    ends = [b for _, _, b in schema_words]
 
     def to_tokens(span: tuple[int, int]) -> tuple[int, int]:
         lo, hi = _span_to_token_range(span, starts, ends)
@@ -190,10 +179,10 @@ def encode(
 
     seg = SegmentMap(
         n=len(ids),
-        prefix=regions["prefix"],
-        schema=regions["schema"],
-        query=regions["query"],
-        markers=markers,
+        prefix=set(range(base)),
+        schema=set(range(base, stop)),
+        query=set(range(stop, len(ids))),
+        markers={base + i for i, (tok, _, _) in enumerate(schema_words) if tok == MARKER_TEXT},
         table_elements=table_elements,
         marker_columns=marker_columns,
     )

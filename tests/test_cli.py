@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from joltsql.cli import EventLog, main
+from joltsql.pipeline import PREFIX_TEMPLATE
+from joltsql.schema import serialize_schema
+from joltsql.tokenizer import build_vocab, encode
 
 
 def run(capsys, *argv):
@@ -127,6 +130,61 @@ class TestInputFiles:
         assert code == 1
         assert err.startswith("error:") and "missing.json" in err
 
+    @staticmethod
+    def argv_reading(kind, path, workspace, tmp_path):
+        """argv of a command that reads `path` as a file of the given kind."""
+        corpus = workspace["corpus"]
+        schema_file = next((corpus / "schema").glob("*.json"))
+        text = tmp_path / "text.txt"
+        text.write_text("x")
+        train = ("train", "--config", workspace["config"], "--out", tmp_path / "ckpt")
+        return {
+            "config": ("gen-corpus", "--config", path, "--out", tmp_path / "corpus"),
+            "vocab": ("infer", "--ckpt", path.parent, "--question", "q",
+                      "--schema", schema_file),
+            "schema": ("extract-gt", "--sql", text, "--schema", path),
+            "spans": ("encode", "--prefix", text, "--schema", text, "--spans", path,
+                      "--query", text, "--vocab", corpus / "vocab.json"),
+            "weight cache": (*train, "--corpus", corpus / "train.jsonl", "--resume"),
+            "corpus": (*train, "--corpus", path, "--vocab", corpus / "vocab.json",
+                       "--schema-dir", corpus / "schema"),
+        }[kind]
+
+    @pytest.mark.parametrize("kind,name", [
+        ("config", "run.json"), ("vocab", "ckpt/vocab.json"), ("schema", "schema.json"),
+        ("spans", "spans.json"), ("weight cache", "ckpt/weights.cache.json"),
+        ("corpus", "train.jsonl"),
+    ], ids=["config", "vocab", "schema", "spans", "weight-cache", "corpus"])
+    def test_file_that_is_not_json_is_named(self, capsys, tmp_path, workspace, kind, name):
+        path = tmp_path / name
+        if kind == "vocab":
+            shutil.copytree(workspace["ckpt"], path.parent)
+        path.parent.mkdir(exist_ok=True)
+        first = (workspace["corpus"] / "train.jsonl").read_text().splitlines()[0]
+        path.write_text(first + '\n{"a": \n' if kind == "corpus" else '{"a": ')
+        argv = self.argv_reading(kind, path, workspace, tmp_path)
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}")
+        if kind == "corpus":
+            assert err.startswith(f"error: {path}, line 2: ")
+
+    @pytest.mark.parametrize("schema,named", [
+        ({}, "schema: missing key 'tables'"),
+        ({"tables": [{"name": "t"}]}, "table 't': missing key 'columns'"),
+        ([1, 2], "schema: expected an object"),
+    ], ids=["no-tables", "no-columns", "not-an-object"])
+    def test_schema_of_the_wrong_shape_is_an_error_line(self, capsys, tmp_path, schema,
+                                                        named):
+        schema_file = tmp_path / "schema.json"
+        schema_file.write_text(json.dumps(schema))
+        sql = tmp_path / "q.sql"
+        sql.write_text("SELECT a FROM t")
+        code, _, err = run(capsys, "extract-gt", "--sql", str(sql),
+                           "--schema", str(schema_file))
+        assert code == 1
+        assert err == f"error: {schema_file}: {named}\n"
+
 
 class TestExtractAndSerialize:
     def test_extract_gt(self, capsys, tmp_path):
@@ -186,6 +244,35 @@ class TestExtractAndSerialize:
         assert code == 1
         assert err.startswith("error:") and "'t'" in err
         assert "missing keys fk, footer, pk" in err
+
+
+    def test_serialize_then_encode_round_trip(self, capsys, tmp_path, concert_schema):
+        """`jolt encode` on the text and spans file `jolt serialize` writes
+        gives `tokenizer.encode` of the same parts."""
+        schema_file = tmp_path / "schema.json"
+        schema_file.write_text(json.dumps(concert_schema.to_json()))
+        spans_file = tmp_path / "spans.json"
+        code, out, _ = run(capsys, "serialize", "--schema", str(schema_file),
+                           "--spans-out", str(spans_file))
+        assert code == 0
+        parts = {"prefix": PREFIX_TEMPLATE.format(question="how old is each singer ?"),
+                 "schema": out[:-1],  # without print's newline
+                 "query": "SELECT name , age FROM singer"}
+        vocab = build_vocab(list(parts.values()))
+        vocab.save(str(tmp_path / "vocab.json"))
+        argv = ["encode", "--spans", str(spans_file), "--vocab", str(tmp_path / "vocab.json")]
+        for part, text in parts.items():
+            (tmp_path / f"{part}.txt").write_text(text)
+            argv += [f"--{part}", str(tmp_path / f"{part}.txt")]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        tokens, seg = encode(parts["prefix"], parts["schema"],
+                             serialize_schema(concert_schema)[1], parts["query"], vocab)
+        assert seg.query and len(seg.markers) == len(concert_schema.all_columns())
+        assert json.loads(out) == {
+            "ids": tokens.ids, "n": seg.n, "prefix": sorted(seg.prefix),
+            "schema": sorted(seg.schema), "query": sorted(seg.query),
+            "markers": sorted(seg.markers)}
 
 
 class TestMaskViz:
@@ -324,6 +411,28 @@ class TestTrainArtifacts:
         assert code == 1
         assert "num_tables" in err
 
+    def test_split_left_empty_in_gen_corpus(self, capsys, tmp_path):
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps({"corpus": {"num_databases": 1, "examples_per_db": 1,
+                                              "split": 0.4}}))
+        code, _, err = run(capsys, "gen-corpus", "--config", str(cfg),
+                           "--out", str(tmp_path / "corpus"))
+        assert code == 1
+        assert err.startswith("error: config section 'corpus'") and "empty" in err
+        assert not (tmp_path / "corpus").exists()
+
+    def test_empty_corpus_file_writes_nothing(self, capsys, workspace, tmp_path):
+        empty = tmp_path / "train.jsonl"
+        empty.write_text("")
+        out_dir = tmp_path / "ckpt"
+        code, _, err = run(capsys, "train", "--corpus", str(empty),
+                           "--vocab", str(workspace["corpus"] / "vocab.json"),
+                           "--schema-dir", str(workspace["corpus"] / "schema"),
+                           "--config", str(workspace["config"]), "--out", str(out_dir))
+        assert code == 1
+        assert err == f"error: {empty}: no examples to train on\n"
+        assert not out_dir.exists()
+
     def test_log_closed_when_training_fails(self, capsys, monkeypatch, workspace, tmp_path):
         from joltsql import cli, pipeline
         from joltsql.errors import NonFiniteLoss
@@ -396,6 +505,31 @@ class TestInferEval:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "--max-new" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "2"])
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_threshold_outside_zero_to_one_is_an_error_line(self, capsys, tmp_path,
+                                                            workspace, command, value):
+        # the checkpoint does not exist: the threshold is checked before it loads
+        ckpt, out_dir = tmp_path / "nockpt", tmp_path / "eval"
+        schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
+        argv = {"infer": ("--question", "q", "--schema", str(schema_file)),
+                "eval": ("--dev", str(workspace["corpus"] / "dev.jsonl"),
+                         "--dbs", str(workspace["corpus"] / "dbs"), "--out", str(out_dir))}
+        code, out, err = run(capsys, command, "--ckpt", str(ckpt), *argv[command],
+                             "--threshold", value)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --threshold must be in [0, 1]")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_threshold_bounds_accepted(self, capsys, workspace, value):
+        schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
+        code, out, _ = run(capsys, "infer", "--ckpt", str(workspace["ckpt"]),
+                           "--question", "show the name of each row",
+                           "--schema", str(schema_file), "--threshold", value)
+        assert code == 0
+        assert json.loads(out)["used_fallback"] == (value == "1")
 
     def test_sweep_writes_csv_and_svg(self, capsys, tmp_path, workspace):
         out_dir = tmp_path / "sweep"

@@ -110,6 +110,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(split=1.0)
 
+    @pytest.mark.parametrize("split", [0.4, 0.6])
+    def test_split_leaving_one_side_empty_rejected(self, split):
+        # one example: 0.4 rounds to no train example, 0.6 to no dev example
+        with pytest.raises(ConfigError, match="empty"):
+            tiny_config(num_databases=1, examples_per_db=1, split=split)
+
     def test_empty_templates_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(templates=())

@@ -344,6 +344,18 @@ class TestInfer:
         assert result.used_fallback
         assert result.predicted_columns == []
 
+    @pytest.mark.parametrize("which", ["example", "join_example"])
+    def test_inference_shell_prompt_is_the_training_prompt(self, request, concert_schema,
+                                                           vocab, which):
+        ex = request.getfixturevalue(which)
+        shell = prepare_inference_example(ex.question, concert_schema, vocab)
+        n_ps = len(ex.seg.prefix | ex.seg.schema)
+        assert shell.tokens.ids == ex.tokens.ids[:n_ps]
+        assert shell.seg.n == n_ps
+        for region in ("prefix", "schema", "markers", "marker_columns", "table_elements"):
+            assert getattr(shell.seg, region) == getattr(ex.seg, region)
+        assert shell.label == [0] * len(ex.label)
+
     def test_inference_shell_has_empty_query(self, concert_schema, vocab):
         shell = prepare_inference_example("what is the name ?", concert_schema, vocab)
         assert shell.seg.query == set()

@@ -1,9 +1,15 @@
+import json
+import re
+from dataclasses import asdict
+
 import pytest
 
-from joltsql.errors import UnknownColumn
-from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, Table,
+from joltsql.corpus import CorpusConfig, generate_corpus
+from joltsql.errors import InvalidSchema, UnknownColumn
+from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, SpanIndex, Table,
                             label_vector, sample_value_examples,
                             serialize_schema)
+from joltsql.tokenizer import build_vocab, encode
 
 
 def one_table(columns, pk=("id",), fks=()):
@@ -62,6 +68,58 @@ class TestSerialize:
         doc = one_table([Column("id", "INTEGER")])
         text, _ = serialize_schema(doc)
         assert "-- examples: None" in text
+
+
+@pytest.fixture(scope="module")
+def desk_schemas(tmp_path_factory):
+    """The desk corpus schemas at seeds 3 and 7: they do not depend on the
+    number of examples drawn from them."""
+    docs = []
+    for seed in (3, 7):
+        out = tmp_path_factory.mktemp(f"desk{seed}")
+        docs += generate_corpus(CorpusConfig(seed=seed, examples_per_db=1),
+                                str(out)).schemas.values()
+    return docs
+
+
+class TestSpanIndexJson:
+    def test_equals_the_asdict_form(self, concert_schema, desk_schemas):
+        """`to_json` keeps the `dataclasses.asdict` form, for the character
+        spans and for the token spans `encode` maps them to."""
+        for doc in [concert_schema, *desk_schemas]:
+            text, char_spans = serialize_schema(doc)
+            _, seg = encode("a question", text, char_spans, "", build_vocab([text]))
+            for index in (char_spans, SpanIndex(seg.table_elements)):
+                want = {t: asdict(ts.map(list)) for t, ts in index.tables.items()}
+                assert index.to_json() == want
+                assert json.dumps(index.to_json()) == json.dumps(want)
+
+    def test_output_shares_no_lists_with_the_index(self, concert_schema):
+        _, spans = serialize_schema(concert_schema)
+        out = spans.to_json()
+        out["singer"]["columns"]["id"].append(0)
+        out["singer"]["fk"].append([0, 1])
+        assert spans.to_json() != out
+        assert SpanIndex.from_json(spans.to_json()) == spans
+
+
+class TestSchemaFromJson:
+    def test_round_trip(self, concert_schema):
+        assert SchemaDocument.from_json(concert_schema.to_json()) == concert_schema
+
+    @pytest.mark.parametrize("obj,message", [
+        ({}, "schema: missing key 'tables'"),
+        ([1, 2], "schema: expected an object"),
+        ({"tables": [{"columns": []}]}, "table 0: missing key 'name'"),
+        ({"tables": [{"name": "t"}]}, "table 't': missing key 'columns'"),
+        ({"tables": [{"name": "t", "columns": [{"type": "TEXT"}]}]},
+         "column 0 of table 't': missing key 'name'"),
+        ({"tables": ["t"]}, "table 0: expected an object"),
+    ], ids=["no-tables", "not-an-object", "table-without-name", "table-without-columns",
+            "column-without-name", "table-not-an-object"])
+    def test_shape_error_names_the_entry_and_key(self, obj, message):
+        with pytest.raises(InvalidSchema, match=re.escape(message)):
+            SchemaDocument.from_json(obj)
 
 
 class TestValueSampling:

@@ -100,6 +100,25 @@ HAND_LABELED = [
     ("SELECT age + 1 FROM singer AS s UNION SELECT capacity FROM stadium "
      "ORDER BY s.age + 1",
      {"singer.age", "stadium.capacity"}),
+    # compound, quantifier, comma join, grouping, ordering and limit forms
+    ("SELECT name FROM singer UNION ALL SELECT name FROM stadium",
+     {"singer.name", "stadium.name"}),
+    ("SELECT ALL name FROM singer", {"singer.name"}),
+    ("SELECT T1.name FROM singer AS T1, concert AS T2 WHERE T1.id = T2.id",
+     {"singer.name", "singer.id", "concert.id"}),
+    ("SELECT country, age FROM singer GROUP BY country, age",
+     {"singer.country", "singer.age"}),
+    ("SELECT name FROM singer ORDER BY age DESC, name", {"singer.name", "singer.age"}),
+    ("SELECT name FROM stadium LIMIT 3 OFFSET 1", {"stadium.name"}),
+    ("SELECT singer.name FROM singer LEFT JOIN singer_in_concert "
+     "ON singer.id = singer_in_concert.singer_id",
+     {"singer.name", "singer.id", "singer_in_concert.singer_id"}),
+    ("SELECT singer.name FROM singer INNER JOIN singer_in_concert "
+     "ON singer.id = singer_in_concert.singer_id",
+     {"singer.name", "singer.id", "singer_in_concert.singer_id"}),
+    ("SELECT name FROM singer WHERE country = NULL", {"singer.name", "singer.country"}),
+    ("SELECT count(DISTINCT country) FROM singer", {"singer.country"}),
+    ("SELECT substr(name, 1, 3) FROM singer", {"singer.name"}),
 ]
 
 
