@@ -269,6 +269,8 @@ def cmd_eval(args) -> int:
     schema_dir = args.schema_dir or os.path.join(corpus_dir, "schema")
     schemas = corpus_mod.load_schemas(schema_dir)
     examples = pipeline.load_corpus(args.dev, vocab, schemas)
+    if not examples:
+        raise JoltError(f"{args.dev}: no examples to evaluate")
     db_paths = {db_id: os.path.join(args.dbs, f"{db_id}.sqlite")
                 for db_id in schemas}
     os.makedirs(args.out, exist_ok=True)

@@ -41,8 +41,12 @@ class InvalidJson(JoltError):
     """An input file is not valid JSON."""
 
 
+class MalformedInput(JoltError):
+    """A vocab, weight-cache or corpus file is JSON of the wrong shape."""
+
+
 class InvalidSegmentation(JoltError):
-    """Segment index sets do not partition the sequence."""
+    """Segment cut points are out of order, or a marker lies outside the schema."""
 
 
 class ShapeMismatch(JoltError):

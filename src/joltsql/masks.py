@@ -1,15 +1,15 @@
 """Attention mask construction: joint training mask and vanilla causal mask.
 
-The joint mask gives schema tokens local bidirectional attention, hides
-markers from all non-marker tokens, and restricts query rows to the
-prefix, the ground-truth schema subset, sampled noisy schema, and the
-causal query prefix.
+The joint mask, built in blocks from a layout's two cut points, gives schema
+tokens local bidirectional attention, hides markers from all non-marker
+tokens, and restricts query rows to the causal query prefix and `query_view`
+(prefix, gold and noisy schema), the prompt view decode rows take too.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyRow, InvalidSegmentation
+from .errors import EmptyRow
 from .tokenizer import SegmentMap
 
 
@@ -63,28 +63,27 @@ def build_causal_mask(n: int) -> AttentionMask:
     return AttentionMask(np.tril(np.ones((n, n), dtype=bool)))
 
 
+def query_view(seg: SegmentMap, attended: set[int]) -> np.ndarray:
+    """A query row's boolean view of prompt columns 0..query_start-1: the
+    prefix and the `attended` schema tokens, markers hidden. Training and
+    decoding rows alike take it."""
+    view = np.zeros(seg.query_start, dtype=bool)
+    view[list(attended)] = True
+    view[:seg.schema_start] = True
+    view[list(seg.markers)] = False
+    return view
+
+
 def build_joint_mask(seg: SegmentMap) -> AttentionMask:
-    if not seg.validate_partition():
-        raise InvalidSegmentation("prefix/schema/query do not partition the sequence")
-    n = seg.n
-
-    def region(positions) -> np.ndarray:
-        out = np.zeros(n, dtype=bool)
-        out[list(positions)] = True
-        return out
-
-    prefix, schema, query = region(seg.prefix), region(seg.schema), region(seg.query)
-    marker = region(seg.markers)
-    attended = region(seg.gt_schema | seg.noisy_schema)
-    context = prefix | schema
-    tri = np.tri(n, dtype=bool)  # tri[i, j]: j <= i
-
-    # each row takes the view of its region; the regions partition the rows
-    visible = prefix[:, None] & tri & prefix  # causal within the prefix
-    visible |= (schema & ~marker)[:, None] & (context & ~marker)
-    visible |= marker[:, None] & context
-    visible |= query[:, None] & (((prefix | attended) | (tri & query)) & ~marker)
-    np.fill_diagonal(visible, True)  # every token sees itself
+    n, s, q = seg.n, seg.schema_start, seg.query_start
+    markers = list(seg.markers)
+    visible = np.zeros((n, n), dtype=bool)
+    visible[:s, :s] = np.tri(s, dtype=bool)  # the prefix is causal
+    visible[s:q, :q] = True  # schema rows see the prompt...
+    visible[s:q, markers] = False  # ...without markers
+    visible[markers, :q] = True  # marker rows see all of it
+    visible[q:, :q] = query_view(seg, seg.gt_schema | seg.noisy_schema)
+    visible[q:, q:] = np.tri(n - q, dtype=bool)  # the query is causal
     return AttentionMask(visible)
 
 

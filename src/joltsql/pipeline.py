@@ -9,10 +9,10 @@ Inference decodes under that same joint mask. One forward over the full
 prefix+schema (positions 0..n-1) gives the linking scores, the first SQL
 token's logits and every layer's K/V; generated tokens take positions n,
 n+1, ... as query tokens do in training. Pruning is a boolean mask over
-the full prompt (`prune_prompt`), not an edit of its text: decode rows see
-the prefix plus the predicted columns and their tables' structure (every
-column when nothing is predicted), the set assemble_segments builds from
-gold links. Prompt rows never see query rows, so each decode step is one
+the full prompt (`prune_prompt`), not an edit of its text: decode rows take
+the `query_view` a training query row takes, with the predicted columns
+(every column when nothing is predicted) in place of the gold and noisy
+ones. Prompt rows never see query rows, so each decode step is one
 row through `forward` against the cached K/V. Re-encoding a pruned prompt
 under a causal mask would instead change the schema rows' K/V and the row
 that predicts the first token, a layout training never showed the model.
@@ -26,9 +26,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegenerateExample, EmptyPrediction, NonFiniteLoss
+from .errors import DegenerateExample, EmptyPrediction, MalformedInput, NonFiniteLoss
 from .jsonfile import read_jsonl
-from .masks import build_joint_mask
+from .masks import build_joint_mask, query_view
 from .model import (ForwardOutput, ModelConfig, ModelParams, forward,
                     greedy_generate, joint_loss, no_grad, ntp_loss,
                     schema_linking_loss)
@@ -104,7 +104,6 @@ def build_training_example(question: str, schema_doc: SchemaDocument, gold_sql: 
         raise DegenerateExample(f"gold SQL references no columns: {gold_sql!r}")
     ex = _build_example(question, schema_doc, gold_sql, links, vocab, example_id, db_id)
     # terminate the query with EOS so generation learns to stop
-    ex.seg.query.add(len(ex.tokens.ids))
     ex.tokens.ids.append(EOS)
     ex.seg.n += 1
     return ex
@@ -172,7 +171,7 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
             out = forward(params, ex.tokens.ids, mask)
             l_sl = schema_linking_loss(out.marker_probs, ex.label,
                                        ex.marker_positions)
-            l_ntp = ntp_loss(out.lm_logits, ex.tokens.ids, sorted(ex.seg.query))
+            l_ntp = ntp_loss(out.lm_logits, ex.tokens.ids, ex.seg.query)
             loss = joint_loss(l_sl, l_ntp)
             if not np.isfinite(loss.data):
                 raise NonFiniteLoss(
@@ -211,11 +210,9 @@ def encode_prompt(params: ModelParams, example: TrainingExample) -> ForwardOutpu
     mask, at positions 0..n-1. Prompt rows never attend to query rows, so
     its marker scores, its last row's logits (the first SQL token) and its
     per-layer K/V are exactly those of the training layout."""
-    n_ps = len(example.seg.prefix | example.seg.schema)
-    seg = replace(example.seg, n=n_ps, query=set(), gt_schema=set(),
-                  noisy_schema=set())
+    seg = replace(example.seg, n=example.seg.query_start)
     with no_grad(params):
-        return forward(params, example.tokens.ids[:n_ps], build_joint_mask(seg))
+        return forward(params, example.tokens.ids[:seg.n], build_joint_mask(seg))
 
 
 def marker_scores(example: TrainingExample,
@@ -236,20 +233,12 @@ def link_schema(params: ModelParams,
 
 def prune_prompt(example: TrainingExample,
                  predicted: set[tuple[str, str]]) -> np.ndarray:
-    """The decode rows' boolean visibility over the prompt (prefix +
-    schema): the prefix plus the predicted columns' schema tokens
-    (`SegmentMap.schema_tokens`: their definitions and their tables'
-    header, pk, fks and footer), markers hidden.
-
-    These are exactly the prompt positions a query row sees under the joint
-    mask when the predicted columns stand in for the gold ones.
-    """
+    """The decode rows' boolean view of the prompt: `query_view` of the
+    predicted columns' schema tokens (`SegmentMap.schema_tokens`: their
+    definitions and their tables' header, pk, fks and footer)."""
     if not predicted:
         raise EmptyPrediction("no columns predicted")
-    seg = example.seg
-    attend = np.zeros(len(seg.prefix | seg.schema), dtype=bool)
-    attend[list((seg.prefix | seg.schema_tokens(predicted)) - seg.markers)] = True
-    return attend
+    return query_view(example.seg, example.seg.schema_tokens(predicted))
 
 
 def full_schema_prompt(example: TrainingExample) -> np.ndarray:
@@ -323,7 +312,6 @@ def example_to_json(ex: TrainingExample) -> dict:
     schema_text, char_spans = serialize_schema(ex.schema_doc)
     token_spans = {t: {k: v for k, v in ts.items() if k != "markers"}
                    for t, ts in SpanIndex(ex.seg.table_elements).to_json().items()}
-    q = sorted(ex.seg.query)
     return {
         "example_id": ex.example_id,
         "db_id": ex.db_id,
@@ -335,7 +323,7 @@ def example_to_json(ex: TrainingExample) -> dict:
         "link": sorted(f"{t}.{c}" for t, c in ex.link),
         "label": ex.label,
         "schema_element_token_spans": token_spans,
-        "query_span": [q[0], q[-1] + 1] if q else [0, 0],
+        "query_span": [ex.seg.query_start, ex.seg.n] if ex.seg.query else [0, 0],
         "char_spans": char_spans.to_json(),
     }
 
@@ -349,10 +337,21 @@ def example_from_json(obj: dict, vocab: Vocab, schema_doc: SchemaDocument) -> Tr
 def load_corpus(path: str, vocab: Vocab,
                 schemas: dict[str, SchemaDocument],
                 fraction: float = 1.0) -> list[TrainingExample]:
+    """Raises MalformedInput naming the file and the record (counted from 1)
+    when a record is not an object, lacks a key or names a database that
+    has no schema."""
     examples = []
     records = read_jsonl(path)
     if fraction < 1.0:
         records = records[: max(1, int(len(records) * fraction))]
-    for obj in records:
+    for i, obj in enumerate(records, 1):
+        where = f"{path}, record {i}"
+        if not isinstance(obj, dict):
+            raise MalformedInput(f"{where}: expected an object")
+        for key in ("example_id", "db_id", "question", "gold_sql"):
+            if key not in obj:
+                raise MalformedInput(f"{where}: missing key {key!r}")
+        if obj["db_id"] not in schemas:
+            raise MalformedInput(f"{where}: no schema for db_id {obj['db_id']!r}")
         examples.append(example_from_json(obj, vocab, schemas[obj["db_id"]]))
     return examples

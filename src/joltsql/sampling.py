@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .errors import MissingCacheEntry
+from .errors import MalformedInput, MissingCacheEntry
 from .jsonfile import read_json
 
 
@@ -88,6 +88,13 @@ class WeightCache:
 
     @staticmethod
     def load(path: str) -> "WeightCache":
+        """Raises MalformedInput unless the file holds an object of example
+        id -> list of numbers."""
+        store = read_json(path)
+        if not (isinstance(store, dict) and all(
+                isinstance(v, list) and all(type(x) in (int, float) for x in v)
+                for v in store.values())):
+            raise MalformedInput(f"{path}: expected an object of example id -> list of numbers")
         cache = WeightCache()
-        cache._store = {k: [float(x) for x in v] for k, v in read_json(path).items()}
+        cache._store = {k: [float(x) for x in v] for k, v in store.items()}
         return cache

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import SpanMisaligned
+from .errors import InvalidSegmentation, MalformedInput, SpanMisaligned
 from .jsonfile import read_json
 from .schema import MARKER_TEXT, SpanIndex, TableSpans
 
@@ -54,7 +54,13 @@ class Vocab:
 
     @staticmethod
     def load(path: str) -> "Vocab":
-        return Vocab(read_json(path))
+        """Raises MalformedInput unless the file holds an object of token ->
+        non-negative integer id."""
+        token_to_id = read_json(path)
+        if not (isinstance(token_to_id, dict)
+                and all(type(i) is int and i >= 0 for i in token_to_id.values())):
+            raise MalformedInput(f"{path}: expected an object of token -> integer id")
+        return Vocab(token_to_id)
 
 
 def build_vocab(corpus: list[str]) -> Vocab:
@@ -80,13 +86,13 @@ class TokenSequence:
 
 @dataclass
 class SegmentMap:
-    """Per-token region membership over positions 0..n-1."""
+    """Token layout over positions 0..n-1, cut at `schema_start` and
+    `query_start` into the contiguous ranges `prefix`, `schema` and `query`."""
 
     n: int
-    prefix: set[int]
-    schema: set[int]
-    query: set[int]
-    markers: set[int]  # subset of schema
+    schema_start: int
+    query_start: int
+    markers: set[int]  # within the schema
     # lowercase table -> its serialized layout in absolute token positions
     # (half-open ranges)
     table_elements: dict[str, TableSpans]
@@ -95,15 +101,23 @@ class SegmentMap:
     gt_schema: set[int] = field(default_factory=set)
     noisy_schema: set[int] = field(default_factory=set)
 
-    def validate_partition(self) -> bool:
-        full = set(range(self.n))
-        return (
-            self.prefix | self.schema | self.query == full
-            and not (self.prefix & self.schema)
-            and not (self.prefix & self.query)
-            and not (self.schema & self.query)
-            and self.markers <= self.schema
-        )
+    def __post_init__(self):
+        if not 0 <= self.schema_start <= self.query_start <= self.n:
+            raise InvalidSegmentation(f"cut points out of order in 0..{self.n}")
+        if any(not self.schema_start <= m < self.query_start for m in self.markers):
+            raise InvalidSegmentation("a marker lies outside the schema")
+
+    @property
+    def prefix(self) -> range:
+        return range(self.schema_start)
+
+    @property
+    def schema(self) -> range:
+        return range(self.schema_start, self.query_start)
+
+    @property
+    def query(self) -> range:
+        return range(self.query_start, self.n)
 
     def column_token_range(self, table: str, column: str) -> tuple[int, int]:
         return self.table_elements[table].columns[column]
@@ -153,11 +167,12 @@ def encode(
     query: str,
     vocab: Vocab,
 ) -> tuple[TokenSequence, SegmentMap]:
-    """Tokenize the three input parts in order and map the schema's
-    character layout to absolute token positions: each table's `TableSpans`
-    becomes `SegmentMap.table_elements[table]`, and each column's marker
-    span must cover exactly one token. Raises SpanMisaligned when a span
-    splits a token or covers none."""
+    """Tokenize the three input parts in order, cut where schema and query
+    begin, and map the schema's character layout to absolute token
+    positions: each table's `TableSpans` becomes
+    `SegmentMap.table_elements[table]`, and each column's marker span must
+    cover exactly one token. Raises SpanMisaligned when a span splits a
+    token or covers none."""
     parts = [split_words(text) for text in (prefix, schema_text, query)]
     ids = [vocab.lookup(tok) for words in parts for tok, _, _ in words]
     schema_words = parts[1]
@@ -179,9 +194,8 @@ def encode(
 
     seg = SegmentMap(
         n=len(ids),
-        prefix=set(range(base)),
-        schema=set(range(base, stop)),
-        query=set(range(stop, len(ids))),
+        schema_start=base,
+        query_start=stop,
         markers={base + i for i, (tok, _, _) in enumerate(schema_words) if tok == MARKER_TEXT},
         table_elements=table_elements,
         marker_columns=marker_columns,

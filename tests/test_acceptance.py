@@ -55,8 +55,7 @@ def random_segment(rng, n_max=64):
     n = int(rng.integers(3, n_max + 1))
     cut1 = int(rng.integers(1, n - 1))
     cut2 = int(rng.integers(cut1 + 1, n))
-    prefix, schema, query = (set(range(cut1)), set(range(cut1, cut2)),
-                             set(range(cut2, n)))
+    schema = set(range(cut1, cut2))
     markers = set(int(i) for i in rng.choice(
         sorted(schema), size=int(rng.integers(0, len(schema) + 1)), replace=False))
     non_marker = sorted(schema - markers)
@@ -67,7 +66,7 @@ def random_segment(rng, n_max=64):
     noisy = set(int(i) for i in rng.choice(
         rest, size=int(rng.integers(0, len(rest) + 1)),
         replace=False)) if rest else set()
-    return SegmentMap(n=n, prefix=prefix, schema=schema, query=query,
+    return SegmentMap(n=n, schema_start=cut1, query_start=cut2,
                       markers=markers, table_elements={}, marker_columns=[],
                       gt_schema=gt, noisy_schema=noisy)
 
@@ -80,11 +79,11 @@ def oracle_visible(seg):
         if i in seg.prefix:
             allowed = {j for j in seg.prefix if j <= i}
         elif i in seg.markers:
-            allowed = seg.prefix | seg.schema
+            allowed = set(seg.prefix) | set(seg.schema)
         elif i in seg.schema:
-            allowed = (seg.prefix | seg.schema) - seg.markers
+            allowed = (set(seg.prefix) | set(seg.schema)) - seg.markers
         else:
-            allowed = ((seg.prefix | attended | {j for j in seg.query if j <= i})
+            allowed = ((set(seg.prefix) | attended | {j for j in seg.query if j <= i})
                        - seg.markers)
         allowed.add(i)
         out[i, sorted(allowed)] = True
@@ -115,7 +114,7 @@ def test_criterion_02_marker_rule_suite():
         seg = random_segment(rng, n_max=24)
         vis = build_joint_mask(seg).visible
         non_marker = set(range(seg.n)) - seg.markers
-        sch = sorted(seg.schema - seg.markers)
+        sch = sorted(set(seg.schema) - seg.markers)
         ok = (
             all(not vis[i, m] for m in seg.markers for i in non_marker if i != m)
             and all(vis[a, b] for a in seg.markers for b in seg.markers)
@@ -213,7 +212,7 @@ def test_criterion_03_gradient_checks():
     cfg = ModelConfig(vocab_size=12, dim=8, heads=2, layers=1, max_len=16,
                       dtype="float64")
     params = ModelParams(cfg, seed=3)
-    seg = SegmentMap(n=9, prefix={0, 1}, schema={2, 3, 4, 5}, query={6, 7, 8},
+    seg = SegmentMap(n=9, schema_start=2, query_start=6,
                      markers={3, 5}, table_elements={}, marker_columns=[],
                      gt_schema={2}, noisy_schema={4})
     ids = [1, 5, 6, 3, 7, 3, 8, 9, 2]
@@ -245,7 +244,7 @@ def test_criterion_03_gradient_checks():
 def test_criterion_04_loss_masking_bit_exact():
     cfg = ModelConfig(vocab_size=16, dim=8, heads=2, layers=2, max_len=32)
     params = ModelParams(cfg, seed=3)
-    seg = SegmentMap(n=10, prefix={0, 1, 2}, schema={3, 4, 5, 6}, query={7, 8, 9},
+    seg = SegmentMap(n=10, schema_start=3, query_start=7,
                      markers={4, 6}, table_elements={}, marker_columns=[],
                      gt_schema={3}, noisy_schema={5})
     ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 2]

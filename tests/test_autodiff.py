@@ -185,7 +185,7 @@ class TestGradientChecks:
         cfg = ModelConfig(vocab_size=12, dim=8, heads=2, layers=1,
                           max_len=16, dtype="float64")
         params = ModelParams(cfg, seed=3)
-        seg = SegmentMap(n=9, prefix={0, 1}, schema={2, 3, 4, 5}, query={6, 7, 8},
+        seg = SegmentMap(n=9, schema_start=2, query_start=6,
                          markers={3, 5}, table_elements={}, marker_columns=[],
                          gt_schema={2}, noisy_schema={4})
         ids = [1, 5, 6, 3, 7, 3, 8, 9, 2]

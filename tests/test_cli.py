@@ -146,6 +146,7 @@ class TestInputFiles:
             "spans": ("encode", "--prefix", text, "--schema", text, "--spans", path,
                       "--query", text, "--vocab", corpus / "vocab.json"),
             "weight cache": (*train, "--corpus", corpus / "train.jsonl", "--resume"),
+            "train vocab": (*train, "--corpus", corpus / "train.jsonl", "--vocab", path),
             "corpus": (*train, "--corpus", path, "--vocab", corpus / "vocab.json",
                        "--schema-dir", corpus / "schema"),
         }[kind]
@@ -184,6 +185,55 @@ class TestInputFiles:
                            "--schema", str(schema_file))
         assert code == 1
         assert err == f"error: {schema_file}: {named}\n"
+
+
+    @pytest.mark.parametrize("kind,name,content", [
+        ("vocab", "ckpt/vocab.json", [1, 2]),
+        ("train vocab", "vocab.json", [1, 2]),
+        ("train vocab", "vocab.json", {"a": 5, "b": "x"}),
+        ("train vocab", "vocab.json", {"a": 5, "b": True}),
+        ("weight cache", "ckpt/weights.cache.json", [1, 2]),
+        ("weight cache", "ckpt/weights.cache.json", {"ex-0": 0.5}),
+        ("weight cache", "ckpt/weights.cache.json", {"ex-0": [0.5, "x"]}),
+    ], ids=["vocab-list", "train-vocab-list", "train-vocab-string-id", "train-vocab-bool-id",
+            "weight-cache-list", "weight-cache-number", "weight-cache-string-weight"])
+    def test_file_of_the_wrong_shape_is_named(self, capsys, tmp_path, workspace, kind, name,
+                                              content):
+        path = tmp_path / name
+        if kind == "vocab":
+            shutil.copytree(workspace["ckpt"], path.parent)
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(content))
+        argv = self.argv_reading(kind, path, workspace, tmp_path)
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: expected an object of ")
+
+    @pytest.mark.parametrize("change,named", [
+        ({"db_id": "nope"}, "no schema for db_id 'nope'"),
+        ({"question": None}, "missing key 'question'"),
+        ({"gold_sql": None}, "missing key 'gold_sql'"),
+        ({"example_id": None}, "missing key 'example_id'"),
+    ], ids=["unknown-db", "no-question", "no-gold-sql", "no-example-id"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_corpus_record_of_the_wrong_shape_is_named(self, capsys, tmp_path, workspace,
+                                                       command, change, named):
+        lines = (workspace["corpus"] / "train.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record.update(change)
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n".join([lines[0], json.dumps(
+            {k: v for k, v in record.items() if v is not None})]) + "\n")
+        if command == "train":
+            argv = self.argv_reading("corpus", path, workspace, tmp_path)
+        else:
+            argv = ("eval", "--ckpt", workspace["ckpt"], "--dev", path,
+                    "--dbs", workspace["corpus"] / "dbs",
+                    "--schema-dir", workspace["corpus"] / "schema",
+                    "--out", tmp_path / "eval")
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}, record 2: {named}\n"
 
 
 class TestExtractAndSerialize:
@@ -494,6 +544,19 @@ class TestInferEval:
         for key in ("precision", "recall", "roc_auc", "pr_auc", "ex"):
             assert key in metrics
         assert "platform" not in metrics  # it goes to config.snapshot.json
+
+    @pytest.mark.parametrize("argv", [("eval",), ("eval", "--average", "macro"), ("sweep",)],
+                             ids=["eval-micro", "eval-macro", "sweep"])
+    def test_empty_dev_file_is_named(self, capsys, tmp_path, workspace, argv):
+        empty, out_dir = tmp_path / "dev.jsonl", tmp_path / "eval"
+        empty.write_text("\n")
+        code, out, err = run(capsys, *argv, "--ckpt", str(workspace["ckpt"]),
+                             "--dev", str(empty), "--dbs", str(workspace["corpus"] / "dbs"),
+                             "--schema-dir", str(workspace["corpus"] / "schema"),
+                             "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err == f"error: {empty}: no examples to evaluate\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_negative_max_new_is_an_error_line(self, capsys, tmp_path, workspace, command):

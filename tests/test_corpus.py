@@ -63,7 +63,9 @@ class TestGeneration:
         examples = load_corpus(corpus.train_path, vocab, schemas)
         assert len(examples) == 12
         for ex in examples:
-            assert ex.seg.validate_partition()
+            seg = ex.seg
+            assert [*seg.prefix, *seg.schema, *seg.query] == list(range(seg.n))
+            assert seg.markers <= set(seg.schema)
             assert len(ex.label) == len(ex.seg.marker_columns)
 
     def test_schema_files_match_memory(self, corpus):

@@ -147,7 +147,7 @@ def test_one_prompt_encoding_and_one_decode_per_distinct_set(desk, monkeypatch, 
     else:
         evaluate(params, examples, vocab, generated.db_paths, threshold=0.05,
                  max_new=MAX_NEW, average=run)
-    assert prompts == [ex.tokens.ids[:len(ex.seg.prefix | ex.seg.schema)]
+    assert prompts == [ex.tokens.ids[:ex.seg.query_start]
                        for ex in examples]
     assert len(decodes) == distinct
     assert len(executions) == distinct

@@ -19,16 +19,14 @@ def random_segment(rng: np.random.Generator, n_max: int = 64) -> SegmentMap:
     n = int(rng.integers(3, n_max + 1))
     cut1 = int(rng.integers(1, n - 1))
     cut2 = int(rng.integers(cut1 + 1, n))
-    prefix = set(range(cut1))
     schema = set(range(cut1, cut2))
-    query = set(range(cut2, n))
     k_markers = int(rng.integers(0, len(schema) + 1))
     markers = set(int(i) for i in rng.choice(sorted(schema), size=k_markers, replace=False))
     non_marker = sorted(schema - markers)
     gt = set(int(i) for i in rng.choice(non_marker, size=int(rng.integers(0, len(non_marker) + 1)), replace=False)) if non_marker else set()
     rest = sorted(set(non_marker) - gt)
     noisy = set(int(i) for i in rng.choice(rest, size=int(rng.integers(0, len(rest) + 1)), replace=False)) if rest else set()
-    return SegmentMap(n=n, prefix=prefix, schema=schema, query=query,
+    return SegmentMap(n=n, schema_start=cut1, query_start=cut2,
                       markers=markers, table_elements={}, marker_columns=[],
                       gt_schema=gt, noisy_schema=noisy)
 
@@ -46,15 +44,47 @@ def oracle_visible(seg: SegmentMap) -> np.ndarray:
         if i in seg.prefix:
             allowed = {j for j in seg.prefix if j <= i}
         elif i in seg.markers:
-            allowed = seg.prefix | seg.schema
+            allowed = set(seg.prefix) | set(seg.schema)
         elif i in seg.schema:
-            allowed = (seg.prefix | seg.schema) - seg.markers
+            allowed = (set(seg.prefix) | set(seg.schema)) - seg.markers
         else:
             causal_q = {j for j in seg.query if j <= i}
-            allowed = (seg.prefix | attended | causal_q) - seg.markers
+            allowed = (set(seg.prefix) | attended | causal_q) - seg.markers
         allowed.add(i)
         out[i, sorted(allowed)] = True
     return out
+
+
+def prechange_joint_mask(seg: SegmentMap) -> np.ndarray:
+    """The joint mask as it was built from one boolean vector per region
+    before the block builder: the slow reference the block builder must
+    equal byte for byte."""
+    n = seg.n
+
+    def region(positions) -> np.ndarray:
+        out = np.zeros(n, dtype=bool)
+        out[list(positions)] = True
+        return out
+
+    prefix, schema, query = region(seg.prefix), region(seg.schema), region(seg.query)
+    marker = region(seg.markers)
+    attended = region(seg.gt_schema | seg.noisy_schema)
+    context = prefix | schema
+    tri = np.tri(n, dtype=bool)  # tri[i, j]: j <= i
+
+    # each row takes the view of its region; the regions partition the rows
+    visible = prefix[:, None] & tri & prefix  # causal within the prefix
+    visible |= (schema & ~marker)[:, None] & (context & ~marker)
+    visible |= marker[:, None] & context
+    visible |= query[:, None] & (((prefix | attended) | (tri & query)) & ~marker)
+    np.fill_diagonal(visible, True)  # every token sees itself
+    return visible
+
+
+def assert_equals_prechange(seg: SegmentMap):
+    got, want = build_joint_mask(seg).visible, prechange_joint_mask(seg)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +109,7 @@ class TestJointMaskOracle:
         rng = np.random.default_rng(2024)
         for _ in range(100):
             seg = random_segment(rng)
-            seg = replace(seg, n=min(seg.query), query=set(), gt_schema=set(),
-                          noisy_schema=set())
+            seg = replace(seg, n=min(seg.query), gt_schema=set(), noisy_schema=set())
             assert np.array_equal(build_joint_mask(seg).visible, oracle_visible(seg))
 
     def test_matches_oracle_on_desk_training_segments(self, desk_examples):
@@ -118,6 +147,36 @@ class TestJointMaskOracle:
             assert np.array_equal(build_joint_mask(seg).visible, oracle_visible(seg))
 
 
+class TestBlockBuilderEqualsPrechange:
+    def test_on_criterion_1_random_segments(self):
+        """Criterion 1's segments (its seed draws them in this order) and
+        1,900 more, each also cut to its prompt-only layout."""
+        rng = np.random.default_rng(1001)
+        for _ in range(2000):
+            seg = random_segment(rng)
+            assert_equals_prechange(seg)
+            assert_equals_prechange(replace(seg, n=seg.query_start))
+
+    @pytest.mark.parametrize("corpus_seed", [3, 7])
+    def test_on_every_desk_example(self, tmp_path, corpus_seed):
+        """Every train and dev example: an `assemble_segments` map with
+        sampled noise, and the prompt-only layout `encode_prompt` builds."""
+        generated = generate_corpus(CorpusConfig(seed=corpus_seed), str(tmp_path))
+        vocab = Vocab.load(generated.vocab_path)
+        with_noise = 0
+        for path in (generated.train_path, generated.dev_path):
+            for ex in pipeline.load_corpus(path, vocab, generated.schemas):
+                rng = example_rng(corpus_seed, ex.example_id, 1)
+                pool = ex.non_gt_columns()
+                k = draw_noise_count(len(ex.seg.marker_columns), 0.2, rng)
+                drawn = sample_noisy(list(range(len(pool))), [1.0] * len(pool), k, rng)
+                seg = pipeline.assemble_segments(ex, {pool[i] for i in drawn})
+                assert_equals_prechange(seg)
+                assert_equals_prechange(replace(ex.seg, n=ex.seg.query_start))
+                with_noise += bool(seg.noisy_schema)
+        assert with_noise > 100
+
+
 class TestMarkerRules:
     def test_invariants_on_1000_random_cases(self):
         rng = np.random.default_rng(999)
@@ -132,10 +191,10 @@ class TestMarkerRules:
                 # markers see each other and all of prefix + schema
                 for m2 in seg.markers:
                     assert vis[m, m2]
-                for j in seg.prefix | seg.schema:
+                for j in set(seg.prefix) | set(seg.schema):
                     assert vis[m, j]
             # schema bidirectionality between non-marker schema rows
-            sch = sorted(seg.schema - seg.markers)
+            sch = sorted(set(seg.schema) - seg.markers)
             for a in sch:
                 for b in sch:
                     assert vis[a, b] == vis[b, a] == True  # noqa: E712
@@ -153,7 +212,7 @@ class TestMarkerRules:
             assert vis.diagonal().all()
 
     def test_query_sees_only_attended_schema(self):
-        seg = SegmentMap(n=8, prefix={0, 1}, schema={2, 3, 4, 5}, query={6, 7},
+        seg = SegmentMap(n=8, schema_start=2, query_start=6,
                          markers={3, 5}, table_elements={}, marker_columns=[],
                          gt_schema={2}, noisy_schema=set())
         vis = build_joint_mask(seg).visible
@@ -163,10 +222,17 @@ class TestMarkerRules:
         assert vis[7, 6] and not vis[6, 7]
 
     def test_bad_partition_rejected(self):
-        seg = SegmentMap(n=4, prefix={0, 1}, schema={1, 2}, query={3},
-                         markers=set(), table_elements={}, marker_columns=[])
-        with pytest.raises(InvalidSegmentation):
-            build_joint_mask(seg)
+        """A layout is checked when it is made: cut points out of order, or
+        a marker in the prefix or the query."""
+        def layout(schema_start, query_start, markers):
+            return SegmentMap(n=4, schema_start=schema_start, query_start=query_start,
+                              markers=set(markers), table_elements={}, marker_columns=[])
+
+        for (schema_start, query_start), markers in [
+                ((3, 2), ()), ((0, 5), ()), ((-1, 2), ()), ((1, 3), {0}), ((1, 3), {3})]:
+            with pytest.raises(InvalidSegmentation):
+                layout(schema_start, query_start, markers)
+        assert layout(1, 3, {1, 2}).markers == {1, 2}
 
 
 class TestCausalMask:
@@ -184,7 +250,7 @@ class TestCausalMask:
 
 class TestRenderers:
     def _tiny(self):
-        seg = SegmentMap(n=4, prefix={0}, schema={1, 2}, query={3},
+        seg = SegmentMap(n=4, schema_start=1, query_start=3,
                          markers={2}, table_elements={}, marker_columns=[],
                          gt_schema={1})
         return seg, build_joint_mask(seg)

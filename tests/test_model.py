@@ -20,7 +20,7 @@ def tiny_config(**kw):
 
 
 def tiny_segment():
-    return SegmentMap(n=10, prefix={0, 1, 2}, schema={3, 4, 5, 6}, query={7, 8, 9},
+    return SegmentMap(n=10, schema_start=3, query_start=7,
                       markers={4, 6}, table_elements={}, marker_columns=[],
                       gt_schema={3}, noisy_schema={5})
 
@@ -101,7 +101,7 @@ class TestForward:
         changed = list(ids)
         changed[8] = 15
         pert = forward(params, changed, mask)
-        for i in sorted(seg.prefix | seg.schema | {7}):
+        for i in sorted(set(seg.prefix) | set(seg.schema) | {7}):
             assert np.array_equal(base.hidden.data[i], pert.hidden.data[i]), i
         # marker rows (4, 6) are invisible to non-marker rows
         changed2 = list(ids)
@@ -130,8 +130,8 @@ class TestForward:
         # the mask is unchanged: rows 3 and 5 have identical visibility rows,
         # and columns 3/5 are identically visible to every row... except query
         # rows, where gt/noisy membership is positional; swap those too
-        seg2 = SegmentMap(n=10, prefix={0, 1, 2}, schema={3, 4, 5, 6},
-                          query={7, 8, 9}, markers={4, 6}, table_elements={},
+        seg2 = SegmentMap(n=10, schema_start=3, query_start=7,
+                          markers={4, 6}, table_elements={},
                           marker_columns=[], gt_schema={5}, noisy_schema={3})
         pert = forward(params, ids2, build_joint_mask(seg2))
         np.testing.assert_allclose(pert.marker_probs.data[[4, 6]],

@@ -6,7 +6,8 @@ import pytest
 
 from joltsql import model, pipeline
 from joltsql.corpus import CorpusConfig, generate_corpus
-from joltsql.errors import DegenerateExample, EmptyPrediction, MissingCacheEntry
+from joltsql.errors import (DegenerateExample, EmptyPrediction, MalformedInput,
+                            MissingCacheEntry)
 from joltsql.masks import build_joint_mask
 from joltsql.model import ModelConfig, ModelParams, forward, greedy_generate
 from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
@@ -76,7 +77,9 @@ class TestBuildExample:
     def test_query_ends_with_eos(self, example):
         last = max(example.seg.query)
         assert example.tokens.ids[last] == EOS
-        assert example.seg.validate_partition()
+        seg = example.seg
+        assert [*seg.prefix, *seg.schema, *seg.query] == list(range(seg.n))
+        assert seg.markers <= set(seg.schema)
 
     def test_degenerate_rejected(self, concert_schema, vocab):
         with pytest.raises(DegenerateExample):
@@ -122,7 +125,7 @@ class TestAssembleSegments:
         one rule, checked against the table layout on random column sets."""
         ex = request.getfixturevalue(which)
         columns = [(t, c) for t, c, _ in ex.seg.marker_columns]
-        n_ps = len(ex.seg.prefix | ex.seg.schema)
+        n_ps = ex.seg.query_start
         query_row = min(ex.seg.query)
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -304,7 +307,7 @@ class TestLinkAndPrune:
     def test_prune_positions_are_original_and_sorted(self, example):
         attend = prune_prompt(example, {("singer", "name")})
         assert attend.dtype == bool
-        assert len(attend) == len(example.seg.prefix | example.seg.schema)
+        assert len(attend) == example.seg.query_start
         ids = flagged_ids(example, attend)
         positions = np.flatnonzero(attend).tolist()
         assert positions == sorted(positions)
@@ -323,7 +326,7 @@ class TestLinkAndPrune:
 
     def test_full_schema_prompt_has_all_tables(self, example, vocab):
         attend = full_schema_prompt(example)
-        assert len(attend) == len(example.seg.prefix | example.seg.schema)
+        assert len(attend) == example.seg.query_start
         text = decode(flagged_ids(example, attend), vocab)
         for table in ("singer", "concert", "stadium", "singer_in_concert"):
             assert f"CREATE TABLE {table}" in text
@@ -349,7 +352,7 @@ class TestInfer:
                                                            vocab, which):
         ex = request.getfixturevalue(which)
         shell = prepare_inference_example(ex.question, concert_schema, vocab)
-        n_ps = len(ex.seg.prefix | ex.seg.schema)
+        n_ps = ex.seg.query_start
         assert shell.tokens.ids == ex.tokens.ids[:n_ps]
         assert shell.seg.n == n_ps
         for region in ("prefix", "schema", "markers", "marker_columns", "table_elements"):
@@ -358,7 +361,7 @@ class TestInfer:
 
     def test_inference_shell_has_empty_query(self, concert_schema, vocab):
         shell = prepare_inference_example("what is the name ?", concert_schema, vocab)
-        assert shell.seg.query == set()
+        assert not shell.seg.query
         assert shell.link == set()
         params = ModelParams(tiny_model(vocab), seed=0)
         result = infer(params, shell, vocab, max_new=4)
@@ -369,10 +372,9 @@ def joint_layout(example, columns, n_query):
     """The example's prefix+schema followed by n_query query rows, with the
     given columns and their tables' structure as the attended schema: the
     set assemble_segments builds from gold links."""
-    n_ps = len(example.seg.prefix | example.seg.schema)
+    n_ps = example.seg.query_start
     seg = copy.copy(example.seg)
     seg.n = n_ps + n_query
-    seg.query = set(range(n_ps, n_ps + n_query))
     seg.gt_schema = example.seg.schema_tokens(columns)
     seg.noisy_schema = set()
     return seg
@@ -381,7 +383,7 @@ def joint_layout(example, columns, n_query):
 def uncached_joint_decode(params, example, columns, max_new, stop_id=EOS, logits=None):
     """Reference decoder: a full forward under build_joint_mask at every step.
     Appends each step's last-row logits to `logits` when given."""
-    n_ps = len(example.seg.prefix | example.seg.schema)
+    n_ps = example.seg.query_start
     ids = list(example.tokens.ids[:n_ps])
     for _ in range(max_new):
         if len(ids) >= params.config.max_len:
@@ -426,7 +428,7 @@ class TestDecodeUnderTrainingMask:
     @pytest.mark.parametrize("case", ["predicted", "fallback"])
     def test_decode_rows_match_joint_mask(self, example, vocab, monkeypatch, case):
         params = seeded_model(vocab, seed=3)
-        n_ps = len(example.seg.prefix | example.seg.schema)
+        n_ps = example.seg.query_start
         threshold = split_threshold(params, example) if case == "predicted" else 0.999
         calls = []
 
@@ -496,7 +498,7 @@ class TestDecodeUnderTrainingMask:
         """Decodes of different predicted sets from one encoding leave its
         K/V bytes as they were, and each matches a decode from a fresh
         encoding token for token, with byte-equal decode-row logits."""
-        n_ps = len(example.seg.prefix | example.seg.schema)
+        n_ps = example.seg.query_start
         prompt = example.tokens.ids[:n_ps]
         sets = [{("singer", "name"), ("singer", "age")}, {("stadium", "city")}]
         rows = []
@@ -524,7 +526,7 @@ class TestDecodeUnderTrainingMask:
             assert len(fresh[0][1]) == 11 and fresh[0][1] != fresh[1][1]
 
     def test_first_token_and_limits_match_uncached(self, example, vocab, decoders):
-        n_ps = len(example.seg.prefix | example.seg.schema)
+        n_ps = example.seg.query_start
         prompt = example.tokens.ids[:n_ps]
         columns = {("singer", "name"), ("stadium", "city")}
 
@@ -611,3 +613,27 @@ class TestSerialization:
         half = load_corpus(str(path), vocab, {"db-0": concert_schema}, fraction=0.5)
         assert len(full) == 2 and len(half) == 1
         assert half[0].example_id == "ex-0"
+
+    @pytest.mark.parametrize("change,named", [
+        ({"db_id": "nope"}, "no schema for db_id 'nope'"),
+        ({"db_id": None}, "missing key 'db_id'"),
+        ({"question": None}, "missing key 'question'"),
+        ({"gold_sql": None}, "missing key 'gold_sql'"),
+        ({"example_id": None}, "missing key 'example_id'"),
+    ], ids=["unknown-db", "no-db-id", "no-question", "no-gold-sql", "no-example-id"])
+    def test_load_corpus_names_a_bad_record(self, example, vocab, concert_schema, tmp_path,
+                                            change, named):
+        good = dict(example_to_json(example), db_id="db-0")
+        bad = {k: v for k, v in dict(good, **change).items() if v is not None}
+        path = tmp_path / "c.jsonl"
+        path.write_text(f"{json.dumps(good)}\n\n{json.dumps(bad)}\n")
+        with pytest.raises(MalformedInput) as e:
+            load_corpus(str(path), vocab, {"db-0": concert_schema})
+        assert str(e.value) == f"{path}, record 2: {named}"
+
+    def test_load_corpus_rejects_a_record_that_is_not_an_object(self, vocab, concert_schema,
+                                                                tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(MalformedInput, match="record 1: expected an object"):
+            load_corpus(str(path), vocab, {"db-0": concert_schema})

@@ -74,7 +74,8 @@ class TestEncode:
         text, spans = serialize_schema(concert_schema)
         vocab = make_vocab(concert_schema)
         _, seg = encode(PREFIX, text, spans, QUERY, vocab)
-        assert seg.validate_partition()
+        assert [*seg.prefix, *seg.schema, *seg.query] == list(range(seg.n))
+        assert seg.markers <= set(seg.schema)
 
     def test_marker_positions_single_tokens(self, concert_schema):
         text, spans = serialize_schema(concert_schema)
