@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
-from .masks import additive_bias
+from .errors import EmptyRow, ShapeMismatch
 
 __all__ = [
     "Tensor", "tensor", "matmul", "add", "mul", "scale", "transpose",
-    "concat", "slice_cols", "gather_rows", "relu", "sigmoid",
+    "concat", "slice_cols", "gather_rows", "relu", "sigmoid", "additive_bias",
     "masked_softmax", "attention", "layer_norm", "bce_loss", "cross_entropy_rows",
     "sum_all", "add_scalars", "backward", "AdamW", "clip_grad_norm",
 ]
@@ -213,9 +212,20 @@ def _softmax_in_place(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def additive_bias(visible: np.ndarray, dtype) -> np.ndarray:
+    """0 where `visible`, -inf elsewhere, in `dtype`; exp(-inf) makes a
+    hidden entry's attention weight exactly 0. Raises EmptyRow when a row
+    has no visible entry, whose softmax would be 0/0."""
+    if not visible.any(axis=1).all():
+        raise EmptyRow("attention mask has a row with no visible entries")
+    bias = np.zeros(visible.shape, dtype=dtype)
+    bias[~visible] = -np.inf
+    return bias
+
+
 def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
     """Row-stochastic over visible entries; invisible entries exactly 0.
-    A row with nothing visible raises EmptyRow (`masks.additive_bias`)."""
+    A row with nothing visible raises EmptyRow (`additive_bias`)."""
     if scores.shape != visible.shape:
         raise ShapeMismatch(f"scores {scores.shape} vs mask {visible.shape}")
     out_data = _softmax_in_place(scores.data + additive_bias(visible, scores.data.dtype))

@@ -151,8 +151,8 @@ def cmd_mask_viz(args) -> int:
         if not 0 <= args.index < len(examples):
             raise JoltError(f"--index {args.index} is outside the {len(examples)} examples")
         ex = examples[args.index]
-        seg = pipeline.assemble_segments(ex, set())
-        mask = build_joint_mask(seg)
+        seg = ex.seg
+        mask = build_joint_mask(seg, pipeline.assemble_segments(ex, set()))
     print(render_ascii(mask, seg))
     if args.out:
         with open(args.out + ".ppm", "wb") as f:

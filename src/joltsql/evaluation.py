@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DbUnavailable
+from .errors import DbUnavailable, LengthMismatch
 from .metrics import (ExReport, execution_accuracy, pr_auc, precision_recall,
                       roc_auc)
 from .model import ModelParams
@@ -71,7 +71,11 @@ def _connect_readonly(path: str) -> sqlite3.Connection:
 def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
          db_paths: dict[str, str], thresholds: list[float], max_new: int) -> _Pass:
     """The loop evaluate and threshold_sweep share. Examples run one at a
-    time, so only one prompt encoding's K/V is alive at once."""
+    time, so only one prompt encoding's K/V is alive at once. Raises
+    LengthMismatch before any work when there are no examples, which
+    neither average could score."""
+    if not examples:
+        raise LengthMismatch("empty inputs")
     out = _Pass([], [], [ExReport() for _ in thresholds], [[] for _ in thresholds])
     connections: dict[str, sqlite3.Connection] = {}
     try:

@@ -2,14 +2,16 @@
 
 The joint mask, built in blocks from a layout's two cut points, gives schema
 tokens local bidirectional attention, hides markers from all non-marker
-tokens, and restricts query rows to the causal query prefix and `query_view`
-(prefix, gold and noisy schema), the prompt view decode rows take too.
+tokens, and restricts query rows to the causal query prefix and
+`query_view(seg, attended)`: the prefix and the `attended` schema tokens.
+A training step passes the gold and noisy columns' tokens, the prompt
+encoding none; decode rows take the same view of the predicted columns.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyRow
+from .autodiff import additive_bias
 from .tokenizer import SegmentMap
 
 
@@ -46,17 +48,6 @@ class AttentionMask:
         return out
 
 
-def additive_bias(visible: np.ndarray, dtype) -> np.ndarray:
-    """0 where `visible`, -inf elsewhere, in `dtype`; exp(-inf) makes a
-    hidden entry's attention weight exactly 0. Raises EmptyRow when a row
-    has no visible entry, whose softmax would be 0/0."""
-    if not visible.any(axis=1).all():
-        raise EmptyRow("attention mask has a row with no visible entries")
-    bias = np.zeros(visible.shape, dtype=dtype)
-    bias[~visible] = -np.inf
-    return bias
-
-
 def build_causal_mask(n: int) -> AttentionMask:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -74,7 +65,9 @@ def query_view(seg: SegmentMap, attended: set[int]) -> np.ndarray:
     return view
 
 
-def build_joint_mask(seg: SegmentMap) -> AttentionMask:
+def build_joint_mask(seg: SegmentMap, attended: set[int]) -> AttentionMask:
+    """The joint mask over `seg`, query rows seeing the `attended` schema
+    tokens."""
     n, s, q = seg.n, seg.schema_start, seg.query_start
     markers = list(seg.markers)
     visible = np.zeros((n, n), dtype=bool)
@@ -82,7 +75,7 @@ def build_joint_mask(seg: SegmentMap) -> AttentionMask:
     visible[s:q, :q] = True  # schema rows see the prompt...
     visible[s:q, markers] = False  # ...without markers
     visible[markers, :q] = True  # marker rows see all of it
-    visible[q:, :q] = query_view(seg, seg.gt_schema | seg.noisy_schema)
+    visible[q:, :q] = query_view(seg, attended)
     visible[q:, q:] = np.tri(n - q, dtype=bool)  # the query is causal
     return AttentionMask(visible)
 

@@ -2,8 +2,9 @@
 
 Training follows the joint recipe: in epoch 1 the linking pass fills the
 weight cache with linking probabilities; every step draws a noisy column
-subset, assembles the segment map, builds the joint mask, and optimizes
-the summed linking + next-token loss.
+subset, builds the joint mask over the example's fixed layout with the gold
+and noisy columns' schema tokens as its query rows' view, and optimizes the
+summed linking + next-token loss.
 
 Inference decodes under that same joint mask. One forward over the full
 prefix+schema (positions 0..n-1) gives the linking scores, the first SQL
@@ -19,7 +20,6 @@ that predicts the first token, a layout training never showed the model.
 """
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field, replace
 
@@ -33,7 +33,7 @@ from .model import (ForwardOutput, ModelConfig, ModelParams, forward,
                     greedy_generate, joint_loss, no_grad, ntp_loss,
                     schema_linking_loss)
 from .sampling import WeightCache, draw_noise_count, example_rng, sample_noisy
-from .schema import SchemaDocument, SpanIndex, label_vector, serialize_schema
+from .schema import SchemaDocument, SpanIndex, serialize_schema
 from .sqlscope import extract_ground_truth
 from .tokenizer import EOS, SegmentMap, TokenSequence, Vocab, decode, encode
 
@@ -89,12 +89,14 @@ class TrainingExample:
 def _build_example(question: str, schema_doc: SchemaDocument, gold_sql: str,
                    links: set[tuple[str, str]], vocab: Vocab, example_id: str,
                    db_id: str) -> TrainingExample:
-    """The one example constructor: prefix, marked schema, `gold_sql`; `links` label it."""
+    """The one example constructor: prefix, marked schema, `gold_sql`;
+    `links` label it, one entry per marker in the order the loss reads."""
     schema_text, spans = serialize_schema(schema_doc)
     tokens, seg = encode(PREFIX_TEMPLATE.format(question=question), schema_text,
                          spans, gold_sql, vocab)
+    label = [int((t, c) in links) for t, c, _ in seg.marker_columns]
     return TrainingExample(example_id, db_id, question, gold_sql, links,
-                           label_vector(links, schema_doc), tokens, seg, schema_doc)
+                           label, tokens, seg, schema_doc)
 
 
 def build_training_example(question: str, schema_doc: SchemaDocument, gold_sql: str,
@@ -110,17 +112,13 @@ def build_training_example(question: str, schema_doc: SchemaDocument, gold_sql: 
 
 
 def assemble_segments(example: TrainingExample,
-                      noisy_columns: set[tuple[str, str]]) -> SegmentMap:
-    """Fresh SegmentMap with GT and noisy token sets for one step.
-
-    Both come from `SegmentMap.schema_tokens`, so a noisy column whose table
-    has no GT column drags in that table's header/pk/fk/footer tokens and
-    the attended text stays well-formed DDL.
-    """
-    seg = copy.copy(example.seg)
-    seg.gt_schema = seg.schema_tokens(example.link)
-    seg.noisy_schema = seg.schema_tokens(noisy_columns) - seg.gt_schema
-    return seg
+                      noisy_columns: set[tuple[str, str]]) -> set[int]:
+    """The schema tokens one step's query rows attend to: those of the gold
+    and the noisy columns, by `SegmentMap.schema_tokens`, so a noisy column
+    whose table has no gold column drags in that table's header/pk/fk/footer
+    tokens and the attended text stays well-formed DDL. The example's
+    layout is only read."""
+    return example.seg.schema_tokens(example.link | noisy_columns)
 
 
 def capture_sampling_weights(params: ModelParams, example: TrainingExample) -> list[float]:
@@ -138,12 +136,25 @@ class TrainResult:
     log: list[dict] = field(default_factory=list)
 
 
+def _check_cache(examples: list[TrainingExample], cache: WeightCache):
+    """Raises MalformedInput naming the first example whose cached entry,
+    resumed from a file, does not hold one weight per non-gold column."""
+    for ex in examples:
+        if ex.example_id in cache:
+            have, want = len(cache.lookup(ex.example_id)), len(ex.non_gt_columns())
+            if have != want:
+                raise MalformedInput(f"weight cache entry {ex.example_id!r} holds "
+                                     f"{have} weights for {want} non-gold columns")
+
+
 def train(examples: list[TrainingExample], model_config: ModelConfig,
           config: TrainConfig, log_fn=None, cache: WeightCache | None = None) -> TrainResult:
     params = ModelParams(model_config, seed=config.seed)
     opt = ad.AdamW(params.all_params(), lr=config.learning_rate,
                    weight_decay=config.weight_decay)
     cache = cache if cache is not None else WeightCache()
+    if config.noise_mode == "confusion":
+        _check_cache(examples, cache)
     log: list[dict] = []
     step = 0
     last_step = config.epochs * len(examples) - 1
@@ -166,8 +177,7 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
                            else [1.0] * len(pool))
                 noisy_cols = sample_noisy(pool, weights, k, rng)
 
-            seg = assemble_segments(ex, noisy_cols)
-            mask = build_joint_mask(seg)
+            mask = build_joint_mask(ex.seg, assemble_segments(ex, noisy_cols))
             out = forward(params, ex.tokens.ids, mask)
             l_sl = schema_linking_loss(out.marker_probs, ex.label,
                                        ex.marker_positions)
@@ -212,7 +222,7 @@ def encode_prompt(params: ModelParams, example: TrainingExample) -> ForwardOutpu
     per-layer K/V are exactly those of the training layout."""
     seg = replace(example.seg, n=example.seg.query_start)
     with no_grad(params):
-        return forward(params, example.tokens.ids[:seg.n], build_joint_mask(seg))
+        return forward(params, example.tokens.ids[:seg.n], build_joint_mask(seg, set()))
 
 
 def marker_scores(example: TrainingExample,

@@ -8,6 +8,7 @@ predicted relevance probabilities captured once in epoch 1.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -60,6 +61,11 @@ def sample_noisy(pool: list, weights: list[float], k: int,
     return chosen
 
 
+def _is_weight(x) -> bool:
+    """A finite, non-negative JSON number; NaN fails both comparisons."""
+    return type(x) in (int, float) and 0 <= x <= sys.float_info.max
+
+
 class WeightCache:
     """Per-example sampling weights (predicted probabilities at non-GT
     markers), written once during epoch 1 and read-only afterwards."""
@@ -89,12 +95,13 @@ class WeightCache:
     @staticmethod
     def load(path: str) -> "WeightCache":
         """Raises MalformedInput unless the file holds an object of example
-        id -> list of numbers."""
+        id -> list of finite, non-negative numbers."""
         store = read_json(path)
         if not (isinstance(store, dict) and all(
-                isinstance(v, list) and all(type(x) in (int, float) for x in v)
+                isinstance(v, list) and all(_is_weight(x) for x in v)
                 for v in store.values())):
-            raise MalformedInput(f"{path}: expected an object of example id -> list of numbers")
+            raise MalformedInput(f"{path}: expected an object of example id -> "
+                                 "list of finite, non-negative numbers")
         cache = WeightCache()
         cache._store = {k: [float(x) for x in v] for k, v in store.items()}
         return cache

@@ -10,7 +10,7 @@ from __future__ import annotations
 import sqlite3
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .errors import DbError, InvalidSchema, InvalidSpans, UnknownColumn
+from .errors import DbError, InvalidSchema, InvalidSpans
 from .jsonfile import read_json
 
 MARKER_TEXT = "<|marker|>"
@@ -63,14 +63,6 @@ class SchemaDocument:
     def has_column(self, table: str, column: str) -> bool:
         t = self.table(table)
         return t is not None and column.lower() in t.column_names()
-
-    def all_columns(self) -> list[tuple[str, str]]:
-        """(table, column) pairs in serialization order, lowercase."""
-        out = []
-        for t in self.tables:
-            for c in t.columns:
-                out.append((t.name.lower(), c.name.lower()))
-        return out
 
     @staticmethod
     def from_json(obj: dict) -> "SchemaDocument":
@@ -267,14 +259,3 @@ def _quote_value(v) -> str:
     if isinstance(v, str):
         return "'" + v.replace("'", "''") + "'"
     return str(v)
-
-
-def label_vector(links: set[tuple[str, str]], doc: SchemaDocument) -> list[int]:
-    """Binary labels, one per column in serialization order."""
-    all_cols = doc.all_columns()
-    known = set(all_cols)
-    for pair in links:
-        if (pair[0].lower(), pair[1].lower()) not in known:
-            raise UnknownColumn(f"{pair[0]}.{pair[1]} not in schema")
-    normalized = {(t.lower(), c.lower()) for t, c in links}
-    return [1 if col in normalized else 0 for col in all_cols]

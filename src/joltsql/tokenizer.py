@@ -86,8 +86,11 @@ class TokenSequence:
 
 @dataclass
 class SegmentMap:
-    """Token layout over positions 0..n-1, cut at `schema_start` and
-    `query_start` into the contiguous ranges `prefix`, `schema` and `query`."""
+    """An example's token layout over positions 0..n-1, cut at
+    `schema_start` and `query_start` into the contiguous ranges `prefix`,
+    `schema` and `query`. Fixed when the example is built and only read
+    afterwards: the schema tokens a query row attends to are an argument of
+    the mask, not part of the layout."""
 
     n: int
     schema_start: int
@@ -98,8 +101,6 @@ class SegmentMap:
     table_elements: dict[str, TableSpans]
     # column marker token position in serialization order: (table, column, pos)
     marker_columns: list[tuple[str, str, int]]
-    gt_schema: set[int] = field(default_factory=set)
-    noisy_schema: set[int] = field(default_factory=set)
 
     def __post_init__(self):
         if not 0 <= self.schema_start <= self.query_start <= self.n:

@@ -66,15 +66,14 @@ def random_segment(rng, n_max=64):
     noisy = set(int(i) for i in rng.choice(
         rest, size=int(rng.integers(0, len(rest) + 1)),
         replace=False)) if rest else set()
-    return SegmentMap(n=n, schema_start=cut1, query_start=cut2,
-                      markers=markers, table_elements={}, marker_columns=[],
-                      gt_schema=gt, noisy_schema=noisy)
+    seg = SegmentMap(n=n, schema_start=cut1, query_start=cut2,
+                     markers=markers, table_elements={}, marker_columns=[])
+    return seg, gt | noisy
 
 
-def oracle_visible(seg):
+def oracle_visible(seg, attended):
     n = seg.n
     out = np.zeros((n, n), dtype=bool)
-    attended = seg.gt_schema | seg.noisy_schema
     for i in range(n):
         if i in seg.prefix:
             allowed = {j for j in seg.prefix if j <= i}
@@ -97,8 +96,9 @@ def test_criterion_01_mask_oracle_equivalence():
     t0 = time.time()
     mismatches = 0
     for _ in range(100):
-        seg = random_segment(rng)
-        if not np.array_equal(build_joint_mask(seg).visible, oracle_visible(seg)):
+        seg, attended = random_segment(rng)
+        if not np.array_equal(build_joint_mask(seg, attended).visible,
+                              oracle_visible(seg, attended)):
             mismatches += 1
     elapsed = time.time() - t0
     ok = mismatches == 0 and elapsed < 5.0
@@ -111,8 +111,8 @@ def test_criterion_02_marker_rule_suite():
     rng = np.random.default_rng(1002)
     failures = 0
     for _ in range(1000):
-        seg = random_segment(rng, n_max=24)
-        vis = build_joint_mask(seg).visible
+        seg, attended = random_segment(rng, n_max=24)
+        vis = build_joint_mask(seg, attended).visible
         non_marker = set(range(seg.n)) - seg.markers
         sch = sorted(set(seg.schema) - seg.markers)
         ok = (
@@ -213,10 +213,9 @@ def test_criterion_03_gradient_checks():
                       dtype="float64")
     params = ModelParams(cfg, seed=3)
     seg = SegmentMap(n=9, schema_start=2, query_start=6,
-                     markers={3, 5}, table_elements={}, marker_columns=[],
-                     gt_schema={2}, noisy_schema={4})
+                     markers={3, 5}, table_elements={}, marker_columns=[])
     ids = [1, 5, 6, 3, 7, 3, 8, 9, 2]
-    mask = build_joint_mask(seg)
+    mask = build_joint_mask(seg, {2, 4})
 
     def joint_value():
         out = forward(params, ids, mask)
@@ -245,10 +244,9 @@ def test_criterion_04_loss_masking_bit_exact():
     cfg = ModelConfig(vocab_size=16, dim=8, heads=2, layers=2, max_len=32)
     params = ModelParams(cfg, seed=3)
     seg = SegmentMap(n=10, schema_start=3, query_start=7,
-                     markers={4, 6}, table_elements={}, marker_columns=[],
-                     gt_schema={3}, noisy_schema={5})
+                     markers={4, 6}, table_elements={}, marker_columns=[])
     ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 2]
-    out = forward(params, ids, build_joint_mask(seg))
+    out = forward(params, ids, build_joint_mask(seg, {3, 5}))
     qpos = sorted(seg.query)
     ntp_base = ntp_loss(out.lm_logits, ids, qpos).data
     pert = ad.tensor(out.lm_logits.data.copy())

@@ -1,9 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import joltsql
 from joltsql import autodiff as ad
 from joltsql.errors import EmptyRow, ShapeMismatch
 from joltsql.masks import AttentionMask, additive_bias
@@ -186,10 +191,9 @@ class TestGradientChecks:
                           max_len=16, dtype="float64")
         params = ModelParams(cfg, seed=3)
         seg = SegmentMap(n=9, schema_start=2, query_start=6,
-                         markers={3, 5}, table_elements={}, marker_columns=[],
-                         gt_schema={2}, noisy_schema={4})
+                         markers={3, 5}, table_elements={}, marker_columns=[])
         ids = [1, 5, 6, 3, 7, 3, 8, 9, 2]
-        mask = build_joint_mask(seg)
+        mask = build_joint_mask(seg, {2, 4})
         labels = [1, 0]
         markers = [3, 5]
 
@@ -658,3 +662,14 @@ class TestKernelsMatchSlowReferences:
                 same_bytes(a.data, b.data)
         for m_fast, m_slow in zip(opts[0].m + opts[0].v, opts[1].m + opts[1].v):
             same_bytes(m_fast, m_slow)
+
+
+def test_autodiff_imports_no_other_joltsql_module_but_errors():
+    """The tape stands alone: importing it loads no tokenizer, schema or
+    mask code."""
+    src = os.path.dirname(os.path.dirname(joltsql.__file__))
+    script = ("import json, sys, joltsql.autodiff; "
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('joltsql'))))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert json.loads(done.stdout) == ["joltsql", "joltsql.autodiff", "joltsql.errors"]

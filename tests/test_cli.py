@@ -195,8 +195,11 @@ class TestInputFiles:
         ("weight cache", "ckpt/weights.cache.json", [1, 2]),
         ("weight cache", "ckpt/weights.cache.json", {"ex-0": 0.5}),
         ("weight cache", "ckpt/weights.cache.json", {"ex-0": [0.5, "x"]}),
+        ("weight cache", "ckpt/weights.cache.json", {"ex-0": [-1.0, 0.5]}),
+        ("weight cache", "ckpt/weights.cache.json", {"ex-0": [float("nan"), 0.5]}),
     ], ids=["vocab-list", "train-vocab-list", "train-vocab-string-id", "train-vocab-bool-id",
-            "weight-cache-list", "weight-cache-number", "weight-cache-string-weight"])
+            "weight-cache-list", "weight-cache-number", "weight-cache-string-weight",
+            "weight-cache-negative-weight", "weight-cache-nan-weight"])
     def test_file_of_the_wrong_shape_is_named(self, capsys, tmp_path, workspace, kind, name,
                                               content):
         path = tmp_path / name
@@ -318,7 +321,8 @@ class TestExtractAndSerialize:
         assert code == 0
         tokens, seg = encode(parts["prefix"], parts["schema"],
                              serialize_schema(concert_schema)[1], parts["query"], vocab)
-        assert seg.query and len(seg.markers) == len(concert_schema.all_columns())
+        assert seg.query
+        assert len(seg.markers) == sum(len(t.columns) for t in concert_schema.tables)
         assert json.loads(out) == {
             "ids": tokens.ids, "n": seg.n, "prefix": sorted(seg.prefix),
             "schema": sorted(seg.schema), "query": sorted(seg.query),
@@ -452,6 +456,22 @@ class TestTrainArtifacts:
         assert run(capsys, *argv, "--resume")[0] == 0
         for name, data in first.items():
             assert (out_dir / name).read_bytes() == data, name
+
+    def test_resumed_cache_entry_one_weight_short_is_named(self, capsys, workspace,
+                                                           tmp_path):
+        out_dir = tmp_path / "ckpt"
+        argv = ("train", "--corpus", str(workspace["corpus"] / "train.jsonl"),
+                "--config", str(workspace["config"]), "--out", str(out_dir))
+        assert run(capsys, *argv)[0] == 0
+        cache_path = out_dir / "weights.cache.json"
+        store = json.loads(cache_path.read_text())
+        example_id = sorted(store)[0]
+        store[example_id] = store[example_id][:-1]
+        cache_path.write_text(json.dumps(store))
+        code, out, err = run(capsys, *argv, "--resume")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: weight cache entry {example_id!r} holds ")
+        assert "train_step" not in (out_dir / "train_log.jsonl").read_text()  # no step ran
 
     def test_bad_corpus_key_in_gen_corpus(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -8,7 +8,7 @@ import pytest
 
 from joltsql import evaluation, model, pipeline
 from joltsql.corpus import CorpusConfig, generate_corpus
-from joltsql.errors import DbUnavailable
+from joltsql.errors import DbUnavailable, LengthMismatch
 from joltsql.evaluation import SWEEP_THRESHOLDS, evaluate, threshold_sweep
 from joltsql.metrics import (ExReport, execution_accuracy, pr_auc,
                              precision_recall, roc_auc)
@@ -185,3 +185,16 @@ def test_missing_database_is_not_created(desk, tmp_path):
         evaluate(params, examples[:1], vocab, {examples[0].db_id: str(missing)},
                  max_new=MAX_NEW)
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("run", ["sweep", "micro", "macro"])
+def test_no_examples_raise_before_any_work(desk, monkeypatch, run):
+    """Neither average can score an empty list, so every run rejects it
+    alike, before any encoding runs."""
+    params, _, vocab, generated = desk
+    monkeypatch.setattr(evaluation, "encode_prompt", None)  # any call fails
+    with pytest.raises(LengthMismatch, match="empty inputs"):
+        if run == "sweep":
+            threshold_sweep(params, [], vocab, generated.db_paths, max_new=MAX_NEW)
+        else:
+            evaluate(params, [], vocab, generated.db_paths, max_new=MAX_NEW, average=run)

@@ -13,9 +13,11 @@ from joltsql.sampling import draw_noise_count, example_rng, sample_noisy
 from joltsql.tokenizer import SegmentMap, Vocab
 
 
-def random_segment(rng: np.random.Generator, n_max: int = 64) -> SegmentMap:
-    """Random contiguous prefix/schema/query split with random markers and
-    random GT/noisy subsets of the schema region."""
+def random_segment(rng: np.random.Generator,
+                   n_max: int = 64) -> tuple[SegmentMap, set[int]]:
+    """Random contiguous prefix/schema/query split with random markers, and
+    the attended schema tokens: random GT and noisy subsets of the schema
+    region."""
     n = int(rng.integers(3, n_max + 1))
     cut1 = int(rng.integers(1, n - 1))
     cut2 = int(rng.integers(cut1 + 1, n))
@@ -26,12 +28,12 @@ def random_segment(rng: np.random.Generator, n_max: int = 64) -> SegmentMap:
     gt = set(int(i) for i in rng.choice(non_marker, size=int(rng.integers(0, len(non_marker) + 1)), replace=False)) if non_marker else set()
     rest = sorted(set(non_marker) - gt)
     noisy = set(int(i) for i in rng.choice(rest, size=int(rng.integers(0, len(rest) + 1)), replace=False)) if rest else set()
-    return SegmentMap(n=n, schema_start=cut1, query_start=cut2,
-                      markers=markers, table_elements={}, marker_columns=[],
-                      gt_schema=gt, noisy_schema=noisy)
+    seg = SegmentMap(n=n, schema_start=cut1, query_start=cut2,
+                     markers=markers, table_elements={}, marker_columns=[])
+    return seg, gt | noisy
 
 
-def oracle_visible(seg: SegmentMap) -> np.ndarray:
+def oracle_visible(seg: SegmentMap, attended: set[int]) -> np.ndarray:
     """Row-by-row set expressions, written independently of the vectorized
     builder: prefix rows are causal over the prefix; non-marker schema rows
     see (prefix ∪ schema) minus markers; marker rows see prefix ∪ schema;
@@ -39,7 +41,6 @@ def oracle_visible(seg: SegmentMap) -> np.ndarray:
     prefix, all minus markers. Every row sees itself."""
     n = seg.n
     out = np.zeros((n, n), dtype=bool)
-    attended = seg.gt_schema | seg.noisy_schema
     for i in range(n):
         if i in seg.prefix:
             allowed = {j for j in seg.prefix if j <= i}
@@ -55,7 +56,7 @@ def oracle_visible(seg: SegmentMap) -> np.ndarray:
     return out
 
 
-def prechange_joint_mask(seg: SegmentMap) -> np.ndarray:
+def prechange_joint_mask(seg: SegmentMap, attended: set[int]) -> np.ndarray:
     """The joint mask as it was built from one boolean vector per region
     before the block builder: the slow reference the block builder must
     equal byte for byte."""
@@ -68,7 +69,7 @@ def prechange_joint_mask(seg: SegmentMap) -> np.ndarray:
 
     prefix, schema, query = region(seg.prefix), region(seg.schema), region(seg.query)
     marker = region(seg.markers)
-    attended = region(seg.gt_schema | seg.noisy_schema)
+    attended = region(attended)
     context = prefix | schema
     tri = np.tri(n, dtype=bool)  # tri[i, j]: j <= i
 
@@ -81,8 +82,16 @@ def prechange_joint_mask(seg: SegmentMap) -> np.ndarray:
     return visible
 
 
-def assert_equals_prechange(seg: SegmentMap):
-    got, want = build_joint_mask(seg).visible, prechange_joint_mask(seg)
+def prechange_attended(ex, noisy_columns) -> tuple[set[int], set[int]]:
+    """The attended schema tokens as a training step split them when the
+    layout carried them: the gold columns' tokens, and the noisy columns'
+    tokens outside those. The reference `assemble_segments` must equal."""
+    gold = ex.seg.schema_tokens(ex.link)
+    return gold, ex.seg.schema_tokens(noisy_columns) - gold
+
+
+def assert_equals_prechange(seg: SegmentMap, attended: set[int]):
+    got, want = build_joint_mask(seg, attended).visible, prechange_joint_mask(seg, attended)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -98,9 +107,9 @@ class TestJointMaskOracle:
     def test_matches_oracle_on_100_random_segmentations(self):
         rng = np.random.default_rng(12345)
         for _ in range(100):
-            seg = random_segment(rng)
-            got = build_joint_mask(seg).visible
-            want = oracle_visible(seg)
+            seg, attended = random_segment(rng)
+            got = build_joint_mask(seg, attended).visible
+            want = oracle_visible(seg, attended)
             assert np.array_equal(got, want)
 
     def test_matches_oracle_on_prompt_only_segmentations(self):
@@ -108,12 +117,13 @@ class TestJointMaskOracle:
         builds them."""
         rng = np.random.default_rng(2024)
         for _ in range(100):
-            seg = random_segment(rng)
-            seg = replace(seg, n=min(seg.query), gt_schema=set(), noisy_schema=set())
-            assert np.array_equal(build_joint_mask(seg).visible, oracle_visible(seg))
+            seg, _ = random_segment(rng)
+            seg = replace(seg, n=min(seg.query))
+            assert np.array_equal(build_joint_mask(seg, set()).visible,
+                                  oracle_visible(seg, set()))
 
     def test_matches_oracle_on_desk_training_segments(self, desk_examples):
-        """`assemble_segments` maps of desk-corpus examples, with noisy
+        """Desk-corpus layouts with `assemble_segments` attended sets, noisy
         columns sampled as a training step samples them."""
         examples, _ = desk_examples
         with_noise = 0
@@ -123,9 +133,11 @@ class TestJointMaskOracle:
                 pool = ex.non_gt_columns()
                 k = draw_noise_count(len(ex.seg.marker_columns), 0.2, rng)
                 drawn = sample_noisy(list(range(len(pool))), [1.0] * len(pool), k, rng)
-                seg = pipeline.assemble_segments(ex, {pool[i] for i in drawn})
-                assert np.array_equal(build_joint_mask(seg).visible, oracle_visible(seg))
-                with_noise += bool(seg.noisy_schema)
+                noisy = {pool[i] for i in drawn}
+                attended = pipeline.assemble_segments(ex, noisy)
+                assert np.array_equal(build_joint_mask(ex.seg, attended).visible,
+                                      oracle_visible(ex.seg, attended))
+                with_noise += bool(prechange_attended(ex, noisy)[1])
         assert with_noise > 20
 
     def test_matches_oracle_on_desk_prompt_encodings(self, desk_examples, monkeypatch):
@@ -134,17 +146,18 @@ class TestJointMaskOracle:
                              seed=0)
         built = []
 
-        def spy(seg):
-            built.append(seg)
-            return build_joint_mask(seg)
+        def spy(seg, attended):
+            built.append((seg, attended))
+            return build_joint_mask(seg, attended)
 
         monkeypatch.setattr(pipeline, "build_joint_mask", spy)
         for ex in examples[:10]:
             pipeline.encode_prompt(params, ex)
         assert len(built) == 10
-        for seg in built:
+        for seg, attended in built:
             assert not seg.query
-            assert np.array_equal(build_joint_mask(seg).visible, oracle_visible(seg))
+            assert np.array_equal(build_joint_mask(seg, attended).visible,
+                                  oracle_visible(seg, attended))
 
 
 class TestBlockBuilderEqualsPrechange:
@@ -153,14 +166,16 @@ class TestBlockBuilderEqualsPrechange:
         1,900 more, each also cut to its prompt-only layout."""
         rng = np.random.default_rng(1001)
         for _ in range(2000):
-            seg = random_segment(rng)
-            assert_equals_prechange(seg)
-            assert_equals_prechange(replace(seg, n=seg.query_start))
+            seg, attended = random_segment(rng)
+            assert_equals_prechange(seg, attended)
+            assert_equals_prechange(replace(seg, n=seg.query_start), set())
 
     @pytest.mark.parametrize("corpus_seed", [3, 7])
     def test_on_every_desk_example(self, tmp_path, corpus_seed):
-        """Every train and dev example: an `assemble_segments` map with
-        sampled noise, and the prompt-only layout `encode_prompt` builds."""
+        """Every train and dev example: the `assemble_segments` attended set
+        with sampled noise, which must equal the gold-plus-noisy split
+        steps used to store on the layout, and the prompt-only layout
+        `encode_prompt` builds."""
         generated = generate_corpus(CorpusConfig(seed=corpus_seed), str(tmp_path))
         vocab = Vocab.load(generated.vocab_path)
         with_noise = 0
@@ -170,10 +185,13 @@ class TestBlockBuilderEqualsPrechange:
                 pool = ex.non_gt_columns()
                 k = draw_noise_count(len(ex.seg.marker_columns), 0.2, rng)
                 drawn = sample_noisy(list(range(len(pool))), [1.0] * len(pool), k, rng)
-                seg = pipeline.assemble_segments(ex, {pool[i] for i in drawn})
-                assert_equals_prechange(seg)
-                assert_equals_prechange(replace(ex.seg, n=ex.seg.query_start))
-                with_noise += bool(seg.noisy_schema)
+                noisy = {pool[i] for i in drawn}
+                gold, noisy_only = prechange_attended(ex, noisy)
+                attended = pipeline.assemble_segments(ex, noisy)
+                assert attended == gold | noisy_only
+                assert_equals_prechange(ex.seg, attended)
+                assert_equals_prechange(replace(ex.seg, n=ex.seg.query_start), set())
+                with_noise += bool(noisy_only)
         assert with_noise > 100
 
 
@@ -181,8 +199,8 @@ class TestMarkerRules:
     def test_invariants_on_1000_random_cases(self):
         rng = np.random.default_rng(999)
         for _ in range(1000):
-            seg = random_segment(rng, n_max=32)
-            vis = build_joint_mask(seg).visible
+            seg, attended = random_segment(rng, n_max=32)
+            vis = build_joint_mask(seg, attended).visible
             for m in seg.markers:
                 # markers are invisible to every other row
                 for i in range(seg.n):
@@ -207,15 +225,14 @@ class TestMarkerRules:
     def test_self_visibility(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            seg = random_segment(rng, n_max=24)
-            vis = build_joint_mask(seg).visible
+            seg, attended = random_segment(rng, n_max=24)
+            vis = build_joint_mask(seg, attended).visible
             assert vis.diagonal().all()
 
     def test_query_sees_only_attended_schema(self):
         seg = SegmentMap(n=8, schema_start=2, query_start=6,
-                         markers={3, 5}, table_elements={}, marker_columns=[],
-                         gt_schema={2}, noisy_schema=set())
-        vis = build_joint_mask(seg).visible
+                         markers={3, 5}, table_elements={}, marker_columns=[])
+        vis = build_joint_mask(seg, {2}).visible
         assert vis[6, 2] and not vis[6, 4]
         assert not vis[6, 3] and not vis[6, 5]
         assert vis[6, 0] and vis[6, 1]
@@ -251,9 +268,8 @@ class TestCausalMask:
 class TestRenderers:
     def _tiny(self):
         seg = SegmentMap(n=4, schema_start=1, query_start=3,
-                         markers={2}, table_elements={}, marker_columns=[],
-                         gt_schema={1})
-        return seg, build_joint_mask(seg)
+                         markers={2}, table_elements={}, marker_columns=[])
+        return seg, build_joint_mask(seg, {1})
 
     def test_ascii_shape_and_ruler(self):
         seg, mask = self._tiny()

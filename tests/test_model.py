@@ -19,10 +19,12 @@ def tiny_config(**kw):
     return ModelConfig(**defaults)
 
 
+TINY_ATTENDED = {3, 5}  # tiny_segment's gold {3} and noisy {5} schema tokens
+
+
 def tiny_segment():
     return SegmentMap(n=10, schema_start=3, query_start=7,
-                      markers={4, 6}, table_elements={}, marker_columns=[],
-                      gt_schema={3}, noisy_schema={5})
+                      markers={4, 6}, table_elements={}, marker_columns=[])
 
 
 def kv_buffers(kv, rows):
@@ -94,7 +96,7 @@ class TestForward:
         """Changing a token invisible to position i leaves H[i] bit-identical."""
         params = ModelParams(tiny_config(), seed=1)
         seg = tiny_segment()
-        mask = build_joint_mask(seg)
+        mask = build_joint_mask(seg, TINY_ATTENDED)
         ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
         base = forward(params, ids, mask)
         # query token 8 is invisible to every prefix/schema row and to query row 7
@@ -119,7 +121,7 @@ class TestForward:
         rows)."""
         params = ModelParams(tiny_config(), seed=2)
         seg = tiny_segment()
-        mask = build_joint_mask(seg)
+        mask = build_joint_mask(seg, TINY_ATTENDED)
         ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
         base = forward(params, ids, mask)
         # swap schema positions 3 and 5 (both non-marker): the ids, and the
@@ -132,8 +134,8 @@ class TestForward:
         # rows, where gt/noisy membership is positional; swap those too
         seg2 = SegmentMap(n=10, schema_start=3, query_start=7,
                           markers={4, 6}, table_elements={},
-                          marker_columns=[], gt_schema={5}, noisy_schema={3})
-        pert = forward(params, ids2, build_joint_mask(seg2))
+                          marker_columns=[])
+        pert = forward(params, ids2, build_joint_mask(seg2, {5} | {3}))
         np.testing.assert_allclose(pert.marker_probs.data[[4, 6]],
                                    base.marker_probs.data[[4, 6]],
                                    rtol=0, atol=1e-6)
@@ -142,7 +144,7 @@ class TestForward:
 def training_loss(params):
     seg = tiny_segment()
     ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-    out = forward(params, ids, build_joint_mask(seg))
+    out = forward(params, ids, build_joint_mask(seg, TINY_ATTENDED))
     l_sl = schema_linking_loss(out.marker_probs, [1, 0], [4, 6])
     l_ntp = ntp_loss(out.lm_logits, ids, sorted(seg.query))
     return joint_loss(l_sl, l_ntp)
@@ -183,7 +185,7 @@ class TestAttentionOp:
         give the logits of the per-head composition."""
         params = ModelParams(tiny_config(dtype=dtype, heads=4), seed=2)
         ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-        visible = build_joint_mask(tiny_segment()).visible
+        visible = build_joint_mask(tiny_segment(), TINY_ATTENDED).visible
         n_prompt = 7  # prefix and schema; rows 7..9 are query rows
 
         def logits():
@@ -210,7 +212,7 @@ class TestLosses:
         self.params = ModelParams(tiny_config(), seed=3)
         self.seg = tiny_segment()
         self.ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 2]
-        self.mask = build_joint_mask(self.seg)
+        self.mask = build_joint_mask(self.seg, TINY_ATTENDED)
 
     def test_ntp_masking_bit_exact(self):
         out = forward(self.params, self.ids, self.mask)

@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,16 +64,35 @@ def tiny_model(vocab):
     return ModelConfig(vocab_size=len(vocab), dim=16, heads=2, layers=1, max_len=256)
 
 
+def schema_walk_label(links, doc):
+    """The label as a second walk of the schema built it: one entry per
+    column, table by table in document order, lowercase. The reference the
+    labels read off the marker columns must equal."""
+    walk = [(t.name.lower(), c.name.lower()) for t in doc.tables for c in t.columns]
+    normalized = {(t.lower(), c.lower()) for t, c in links}
+    return [1 if col in normalized else 0 for col in walk]
+
+
 class TestBuildExample:
     def test_links_and_labels(self, example, concert_schema):
         assert example.link == {("singer", "name"), ("singer", "age")}
         assert sum(example.label) == 2
-        assert len(example.label) == len(concert_schema.all_columns())
+        assert len(example.label) == sum(len(t.columns) for t in concert_schema.tables)
 
     @pytest.mark.parametrize("which", ["example", "join_example"])
     def test_label_follows_marker_order(self, request, which):
         ex = request.getfixturevalue(which)
         assert ex.label == [int((t, c) in ex.link) for t, c, _ in ex.seg.marker_columns]
+
+    @pytest.mark.parametrize("corpus_seed", [3, 7])
+    def test_label_equals_schema_walk_on_desk_corpora(self, tmp_path, corpus_seed):
+        """Labels read off the markers equal the walk of the schema's tables
+        and columns they were once built from, on every desk example."""
+        generated = generate_corpus(CorpusConfig(seed=corpus_seed), str(tmp_path))
+        vocab = Vocab.load(generated.vocab_path)
+        for path in (generated.train_path, generated.dev_path):
+            for ex in load_corpus(path, vocab, generated.schemas):
+                assert ex.label == schema_walk_label(ex.link, ex.schema_doc)
 
     def test_query_ends_with_eos(self, example):
         last = max(example.seg.query)
@@ -92,32 +112,38 @@ class TestBuildExample:
         assert decode([example.tokens.ids[i] for i in qpos], vocab) == GOLD
 
 
+def beyond_gold(example, attended: set[int]) -> set[int]:
+    """The attended schema tokens the gold columns do not bring in."""
+    return attended - example.seg.schema_tokens(example.link)
+
+
 class TestAssembleSegments:
     def test_gt_includes_table_envelope(self, example):
-        seg = assemble_segments(example, set())
-        assert example.seg.table_envelope("singer") <= seg.gt_schema
+        attended = assemble_segments(example, set())
+        assert example.seg.table_envelope("singer") <= attended
         a, b = example.seg.column_token_range("singer", "name")
-        assert set(range(a, b)) <= seg.gt_schema
-        assert seg.noisy_schema == set()
+        assert set(range(a, b)) <= attended
+        assert beyond_gold(example, attended) == set()
 
     def test_noisy_column_brings_foreign_table_structure(self, example):
-        seg = assemble_segments(example, {("stadium", "capacity")})
+        noisy = beyond_gold(example, assemble_segments(example, {("stadium", "capacity")}))
         a, b = example.seg.column_token_range("stadium", "capacity")
-        assert set(range(a, b)) <= seg.noisy_schema
-        assert example.seg.table_envelope("stadium") <= seg.noisy_schema
+        assert set(range(a, b)) <= noisy
+        assert example.seg.table_envelope("stadium") <= noisy
 
     def test_noisy_same_table_no_extra_envelope(self, example):
-        seg = assemble_segments(example, {("singer", "country")})
+        noisy = beyond_gold(example, assemble_segments(example, {("singer", "country")}))
         a, b = example.seg.column_token_range("singer", "country")
         expected = set(range(a, b))
-        assert seg.noisy_schema == expected
+        assert noisy == expected
 
     def test_fresh_per_step(self, example):
-        s1 = assemble_segments(example, {("stadium", "city")})
-        s2 = assemble_segments(example, set())
-        assert s2.noisy_schema == set()
-        assert s1.noisy_schema != s2.noisy_schema
-        assert example.seg.gt_schema == set()  # original untouched
+        before = copy.deepcopy(example.seg)
+        s1 = beyond_gold(example, assemble_segments(example, {("stadium", "city")}))
+        s2 = beyond_gold(example, assemble_segments(example, set()))
+        assert s2 == set()
+        assert s1 != s2
+        assert example.seg == before  # the layout is only read
 
     @pytest.mark.parametrize("which", ["example", "join_example"])
     def test_one_column_token_rule(self, request, which):
@@ -141,9 +167,9 @@ class TestAssembleSegments:
                     for a, b in ts.envelope_spans() + kept:
                         expected.update(range(a, b))
             assert ex.seg.schema_tokens(union) == expected
-            seg = assemble_segments(ex, noisy)
-            assert seg.gt_schema | seg.noisy_schema == expected
-            visible = build_joint_mask(seg).visible[query_row, :n_ps]
+            attended = assemble_segments(ex, noisy)
+            assert attended == expected
+            visible = build_joint_mask(ex.seg, attended).visible[query_row, :n_ps]
             assert same_vector(prune_prompt(ex, union), visible)
 
 
@@ -240,9 +266,9 @@ class TestTrainLoop:
 def full_sequence_capture(params, example):
     """The capture as it was: a no-gradient forward of the whole sequence
     under the joint mask with an empty noisy set, read at non-GT markers."""
-    seg = assemble_segments(example, set())
+    attended = assemble_segments(example, set())
     with model.no_grad(params):
-        out = forward(params, example.tokens.ids, build_joint_mask(seg))
+        out = forward(params, example.tokens.ids, build_joint_mask(example.seg, attended))
     probs = out.marker_probs.data[:, 0]
     return [float(probs[pos]) for t, c, pos in example.seg.marker_columns
             if (t, c) not in example.link]
@@ -276,6 +302,20 @@ class TestCaptureWeights:
             want = full_sequence_capture(params, ex)
             assert len(got) == len(want) == len(ex.non_gt_columns())
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_cache_entry_of_the_wrong_length_rejected_before_any_step(
+            self, example, join_example, vocab, extra):
+        from joltsql.sampling import WeightCache
+        cache = WeightCache()
+        cache.record(join_example.example_id, [0.5] * (len(join_example.non_gt_columns())
+                                                       + extra))
+        steps = []
+        with pytest.raises(MalformedInput, match=repr(join_example.example_id)):
+            train([example, join_example], tiny_model(vocab),
+                  TrainConfig(epochs=1, grad_accum=1), cache=cache,
+                  log_fn=lambda stage, entry: steps.append(entry))
+        assert steps == []
 
     def test_missing_cache_lookup_raises(self, example, vocab):
         from joltsql.sampling import WeightCache
@@ -368,16 +408,12 @@ class TestInfer:
         assert isinstance(result.sql, str)
 
 
-def joint_layout(example, columns, n_query):
-    """The example's prefix+schema followed by n_query query rows, with the
-    given columns and their tables' structure as the attended schema: the
-    set assemble_segments builds from gold links."""
-    n_ps = example.seg.query_start
-    seg = copy.copy(example.seg)
-    seg.n = n_ps + n_query
-    seg.gt_schema = example.seg.schema_tokens(columns)
-    seg.noisy_schema = set()
-    return seg
+def joint_decode_mask(example, columns, n_query):
+    """The joint mask over the example's prefix+schema followed by n_query
+    query rows, with the given columns and their tables' structure as the
+    attended schema: the set assemble_segments builds from gold links."""
+    seg = replace(example.seg, n=example.seg.query_start + n_query)
+    return build_joint_mask(seg, example.seg.schema_tokens(columns))
 
 
 def uncached_joint_decode(params, example, columns, max_new, stop_id=EOS, logits=None):
@@ -388,8 +424,8 @@ def uncached_joint_decode(params, example, columns, max_new, stop_id=EOS, logits
     for _ in range(max_new):
         if len(ids) >= params.config.max_len:
             break
-        seg = joint_layout(example, columns, len(ids) - n_ps)
-        row = forward(params, ids, build_joint_mask(seg)).lm_logits.data[-1]
+        mask = joint_decode_mask(example, columns, len(ids) - n_ps)
+        row = forward(params, ids, mask).lm_logits.data[-1]
         if logits is not None:
             logits.append(row)
         nxt = int(np.argmax(row))
@@ -455,7 +491,7 @@ class TestDecodeUnderTrainingMask:
         rows = calls[1:]
         assert len(rows) == 5
         assert all(n == 1 and cached for n, _, cached in rows)
-        mask = build_joint_mask(joint_layout(example, columns, len(rows))).visible
+        mask = joint_decode_mask(example, columns, len(rows)).visible
         assert np.array_equal(calls[0][1], mask[:n_ps, :n_ps])
         for j, (_, visible, _) in enumerate(rows):
             i = n_ps + j

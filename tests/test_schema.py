@@ -6,9 +6,10 @@ import pytest
 
 from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import InvalidSchema, UnknownColumn
+from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example,
+                              prepare_inference_example)
 from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, SpanIndex, Table,
-                            label_vector, sample_value_examples,
-                            serialize_schema)
+                            sample_value_examples, serialize_schema)
 from joltsql.tokenizer import build_vocab, encode
 
 
@@ -148,26 +149,51 @@ class TestValueSampling:
         assert sample_value_examples(memory_db, "t", "v") == ["'it''s'"]
 
 
+def labelled(schema, gold_sql):
+    """A training example over `schema` labelled by `gold_sql`'s links."""
+    text, _ = serialize_schema(schema)
+    vocab = build_vocab([PREFIX_TEMPLATE.format(question="q"), text, gold_sql])
+    return build_training_example("q", schema, gold_sql, vocab, "ex")
+
+
+def marker_order(example):
+    return [(t, c) for t, c, _ in example.seg.marker_columns]
+
+
 class TestLabelVector:
+    """`TrainingExample.label`: one entry per column marker, read off the
+    markers in the order the linking loss pairs them with."""
+
     def test_empty_links(self, concert_schema):
         n = sum(len(t.columns) for t in concert_schema.tables)
-        assert label_vector(set(), concert_schema) == [0] * n
+        text, _ = serialize_schema(concert_schema)
+        shell = prepare_inference_example("q", concert_schema, build_vocab([text]))
+        assert shell.label == [0] * n
 
     def test_all_links(self, concert_schema):
-        links = set(concert_schema.all_columns())
-        n = len(links)
-        assert label_vector(links, concert_schema) == [1] * n
+        columns = [(t.name, c.name) for t in concert_schema.tables for c in t.columns]
+        example = labelled(concert_schema, "SELECT " + " , ".join(
+            f"{t} . {c}" for t, c in columns) + " FROM singer JOIN concert JOIN stadium "
+            "JOIN singer_in_concert")
+        n = len(example.link)
+        assert n == len(columns)
+        assert example.label == [1] * n
 
     def test_one_hot(self, concert_schema):
-        vec = label_vector({("singer", "name")}, concert_schema)
+        example = labelled(concert_schema, "SELECT name FROM singer")
+        vec = example.label
         assert sum(vec) == 1
-        assert vec[concert_schema.all_columns().index(("singer", "name"))] == 1
+        assert vec[marker_order(example).index(("singer", "name"))] == 1
 
     def test_unknown_link_rejected(self, concert_schema):
         with pytest.raises(UnknownColumn):
-            label_vector({("singer", "bogus")}, concert_schema)
+            labelled(concert_schema, "SELECT bogus FROM singer")
 
     def test_order_matches_serialization(self, concert_schema):
         _, spans = serialize_schema(concert_schema)
         ser_order = [(t, c) for t, c, _ in spans.marker_positions()]
-        assert ser_order == concert_schema.all_columns()
+        example = labelled(concert_schema, "SELECT name FROM singer")
+        assert ser_order == marker_order(example) == [
+            (t.name.lower(), c.name.lower()) for t in concert_schema.tables
+            for c in t.columns]
+        assert example.label == [int(col in example.link) for col in ser_order]
