@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import platform
+import sqlite3
 import sys
 import time
 
@@ -173,10 +174,12 @@ def cmd_gen_corpus(args) -> int:
 
 def platform_record() -> dict:
     """What the byte-for-byte promise depends on: outputs repeat only on
-    the same Python, numpy and BLAS build."""
+    the same Python, numpy, BLAS and SQLite build (SQLite resolves the gold
+    links and executes the queries)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": blas.get("name"), "blas_version": blas.get("version")}
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "sqlite": sqlite3.sqlite_version}
 
 
 def cmd_train(args) -> int:

@@ -6,11 +6,7 @@ class JoltError(Exception):
 
 
 class SqlSyntaxError(JoltError):
-    """Malformed or unsupported SQL. Carries the byte offset of the failure."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
+    """SQL that does not compile as one read-only SELECT, with SQLite's message."""
 
 
 class UnknownTable(JoltError):

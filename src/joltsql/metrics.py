@@ -3,8 +3,10 @@
 ROC-AUC is the Mann-Whitney pairwise win rate (ties count 0.5); PR-AUC is
 average precision with step interpolation and deterministic tie order by
 index. Execution accuracy compares result multisets (or ordered lists when
-the gold query has a top-level ORDER BY) with position-wise value equality
-and relative numeric tolerance 1e-6.
+the gold query has a top-level ORDER BY) with position-wise value equality.
+Numbers are equal when they print alike rounded to 6 significant digits
+(`%.6g`): 1 equals 1.0 and 123456.6 equals 123457.4, but 0.99999949 (which
+rounds to 0.999999) differs from 1.0. This is not a relative tolerance.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 
 from .errors import DbUnavailable, DegenerateLabels, LengthMismatch
 
-NUMERIC_REL_TOL = 1e-6
 # sqlite VM steps one statement may take before it is interrupted: a few
 # seconds of work, far above any desk gold query (under 900 steps). A step
 # budget starts no thread and stops a runaway query at the same point on

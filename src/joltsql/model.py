@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import EmptyQuery, NoMarkers, ShapeMismatch
+from .errors import EmptyQuery, MalformedInput, NoMarkers, ShapeMismatch
 from .masks import AttentionMask
 
 
@@ -26,8 +26,11 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.heads < 1:
-            raise ValueError("heads must be at least 1")
+        for name in ("dim", "layers", "heads", "ffn_mult", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError("dtype must be float32 or float64")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
 
@@ -104,9 +107,13 @@ class ModelParams:
     @staticmethod
     def load(path: str) -> "ModelParams":
         """Read a checkpoint written by `save`. Every array must be present
-        with the shape its stored config gives it."""
+        with the shape its stored config gives it. Raises MalformedInput
+        naming the file when the stored config is not one ModelConfig takes."""
         with np.load(path, allow_pickle=False) as z:
-            config = ModelConfig(**json.loads(str(z["__config__"])))
+            try:
+                config = ModelConfig(**json.loads(str(z["__config__"])))
+            except (KeyError, TypeError, ValueError) as e:
+                raise MalformedInput(f"{path}: stored config: {e}") from None
             params = ModelParams(config)
             for k, v in params.named_params().items():
                 if k not in z:

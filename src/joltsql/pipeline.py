@@ -59,6 +59,10 @@ class TrainConfig:
             raise ValueError("grad_accum must be at least 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if not self.max_grad_norm > 0:
+            raise ValueError("max_grad_norm must be positive")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be non-negative")
         if not 0 < self.beta < 1:
             raise ValueError("beta must be in (0, 1)")
         if self.noise_mode not in ("confusion", "random", "none"):

@@ -197,7 +197,7 @@ def encode(
         n=len(ids),
         schema_start=base,
         query_start=stop,
-        markers={base + i for i, (tok, _, _) in enumerate(schema_words) if tok == MARKER_TEXT},
+        markers={pos for _, _, pos in marker_columns},
         table_elements=table_elements,
         marker_columns=marker_columns,
     )

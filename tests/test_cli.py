@@ -2,6 +2,7 @@ import json
 import os
 import platform
 import shutil
+import sqlite3
 
 import numpy as np
 import pytest
@@ -121,6 +122,26 @@ class TestInputFiles:
                            "--out", str(tmp_path / "eval"))
         assert code == 1
         assert err.startswith("error:") and "params.npz" in err
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_checkpoint_config_modelconfig_rejects(self, capsys, tmp_path, workspace, command):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace["ckpt"], ckpt)
+        with np.load(ckpt / "params.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["__config__"] = json.dumps({**json.loads(str(arrays["__config__"])),
+                                           "heads": 3, "dim": 8})
+        np.savez(ckpt / "params.npz", **arrays)
+        schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
+        args = {"infer": ["--question", "show the name of each row",
+                          "--schema", str(schema_file)],
+                "eval": ["--dev", str(workspace["corpus"] / "dev.jsonl"),
+                         "--dbs", str(workspace["corpus"] / "dbs"),
+                         "--out", str(tmp_path / "eval")]}[command]
+        code, _, err = run(capsys, command, "--ckpt", str(ckpt), *args)
+        assert code == 1
+        assert err.startswith("error:") and "params.npz" in err and "heads" in err
+        assert "Traceback" not in err
 
     def test_missing_schema_in_extract_gt(self, capsys, tmp_path):
         sql = tmp_path / "q.sql"
@@ -393,9 +414,10 @@ class TestTrainArtifacts:
     def test_snapshot_records_platform(self, workspace):
         snap = json.loads((workspace["ckpt"] / "config.snapshot.json").read_text())
         record = snap["platform"]
-        assert record.keys() == {"python", "numpy", "blas", "blas_version"}
+        assert record.keys() == {"python", "numpy", "blas", "blas_version", "sqlite"}
         assert record["python"] == platform.python_version()
         assert record["numpy"] == np.__version__
+        assert record["sqlite"] == sqlite3.sqlite_version
         assert all(isinstance(v, str) and v for v in record.values())
 
     def test_removed_link_threshold_key_rejected(self, capsys, workspace, tmp_path):
@@ -417,6 +439,15 @@ class TestTrainArtifacts:
         ("train", {"grad_accum": 0}, "grad_accum"),
         ("train", {"learning_rate": 0}, "learning_rate"),
         ("model", {"heads": 0}, "heads"),
+        ("model", {"dim": -4}, "dim"),
+        ("model", {"dim": 0}, "dim"),
+        ("model", {"dtype": "float16"}, "dtype"),
+        ("model", {"ffn_mult": 0}, "ffn_mult"),
+        ("model", {"layers": -1}, "layers"),
+        ("model", {"max_len": 0}, "max_len"),
+        ("train", {"max_grad_norm": -1}, "max_grad_norm"),
+        ("train", {"max_grad_norm": 0}, "max_grad_norm"),
+        ("train", {"weight_decay": -1}, "weight_decay"),
     ])
     def test_bad_section_rejected_before_corpus_loads(self, capsys, corpus_never_loads,
                                                       workspace, tmp_path,

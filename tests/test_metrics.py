@@ -194,6 +194,14 @@ class TestExecutionAccuracy:
         assert execution_accuracy("SELECT 1.0000000001", "SELECT 1.0",
                                   two_row_db) == "match"
 
+    @pytest.mark.parametrize("pred,gold,verdict", [
+        ("SELECT 0.99999949", "SELECT 1.0", "mismatch"),
+        ("SELECT 123456.6", "SELECT 123457.4", "match"),
+    ])
+    def test_numbers_compared_at_six_significant_digits(self, two_row_db, pred, gold,
+                                                        verdict):
+        assert execution_accuracy(pred, gold, two_row_db) == verdict
+
     def test_no_db_rejected(self):
         with pytest.raises(DbUnavailable):
             execution_accuracy("SELECT 1", "SELECT 1", None)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from joltsql import autodiff as ad
 from joltsql import masks
-from joltsql.errors import EmptyQuery, EmptyRow, NoMarkers, ShapeMismatch
+from joltsql.errors import EmptyQuery, EmptyRow, MalformedInput, NoMarkers, ShapeMismatch
 from joltsql.masks import AttentionMask, build_causal_mask, build_joint_mask
 from joltsql.model import (ModelConfig, ModelParams, forward, greedy_generate,
                            joint_loss, ntp_loss, no_grad, schema_linking_loss)
@@ -317,6 +318,22 @@ class TestCheckpoint:
             del arrays["layer1.wq"]
         np.savez(str(p), **arrays)
         with pytest.raises(ShapeMismatch, match="layer1.wq"):
+            ModelParams.load(str(p))
+
+    @pytest.mark.parametrize("stored", [
+        {"heads": 3},           # dim 8 is not divisible by 3
+        {"width": 16},          # unknown key
+        {"vocab_size": None},   # missing key
+    ])
+    def test_load_rejects_config_modelconfig_rejects(self, tmp_path, stored):
+        p = tmp_path / "params.npz"
+        ModelParams(tiny_config(), seed=9).save(str(p))
+        with np.load(str(p)) as z:
+            arrays = {k: z[k] for k in z.files}
+        config = {**json.loads(str(arrays["__config__"])), **stored}
+        arrays["__config__"] = json.dumps({k: v for k, v in config.items() if v is not None})
+        np.savez(str(p), **arrays)
+        with pytest.raises(MalformedInput, match="params.npz"):
             ModelParams.load(str(p))
 
 

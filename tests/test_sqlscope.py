@@ -1,10 +1,13 @@
+import gc
 import sqlite3
 
 import pytest
 
-from joltsql.errors import AmbiguousColumn, SqlSyntaxError, UnknownColumn, UnknownTable
-from joltsql.sqlscope import (ColumnRef, Select, SetOp, TableRef, extract_ground_truth,
-                              parse_sql)
+from joltsql import sqlscope
+from joltsql.errors import (AmbiguousColumn, InvalidSchema, SqlSyntaxError, UnknownColumn,
+                            UnknownTable)
+from joltsql.schema import Column, SchemaDocument, Table
+from joltsql.sqlscope import extract_ground_truth
 
 # 25+ hand-labeled queries against the concert_singer-style fixture schema.
 HAND_LABELED = [
@@ -132,69 +135,57 @@ def test_hand_labeled_links(concert_schema, sql, expected):
 
 
 class TestParse:
-    def test_minimal_statement(self):
-        ast = parse_sql("SELECT name FROM singer")
-        assert isinstance(ast, Select)
-        assert len(ast.items) == 1
-        ref = ast.items[0].expr
-        assert isinstance(ref, ColumnRef) and ref.qualifier is None
-        assert ast.from_tables == [TableRef("singer", None, 17)]
+    def test_malformed_offset_zero(self, concert_schema):
+        with pytest.raises(SqlSyntaxError, match='near "SELEC"'):
+            extract_ground_truth("SELEC x FRM t", concert_schema)
 
-    def test_alias_binding(self):
-        ast = parse_sql("SELECT T1.name FROM singer AS T1")
-        assert ast.from_tables[0].alias == "T1"
-        ref = ast.items[0].expr
-        assert ref.qualifier == "T1" and ref.column == "name"
-
-    def test_malformed_offset_zero(self):
-        with pytest.raises(SqlSyntaxError) as e:
-            parse_sql("SELEC x FRM t")
-        assert e.value.offset == 0
-
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, concert_schema):
         with pytest.raises(SqlSyntaxError):
-            parse_sql("   ")
+            extract_ground_truth("   ", concert_schema)
 
-    def test_cte_rejected(self):
-        with pytest.raises(SqlSyntaxError, match="WITH"):
-            parse_sql("WITH x AS (SELECT 1) SELECT * FROM x")
+    def test_cte_links(self, concert_schema):
+        assert extract_ground_truth("WITH x AS (SELECT name FROM singer) SELECT name FROM x",
+                                    concert_schema) == {("singer", "name")}
 
-    def test_window_rejected(self):
-        with pytest.raises(SqlSyntaxError, match="window"):
-            parse_sql("SELECT rank() OVER (ORDER BY age) FROM singer")
+    def test_window_links(self, concert_schema):
+        assert extract_ground_truth("SELECT rank() OVER (ORDER BY age) FROM singer",
+                                    concert_schema) == {("singer", "age")}
 
-    def test_derived_table_rejected(self):
-        with pytest.raises(SqlSyntaxError, match="derived"):
-            parse_sql("SELECT a FROM (SELECT a FROM t)")
+    def test_derived_table_links(self, concert_schema):
+        assert extract_ground_truth("SELECT a FROM (SELECT name AS a, age FROM singer)",
+                                    concert_schema) == as_pairs({"singer.name", "singer.age"})
 
-    def test_trailing_garbage(self):
+    def test_trailing_garbage(self, concert_schema):
         with pytest.raises(SqlSyntaxError):
-            parse_sql("SELECT a FROM t xyz zzz")
+            extract_ground_truth("SELECT name FROM singer xyz zzz", concert_schema)
 
-    def test_compound_order_by_binds_to_compound(self):
-        ast = parse_sql("SELECT age FROM singer UNION SELECT capacity FROM stadium "
-                        "ORDER BY age LIMIT 3")
-        assert isinstance(ast, SetOp)
-        assert [o.expr.column for o in ast.order_by] == ["age"]
-        assert ast.limit is not None
-        assert ast.right.order_by is None and ast.right.limit is None
+    def test_compound_order_by_binds_to_compound(self, concert_schema):
+        # bound to the right SELECT alone, `age` would name no stadium column
+        sql = ("SELECT age FROM singer UNION SELECT capacity FROM stadium "
+               "ORDER BY age LIMIT 3")
+        assert extract_ground_truth(sql, concert_schema) == \
+            as_pairs({"singer.age", "stadium.capacity"})
 
     @pytest.mark.parametrize("clause", ["ORDER BY age", "LIMIT 1"])
-    def test_order_by_before_union_rejected(self, clause):
+    def test_order_by_before_union_rejected(self, concert_schema, clause):
         sql = f"SELECT age FROM singer {clause} UNION SELECT capacity FROM stadium"
-        with pytest.raises(SqlSyntaxError) as e:
-            parse_sql(sql)
-        assert e.value.offset == sql.index("UNION")
+        with pytest.raises(SqlSyntaxError, match="should come after UNION"):
+            extract_ground_truth(sql, concert_schema)
 
-    def test_subquery_order_by_before_union_rejected(self):
+    def test_subquery_order_by_before_union_rejected(self, concert_schema):
         sql = ("SELECT name FROM singer WHERE id IN "
                "(SELECT id FROM singer ORDER BY id UNION SELECT id FROM stadium)")
-        with pytest.raises(SqlSyntaxError) as e:
-            parse_sql(sql)
-        assert e.value.offset == sql.index("UNION")
+        with pytest.raises(SqlSyntaxError, match="should come after UNION"):
+            extract_ground_truth(sql, concert_schema)
 
-    def test_trailing_semicolon_ok(self):
-        parse_sql("SELECT name FROM singer;")
+    @pytest.mark.parametrize("sql", ["  -- gold\nSELECT name FROM singer",
+                                     "/* gold */ select name FROM singer"])
+    def test_leading_comment_ok(self, concert_schema, sql):
+        assert extract_ground_truth(sql, concert_schema) == {("singer", "name")}
+
+    def test_trailing_semicolon_ok(self, concert_schema):
+        assert extract_ground_truth("SELECT name FROM singer;", concert_schema) == \
+            {("singer", "name")}
 
     def test_deterministic(self, concert_schema):
         sql = "SELECT name FROM singer WHERE age > 30"
@@ -225,7 +216,7 @@ class TestResolve:
             extract_ground_truth("SELECT bogus FROM singer", concert_schema)
 
     def test_unknown_qualifier(self, concert_schema):
-        with pytest.raises(UnknownTable):
+        with pytest.raises(UnknownColumn, match="T9.name"):
             extract_ground_truth("SELECT T9.name FROM singer AS T1", concert_schema)
 
     def test_correlated_subquery_outer_scope(self, concert_schema):
@@ -318,10 +309,67 @@ class TestResolve:
             extract_ground_truth(sql.format("'a'"), concert_schema)
 
     def test_duplicate_alias_rejected(self, concert_schema):
-        with pytest.raises(SqlSyntaxError):
+        with pytest.raises(AmbiguousColumn):
             extract_ground_truth(
                 "SELECT T1.name FROM singer AS T1 JOIN stadium AS T1 ON 1 = 1",
                 concert_schema)
+
+    @pytest.mark.parametrize("sql,expected", [
+        ("SELECT CASE WHEN age > 30 THEN name ELSE country END FROM singer",
+         {"singer.age", "singer.name", "singer.country"}),
+        ("SELECT name, age AS a FROM singer ORDER BY a", {"singer.name", "singer.age"}),
+    ])
+    def test_forms_sqlite_resolves(self, concert_schema, sql, expected):
+        assert extract_ground_truth(sql, concert_schema) == as_pairs(expected)
+
+    def test_sqlite_master_is_not_a_schema_table(self, concert_schema):
+        with pytest.raises(UnknownTable, match="sqlite_master"):
+            extract_ground_truth("SELECT name FROM sqlite_master", concert_schema)
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("sql", [
+        "DELETE FROM singer",
+        "DROP TABLE singer",
+        "INSERT INTO singer (name) VALUES ('x')",
+        "UPDATE singer SET age = 1",
+        "CREATE TABLE t (a)",
+        "PRAGMA user_version = 1",
+        "BEGIN",
+        "SELECT name FROM singer; DROP TABLE singer",
+        "ATTACH '{tmp}/attached.db' AS other",
+        "VACUUM INTO '{tmp}/vacuumed.db'",
+        "VACUUM INTO (SELECT '{tmp}/vacuumed.db' FROM singer)",
+        "REINDEX",
+    ])
+    def test_non_select_refused_without_running(self, concert_schema, tmp_path, sql):
+        with pytest.raises(SqlSyntaxError):
+            extract_ground_truth(sql.format(tmp=tmp_path), concert_schema)
+        assert list(tmp_path.iterdir()) == []
+        assert extract_ground_truth("SELECT name FROM singer", concert_schema) == \
+            {("singer", "name")}
+
+    @pytest.mark.parametrize("table", [Table("empty", ()),
+                                       Table("sqlite_stat", (Column("a", "TEXT"),))])
+    def test_schema_sqlite_cannot_create_rejected(self, table):
+        schema = SchemaDocument((Table("ok", (Column("a", "TEXT"),)), table))
+        with pytest.raises(InvalidSchema, match=table.name):
+            extract_ground_truth("SELECT a FROM ok", schema)
+
+    def test_quotes_in_names_doubled(self):
+        schema = SchemaDocument((Table('odd"name', (Column('c"1', "TEXT"),)),))
+        assert extract_ground_truth('SELECT "c""1" FROM "odd""name"', schema) == \
+            {('odd"name', 'c"1')}
+
+    def test_connection_closed_with_its_schema(self):
+        schema = SchemaDocument((Table("t", (Column("a", "TEXT"),)),))
+        assert extract_ground_truth("SELECT a FROM t", schema) == {("t", "a")}
+        conn, _ = sqlscope._compilers[schema]
+        del schema
+        gc.collect()
+        assert all(c is not conn for c, _ in sqlscope._compilers.values())
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")
 
 
 class TestProperties:

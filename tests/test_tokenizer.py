@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import SpanMisaligned
-from joltsql.schema import MARKER_TEXT, serialize_schema
+from joltsql.schema import MARKER_TEXT, Column, SchemaDocument, Table, serialize_schema
 from joltsql.tokenizer import (BOS, EOS, MARKER, PAD, UNK, Vocab,
                                _span_to_token_range, build_vocab, decode,
                                encode, split_words)
@@ -86,6 +86,17 @@ class TestEncode:
         assert seg.markers == {pos for _, _, pos in seg.marker_columns}
         for _, _, pos in seg.marker_columns:
             assert toks.ids[pos] == MARKER
+
+    def test_marker_literal_in_a_value_example_is_no_marker(self):
+        schema = SchemaDocument((Table("t", (Column("a", "TEXT", (MARKER_TEXT,)),
+                                             Column("b", "TEXT"))),))
+        text, spans = serialize_schema(schema)
+        vocab = build_vocab([PREFIX, QUERY, text])
+        _, seg = encode(PREFIX, text, spans, QUERY, vocab)
+        literal = {seg.schema_start + i
+                   for i, (tok, _, _) in enumerate(split_words(text)) if tok == MARKER_TEXT}
+        assert len(literal) == 3 and len(seg.marker_columns) == 2
+        assert seg.markers == {pos for _, _, pos in seg.marker_columns}
 
     def test_column_range_contains_marker(self, concert_schema):
         text, spans = serialize_schema(concert_schema)
