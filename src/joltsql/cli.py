@@ -23,9 +23,9 @@ from .jsonfile import read_json
 from .masks import build_causal_mask, build_joint_mask, render_ascii, render_ppm, render_svg
 from .model import ModelConfig, ModelParams
 from .sampling import WeightCache
-from .schema import SchemaDocument, SpanIndex, serialize_schema
+from .schema import SchemaDocument, SpanIndex, serialize_schema, with_value_examples
 from .sqlscope import extract_ground_truth
-from .tokenizer import Vocab, encode
+from .tokenizer import Vocab, encode, tokenize_schema
 
 
 class EventLog:
@@ -107,10 +107,7 @@ def cmd_extract_gt(args) -> int:
 def cmd_serialize(args) -> int:
     schema = SchemaDocument.load(args.schema)
     if args.db:
-        import sqlite3
-
-        from .schema import with_value_examples
-        conn = sqlite3.connect(args.db)
+        conn = evaluation.connect_readonly(args.db)
         try:
             schema = with_value_examples(schema, conn)
         finally:
@@ -125,8 +122,8 @@ def cmd_serialize(args) -> int:
 def cmd_encode(args) -> int:
     vocab = Vocab.load(args.vocab)
     spans = SpanIndex.from_json(read_json(args.spans))
-    tokens, seg = encode(_read_text(args.prefix), _read_text(args.schema),
-                         spans, _read_text(args.query), vocab)
+    schema = tokenize_schema(_read_text(args.schema), spans)
+    tokens, seg = encode(_read_text(args.prefix), schema, _read_text(args.query), vocab)
     print(json.dumps({
         "ids": tokens.ids,
         "n": seg.n,

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .jsonfile import read_jsonl
-from .pipeline import PREFIX_TEMPLATE, build_training_example, example_to_json
-from .schema import (Column, SchemaDocument, Table, serialize_schema,
-                     with_value_examples)
+from .pipeline import (PREFIX_TEMPLATE, build_training_example, example_to_json,
+                       tokenized_schema)
+from .schema import Column, SchemaDocument, Table, with_value_examples
 from .tokenizer import build_vocab
 
 _TABLE_POOL = [
@@ -285,8 +285,8 @@ def generate_corpus(cfg: CorpusConfig, out_dir: str, max_len: int = 512) -> Gene
     for r in train_raw:
         texts.append(PREFIX_TEMPLATE.format(question=r["question"]))
         texts.append(r["gold_sql"])
-    for db_id, doc in schemas.items():
-        texts.append(serialize_schema(doc)[0])
+    for doc in schemas.values():
+        texts.append(tokenized_schema(doc).text)
     vocab = build_vocab(texts)
     vocab_path = os.path.join(out_dir, "vocab.json")
     vocab.save(vocab_path)

@@ -61,7 +61,9 @@ class _Pass:
                 [y for labels in self.labels for y in labels])
 
 
-def _connect_readonly(path: str) -> sqlite3.Connection:
+def connect_readonly(path: str) -> sqlite3.Connection:
+    """Open an existing database file read-only; DbUnavailable naming the
+    path otherwise, and no file is created."""
     try:
         return sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
     except sqlite3.OperationalError as e:
@@ -81,7 +83,7 @@ def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
     try:
         for ex in examples:
             if ex.db_id not in connections:
-                connections[ex.db_id] = _connect_readonly(db_paths[ex.db_id])
+                connections[ex.db_id] = connect_readonly(db_paths[ex.db_id])
             t0 = time.perf_counter()
             encoded = encode_prompt(params, ex)
             scored = marker_scores(ex, encoded)

@@ -1,5 +1,9 @@
 """End-to-end training and inference.
 
+The examples over a database share its one serialized and tokenized
+schema (`tokenized_schema`), so an example tokenizes only its prefix and
+query.
+
 Training follows the joint recipe: in epoch 1 the linking pass fills the
 weight cache with linking probabilities; every step draws a noisy column
 subset, builds the joint mask over the example's fixed layout with the gold
@@ -21,6 +25,7 @@ that predicts the first token, a layout training never showed the model.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,9 +40,13 @@ from .model import (ForwardOutput, ModelConfig, ModelParams, forward,
 from .sampling import WeightCache, draw_noise_count, example_rng, sample_noisy
 from .schema import SchemaDocument, SpanIndex, serialize_schema
 from .sqlscope import extract_ground_truth
-from .tokenizer import EOS, SegmentMap, TokenSequence, Vocab, decode, encode
+from .tokenizer import (EOS, SchemaTokens, SegmentMap, TokenSequence, Vocab, decode,
+                        encode, tokenize_schema)
 
 PREFIX_TEMPLATE = "translate the question to sql . question : {question}"
+
+# one tokenized schema per live schema document; equal documents share it
+_tokenized: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -90,14 +99,22 @@ class TrainingExample:
         return [(t, c) for t, c, _ in self.seg.marker_columns if (t, c) not in self.link]
 
 
+def tokenized_schema(schema_doc: SchemaDocument) -> SchemaTokens:
+    """The document's serialized and tokenized schema, made once while the
+    document (or an equal one) lives."""
+    found = _tokenized.get(schema_doc)
+    if found is None:
+        found = _tokenized[schema_doc] = tokenize_schema(*serialize_schema(schema_doc))
+    return found
+
+
 def _build_example(question: str, schema_doc: SchemaDocument, gold_sql: str,
                    links: set[tuple[str, str]], vocab: Vocab, example_id: str,
                    db_id: str) -> TrainingExample:
     """The one example constructor: prefix, marked schema, `gold_sql`;
     `links` label it, one entry per marker in the order the loss reads."""
-    schema_text, spans = serialize_schema(schema_doc)
-    tokens, seg = encode(PREFIX_TEMPLATE.format(question=question), schema_text,
-                         spans, gold_sql, vocab)
+    tokens, seg = encode(PREFIX_TEMPLATE.format(question=question),
+                         tokenized_schema(schema_doc), gold_sql, vocab)
     label = [int((t, c) in links) for t, c, _ in seg.marker_columns]
     return TrainingExample(example_id, db_id, question, gold_sql, links,
                            label, tokens, seg, schema_doc)
@@ -323,35 +340,30 @@ def prepare_inference_example(question: str, schema_doc: SchemaDocument,
 def example_to_json(ex: TrainingExample) -> dict:
     """JSON-lines record mirroring the training-data file format."""
     prefix_text = PREFIX_TEMPLATE.format(question=ex.question)
-    schema_text, char_spans = serialize_schema(ex.schema_doc)
+    schema = tokenized_schema(ex.schema_doc)
     token_spans = {t: {k: v for k, v in ts.items() if k != "markers"}
                    for t, ts in SpanIndex(ex.seg.table_elements).to_json().items()}
     return {
         "example_id": ex.example_id,
         "db_id": ex.db_id,
         "question": ex.question,
-        "text": prefix_text + "\n" + schema_text + "\n" + ex.gold_sql,
+        "text": prefix_text + "\n" + schema.text + "\n" + ex.gold_sql,
         "prefix_text": prefix_text,
-        "schema_text": schema_text,
+        "schema_text": schema.text,
         "gold_sql": ex.gold_sql,
         "link": sorted(f"{t}.{c}" for t, c in ex.link),
         "label": ex.label,
         "schema_element_token_spans": token_spans,
         "query_span": [ex.seg.query_start, ex.seg.n] if ex.seg.query else [0, 0],
-        "char_spans": char_spans.to_json(),
+        "char_spans": schema.spans.to_json(),
     }
-
-
-def example_from_json(obj: dict, vocab: Vocab, schema_doc: SchemaDocument) -> TrainingExample:
-    """Rebuild a TrainingExample from its JSONL record (re-encodes)."""
-    return build_training_example(obj["question"], schema_doc, obj["gold_sql"],
-                                  vocab, obj["example_id"], obj.get("db_id", ""))
 
 
 def load_corpus(path: str, vocab: Vocab,
                 schemas: dict[str, SchemaDocument],
                 fraction: float = 1.0) -> list[TrainingExample]:
-    """Raises MalformedInput naming the file and the record (counted from 1)
+    """Rebuild each record's example from its question and gold SQL.
+    Raises MalformedInput naming the file and the record (counted from 1)
     when a record is not an object, lacks a key or names a database that
     has no schema."""
     examples = []
@@ -367,5 +379,7 @@ def load_corpus(path: str, vocab: Vocab,
                 raise MalformedInput(f"{where}: missing key {key!r}")
         if obj["db_id"] not in schemas:
             raise MalformedInput(f"{where}: no schema for db_id {obj['db_id']!r}")
-        examples.append(example_from_json(obj, vocab, schemas[obj["db_id"]]))
+        examples.append(build_training_example(obj["question"], schemas[obj["db_id"]],
+                                               obj["gold_sql"], vocab, obj["example_id"],
+                                               obj["db_id"]))
     return examples

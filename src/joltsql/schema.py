@@ -67,21 +67,22 @@ class SchemaDocument:
     @staticmethod
     def from_json(obj: dict) -> "SchemaDocument":
         """Read `to_json`'s form. Raises InvalidSchema naming the entry and
-        the key when an entry lacks a required key or is not an object."""
+        the key when an entry lacks a required key or is not an object, a
+        name, type, value example or primary-key entry is not a string, or
+        a foreign key is not three strings."""
         tables = []
         for i, t in enumerate(_required(obj, "tables", "schema")):
-            name = _required(t, "name", f"table {i}")
-            cols = tuple(
-                Column(_required(c, "name", f"column {j} of table {name!r}"),
-                       c.get("type", "TEXT"), tuple(c.get("examples", [])))
-                for j, c in enumerate(_required(t, "columns", f"table {name!r}"))
-            )
+            name = _string(_required(t, "name", f"table {i}"), f"table {i}, key 'name'")
+            where = f"table {name!r}"
+            cols = tuple(_column(c, f"column {j} of {where}")
+                         for j, c in enumerate(_required(t, "columns", where)))
             tables.append(
                 Table(
                     name,
                     cols,
-                    tuple(t.get("primary_key", [])),
-                    tuple(tuple(fk) for fk in t.get("foreign_keys", [])),
+                    _strings(t.get("primary_key", []), f"{where}, key 'primary_key'"),
+                    tuple(_strings(fk, f"{where}, foreign key {k}", 3)
+                          for k, fk in enumerate(t.get("foreign_keys", []))),
                 )
             )
         return SchemaDocument(tuple(tables))
@@ -119,10 +120,33 @@ def _required(obj, key: str, where: str):
     return obj[key]
 
 
+def _column(obj, where: str) -> Column:
+    return Column(_string(_required(obj, "name", where), f"{where}, key 'name'"),
+                  _string(obj.get("type", "TEXT"), f"{where}, key 'type'"),
+                  _strings(obj.get("examples", []), f"{where}, key 'examples'"))
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidSchema(f"{where}: expected a string")
+    return value
+
+
+def _strings(values, where: str, n: int | None = None) -> tuple[str, ...]:
+    """A schema entry's list of strings (exactly `n`, when given) as a
+    tuple; InvalidSchema naming `where` otherwise."""
+    if not (isinstance(values, list) and all(isinstance(v, str) for v in values)
+            and n in (None, len(values))):
+        count = "" if n is None else f"{n} "
+        raise InvalidSchema(f"{where}: expected a list of {count}strings")
+    return tuple(values)
+
+
 @dataclass
 class TableSpans:
     """One table's layout as half-open ranges: characters of the serialized
-    text, or token positions once `encode` has mapped it."""
+    text, or token positions once `tokenize_schema` has mapped it (`encode`
+    shifts a copy to where the example's schema starts)."""
 
     header: tuple[int, int]
     pk: tuple[int, int]
@@ -162,8 +186,12 @@ class SpanIndex:
 
     @staticmethod
     def from_json(obj: dict) -> "SpanIndex":
-        """Read `to_json`'s form. Raises InvalidSpans naming the table when
-        an entry lacks a required key or has one `TableSpans` does not."""
+        """Read `to_json`'s form. Raises InvalidSpans unless it is an object
+        of table -> spans, naming the table when an entry lacks a required
+        key, has one `TableSpans` does not, or holds a span that is not a
+        pair of integers."""
+        if not isinstance(obj, dict):
+            raise InvalidSpans("spans: expected an object of table -> spans")
         known = {f.name for f in fields(TableSpans)}
         required = {f.name for f in fields(TableSpans) if f.default_factory is MISSING}
         tables = {}
@@ -175,8 +203,28 @@ class SpanIndex:
                                            ("unknown", ts.keys() - known)) if keys]
             if problems:
                 raise InvalidSpans(f"spans of table {t!r}: {'; '.join(problems)}")
+            bad = sorted(k for k, v in ts.items() if not _holds_spans(k, v))
+            if bad:
+                raise InvalidSpans(f"spans of table {t!r}: {', '.join(bad)} "
+                                   "not made of integer pairs")
             tables[t] = TableSpans(**ts).map(tuple)
         return SpanIndex(tables)
+
+
+def _holds_spans(key: str, value) -> bool:
+    """Whether `value` is the JSON form of TableSpans field `key`: a list
+    of spans (`fk`), an object of spans (`columns`, `markers`) or one span,
+    each span a pair of integers."""
+    if key == "fk":
+        return isinstance(value, list) and all(map(_is_span, value))
+    if key in ("columns", "markers"):
+        return isinstance(value, dict) and all(map(_is_span, value.values()))
+    return _is_span(value)
+
+
+def _is_span(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(type(x) is int for x in value))
 
 
 def _render_examples(examples: tuple[str, ...]) -> str:

@@ -1,9 +1,11 @@
 """Word-level tokenizer with a reserved marker token and segment tracking.
 
 Splits on whitespace; punctuation becomes single-character tokens; the
-marker literal is always a single reserved token. Deterministic vocab:
-reserved ids first, then corpus tokens by descending frequency, ties
-broken lexicographically.
+marker literal is always a single word, given the reserved marker id only
+where a column's marker stands. Deterministic vocab: reserved ids first,
+then corpus tokens by descending frequency, ties broken lexicographically.
+A schema is split and its layout bisected once (`tokenize_schema`); `encode`
+then tokenizes only an example's prefix and query around it.
 """
 from __future__ import annotations
 
@@ -161,46 +163,54 @@ def _span_to_token_range(span: tuple[int, int], starts: list[int],
     return (first, stop)
 
 
-def encode(
-    prefix: str,
-    schema_text: str,
-    spans: SpanIndex,
-    query: str,
-    vocab: Vocab,
-) -> tuple[TokenSequence, SegmentMap]:
-    """Tokenize the three input parts in order, cut where schema and query
-    begin, and map the schema's character layout to absolute token
-    positions: each table's `TableSpans` becomes
-    `SegmentMap.table_elements[table]`, and each column's marker span must
-    cover exactly one token. Raises SpanMisaligned when a span splits a
-    token or covers none."""
-    parts = [split_words(text) for text in (prefix, schema_text, query)]
-    ids = [vocab.lookup(tok) for words in parts for tok, _, _ in words]
-    schema_words = parts[1]
-    base = len(parts[0])  # position of the first schema token
-    stop = base + len(schema_words)  # position of the first query token
-    starts = [a for _, a, _ in schema_words]  # char offsets into schema_text
-    ends = [b for _, _, b in schema_words]
+@dataclass(frozen=True)
+class SchemaTokens:
+    """A database's marked schema, shared and only read by every example
+    over it: its text and character spans, its words (not ids, so any vocab
+    serves), and each table's layout in positions from its first word."""
 
-    def to_tokens(span: tuple[int, int]) -> tuple[int, int]:
-        lo, hi = _span_to_token_range(span, starts, ends)
-        return (base + lo, base + hi)
+    text: str
+    spans: SpanIndex
+    words: tuple[str, ...]
+    tables: dict[str, TableSpans]
 
-    table_elements = {t: ts.map(to_tokens) for t, ts in spans.tables.items()}
-    marker_columns: list[tuple[str, str, int]] = []
-    for tname, cname, (lo, hi) in SpanIndex(table_elements).marker_positions():
+
+def tokenize_schema(schema_text: str, spans: SpanIndex) -> SchemaTokens:
+    """Split the schema text into words and map each table's layout to word
+    positions. Raises SpanMisaligned when a span splits a word or covers
+    none, or a column's marker span is not one word."""
+    words = split_words(schema_text)
+    starts, ends = [a for _, a, _ in words], [b for _, _, b in words]
+    tables = {t: ts.map(lambda span: _span_to_token_range(span, starts, ends))
+              for t, ts in spans.tables.items()}
+    for tname, cname, (lo, hi) in SpanIndex(tables).marker_positions():
         if hi - lo != 1:
             raise SpanMisaligned(f"marker for {tname}.{cname} spans {hi - lo} tokens")
-        marker_columns.append((tname, cname, lo))
+    return SchemaTokens(schema_text, spans, tuple(w for w, _, _ in words), tables)
 
-    seg = SegmentMap(
-        n=len(ids),
-        schema_start=base,
-        query_start=stop,
-        markers={pos for _, _, pos in marker_columns},
-        table_elements=table_elements,
-        marker_columns=marker_columns,
-    )
+
+def encode(prefix: str, schema: SchemaTokens, query: str,
+           vocab: Vocab) -> tuple[TokenSequence, SegmentMap]:
+    """Tokenize the prefix and the query around the tokenized schema, cut
+    where schema and query begin, and place the schema's layout at
+    `schema_start`: each table's `TableSpans` becomes
+    `SegmentMap.table_elements[table]` in absolute positions. Only the
+    columns' markers get the marker id; a marker literal anywhere else (in
+    the question or a value example) is unknown."""
+    prefix_words = [w for w, _, _ in split_words(prefix)]
+    base = len(prefix_words)  # position of the first schema token
+    words = prefix_words + list(schema.words) + [w for w, _, _ in split_words(query)]
+    ids = [UNK if w == MARKER_TEXT else vocab.lookup(w) for w in words]
+    table_elements = {t: ts.map(lambda span: (base + span[0], base + span[1]))
+                      for t, ts in schema.tables.items()}
+    marker_columns = [(t, c, lo) for t, c, (lo, _)
+                      in SpanIndex(table_elements).marker_positions()]
+    for _, _, pos in marker_columns:
+        ids[pos] = MARKER
+
+    seg = SegmentMap(n=len(ids), schema_start=base, query_start=base + len(schema.words),
+                     markers={pos for _, _, pos in marker_columns},
+                     table_elements=table_elements, marker_columns=marker_columns)
     return TokenSequence(ids), seg
 
 

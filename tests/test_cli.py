@@ -10,7 +10,7 @@ import pytest
 from joltsql.cli import EventLog, main
 from joltsql.pipeline import PREFIX_TEMPLATE
 from joltsql.schema import serialize_schema
-from joltsql.tokenizer import build_vocab, encode
+from joltsql.tokenizer import build_vocab, encode, tokenize_schema
 
 
 def run(capsys, *argv):
@@ -195,7 +195,12 @@ class TestInputFiles:
         ({}, "schema: missing key 'tables'"),
         ({"tables": [{"name": "t"}]}, "table 't': missing key 'columns'"),
         ([1, 2], "schema: expected an object"),
-    ], ids=["no-tables", "no-columns", "not-an-object"])
+        ({"tables": [{"name": "t", "columns": [{"name": 5}]}]},
+         "column 0 of table 't', key 'name': expected a string"),
+        ({"tables": [{"name": "t", "columns": [], "foreign_keys": [["a", "t"]]}]},
+         "table 't', foreign key 0: expected a list of 3 strings"),
+    ], ids=["no-tables", "no-columns", "not-an-object", "column-name-not-a-string",
+            "foreign-key-of-two"])
     def test_schema_of_the_wrong_shape_is_an_error_line(self, capsys, tmp_path, schema,
                                                         named):
         schema_file = tmp_path / "schema.json"
@@ -307,17 +312,37 @@ class TestExtractAndSerialize:
         assert got == want
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
-    def test_encode_rejects_malformed_spans(self, capsys, tmp_path, workspace):
-        spans = tmp_path / "spans.json"
-        spans.write_text(json.dumps({"t": {"header": [0, 5]}}))
+    def test_serialize_db_that_does_not_exist_is_named(self, capsys, tmp_path, workspace):
+        schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
+        missing = tmp_path / "typo.sqlite"
+        code, out, err = run(capsys, "serialize", "--schema", str(schema_file),
+                             "--db", str(missing), "--spans-out", str(tmp_path / "s.json"))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot open {missing} read-only")
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("spans,named", [
+        ({"t": {"header": [0, 5]}}, "spans of table 't': missing keys fk, footer, pk"),
+        ([1, 2], "spans: expected an object of table -> spans"),
+        ({"t": {"header": 5, "pk": [0, 1], "fk": [], "footer": [1, 2]}},
+         "spans of table 't': header not made of integer pairs"),
+        ({"t": {"header": [0], "pk": [0, 1], "fk": [[0, "1"]], "footer": [1, 2]}},
+         "spans of table 't': fk, header not made of integer pairs"),
+        ({"t": {"header": [0, 1], "pk": [0, 1], "fk": [], "footer": [1, 2],
+                "markers": {"a": [1.0, 2]}}},
+         "spans of table 't': markers not made of integer pairs"),
+    ], ids=["missing-keys", "not-an-object", "span-not-a-pair", "short-span-and-string",
+            "float-marker"])
+    def test_encode_rejects_malformed_spans(self, capsys, tmp_path, workspace, spans, named):
+        spans_file = tmp_path / "spans.json"
+        spans_file.write_text(json.dumps(spans))
         text = tmp_path / "text.txt"
         text.write_text("x")
         code, _, err = run(capsys, "encode", "--prefix", str(text), "--schema", str(text),
-                           "--spans", str(spans), "--query", str(text),
+                           "--spans", str(spans_file), "--query", str(text),
                            "--vocab", str(workspace["corpus"] / "vocab.json"))
         assert code == 1
-        assert err.startswith("error:") and "'t'" in err
-        assert "missing keys fk, footer, pk" in err
+        assert err == f"error: {named}\n"
 
 
     def test_serialize_then_encode_round_trip(self, capsys, tmp_path, concert_schema):
@@ -340,8 +365,8 @@ class TestExtractAndSerialize:
             argv += [f"--{part}", str(tmp_path / f"{part}.txt")]
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        tokens, seg = encode(parts["prefix"], parts["schema"],
-                             serialize_schema(concert_schema)[1], parts["query"], vocab)
+        schema = tokenize_schema(parts["schema"], serialize_schema(concert_schema)[1])
+        tokens, seg = encode(parts["prefix"], schema, parts["query"], vocab)
         assert seg.query
         assert len(seg.markers) == sum(len(t.columns) for t in concert_schema.tables)
         assert json.loads(out) == {

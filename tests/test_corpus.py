@@ -1,5 +1,7 @@
 import json
 import sqlite3
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,31 @@ class TestGeneration:
             assert [*seg.prefix, *seg.schema, *seg.query] == list(range(seg.n))
             assert seg.markers <= set(seg.schema)
             assert len(ex.label) == len(ex.seg.marker_columns)
+
+    def test_one_schema_encoding_per_database(self, tmp_path, monkeypatch):
+        """Generating a corpus and loading both splits from its schema files
+        serializes and tokenizes each database's schema once: the examples
+        over a database, and the equal documents read back from its file,
+        share one tokenized schema."""
+        calls = Counter()
+        for name in ("serialize_schema", "tokenize_schema"):
+            original = getattr(sys.modules["joltsql.pipeline"], name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+            for module in [m for n, m in sys.modules.items() if n.startswith("joltsql")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        # a config no other test builds: tokenized schemas are held per live
+        # schema document, for the whole process
+        generated = generate_corpus(tiny_config(seed=41), str(tmp_path))
+        vocab = Vocab.load(generated.vocab_path)
+        schemas = load_schemas(generated.schema_dir)
+        loaded = [load_corpus(path, vocab, schemas)
+                  for path in (generated.train_path, generated.dev_path)]
+        assert [len(examples) for examples in loaded] == [12, 3]
+        assert calls == {"serialize_schema": 3, "tokenize_schema": 3}
 
     def test_schema_files_match_memory(self, corpus):
         loaded = load_schemas(corpus.schema_dir)

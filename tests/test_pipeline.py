@@ -14,7 +14,7 @@ from joltsql.model import ModelConfig, ModelParams, forward, greedy_generate
 from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
                               assemble_segments, build_training_example,
                               capture_sampling_weights, encode_prompt,
-                              example_from_json, example_to_json,
+                              example_to_json,
                               full_schema_prompt, infer, link_schema,
                               load_corpus, prepare_inference_example,
                               prune_prompt, train)
@@ -600,8 +600,9 @@ class TestDecodeUnderTrainingMask:
 
 class TestSerialization:
     def test_json_round_trip(self, example, vocab, concert_schema):
-        obj = example_to_json(example)
-        clone = example_from_json(json.loads(json.dumps(obj)), vocab, concert_schema)
+        rec = json.loads(json.dumps(example_to_json(example)))
+        clone = build_training_example(rec["question"], concert_schema, rec["gold_sql"],
+                                       vocab, rec["example_id"], rec["db_id"])
         assert clone.tokens.ids == example.tokens.ids
         assert clone.link == example.link
         assert clone.label == example.label

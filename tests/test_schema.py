@@ -10,7 +10,7 @@ from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example,
                               prepare_inference_example)
 from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, SpanIndex, Table,
                             sample_value_examples, serialize_schema)
-from joltsql.tokenizer import build_vocab, encode
+from joltsql.tokenizer import build_vocab, encode, tokenize_schema
 
 
 def one_table(columns, pk=("id",), fks=()):
@@ -89,7 +89,8 @@ class TestSpanIndexJson:
         spans and for the token spans `encode` maps them to."""
         for doc in [concert_schema, *desk_schemas]:
             text, char_spans = serialize_schema(doc)
-            _, seg = encode("a question", text, char_spans, "", build_vocab([text]))
+            _, seg = encode("a question", tokenize_schema(text, char_spans), "",
+                            build_vocab([text]))
             for index in (char_spans, SpanIndex(seg.table_elements)):
                 want = {t: asdict(ts.map(list)) for t, ts in index.tables.items()}
                 assert index.to_json() == want
@@ -116,8 +117,27 @@ class TestSchemaFromJson:
         ({"tables": [{"name": "t", "columns": [{"type": "TEXT"}]}]},
          "column 0 of table 't': missing key 'name'"),
         ({"tables": ["t"]}, "table 0: expected an object"),
+        ({"tables": [{"name": 5, "columns": []}]}, "table 0, key 'name': expected a string"),
+        ({"tables": [{"name": "t", "columns": [{"name": 5}]}]},
+         "column 0 of table 't', key 'name': expected a string"),
+        ({"tables": [{"name": "t", "columns": [{"name": "a", "type": 5}]}]},
+         "column 0 of table 't', key 'type': expected a string"),
+        ({"tables": [{"name": "t", "columns": [{"name": "a", "examples": [1]}]}]},
+         "column 0 of table 't', key 'examples': expected a list of strings"),
+        ({"tables": [{"name": "t", "columns": [], "primary_key": "a"}]},
+         "table 't', key 'primary_key': expected a list of strings"),
+        ({"tables": [{"name": "t", "columns": [],
+                      "foreign_keys": [["a", "u", "b"], ["a", "u"]]}]},
+         "table 't', foreign key 1: expected a list of 3 strings"),
+        ({"tables": [{"name": "t", "columns": [], "foreign_keys": [["a"]]}]},
+         "table 't', foreign key 0: expected a list of 3 strings"),
+        ({"tables": [{"name": "t", "columns": [], "foreign_keys": [["a", "u", 1]]}]},
+         "table 't', foreign key 0: expected a list of 3 strings"),
     ], ids=["no-tables", "not-an-object", "table-without-name", "table-without-columns",
-            "column-without-name", "table-not-an-object"])
+            "column-without-name", "table-not-an-object", "table-name-not-a-string",
+            "column-name-not-a-string", "type-not-a-string", "example-not-a-string",
+            "primary-key-not-a-list", "foreign-key-of-two", "foreign-key-of-one",
+            "foreign-key-entry-not-a-string"])
     def test_shape_error_names_the_entry_and_key(self, obj, message):
         with pytest.raises(InvalidSchema, match=re.escape(message)):
             SchemaDocument.from_json(obj)

@@ -7,7 +7,7 @@ from joltsql.errors import SpanMisaligned
 from joltsql.schema import MARKER_TEXT, Column, SchemaDocument, Table, serialize_schema
 from joltsql.tokenizer import (BOS, EOS, MARKER, PAD, UNK, Vocab,
                                _span_to_token_range, build_vocab, decode,
-                               encode, split_words)
+                               encode, split_words, tokenize_schema)
 
 PREFIX = "translate the question to sql . question : what is the name ?"
 QUERY = "SELECT name FROM singer"
@@ -73,14 +73,14 @@ class TestEncode:
     def test_partition_property(self, concert_schema):
         text, spans = serialize_schema(concert_schema)
         vocab = make_vocab(concert_schema)
-        _, seg = encode(PREFIX, text, spans, QUERY, vocab)
+        _, seg = encode(PREFIX, tokenize_schema(text, spans), QUERY, vocab)
         assert [*seg.prefix, *seg.schema, *seg.query] == list(range(seg.n))
         assert seg.markers <= set(seg.schema)
 
     def test_marker_positions_single_tokens(self, concert_schema):
         text, spans = serialize_schema(concert_schema)
         vocab = make_vocab(concert_schema)
-        toks, seg = encode(PREFIX, text, spans, QUERY, vocab)
+        toks, seg = encode(PREFIX, tokenize_schema(text, spans), QUERY, vocab)
         n_cols = sum(len(t.columns) for t in concert_schema.tables)
         assert len(seg.marker_columns) == n_cols
         assert seg.markers == {pos for _, _, pos in seg.marker_columns}
@@ -92,16 +92,20 @@ class TestEncode:
                                              Column("b", "TEXT"))),))
         text, spans = serialize_schema(schema)
         vocab = build_vocab([PREFIX, QUERY, text])
-        _, seg = encode(PREFIX, text, spans, QUERY, vocab)
-        literal = {seg.schema_start + i
-                   for i, (tok, _, _) in enumerate(split_words(text)) if tok == MARKER_TEXT}
-        assert len(literal) == 3 and len(seg.marker_columns) == 2
-        assert seg.markers == {pos for _, _, pos in seg.marker_columns}
+        prefix = f"what is {MARKER_TEXT} here ?"
+        toks, seg = encode(prefix, tokenize_schema(text, spans), QUERY, vocab)
+        literal = {i for i, (tok, _, _) in enumerate(split_words(prefix + " " + text))
+                   if tok == MARKER_TEXT}
+        assert len(literal) == 4 and len(seg.marker_columns) == 2
+        assert seg.markers == {pos for _, _, pos in seg.marker_columns} < literal
+        # the question's literal and the value example's are unknown words
+        assert [toks.ids[pos] for pos in sorted(literal - seg.markers)] == [UNK, UNK]
+        assert [i for i, t in enumerate(toks.ids) if t == MARKER] == sorted(seg.markers)
 
     def test_column_range_contains_marker(self, concert_schema):
         text, spans = serialize_schema(concert_schema)
         vocab = make_vocab(concert_schema)
-        _, seg = encode(PREFIX, text, spans, QUERY, vocab)
+        _, seg = encode(PREFIX, tokenize_schema(text, spans), QUERY, vocab)
         for t, c, pos in seg.marker_columns:
             lo, hi = seg.column_token_range(t, c)
             assert lo <= pos < hi
@@ -110,7 +114,7 @@ class TestEncode:
     def test_table_envelope_disjoint_from_columns(self, concert_schema):
         text, spans = serialize_schema(concert_schema)
         vocab = make_vocab(concert_schema)
-        _, seg = encode(PREFIX, text, spans, QUERY, vocab)
+        _, seg = encode(PREFIX, tokenize_schema(text, spans), QUERY, vocab)
         for t, ts in seg.table_elements.items():
             env = seg.table_envelope(t)
             for a, b in ts.columns.values():
@@ -119,15 +123,14 @@ class TestEncode:
     def test_segments_ordered(self, concert_schema):
         text, spans = serialize_schema(concert_schema)
         vocab = make_vocab(concert_schema)
-        _, seg = encode(PREFIX, text, spans, QUERY, vocab)
+        _, seg = encode(PREFIX, tokenize_schema(text, spans), QUERY, vocab)
         assert max(seg.prefix) < min(seg.schema) < max(seg.schema) < min(seg.query)
 
     def test_misaligned_span_rejected(self, concert_schema):
         text, spans = serialize_schema(concert_schema)
-        vocab = make_vocab(concert_schema)
         bad = _shift_header(spans, next(iter(spans.tables)))
         with pytest.raises(SpanMisaligned):
-            encode(PREFIX, text, bad, QUERY, vocab)
+            tokenize_schema(text, bad)
 
 
 def _shift_header(spans, table_name):
