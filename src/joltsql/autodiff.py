@@ -7,6 +7,12 @@ transformer. Multi-head attention is one op, `attention`, over
 hand-written backward; per head, `slice_cols`, `transpose`,
 `masked_softmax` and `concat` compose its slow reference.
 
+The forward of `matmul`, `add`, `gather_rows`, `layer_norm`, `relu` and
+`attention` also takes leading batch dimensions, which decoding uses to
+stack B sequences' one-token rows as (B, 1, d): numpy's stacked product
+runs each (1, d) item alone, so every row is rounded as a one-row product,
+while flattening the stack to (B, d) would round it as a block.
+
 The hot kernels make as few array passes as keep their results bit for
 bit: attention adds the mask bias into the score array its own product
 allocated and runs the softmax in that array, and builds its score
@@ -88,8 +94,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; b may be a row vector broadcast over a's rows."""
-    if a.shape != b.shape and not (a.data.ndim == 2 and b.data.shape == (a.data.shape[1],)):
+    """Elementwise add; b may have the shape of a's trailing axes, such as a
+    row vector, and is then broadcast over a's leading axes."""
+    lead = a.data.ndim - b.data.ndim
+    if a.shape != b.shape and not (lead > 0 and a.shape[lead:] == b.shape):
         raise ShapeMismatch(f"add {a.shape} + {b.shape}")
     out_data = a.data + b.data
 
@@ -98,7 +106,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate(g, shared=True)
         if b.requires_grad:
             if b.shape != a.shape:
-                b.accumulate(g.sum(axis=0))
+                b.accumulate(g.sum(axis=tuple(range(lead))))
             else:
                 b.accumulate(g, shared=True)
 
@@ -163,16 +171,17 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup (embedding gather). The backward of a contiguous range
-    (the position table) is a slice add; any other index list, with
-    repeats, goes through `np.add.at`."""
+    """Row lookup (embedding gather); an index array of any shape gives
+    that shape's rows. The backward of a contiguous range (the position
+    table) is a slice add; any other index array, with repeats, goes
+    through `np.add.at`."""
     indices = np.asarray(indices, dtype=np.int64)
     out_data = a.data[indices]
 
     def backward(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            lo = int(indices[0]) if len(indices) else -1
+            lo = int(indices[0]) if indices.ndim == 1 and len(indices) else -1
             if lo >= 0 and (np.diff(indices) == 1).all():
                 full[lo:lo + len(indices)] += g
             else:
@@ -250,48 +259,49 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
     (dh = d / heads), and all heads run as one batched product over
     (heads, rows, dh) views. The n x d output equals, per head,
     softmax(q_h k_h^T / sqrt(dh)) over the visible entries times v_h, with
-    the heads concatenated.
+    the heads concatenated. Leading batch dimensions, shared by q, k, v and
+    the bias, run each item as that product on its own.
 
     The bias is added into the score array the product allocated, and the
     row max is subtracted, `exp` taken and the rows normalized in that same
-    array, so the forward allocates one heads x n x m array. Backward, per
-    head, from the saved probabilities p: dV = p^T g,
+    array, so the forward allocates one heads x n x m array per item.
+    Backward, per head, from the saved probabilities p: dV = p^T g,
     dS = p * (g V^T - rowsum(g V^T * p)) / sqrt(dh), dQ = dS K, dK = (Q^T dS)^T.
     """
-    n, d = q.shape
-    m = k.shape[0]
-    if (k.shape != (m, d) or v.shape != (m, d) or d % heads
-            or bias.shape != (n, m)):
+    *lead, n, d = q.shape
+    m = k.shape[-2]
+    if (k.shape != (*lead, m, d) or v.shape != k.shape or d % heads
+            or bias.shape != (*lead, n, m)):
         raise ShapeMismatch(f"attention q {q.shape}, k {k.shape}, v {v.shape}, "
                             f"bias {bias.shape}, {heads} heads")
     dh = d // heads
     s = 1.0 / float(np.sqrt(dh))
 
-    def split(a):  # rows x d -> heads x rows x dh
-        return a.reshape(len(a), heads, dh).transpose(1, 0, 2)
+    def split(a):  # ... x rows x d -> ... x heads x rows x dh
+        return a.reshape(*a.shape[:-1], heads, dh).swapaxes(-3, -2)
 
-    def merge(a):  # heads x rows x dh -> rows x d
-        return a.transpose(1, 0, 2).reshape(a.shape[1], d)
+    def merge(a):  # ... x heads x rows x dh -> ... x rows x d
+        return a.swapaxes(-3, -2).reshape(*a.shape[:-3], a.shape[-2], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    probs = qh @ kh.transpose(0, 2, 1)
+    probs = qh @ kh.swapaxes(-1, -2)
     probs *= s
-    probs += bias
+    probs += bias[..., None, :, :]
     _softmax_in_place(probs)
 
     def backward(g):
         gh = split(g)
         if v.requires_grad:
-            v.accumulate(merge(probs.transpose(0, 2, 1) @ gh))
+            v.accumulate(merge(probs.swapaxes(-1, -2) @ gh))
         if q.requires_grad or k.requires_grad:
-            ds = gh @ vh.transpose(0, 2, 1)
+            ds = gh @ vh.swapaxes(-1, -2)
             ds -= (ds * probs).sum(axis=-1, keepdims=True)
             ds *= probs
             ds *= s
             if q.requires_grad:
                 q.accumulate(merge(ds @ kh))
             if k.requires_grad:
-                k.accumulate(merge((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)))
+                k.accumulate(merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
 
     return _op(merge(probs @ vh), (q, k, v), backward)
 

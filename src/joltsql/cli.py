@@ -121,7 +121,7 @@ def cmd_serialize(args) -> int:
 
 def cmd_encode(args) -> int:
     vocab = Vocab.load(args.vocab)
-    spans = SpanIndex.from_json(read_json(args.spans))
+    spans = SpanIndex.load(args.spans)
     schema = tokenize_schema(_read_text(args.schema), spans)
     tokens, seg = encode(_read_text(args.prefix), schema, _read_text(args.query), vocab)
     print(json.dumps({

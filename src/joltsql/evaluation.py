@@ -2,10 +2,13 @@
 
 `evaluate` and `threshold_sweep` share one loop over examples. Each
 example's prompt is encoded once; that pass gives its marker scores and the
-K/V that every decode of it reuses. Within an example, decoding and sqlite
-execution run once per distinct predicted column set, however many
-thresholds share that set. Corpus databases are opened read-only, so SQL
-the model writes cannot change them.
+K/V that every decode of it reuses. Within an example, the distinct
+predicted column sets, however many thresholds share each, are collected in
+threshold order and decoded together in one stacked greedy decode, each set
+giving the SQL it would get decoded alone; sqlite then executes each
+distinct set's SQL once. Every record of an example carries that one
+decode's wall time as `timings_ms.generation`. Corpus databases are opened
+read-only, so SQL the model writes cannot change them.
 """
 from __future__ import annotations
 
@@ -90,27 +93,29 @@ def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
             linking_ms = (time.perf_counter() - t0) * 1000.0
             out.scores.append([s for _, _, s in scored])
             out.labels.append(ex.label)
-            by_set: dict[frozenset, dict] = {}
-            for report, records, threshold in zip(out.reports, out.records, thresholds):
-                predicted = [(t, c, s) for t, c, s in scored if s > threshold]
-                key = frozenset((t, c) for t, c, _ in predicted)
-                if key not in by_set:
-                    t1 = time.perf_counter()
-                    sql, used_fallback = generate_sql(params, ex, encoded, key,
-                                                      vocab, max_new)
-                    generation_ms = (time.perf_counter() - t1) * 1000.0
-                    by_set[key] = {
-                        "example_id": ex.example_id,
-                        "verdict": execution_accuracy(sql, ex.gold_sql,
-                                                      connections[ex.db_id]),
-                        "pred_sql": sql,
-                        "gold_sql": ex.gold_sql,
-                        "timings_ms": {"linking": linking_ms,
-                                       "generation": generation_ms,
-                                       "end_to_end": linking_ms + generation_ms},
-                        "predicted_columns": predicted,
-                        "used_fallback": used_fallback,
-                    }
+            predicted: dict[frozenset, list] = {}  # distinct sets, threshold order
+            keys = []
+            for threshold in thresholds:
+                columns = [(t, c, s) for t, c, s in scored if s > threshold]
+                keys.append(frozenset((t, c) for t, c, _ in columns))
+                predicted.setdefault(keys[-1], columns)
+            t1 = time.perf_counter()
+            generated = generate_sql(params, ex, encoded, list(predicted), vocab, max_new)
+            generation_ms = (time.perf_counter() - t1) * 1000.0
+            by_set = {
+                key: {
+                    "example_id": ex.example_id,
+                    "verdict": execution_accuracy(sql, ex.gold_sql, connections[ex.db_id]),
+                    "pred_sql": sql,
+                    "gold_sql": ex.gold_sql,
+                    "timings_ms": {"linking": linking_ms,
+                                   "generation": generation_ms,
+                                   "end_to_end": linking_ms + generation_ms},
+                    "predicted_columns": columns,
+                    "used_fallback": used_fallback,
+                }
+                for (key, columns), (sql, used_fallback) in zip(predicted.items(), generated)}
+            for report, records, key in zip(out.reports, out.records, keys):
                 report.add(by_set[key]["verdict"])
                 records.append(by_set[key])
     finally:
@@ -148,8 +153,8 @@ def threshold_sweep(params: ModelParams, examples: list[TrainingExample],
     """(threshold -> precision, recall, EX) rows. Precision and recall are
     micro-averaged over the pooled marker scores; EX at each threshold
     decodes from the predicted set at that threshold. One prompt encoding
-    per example serves every threshold, and each distinct predicted set of
-    an example is decoded and executed once."""
+    per example serves every threshold, one stacked decode runs all of an
+    example's distinct predicted sets, and each is executed once."""
     thresholds = thresholds if thresholds is not None else SWEEP_THRESHOLDS
     run = _run(params, examples, vocab, db_paths, thresholds, max_new)
     scores, labels = run.pooled()

@@ -128,52 +128,61 @@ class ModelParams:
 
 @dataclass
 class ForwardOutput:
-    hidden: Tensor       # n x d
-    lm_logits: Tensor    # n x V
+    hidden: Tensor       # n x d; B x 1 x d with a `past`
+    lm_logits: Tensor    # n x V; B x 1 x V with a `past`
     # n x 1, meaningful at marker positions; None for rows run against a
     # `past`, which are query rows and hold no markers
     marker_probs: Tensor | None
-    # per layer, (K, V) of the cached rows and these rows: (p + n) x d each
+    # per layer, (K, V) of the cached rows and these rows: (p + n) x d each,
+    # B x (p + 1) x d with a `past`
     kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
             past: list[tuple[np.ndarray, np.ndarray]] | None = None) -> ForwardOutput:
-    """Run `ids`, at positions p..p+n-1, through the transformer under `mask`.
+    """Run `ids` through the transformer under `mask`.
 
-    The mask is n x (p + n): the new rows over p cached rows and
-    themselves. Without `past`, p is 0. With `past`, one (K, V) pair of
-    buffers per layer, each with at least p + n rows whose first p rows hold
-    the K/V of the rows before: this call writes its rows' K and V into rows
-    p..p+n-1 of the buffers, in place, and attends over rows 0..p+n-1. That
-    is exact whenever the cached rows never attend to the new ones, as
-    prefix and schema rows never attend to query rows under the joint mask,
-    so decoding reuses the prompt's K/V instead of re-encoding it. Buffers
-    written in place carry no gradient, so a forward with `past` runs under
-    `no_grad`; its rows are query rows, so it skips the linking head.
+    Without `past`, `ids` is one sequence at positions 0..n-1 and the mask
+    is n x n. With `past`, `ids` holds one new token for each of B
+    sequences, all at the same position p, and the mask is B x (p + 1):
+    row b is sequence b's view of its p cached rows and its new row. `past`
+    is one (K, V) pair of buffers per layer, each B x rows x d with
+    rows >= p + 1, whose first p rows of item b hold sequence b's earlier
+    K/V: this call writes each new row's K and V into row p of its item, in
+    place, and attends over rows 0..p. The rows run as a B x 1 x d stack,
+    so each sequence's products are one-row products, byte for byte what
+    it would get alone. That is exact whenever the cached rows never attend
+    to the new ones, as prefix and schema rows never attend to query rows
+    under the joint mask, so decoding reuses the prompt's K/V instead of
+    re-encoding it. Buffers written in place carry no gradient, so a
+    forward with `past` runs under `no_grad`; its rows are query rows, so
+    it skips the linking head.
 
     The mask's bias is built once (`AttentionMask.bias`) and every layer's
     attention, one `autodiff.attention` op over (heads, rows, dh) views of
     Q, K and V, adds that same array.
     """
     cfg = params.config
-    n = len(ids)
+    n = 1 if past is not None else len(ids)
     rows, cols = mask.visible.shape
     p = cols - n
-    if rows != n or p < 0 or (p and past is None):
-        raise ShapeMismatch(f"mask shape {mask.visible.shape} for {n} new rows "
+    if rows != len(ids) or p < 0 or (p and past is None):
+        raise ShapeMismatch(f"mask shape {mask.visible.shape} for {len(ids)} new rows "
                             f"{'with' if past is not None else 'without'} a past")
     if p + n > cfg.max_len:
         raise ShapeMismatch(f"sequence length {p + n} exceeds max_len {cfg.max_len}")
+    bias = mask.bias(cfg.np_dtype)
+    tokens = np.asarray(ids)
     if past is not None:
-        if len(past[0][0]) < p + n:
-            raise ShapeMismatch(f"past buffers hold {len(past[0][0])} rows, "
-                                f"the mask needs {p + n}")
+        held = past[0][0].shape
+        if held[0] != rows or held[1] < p + 1:
+            raise ShapeMismatch(f"past buffers of shape {held}, the mask needs "
+                                f"{rows} x {p + 1} rows")
         if params.emb.requires_grad:
             raise ValueError("forward with a past writes K/V in place; run it under no_grad")
-    bias = mask.bias(cfg.np_dtype)
+        tokens, bias = tokens[:, None], bias[:, None]  # B x 1 rows
 
-    x = ad.add(ad.gather_rows(params.emb, np.asarray(ids)),
+    x = ad.add(ad.gather_rows(params.emb, tokens),
                ad.gather_rows(params.pos, np.arange(p, p + n)))
     kv = []
     for li, layer in enumerate(params.layers):
@@ -183,9 +192,9 @@ def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
         v = ad.matmul(h, layer["wv"])
         if past is not None:
             k_buf, v_buf = past[li]
-            k_buf[p:p + n] = k.data
-            v_buf[p:p + n] = v.data
-            k, v = Tensor(k_buf[:p + n]), Tensor(v_buf[:p + n])
+            k_buf[:, p:p + 1] = k.data
+            v_buf[:, p:p + 1] = v.data
+            k, v = Tensor(k_buf[:, :p + 1]), Tensor(v_buf[:, :p + 1])
         kv.append((k.data, v.data))
         attn = ad.matmul(ad.attention(q, k, v, bias, cfg.heads), layer["wo"])
         x = ad.add(x, attn)
@@ -235,55 +244,65 @@ def joint_loss(l_sl: Tensor, l_ntp: Tensor) -> Tensor:
 
 def greedy_generate(params: ModelParams, prompt: list[int], max_new: int,
                     stop_id: int, encoded: ForwardOutput,
-                    attend: np.ndarray) -> list[int]:
-    """Argmax decoding from a cached prompt encoding; ties break toward the
-    lowest token id. Deterministic. Returns the prompt followed by the new
-    tokens, the stop id included when it was generated.
+                    attends: np.ndarray) -> list[list[int]]:
+    """Argmax decoding from a cached prompt encoding, one sequence per row
+    of `attends`, all B of them in one stacked pass; ties break toward the
+    lowest token id. Deterministic. Returns, per row, the prompt followed
+    by that sequence's new tokens, the stop id included when it was
+    generated.
 
     `encoded` is a forward of `prompt` at positions 0..len-1 whose rows
     never attend past the prompt (the pipeline passes its linking pass,
-    made under the joint mask). Its last row gives the first token. Each
-    later token is one row through `forward` at the next position; it sees
-    the prompt positions flagged in `attend`, the tokens generated before it
-    and itself, which is the query row of the joint mask. Pruning is thus a
-    mask over the full prompt, never an edit of its text. No token is placed
-    at position max_len or beyond.
+    made under the joint mask). Its last row gives every sequence's first
+    token. Each later step is one `forward` of B rows at the next position
+    (the `past` contract of `forward`): sequence b's row sees the prompt
+    positions flagged in `attends[b]`, its tokens generated before and
+    itself, which is the query row of the joint mask. Pruning is thus a
+    mask over the full prompt, never an edit of its text. Each sequence's
+    products stay one-row products, so its tokens are those it would get
+    decoded alone. A sequence that has stopped stays in the stack until all
+    have, and its further tokens are dropped. No token is placed at
+    position max_len or beyond.
 
-    One mask row over the prompt and `max_new` positions has its bias built
-    once; step t's mask is a view of its first n + t columns. Per-layer K/V
-    buffers of n + max_new rows are filled once from `encoded`, and each
-    step's forward writes its row into them in place (the `past` contract
-    of `forward`). `encoded` itself is never written, so one encoding serves
-    any number of decodes.
+    One B x (n + max_new) mask has its bias built once; step t's mask is a
+    view of its first n + t columns. Per-layer B x (n + max_new) K/V
+    buffers are filled once from `encoded`, and each step's forward writes
+    its rows into them in place. `encoded` itself is never written, so one
+    encoding serves any number of decodes.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
     cfg = params.config
     n = len(prompt)
-    visible = np.ones(n + max_new, dtype=bool)
-    visible[:n] = attend
-    row = AttentionMask(visible[None, :])
-    row.bias(cfg.np_dtype)  # built here, once; every step's mask is a view of it
-    buffers = np.empty((len(encoded.kv), 2, n + max_new, cfg.dim), dtype=cfg.np_dtype)
+    visible = np.ones((len(attends), n + max_new), dtype=bool)
+    visible[:, :n] = attends
+    mask = AttentionMask(visible)
+    mask.bias(cfg.np_dtype)  # built here, once; every step's mask is a view of it
+    buffers = np.empty((len(encoded.kv), 2, len(attends), n + max_new, cfg.dim),
+                       dtype=cfg.np_dtype)
     past = []
     for buf, (k, v) in zip(buffers, encoded.kv):
-        buf[0, :n] = k
-        buf[1, :n] = v
+        buf[0, :, :n] = k
+        buf[1, :, :n] = v
         past.append((buf[0], buf[1]))
-    ids = list(prompt)
-    logits = encoded.lm_logits.data[-1]
+    seqs = [list(prompt) for _ in attends]
+    live = [True] * len(seqs)
+    nxt = [np.argmax(encoded.lm_logits.data[-1])] * len(seqs)
     with no_grad(params):
-        for _ in range(max_new):
-            if len(ids) >= cfg.max_len:
+        for step in range(max_new):
+            if n + step >= cfg.max_len:
                 break
-            if len(ids) > n:  # feed the previous token as one new row
-                out = forward(params, ids[-1:], row.columns(len(ids)), past=past)
-                logits = out.lm_logits.data[-1]
-            nxt = int(np.argmax(logits))
-            ids.append(nxt)
-            if nxt == stop_id:
+            if step:  # feed each sequence's previous token as one new row
+                out = forward(params, [seq[-1] for seq in seqs], mask.columns(n + step),
+                              past=past)
+                nxt = np.argmax(out.lm_logits.data[:, -1], axis=-1)
+            for b, seq in enumerate(seqs):
+                if live[b]:
+                    seq.append(int(nxt[b]))
+                    live[b] = seq[-1] != stop_id
+            if not any(live):
                 break
-    return ids
+    return seqs
 
 
 @contextlib.contextmanager

@@ -21,6 +21,12 @@ ones. Prompt rows never see query rows, so each decode step is one
 row through `forward` against the cached K/V. Re-encoding a pruned prompt
 under a causal mask would instead change the schema rows' K/V and the row
 that predicts the first token, a layout training never showed the model.
+
+`generate_sql` decodes a list of predicted sets from one encoding in one
+stacked pass: each step runs one row per set, stacked B x 1 x d, so every
+set's products stay one-row products and its SQL is the one it would get
+decoded alone. `infer` passes one set; evaluation passes an example's
+distinct sets across its thresholds.
 """
 from __future__ import annotations
 
@@ -279,28 +285,31 @@ def full_schema_prompt(example: TrainingExample) -> np.ndarray:
 
 
 def generate_sql(params: ModelParams, example: TrainingExample,
-                 encoded: ForwardOutput, predicted: set[tuple[str, str]],
-                 vocab: Vocab, max_new: int = 64) -> tuple[str, bool]:
-    """Greedy SQL for one predicted column set, from a prompt encoding.
+                 encoded: ForwardOutput, predicted_sets: list[set[tuple[str, str]]],
+                 vocab: Vocab, max_new: int = 64) -> list[tuple[str, bool]]:
+    """Greedy SQL for each predicted column set, from one prompt encoding,
+    all sets decoded together in one stacked `greedy_generate`.
 
     `encoded` is `encode_prompt(params, example)`; its last row gives the
-    first token and its K/V serve every decode step, so one encoding serves
-    any number of predicted sets. Decode rows attend to the prompt
-    positions `prune_prompt` flags (`full_schema_prompt`'s when the set is
-    empty), the tokens generated so far and themselves.
+    first token and its K/V serve every decode step. Each set's decode rows
+    attend to the prompt positions `prune_prompt` flags
+    (`full_schema_prompt`'s when the set is empty), the tokens generated so
+    far and themselves. A set's SQL is the one it would get decoded alone.
 
-    Returns (sql, whether the empty-set fallback ran).
+    Returns, per set, (sql, whether the empty-set fallback ran).
     """
-    used_fallback = not predicted
-    attend = (full_schema_prompt(example) if used_fallback
-              else prune_prompt(example, predicted))
-    prompt = example.tokens.ids[:len(attend)]
-    generated = greedy_generate(params, prompt, max_new=max_new, stop_id=EOS,
-                                encoded=encoded, attend=attend)
-    new_ids = generated[len(prompt):]
-    if new_ids and new_ids[-1] == EOS:
-        new_ids = new_ids[:-1]
-    return decode(new_ids, vocab), used_fallback
+    attends = [prune_prompt(example, predicted) if predicted else full_schema_prompt(example)
+               for predicted in predicted_sets]
+    n = example.seg.query_start
+    generated = greedy_generate(params, example.tokens.ids[:n], max_new=max_new,
+                                stop_id=EOS, encoded=encoded, attends=attends)
+    out = []
+    for predicted, ids in zip(predicted_sets, generated):
+        new_ids = ids[n:]
+        if new_ids and new_ids[-1] == EOS:
+            new_ids = new_ids[:-1]
+        out.append((decode(new_ids, vocab), not predicted))
+    return out
 
 
 def infer(params: ModelParams, example: TrainingExample, vocab: Vocab,
@@ -313,8 +322,8 @@ def infer(params: ModelParams, example: TrainingExample, vocab: Vocab,
     predicted_columns = [(t, c, s) for t, c, s in marker_scores(example, encoded)
                          if s > threshold]
     t1 = time.perf_counter()
-    sql, used_fallback = generate_sql(
-        params, example, encoded, {(t, c) for t, c, _ in predicted_columns},
+    [(sql, used_fallback)] = generate_sql(
+        params, example, encoded, [{(t, c) for t, c, _ in predicted_columns}],
         vocab, max_new)
     t2 = time.perf_counter()
     return InferenceResult(

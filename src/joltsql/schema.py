@@ -67,22 +67,25 @@ class SchemaDocument:
     @staticmethod
     def from_json(obj: dict) -> "SchemaDocument":
         """Read `to_json`'s form. Raises InvalidSchema naming the entry and
-        the key when an entry lacks a required key or is not an object, a
+        the key when an entry lacks a required key or is not an object, the
+        tables, a table's columns or its foreign keys are not a list, a
         name, type, value example or primary-key entry is not a string, or
         a foreign key is not three strings."""
         tables = []
-        for i, t in enumerate(_required(obj, "tables", "schema")):
+        listed = _list(_required(obj, "tables", "schema"), "schema, key 'tables'")
+        for i, t in enumerate(listed):
             name = _string(_required(t, "name", f"table {i}"), f"table {i}, key 'name'")
             where = f"table {name!r}"
-            cols = tuple(_column(c, f"column {j} of {where}")
-                         for j, c in enumerate(_required(t, "columns", where)))
+            columns = _list(_required(t, "columns", where), f"{where}, key 'columns'")
+            cols = tuple(_column(c, f"column {j} of {where}") for j, c in enumerate(columns))
+            fks = _list(t.get("foreign_keys", []), f"{where}, key 'foreign_keys'")
             tables.append(
                 Table(
                     name,
                     cols,
                     _strings(t.get("primary_key", []), f"{where}, key 'primary_key'"),
                     tuple(_strings(fk, f"{where}, foreign key {k}", 3)
-                          for k, fk in enumerate(t.get("foreign_keys", []))),
+                          for k, fk in enumerate(fks)),
                 )
             )
         return SchemaDocument(tuple(tables))
@@ -124,6 +127,12 @@ def _column(obj, where: str) -> Column:
     return Column(_string(_required(obj, "name", where), f"{where}, key 'name'"),
                   _string(obj.get("type", "TEXT"), f"{where}, key 'type'"),
                   _strings(obj.get("examples", []), f"{where}, key 'examples'"))
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidSchema(f"{where}: expected a list")
+    return value
 
 
 def _string(value, where: str) -> str:
@@ -209,6 +218,14 @@ class SpanIndex:
                                    "not made of integer pairs")
             tables[t] = TableSpans(**ts).map(tuple)
         return SpanIndex(tables)
+
+    @staticmethod
+    def load(path: str) -> "SpanIndex":
+        """`from_json` of a spans file; its errors name the file."""
+        try:
+            return SpanIndex.from_json(read_json(path))
+        except InvalidSpans as e:
+            raise InvalidSpans(f"{path}: {e}") from None
 
 
 def _holds_spans(key: str, value) -> bool:

@@ -605,6 +605,48 @@ class TestKernelsMatchSlowReferences:
                     same_bytes(got, ref)
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    def test_attention_leading_dims_run_each_item_alone(self, dtype):
+        """A stack of B items, each with its own mask, gives forward and
+        backward byte for byte what each item's own 2-D call gives."""
+        rng = np.random.default_rng(3)
+        d, heads, items = 8, 2, 3
+        for visible in kernel_masks(rng):
+            n, m = visible.shape
+            views = [visible | (rng.random((n, m)) > 0.5) for _ in range(items)]
+            bias = np.stack([additive_bias(view, dtype) for view in views])
+            data = [rng.normal(0, 1, (items, r, d)).astype(dtype) for r in (n, m, m)]
+            g = rng.normal(0, 1, (items, n, d)).astype(dtype)
+
+            def run(arrays, bias, g):
+                q, k, v = (ad.tensor(x, requires_grad=True, dtype=dtype) for x in arrays)
+                out = ad.attention(q, k, v, bias, heads)
+                ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g, dtype=dtype))))
+                return out.data, q.grad, k.grad, v.grad
+
+            stacked = run(data, bias, g)
+            for b in range(items):
+                alone = run([x[b] for x in data], bias[b], g[b])
+                for got, want in zip(stacked, alone):
+                    same_bytes(got[b], want)
+
+    def test_add_and_gather_rows_take_leading_dims(self):
+        table = ad.tensor(np.arange(12.0).reshape(4, 3), requires_grad=True,
+                          dtype=np.float64)
+        rows = ad.gather_rows(table, np.array([[2], [0], [2]]))
+        assert rows.shape == (3, 1, 3)
+        row_bias = ad.tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+        one_row = ad.tensor(np.full((1, 3), 2.0), requires_grad=True, dtype=np.float64)
+        out = ad.add(ad.add(rows, row_bias), one_row)  # both broadcast over the stack
+        np.testing.assert_array_equal(out.data[:, 0], table.data[[2, 0, 2]] + 3)
+        ad.backward(ad.sum_all(out))
+        np.testing.assert_array_equal(table.grad, [[1] * 3, [0] * 3, [2] * 3, [0] * 3])
+        np.testing.assert_array_equal(row_bias.grad, [3, 3, 3])
+        np.testing.assert_array_equal(one_row.grad, [[3, 3, 3]])
+        for other in (np.ones(2), np.ones((2, 3)), np.ones((1, 3, 1, 3))):
+            with pytest.raises(ShapeMismatch):
+                ad.add(rows, ad.tensor(other))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     def test_layer_norm(self, dtype):
         rng = np.random.default_rng(5)
         for rows, d in ((1, 80), (7, 5), (204, 80), (3, 320)):

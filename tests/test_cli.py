@@ -199,8 +199,10 @@ class TestInputFiles:
          "column 0 of table 't', key 'name': expected a string"),
         ({"tables": [{"name": "t", "columns": [], "foreign_keys": [["a", "t"]]}]},
          "table 't', foreign key 0: expected a list of 3 strings"),
+        ({"tables": 5}, "schema, key 'tables': expected a list"),
+        ({"tables": [{"name": "t", "columns": 5}]}, "table 't', key 'columns': expected a list"),
     ], ids=["no-tables", "no-columns", "not-an-object", "column-name-not-a-string",
-            "foreign-key-of-two"])
+            "foreign-key-of-two", "tables-not-a-list", "columns-not-a-list"])
     def test_schema_of_the_wrong_shape_is_an_error_line(self, capsys, tmp_path, schema,
                                                         named):
         schema_file = tmp_path / "schema.json"
@@ -342,7 +344,7 @@ class TestExtractAndSerialize:
                            "--spans", str(spans_file), "--query", str(text),
                            "--vocab", str(workspace["corpus"] / "vocab.json"))
         assert code == 1
-        assert err == f"error: {named}\n"
+        assert err == f"error: {spans_file}: {named}\n"
 
 
     def test_serialize_then_encode_round_trip(self, capsys, tmp_path, concert_schema):

@@ -1,5 +1,6 @@
-"""Evaluation: one prompt encoding per example, one decode per distinct
-predicted column set, and results equal to per-threshold inference."""
+"""Evaluation: one prompt encoding and one stacked decode per example, one
+decoded sequence and one execution per distinct predicted column set, and
+results equal to per-threshold inference."""
 import hashlib
 import shutil
 import sqlite3
@@ -131,7 +132,7 @@ def test_one_prompt_encoding_and_one_decode_per_distinct_set(desk, monkeypatch, 
         return forward(params, ids, mask, past=past)
 
     def spy_generate(*args, **kwargs):
-        decodes.append(1)
+        decodes.append(len(kwargs["attends"]))
         return generate(*args, **kwargs)
 
     def spy_execute(*args):
@@ -149,8 +150,18 @@ def test_one_prompt_encoding_and_one_decode_per_distinct_set(desk, monkeypatch, 
                  max_new=MAX_NEW, average=run)
     assert prompts == [ex.tokens.ids[:ex.seg.query_start]
                        for ex in examples]
-    assert len(decodes) == distinct
+    assert len(decodes) == len(examples)  # one stacked decode per example...
+    assert sum(decodes) == distinct  # ...with one sequence per distinct set
     assert len(executions) == distinct
+
+
+def test_records_of_an_example_share_its_one_decode_time(desk):
+    params, examples, vocab, generated = desk
+    run = evaluation._run(params, examples, vocab, generated.db_paths,
+                          SWEEP_THRESHOLDS, MAX_NEW)
+    for i in range(len(examples)):
+        timings = {tuple(records[i]["timings_ms"].items()) for records in run.records}
+        assert len(timings) == 1
 
 
 def sha256(path):
@@ -169,8 +180,9 @@ def test_predicted_writes_fail_and_leave_databases_unchanged(desk, monkeypatch, 
         shutil.copyfile(path, db_paths[db_id])
     before = {db_id: sha256(path) for db_id, path in db_paths.items()}
 
-    def writing_sql(params, example, encoded, predicted, vocab, max_new):
-        return write.format(table=example.schema_doc.tables[0].name), False
+    def writing_sql(params, example, encoded, predicted_sets, vocab, max_new):
+        return [(write.format(table=example.schema_doc.tables[0].name), False)
+                for _ in predicted_sets]
 
     monkeypatch.setattr(evaluation, "generate_sql", writing_sql)
     result = evaluate(params, examples, vocab, db_paths, max_new=MAX_NEW)

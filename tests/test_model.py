@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from joltsql import autodiff as ad
-from joltsql import masks
+from joltsql import masks, model
 from joltsql.errors import EmptyQuery, EmptyRow, MalformedInput, NoMarkers, ShapeMismatch
 from joltsql.masks import AttentionMask, build_causal_mask, build_joint_mask
 from joltsql.model import (ModelConfig, ModelParams, forward, greedy_generate,
@@ -28,15 +28,25 @@ def tiny_segment():
                       markers={4, 6}, table_elements={}, marker_columns=[])
 
 
-def kv_buffers(kv, rows):
-    """`forward`'s `past`: per layer, K and V buffers of `rows` rows whose
-    first rows are copies of `kv`."""
+def kv_buffers(kv, rows, sequences=1):
+    """`forward`'s `past`: per layer, K and V buffers of `sequences` x
+    `rows` rows, each sequence's first rows copies of `kv`."""
     past = []
     for k, v in kv:
-        buf = np.zeros((2, rows, k.shape[1]), dtype=k.dtype)
-        buf[0, :len(k)], buf[1, :len(v)] = k, v
+        buf = np.zeros((2, sequences, rows, k.shape[1]), dtype=k.dtype)
+        buf[0, :, :len(k)], buf[1, :, :len(v)] = k, v
         past.append((buf[0], buf[1]))
     return past
+
+
+def unfused_stacked(q, k, v, bias, heads):
+    """`unfused_attention`, run on each item of a decode step's B x 1 x d
+    stack (no gradient)."""
+    if q.data.ndim == 2:
+        return unfused_attention(q, k, v, bias, heads)
+    return ad.Tensor(np.stack([
+        unfused_attention(*(ad.Tensor(t.data[b]) for t in (q, k, v)), bias[b], heads).data
+        for b in range(len(q.data))]))
 
 
 class TestForward:
@@ -201,7 +211,7 @@ class TestAttentionOp:
                     rows.append(out.lm_logits.data)
             return rows
         fused = logits()
-        monkeypatch.setattr(ad, "attention", unfused_attention)
+        monkeypatch.setattr(ad, "attention", unfused_stacked)
         reference = logits()
         assert len(fused) == 4
         for got, want in zip(fused, reference):
@@ -341,8 +351,9 @@ def generate(params, prompt, max_new, stop_id):
     """Greedy decoding of a causally encoded prompt, every prompt token
     visible to the decode rows."""
     encoded = forward(params, prompt, build_causal_mask(len(prompt)))
-    return greedy_generate(params, prompt, max_new, stop_id, encoded=encoded,
-                           attend=np.ones(len(prompt), dtype=bool))
+    [ids] = greedy_generate(params, prompt, max_new, stop_id, encoded=encoded,
+                            attends=np.ones((1, len(prompt)), dtype=bool))
+    return ids
 
 
 class TestGreedyGenerate:
@@ -369,7 +380,7 @@ class TestGreedyGenerate:
         encoded = forward(params, [1], build_causal_mask(1))
         with pytest.raises(ValueError):
             greedy_generate(params, [], max_new=5, stop_id=0, encoded=encoded,
-                            attend=np.ones(0, dtype=bool))
+                            attends=np.ones((1, 0), dtype=bool))
 
 
 class TestDecodeCache:
@@ -382,8 +393,9 @@ class TestDecodeCache:
         return forward(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
 
     def decode(self, params, encoded, max_new=6):
-        return greedy_generate(params, self.PROMPT, max_new, stop_id=-1, encoded=encoded,
-                               attend=np.ones(len(self.PROMPT), dtype=bool))
+        [ids] = greedy_generate(params, self.PROMPT, max_new, stop_id=-1, encoded=encoded,
+                                attends=np.ones((1, len(self.PROMPT)), dtype=bool))
+        return ids
 
     def test_one_bias_build_per_forward_and_per_generate(self, monkeypatch):
         params = ModelParams(tiny_config(layers=2), seed=0)
@@ -423,9 +435,13 @@ class TestDecodeCache:
         row = AttentionMask(np.ones((1, 5), dtype=bool))
         with pytest.raises(ShapeMismatch):  # cached columns without a past
             forward(params, [5], row)
-        with pytest.raises(ShapeMismatch):  # buffers without a row for the new token
-            with no_grad(params):
-                forward(params, [5], row, past=encoded.kv)
+        with no_grad(params):
+            with pytest.raises(ShapeMismatch):  # buffers without a row for the new token
+                forward(params, [5], row, past=kv_buffers(encoded.kv, 4))
+            with pytest.raises(ShapeMismatch):  # buffers of two sequences, one row
+                forward(params, [5], row, past=kv_buffers(encoded.kv, 5, sequences=2))
+            with pytest.raises(ShapeMismatch):  # one row each for two sequences
+                forward(params, [5, 6], row, past=kv_buffers(encoded.kv, 5, sequences=2))
         with pytest.raises(ValueError):  # an in-place write carries no gradient
             forward(params, [5], row, past=kv_buffers(encoded.kv, 5))
 
@@ -449,3 +465,98 @@ class TestDecodeCache:
                     lambda: forward(params, [6], row.columns(n + 2), past=past))
         one_k_copy = (72 - 8) * cfg.dim * 4
         assert peaks[72] - peaks[8] < one_k_copy / 4, peaks
+
+
+class TestStackedDecode:
+    """One greedy_generate decodes B views of one prompt as a B x 1 x d
+    stack; each sequence's tokens and decode-row logits are byte for byte
+    those of its own single-view decode."""
+
+    PROMPT = [3, 1, 4, 1, 5, 9, 2, 6]
+
+    def views(self):
+        rng = np.random.default_rng(1)
+        views = rng.random((4, len(self.PROMPT))) > 0.5
+        views[-1] = True  # the all-columns fallback view
+        return views
+
+    def decode(self, params, views, stop_id, max_new, monkeypatch):
+        """Each sequence's ids, and each decode step's logits."""
+        steps = []
+
+        def spy(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            steps.append(out.lm_logits.data)
+            return out
+
+        monkeypatch.setattr(model, "forward", spy)
+        encoded = forward(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
+        return greedy_generate(params, self.PROMPT, max_new, stop_id, encoded=encoded,
+                               attends=views), steps
+
+    @staticmethod
+    def lively_params(**kw):
+        """Tiny params drawn from N(0, 1), so that what a decode row sees
+        changes what it decodes."""
+        params = ModelParams(tiny_config(vocab_size=40, dim=16, **kw), seed=0)
+        rng = np.random.default_rng(0)
+        for p in params.all_params():
+            p.data = rng.normal(0, 1, p.data.shape).astype(p.data.dtype)
+        return params
+
+    def stacked_equals_single(self, params, stop_id, max_new, monkeypatch):
+        views = self.views()
+        stacked, steps = self.decode(params, views, stop_id, max_new, monkeypatch)
+        assert len(stacked) == len(views)
+        for b, view in enumerate(views):
+            [alone], alone_steps = self.decode(params, view[None], stop_id, max_new,
+                                               monkeypatch)
+            assert stacked[b] == alone
+            assert len(steps) >= len(alone_steps)
+            for step, alone_step in zip(steps, alone_steps):
+                assert step.shape == (len(views), 1, params.config.vocab_size)
+                assert step[b].tobytes() == alone_step[0].tobytes()
+        return stacked
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_sequences_stopping_at_different_steps(self, monkeypatch, dtype):
+        params = self.lively_params(dtype=dtype)
+        n = len(self.PROMPT)
+        endless = self.stacked_equals_single(params, -1, 12, monkeypatch)
+        assert len({tuple(seq) for seq in endless}) > 1  # the views decode differently
+
+        def stopped_length(seq, stop):
+            new = seq[n:]
+            return n + (new.index(stop) + 1 if stop in new else len(new))
+
+        # a stop id that ends the sequences at different steps
+        stop = next(t for t in sorted({t for seq in endless for t in seq[n:]})
+                    if len({stopped_length(seq, t) for seq in endless}) > 1)
+        stopped = self.stacked_equals_single(params, stop, 12, monkeypatch)
+        assert [len(seq) for seq in stopped] == [stopped_length(seq, stop)
+                                                 for seq in endless]
+
+    def test_max_len_cuts_every_sequence(self, monkeypatch):
+        params = self.lively_params(max_len=len(self.PROMPT) + 3)
+        stacked = self.stacked_equals_single(params, -1, 10, monkeypatch)
+        assert [len(seq) for seq in stacked] == [len(self.PROMPT) + 3] * 4
+
+    @pytest.mark.parametrize("d,k,transposed", [(80, 80, False), (80, 320, False),
+                                                (320, 80, False), (80, 185, True)])
+    def test_only_a_stack_keeps_one_row_products(self, d, k, transposed):
+        """The reason decode rows run as B x 1 x d: numpy's stacked product
+        runs each (1, d) item alone, rounding it as the one-row product a
+        single decode makes, while the same rows flattened to B x d are
+        rounded as one block and differ (seen with OpenBLAS). The shapes are
+        DESK_MODEL's projections and FFN, and its tied embedding, read
+        transposed."""
+        rng = np.random.default_rng(d + k)
+        w = rng.normal(0, 0.1, (k, d) if transposed else (d, k)).astype(np.float32)
+        w = w.T if transposed else w
+        flat_differs = 0
+        for trial in range(20):
+            rows = rng.normal(0, 1, (2 + trial % 5, 1, d)).astype(np.float32)
+            alone = np.stack([row @ w for row in rows])
+            assert (rows @ w).tobytes() == alone.tobytes()
+            flat_differs += (rows[:, 0] @ w)[:, None].tobytes() != alone.tobytes()
+        assert flat_differs > 0

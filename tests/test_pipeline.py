@@ -15,7 +15,7 @@ from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
                               assemble_segments, build_training_example,
                               capture_sampling_weights, encode_prompt,
                               example_to_json,
-                              full_schema_prompt, infer, link_schema,
+                              full_schema_prompt, generate_sql, infer, link_schema,
                               load_corpus, prepare_inference_example,
                               prune_prompt, train)
 from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, Table,
@@ -511,7 +511,7 @@ class TestDecodeUnderTrainingMask:
 
         def spy(*args, **kwargs):
             out = forward(*args, **kwargs)
-            seen.append(out.lm_logits.data[-1])
+            seen.append(out.lm_logits.data[-1].ravel())  # a decode step's is 1 x V
             return out
 
         monkeypatch.setattr(model, "forward", spy)
@@ -552,7 +552,7 @@ class TestDecodeUnderTrainingMask:
         def decode(params, encoded, columns):
             attend = prune_prompt(example, columns)
             rows.clear()
-            ids = greedy_generate(params, prompt, 12, -1, encoded=encoded, attend=attend)
+            [ids] = greedy_generate(params, prompt, 12, -1, encoded=encoded, attends=[attend])
             return ids, list(rows)
 
         monkeypatch.setattr(model, "forward", spy)
@@ -566,15 +566,27 @@ class TestDecodeUnderTrainingMask:
             assert shared == fresh + fresh[:1]
             assert len(fresh[0][1]) == 11 and fresh[0][1] != fresh[1][1]
 
+    def test_generate_sql_decodes_a_list_of_sets_as_each_alone(self, example, vocab,
+                                                               decoders):
+        """One call over several sets, the empty one (the all-columns
+        fallback) included, gives each set's single-set result."""
+        sets = [{("singer", "name"), ("singer", "age")}, {("stadium", "city")}, set()]
+        for params in decoders:
+            encoded = encode_prompt(params, example)
+            alone = [generate_sql(params, example, encoded, [columns], vocab, 12)[0]
+                     for columns in sets]
+            assert generate_sql(params, example, encoded, sets, vocab, 12) == alone
+            assert [fallback for _, fallback in alone] == [False, False, True]
+
     def test_first_token_and_limits_match_uncached(self, example, vocab, decoders):
         n_ps = example.seg.query_start
         prompt = example.tokens.ids[:n_ps]
         columns = {("singer", "name"), ("stadium", "city")}
 
         def cached(params, max_new, stop_id):
-            out = greedy_generate(params, prompt, max_new, stop_id,
-                                  encoded=encode_prompt(params, example),
-                                  attend=prune_prompt(example, columns))
+            [out] = greedy_generate(params, prompt, max_new, stop_id,
+                                    encoded=encode_prompt(params, example),
+                                    attends=[prune_prompt(example, columns)])
             return out[n_ps:]
 
         def reference(params, max_new, stop_id):
