@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--question", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--threshold", type=float, default=0.05)
+    p.add_argument("--threshold", type=float, default=pipeline.DEFAULT_THRESHOLD)
     p.set_defaults(fn=cmd_infer)
 
     for name in ("eval", "sweep"):
@@ -356,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dbs", required=True)
         p.add_argument("--schema-dir", default=None)
         p.add_argument("--out", default="eval_out")
-        p.add_argument("--max-new", type=int, default=64)
+        p.add_argument("--max-new", type=int, default=pipeline.DEFAULT_MAX_NEW)
         if name == "eval":
-            p.add_argument("--threshold", type=float, default=0.05)
+            p.add_argument("--threshold", type=float, default=pipeline.DEFAULT_THRESHOLD)
             p.add_argument("--average", choices=("micro", "macro"), default="micro")
         p.set_defaults(fn=cmd_eval)
 

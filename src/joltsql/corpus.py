@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .jsonfile import read_jsonl
+from .model import MAX_LEN
 from .pipeline import (PREFIX_TEMPLATE, build_training_example, example_to_json,
                        tokenized_schema)
 from .schema import Column, SchemaDocument, Table, with_value_examples
@@ -240,7 +241,7 @@ class GeneratedCorpus:
     db_paths: dict[str, str] = field(default_factory=dict)
 
 
-def generate_corpus(cfg: CorpusConfig, out_dir: str, max_len: int = 512) -> GeneratedCorpus:
+def generate_corpus(cfg: CorpusConfig, out_dir: str) -> GeneratedCorpus:
     db_dir = os.path.join(out_dir, "dbs")
     schema_dir = os.path.join(out_dir, "schema")
     os.makedirs(db_dir, exist_ok=True)
@@ -297,10 +298,9 @@ def generate_corpus(cfg: CorpusConfig, out_dir: str, max_len: int = 512) -> Gene
                 ex = build_training_example(r["question"], schemas[r["db_id"]],
                                             r["gold_sql"], vocab,
                                             r["example_id"], r["db_id"])
-                if len(ex.tokens.ids) > max_len:
-                    raise ConfigError(
-                        f"example {r['example_id']} is {len(ex.tokens.ids)} tokens "
-                        f"(max {max_len})")
+                if len(ex.tokens.ids) > MAX_LEN:
+                    raise ConfigError(f"example {r['example_id']} is {len(ex.tokens.ids)} "
+                                      f"tokens (max {MAX_LEN})")
                 f.write(json.dumps(example_to_json(ex)) + "\n")
 
     train_path = os.path.join(out_dir, "train.jsonl")

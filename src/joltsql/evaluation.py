@@ -1,27 +1,23 @@
 """Dev-set evaluation: linking metrics, execution accuracy, threshold sweep.
 
-`evaluate` and `threshold_sweep` share one loop over examples. Each
-example's prompt is encoded once; that pass gives its marker scores and the
-K/V that every decode of it reuses. Within an example, the distinct
-predicted column sets, however many thresholds share each, are collected in
-threshold order and decoded together in one stacked greedy decode, each set
-giving the SQL it would get decoded alone; sqlite then executes each
-distinct set's SQL once. Every record of an example carries that one
-decode's wall time as `timings_ms.generation`. Corpus databases are opened
-read-only, so SQL the model writes cannot change them.
+`evaluate` and `threshold_sweep` share one loop over examples. Inference
+is `pipeline.infer_thresholds`, once per example at every threshold scored:
+one prompt encoding, and one stacked decode of the distinct predicted
+sets. This module only executes SQL and aggregates: each distinct result's
+SQL runs once, and every record of an example carries that call's one
+timings dict. Corpus databases are opened read-only, so SQL the model
+writes cannot change them.
 """
 from __future__ import annotations
 
 import sqlite3
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DbUnavailable, LengthMismatch
-from .metrics import (ExReport, execution_accuracy, pr_auc, precision_recall,
-                      roc_auc)
+from .metrics import ExReport, execution_accuracy, pr_auc, precision_recall, roc_auc
 from .model import ModelParams
-from .pipeline import TrainingExample, encode_prompt, generate_sql, marker_scores
+from .pipeline import DEFAULT_MAX_NEW, DEFAULT_THRESHOLD, TrainingExample, infer_thresholds
 from .tokenizer import Vocab
 
 SWEEP_THRESHOLDS = [0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.01]
@@ -29,25 +25,18 @@ SWEEP_THRESHOLDS = [0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.01]
 
 @dataclass
 class EvalResult:
+    threshold: float
     precision: float
     recall: float
     roc_auc: float
     pr_auc: float
     ex: float
     ex_counts: dict[str, int]
-    threshold: float
     per_example: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "precision": self.precision,
-            "recall": self.recall,
-            "roc_auc": self.roc_auc,
-            "pr_auc": self.pr_auc,
-            "ex": self.ex,
-            "ex_counts": self.ex_counts,
-        }
+        """Every field but the per-example records, in field order."""
+        return {k: v for k, v in vars(self).items() if k != "per_example"}
 
 
 @dataclass
@@ -87,37 +76,25 @@ def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
         for ex in examples:
             if ex.db_id not in connections:
                 connections[ex.db_id] = connect_readonly(db_paths[ex.db_id])
-            t0 = time.perf_counter()
-            encoded = encode_prompt(params, ex)
-            scored = marker_scores(ex, encoded)
-            linking_ms = (time.perf_counter() - t0) * 1000.0
+            scored, results = infer_thresholds(params, ex, vocab, thresholds, max_new)
             out.scores.append([s for _, _, s in scored])
             out.labels.append(ex.label)
-            predicted: dict[frozenset, list] = {}  # distinct sets, threshold order
-            keys = []
-            for threshold in thresholds:
-                columns = [(t, c, s) for t, c, s in scored if s > threshold]
-                keys.append(frozenset((t, c) for t, c, _ in columns))
-                predicted.setdefault(keys[-1], columns)
-            t1 = time.perf_counter()
-            generated = generate_sql(params, ex, encoded, list(predicted), vocab, max_new)
-            generation_ms = (time.perf_counter() - t1) * 1000.0
-            by_set = {
-                key: {
-                    "example_id": ex.example_id,
-                    "verdict": execution_accuracy(sql, ex.gold_sql, connections[ex.db_id]),
-                    "pred_sql": sql,
-                    "gold_sql": ex.gold_sql,
-                    "timings_ms": {"linking": linking_ms,
-                                   "generation": generation_ms,
-                                   "end_to_end": linking_ms + generation_ms},
-                    "predicted_columns": columns,
-                    "used_fallback": used_fallback,
-                }
-                for (key, columns), (sql, used_fallback) in zip(predicted.items(), generated)}
-            for report, records, key in zip(out.reports, out.records, keys):
-                report.add(by_set[key]["verdict"])
-                records.append(by_set[key])
+            records: dict[int, dict] = {}  # one per distinct result, executed once
+            for report, per_threshold, result in zip(out.reports, out.records, results):
+                record = records.get(id(result))
+                if record is None:
+                    record = records[id(result)] = {
+                        "example_id": ex.example_id,
+                        "verdict": execution_accuracy(result.sql, ex.gold_sql,
+                                                      connections[ex.db_id]),
+                        "pred_sql": result.sql,
+                        "gold_sql": ex.gold_sql,
+                        "timings_ms": result.timings_ms,
+                        "predicted_columns": result.predicted_columns,
+                        "used_fallback": result.used_fallback,
+                    }
+                report.add(record["verdict"])
+                per_threshold.append(record)
     finally:
         for conn in connections.values():
             conn.close()
@@ -125,8 +102,8 @@ def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
 
 
 def evaluate(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
-             db_paths: dict[str, str], threshold: float = 0.05,
-             max_new: int = 64, average: str = "micro") -> EvalResult:
+             db_paths: dict[str, str], threshold: float = DEFAULT_THRESHOLD,
+             max_new: int = DEFAULT_MAX_NEW, average: str = "micro") -> EvalResult:
     if average not in ("micro", "macro"):
         raise ValueError("average must be micro or macro")
     run = _run(params, examples, vocab, db_paths, [threshold], max_new)
@@ -135,26 +112,23 @@ def evaluate(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
         # per-example precision/recall, then mean; AUCs stay pooled because
         # single-example pools can be single-class
         per = [precision_recall(s, l, threshold) for s, l in zip(run.scores, run.labels)]
-        p = sum(ep for ep, _ in per) / len(per)
-        r = sum(er for _, er in per) / len(per)
+        p, r = (sum(column) / len(per) for column in zip(*per))
     else:
         p, r = precision_recall(scores, labels, threshold)
-    roc = roc_auc(scores, labels)
-    pr = pr_auc(scores, labels)
     report = run.reports[0]
-    return EvalResult(p, r, roc, pr, report.accuracy, report.counts(),
-                      threshold, run.records[0])
+    return EvalResult(threshold, p, r, roc_auc(scores, labels), pr_auc(scores, labels),
+                      report.accuracy, report.counts(), run.records[0])
 
 
 def threshold_sweep(params: ModelParams, examples: list[TrainingExample],
                     vocab: Vocab, db_paths: dict[str, str],
                     thresholds: list[float] | None = None,
-                    max_new: int = 64) -> list[dict]:
+                    max_new: int = DEFAULT_MAX_NEW) -> list[dict]:
     """(threshold -> precision, recall, EX) rows. Precision and recall are
     micro-averaged over the pooled marker scores; EX at each threshold
-    decodes from the predicted set at that threshold. One prompt encoding
-    per example serves every threshold, one stacked decode runs all of an
-    example's distinct predicted sets, and each is executed once."""
+    decodes from the predicted set at that threshold. One
+    `infer_thresholds` call per example serves every threshold, and each
+    distinct predicted set's SQL is executed once."""
     thresholds = thresholds if thresholds is not None else SWEEP_THRESHOLDS
     run = _run(params, examples, vocab, db_paths, thresholds, max_new)
     scores, labels = run.pooled()

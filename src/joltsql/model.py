@@ -15,6 +15,10 @@ from .errors import EmptyQuery, MalformedInput, NoMarkers, ShapeMismatch
 from .masks import AttentionMask
 
 
+# ModelConfig.max_len's default, and the longest example a corpus may hold
+MAX_LEN = 512
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -22,7 +26,7 @@ class ModelConfig:
     layers: int = 2
     heads: int = 4
     ffn_mult: int = 4
-    max_len: int = 512
+    max_len: int = MAX_LEN
     dtype: str = "float32"
 
     def __post_init__(self):

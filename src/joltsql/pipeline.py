@@ -22,11 +22,11 @@ row through `forward` against the cached K/V. Re-encoding a pruned prompt
 under a causal mask would instead change the schema rows' K/V and the row
 that predicts the first token, a layout training never showed the model.
 
-`generate_sql` decodes a list of predicted sets from one encoding in one
-stacked pass: each step runs one row per set, stacked B x 1 x d, so every
-set's products stay one-row products and its SQL is the one it would get
-decoded alone. `infer` passes one set; evaluation passes an example's
-distinct sets across its thresholds.
+`infer_thresholds` is the one inference step: one prompt encoding, then
+one stacked `generate_sql` over the distinct sets the thresholds predict.
+Each decode step runs one row per set, stacked B x 1 x d, so every set
+gets the SQL it would get decoded alone. `infer` is that step at one
+threshold; evaluation runs it at every threshold it scores.
 """
 from __future__ import annotations
 
@@ -50,6 +50,10 @@ from .tokenizer import (EOS, SchemaTokens, SegmentMap, TokenSequence, Vocab, dec
                         encode, tokenize_schema)
 
 PREFIX_TEMPLATE = "translate the question to sql . question : {question}"
+
+# the linking threshold and the decode budget of `infer`, evaluation and the CLI
+DEFAULT_THRESHOLD = 0.05
+DEFAULT_MAX_NEW = 64
 
 # one tokenized schema per live schema document; equal documents share it
 _tokenized: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -262,9 +266,8 @@ def marker_scores(example: TrainingExample,
 
 def link_schema(params: ModelParams,
                 example: TrainingExample) -> list[tuple[str, str, float]]:
-    """Score every column's marker under the joint mask (prefix+schema
-    only). Returns (table, column, score) for every column; the predicted
-    set at a threshold is the columns whose score exceeds it."""
+    """`marker_scores` of one prompt encoding: every column's (table,
+    column, score), in marker order."""
     return marker_scores(example, encode_prompt(params, example))
 
 
@@ -286,7 +289,7 @@ def full_schema_prompt(example: TrainingExample) -> np.ndarray:
 
 def generate_sql(params: ModelParams, example: TrainingExample,
                  encoded: ForwardOutput, predicted_sets: list[set[tuple[str, str]]],
-                 vocab: Vocab, max_new: int = 64) -> list[tuple[str, bool]]:
+                 vocab: Vocab, max_new: int) -> list[tuple[str, bool]]:
     """Greedy SQL for each predicted column set, from one prompt encoding,
     all sets decoded together in one stacked `greedy_generate`.
 
@@ -303,39 +306,42 @@ def generate_sql(params: ModelParams, example: TrainingExample,
     n = example.seg.query_start
     generated = greedy_generate(params, example.tokens.ids[:n], max_new=max_new,
                                 stop_id=EOS, encoded=encoded, attends=attends)
-    out = []
-    for predicted, ids in zip(predicted_sets, generated):
-        new_ids = ids[n:]
-        if new_ids and new_ids[-1] == EOS:
-            new_ids = new_ids[:-1]
-        out.append((decode(new_ids, vocab), not predicted))
-    return out
+    # a sequence stops at its first EOS, so EOS can only end it
+    return [(decode([i for i in ids[n:] if i != EOS], vocab), not predicted)
+            for predicted, ids in zip(predicted_sets, generated)]
+
+
+def infer_thresholds(params: ModelParams, example: TrainingExample, vocab: Vocab,
+                     thresholds: list[float], max_new: int
+                     ) -> tuple[list[tuple[str, str, float]], list[InferenceResult]]:
+    """The inference step: one prompt encoding gives every column's score
+    and the K/V one stacked `generate_sql` decodes each distinct predicted
+    set from. Returns every column's (table, column, score) in marker
+    order and a result per threshold, in order; thresholds predicting one
+    set share its result. All results share one `timings_ms`: `linking` is
+    the encoding and the scores, `generation` thresholding and decoding."""
+    t0 = time.perf_counter()
+    encoded = encode_prompt(params, example)
+    scored = marker_scores(example, encoded)
+    t1 = time.perf_counter()
+    keys = [frozenset((t, c) for t, c, s in scored if s > threshold) for threshold in thresholds]
+    distinct = list(dict.fromkeys(keys))  # threshold order
+    generated = generate_sql(params, example, encoded, distinct, vocab, max_new)
+    t2 = time.perf_counter()
+    timings_ms = {"linking": (t1 - t0) * 1000.0,
+                  "generation": (t2 - t1) * 1000.0,
+                  "end_to_end": (t2 - t0) * 1000.0}
+    by_set = {key: InferenceResult([(t, c, s) for t, c, s in scored if (t, c) in key],
+                                   sql, timings_ms, used_fallback)
+              for key, (sql, used_fallback) in zip(distinct, generated)}
+    return scored, [by_set[key] for key in keys]
 
 
 def infer(params: ModelParams, example: TrainingExample, vocab: Vocab,
-          threshold: float = 0.05, max_new: int = 64) -> InferenceResult:
-    """Link, then decode greedily under the training layout: one prompt
-    encoding gives the linking scores and the K/V that `generate_sql`
-    decodes from."""
-    t0 = time.perf_counter()
-    encoded = encode_prompt(params, example)
-    predicted_columns = [(t, c, s) for t, c, s in marker_scores(example, encoded)
-                         if s > threshold]
-    t1 = time.perf_counter()
-    [(sql, used_fallback)] = generate_sql(
-        params, example, encoded, [{(t, c) for t, c, _ in predicted_columns}],
-        vocab, max_new)
-    t2 = time.perf_counter()
-    return InferenceResult(
-        predicted_columns=predicted_columns,
-        sql=sql,
-        timings_ms={
-            "linking": (t1 - t0) * 1000.0,
-            "generation": (t2 - t1) * 1000.0,
-            "end_to_end": (t2 - t0) * 1000.0,
-        },
-        used_fallback=used_fallback,
-    )
+          threshold: float = DEFAULT_THRESHOLD,
+          max_new: int = DEFAULT_MAX_NEW) -> InferenceResult:
+    """`infer_thresholds` at one threshold."""
+    return infer_thresholds(params, example, vocab, [threshold], max_new)[1][0]
 
 
 def prepare_inference_example(question: str, schema_doc: SchemaDocument,

@@ -8,9 +8,12 @@ ORDER BY resolve exactly as they do when the query is executed. The
 authorizer allows only what a read-only SELECT needs; any other statement,
 or more than one, is refused.
 
-Links are reported lowercase. COUNT(*) reads no column, so it adds none;
-nor do the columns a USING or NATURAL join matches on, which SQLite pairs
-up without resolving them as names.
+Links are reported lowercase. COUNT(*) reads no column, so it adds none.
+SQLite pairs a USING or NATURAL join's keys without resolving them as
+names, so for such a join the `EXPLAIN` program is read too: each `Column`
+op on a cursor `OpenRead` opens at a schema table's root page. The
+authorizer stays the write guard and records the columns the optimizer
+drops from the program, as in `SELECT count(*) FROM (SELECT name FROM t)`.
 
 A schema's database belongs to the thread that first labels the schema;
 labelling it from another thread raises SqlSyntaxError.
@@ -37,6 +40,9 @@ _ERROR_RE = re.compile(r"(?:\d+\w\w )?(" + "|".join(_ERRORS) + ")")
 # statement that compiled must also begin, past comments, as a SELECT does
 _SELECT_RE = re.compile(r"(?:\s|--[^\n]*|/\*.*?\*/)*(?:SELECT|WITH|VALUES)\b", re.I | re.S)
 
+# joins whose keys only the program shows; reading it costs 3x the compile
+_PAIRED_JOIN_RE = re.compile(r"\b(?:USING|NATURAL)\b", re.I)
+
 # one empty copy of each live schema, closed once the schema is collected
 _compilers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -45,9 +51,9 @@ def _quoted(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list]:
-    """The schema's connection and the list its authorizer appends each
-    (table, column) a statement reads to."""
+def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list, dict]:
+    """The schema's connection, the list its authorizer appends each
+    (table, column) a statement reads to, and its tables by root page."""
     found = _compilers.get(schema)
     if found is not None:
         return found
@@ -61,6 +67,8 @@ def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list]:
             conn.close()
             raise InvalidSchema(f"table {table.name!r}: {e}") from None
     weakref.finalize(schema, conn.close)
+    tables = {root: schema.table(name)
+              for root, name in conn.execute("SELECT rootpage, name FROM sqlite_master")}
     reads: list[tuple[str, str]] = []
 
     def authorize(action, table, column, _db, _trigger):
@@ -71,23 +79,30 @@ def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list]:
         return sqlite3.SQLITE_OK if action in _ALLOWED else sqlite3.SQLITE_DENY
 
     conn.set_authorizer(authorize)
-    _compilers[schema] = conn, reads
-    return conn, reads
+    _compilers[schema] = conn, reads, tables
+    return conn, reads, tables
 
 
 def extract_ground_truth(sql: str, schema: SchemaDocument) -> set[tuple[str, str]]:
     """Gold (table, column) links of one read-only SELECT: every schema
     column SQLite reads while compiling it. `t.*` and bare `*` read every
-    column of the tables they expand over.
+    column of the tables they expand over, and a USING or NATURAL join
+    reads its key columns on both sides.
 
     Raises UnknownTable, UnknownColumn or AmbiguousColumn as SQLite resolves
     names (a compound's ORDER BY term that names no output column is an
     UnknownColumn), and SqlSyntaxError with SQLite's message otherwise.
     """
-    conn, reads = _compiler(schema)
+    conn, reads, tables = _compiler(schema)
     reads.clear()
     try:
-        conn.execute("EXPLAIN " + sql)
+        program = conn.execute("EXPLAIN " + sql)
+        if _PAIRED_JOIN_RE.search(sql):  # Column ops on cursors opened at a table's root
+            ops = program.fetchall()
+            cursors = {p1: tables[p2] for _, op, p1, p2, *_ in ops
+                       if op == "OpenRead" and p2 in tables}
+            reads += [(cursors[p1].name, cursors[p1].columns[p2].name)
+                      for _, op, p1, p2, *_ in ops if op == "Column" and p1 in cursors]
     except (sqlite3.Error, sqlite3.Warning, ValueError) as e:
         known = _ERROR_RE.match(str(e))
         raise (_ERRORS[known[1]] if known else SqlSyntaxError)(str(e)) from None

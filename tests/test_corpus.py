@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from joltsql import corpus as corpus_mod
 from joltsql.corpus import (CorpusConfig, corpus_stats, generate_corpus,
                             load_schemas)
 from joltsql.errors import ConfigError
+from joltsql.model import ModelConfig
 from joltsql.pipeline import load_corpus
 from joltsql.tokenizer import Vocab
 
@@ -144,6 +146,14 @@ class TestConfig:
         # one example: 0.4 rounds to no train example, 0.6 to no dev example
         with pytest.raises(ConfigError, match="empty"):
             tiny_config(num_databases=1, examples_per_db=1, split=split)
+
+    def test_example_longer_than_the_model_default_named(self, tmp_path, monkeypatch):
+        """The limit is ModelConfig.max_len's default; the first example
+        over it stops generation with its id."""
+        assert ModelConfig(vocab_size=1).max_len == corpus_mod.MAX_LEN
+        monkeypatch.setattr(corpus_mod, "MAX_LEN", 8)
+        with pytest.raises(ConfigError, match=r"example db\d{3}-\d{3} is \d+ tokens \(max 8\)"):
+            generate_corpus(tiny_config(), str(tmp_path))
 
     def test_empty_templates_rejected(self):
         with pytest.raises(ConfigError):

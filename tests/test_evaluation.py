@@ -2,6 +2,7 @@
 decoded sequence and one execution per distinct predicted column set, and
 results equal to per-threshold inference."""
 import hashlib
+import itertools
 import shutil
 import sqlite3
 
@@ -14,7 +15,8 @@ from joltsql.evaluation import SWEEP_THRESHOLDS, evaluate, threshold_sweep
 from joltsql.metrics import (ExReport, execution_accuracy, pr_auc,
                              precision_recall, roc_auc)
 from joltsql.model import ModelConfig
-from joltsql.pipeline import TrainConfig, infer, link_schema, load_corpus, train
+from joltsql.pipeline import (TrainConfig, infer, infer_thresholds, link_schema,
+                              load_corpus, train)
 from joltsql.tokenizer import Vocab
 
 MAX_NEW = 12
@@ -72,6 +74,55 @@ def reference_evaluate(params, examples, vocab, db_paths, threshold, average="mi
                "roc_auc": roc_auc(scores, labels), "pr_auc": pr_auc(scores, labels),
                "ex": report.accuracy, "ex_counts": report.counts()}
     return metrics, report, results
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_infer_is_infer_thresholds_at_each_threshold(desk, index):
+    params, examples, vocab, _ = desk
+    ex = examples[index]
+    scored, results = infer_thresholds(params, ex, vocab, SWEEP_THRESHOLDS, MAX_NEW)
+    assert scored == link_schema(params, ex)
+    assert len(results) == len(SWEEP_THRESHOLDS)
+    for threshold, result in zip(SWEEP_THRESHOLDS, results):
+        alone = infer(params, ex, vocab, threshold=threshold, max_new=MAX_NEW)
+        assert alone.sql == result.sql
+        assert alone.predicted_columns == result.predicted_columns
+        assert alone.used_fallback == result.used_fallback
+
+
+def test_infer_thresholds_encodes_once_and_decodes_each_distinct_set_once(desk,
+                                                                          monkeypatch):
+    """One prompt encoding and one stacked decode with a row per distinct
+    set; thresholds with the same set share its result, and every result
+    of a call shares one timings dict."""
+    params, examples, vocab, _ = desk
+    sets = [[predicted_set(params, ex, t) for t in SWEEP_THRESHOLDS] for ex in examples]
+    assert any(len(set(s)) < len(s) for s in sets)
+    prompts, decodes = [], []
+    forward = model.forward
+    generate = pipeline.greedy_generate
+
+    def spy_forward(params, ids, mask, past=None):
+        if past is None:
+            prompts.append(list(ids))
+        return forward(params, ids, mask, past=past)
+
+    def spy_generate(*args, **kwargs):
+        decodes.append(len(kwargs["attends"]))
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", spy_forward)
+    monkeypatch.setattr(pipeline, "forward", spy_forward)
+    monkeypatch.setattr(pipeline, "greedy_generate", spy_generate)
+    for ex, ex_sets in zip(examples, sets):
+        prompts.clear()
+        decodes.clear()
+        _, results = infer_thresholds(params, ex, vocab, SWEEP_THRESHOLDS, MAX_NEW)
+        assert prompts == [ex.tokens.ids[:ex.seg.query_start]]
+        assert decodes == [len(set(ex_sets))]
+        for (a, result_a), (b, result_b) in itertools.combinations(zip(ex_sets, results), 2):
+            assert (result_a is result_b) == (a == b)
+        assert len({id(result.timings_ms) for result in results}) == 1
 
 
 def test_sweep_rows_equal_per_threshold_evaluation(desk):
@@ -184,7 +235,7 @@ def test_predicted_writes_fail_and_leave_databases_unchanged(desk, monkeypatch, 
         return [(write.format(table=example.schema_doc.tables[0].name), False)
                 for _ in predicted_sets]
 
-    monkeypatch.setattr(evaluation, "generate_sql", writing_sql)
+    monkeypatch.setattr(pipeline, "generate_sql", writing_sql)
     result = evaluate(params, examples, vocab, db_paths, max_new=MAX_NEW)
     assert [pe["verdict"] for pe in result.per_example] == ["pred_error"] * len(examples)
     assert {db_id: sha256(path) for db_id, path in db_paths.items()} == before
@@ -204,7 +255,7 @@ def test_no_examples_raise_before_any_work(desk, monkeypatch, run):
     """Neither average can score an empty list, so every run rejects it
     alike, before any encoding runs."""
     params, _, vocab, generated = desk
-    monkeypatch.setattr(evaluation, "encode_prompt", None)  # any call fails
+    monkeypatch.setattr(pipeline, "encode_prompt", None)  # any call fails
     with pytest.raises(LengthMismatch, match="empty inputs"):
         if run == "sweep":
             threshold_sweep(params, [], vocab, generated.db_paths, max_new=MAX_NEW)

@@ -122,6 +122,11 @@ HAND_LABELED = [
     ("SELECT name FROM singer WHERE country = NULL", {"singer.name", "singer.country"}),
     ("SELECT count(DISTINCT country) FROM singer", {"singer.country"}),
     ("SELECT substr(name, 1, 3) FROM singer", {"singer.name"}),
+    # the keys of USING and NATURAL joins, read on both sides
+    ("SELECT singer.name FROM singer JOIN concert USING (id)",
+     {"singer.name", "singer.id", "concert.id"}),
+    ("SELECT singer.age FROM singer NATURAL JOIN concert",
+     {"singer.age", "singer.id", "singer.name", "concert.id", "concert.name"}),
 ]
 
 
@@ -322,6 +327,36 @@ class TestResolve:
     def test_forms_sqlite_resolves(self, concert_schema, sql, expected):
         assert extract_ground_truth(sql, concert_schema) == as_pairs(expected)
 
+    @pytest.mark.parametrize("paired,explicit", [
+        ("SELECT singer.name FROM singer JOIN concert USING (id)",
+         "SELECT singer.name FROM singer JOIN concert ON singer.id = concert.id"),
+        ("SELECT singer.age FROM singer NATURAL JOIN concert",
+         "SELECT singer.age FROM singer JOIN concert "
+         "ON singer.id = concert.id AND singer.name = concert.name"),
+    ])
+    def test_paired_join_links_the_keys_sqlite_joins_on(self, concert_schema, memory_db,
+                                                        paired, explicit):
+        """sqlite3 returns the rows of the join spelled out with ON, and the
+        two spellings label alike."""
+        for table in ("singer", "concert"):
+            columns = ", ".join(f"{c.name} {c.sql_type}"
+                                for c in concert_schema.table(table).columns)
+            memory_db.execute(f"CREATE TABLE {table} ({columns})")
+        memory_db.executemany("INSERT INTO singer VALUES (?, ?, ?, ?)",
+                              [(1, "a", 30, "x"), (2, "b", 40, "y"), (3, "c", 50, "z")])
+        memory_db.executemany("INSERT INTO concert VALUES (?, ?, ?, ?)",
+                              [(1, "a", 2000, 1), (2, "q", 2001, 1), (4, "c", 2002, 2)])
+        rows = sorted(memory_db.execute(paired))
+        assert rows and rows == sorted(memory_db.execute(explicit))
+        assert extract_ground_truth(paired, concert_schema) == \
+            extract_ground_truth(explicit, concert_schema)
+
+    def test_paired_join_keys_join_the_authorizer_reads(self, concert_schema):
+        # the optimizer drops the derived table's singer.name from the program
+        sql = "SELECT count(*) FROM (SELECT singer.name FROM singer JOIN concert USING (id))"
+        assert extract_ground_truth(sql, concert_schema) == \
+            as_pairs({"singer.name", "singer.id", "concert.id"})
+
     def test_sqlite_master_is_not_a_schema_table(self, concert_schema):
         with pytest.raises(UnknownTable, match="sqlite_master"):
             extract_ground_truth("SELECT name FROM sqlite_master", concert_schema)
@@ -364,10 +399,10 @@ class TestReadOnly:
     def test_connection_closed_with_its_schema(self):
         schema = SchemaDocument((Table("t", (Column("a", "TEXT"),)),))
         assert extract_ground_truth("SELECT a FROM t", schema) == {("t", "a")}
-        conn, _ = sqlscope._compilers[schema]
+        conn = sqlscope._compilers[schema][0]
         del schema
         gc.collect()
-        assert all(c is not conn for c, _ in sqlscope._compilers.values())
+        assert all(c is not conn for c, *_ in sqlscope._compilers.values())
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             conn.execute("SELECT 1")
 
