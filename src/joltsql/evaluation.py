@@ -122,18 +122,16 @@ def evaluate(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
 
 def threshold_sweep(params: ModelParams, examples: list[TrainingExample],
                     vocab: Vocab, db_paths: dict[str, str],
-                    thresholds: list[float] | None = None,
                     max_new: int = DEFAULT_MAX_NEW) -> list[dict]:
-    """(threshold -> precision, recall, EX) rows. Precision and recall are
-    micro-averaged over the pooled marker scores; EX at each threshold
-    decodes from the predicted set at that threshold. One
-    `infer_thresholds` call per example serves every threshold, and each
-    distinct predicted set's SQL is executed once."""
-    thresholds = thresholds if thresholds is not None else SWEEP_THRESHOLDS
-    run = _run(params, examples, vocab, db_paths, thresholds, max_new)
+    """(threshold -> precision, recall, EX) rows, one per `SWEEP_THRESHOLDS`
+    entry in its order. Precision and recall are micro-averaged over the
+    pooled marker scores; EX at each threshold decodes from the predicted
+    set at that threshold. One `infer_thresholds` call per example serves
+    every threshold, and each distinct predicted set's SQL is executed once."""
+    run = _run(params, examples, vocab, db_paths, SWEEP_THRESHOLDS, max_new)
     scores, labels = run.pooled()
     rows = []
-    for t, report in zip(thresholds, run.reports):
+    for t, report in zip(SWEEP_THRESHOLDS, run.reports):
         p, r = precision_recall(scores, labels, t)
         rows.append({"threshold": t, "precision": p, "recall": r,
                      "ex": report.accuracy})

@@ -16,12 +16,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DbUnavailable, DegenerateLabels, LengthMismatch
+from .sqlscope import READ_ONLY_ACTIONS
 
-# sqlite VM steps one statement may take before it is interrupted: a few
-# seconds of work, far above any desk gold query (under 900 steps). A step
-# budget starts no thread and stops a runaway query at the same point on
-# every run.
+# sqlite VM steps one execution of a statement may take before it is
+# interrupted: a few seconds of work, far above any desk gold query (under
+# 900 steps). A step budget starts no thread and stops a runaway query at
+# the same point on every run.
 QUERY_STEP_BUDGET = 100_000_000
+
+# steps between calls of the budget's progress handler
+_STEPS_PER_CHECK = 1_000
 
 
 def precision_recall(scores: list[float], labels: list[int],
@@ -109,31 +113,49 @@ def _canonical_rows(rows) -> list[tuple]:
     return [tuple(_canonical_value(v) for v in row) for row in rows]
 
 
+def _read_only(action, *_):
+    return sqlite3.SQLITE_OK if action in READ_ONLY_ACTIONS else sqlite3.SQLITE_DENY
+
+
 def _execute(db: sqlite3.Connection, sql: str) -> list[tuple]:
-    # the handler first runs once the statement has taken the whole budget;
-    # returning nonzero interrupts it with an OperationalError
-    db.set_progress_handler(lambda: 1, QUERY_STEP_BUDGET)
+    """All rows of one read-only statement, whatever the connection allows:
+    a write or any other statement but a SELECT fails to prepare, and an
+    execution that takes more than `QUERY_STEP_BUDGET` steps is interrupted,
+    both with a sqlite3.Error. The budget counts this execution's own steps:
+    sqlite's step count runs on across the executions of one cached
+    statement, so a handler called at the budget itself would stop a cheap
+    query that was run often enough. The caller's progress handler and
+    authorizer are cleared afterwards."""
+    steps = 0
+
+    def over_budget() -> bool:  # a true return interrupts the statement
+        nonlocal steps
+        steps += _STEPS_PER_CHECK
+        return steps > QUERY_STEP_BUDGET
+
+    db.set_progress_handler(over_budget, _STEPS_PER_CHECK)
+    db.set_authorizer(_read_only)
     try:
         return db.execute(sql).fetchall()
     finally:
+        db.set_authorizer(None)
         db.set_progress_handler(None, 0)
 
 
+# string literals, quoted identifiers and comments, whose text may hold
+# anything, each through its end (or the statement's end when unclosed)
+_OPAQUE_RE = re.compile(r"""'[^']*'?|"[^"]*"?|`[^`]*`?|\[[^\]]*\]?|--[^\n]*|/\*.*?(?:\*/|\Z)""",
+                        re.S)
 _ORDER_BY_RE = re.compile(r"\border\s+by\b", re.IGNORECASE)
 
 
 def _has_top_level_order_by(sql: str) -> bool:
-    # strip string literals and parenthesized subexpressions, then look for ORDER BY
+    # blank literals, identifiers and comments, drop parenthesized
+    # subexpressions, then look for ORDER BY
     depth = 0
-    quoted = False
     flat = []
-    for ch in sql:
-        if ch == "'":
-            quoted = not quoted  # an escaped '' closes the literal and reopens it
-            flat.append(" ")  # keeps the words around a literal apart
-        elif quoted:
-            continue
-        elif ch == "(":
+    for ch in _OPAQUE_RE.sub(" ", sql):  # the space keeps the words around apart
+        if ch == "(":
             depth += 1
         elif ch == ")":
             depth = max(0, depth - 1)

@@ -44,7 +44,7 @@ from .model import (ForwardOutput, ModelConfig, ModelParams, forward,
                     greedy_generate, joint_loss, no_grad, ntp_loss,
                     schema_linking_loss)
 from .sampling import WeightCache, draw_noise_count, example_rng, sample_noisy
-from .schema import SchemaDocument, SpanIndex, serialize_schema
+from .schema import SchemaDocument, serialize_schema
 from .sqlscope import extract_ground_truth
 from .tokenizer import (EOS, SchemaTokens, SegmentMap, TokenSequence, Vocab, decode,
                         encode, tokenize_schema)
@@ -243,7 +243,11 @@ class InferenceResult:
     predicted_columns: list[tuple[str, str, float]]
     sql: str
     timings_ms: dict[str, float]
-    used_fallback: bool = False
+
+    @property
+    def used_fallback(self) -> bool:
+        """Whether nothing was predicted, so the SQL was decoded over every column."""
+        return not self.predicted_columns
 
 
 def encode_prompt(params: ModelParams, example: TrainingExample) -> ForwardOutput:
@@ -289,7 +293,7 @@ def full_schema_prompt(example: TrainingExample) -> np.ndarray:
 
 def generate_sql(params: ModelParams, example: TrainingExample,
                  encoded: ForwardOutput, predicted_sets: list[set[tuple[str, str]]],
-                 vocab: Vocab, max_new: int) -> list[tuple[str, bool]]:
+                 vocab: Vocab, max_new: int) -> list[str]:
     """Greedy SQL for each predicted column set, from one prompt encoding,
     all sets decoded together in one stacked `greedy_generate`.
 
@@ -297,9 +301,8 @@ def generate_sql(params: ModelParams, example: TrainingExample,
     first token and its K/V serve every decode step. Each set's decode rows
     attend to the prompt positions `prune_prompt` flags
     (`full_schema_prompt`'s when the set is empty), the tokens generated so
-    far and themselves. A set's SQL is the one it would get decoded alone.
-
-    Returns, per set, (sql, whether the empty-set fallback ran).
+    far and themselves. Returns each set's SQL, the one it would get
+    decoded alone.
     """
     attends = [prune_prompt(example, predicted) if predicted else full_schema_prompt(example)
                for predicted in predicted_sets]
@@ -307,8 +310,7 @@ def generate_sql(params: ModelParams, example: TrainingExample,
     generated = greedy_generate(params, example.tokens.ids[:n], max_new=max_new,
                                 stop_id=EOS, encoded=encoded, attends=attends)
     # a sequence stops at its first EOS, so EOS can only end it
-    return [(decode([i for i in ids[n:] if i != EOS], vocab), not predicted)
-            for predicted, ids in zip(predicted_sets, generated)]
+    return [decode([i for i in ids[n:] if i != EOS], vocab) for ids in generated]
 
 
 def infer_thresholds(params: ModelParams, example: TrainingExample, vocab: Vocab,
@@ -332,8 +334,8 @@ def infer_thresholds(params: ModelParams, example: TrainingExample, vocab: Vocab
                   "generation": (t2 - t1) * 1000.0,
                   "end_to_end": (t2 - t0) * 1000.0}
     by_set = {key: InferenceResult([(t, c, s) for t, c, s in scored if (t, c) in key],
-                                   sql, timings_ms, used_fallback)
-              for key, (sql, used_fallback) in zip(distinct, generated)}
+                                   sql, timings_ms)
+              for key, sql in zip(distinct, generated)}
     return scored, [by_set[key] for key in keys]
 
 
@@ -356,8 +358,10 @@ def example_to_json(ex: TrainingExample) -> dict:
     """JSON-lines record mirroring the training-data file format."""
     prefix_text = PREFIX_TEMPLATE.format(question=ex.question)
     schema = tokenized_schema(ex.schema_doc)
-    token_spans = {t: {k: v for k, v in ts.items() if k != "markers"}
-                   for t, ts in SpanIndex(ex.seg.table_elements).to_json().items()}
+    base = ex.seg.schema_start  # the file's token spans are absolute
+    token_spans = {t: {k: v for k, v in vars(ts.map(lambda s: [base + s[0], base + s[1]])).items()
+                       if k != "markers"}
+                   for t, ts in ex.seg.table_elements.items()}
     return {
         "example_id": ex.example_id,
         "db_id": ex.db_id,

@@ -154,8 +154,8 @@ def _strings(values, where: str, n: int | None = None) -> tuple[str, ...]:
 @dataclass
 class TableSpans:
     """One table's layout as half-open ranges: characters of the serialized
-    text, or token positions once `tokenize_schema` has mapped it (`encode`
-    shifts a copy to where the example's schema starts)."""
+    text, or, once `tokenize_schema` has mapped it, token positions from the
+    schema's first word, which each example reads at its `schema_start`."""
 
     header: tuple[int, int]
     pk: tuple[int, int]
@@ -180,14 +180,6 @@ class TableSpans:
 class SpanIndex:
     # table name (lowercase) -> spans
     tables: dict[str, TableSpans]
-
-    def marker_positions(self) -> list[tuple[str, str, tuple[int, int]]]:
-        """(table, column, marker span) in serialization order."""
-        out = []
-        for tname, ts in self.tables.items():
-            for cname, span in ts.markers.items():
-                out.append((tname, cname, span))
-        return out
 
     def to_json(self) -> dict:
         # map(list) builds fresh lists, so its fields need no deep copy

@@ -27,8 +27,10 @@ import weakref
 from .errors import AmbiguousColumn, InvalidSchema, SqlSyntaxError, UnknownColumn, UnknownTable
 from .schema import SchemaDocument
 
-_ALLOWED = {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION,
-            sqlite3.SQLITE_RECURSIVE}
+# the authorizer actions a read-only SELECT needs; every other one is
+# refused, here and when `metrics` executes SQL
+READ_ONLY_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
+                               sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
 
 # how SQLite's message begins (past an ordinal such as `1st`) -> error;
 # any other message is a SqlSyntaxError
@@ -76,7 +78,7 @@ def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list, dict]:
         # `SELECT count(*) FROM t`, with an empty column name
         if action == sqlite3.SQLITE_READ and column:
             reads.append((table, column))
-        return sqlite3.SQLITE_OK if action in _ALLOWED else sqlite3.SQLITE_DENY
+        return sqlite3.SQLITE_OK if action in READ_ONLY_ACTIONS else sqlite3.SQLITE_DENY
 
     conn.set_authorizer(authorize)
     _compilers[schema] = conn, reads, tables

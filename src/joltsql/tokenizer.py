@@ -4,8 +4,8 @@ Splits on whitespace; punctuation becomes single-character tokens; the
 marker literal is always a single word, given the reserved marker id only
 where a column's marker stands. Deterministic vocab: reserved ids first,
 then corpus tokens by descending frequency, ties broken lexicographically.
-A schema is split and its layout bisected once (`tokenize_schema`); `encode`
-then tokenizes only an example's prefix and query around it.
+A schema is split and its layout bisected once (`tokenize_schema`); an example
+tokenizes only its prefix and query around it and reads that layout in place.
 """
 from __future__ import annotations
 
@@ -90,16 +90,16 @@ class TokenSequence:
 class SegmentMap:
     """An example's token layout over positions 0..n-1, cut at
     `schema_start` and `query_start` into the contiguous ranges `prefix`,
-    `schema` and `query`. Fixed when the example is built and only read
-    afterwards: the schema tokens a query row attends to are an argument of
-    the mask, not part of the layout."""
+    `schema` and `query`, with its database's shared table layout read at
+    `schema_start`. Only read once built: the schema tokens a query row
+    attends to are an argument of the mask, not part of the layout."""
 
     n: int
     schema_start: int
     query_start: int
     markers: set[int]  # within the schema
-    # lowercase table -> its serialized layout in absolute token positions
-    # (half-open ranges)
+    # lowercase table -> the database's one layout (`SchemaTokens.tables`),
+    # half-open token ranges counted from `schema_start`
     table_elements: dict[str, TableSpans]
     # column marker token position in serialization order: (table, column, pos)
     marker_columns: list[tuple[str, str, int]]
@@ -123,13 +123,14 @@ class SegmentMap:
         return range(self.query_start, self.n)
 
     def column_token_range(self, table: str, column: str) -> tuple[int, int]:
-        return self.table_elements[table].columns[column]
+        lo, hi = self.table_elements[table].columns[column]
+        return self.schema_start + lo, self.schema_start + hi
 
     def table_envelope(self, table: str) -> set[int]:
         """Token positions of the table's header/pk/fk/footer structure."""
         out: set[int] = set()
         for a, b in self.table_elements[table].envelope_spans():
-            out.update(range(a, b))
+            out.update(range(self.schema_start + a, self.schema_start + b))
         return out
 
     def schema_tokens(self, columns) -> set[int]:
@@ -183,34 +184,33 @@ def tokenize_schema(schema_text: str, spans: SpanIndex) -> SchemaTokens:
     starts, ends = [a for _, a, _ in words], [b for _, _, b in words]
     tables = {t: ts.map(lambda span: _span_to_token_range(span, starts, ends))
               for t, ts in spans.tables.items()}
-    for tname, cname, (lo, hi) in SpanIndex(tables).marker_positions():
-        if hi - lo != 1:
-            raise SpanMisaligned(f"marker for {tname}.{cname} spans {hi - lo} tokens")
+    for tname, ts in tables.items():
+        for cname, (lo, hi) in ts.markers.items():
+            if hi - lo != 1:
+                raise SpanMisaligned(f"marker for {tname}.{cname} spans {hi - lo} tokens")
     return SchemaTokens(schema_text, spans, tuple(w for w, _, _ in words), tables)
 
 
 def encode(prefix: str, schema: SchemaTokens, query: str,
            vocab: Vocab) -> tuple[TokenSequence, SegmentMap]:
-    """Tokenize the prefix and the query around the tokenized schema, cut
-    where schema and query begin, and place the schema's layout at
-    `schema_start`: each table's `TableSpans` becomes
-    `SegmentMap.table_elements[table]` in absolute positions. Only the
-    columns' markers get the marker id; a marker literal anywhere else (in
-    the question or a value example) is unknown."""
+    """Tokenize the prefix and the query around the tokenized schema and
+    cut where schema and query begin. The schema's layout is not copied:
+    `SegmentMap.table_elements` is `schema.tables`, read at `schema_start`,
+    and each column's marker position is its layout's marker plus
+    `schema_start`. Only the columns' markers get the marker id; a marker
+    literal anywhere else (in the question or a value example) is unknown."""
     prefix_words = [w for w, _, _ in split_words(prefix)]
     base = len(prefix_words)  # position of the first schema token
     words = prefix_words + list(schema.words) + [w for w, _, _ in split_words(query)]
     ids = [UNK if w == MARKER_TEXT else vocab.lookup(w) for w in words]
-    table_elements = {t: ts.map(lambda span: (base + span[0], base + span[1]))
-                      for t, ts in schema.tables.items()}
-    marker_columns = [(t, c, lo) for t, c, (lo, _)
-                      in SpanIndex(table_elements).marker_positions()]
+    marker_columns = [(t, c, base + lo) for t, ts in schema.tables.items()
+                      for c, (lo, _) in ts.markers.items()]
     for _, _, pos in marker_columns:
         ids[pos] = MARKER
 
     seg = SegmentMap(n=len(ids), schema_start=base, query_start=base + len(schema.words),
                      markers={pos for _, _, pos in marker_columns},
-                     table_elements=table_elements, marker_columns=marker_columns)
+                     table_elements=schema.tables, marker_columns=marker_columns)
     return TokenSequence(ids), seg
 
 

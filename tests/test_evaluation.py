@@ -232,7 +232,7 @@ def test_predicted_writes_fail_and_leave_databases_unchanged(desk, monkeypatch, 
     before = {db_id: sha256(path) for db_id, path in db_paths.items()}
 
     def writing_sql(params, example, encoded, predicted_sets, vocab, max_new):
-        return [(write.format(table=example.schema_doc.tables[0].name), False)
+        return [write.format(table=example.schema_doc.tables[0].name)
                 for _ in predicted_sets]
 
     monkeypatch.setattr(pipeline, "generate_sql", writing_sql)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sqlite3
 import threading
@@ -206,6 +207,40 @@ class TestExecutionAccuracy:
         with pytest.raises(DbUnavailable):
             execution_accuracy("SELECT 1", "SELECT 1", None)
 
+    def test_order_by_after_a_parenthesis_in_a_comment_keeps_order(self, people_db):
+        gold = "SELECT name FROM t /* ( */ ORDER BY age"
+        assert execution_accuracy("SELECT name FROM t ORDER BY age DESC", gold,
+                                  people_db) == "mismatch"
+        assert execution_accuracy("SELECT name FROM t ORDER BY age", gold,
+                                  people_db) == "match"
+
+
+class TestWriteGuard:
+    """Statements run read-only whatever connection the caller opened."""
+
+    @pytest.mark.parametrize("write", ["CREATE TABLE u (x)", "DELETE FROM t",
+                                       "UPDATE t SET age = 0", "DROP TABLE t"])
+    def test_writes_are_pred_error_and_change_nothing(self, tmp_path, write):
+        path = tmp_path / "people.sqlite"
+        with sqlite3.connect(path) as setup:
+            setup.execute("CREATE TABLE t (name TEXT, age INTEGER)")
+            setup.executemany("INSERT INTO t VALUES (?, ?)",
+                              [("ann", 30), ("bob", 20), ("cy", 40)])
+        setup.close()
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        # each prediction spells its gold's rows out as constants
+        pairs = [("SELECT 'ann' UNION ALL SELECT 'cy'", "SELECT name FROM t WHERE age > 25"),
+                 ("SELECT 3", "SELECT count(*) FROM t"),
+                 ("VALUES ('bob'), ('ann'), ('cy')", "SELECT name FROM t ORDER BY age")]
+        conn = sqlite3.connect(path)  # read-write
+        try:
+            assert [execution_accuracy(p, g, conn) for p, g in pairs] == ["match"] * 3
+            assert execution_accuracy(write, pairs[0][1], conn) == "pred_error"
+            assert [execution_accuracy(p, g, conn) for p, g in pairs] == ["match"] * 3
+        finally:
+            conn.close()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
 
 RUNAWAY = ("WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM r) "
            "SELECT count(*) FROM r")
@@ -233,6 +268,18 @@ class TestStepBudget:
                 "LIMIT 100000) SELECT count(*) FROM r")
         assert two_row_db.execute(long).fetchall() == [(100000,)]
 
+    def test_budget_counts_one_execution_not_a_cached_statements_total(
+            self, people_db, monkeypatch):
+        """sqlite's step count runs on across executions of one cached
+        statement; a query far under the budget stays so however often it
+        runs on one connection."""
+        monkeypatch.setattr(metrics, "QUERY_STEP_BUDGET", 2_000)
+        people_db.executemany("INSERT INTO t VALUES (?, ?)",
+                              [(f"p{i}", i % 7) for i in range(40)])
+        gold = "SELECT age, count(*) FROM t GROUP BY age"
+        assert all(execution_accuracy(gold, gold, people_db) == "match"
+                   for _ in range(100))
+
 
 class TestTopLevelOrderBy:
     def test_plain(self):
@@ -254,6 +301,28 @@ class TestTopLevelOrderBy:
         assert _has_top_level_order_by("SELECT a FROM t WHERE b = 'x'ORDER BY a")
         assert not _has_top_level_order_by("SELECT a FROM t WHERE b != 'order by'")
         assert not _has_top_level_order_by("SELECT a FROM t WHERE b = ')'' order by'")
+
+    @pytest.mark.parametrize("sql", [
+        'SELECT "order by" FROM t',
+        "SELECT `order by` FROM t",
+        "SELECT [order by] FROM t",
+        "SELECT a FROM t -- order by a",
+        "SELECT a FROM t /* order by a */",
+        "SELECT a FROM t /* order by a",
+    ])
+    def test_identifiers_and_comments_are_not_ordering(self, sql):
+        assert not _has_top_level_order_by(sql)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t /* ( */ ORDER BY a",
+        "SELECT a FROM t -- (\nORDER BY a",
+        'SELECT "(" FROM t ORDER BY 1',
+        "SELECT `(` FROM t ORDER BY 1",
+        "SELECT [(] FROM t ORDER BY 1",
+        "SELECT a FROM t ORDER/**/BY a",
+    ])
+    def test_parentheses_in_identifiers_and_comments_do_not_hide_ordering(self, sql):
+        assert _has_top_level_order_by(sql)
 
 
 class TestExReport:

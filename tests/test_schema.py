@@ -60,7 +60,7 @@ class TestSerialize:
         text, spans = serialize_schema(concert_schema)
         total_cols = sum(len(t.columns) for t in concert_schema.tables)
         assert text.count(MARKER_TEXT) == total_cols
-        assert len(spans.marker_positions()) == total_cols
+        assert sum(len(ts.markers) for ts in spans.tables.values()) == total_cols
 
     def test_pure_function(self, concert_schema):
         assert serialize_schema(concert_schema)[0] == serialize_schema(concert_schema)[0]
@@ -86,7 +86,7 @@ def desk_schemas(tmp_path_factory):
 class TestSpanIndexJson:
     def test_equals_the_asdict_form(self, concert_schema, desk_schemas):
         """`to_json` keeps the `dataclasses.asdict` form, for the character
-        spans and for the token spans `encode` maps them to."""
+        spans and for the token spans `tokenize_schema` maps them to."""
         for doc in [concert_schema, *desk_schemas]:
             text, char_spans = serialize_schema(doc)
             _, seg = encode("a question", tokenize_schema(text, char_spans), "",
@@ -216,7 +216,7 @@ class TestLabelVector:
 
     def test_order_matches_serialization(self, concert_schema):
         _, spans = serialize_schema(concert_schema)
-        ser_order = [(t, c) for t, c, _ in spans.marker_positions()]
+        ser_order = [(t, c) for t, ts in spans.tables.items() for c in ts.markers]
         example = labelled(concert_schema, "SELECT name FROM singer")
         assert ser_order == marker_order(example) == [
             (t.name.lower(), c.name.lower()) for t in concert_schema.tables

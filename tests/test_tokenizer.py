@@ -115,10 +115,8 @@ class TestEncode:
         text, spans = serialize_schema(concert_schema)
         vocab = make_vocab(concert_schema)
         _, seg = encode(PREFIX, tokenize_schema(text, spans), QUERY, vocab)
-        for t, ts in seg.table_elements.items():
-            env = seg.table_envelope(t)
-            for a, b in ts.columns.values():
-                assert env.isdisjoint(range(a, b))
+        for t, c, _ in seg.marker_columns:
+            assert seg.table_envelope(t).isdisjoint(range(*seg.column_token_range(t, c)))
 
     def test_segments_ordered(self, concert_schema):
         text, spans = serialize_schema(concert_schema)
