@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DbUnavailable, DegenerateLabels, LengthMismatch
-from .sqlscope import READ_ONLY_ACTIONS
+from .sqlscope import read_only
 
 # sqlite VM steps one execution of a statement may take before it is
 # interrupted: a few seconds of work, far above any desk gold query (under
@@ -113,10 +113,6 @@ def _canonical_rows(rows) -> list[tuple]:
     return [tuple(_canonical_value(v) for v in row) for row in rows]
 
 
-def _read_only(action, *_):
-    return sqlite3.SQLITE_OK if action in READ_ONLY_ACTIONS else sqlite3.SQLITE_DENY
-
-
 def _execute(db: sqlite3.Connection, sql: str) -> list[tuple]:
     """All rows of one read-only statement, whatever the connection allows:
     a write or any other statement but a SELECT fails to prepare, and an
@@ -134,7 +130,7 @@ def _execute(db: sqlite3.Connection, sql: str) -> list[tuple]:
         return steps > QUERY_STEP_BUDGET
 
     db.set_progress_handler(over_budget, _STEPS_PER_CHECK)
-    db.set_authorizer(_read_only)
+    db.set_authorizer(read_only)
     try:
         return db.execute(sql).fetchall()
     finally:

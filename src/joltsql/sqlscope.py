@@ -27,10 +27,16 @@ import weakref
 from .errors import AmbiguousColumn, InvalidSchema, SqlSyntaxError, UnknownColumn, UnknownTable
 from .schema import SchemaDocument
 
-# the authorizer actions a read-only SELECT needs; every other one is
-# refused, here and when `metrics` executes SQL
-READ_ONLY_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
-                               sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
+# the authorizer actions a read-only SELECT needs
+_READ_ONLY_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
+                                sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
+
+
+def read_only(action, *_) -> int:
+    """An authorizer that refuses every action but those a read-only SELECT
+    needs, here and when `metrics` executes SQL."""
+    return sqlite3.SQLITE_OK if action in _READ_ONLY_ACTIONS else sqlite3.SQLITE_DENY
+
 
 # how SQLite's message begins (past an ordinal such as `1st`) -> error;
 # any other message is a SqlSyntaxError
@@ -78,7 +84,7 @@ def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list, dict]:
         # `SELECT count(*) FROM t`, with an empty column name
         if action == sqlite3.SQLITE_READ and column:
             reads.append((table, column))
-        return sqlite3.SQLITE_OK if action in READ_ONLY_ACTIONS else sqlite3.SQLITE_DENY
+        return read_only(action)
 
     conn.set_authorizer(authorize)
     _compilers[schema] = conn, reads, tables

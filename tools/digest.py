@@ -9,34 +9,34 @@ It reads the `joltsql` source next to it, so each checkout digests its own
 code. The first line is `cli.platform_record()`: outputs repeat only on one
 platform, so compare digests from one machine. Then, one line each:
 
-- every file `generate_corpus` writes (desk config) at each corpus seed;
-- at each model seed, the training log and the parameters of the desk
-  model (as criterion 10 trains it, confusion noise) on the first 60 train
-  examples, and on all dev examples: `threshold_sweep` rows, micro and
-  macro `evaluate` JSON, per-example records without `timings_ms`, and
+- every file `generate_corpus` writes (desk config) at corpus seeds 1-10;
+- at model seeds 3 and 7, the training log and the parameters of the desk
+  model (the benchmark's criterion-10 recipe, `perfbench/workloads.py`) on
+  the first 60 train examples, and on all dev examples: `threshold_sweep`
+  rows, micro and macro `evaluate` JSON, per-example records without `timings_ms`, and
   `infer` at 0.05 and 0.5 (SQL, predicted columns, fallback).
 
-The defaults take about 25 seconds on a 2-core Xeon.
+It takes about 25 seconds on a 2-core Xeon.
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.join(HERE, "..", "src"), os.path.join(HERE, "..", "perfbench")]
 
 from joltsql import cli, evaluation, pipeline  # noqa: E402
 from joltsql.corpus import CorpusConfig, generate_corpus  # noqa: E402
 from joltsql.model import ModelConfig  # noqa: E402
 from joltsql.tokenizer import Vocab  # noqa: E402
+from workloads import DESK_MODEL, DESK_TRAIN, NOISE_MODE  # noqa: E402
 
-# the criterion-10 recipe (tests/test_acceptance.py) on a prefix of train
-DESK_MODEL = dict(dim=80, layers=2, heads=4)
-DESK_TRAIN = dict(epochs=3, learning_rate=1e-3, grad_accum=1, seed=0)
+CORPUS_SEEDS = range(1, 11)
+MODEL_SEEDS = (3, 7)
 TRAIN_EXAMPLES = 60
 INFER_THRESHOLDS = (0.05, 0.5)
 
@@ -66,7 +66,7 @@ def model_digests(seed: int, out: str):
     dev_set = pipeline.load_corpus(generated.dev_path, vocab, generated.schemas)
     res = pipeline.train(train_set[:TRAIN_EXAMPLES],
                          ModelConfig(vocab_size=len(vocab), **DESK_MODEL),
-                         pipeline.TrainConfig(**DESK_TRAIN))
+                         pipeline.TrainConfig(noise_mode=NOISE_MODE, **DESK_TRAIN))
     where = f"model seed={seed}"
     yield f"{where} training log", json_sha(res.log)
     arrays = b"".join(name.encode() + str((t.data.dtype, t.data.shape)).encode()
@@ -88,20 +88,13 @@ def model_digests(seed: int, out: str):
             [[r.sql, r.predicted_columns, r.used_fallback] for r in results])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--corpus-seeds", type=int, nargs="*", default=list(range(1, 11)),
-                        help="corpus seeds whose files are digested (default 1-10)")
-    parser.add_argument("--model-seeds", type=int, nargs="*", default=[3, 7],
-                        help="corpus seeds a model is trained and evaluated on "
-                             "(default 3 7)")
-    args = parser.parse_args(argv)
+def main() -> int:
     print(json.dumps(cli.platform_record(), sort_keys=True))
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in args.corpus_seeds:
+        for seed in CORPUS_SEEDS:
             for name, digest in corpus_digests(seed, os.path.join(tmp, f"corpus{seed}")):
                 print(digest, name)
-        for seed in args.model_seeds:
+        for seed in MODEL_SEEDS:
             for name, digest in model_digests(seed, os.path.join(tmp, f"model{seed}")):
                 print(digest, name, flush=True)
     return 0
