@@ -7,11 +7,12 @@ transformer. Multi-head attention is one op, `attention`, over
 hand-written backward; per head, `slice_cols`, `transpose`,
 `masked_softmax` and `concat` compose its slow reference.
 
-The forward of `matmul`, `add`, `gather_rows`, `layer_norm`, `relu` and
-`attention` also takes leading batch dimensions, which decoding uses to
-stack B sequences' one-token rows as (B, 1, d): numpy's stacked product
-runs each (1, d) item alone, so every row is rounded as a one-row product,
-while flattening the stack to (B, d) would round it as a block.
+`layer_norm_values` and `attention_values` are those ops' forward values
+on plain arrays, which decoding calls off the tape, so each kernel exists
+once. Both take leading batch dimensions, which decoding uses to stack B
+sequences' one-token rows as (B, 1, d): numpy's stacked product runs each
+(1, d) item alone, so every row is rounded as a one-row product, while
+flattening the stack to (B, d) would round it as a block.
 
 The hot kernels make as few array passes as keep their results bit for
 bit: attention adds the mask bias into the score array its own product
@@ -29,7 +30,8 @@ from .errors import EmptyRow, ShapeMismatch
 __all__ = [
     "Tensor", "tensor", "matmul", "add", "mul", "scale", "transpose",
     "concat", "slice_cols", "gather_rows", "relu", "sigmoid", "additive_bias",
-    "masked_softmax", "attention", "layer_norm", "bce_loss", "cross_entropy_rows",
+    "masked_softmax", "attention", "attention_values", "layer_norm",
+    "layer_norm_values", "bce_loss", "cross_entropy_rows",
     "sum_all", "add_scalars", "backward", "AdamW", "clip_grad_norm",
 ]
 
@@ -248,6 +250,33 @@ def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
     return _op(out_data, (scores,), backward)
 
 
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """... x rows x d -> ... x heads x rows x dh, a view."""
+    return a.reshape(*a.shape[:-1], heads, a.shape[-1] // heads).swapaxes(-3, -2)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """... x heads x rows x dh -> ... x rows x d."""
+    return a.swapaxes(-3, -2).reshape(*a.shape[:-3], a.shape[-2], -1)
+
+
+def attention_values(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray,
+                     heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forward of `attention` on plain arrays: its output and the
+    (..., heads, n, m) probabilities its backward reads."""
+    *lead, n, d = q.shape
+    m = k.shape[-2]
+    if (k.shape != (*lead, m, d) or v.shape != k.shape or d % heads
+            or bias.shape != (*lead, n, m)):
+        raise ShapeMismatch(f"attention q {q.shape}, k {k.shape}, v {v.shape}, "
+                            f"bias {bias.shape}, {heads} heads")
+    probs = _split_heads(q, heads) @ _split_heads(k, heads).swapaxes(-1, -2)
+    probs *= 1.0 / float(np.sqrt(d // heads))
+    probs += bias[..., None, :, :]
+    _softmax_in_place(probs)
+    return _merge_heads(probs @ _split_heads(v, heads)), probs
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
               heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one op.
@@ -262,59 +291,51 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
     the heads concatenated. Leading batch dimensions, shared by q, k, v and
     the bias, run each item as that product on its own.
 
-    The bias is added into the score array the product allocated, and the
-    row max is subtracted, `exp` taken and the rows normalized in that same
-    array, so the forward allocates one heads x n x m array per item.
-    Backward, per head, from the saved probabilities p: dV = p^T g,
+    The forward is `attention_values`: the bias is added into the score
+    array the product allocated, and the row max is subtracted, `exp` taken
+    and the rows normalized in that same array, so the forward allocates
+    one heads x n x m array per item. Backward, per head, from the saved
+    probabilities p: dV = p^T g,
     dS = p * (g V^T - rowsum(g V^T * p)) / sqrt(dh), dQ = dS K, dK = (Q^T dS)^T.
     """
-    *lead, n, d = q.shape
-    m = k.shape[-2]
-    if (k.shape != (*lead, m, d) or v.shape != k.shape or d % heads
-            or bias.shape != (*lead, n, m)):
-        raise ShapeMismatch(f"attention q {q.shape}, k {k.shape}, v {v.shape}, "
-                            f"bias {bias.shape}, {heads} heads")
-    dh = d // heads
-    s = 1.0 / float(np.sqrt(dh))
-
-    def split(a):  # ... x rows x d -> ... x heads x rows x dh
-        return a.reshape(*a.shape[:-1], heads, dh).swapaxes(-3, -2)
-
-    def merge(a):  # ... x heads x rows x dh -> ... x rows x d
-        return a.swapaxes(-3, -2).reshape(*a.shape[:-3], a.shape[-2], d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    probs = qh @ kh.swapaxes(-1, -2)
-    probs *= s
-    probs += bias[..., None, :, :]
-    _softmax_in_place(probs)
+    out_data, probs = attention_values(q.data, k.data, v.data, bias, heads)
+    s = 1.0 / float(np.sqrt(q.shape[-1] // heads))
 
     def backward(g):
-        gh = split(g)
+        gh = _split_heads(g, heads)
         if v.requires_grad:
-            v.accumulate(merge(probs.swapaxes(-1, -2) @ gh))
+            v.accumulate(_merge_heads(probs.swapaxes(-1, -2) @ gh))
         if q.requires_grad or k.requires_grad:
-            ds = gh @ vh.swapaxes(-1, -2)
+            ds = gh @ _split_heads(v.data, heads).swapaxes(-1, -2)
             ds -= (ds * probs).sum(axis=-1, keepdims=True)
             ds *= probs
             ds *= s
             if q.requires_grad:
-                q.accumulate(merge(ds @ kh))
+                q.accumulate(_merge_heads(ds @ _split_heads(k.data, heads)))
             if k.requires_grad:
-                k.accumulate(merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
+                qh = _split_heads(q.data, heads)
+                k.accumulate(_merge_heads((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
 
-    return _op(merge(probs @ vh), (q, k, v), backward)
+    return _op(out_data, (q, k, v), backward)
+
+
+def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward of `layer_norm` on plain arrays: its output, and the
+    normalized rows and inverse deviations its backward reads."""
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Row-wise layer norm. Means are sums divided by the width, which is
     what `np.mean` and `np.var` compute, without their wrapper cost."""
     d = x.data.shape[-1]
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    out_data, xhat, inv = layer_norm_values(x.data, gain.data, bias.data, eps)
 
     def backward(g):
         if gain.requires_grad:

@@ -3,10 +3,11 @@
 `evaluate` and `threshold_sweep` share one loop over examples. Inference
 is `pipeline.infer_thresholds`, once per example at every threshold scored:
 one prompt encoding, and one stacked decode of the distinct predicted
-sets. This module only executes SQL and aggregates: each distinct result's
-SQL runs once, and every record of an example carries that call's one
-timings dict. Corpus databases are opened read-only, so SQL the model
-writes cannot change them.
+sets. This module only executes SQL and aggregates: an example's gold SQL
+runs once and each distinct result's SQL once against its rows, and every
+record of an example carries that call's one timings dict and, for a
+pred_error, SQLite's error text. Corpus databases are opened read-only,
+so SQL the model writes cannot change them.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DbUnavailable, LengthMismatch
-from .metrics import ExReport, execution_accuracy, pr_auc, precision_recall, roc_auc
+from .metrics import ExReport, execution_verdicts, pr_auc, precision_recall, roc_auc
 from .model import ModelParams
 from .pipeline import DEFAULT_MAX_NEW, DEFAULT_THRESHOLD, TrainingExample, infer_thresholds
 from .tokenizer import Vocab
@@ -79,20 +80,21 @@ def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
             scored, results = infer_thresholds(params, ex, vocab, thresholds, max_new)
             out.scores.append([s for _, _, s in scored])
             out.labels.append(ex.label)
-            records: dict[int, dict] = {}  # one per distinct result, executed once
+            distinct = list({id(result): result for result in results}.values())
+            verdicts = execution_verdicts([result.sql for result in distinct], ex.gold_sql,
+                                          connections[ex.db_id])
+            records = {id(result): {  # one per distinct result, executed once
+                "example_id": ex.example_id,
+                "verdict": verdict,
+                "sqlite_error": error,
+                "pred_sql": result.sql,
+                "gold_sql": ex.gold_sql,
+                "timings_ms": result.timings_ms,
+                "predicted_columns": result.predicted_columns,
+                "used_fallback": result.used_fallback,
+            } for result, (verdict, error) in zip(distinct, verdicts)}
             for report, per_threshold, result in zip(out.reports, out.records, results):
-                record = records.get(id(result))
-                if record is None:
-                    record = records[id(result)] = {
-                        "example_id": ex.example_id,
-                        "verdict": execution_accuracy(result.sql, ex.gold_sql,
-                                                      connections[ex.db_id]),
-                        "pred_sql": result.sql,
-                        "gold_sql": ex.gold_sql,
-                        "timings_ms": result.timings_ms,
-                        "predicted_columns": result.predicted_columns,
-                        "used_fallback": result.used_fallback,
-                    }
+                record = records[id(result)]
                 report.add(record["verdict"])
                 per_threshold.append(record)
     finally:

@@ -16,9 +16,9 @@ from .tokenizer import SegmentMap
 
 
 class AttentionMask:
-    """n × (p+n) boolean visibility: n new rows over p cached rows and
-    themselves (p = 0 without a cache); visible[i, j] means row i may
-    attend to column j.
+    """Boolean visibility of rows over positions: n × n for a sequence,
+    B × positions for B decode rows; visible[i, j] means row i may attend
+    to position j.
 
     Attention reads the mask as an additive bias over its scores, 0 where
     visible and -inf where hidden (`bias`). The bias is built once per mask
@@ -31,21 +31,11 @@ class AttentionMask:
         self._bias: np.ndarray | None = None
 
     def bias(self, dtype) -> np.ndarray:
-        """The n × (p+n) additive bias in `dtype`, built on the first call.
-        Raises EmptyRow when a row sees no column."""
+        """The additive bias in `dtype`, of the mask's shape, built on the
+        first call. Raises EmptyRow when a row sees no column."""
         if self._bias is None or self._bias.dtype != dtype:
             self._bias = additive_bias(self.visible, dtype)
         return self._bias
-
-    def columns(self, m: int) -> "AttentionMask":
-        """The mask over the first m columns. A bias already built is shared
-        as a view, not built again, so its rows are not checked again: every
-        row must keep a visible column among the first m, as a decode row
-        does, which sees itself in its last column."""
-        out = AttentionMask(self.visible[:, :m])
-        if self._bias is not None:
-            out._bias = self._bias[:, :m]
-        return out
 
 
 def build_causal_mask(n: int) -> AttentionMask:

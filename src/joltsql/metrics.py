@@ -160,20 +160,32 @@ def _has_top_level_order_by(sql: str) -> bool:
     return bool(_ORDER_BY_RE.search("".join(flat)))
 
 
-def execution_accuracy(pred_sql: str, gold_sql: str, db: sqlite3.Connection) -> str:
-    """Single-example verdict: match / mismatch / pred_error / gold_error."""
+def execution_verdicts(pred_sqls: list[str], gold_sql: str,
+                       db: sqlite3.Connection) -> list[tuple[str, str | None]]:
+    """Each prediction's verdict against one gold query, which runs once:
+    (match / mismatch / pred_error / gold_error, SQLite's error text for a
+    pred_error and None otherwise). A refused write, a syntax error and a
+    step-budget interrupt are all pred_error, told apart by their text."""
     if db is None:
         raise DbUnavailable("no database connection")
     try:
-        gold_rows = _execute(db, gold_sql)
+        gold_c = _canonical_rows(_execute(db, gold_sql))
     except sqlite3.Error:
-        return "gold_error"
-    try:
-        pred_rows = _execute(db, pred_sql)
-    except sqlite3.Error:
-        return "pred_error"
-    gold_c = _canonical_rows(gold_rows)
-    pred_c = _canonical_rows(pred_rows)
-    if _has_top_level_order_by(gold_sql):
-        return "match" if gold_c == pred_c else "mismatch"
-    return "match" if Counter(gold_c) == Counter(pred_c) else "mismatch"
+        return [("gold_error", None)] * len(pred_sqls)
+    ordered = _has_top_level_order_by(gold_sql)
+    gold_key = gold_c if ordered else Counter(gold_c)
+    out = []
+    for pred_sql in pred_sqls:
+        try:
+            pred_c = _canonical_rows(_execute(db, pred_sql))
+        except sqlite3.Error as e:
+            out.append(("pred_error", str(e)))
+            continue
+        same = gold_key == (pred_c if ordered else Counter(pred_c))
+        out.append(("match" if same else "mismatch", None))
+    return out
+
+
+def execution_accuracy(pred_sql: str, gold_sql: str, db: sqlite3.Connection) -> str:
+    """Single-example verdict: match / mismatch / pred_error / gold_error."""
+    return execution_verdicts([pred_sql], gold_sql, db)[0][0]

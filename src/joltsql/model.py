@@ -132,74 +132,49 @@ class ModelParams:
 
 @dataclass
 class ForwardOutput:
-    hidden: Tensor       # n x d; B x 1 x d with a `past`
-    lm_logits: Tensor    # n x V; B x 1 x V with a `past`
-    # n x 1, meaningful at marker positions; None for rows run against a
-    # `past`, which are query rows and hold no markers
-    marker_probs: Tensor | None
-    # per layer, (K, V) of the cached rows and these rows: (p + n) x d each,
-    # B x (p + 1) x d with a `past`
+    # The last layer's rows: all n, or the `rows` forward was given, in
+    # their order. Row i of each field below is that row.
+    hidden: Tensor       # rows x d
+    lm_logits: Tensor    # rows x V
+    marker_probs: Tensor  # rows x 1, meaningful at marker positions
+    # per layer, (K, V) of every position: n x d each
     kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
-            past: list[tuple[np.ndarray, np.ndarray]] | None = None) -> ForwardOutput:
-    """Run `ids` through the transformer under `mask`.
+            rows: list[int] | None = None) -> ForwardOutput:
+    """Run the sequence `ids` at positions 0..n-1 through the transformer
+    under the n x n `mask`.
 
-    Without `past`, `ids` is one sequence at positions 0..n-1 and the mask
-    is n x n. With `past`, `ids` holds one new token for each of B
-    sequences, all at the same position p, and the mask is B x (p + 1):
-    row b is sequence b's view of its p cached rows and its new row. `past`
-    is one (K, V) pair of buffers per layer, each B x rows x d with
-    rows >= p + 1, whose first p rows of item b hold sequence b's earlier
-    K/V: this call writes each new row's K and V into row p of its item, in
-    place, and attends over rows 0..p. The rows run as a B x 1 x d stack,
-    so each sequence's products are one-row products, byte for byte what
-    it would get alone. That is exact whenever the cached rows never attend
-    to the new ones, as prefix and schema rows never attend to query rows
-    under the joint mask, so decoding reuses the prompt's K/V instead of
-    re-encoding it. Buffers written in place carry no gradient, so a
-    forward with `past` runs under `no_grad`; its rows are query rows, so
-    it skips the linking head.
+    With `rows`, the last layer still computes K and V for every position,
+    so `kv` is the same, but runs Q, attention, the residual, the FFN, the
+    final norm and both heads only on `rows`, in that order: what a caller
+    reads of a sequence, such as its marker rows and its last row. Their
+    values equal the full forward's to rounding.
 
     The mask's bias is built once (`AttentionMask.bias`) and every layer's
     attention, one `autodiff.attention` op over (heads, rows, dh) views of
-    Q, K and V, adds that same array.
+    Q, K and V, adds that same array. Decoding against the returned K/V is
+    `decode_step`.
     """
     cfg = params.config
-    n = 1 if past is not None else len(ids)
-    rows, cols = mask.visible.shape
-    p = cols - n
-    if rows != len(ids) or p < 0 or (p and past is None):
-        raise ShapeMismatch(f"mask shape {mask.visible.shape} for {len(ids)} new rows "
-                            f"{'with' if past is not None else 'without'} a past")
-    if p + n > cfg.max_len:
-        raise ShapeMismatch(f"sequence length {p + n} exceeds max_len {cfg.max_len}")
+    n = len(ids)
+    if mask.visible.shape != (n, n):
+        raise ShapeMismatch(f"mask shape {mask.visible.shape} for {n} rows")
+    if n > cfg.max_len:
+        raise ShapeMismatch(f"sequence length {n} exceeds max_len {cfg.max_len}")
     bias = mask.bias(cfg.np_dtype)
-    tokens = np.asarray(ids)
-    if past is not None:
-        held = past[0][0].shape
-        if held[0] != rows or held[1] < p + 1:
-            raise ShapeMismatch(f"past buffers of shape {held}, the mask needs "
-                                f"{rows} x {p + 1} rows")
-        if params.emb.requires_grad:
-            raise ValueError("forward with a past writes K/V in place; run it under no_grad")
-        tokens, bias = tokens[:, None], bias[:, None]  # B x 1 rows
-
-    x = ad.add(ad.gather_rows(params.emb, tokens),
-               ad.gather_rows(params.pos, np.arange(p, p + n)))
+    x = ad.add(ad.gather_rows(params.emb, np.asarray(ids)),
+               ad.gather_rows(params.pos, np.arange(n)))
     kv = []
     for li, layer in enumerate(params.layers):
         h = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-        q = ad.matmul(h, layer["wq"])
         k = ad.matmul(h, layer["wk"])
         v = ad.matmul(h, layer["wv"])
-        if past is not None:
-            k_buf, v_buf = past[li]
-            k_buf[:, p:p + 1] = k.data
-            v_buf[:, p:p + 1] = v.data
-            k, v = Tensor(k_buf[:, :p + 1]), Tensor(v_buf[:, :p + 1])
         kv.append((k.data, v.data))
+        if rows is not None and li == len(params.layers) - 1:
+            x, h, bias = ad.gather_rows(x, rows), ad.gather_rows(h, rows), bias[rows]
+        q = ad.matmul(h, layer["wq"])
         attn = ad.matmul(ad.attention(q, k, v, bias, cfg.heads), layer["wo"])
         x = ad.add(x, attn)
         h2 = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
@@ -208,11 +183,45 @@ def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
         x = ad.add(x, ffn)
     hidden = ad.layer_norm(x, params.lnf_g, params.lnf_b)
     lm_logits = ad.matmul(hidden, ad.transpose(params.emb))
-    marker_probs = None
-    if past is None:
-        marker_logits = ad.add(ad.matmul(hidden, params.link_w), params.link_b)
-        marker_probs = ad.sigmoid(marker_logits)
+    marker_probs = ad.sigmoid(ad.add(ad.matmul(hidden, params.link_w), params.link_b))
     return ForwardOutput(hidden, lm_logits, marker_probs, kv)
+
+
+def decode_step(params: ModelParams, tokens: np.ndarray, bias: np.ndarray,
+                past: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The LM logits of one new row per sequence at position p, computed
+    on plain arrays through `forward`'s layer-norm and attention kernels,
+    with no tape.
+
+    `bias` is the rows' additive mask over positions 0..p. `past` holds
+    per layer (K, V) buffers whose first p positions hold each sequence's
+    earlier K/V; the step writes the new rows' K/V at position p in place.
+    A lone sequence runs as 2-D rows: `tokens` (1,), `bias` 1 x (p + 1),
+    buffers positions x d. B sequences run as a B x 1 x d stack (`tokens`
+    B x 1, `bias` B x 1 x (p + 1), buffers B x positions x d), so each
+    keeps the one-row products it would get alone.
+    """
+    cfg = params.config
+    m = bias.shape[-1]
+    held = past[0][0].shape
+    if bias.shape != (*tokens.shape, m) or held[:-2] != tokens.shape[:-1] or held[-2] < m:
+        raise ShapeMismatch(f"decode step: tokens {tokens.shape}, bias {bias.shape}, "
+                            f"K/V buffers {held}")
+    if m > cfg.max_len:
+        raise ShapeMismatch(f"position {m - 1} is past max_len {cfg.max_len}")
+    x = params.emb.data[tokens] + params.pos.data[m - 1]
+    for layer, (k_buf, v_buf) in zip(params.layers, past):
+        w = {name: t.data for name, t in layer.items()}
+        h = ad.layer_norm_values(x, w["ln1_g"], w["ln1_b"])[0]
+        k_buf[..., m - 1:m, :] = h @ w["wk"]
+        v_buf[..., m - 1:m, :] = h @ w["wv"]
+        attn = ad.attention_values(h @ w["wq"], k_buf[..., :m, :], v_buf[..., :m, :],
+                                   bias, cfg.heads)[0]
+        x = x + attn @ w["wo"]
+        h2 = ad.layer_norm_values(x, w["ln2_g"], w["ln2_b"])[0]
+        x = x + (np.maximum(h2 @ w["w1"] + w["b1"], 0) @ w["w2"] + w["b2"])
+    hidden = ad.layer_norm_values(x, params.lnf_g.data, params.lnf_b.data)[0]
+    return hidden @ params.emb.data.T
 
 
 def schema_linking_loss(marker_probs: Tensor, labels: list[int],
@@ -258,54 +267,51 @@ def greedy_generate(params: ModelParams, prompt: list[int], max_new: int,
     `encoded` is a forward of `prompt` at positions 0..len-1 whose rows
     never attend past the prompt (the pipeline passes its linking pass,
     made under the joint mask). Its last row gives every sequence's first
-    token. Each later step is one `forward` of B rows at the next position
-    (the `past` contract of `forward`): sequence b's row sees the prompt
-    positions flagged in `attends[b]`, its tokens generated before and
-    itself, which is the query row of the joint mask. Pruning is thus a
-    mask over the full prompt, never an edit of its text. Each sequence's
-    products stay one-row products, so its tokens are those it would get
-    decoded alone. A sequence that has stopped stays in the stack until all
-    have, and its further tokens are dropped. No token is placed at
-    position max_len or beyond.
+    token. Each later step is one `decode_step` of B rows at the next
+    position: sequence b's row sees the prompt positions flagged in
+    `attends[b]`, its tokens generated before and itself, which is the
+    query row of the joint mask. Pruning is thus a mask over the full
+    prompt, never an edit of its text. Each sequence's products stay
+    one-row products, so its tokens are those it would get decoded alone;
+    a lone sequence runs as 2-D rows, a stack as B x 1 x d. A sequence
+    that has stopped stays in the stack until all have, and its further
+    tokens are dropped. No token is placed at position max_len or beyond.
 
-    One B x (n + max_new) mask has its bias built once; step t's mask is a
-    view of its first n + t columns. Per-layer B x (n + max_new) K/V
-    buffers are filled once from `encoded`, and each step's forward writes
-    its rows into them in place. `encoded` itself is never written, so one
-    encoding serves any number of decodes.
+    One B x (n + max_new) mask has its bias built once; step t reads its
+    first n + t columns. Per-layer (B x) (n + max_new) x d K/V buffers are
+    filled once from `encoded`, and each step writes its rows into them in
+    place. `encoded` itself is never written, so one encoding serves any
+    number of decodes.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
     cfg = params.config
     n = len(prompt)
+    lead = (len(attends),) if len(attends) > 1 else ()
     visible = np.ones((len(attends), n + max_new), dtype=bool)
     visible[:, :n] = attends
-    mask = AttentionMask(visible)
-    mask.bias(cfg.np_dtype)  # built here, once; every step's mask is a view of it
-    buffers = np.empty((len(encoded.kv), 2, len(attends), n + max_new, cfg.dim),
-                       dtype=cfg.np_dtype)
-    past = []
+    bias = AttentionMask(visible).bias(cfg.np_dtype).reshape(*lead, 1, n + max_new)
+    buffers = np.empty((len(encoded.kv), 2, *lead, n + max_new, cfg.dim), dtype=cfg.np_dtype)
     for buf, (k, v) in zip(buffers, encoded.kv):
-        buf[0, :, :n] = k
-        buf[1, :, :n] = v
-        past.append((buf[0], buf[1]))
+        buf[0, ..., :n, :] = k
+        buf[1, ..., :n, :] = v
+    past = [(buf[0], buf[1]) for buf in buffers]
     seqs = [list(prompt) for _ in attends]
     live = [True] * len(seqs)
     nxt = [np.argmax(encoded.lm_logits.data[-1])] * len(seqs)
-    with no_grad(params):
-        for step in range(max_new):
-            if n + step >= cfg.max_len:
-                break
-            if step:  # feed each sequence's previous token as one new row
-                out = forward(params, [seq[-1] for seq in seqs], mask.columns(n + step),
-                              past=past)
-                nxt = np.argmax(out.lm_logits.data[:, -1], axis=-1)
-            for b, seq in enumerate(seqs):
-                if live[b]:
-                    seq.append(int(nxt[b]))
-                    live[b] = seq[-1] != stop_id
-            if not any(live):
-                break
+    for step in range(max_new):
+        if n + step >= cfg.max_len:
+            break
+        if step:  # feed each sequence's previous token as one new row
+            tokens = np.array([seq[-1] for seq in seqs]).reshape(*lead, 1)
+            logits = decode_step(params, tokens, bias[..., :n + step], past)
+            nxt = np.argmax(logits.reshape(len(seqs), -1), axis=-1)
+        for b, seq in enumerate(seqs):
+            if live[b]:
+                seq.append(int(nxt[b]))
+                live[b] = seq[-1] != stop_id
+        if not any(live):
+            break
     return seqs
 
 

@@ -11,21 +11,24 @@ and noisy columns' schema tokens as its query rows' view, and optimizes the
 summed linking + next-token loss.
 
 Inference decodes under that same joint mask. One forward over the full
-prefix+schema (positions 0..n-1) gives the linking scores, the first SQL
-token's logits and every layer's K/V; generated tokens take positions n,
-n+1, ... as query tokens do in training. Pruning is a boolean mask over
-the full prompt (`prune_prompt`), not an edit of its text: decode rows take
-the `query_view` a training query row takes, with the predicted columns
+prefix+schema (positions 0..n-1) gives every layer's K/V, and its last
+layer runs only the rows read after it: the marker rows (the linking
+scores) and the last prompt row (the first SQL token's logits). No other
+prompt row's logits exist. Generated tokens take positions n, n+1, ... as
+query tokens do in training. Pruning is a boolean mask over the full
+prompt (`prune_prompt`), not an edit of its text: decode rows take the
+`query_view` a training query row takes, with the predicted columns
 (every column when nothing is predicted) in place of the gold and noisy
 ones. Prompt rows never see query rows, so each decode step is one
-row through `forward` against the cached K/V. Re-encoding a pruned prompt
-under a causal mask would instead change the schema rows' K/V and the row
-that predicts the first token, a layout training never showed the model.
+tape-free `model.decode_step` row against the cached K/V. Re-encoding a
+pruned prompt under a causal mask would instead change the schema rows'
+K/V and the row that predicts the first token, a layout training never
+showed the model.
 
 `infer_thresholds` is the one inference step: one prompt encoding, then
 one stacked `generate_sql` over the distinct sets the thresholds predict.
-Each decode step runs one row per set, stacked B x 1 x d, so every set
-gets the SQL it would get decoded alone. `infer` is that step at one
+Each decode step runs one row per set, stacked B x 1 x d (a lone set as
+2-D rows), so every set gets the SQL it would get decoded alone. `infer` is that step at one
 threshold; evaluation runs it at every threshold it scores.
 """
 from __future__ import annotations
@@ -252,20 +255,23 @@ class InferenceResult:
 
 def encode_prompt(params: ModelParams, example: TrainingExample) -> ForwardOutput:
     """One no-gradient forward over the full prefix+schema under the joint
-    mask, at positions 0..n-1. Prompt rows never attend to query rows, so
-    its marker scores, its last row's logits (the first SQL token) and its
-    per-layer K/V are exactly those of the training layout."""
+    mask, at positions 0..n-1, whose last layer runs only the rows
+    inference reads: the marker rows in marker order, then the last prompt
+    row. Prompt rows never attend to query rows, so its marker scores, its
+    last row's logits (the first SQL token) and its per-layer K/V are
+    those of the training layout, the first two to rounding."""
     seg = replace(example.seg, n=example.seg.query_start)
     with no_grad(params):
-        return forward(params, example.tokens.ids[:seg.n], build_joint_mask(seg, set()))
+        return forward(params, example.tokens.ids[:seg.n], build_joint_mask(seg, set()),
+                       rows=example.marker_positions + [seg.n - 1])
 
 
 def marker_scores(example: TrainingExample,
                   out: ForwardOutput) -> list[tuple[str, str, float]]:
     """(table, column, score) for every column, read off a prompt
-    encoding's marker rows."""
+    encoding's marker rows, which come first and in marker order."""
     probs = out.marker_probs.data[:, 0]
-    return [(t, c, float(probs[pos])) for t, c, pos in example.seg.marker_columns]
+    return [(t, c, float(p)) for (t, c, _), p in zip(example.seg.marker_columns, probs)]
 
 
 def link_schema(params: ModelParams,

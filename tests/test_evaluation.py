@@ -1,6 +1,6 @@
-"""Evaluation: one prompt encoding and one stacked decode per example, one
-decoded sequence and one execution per distinct predicted column set, and
-results equal to per-threshold inference."""
+"""Evaluation: one prompt encoding, one stacked decode and one gold
+execution per example, one decoded sequence and one execution per distinct
+predicted column set, and results equal to per-threshold inference."""
 import hashlib
 import itertools
 import shutil
@@ -8,7 +8,7 @@ import sqlite3
 
 import pytest
 
-from joltsql import evaluation, model, pipeline
+from joltsql import evaluation, metrics, model, pipeline
 from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import DbUnavailable, LengthMismatch
 from joltsql.evaluation import SWEEP_THRESHOLDS, evaluate, threshold_sweep
@@ -102,10 +102,9 @@ def test_infer_thresholds_encodes_once_and_decodes_each_distinct_set_once(desk,
     forward = model.forward
     generate = pipeline.greedy_generate
 
-    def spy_forward(params, ids, mask, past=None):
-        if past is None:
-            prompts.append(list(ids))
-        return forward(params, ids, mask, past=past)
+    def spy_forward(params, ids, mask, **kwargs):
+        prompts.append(list(ids))
+        return forward(params, ids, mask, **kwargs)
 
     def spy_generate(*args, **kwargs):
         decodes.append(len(kwargs["attends"]))
@@ -175,25 +174,24 @@ def test_one_prompt_encoding_and_one_decode_per_distinct_set(desk, monkeypatch, 
     prompts, decodes, executions = [], [], []
     forward = model.forward
     generate = pipeline.greedy_generate
-    execute = evaluation.execution_accuracy
+    execute = evaluation.execution_verdicts
 
-    def spy_forward(params, ids, mask, past=None):
-        if past is None:
-            prompts.append(list(ids))
-        return forward(params, ids, mask, past=past)
+    def spy_forward(params, ids, mask, **kwargs):
+        prompts.append(list(ids))
+        return forward(params, ids, mask, **kwargs)
 
     def spy_generate(*args, **kwargs):
         decodes.append(len(kwargs["attends"]))
         return generate(*args, **kwargs)
 
-    def spy_execute(*args):
-        executions.append(1)
-        return execute(*args)
+    def spy_execute(pred_sqls, *args):
+        executions.extend(pred_sqls)
+        return execute(pred_sqls, *args)
 
     monkeypatch.setattr(model, "forward", spy_forward)
     monkeypatch.setattr(pipeline, "forward", spy_forward)
     monkeypatch.setattr(pipeline, "greedy_generate", spy_generate)
-    monkeypatch.setattr(evaluation, "execution_accuracy", spy_execute)
+    monkeypatch.setattr(evaluation, "execution_verdicts", spy_execute)
     if run == "sweep":
         threshold_sweep(params, examples, vocab, generated.db_paths, max_new=MAX_NEW)
     else:
@@ -204,6 +202,55 @@ def test_one_prompt_encoding_and_one_decode_per_distinct_set(desk, monkeypatch, 
     assert len(decodes) == len(examples)  # one stacked decode per example...
     assert sum(decodes) == distinct  # ...with one sequence per distinct set
     assert len(executions) == distinct
+
+
+@pytest.mark.parametrize("run", ["sweep", "micro"])
+def test_gold_sql_runs_once_per_example(desk, monkeypatch, run):
+    """Every distinct prediction of an example is compared against one
+    execution of its gold SQL."""
+    params, examples, vocab, generated = desk
+    executed = []
+    execute = metrics._execute
+
+    def spy(db, sql):
+        executed.append(sql)
+        return execute(db, sql)
+
+    monkeypatch.setattr(metrics, "_execute", spy)
+    if run == "sweep":
+        threshold_sweep(params, examples, vocab, generated.db_paths, max_new=MAX_NEW)
+        thresholds = SWEEP_THRESHOLDS
+    else:
+        evaluate(params, examples, vocab, generated.db_paths, max_new=MAX_NEW)
+        thresholds = [0.05]
+    golds = [sql for sql in executed if sql in {ex.gold_sql for ex in examples}]
+    assert golds == [ex.gold_sql for ex in examples]
+    distinct = sum(len({predicted_set(params, ex, t) for t in thresholds}) for ex in examples)
+    assert len(executed) == len(examples) + distinct
+
+
+@pytest.mark.parametrize("sql,error", [
+    ("DROP TABLE {table}", "not authorized"),
+    ("SELEC name FROM {table}", 'near "SELEC": syntax error'),
+    ("WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM r) "
+     "SELECT count(*) FROM r", "interrupted"),
+    ("SELECT 'no such row' FROM {table}", None),
+], ids=["refused-write", "syntax-error", "step-budget", "no-error"])
+def test_pred_error_records_keep_sqlites_error_text(desk, monkeypatch, sql, error):
+    """A refused write, a syntax error and a step-budget interrupt are all
+    pred_error; the record tells them apart by SQLite's error text, and
+    carries None for a query that ran."""
+    params, examples, vocab, generated = desk
+    monkeypatch.setattr(metrics, "QUERY_STEP_BUDGET", 100_000)  # a quick interrupt
+
+    def hand_made(params, example, encoded, predicted_sets, vocab, max_new):
+        return [sql.format(table=example.schema_doc.tables[0].name) for _ in predicted_sets]
+
+    monkeypatch.setattr(pipeline, "generate_sql", hand_made)
+    result = evaluate(params, examples[:2], vocab, generated.db_paths, max_new=MAX_NEW)
+    verdicts = ["pred_error"] * 2 if error else ["mismatch"] * 2
+    assert [(pe["verdict"], pe["sqlite_error"]) for pe in result.per_example] == \
+        list(zip(verdicts, [error] * 2))
 
 
 def test_records_of_an_example_share_its_one_decode_time(desk):

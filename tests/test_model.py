@@ -8,8 +8,9 @@ from joltsql import autodiff as ad
 from joltsql import masks, model
 from joltsql.errors import EmptyQuery, EmptyRow, MalformedInput, NoMarkers, ShapeMismatch
 from joltsql.masks import AttentionMask, build_causal_mask, build_joint_mask
-from joltsql.model import (ModelConfig, ModelParams, forward, greedy_generate,
-                           joint_loss, ntp_loss, no_grad, schema_linking_loss)
+from joltsql.model import (ModelConfig, ModelParams, decode_step, forward,
+                           greedy_generate, joint_loss, ntp_loss, no_grad,
+                           schema_linking_loss)
 from joltsql.tokenizer import SegmentMap
 from test_autodiff import traced_peak, unfused_attention
 
@@ -28,25 +29,54 @@ def tiny_segment():
                       markers={4, 6}, table_elements={}, marker_columns=[])
 
 
-def kv_buffers(kv, rows, sequences=1):
-    """`forward`'s `past`: per layer, K and V buffers of `sequences` x
-    `rows` rows, each sequence's first rows copies of `kv`."""
+def kv_buffers(kv, rows, lead=()):
+    """`decode_step`'s `past`: per layer, K and V buffers of shape
+    lead x `rows` x d, each sequence's first rows copies of `kv`; no
+    `lead` is a lone sequence's 2-D layout."""
     past = []
     for k, v in kv:
-        buf = np.zeros((2, sequences, rows, k.shape[1]), dtype=k.dtype)
-        buf[0, :, :len(k)], buf[1, :, :len(v)] = k, v
+        buf = np.zeros((2, *lead, rows, k.shape[1]), dtype=k.dtype)
+        buf[0, ..., :len(k), :], buf[1, ..., :len(v), :] = k, v
         past.append((buf[0], buf[1]))
     return past
 
 
-def unfused_stacked(q, k, v, bias, heads):
-    """`unfused_attention`, run on each item of a decode step's B x 1 x d
-    stack (no gradient)."""
-    if q.data.ndim == 2:
-        return unfused_attention(q, k, v, bias, heads)
-    return ad.Tensor(np.stack([
-        unfused_attention(*(ad.Tensor(t.data[b]) for t in (q, k, v)), bias[b], heads).data
-        for b in range(len(q.data))]))
+def tape_decode_step(params, ids, mask, past):
+    """The decode step as `forward(..., past=)` ran it before decoding left
+    the tape, kept as the slow reference for `decode_step`: one new token
+    per sequence at position p, through autodiff ops on a B x 1 x d stack,
+    under the B x (p + 1) `mask`, writing K/V into the B x rows x d
+    buffers of `past` in place. Returns the B x 1 x V logits."""
+    cfg = params.config
+    p = mask.visible.shape[1] - 1
+    tokens, bias = np.asarray(ids)[:, None], mask.bias(cfg.np_dtype)[:, None]
+    x = ad.add(ad.gather_rows(params.emb, tokens),
+               ad.gather_rows(params.pos, np.arange(p, p + 1)))
+    for layer, (k_buf, v_buf) in zip(params.layers, past):
+        h = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
+        q = ad.matmul(h, layer["wq"])
+        k = ad.matmul(h, layer["wk"])
+        v = ad.matmul(h, layer["wv"])
+        k_buf[:, p:p + 1] = k.data
+        v_buf[:, p:p + 1] = v.data
+        k, v = ad.Tensor(k_buf[:, :p + 1]), ad.Tensor(v_buf[:, :p + 1])
+        attn = ad.matmul(ad.attention(q, k, v, bias, cfg.heads), layer["wo"])
+        x = ad.add(x, attn)
+        h2 = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
+        ffn = ad.matmul(ad.relu(ad.add(ad.matmul(h2, layer["w1"]), layer["b1"])), layer["w2"])
+        ffn = ad.add(ffn, layer["b2"])
+        x = ad.add(x, ffn)
+    hidden = ad.layer_norm(x, params.lnf_g, params.lnf_b)
+    return ad.matmul(hidden, ad.transpose(params.emb)).data
+
+
+def unfused_values(q, k, v, bias, heads):
+    """`unfused_attention` in place of `autodiff.attention_values`, run on
+    each item of a decode step's B x 1 x d stack (no gradient)."""
+    if q.ndim == 2:
+        return unfused_attention(*map(ad.Tensor, (q, k, v)), bias, heads).data, None
+    return np.stack([unfused_values(q[b], k[b], v[b], bias[b], heads)[0]
+                     for b in range(len(q))]), None
 
 
 class TestForward:
@@ -196,22 +226,21 @@ class TestAttentionOp:
         give the logits of the per-head composition."""
         params = ModelParams(tiny_config(dtype=dtype, heads=4), seed=2)
         ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-        visible = build_joint_mask(tiny_segment(), TINY_ATTENDED).visible
+        bias = build_joint_mask(tiny_segment(), TINY_ATTENDED).bias(params.config.np_dtype)
         n_prompt = 7  # prefix and schema; rows 7..9 are query rows
 
         def logits():
             with no_grad(params):
                 out = forward(params, ids[:n_prompt],
-                              AttentionMask(visible[:n_prompt, :n_prompt]))
-                rows = [out.lm_logits.data]
-                past = kv_buffers(out.kv, len(ids))
-                for i in range(n_prompt, len(ids)):
-                    out = forward(params, ids[i:i + 1],
-                                  AttentionMask(visible[i:i + 1, :i + 1]), past=past)
-                    rows.append(out.lm_logits.data)
+                              AttentionMask(np.isfinite(bias[:n_prompt, :n_prompt])))
+            rows = [out.lm_logits.data]
+            past = kv_buffers(out.kv, len(ids))
+            for i in range(n_prompt, len(ids)):
+                rows.append(decode_step(params, np.array(ids[i:i + 1]),
+                                        bias[i:i + 1, :i + 1], past))
             return rows
         fused = logits()
-        monkeypatch.setattr(ad, "attention", unfused_stacked)
+        monkeypatch.setattr(ad, "attention_values", unfused_values)
         reference = logits()
         assert len(fused) == 4
         for got, want in zip(fused, reference):
@@ -429,21 +458,22 @@ class TestDecodeCache:
         assert len(self.decode(params, encoded)) == 10
         assert calls == []
 
-    def test_past_contract_checked(self):
+    def test_decode_step_contract_checked(self):
         params = ModelParams(tiny_config(), seed=0)
         encoded = self.encoded(params)
-        row = AttentionMask(np.ones((1, 5), dtype=bool))
-        with pytest.raises(ShapeMismatch):  # cached columns without a past
-            forward(params, [5], row)
-        with no_grad(params):
-            with pytest.raises(ShapeMismatch):  # buffers without a row for the new token
-                forward(params, [5], row, past=kv_buffers(encoded.kv, 4))
-            with pytest.raises(ShapeMismatch):  # buffers of two sequences, one row
-                forward(params, [5], row, past=kv_buffers(encoded.kv, 5, sequences=2))
-            with pytest.raises(ShapeMismatch):  # one row each for two sequences
-                forward(params, [5, 6], row, past=kv_buffers(encoded.kv, 5, sequences=2))
-        with pytest.raises(ValueError):  # an in-place write carries no gradient
-            forward(params, [5], row, past=kv_buffers(encoded.kv, 5))
+        bias = np.zeros((1, 5), dtype=params.config.np_dtype)
+        with pytest.raises(ShapeMismatch):  # forward takes no cached columns
+            forward(params, [5], AttentionMask(np.ones((1, 5), dtype=bool)))
+        with pytest.raises(ShapeMismatch):  # buffers without a row for the new token
+            decode_step(params, np.array([5]), bias, kv_buffers(encoded.kv, 4))
+        with pytest.raises(ShapeMismatch):  # buffers of two sequences, one row
+            decode_step(params, np.array([5]), bias, kv_buffers(encoded.kv, 5, lead=(2,)))
+        with pytest.raises(ShapeMismatch):  # one row each for two sequences
+            decode_step(params, np.array([[5], [6]]), bias,
+                        kv_buffers(encoded.kv, 5, lead=(2,)))
+        short = ModelParams(tiny_config(max_len=4), seed=0)
+        with pytest.raises(ShapeMismatch):  # a position at max_len
+            decode_step(short, np.array([5]), bias, kv_buffers(encoded.kv, 5))
 
     def test_decode_step_memory_does_not_grow_with_the_past(self):
         """One decode step's traced peak grows with the prompt length by
@@ -457,14 +487,80 @@ class TestDecodeCache:
             prompt = list(range(1, 15)) * 6
             encoded = forward(params, prompt[:n], build_causal_mask(n))
             past = kv_buffers(encoded.kv, n + 2)
-            row = AttentionMask(np.ones((1, n + 2), dtype=bool))
-            row.bias(cfg.np_dtype)
-            with no_grad(params):
-                forward(params, [5], row.columns(n + 1), past=past)  # warm-up
-                peaks[n] = traced_peak(
-                    lambda: forward(params, [6], row.columns(n + 2), past=past))
+            bias = np.zeros((1, n + 2), dtype=cfg.np_dtype)
+            decode_step(params, np.array([5]), bias[:, :n + 1], past)  # warm-up
+            peaks[n] = traced_peak(
+                lambda: decode_step(params, np.array([6]), bias[:, :n + 2], past))
         one_k_copy = (72 - 8) * cfg.dim * 4
         assert peaks[72] - peaks[8] < one_k_copy / 4, peaks
+
+
+class TestDecodeStep:
+    """`decode_step` runs a step on plain arrays, byte for byte what the
+    tape-based step (`tape_decode_step`) gave."""
+
+    PROMPT = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+
+    @staticmethod
+    def lively_params(dtype):
+        """Desk-width params drawn around N(0, 0.3), so that the products
+        and softmaxes round as a trained model's do."""
+        params = ModelParams(ModelConfig(vocab_size=64, dim=80, heads=4, layers=2,
+                                         max_len=64, dtype=dtype), seed=0)
+        rng = np.random.default_rng(5)
+        for p in params.all_params():
+            p.data = rng.normal(0, 0.3, p.data.shape).astype(p.data.dtype)
+        return params
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("sequences", [1, 4])
+    def test_logits_and_kv_byte_equal_to_the_tape_step(self, dtype, sequences):
+        params = self.lively_params(dtype)
+        n, steps = len(self.PROMPT), 6
+        encoded = forward(params, self.PROMPT, build_causal_mask(n))
+        rng = np.random.default_rng(sequences)
+        visible = np.ones((sequences, n + steps), dtype=bool)
+        visible[:, :n] = rng.random((sequences, n)) > 0.4
+        visible[:, 0] = True
+        mask = AttentionMask(visible)
+        bias = mask.bias(params.config.np_dtype)
+        lead = (sequences,) if sequences > 1 else ()
+        past = kv_buffers(encoded.kv, n + steps, lead)
+        reference = kv_buffers(encoded.kv, n + steps, (sequences,))
+        tokens = rng.integers(0, 64, (steps, sequences))
+        for t in range(steps):
+            m = n + t + 1
+            got = decode_step(params, tokens[t].reshape(*lead, 1),
+                              bias[:, :m].reshape(*lead, 1, m), past)
+            want = tape_decode_step(params, tokens[t], AttentionMask(visible[:, :m]), reference)
+            assert got.shape == (*lead, 1, 64)
+            assert got.tobytes() == want.tobytes()
+        for (k, v), (k_ref, v_ref) in zip(past, reference):
+            assert k.tobytes() == k_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+    @pytest.mark.parametrize("sequences", [1, 3])
+    def test_no_tape_op_runs_while_decoding(self, monkeypatch, sequences):
+        """No autodiff op runs and no Tensor is made after the prompt
+        encoding: the steps compute on arrays alone."""
+        params = self.lively_params("float32")
+        encoded = forward(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
+        made = []
+        op, init = ad._op, ad.Tensor.__init__
+
+        def spy_op(*args):
+            made.append("op")
+            return op(*args)
+
+        def spy_init(self, *args, **kwargs):
+            made.append("tensor")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "_op", spy_op)
+        monkeypatch.setattr(ad.Tensor, "__init__", spy_init)
+        views = np.ones((sequences, len(self.PROMPT)), dtype=bool)
+        seqs = greedy_generate(params, self.PROMPT, 8, -1, encoded=encoded, attends=views)
+        assert all(len(seq) == len(self.PROMPT) + 8 for seq in seqs)
+        assert made == []
 
 
 class TestStackedDecode:
@@ -483,13 +579,14 @@ class TestStackedDecode:
     def decode(self, params, views, stop_id, max_new, monkeypatch):
         """Each sequence's ids, and each decode step's logits."""
         steps = []
+        step = model.decode_step
 
-        def spy(*args, **kwargs):
-            out = forward(*args, **kwargs)
-            steps.append(out.lm_logits.data)
-            return out
+        def spy(*args):
+            logits = step(*args)
+            steps.append(logits)
+            return logits
 
-        monkeypatch.setattr(model, "forward", spy)
+        monkeypatch.setattr(model, "decode_step", spy)
         encoded = forward(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
         return greedy_generate(params, self.PROMPT, max_new, stop_id, encoded=encoded,
                                attends=views), steps

@@ -372,6 +372,44 @@ class TestCaptureWeights:
             WeightCache().lookup(example.example_id)
 
 
+class TestRowGather:
+    """`forward(..., rows=R)` runs the last layer on R alone: in float64 its
+    rows equal the full forward's rows R to 1e-12 (relative), and its K/V
+    are the full forward's, byte for byte."""
+
+    @staticmethod
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_gathered_rows_match_the_full_forward(self, tmp_path):
+        generated = generate_corpus(CorpusConfig(), str(tmp_path))
+        vocab = Vocab.load(generated.vocab_path)
+        dev = load_corpus(generated.dev_path, vocab, generated.schemas)
+        examples = list({ex.db_id: ex for ex in dev[:20]}.values())  # one per database
+        assert max(ex.seg.query_start for ex in examples) >= 224
+        params = ModelParams(ModelConfig(vocab_size=len(vocab), dim=80, heads=4, layers=2,
+                                         dtype="float64"), seed=0)
+        rng = np.random.default_rng(0)
+        for p in params.all_params():  # weights that make attention pick rows
+            p.data = p.data + rng.normal(0, 0.2, p.data.shape)
+        for ex in examples:
+            n = ex.seg.query_start
+            mask = build_joint_mask(replace(ex.seg, n=n), set())
+            rows = ex.marker_positions + [n - 1]
+            with model.no_grad(params):
+                full = forward(params, ex.tokens.ids[:n], mask)
+                got = forward(params, ex.tokens.ids[:n], mask, rows=rows)
+            for name in ("hidden", "lm_logits", "marker_probs"):
+                assert getattr(got, name).shape[0] == len(rows)
+                assert self.close(getattr(got, name).data, getattr(full, name).data[rows]), name
+            assert [(k.tobytes(), v.tobytes()) for k, v in got.kv] == \
+                [(k.tobytes(), v.tobytes()) for k, v in full.kv]
+            encoded = encode_prompt(params, ex)
+            assert encoded.lm_logits.data.tobytes() == got.lm_logits.data.tobytes()
+            scores = [s for _, _, s in link_schema(params, ex)]
+            assert self.close(np.array(scores), full.marker_probs.data[ex.marker_positions, 0])
+
+
 class TestLinkAndPrune:
     def test_link_scores_all_columns(self, example, vocab):
         params = ModelParams(tiny_model(vocab), seed=0)
@@ -516,13 +554,18 @@ class TestDecodeUnderTrainingMask:
         n_ps = example.seg.query_start
         threshold = split_threshold(params, example) if case == "predicted" else 0.999
         calls = []
+        step = model.decode_step
 
-        def spy(params, ids, mask, past=None):
-            calls.append((len(ids), mask.visible.copy(), past is not None))
-            return forward(params, ids, mask, past=past)
+        def spy_forward(params, ids, mask, **kwargs):
+            calls.append((len(ids), mask.visible.copy(), False))
+            return forward(params, ids, mask, **kwargs)
 
-        monkeypatch.setattr(model, "forward", spy)
-        monkeypatch.setattr(pipeline, "forward", spy)
+        def spy_step(params, tokens, bias, past):
+            calls.append((tokens.size, np.isfinite(bias).reshape(1, -1), True))
+            return step(params, tokens, bias, past)
+
+        monkeypatch.setattr(pipeline, "forward", spy_forward)
+        monkeypatch.setattr(model, "decode_step", spy_step)
         result = infer(params, example, vocab, threshold=threshold, max_new=6)
         predicted = {(t, c) for t, c, _ in result.predicted_columns}
         if case == "predicted":
@@ -552,14 +595,20 @@ class TestDecodeUnderTrainingMask:
     def test_cached_decode_matches_uncached(self, example, join_example, vocab, decoders,
                                             monkeypatch):
         seen = []
+        step = model.decode_step
 
-        def spy(*args, **kwargs):
+        def spy_forward(*args, **kwargs):
             out = forward(*args, **kwargs)
-            seen.append(out.lm_logits.data[-1].ravel())  # a decode step's is 1 x V
+            seen.append(out.lm_logits.data[-1])
             return out
 
-        monkeypatch.setattr(model, "forward", spy)
-        monkeypatch.setattr(pipeline, "forward", spy)
+        def spy_step(*args):
+            logits = step(*args)
+            seen.append(logits.ravel())  # a lone decode step's is 1 x V
+            return logits
+
+        monkeypatch.setattr(pipeline, "forward", spy_forward)
+        monkeypatch.setattr(model, "decode_step", spy_step)
         for params in decoders:
             # logits agree to rounding: row-at-a-time products round differently
             tol = 1e-5 if params.config.dtype == "float32" else 1e-12
@@ -587,11 +636,12 @@ class TestDecodeUnderTrainingMask:
         prompt = example.tokens.ids[:n_ps]
         sets = [{("singer", "name"), ("singer", "age")}, {("stadium", "city")}]
         rows = []
+        step = model.decode_step
 
-        def spy(*args, **kwargs):
-            out = forward(*args, **kwargs)
-            rows.append(out.lm_logits.data.tobytes())
-            return out
+        def spy(*args):
+            logits = step(*args)
+            rows.append(logits.tobytes())
+            return logits
 
         def decode(params, encoded, columns):
             attend = prune_prompt(example, columns)
@@ -599,7 +649,7 @@ class TestDecodeUnderTrainingMask:
             [ids] = greedy_generate(params, prompt, 12, -1, encoded=encoded, attends=[attend])
             return ids, list(rows)
 
-        monkeypatch.setattr(model, "forward", spy)
+        monkeypatch.setattr(model, "decode_step", spy)
         for params in decoders:
             encoded = encode_prompt(params, example)
             before = [(k.tobytes(), v.tobytes()) for k, v in encoded.kv]

@@ -13,8 +13,13 @@ platform, so compare digests from one machine. Then, one line each:
 - at model seeds 3 and 7, the training log and the parameters of the desk
   model (the benchmark's criterion-10 recipe, `perfbench/workloads.py`) on
   the first 60 train examples, and on all dev examples: `threshold_sweep`
-  rows, micro and macro `evaluate` JSON, per-example records without `timings_ms`, and
-  `infer` at 0.05 and 0.5 (SQL, predicted columns, fallback).
+  rows, micro and macro `evaluate` JSON and per-example records, and
+  `infer` at 0.05 and 0.5.
+
+Records and `infer` results each give two lines, so that a score moved by
+rounding shows apart from a changed outcome: `decisions` over each
+example's SQL, predicted column names, fallback flag and (records) verdict,
+and `scores` over the predicted columns' float scores.
 
 It takes about 25 seconds on a 2-core Xeon.
 """
@@ -49,6 +54,14 @@ def json_sha(obj) -> str:
     return sha(json.dumps(obj, sort_keys=True).encode())
 
 
+def names(predicted_columns) -> list:
+    return [[t, c] for t, c, _ in predicted_columns]
+
+
+def scores(predicted_columns) -> list:
+    return [s for _, _, s in predicted_columns]
+
+
 def corpus_digests(seed: int, out: str):
     generate_corpus(CorpusConfig(seed=seed), out)
     for root, dirs, files in os.walk(out):
@@ -78,14 +91,19 @@ def model_digests(seed: int, out: str):
     for average in ("micro", "macro"):
         result = evaluation.evaluate(res.params, dev_set, vocab, db_paths, average=average)
         yield f"{where} evaluate {average}", json_sha(result.to_json())
-        records = [{k: v for k, v in record.items() if k != "timings_ms"}
-                   for record in result.per_example]
-        yield f"{where} evaluate {average} records", json_sha(records)
+        records = result.per_example
+        yield f"{where} evaluate {average} records decisions", json_sha(
+            [[r["example_id"], r["pred_sql"], names(r["predicted_columns"]),
+              r["used_fallback"], r["verdict"]] for r in records])
+        yield f"{where} evaluate {average} records scores", json_sha(
+            [scores(r["predicted_columns"]) for r in records])
     for threshold in INFER_THRESHOLDS:
         results = [pipeline.infer(res.params, ex, vocab, threshold=threshold)
                    for ex in dev_set]
-        yield f"{where} infer {threshold}", json_sha(
-            [[r.sql, r.predicted_columns, r.used_fallback] for r in results])
+        yield f"{where} infer {threshold} decisions", json_sha(
+            [[r.sql, names(r.predicted_columns), r.used_fallback] for r in results])
+        yield f"{where} infer {threshold} scores", json_sha(
+            [scores(r.predicted_columns) for r in results])
 
 
 def main() -> int:
