@@ -7,12 +7,13 @@ transformer. Multi-head attention is one op, `attention`, over
 hand-written backward; per head, `slice_cols`, `transpose`,
 `masked_softmax` and `concat` compose its slow reference.
 
-`layer_norm_values` and `attention_values` are those ops' forward values
-on plain arrays, which decoding calls off the tape, so each kernel exists
-once. Both take leading batch dimensions, which decoding uses to stack B
-sequences' one-token rows as (B, 1, d): numpy's stacked product runs each
-(1, d) item alone, so every row is rounded as a one-row product, while
-flattening the stack to (B, d) would round it as a block.
+The tape is training's alone. `layer_norm_values` and `attention_values`
+are those ops' forward values on plain arrays, which inference (the prompt
+pass and every decode step, `model.forward_values`) calls with no tape, so
+each kernel exists once. Both take leading batch dimensions, which decoding
+uses to stack B sequences' one-token rows as (B, 1, d): numpy's stacked
+product runs each (1, d) item alone, so every row is rounded as a one-row
+product, while flattening the stack to (B, d) would round it as a block.
 
 The hot kernels make as few array passes as keep their results bit for
 bit: attention adds the mask bias into the score array its own product
@@ -282,9 +283,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
     """Multi-head scaled dot-product attention as one op.
 
     q is n x d, k and v are m x d; `bias` is the n x m additive mask of
-    `masks.AttentionMask.bias`, 0 where visible and -inf where hidden, and
-    holds for every head. Every row must see something; the mask checks
-    that when it builds the bias. Head h owns columns h*dh..(h+1)*dh
+    `additive_bias`, 0 where visible and -inf where hidden, and holds for
+    every head. Every row must see something; `additive_bias` checks that
+    when it builds the bias. Head h owns columns h*dh..(h+1)*dh
     (dh = d / heads), and all heads run as one batched product over
     (heads, rows, dh) views. The n x d output equals, per head,
     softmax(q_h k_h^T / sqrt(dh)) over the visible entries times v_h, with

@@ -1,18 +1,21 @@
 """Toy decoder-only transformer with pluggable attention masks, one fused
 multi-head attention op per layer, a marker-probability linking head, and
-the linking / next-token / joint losses."""
+the linking / next-token / joint losses.
+
+Training runs `forward` on the autodiff tape. Inference never touches the
+tape: one layer loop on plain arrays, `forward_values`, runs the prompt
+pass (`prompt_pass`) and every decode step of `greedy_generate` over one
+K/V cache."""
 from __future__ import annotations
 
-import contextlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import EmptyQuery, MalformedInput, NoMarkers, ShapeMismatch
-from .masks import AttentionMask
 
 
 # ModelConfig.max_len's default, and the longest example a corpus may hold
@@ -132,48 +135,34 @@ class ModelParams:
 
 @dataclass
 class ForwardOutput:
-    # The last layer's rows: all n, or the `rows` forward was given, in
-    # their order. Row i of each field below is that row.
-    hidden: Tensor       # rows x d
-    lm_logits: Tensor    # rows x V
-    marker_probs: Tensor  # rows x 1, meaningful at marker positions
-    # per layer, (K, V) of every position: n x d each
-    kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    # row i of each field is position i
+    hidden: Tensor       # n x d
+    lm_logits: Tensor    # n x V
+    marker_probs: Tensor  # n x 1, meaningful at marker positions
 
 
-def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
-            rows: list[int] | None = None) -> ForwardOutput:
-    """Run the sequence `ids` at positions 0..n-1 through the transformer
-    under the n x n `mask`.
+def forward(params: ModelParams, ids: list[int], visible: np.ndarray) -> ForwardOutput:
+    """Training's tape forward: the sequence `ids` at positions 0..n-1
+    through the transformer under the n x n boolean mask `visible`.
 
-    With `rows`, the last layer still computes K and V for every position,
-    so `kv` is the same, but runs Q, attention, the residual, the FFN, the
-    final norm and both heads only on `rows`, in that order: what a caller
-    reads of a sequence, such as its marker rows and its last row. Their
-    values equal the full forward's to rounding.
-
-    The mask's bias is built once (`AttentionMask.bias`) and every layer's
-    attention, one `autodiff.attention` op over (heads, rows, dh) views of
-    Q, K and V, adds that same array. Decoding against the returned K/V is
-    `decode_step`.
+    The mask's additive bias is built once (`autodiff.additive_bias`) and
+    every layer's attention, one `autodiff.attention` op over (heads, n, dh)
+    views of Q, K and V, adds that same array. Inference runs the same
+    layers on plain arrays, off the tape (`forward_values`).
     """
     cfg = params.config
     n = len(ids)
-    if mask.visible.shape != (n, n):
-        raise ShapeMismatch(f"mask shape {mask.visible.shape} for {n} rows")
+    if visible.shape != (n, n):
+        raise ShapeMismatch(f"mask shape {visible.shape} for {n} rows")
     if n > cfg.max_len:
         raise ShapeMismatch(f"sequence length {n} exceeds max_len {cfg.max_len}")
-    bias = mask.bias(cfg.np_dtype)
+    bias = ad.additive_bias(visible, cfg.np_dtype)
     x = ad.add(ad.gather_rows(params.emb, np.asarray(ids)),
                ad.gather_rows(params.pos, np.arange(n)))
-    kv = []
-    for li, layer in enumerate(params.layers):
+    for layer in params.layers:
         h = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
         k = ad.matmul(h, layer["wk"])
         v = ad.matmul(h, layer["wv"])
-        kv.append((k.data, v.data))
-        if rows is not None and li == len(params.layers) - 1:
-            x, h, bias = ad.gather_rows(x, rows), ad.gather_rows(h, rows), bias[rows]
         q = ad.matmul(h, layer["wq"])
         attn = ad.matmul(ad.attention(q, k, v, bias, cfg.heads), layer["wo"])
         x = ad.add(x, attn)
@@ -184,44 +173,76 @@ def forward(params: ModelParams, ids: list[int], mask: AttentionMask,
     hidden = ad.layer_norm(x, params.lnf_g, params.lnf_b)
     lm_logits = ad.matmul(hidden, ad.transpose(params.emb))
     marker_probs = ad.sigmoid(ad.add(ad.matmul(hidden, params.link_w), params.link_b))
-    return ForwardOutput(hidden, lm_logits, marker_probs, kv)
+    return ForwardOutput(hidden, lm_logits, marker_probs)
 
 
-def decode_step(params: ModelParams, tokens: np.ndarray, bias: np.ndarray,
-                past: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The LM logits of one new row per sequence at position p, computed
-    on plain arrays through `forward`'s layer-norm and attention kernels,
-    with no tape.
+def forward_values(params: ModelParams, tokens: np.ndarray, bias: np.ndarray,
+                   past: np.ndarray, rows: list[int] | None = None) -> np.ndarray:
+    """The inference pass: `forward`'s layers on plain arrays, through its
+    layer-norm and attention kernels, with no tape. Runs r new rows
+    `tokens` at positions m-r..m-1, m being `bias`'s last axis, and returns
+    their final-norm hidden rows; callers apply the heads.
 
-    `bias` is the rows' additive mask over positions 0..p. `past` holds
-    per layer (K, V) buffers whose first p positions hold each sequence's
-    earlier K/V; the step writes the new rows' K/V at position p in place.
-    A lone sequence runs as 2-D rows: `tokens` (1,), `bias` 1 x (p + 1),
-    buffers positions x d. B sequences run as a B x 1 x d stack (`tokens`
-    B x 1, `bias` B x 1 x (p + 1), buffers B x positions x d), so each
-    keeps the one-row products it would get alone.
+    `bias` is the rows' additive mask over positions 0..m-1. `past` holds
+    per layer a K and a V buffer (layers x 2 x ...) whose first m-r
+    positions hold the earlier positions' K/V; the pass writes the new
+    rows' K/V at m-r..m-1 in place. With `rows`, the last layer still writes every row's K/V but
+    runs Q, attention, the residual, the FFN and the final norm only on
+    `rows`, in that order: what a caller reads, such as a prompt's marker
+    rows and its last row. Their values equal the full pass's to rounding.
+
+    A lone sequence runs as 2-D rows: `tokens` (r,), `bias` r x m, buffers
+    positions x d. B sequences run as a B x 1 x d stack (`tokens` B x 1,
+    `bias` B x 1 x m, buffers B x positions x d), so each keeps the one-row
+    products it would get alone.
     """
     cfg = params.config
-    m = bias.shape[-1]
+    r, m = tokens.shape[-1], bias.shape[-1]
     held = past[0][0].shape
-    if bias.shape != (*tokens.shape, m) or held[:-2] != tokens.shape[:-1] or held[-2] < m:
-        raise ShapeMismatch(f"decode step: tokens {tokens.shape}, bias {bias.shape}, "
+    if (bias.shape != (*tokens.shape, m) or held[:-2] != tokens.shape[:-1]
+            or held[-2] < m or r > m):
+        raise ShapeMismatch(f"array pass: tokens {tokens.shape}, bias {bias.shape}, "
                             f"K/V buffers {held}")
     if m > cfg.max_len:
         raise ShapeMismatch(f"position {m - 1} is past max_len {cfg.max_len}")
-    x = params.emb.data[tokens] + params.pos.data[m - 1]
-    for layer, (k_buf, v_buf) in zip(params.layers, past):
+    x = params.emb.data[tokens] + params.pos.data[m - r:m]
+    last = len(params.layers) - 1
+    for li, (layer, (k_buf, v_buf)) in enumerate(zip(params.layers, past)):
         w = {name: t.data for name, t in layer.items()}
         h = ad.layer_norm_values(x, w["ln1_g"], w["ln1_b"])[0]
-        k_buf[..., m - 1:m, :] = h @ w["wk"]
-        v_buf[..., m - 1:m, :] = h @ w["wv"]
+        k_buf[..., m - r:m, :] = h @ w["wk"]
+        v_buf[..., m - r:m, :] = h @ w["wv"]
+        if rows is not None and li == last:
+            x, h, bias = x[rows], h[rows], bias[rows]
         attn = ad.attention_values(h @ w["wq"], k_buf[..., :m, :], v_buf[..., :m, :],
                                    bias, cfg.heads)[0]
         x = x + attn @ w["wo"]
         h2 = ad.layer_norm_values(x, w["ln2_g"], w["ln2_b"])[0]
         x = x + (np.maximum(h2 @ w["w1"] + w["b1"], 0) @ w["w2"] + w["b2"])
-    hidden = ad.layer_norm_values(x, params.lnf_g.data, params.lnf_b.data)[0]
-    return hidden @ params.emb.data.T
+    return ad.layer_norm_values(x, params.lnf_g.data, params.lnf_b.data)[0]
+
+
+@dataclass
+class PromptEncoding:
+    # Row i of both heads is the i-th row the prompt pass returned: all n,
+    # or the `rows` it was given, in their order.
+    kv: np.ndarray            # layers x 2 x n x d: each layer's K and V of every position
+    lm_logits: np.ndarray     # rows x V
+    marker_probs: np.ndarray  # rows x 1
+
+
+def prompt_pass(params: ModelParams, ids: list[int], visible: np.ndarray,
+                rows: list[int] | None = None) -> PromptEncoding:
+    """`forward_values` over the prompt `ids` at positions 0..n-1 under the
+    n x n boolean mask `visible`, into per-layer n x d K/V buffers, with
+    both heads applied to the whole block of rows it returns, so each row
+    rounds as the tape `forward`'s heads round it."""
+    cfg = params.config
+    kv = np.empty((cfg.layers, 2, len(ids), cfg.dim), dtype=cfg.np_dtype)
+    bias = ad.additive_bias(visible, cfg.np_dtype)
+    hidden = forward_values(params, np.asarray(ids, dtype=np.int64), bias, kv, rows)
+    marker_logits = hidden @ params.link_w.data + params.link_b.data
+    return PromptEncoding(kv, hidden @ params.emb.data.T, 1.0 / (1.0 + np.exp(-marker_logits)))
 
 
 def schema_linking_loss(marker_probs: Tensor, labels: list[int],
@@ -256,7 +277,7 @@ def joint_loss(l_sl: Tensor, l_ntp: Tensor) -> Tensor:
 
 
 def greedy_generate(params: ModelParams, prompt: list[int], max_new: int,
-                    stop_id: int, encoded: ForwardOutput,
+                    stop_id: int, encoded: PromptEncoding,
                     attends: np.ndarray) -> list[list[int]]:
     """Argmax decoding from a cached prompt encoding, one sequence per row
     of `attends`, all B of them in one stacked pass; ties break toward the
@@ -264,18 +285,19 @@ def greedy_generate(params: ModelParams, prompt: list[int], max_new: int,
     by that sequence's new tokens, the stop id included when it was
     generated.
 
-    `encoded` is a forward of `prompt` at positions 0..len-1 whose rows
-    never attend past the prompt (the pipeline passes its linking pass,
-    made under the joint mask). Its last row gives every sequence's first
-    token. Each later step is one `decode_step` of B rows at the next
-    position: sequence b's row sees the prompt positions flagged in
-    `attends[b]`, its tokens generated before and itself, which is the
-    query row of the joint mask. Pruning is thus a mask over the full
-    prompt, never an edit of its text. Each sequence's products stay
-    one-row products, so its tokens are those it would get decoded alone;
-    a lone sequence runs as 2-D rows, a stack as B x 1 x d. A sequence
-    that has stopped stays in the stack until all have, and its further
-    tokens are dropped. No token is placed at position max_len or beyond.
+    `encoded` is a `prompt_pass` of `prompt` whose rows never attend past
+    the prompt (the pipeline passes its linking pass, made under the joint
+    mask). Its last row gives every sequence's first token. Each later step
+    is one `forward_values` of B rows at the next position, whose hidden
+    rows times the tied embedding are its logits: sequence b's row sees the
+    prompt positions flagged in `attends[b]`, its tokens generated before
+    and itself, which is the query row of the joint mask. Pruning is thus a
+    mask over the full prompt, never an edit of its text. Each sequence's
+    products stay one-row products, so its tokens are those it would get
+    decoded alone; a lone sequence runs as 2-D rows, a stack as B x 1 x d.
+    A sequence that has stopped stays in the stack until all have, and its
+    further tokens are dropped. No token is placed at position max_len or
+    beyond.
 
     One B x (n + max_new) mask has its bias built once; step t reads its
     first n + t columns. Per-layer (B x) (n + max_new) x d K/V buffers are
@@ -290,21 +312,20 @@ def greedy_generate(params: ModelParams, prompt: list[int], max_new: int,
     lead = (len(attends),) if len(attends) > 1 else ()
     visible = np.ones((len(attends), n + max_new), dtype=bool)
     visible[:, :n] = attends
-    bias = AttentionMask(visible).bias(cfg.np_dtype).reshape(*lead, 1, n + max_new)
-    buffers = np.empty((len(encoded.kv), 2, *lead, n + max_new, cfg.dim), dtype=cfg.np_dtype)
-    for buf, (k, v) in zip(buffers, encoded.kv):
+    bias = ad.additive_bias(visible, cfg.np_dtype).reshape(*lead, 1, n + max_new)
+    past = np.empty((len(encoded.kv), 2, *lead, n + max_new, cfg.dim), dtype=cfg.np_dtype)
+    for buf, (k, v) in zip(past, encoded.kv):
         buf[0, ..., :n, :] = k
         buf[1, ..., :n, :] = v
-    past = [(buf[0], buf[1]) for buf in buffers]
     seqs = [list(prompt) for _ in attends]
     live = [True] * len(seqs)
-    nxt = [np.argmax(encoded.lm_logits.data[-1])] * len(seqs)
+    nxt = [np.argmax(encoded.lm_logits[-1])] * len(seqs)
     for step in range(max_new):
         if n + step >= cfg.max_len:
             break
         if step:  # feed each sequence's previous token as one new row
             tokens = np.array([seq[-1] for seq in seqs]).reshape(*lead, 1)
-            logits = decode_step(params, tokens, bias[..., :n + step], past)
+            logits = forward_values(params, tokens, bias[..., :n + step], past) @ params.emb.data.T
             nxt = np.argmax(logits.reshape(len(seqs), -1), axis=-1)
         for b, seq in enumerate(seqs):
             if live[b]:
@@ -313,17 +334,3 @@ def greedy_generate(params: ModelParams, prompt: list[int], max_new: int,
         if not any(live):
             break
     return seqs
-
-
-@contextlib.contextmanager
-def no_grad(params: ModelParams):
-    """Switch gradient tracking off for every parameter inside the block."""
-    plist = params.all_params()
-    saved = [p.requires_grad for p in plist]
-    for p in plist:
-        p.requires_grad = False
-    try:
-        yield
-    finally:
-        for p, s in zip(plist, saved):
-            p.requires_grad = s

@@ -10,20 +10,22 @@ subset, builds the joint mask over the example's fixed layout with the gold
 and noisy columns' schema tokens as its query rows' view, and optimizes the
 summed linking + next-token loss.
 
-Inference decodes under that same joint mask. One forward over the full
-prefix+schema (positions 0..n-1) gives every layer's K/V, and its last
-layer runs only the rows read after it: the marker rows (the linking
-scores) and the last prompt row (the first SQL token's logits). No other
-prompt row's logits exist. Generated tokens take positions n, n+1, ... as
-query tokens do in training. Pruning is a boolean mask over the full
-prompt (`prune_prompt`), not an edit of its text: decode rows take the
-`query_view` a training query row takes, with the predicted columns
-(every column when nothing is predicted) in place of the gold and noisy
-ones. Prompt rows never see query rows, so each decode step is one
-tape-free `model.decode_step` row against the cached K/V. Re-encoding a
-pruned prompt under a causal mask would instead change the schema rows'
-K/V and the row that predicts the first token, a layout training never
-showed the model.
+Inference decodes under that same joint mask, off the autodiff tape: the
+tape is training's alone, and one layer loop on plain arrays
+(`model.forward_values`) runs the prompt pass and every decode step. The
+prompt pass over the full prefix+schema (positions 0..n-1) writes every
+layer's K/V into n x d buffers, and its last layer runs only the rows read
+after it: the marker rows (the linking scores) and the last prompt row
+(the first SQL token's logits). No other prompt row's logits exist.
+Generated tokens take positions n, n+1, ... as query tokens do in
+training. Pruning is a boolean mask over the full prompt (`prune_prompt`),
+not an edit of its text: decode rows take the `query_view` a training
+query row takes, with the predicted columns (every column when nothing is
+predicted) in place of the gold and noisy ones. Prompt rows never see
+query rows, so each decode step is one row per sequence against the
+cached K/V. Re-encoding a pruned prompt under a causal mask would instead
+change the schema rows' K/V and the row that predicts the first token, a
+layout training never showed the model.
 
 `infer_thresholds` is the one inference step: one prompt encoding, then
 one stacked `generate_sql` over the distinct sets the thresholds predict.
@@ -43,9 +45,8 @@ from . import autodiff as ad
 from .errors import DegenerateExample, EmptyPrediction, MalformedInput, NonFiniteLoss
 from .jsonfile import read_jsonl
 from .masks import build_joint_mask, query_view
-from .model import (ForwardOutput, ModelConfig, ModelParams, forward,
-                    greedy_generate, joint_loss, no_grad, ntp_loss,
-                    schema_linking_loss)
+from .model import (ModelConfig, ModelParams, PromptEncoding, forward, greedy_generate,
+                    joint_loss, ntp_loss, prompt_pass, schema_linking_loss)
 from .sampling import WeightCache, draw_noise_count, example_rng, sample_noisy
 from .schema import SchemaDocument, serialize_schema
 from .sqlscope import extract_ground_truth
@@ -253,24 +254,24 @@ class InferenceResult:
         return not self.predicted_columns
 
 
-def encode_prompt(params: ModelParams, example: TrainingExample) -> ForwardOutput:
-    """One no-gradient forward over the full prefix+schema under the joint
-    mask, at positions 0..n-1, whose last layer runs only the rows
-    inference reads: the marker rows in marker order, then the last prompt
-    row. Prompt rows never attend to query rows, so its marker scores, its
-    last row's logits (the first SQL token) and its per-layer K/V are
-    those of the training layout, the first two to rounding."""
+def encode_prompt(params: ModelParams, example: TrainingExample) -> PromptEncoding:
+    """The prompt pass (`model.prompt_pass`, on arrays) over the full
+    prefix+schema under the joint mask, at positions 0..n-1, whose last
+    layer runs only the rows inference reads: the marker rows in marker
+    order, then the last prompt row. Prompt rows never attend to query
+    rows, so its marker scores, its last row's logits (the first SQL token)
+    and its per-layer K/V are those of the training layout, the first two
+    to rounding."""
     seg = replace(example.seg, n=example.seg.query_start)
-    with no_grad(params):
-        return forward(params, example.tokens.ids[:seg.n], build_joint_mask(seg, set()),
+    return prompt_pass(params, example.tokens.ids[:seg.n], build_joint_mask(seg, set()),
                        rows=example.marker_positions + [seg.n - 1])
 
 
 def marker_scores(example: TrainingExample,
-                  out: ForwardOutput) -> list[tuple[str, str, float]]:
+                  out: PromptEncoding) -> list[tuple[str, str, float]]:
     """(table, column, score) for every column, read off a prompt
     encoding's marker rows, which come first and in marker order."""
-    probs = out.marker_probs.data[:, 0]
+    probs = out.marker_probs[:, 0]
     return [(t, c, float(p)) for (t, c, _), p in zip(example.seg.marker_columns, probs)]
 
 
@@ -298,7 +299,7 @@ def full_schema_prompt(example: TrainingExample) -> np.ndarray:
 
 
 def generate_sql(params: ModelParams, example: TrainingExample,
-                 encoded: ForwardOutput, predicted_sets: list[set[tuple[str, str]]],
+                 encoded: PromptEncoding, predicted_sets: list[set[tuple[str, str]]],
                  vocab: Vocab, max_new: int) -> list[str]:
     """Greedy SQL for each predicted column set, from one prompt encoding,
     all sets decoded together in one stacked `greedy_generate`.

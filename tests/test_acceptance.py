@@ -1,16 +1,21 @@
 """Acceptance suite: one test per shipping criterion, each printing a single
-PASS/FAIL line. Criteria 9 and 10 train real models and dominate runtime."""
+PASS/FAIL line, and a check that the benchmark's desk workloads run
+criterion 10's recipe. Criteria 9 and 10 train real models and dominate
+runtime."""
+import importlib
 import json
 import math
+import os
 import time
 
 import numpy as np
 import pytest
 
 from joltsql import autodiff as ad
+from joltsql.autodiff import additive_bias
 from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.evaluation import evaluate, sweep_csv, threshold_sweep
-from joltsql.masks import additive_bias, build_joint_mask
+from joltsql.masks import build_joint_mask
 from joltsql.metrics import pr_auc, roc_auc
 from joltsql.model import (ModelConfig, ModelParams, forward, ntp_loss,
                            schema_linking_loss)
@@ -23,6 +28,7 @@ from joltsql.tokenizer import SegmentMap, Vocab
 # and corpus size are fixed by the criterion, the rest is recipe
 DESK_TRAIN = dict(epochs=3, learning_rate=1e-3, grad_accum=1, seed=0)
 DESK_MODEL = dict(dim=80, layers=2, heads=4)
+DESK_THRESHOLD = 0.05
 
 # training configuration for the overfit run (criterion 9): 8 examples,
 # d=64 L=2, ~300 steps at batch 1; noise injection off since the goal is
@@ -97,7 +103,7 @@ def test_criterion_01_mask_oracle_equivalence():
     mismatches = 0
     for _ in range(100):
         seg, attended = random_segment(rng)
-        if not np.array_equal(build_joint_mask(seg, attended).visible,
+        if not np.array_equal(build_joint_mask(seg, attended),
                               oracle_visible(seg, attended)):
             mismatches += 1
     elapsed = time.time() - t0
@@ -112,7 +118,7 @@ def test_criterion_02_marker_rule_suite():
     failures = 0
     for _ in range(1000):
         seg, attended = random_segment(rng, n_max=24)
-        vis = build_joint_mask(seg, attended).visible
+        vis = build_joint_mask(seg, attended)
         non_marker = set(range(seg.n)) - seg.markers
         sch = sorted(set(seg.schema) - seg.markers)
         ok = (
@@ -405,7 +411,7 @@ def test_criterion_10_desk_scale_generalization(desk_corpus):
         res = train(train_set, ModelConfig(vocab_size=len(vocab), **DESK_MODEL),
                     TrainConfig(noise_mode=mode, **DESK_TRAIN))
         results[mode] = evaluate(res.params, dev_set, vocab, generated.db_paths,
-                                 threshold=0.05)
+                                 threshold=DESK_THRESHOLD)
     elapsed = time.time() - t0
     full = results["confusion"]
     ordering_ok = (results["confusion"].ex >= results["random"].ex
@@ -418,6 +424,18 @@ def test_criterion_10_desk_scale_generalization(desk_corpus):
            f"random={results['random'].ex:.2f} >= "
            f"none={results['none'].ex:.2f}: {ordering_ok}, {elapsed:.0f}s")
     assert ok
+
+
+def test_criterion_10_recipe_is_the_benchmarks(monkeypatch):
+    """`perfbench/workloads.py` holds its own copy of the recipe, which
+    `tools/digest.py` reads too; it must be criterion 10's full model."""
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    workloads = importlib.import_module("workloads")
+    assert workloads.DESK_MODEL == DESK_MODEL
+    assert workloads.DESK_TRAIN == DESK_TRAIN
+    assert workloads.THRESHOLD == DESK_THRESHOLD
+    assert workloads.NOISE_MODE == "confusion"
 
 
 def test_criterion_11_threshold_sweep_monotonicity(desk_corpus):

@@ -3,6 +3,7 @@ import os
 import platform
 import shutil
 import sqlite3
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -622,6 +623,28 @@ class TestInferEval:
         for key in ("precision", "recall", "roc_auc", "pr_auc", "ex"):
             assert key in metrics
         assert "platform" not in metrics  # it goes to config.snapshot.json
+
+    def test_eval_writes_one_record_per_example(self, capsys, tmp_path, workspace):
+        """`examples.jsonl` next to `metrics.json`: one line per dev example,
+        in order, whose verdicts count up to `ex_counts`."""
+        out_dir = tmp_path / "eval"
+        dev = workspace["corpus"] / "dev.jsonl"
+        code, _, _ = run(capsys, "eval", "--ckpt", str(workspace["ckpt"]), "--dev", str(dev),
+                         "--dbs", str(workspace["corpus"] / "dbs"),
+                         "--out", str(out_dir), "--max-new", "16")
+        assert code == 0
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        lines = (out_dir / "examples.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        ids = [json.loads(line)["example_id"] for line in dev.read_text().splitlines()
+               if line.strip()]
+        assert [r["example_id"] for r in records] == ids
+        for r in records:
+            assert set(r) == {"example_id", "predicted_columns", "sql", "verdict",
+                              "used_fallback", "sqlite_error", "timings_ms"}
+            assert r["used_fallback"] == (r["predicted_columns"] == [])
+            assert set(r["timings_ms"]) == {"linking", "generation", "end_to_end"}
+        assert dict(Counter(r["verdict"] for r in records)) == metrics["ex_counts"]
 
     @pytest.mark.parametrize("argv", [("eval",), ("eval", "--average", "macro"), ("sweep",)],
                              ids=["eval-micro", "eval-macro", "sweep"])

@@ -8,7 +8,7 @@ import sqlite3
 
 import pytest
 
-from joltsql import evaluation, metrics, model, pipeline
+from joltsql import evaluation, metrics, pipeline
 from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import DbUnavailable, LengthMismatch
 from joltsql.evaluation import SWEEP_THRESHOLDS, evaluate, threshold_sweep
@@ -99,19 +99,18 @@ def test_infer_thresholds_encodes_once_and_decodes_each_distinct_set_once(desk,
     sets = [[predicted_set(params, ex, t) for t in SWEEP_THRESHOLDS] for ex in examples]
     assert any(len(set(s)) < len(s) for s in sets)
     prompts, decodes = [], []
-    forward = model.forward
+    encode = pipeline.prompt_pass
     generate = pipeline.greedy_generate
 
-    def spy_forward(params, ids, mask, **kwargs):
+    def spy_encode(params, ids, *args, **kwargs):
         prompts.append(list(ids))
-        return forward(params, ids, mask, **kwargs)
+        return encode(params, ids, *args, **kwargs)
 
     def spy_generate(*args, **kwargs):
         decodes.append(len(kwargs["attends"]))
         return generate(*args, **kwargs)
 
-    monkeypatch.setattr(model, "forward", spy_forward)
-    monkeypatch.setattr(pipeline, "forward", spy_forward)
+    monkeypatch.setattr(pipeline, "prompt_pass", spy_encode)
     monkeypatch.setattr(pipeline, "greedy_generate", spy_generate)
     for ex, ex_sets in zip(examples, sets):
         prompts.clear()
@@ -172,13 +171,13 @@ def test_one_prompt_encoding_and_one_decode_per_distinct_set(desk, monkeypatch, 
     if run == "sweep":
         assert len(examples) < distinct < len(examples) * len(thresholds)
     prompts, decodes, executions = [], [], []
-    forward = model.forward
+    encode = pipeline.prompt_pass
     generate = pipeline.greedy_generate
     execute = evaluation.execution_verdicts
 
-    def spy_forward(params, ids, mask, **kwargs):
+    def spy_encode(params, ids, *args, **kwargs):
         prompts.append(list(ids))
-        return forward(params, ids, mask, **kwargs)
+        return encode(params, ids, *args, **kwargs)
 
     def spy_generate(*args, **kwargs):
         decodes.append(len(kwargs["attends"]))
@@ -188,8 +187,7 @@ def test_one_prompt_encoding_and_one_decode_per_distinct_set(desk, monkeypatch, 
         executions.extend(pred_sqls)
         return execute(pred_sqls, *args)
 
-    monkeypatch.setattr(model, "forward", spy_forward)
-    monkeypatch.setattr(pipeline, "forward", spy_forward)
+    monkeypatch.setattr(pipeline, "prompt_pass", spy_encode)
     monkeypatch.setattr(pipeline, "greedy_generate", spy_generate)
     monkeypatch.setattr(evaluation, "execution_verdicts", spy_execute)
     if run == "sweep":

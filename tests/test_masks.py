@@ -91,7 +91,7 @@ def prechange_attended(ex, noisy_columns) -> tuple[set[int], set[int]]:
 
 
 def assert_equals_prechange(seg: SegmentMap, attended: set[int]):
-    got, want = build_joint_mask(seg, attended).visible, prechange_joint_mask(seg, attended)
+    got, want = build_joint_mask(seg, attended), prechange_joint_mask(seg, attended)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -108,7 +108,7 @@ class TestJointMaskOracle:
         rng = np.random.default_rng(12345)
         for _ in range(100):
             seg, attended = random_segment(rng)
-            got = build_joint_mask(seg, attended).visible
+            got = build_joint_mask(seg, attended)
             want = oracle_visible(seg, attended)
             assert np.array_equal(got, want)
 
@@ -119,7 +119,7 @@ class TestJointMaskOracle:
         for _ in range(100):
             seg, _ = random_segment(rng)
             seg = replace(seg, n=min(seg.query))
-            assert np.array_equal(build_joint_mask(seg, set()).visible,
+            assert np.array_equal(build_joint_mask(seg, set()),
                                   oracle_visible(seg, set()))
 
     def test_matches_oracle_on_desk_training_segments(self, desk_examples):
@@ -135,7 +135,7 @@ class TestJointMaskOracle:
                 drawn = sample_noisy(list(range(len(pool))), [1.0] * len(pool), k, rng)
                 noisy = {pool[i] for i in drawn}
                 attended = pipeline.assemble_segments(ex, noisy)
-                assert np.array_equal(build_joint_mask(ex.seg, attended).visible,
+                assert np.array_equal(build_joint_mask(ex.seg, attended),
                                       oracle_visible(ex.seg, attended))
                 with_noise += bool(prechange_attended(ex, noisy)[1])
         assert with_noise > 20
@@ -156,7 +156,7 @@ class TestJointMaskOracle:
         assert len(built) == 10
         for seg, attended in built:
             assert not seg.query
-            assert np.array_equal(build_joint_mask(seg, attended).visible,
+            assert np.array_equal(build_joint_mask(seg, attended),
                                   oracle_visible(seg, attended))
 
 
@@ -200,7 +200,7 @@ class TestMarkerRules:
         rng = np.random.default_rng(999)
         for _ in range(1000):
             seg, attended = random_segment(rng, n_max=32)
-            vis = build_joint_mask(seg, attended).visible
+            vis = build_joint_mask(seg, attended)
             for m in seg.markers:
                 # markers are invisible to every other row
                 for i in range(seg.n):
@@ -226,13 +226,13 @@ class TestMarkerRules:
         rng = np.random.default_rng(7)
         for _ in range(50):
             seg, attended = random_segment(rng, n_max=24)
-            vis = build_joint_mask(seg, attended).visible
+            vis = build_joint_mask(seg, attended)
             assert vis.diagonal().all()
 
     def test_query_sees_only_attended_schema(self):
         seg = SegmentMap(n=8, schema_start=2, query_start=6,
                          markers={3, 5}, table_elements={}, marker_columns=[])
-        vis = build_joint_mask(seg, {2}).visible
+        vis = build_joint_mask(seg, {2})
         assert vis[6, 2] and not vis[6, 4]
         assert not vis[6, 3] and not vis[6, 5]
         assert vis[6, 0] and vis[6, 1]
@@ -254,11 +254,11 @@ class TestMarkerRules:
 
 class TestCausalMask:
     def test_lower_triangular(self):
-        vis = build_causal_mask(5).visible
+        vis = build_causal_mask(5)
         assert np.array_equal(vis, np.tril(np.ones((5, 5), dtype=bool)))
 
     def test_size_one(self):
-        assert build_causal_mask(1).visible.tolist() == [[True]]
+        assert build_causal_mask(1).tolist() == [[True]]
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -289,7 +289,7 @@ class TestRenderers:
         _, mask = self._tiny()
         svg = render_svg(mask)
         assert svg.startswith("<svg") and svg.endswith("</svg>")
-        assert svg.count("<rect") == 1 + int(mask.visible.sum())
+        assert svg.count("<rect") == 1 + int(mask.sum())
 
     def test_renderers_deterministic(self):
         seg, mask = self._tiny()

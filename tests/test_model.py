@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from joltsql import autodiff as ad
-from joltsql import masks, model
+from joltsql import model
 from joltsql.errors import EmptyQuery, EmptyRow, MalformedInput, NoMarkers, ShapeMismatch
-from joltsql.masks import AttentionMask, build_causal_mask, build_joint_mask
-from joltsql.model import (ModelConfig, ModelParams, decode_step, forward,
-                           greedy_generate, joint_loss, ntp_loss, no_grad,
+from joltsql.masks import build_causal_mask, build_joint_mask
+from joltsql.model import (ModelConfig, ModelParams, forward, forward_values,
+                           greedy_generate, joint_loss, ntp_loss, prompt_pass,
                            schema_linking_loss)
 from joltsql.tokenizer import SegmentMap
 from test_autodiff import traced_peak, unfused_attention
@@ -30,7 +30,7 @@ def tiny_segment():
 
 
 def kv_buffers(kv, rows, lead=()):
-    """`decode_step`'s `past`: per layer, K and V buffers of shape
+    """`forward_values`'s `past`: per layer, K and V buffers of shape
     lead x `rows` x d, each sequence's first rows copies of `kv`; no
     `lead` is a lone sequence's 2-D layout."""
     past = []
@@ -41,15 +41,16 @@ def kv_buffers(kv, rows, lead=()):
     return past
 
 
-def tape_decode_step(params, ids, mask, past):
+def tape_decode_step(params, ids, visible, past):
     """The decode step as `forward(..., past=)` ran it before decoding left
-    the tape, kept as the slow reference for `decode_step`: one new token
-    per sequence at position p, through autodiff ops on a B x 1 x d stack,
-    under the B x (p + 1) `mask`, writing K/V into the B x rows x d
-    buffers of `past` in place. Returns the B x 1 x V logits."""
+    the tape, kept as the slow reference for a `forward_values` step: one
+    new token per sequence at position p, through autodiff ops on a
+    B x 1 x d stack, under the B x (p + 1) boolean mask `visible`, writing
+    K/V into the B x rows x d buffers of `past` in place. Returns the
+    B x 1 x V logits."""
     cfg = params.config
-    p = mask.visible.shape[1] - 1
-    tokens, bias = np.asarray(ids)[:, None], mask.bias(cfg.np_dtype)[:, None]
+    p = visible.shape[1] - 1
+    tokens, bias = np.asarray(ids)[:, None], ad.additive_bias(visible, cfg.np_dtype)[:, None]
     x = ad.add(ad.gather_rows(params.emb, tokens),
                ad.gather_rows(params.pos, np.arange(p, p + 1)))
     for layer, (k_buf, v_buf) in zip(params.layers, past):
@@ -68,6 +69,25 @@ def tape_decode_step(params, ids, mask, past):
         x = ad.add(x, ffn)
     hidden = ad.layer_norm(x, params.lnf_g, params.lnf_b)
     return ad.matmul(hidden, ad.transpose(params.emb)).data
+
+
+def tape_spy(monkeypatch) -> list[str]:
+    """A list that gets "op" for every autodiff op that runs and "tensor"
+    for every Tensor made, from now until the test ends."""
+    made = []
+    op, init = ad._op, ad.Tensor.__init__
+
+    def spy_op(*args):
+        made.append("op")
+        return op(*args)
+
+    def spy_init(self, *args, **kwargs):
+        made.append("tensor")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "_op", spy_op)
+    monkeypatch.setattr(ad.Tensor, "__init__", spy_init)
+    return made
 
 
 def unfused_values(q, k, v, bias, heads):
@@ -131,7 +151,9 @@ class TestForward:
         visible = np.tri(3, dtype=bool)
         visible[1] = False
         with pytest.raises(EmptyRow):
-            forward(params, [1, 2, 3], AttentionMask(visible))
+            forward(params, [1, 2, 3], visible)
+        with pytest.raises(EmptyRow):
+            prompt_pass(params, [1, 2, 3], visible)
 
     def test_masked_influence(self):
         """Changing a token invisible to position i leaves H[i] bit-identical."""
@@ -226,18 +248,18 @@ class TestAttentionOp:
         give the logits of the per-head composition."""
         params = ModelParams(tiny_config(dtype=dtype, heads=4), seed=2)
         ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-        bias = build_joint_mask(tiny_segment(), TINY_ATTENDED).bias(params.config.np_dtype)
+        visible = build_joint_mask(tiny_segment(), TINY_ATTENDED)
+        bias = ad.additive_bias(visible, params.config.np_dtype)
         n_prompt = 7  # prefix and schema; rows 7..9 are query rows
 
         def logits():
-            with no_grad(params):
-                out = forward(params, ids[:n_prompt],
-                              AttentionMask(np.isfinite(bias[:n_prompt, :n_prompt])))
-            rows = [out.lm_logits.data]
+            out = prompt_pass(params, ids[:n_prompt], visible[:n_prompt, :n_prompt])
+            rows = [out.lm_logits]
             past = kv_buffers(out.kv, len(ids))
             for i in range(n_prompt, len(ids)):
-                rows.append(decode_step(params, np.array(ids[i:i + 1]),
-                                        bias[i:i + 1, :i + 1], past))
+                hidden = forward_values(params, np.array(ids[i:i + 1]),
+                                        bias[i:i + 1, :i + 1], past)
+                rows.append(hidden @ params.emb.data.T)
             return rows
         fused = logits()
         monkeypatch.setattr(ad, "attention_values", unfused_values)
@@ -379,7 +401,7 @@ class TestCheckpoint:
 def generate(params, prompt, max_new, stop_id):
     """Greedy decoding of a causally encoded prompt, every prompt token
     visible to the decode rows."""
-    encoded = forward(params, prompt, build_causal_mask(len(prompt)))
+    encoded = prompt_pass(params, prompt, build_causal_mask(len(prompt)))
     [ids] = greedy_generate(params, prompt, max_new, stop_id, encoded=encoded,
                             attends=np.ones((1, len(prompt)), dtype=bool))
     return ids
@@ -406,7 +428,7 @@ class TestGreedyGenerate:
 
     def test_empty_prompt_rejected(self):
         params = ModelParams(tiny_config(), seed=0)
-        encoded = forward(params, [1], build_causal_mask(1))
+        encoded = prompt_pass(params, [1], build_causal_mask(1))
         with pytest.raises(ValueError):
             greedy_generate(params, [], max_new=5, stop_id=0, encoded=encoded,
                             attends=np.ones((1, 0), dtype=bool))
@@ -419,7 +441,7 @@ class TestDecodeCache:
     PROMPT = [1, 2, 3, 4]
 
     def encoded(self, params):
-        return forward(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
+        return prompt_pass(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
 
     def decode(self, params, encoded, max_new=6):
         [ids] = greedy_generate(params, self.PROMPT, max_new, stop_id=-1, encoded=encoded,
@@ -429,15 +451,18 @@ class TestDecodeCache:
     def test_one_bias_build_per_forward_and_per_generate(self, monkeypatch):
         params = ModelParams(tiny_config(layers=2), seed=0)
         builds = []
-        build = masks.additive_bias
+        build = ad.additive_bias
 
         def spy(visible, dtype):
             builds.append(visible.shape)
             return build(visible, dtype)
 
-        monkeypatch.setattr(masks, "additive_bias", spy)
+        monkeypatch.setattr(ad, "additive_bias", spy)
+        forward(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
+        assert builds == [(4, 4)]  # the tape forward: one bias for both layers
+        builds.clear()
         encoded = self.encoded(params)
-        assert builds == [(4, 4)]  # one bias for both layers
+        assert builds == [(4, 4)]  # the prompt pass: one bias for both layers
         builds.clear()
         assert len(self.decode(params, encoded)) == 10
         assert builds == [(1, 10)]  # one row over prompt and max_new, for 5 decode rows
@@ -462,18 +487,22 @@ class TestDecodeCache:
         params = ModelParams(tiny_config(), seed=0)
         encoded = self.encoded(params)
         bias = np.zeros((1, 5), dtype=params.config.np_dtype)
-        with pytest.raises(ShapeMismatch):  # forward takes no cached columns
-            forward(params, [5], AttentionMask(np.ones((1, 5), dtype=bool)))
+        for encode in (forward, prompt_pass):
+            with pytest.raises(ShapeMismatch):  # a prompt pass takes no cached columns
+                encode(params, [5], np.ones((1, 5), dtype=bool))
         with pytest.raises(ShapeMismatch):  # buffers without a row for the new token
-            decode_step(params, np.array([5]), bias, kv_buffers(encoded.kv, 4))
+            forward_values(params, np.array([5]), bias, kv_buffers(encoded.kv, 4))
         with pytest.raises(ShapeMismatch):  # buffers of two sequences, one row
-            decode_step(params, np.array([5]), bias, kv_buffers(encoded.kv, 5, lead=(2,)))
+            forward_values(params, np.array([5]), bias, kv_buffers(encoded.kv, 5, lead=(2,)))
         with pytest.raises(ShapeMismatch):  # one row each for two sequences
-            decode_step(params, np.array([[5], [6]]), bias,
-                        kv_buffers(encoded.kv, 5, lead=(2,)))
+            forward_values(params, np.array([[5], [6]]), bias,
+                           kv_buffers(encoded.kv, 5, lead=(2,)))
+        with pytest.raises(ShapeMismatch):  # more new rows than positions
+            forward_values(params, np.array([5, 6]), bias[:, :1].repeat(2, axis=0),
+                           kv_buffers(encoded.kv, 5))
         short = ModelParams(tiny_config(max_len=4), seed=0)
         with pytest.raises(ShapeMismatch):  # a position at max_len
-            decode_step(short, np.array([5]), bias, kv_buffers(encoded.kv, 5))
+            forward_values(short, np.array([5]), bias, kv_buffers(encoded.kv, 5))
 
     def test_decode_step_memory_does_not_grow_with_the_past(self):
         """One decode step's traced peak grows with the prompt length by
@@ -485,19 +514,19 @@ class TestDecodeCache:
         peaks = {}
         for n in (8, 72):
             prompt = list(range(1, 15)) * 6
-            encoded = forward(params, prompt[:n], build_causal_mask(n))
+            encoded = prompt_pass(params, prompt[:n], build_causal_mask(n))
             past = kv_buffers(encoded.kv, n + 2)
             bias = np.zeros((1, n + 2), dtype=cfg.np_dtype)
-            decode_step(params, np.array([5]), bias[:, :n + 1], past)  # warm-up
+            forward_values(params, np.array([5]), bias[:, :n + 1], past)  # warm-up
             peaks[n] = traced_peak(
-                lambda: decode_step(params, np.array([6]), bias[:, :n + 2], past))
+                lambda: forward_values(params, np.array([6]), bias[:, :n + 2], past))
         one_k_copy = (72 - 8) * cfg.dim * 4
         assert peaks[72] - peaks[8] < one_k_copy / 4, peaks
 
 
 class TestDecodeStep:
-    """`decode_step` runs a step on plain arrays, byte for byte what the
-    tape-based step (`tape_decode_step`) gave."""
+    """A decode step of `forward_values` runs on plain arrays, byte for
+    byte what the tape-based step (`tape_decode_step`) gave."""
 
     PROMPT = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
 
@@ -517,22 +546,21 @@ class TestDecodeStep:
     def test_logits_and_kv_byte_equal_to_the_tape_step(self, dtype, sequences):
         params = self.lively_params(dtype)
         n, steps = len(self.PROMPT), 6
-        encoded = forward(params, self.PROMPT, build_causal_mask(n))
+        encoded = prompt_pass(params, self.PROMPT, build_causal_mask(n))
         rng = np.random.default_rng(sequences)
         visible = np.ones((sequences, n + steps), dtype=bool)
         visible[:, :n] = rng.random((sequences, n)) > 0.4
         visible[:, 0] = True
-        mask = AttentionMask(visible)
-        bias = mask.bias(params.config.np_dtype)
+        bias = ad.additive_bias(visible, params.config.np_dtype)
         lead = (sequences,) if sequences > 1 else ()
         past = kv_buffers(encoded.kv, n + steps, lead)
         reference = kv_buffers(encoded.kv, n + steps, (sequences,))
         tokens = rng.integers(0, 64, (steps, sequences))
         for t in range(steps):
             m = n + t + 1
-            got = decode_step(params, tokens[t].reshape(*lead, 1),
-                              bias[:, :m].reshape(*lead, 1, m), past)
-            want = tape_decode_step(params, tokens[t], AttentionMask(visible[:, :m]), reference)
+            got = forward_values(params, tokens[t].reshape(*lead, 1),
+                                 bias[:, :m].reshape(*lead, 1, m), past) @ params.emb.data.T
+            want = tape_decode_step(params, tokens[t], visible[:, :m], reference)
             assert got.shape == (*lead, 1, 64)
             assert got.tobytes() == want.tobytes()
         for (k, v), (k_ref, v_ref) in zip(past, reference):
@@ -540,27 +568,17 @@ class TestDecodeStep:
 
     @pytest.mark.parametrize("sequences", [1, 3])
     def test_no_tape_op_runs_while_decoding(self, monkeypatch, sequences):
-        """No autodiff op runs and no Tensor is made after the prompt
-        encoding: the steps compute on arrays alone."""
+        """No autodiff op runs and no Tensor is made by the prompt pass or
+        the decode steps: inference computes on arrays alone."""
         params = self.lively_params("float32")
-        encoded = forward(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
-        made = []
-        op, init = ad._op, ad.Tensor.__init__
-
-        def spy_op(*args):
-            made.append("op")
-            return op(*args)
-
-        def spy_init(self, *args, **kwargs):
-            made.append("tensor")
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(ad, "_op", spy_op)
-        monkeypatch.setattr(ad.Tensor, "__init__", spy_init)
+        made = tape_spy(monkeypatch)
+        encoded = prompt_pass(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
         views = np.ones((sequences, len(self.PROMPT)), dtype=bool)
         seqs = greedy_generate(params, self.PROMPT, 8, -1, encoded=encoded, attends=views)
         assert all(len(seq) == len(self.PROMPT) + 8 for seq in seqs)
         assert made == []
+        forward(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
+        assert "op" in made and "tensor" in made  # the spies see the tape forward
 
 
 class TestStackedDecode:
@@ -579,17 +597,18 @@ class TestStackedDecode:
     def decode(self, params, views, stop_id, max_new, monkeypatch):
         """Each sequence's ids, and each decode step's logits."""
         steps = []
-        step = model.decode_step
+        step = model.forward_values
 
         def spy(*args):
-            logits = step(*args)
-            steps.append(logits)
-            return logits
+            hidden = step(*args)
+            steps.append(hidden @ params.emb.data.T)
+            return hidden
 
-        monkeypatch.setattr(model, "decode_step", spy)
-        encoded = forward(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
-        return greedy_generate(params, self.PROMPT, max_new, stop_id, encoded=encoded,
-                               attends=views), steps
+        encoded = prompt_pass(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
+        with monkeypatch.context() as patch:  # only the decode steps
+            patch.setattr(model, "forward_values", spy)
+            return greedy_generate(params, self.PROMPT, max_new, stop_id, encoded=encoded,
+                                   attends=views), steps
 
     @staticmethod
     def lively_params(**kw):

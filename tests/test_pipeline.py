@@ -5,22 +5,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from joltsql import autodiff as ad
 from joltsql import model, pipeline
 from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import (DegenerateExample, EmptyPrediction, MalformedInput,
                             MissingCacheEntry)
 from joltsql.masks import build_joint_mask
-from joltsql.model import ModelConfig, ModelParams, forward, greedy_generate
+from joltsql.model import ModelConfig, ModelParams, forward, greedy_generate, prompt_pass
 from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
                               assemble_segments, build_training_example,
                               capture_sampling_weights, encode_prompt,
                               example_to_json,
-                              full_schema_prompt, generate_sql, infer, link_schema,
+                              full_schema_prompt, generate_sql, infer, infer_thresholds,
+                              link_schema,
                               load_corpus, prepare_inference_example,
                               prune_prompt, train)
 from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, SpanIndex, Table,
                             TableSpans, serialize_schema)
 from joltsql.tokenizer import EOS, MARKER, Vocab, build_vocab, decode
+from test_model import tape_spy
 
 GOLD = "SELECT name FROM singer WHERE age > 30"
 GOLD2 = "SELECT T1 . name , T2 . year FROM stadium AS T1 JOIN concert AS T2 ON T1 . id = T2 . stadium_id"
@@ -169,7 +172,7 @@ class TestAssembleSegments:
             assert ex.seg.schema_tokens(union) == expected
             attended = assemble_segments(ex, noisy)
             assert attended == expected
-            visible = build_joint_mask(ex.seg, attended).visible[query_row, :n_ps]
+            visible = build_joint_mask(ex.seg, attended)[query_row, :n_ps]
             assert same_vector(prune_prompt(ex, union), visible)
 
 
@@ -313,11 +316,10 @@ class TestTrainLoop:
 
 
 def full_sequence_capture(params, example):
-    """The capture as it was: a no-gradient forward of the whole sequence
-    under the joint mask with an empty noisy set, read at non-GT markers."""
+    """The capture as it was: a forward of the whole sequence under the
+    joint mask with an empty noisy set, read at non-GT markers."""
     attended = assemble_segments(example, set())
-    with model.no_grad(params):
-        out = forward(params, example.tokens.ids, build_joint_mask(example.seg, attended))
+    out = forward(params, example.tokens.ids, build_joint_mask(example.seg, attended))
     probs = out.marker_probs.data[:, 0]
     return [float(probs[pos]) for t, c, pos in example.seg.marker_columns
             if (t, c) not in example.link]
@@ -372,42 +374,85 @@ class TestCaptureWeights:
             WeightCache().lookup(example.example_id)
 
 
+@pytest.fixture(scope="module")
+def desk_examples(tmp_path_factory):
+    """One dev example per database of the desk corpus, and its vocab."""
+    generated = generate_corpus(CorpusConfig(), str(tmp_path_factory.mktemp("desk")))
+    vocab = Vocab.load(generated.vocab_path)
+    dev = load_corpus(generated.dev_path, vocab, generated.schemas)
+    examples = list({ex.db_id: ex for ex in dev[:20]}.values())
+    assert max(ex.seg.query_start for ex in examples) >= 224
+    return examples, vocab
+
+
+def lively_desk_params(vocab, dtype):
+    """Desk-width params with weights that make attention pick rows."""
+    params = ModelParams(ModelConfig(vocab_size=len(vocab), dim=80, heads=4, layers=2,
+                                     dtype=dtype), seed=0)
+    rng = np.random.default_rng(0)
+    for p in params.all_params():
+        p.data = (p.data + rng.normal(0, 0.2, p.data.shape)).astype(p.data.dtype)
+    return params
+
+
+def prompt_mask(ex):
+    return build_joint_mask(replace(ex.seg, n=ex.seg.query_start), set())
+
+
 class TestRowGather:
-    """`forward(..., rows=R)` runs the last layer on R alone: in float64 its
-    rows equal the full forward's rows R to 1e-12 (relative), and its K/V
-    are the full forward's, byte for byte."""
+    """`prompt_pass(..., rows=R)` runs the last layer on R alone: in float64
+    its rows equal the full pass's rows R to 1e-12 (relative), and its K/V
+    are the full pass's, byte for byte. The full pass is the tape
+    `forward`'s, byte for byte."""
 
     @staticmethod
     def close(got, want):
         return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_gathered_rows_match_the_full_forward(self, tmp_path):
-        generated = generate_corpus(CorpusConfig(), str(tmp_path))
-        vocab = Vocab.load(generated.vocab_path)
-        dev = load_corpus(generated.dev_path, vocab, generated.schemas)
-        examples = list({ex.db_id: ex for ex in dev[:20]}.values())  # one per database
-        assert max(ex.seg.query_start for ex in examples) >= 224
-        params = ModelParams(ModelConfig(vocab_size=len(vocab), dim=80, heads=4, layers=2,
-                                         dtype="float64"), seed=0)
-        rng = np.random.default_rng(0)
-        for p in params.all_params():  # weights that make attention pick rows
-            p.data = p.data + rng.normal(0, 0.2, p.data.shape)
+    def test_gathered_rows_match_the_full_forward(self, desk_examples):
+        examples, vocab = desk_examples
+        params = lively_desk_params(vocab, "float64")
         for ex in examples:
             n = ex.seg.query_start
-            mask = build_joint_mask(replace(ex.seg, n=n), set())
             rows = ex.marker_positions + [n - 1]
-            with model.no_grad(params):
-                full = forward(params, ex.tokens.ids[:n], mask)
-                got = forward(params, ex.tokens.ids[:n], mask, rows=rows)
-            for name in ("hidden", "lm_logits", "marker_probs"):
+            full = prompt_pass(params, ex.tokens.ids[:n], prompt_mask(ex))
+            got = prompt_pass(params, ex.tokens.ids[:n], prompt_mask(ex), rows=rows)
+            for name in ("lm_logits", "marker_probs"):
                 assert getattr(got, name).shape[0] == len(rows)
-                assert self.close(getattr(got, name).data, getattr(full, name).data[rows]), name
-            assert [(k.tobytes(), v.tobytes()) for k, v in got.kv] == \
-                [(k.tobytes(), v.tobytes()) for k, v in full.kv]
+                assert self.close(getattr(got, name), getattr(full, name)[rows]), name
+            assert got.kv.tobytes() == full.kv.tobytes()
             encoded = encode_prompt(params, ex)
-            assert encoded.lm_logits.data.tobytes() == got.lm_logits.data.tobytes()
+            assert encoded.lm_logits.tobytes() == got.lm_logits.tobytes()
+            assert encoded.kv.tobytes() == got.kv.tobytes()
             scores = [s for _, _, s in link_schema(params, ex)]
-            assert self.close(np.array(scores), full.marker_probs.data[ex.marker_positions, 0])
+            assert self.close(np.array(scores), full.marker_probs[ex.marker_positions, 0])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_full_pass_byte_equal_to_the_tape_forward(self, desk_examples, monkeypatch,
+                                                      dtype):
+        """Over every prompt row, the array pass gives the tape forward's
+        K/V (the outputs of its K and V projections), LM logits and marker
+        probabilities, byte for byte."""
+        examples, vocab = desk_examples
+        params = lively_desk_params(vocab, dtype)
+        projected = {}
+        matmul = ad.matmul
+
+        def spy(a, b):
+            out = matmul(a, b)
+            projected[id(b)] = out.data
+            return out
+
+        for ex in examples[:3]:
+            ids, visible = ex.tokens.ids[:ex.seg.query_start], prompt_mask(ex)
+            with monkeypatch.context() as patch:
+                patch.setattr(ad, "matmul", spy)
+                tape = forward(params, ids, visible)
+            got = prompt_pass(params, ids, visible)
+            kv = [[projected[id(layer[w])] for w in ("wk", "wv")] for layer in params.layers]
+            assert got.kv.tobytes() == np.array(kv).tobytes()
+            assert got.lm_logits.tobytes() == tape.lm_logits.data.tobytes()
+            assert got.marker_probs.tobytes() == tape.marker_probs.data.tobytes()
 
 
 class TestLinkAndPrune:
@@ -547,6 +592,24 @@ def split_threshold(params, example):
     return (scores[mid - 1] + scores[mid]) / 2
 
 
+class TestInferenceOffTape:
+    def test_no_tape_op_runs_during_inference(self, example, vocab, monkeypatch):
+        """No autodiff op runs and no Tensor is made by `infer_thresholds`
+        (linking and a stacked decode, the fallback set included) or by
+        `capture_sampling_weights`: inference computes on arrays alone."""
+        params = seeded_model(vocab, seed=3)
+        thresholds = [split_threshold(params, example), 0.999]
+        made = tape_spy(monkeypatch)
+        scored, results = infer_thresholds(params, example, vocab, thresholds, max_new=6)
+        weights = capture_sampling_weights(params, example)
+        assert made == []
+        assert len(scored) == len(example.seg.marker_columns)
+        assert [r.used_fallback for r in results] == [False, True]
+        assert len(weights) == len(example.non_gt_columns())
+        forward(params, example.tokens.ids, build_joint_mask(example.seg, set()))
+        assert "op" in made and "tensor" in made  # the spies see the tape forward
+
+
 class TestDecodeUnderTrainingMask:
     @pytest.mark.parametrize("case", ["predicted", "fallback"])
     def test_decode_rows_match_joint_mask(self, example, vocab, monkeypatch, case):
@@ -554,18 +617,13 @@ class TestDecodeUnderTrainingMask:
         n_ps = example.seg.query_start
         threshold = split_threshold(params, example) if case == "predicted" else 0.999
         calls = []
-        step = model.decode_step
+        step = model.forward_values
 
-        def spy_forward(params, ids, mask, **kwargs):
-            calls.append((len(ids), mask.visible.copy(), False))
-            return forward(params, ids, mask, **kwargs)
+        def spy(params, tokens, bias, past, rows=None):
+            calls.append((tokens.size, np.isfinite(bias).reshape(tokens.size, -1), rows))
+            return step(params, tokens, bias, past, rows)
 
-        def spy_step(params, tokens, bias, past):
-            calls.append((tokens.size, np.isfinite(bias).reshape(1, -1), True))
-            return step(params, tokens, bias, past)
-
-        monkeypatch.setattr(pipeline, "forward", spy_forward)
-        monkeypatch.setattr(model, "decode_step", spy_step)
+        monkeypatch.setattr(model, "forward_values", spy)
         result = infer(params, example, vocab, threshold=threshold, max_new=6)
         predicted = {(t, c) for t, c, _ in result.predicted_columns}
         if case == "predicted":
@@ -578,12 +636,13 @@ class TestDecodeUnderTrainingMask:
             attend = full_schema_prompt(example)
             columns = {(t, c) for t, c, _ in example.seg.marker_columns}
 
-        # one prompt forward, then one row per decode step
-        assert calls[0][0] == n_ps and not calls[0][2]
+        # one prompt pass gathering the rows inference reads, then one row
+        # per decode step
+        assert calls[0][0] == n_ps and calls[0][2] == example.marker_positions + [n_ps - 1]
         rows = calls[1:]
         assert len(rows) == 5
-        assert all(n == 1 and cached for n, _, cached in rows)
-        mask = joint_decode_mask(example, columns, len(rows)).visible
+        assert all(n == 1 and gathered is None for n, _, gathered in rows)
+        mask = joint_decode_mask(example, columns, len(rows))
         assert np.array_equal(calls[0][1], mask[:n_ps, :n_ps])
         for j, (_, visible, _) in enumerate(rows):
             i = n_ps + j
@@ -595,20 +654,16 @@ class TestDecodeUnderTrainingMask:
     def test_cached_decode_matches_uncached(self, example, join_example, vocab, decoders,
                                             monkeypatch):
         seen = []
-        step = model.decode_step
+        step = model.forward_values
 
-        def spy_forward(*args, **kwargs):
-            out = forward(*args, **kwargs)
-            seen.append(out.lm_logits.data[-1])
-            return out
+        def spy(params, *args):
+            hidden = step(params, *args)
+            # the last row's logits: the prompt pass's last gathered row,
+            # or a lone decode step's one row
+            seen.append((hidden @ params.emb.data.T)[-1])
+            return hidden
 
-        def spy_step(*args):
-            logits = step(*args)
-            seen.append(logits.ravel())  # a lone decode step's is 1 x V
-            return logits
-
-        monkeypatch.setattr(pipeline, "forward", spy_forward)
-        monkeypatch.setattr(model, "decode_step", spy_step)
+        monkeypatch.setattr(model, "forward_values", spy)
         for params in decoders:
             # logits agree to rounding: row-at-a-time products round differently
             tol = 1e-5 if params.config.dtype == "float32" else 1e-12
@@ -636,12 +691,12 @@ class TestDecodeUnderTrainingMask:
         prompt = example.tokens.ids[:n_ps]
         sets = [{("singer", "name"), ("singer", "age")}, {("stadium", "city")}]
         rows = []
-        step = model.decode_step
+        step = model.forward_values
 
-        def spy(*args):
-            logits = step(*args)
-            rows.append(logits.tobytes())
-            return logits
+        def spy(params, *args):
+            hidden = step(params, *args)
+            rows.append((hidden @ params.emb.data.T).tobytes())
+            return hidden
 
         def decode(params, encoded, columns):
             attend = prune_prompt(example, columns)
@@ -649,12 +704,12 @@ class TestDecodeUnderTrainingMask:
             [ids] = greedy_generate(params, prompt, 12, -1, encoded=encoded, attends=[attend])
             return ids, list(rows)
 
-        monkeypatch.setattr(model, "decode_step", spy)
+        monkeypatch.setattr(model, "forward_values", spy)
         for params in decoders:
             encoded = encode_prompt(params, example)
-            before = [(k.tobytes(), v.tobytes()) for k, v in encoded.kv]
+            before = encoded.kv.tobytes()
             shared = [decode(params, encoded, columns) for columns in sets + sets[:1]]
-            assert [(k.tobytes(), v.tobytes()) for k, v in encoded.kv] == before
+            assert encoded.kv.tobytes() == before
             fresh = [decode(params, encode_prompt(params, example), columns)
                      for columns in sets]
             assert shared == fresh + fresh[:1]
