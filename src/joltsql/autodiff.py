@@ -1,7 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
 Eager tape: every op computes its forward value immediately and registers
-a backward closure. Just enough surface for a small decoder-only
+a backward closure. `backward` consumes the graph as it walks it: each op
+output drops its gradient, closure and parents once its closure has run,
+so the arrays saved for the backward are freed as it goes and a training
+step holds one graph at a time. Leaves (parameters, and any tensor without
+parents) keep their gradients; a second backward through a consumed graph
+raises GraphConsumed. Just enough surface for a small decoder-only
 transformer. Multi-head attention is one op, `attention`, over
 (heads, n, dh) arrays under one additive 0/-inf mask bias, with a
 hand-written backward; per head, `slice_cols`, `transpose`,
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyRow, ShapeMismatch
+from .errors import EmptyRow, GraphConsumed, ShapeMismatch
 
 __all__ = [
     "Tensor", "tensor", "matmul", "add", "mul", "scale", "transpose",
@@ -405,8 +410,19 @@ def add_scalars(a: Tensor, b: Tensor) -> Tensor:
     return _op(a.data + b.data, (a, b), backward)
 
 
+def _released(g):
+    raise GraphConsumed("backward already ran through this graph")
+
+
 def backward(loss: Tensor):
-    """Reverse-topological backprop from a scalar loss."""
+    """Reverse-topological backprop from a scalar loss, consuming the graph.
+
+    Nodes are popped off the topological order; once an op output's closure
+    has run, its gradient, closure and parents are dropped, so each saved
+    array is freed as soon as its last reader is done, and the graph is gone
+    when backward returns. Leaves (parameters, and any tensor without
+    parents) keep their gradients. A second backward through a consumed
+    node raises GraphConsumed."""
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeMismatch("backward requires a scalar loss")
     order: list[Tensor] = []
@@ -425,9 +441,12 @@ def backward(loss: Tensor):
             if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad, node._backward, node._parents = None, _released, ()
 
 
 class AdamW:

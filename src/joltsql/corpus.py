@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .jsonfile import read_jsonl
+from .jsonfile import iter_jsonl
 from .model import MAX_LEN
 from .pipeline import (PREFIX_TEMPLATE, build_training_example, example_to_json,
                        tokenized_schema)
@@ -312,7 +312,7 @@ def generate_corpus(cfg: CorpusConfig, out_dir: str) -> GeneratedCorpus:
 
 
 def corpus_stats(jsonl_path: str) -> dict:
-    labels = [obj["label"] for obj in read_jsonl(jsonl_path)]
+    labels = [obj["label"] for obj in iter_jsonl(jsonl_path)]
     n = len(labels)
     total_cols = sum(len(label) for label in labels)
     total_pos = sum(sum(label) for label in labels)

@@ -49,6 +49,10 @@ class ShapeMismatch(JoltError):
     pass
 
 
+class GraphConsumed(JoltError):
+    """Backward reached a node whose graph an earlier backward consumed."""
+
+
 class EmptyRow(JoltError):
     """An attention mask row has no visible entries."""
 

@@ -4,6 +4,7 @@ InvalidJson naming the file, and the line for JSON lines."""
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 
 from .errors import InvalidJson
 
@@ -16,14 +17,19 @@ def read_json(path: str):
         raise InvalidJson(f"{path}: {e}") from None
 
 
-def read_jsonl(path: str) -> list:
-    """One value per non-blank line."""
-    records = []
+def iter_jsonl(path: str) -> Iterator:
+    """One value per non-blank line, each parsed as it is read."""
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             if line.strip():
                 try:
-                    records.append(json.loads(line))
+                    value = json.loads(line)
                 except ValueError as e:
                     raise InvalidJson(f"{path}, line {lineno}: {e}") from None
-    return records
+                yield value
+
+
+def count_jsonl(path: str) -> int:
+    """The number of values `iter_jsonl` yields: the non-blank lines."""
+    with open(path) as f:
+        return sum(1 for line in f if line.strip())

@@ -136,7 +136,6 @@ class ModelParams:
 @dataclass
 class ForwardOutput:
     # row i of each field is position i
-    hidden: Tensor       # n x d
     lm_logits: Tensor    # n x V
     marker_probs: Tensor  # n x 1, meaningful at marker positions
 
@@ -173,7 +172,7 @@ def forward(params: ModelParams, ids: list[int], visible: np.ndarray) -> Forward
     hidden = ad.layer_norm(x, params.lnf_g, params.lnf_b)
     lm_logits = ad.matmul(hidden, ad.transpose(params.emb))
     marker_probs = ad.sigmoid(ad.add(ad.matmul(hidden, params.link_w), params.link_b))
-    return ForwardOutput(hidden, lm_logits, marker_probs)
+    return ForwardOutput(lm_logits, marker_probs)
 
 
 def forward_values(params: ModelParams, tokens: np.ndarray, bias: np.ndarray,

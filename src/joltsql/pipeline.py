@@ -38,12 +38,13 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import DegenerateExample, EmptyPrediction, MalformedInput, NonFiniteLoss
-from .jsonfile import read_jsonl
+from .jsonfile import count_jsonl, iter_jsonl
 from .masks import build_joint_mask, query_view
 from .model import (ModelConfig, ModelParams, PromptEncoding, forward, greedy_generate,
                     joint_loss, ntp_loss, prompt_pass, schema_linking_loss)
@@ -388,14 +389,16 @@ def example_to_json(ex: TrainingExample) -> dict:
 def load_corpus(path: str, vocab: Vocab,
                 schemas: dict[str, SchemaDocument],
                 fraction: float = 1.0) -> list[TrainingExample]:
-    """Rebuild each record's example from its question and gold SQL.
-    Raises MalformedInput naming the file and the record (counted from 1)
-    when a record is not an object, lacks a key or names a database that
-    has no schema."""
+    """Rebuild each record's example from its question and gold SQL, one
+    record at a time as the file is read; a `fraction` below 1 keeps that
+    share of the records (at least one), counted first. Raises
+    MalformedInput naming the file and the record (counted from 1) when a
+    record is not an object, lacks a key or names a database that has no
+    schema."""
     examples = []
-    records = read_jsonl(path)
+    records = iter_jsonl(path)
     if fraction < 1.0:
-        records = records[: max(1, int(len(records) * fraction))]
+        records = islice(records, max(1, int(count_jsonl(path) * fraction)))
     for i, obj in enumerate(records, 1):
         where = f"{path}, record {i}"
         if not isinstance(obj, dict):

@@ -10,7 +10,7 @@ import pytest
 
 import joltsql
 from joltsql import autodiff as ad
-from joltsql.errors import EmptyRow, ShapeMismatch
+from joltsql.errors import EmptyRow, GraphConsumed, ShapeMismatch
 from joltsql.autodiff import additive_bias
 
 REL_TOL = 1e-4
@@ -419,6 +419,28 @@ class TestGraphMechanics:
         y = ad.mul(x, x)
         ad.backward(ad.add_scalars(ad.sum_all(y), ad.sum_all(y)))
         assert x.grad[0, 0] == pytest.approx(8.0)
+
+    def test_backward_consumes_the_graph_and_leaves_keep_gradients(self):
+        x = ad.tensor(np.array([[3.0]]), requires_grad=True, dtype=np.float64)
+        c = ad.tensor(np.array([[2.0]]), dtype=np.float64)
+        y = ad.mul(x, c)
+        loss = ad.sum_all(ad.mul(y, y))
+        ad.backward(loss)
+        for node in (y, loss):
+            assert node.grad is None and node._parents == () and node._backward is ad._released
+        assert x.grad[0, 0] == pytest.approx(24.0) and x._backward is None
+        assert c.grad is None and c._backward is None
+        assert loss.item() == pytest.approx(36.0)  # values stay readable
+
+    @pytest.mark.parametrize("again", ["same-loss", "new-op-on-consumed-node"])
+    def test_second_backward_through_a_consumed_graph_raises(self, again):
+        x = ad.tensor(np.array([[3.0]]), requires_grad=True, dtype=np.float64)
+        y = ad.mul(x, x)
+        loss = ad.sum_all(y)
+        ad.backward(loss)
+        with pytest.raises(GraphConsumed):
+            ad.backward(loss if again == "same-loss" else ad.sum_all(y))
+        assert x.grad[0, 0] == pytest.approx(6.0)
 
     def test_non_scalar_backward_rejected(self):
         x = ad.tensor(np.ones((2, 2)), requires_grad=True)

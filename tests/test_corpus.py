@@ -11,7 +11,7 @@ from joltsql.corpus import (CorpusConfig, corpus_stats, generate_corpus,
                             load_schemas)
 from joltsql.errors import ConfigError
 from joltsql.model import ModelConfig
-from joltsql.pipeline import load_corpus
+from joltsql.pipeline import build_training_example, example_to_json, load_corpus
 from joltsql.tokenizer import Vocab
 
 
@@ -71,6 +71,21 @@ class TestGeneration:
             assert [*seg.prefix, *seg.schema, *seg.query] == list(range(seg.n))
             assert seg.markers <= set(seg.schema)
             assert len(ex.label) == len(ex.seg.marker_columns)
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.001])
+    def test_streamed_load_equals_reading_the_whole_file(self, corpus, fraction):
+        vocab = Vocab.load(corpus.vocab_path)
+        schemas = load_schemas(corpus.schema_dir)
+        with open(corpus.train_path) as f:
+            records = [json.loads(line) for line in f if line.strip()]
+        if fraction < 1.0:
+            records = records[:max(1, int(len(records) * fraction))]
+        want = [example_to_json(build_training_example(
+            r["question"], schemas[r["db_id"]], r["gold_sql"], vocab, r["example_id"],
+            r["db_id"])) for r in records]
+        got = load_corpus(corpus.train_path, vocab, schemas, fraction=fraction)
+        assert [example_to_json(ex) for ex in got] == want
+        assert len(want) == {1.0: 12, 0.5: 6, 0.001: 1}[fraction]
 
     def test_one_schema_encoding_per_database(self, tmp_path, monkeypatch):
         """Generating a corpus and loading both splits from its schema files

@@ -105,7 +105,6 @@ class TestForward:
         params = ModelParams(cfg, seed=0)
         ids = [1, 2, 3, 4, 5]
         out = forward(params, ids, build_causal_mask(5))
-        assert out.hidden.shape == (5, cfg.dim)
         assert out.lm_logits.shape == (5, cfg.vocab_size)
         assert out.marker_probs.shape == (5, 1)
         assert np.all((out.marker_probs.data > 0) & (out.marker_probs.data < 1))
@@ -156,7 +155,8 @@ class TestForward:
             prompt_pass(params, [1, 2, 3], visible)
 
     def test_masked_influence(self):
-        """Changing a token invisible to position i leaves H[i] bit-identical."""
+        """Changing a token invisible to position i leaves row i of both
+        heads bit-identical."""
         params = ModelParams(tiny_config(), seed=1)
         seg = tiny_segment()
         mask = build_joint_mask(seg, TINY_ATTENDED)
@@ -167,7 +167,8 @@ class TestForward:
         changed[8] = 15
         pert = forward(params, changed, mask)
         for i in sorted(set(seg.prefix) | set(seg.schema) | {7}):
-            assert np.array_equal(base.hidden.data[i], pert.hidden.data[i]), i
+            assert np.array_equal(base.lm_logits.data[i], pert.lm_logits.data[i]), i
+            assert np.array_equal(base.marker_probs.data[i], pert.marker_probs.data[i]), i
         # marker rows (4, 6) are invisible to non-marker rows
         changed2 = list(ids)
         # cannot change the marker token itself (it is structural); instead
@@ -176,7 +177,8 @@ class TestForward:
         changed2[5] = 14
         pert2 = forward(params, changed2, mask)
         for i in sorted(seg.prefix):
-            assert np.array_equal(base.hidden.data[i], pert2.hidden.data[i]), i
+            assert np.array_equal(base.lm_logits.data[i], pert2.lm_logits.data[i]), i
+            assert np.array_equal(base.marker_probs.data[i], pert2.marker_probs.data[i]), i
 
     def test_schema_permutation_invariance(self):
         """Swapping two non-marker schema tokens together with their position
@@ -224,6 +226,25 @@ def tape_nodes(loss) -> int:
     return sum(t._backward is not None for t in found.values())
 
 
+def retaining_backward(loss):
+    """Backprop that keeps every node's gradient, closure and parents: the
+    reference for the leaf gradients of the consuming `ad.backward`."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if id(p) not in seen and p.requires_grad)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
 class TestAttentionOp:
     def test_tape_size_independent_of_heads(self):
         counts = {heads: tape_nodes(training_loss(ModelParams(tiny_config(heads=heads), seed=0)))
@@ -241,6 +262,18 @@ class TestAttentionOp:
         reference = grads()
         for k in reference:
             np.testing.assert_allclose(fused[k], reference[k], rtol=0, atol=tol, err_msg=k)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_consuming_backward_gives_byte_equal_leaf_gradients(self, dtype):
+        """Two accumulated steps: consuming the graph frees arrays but
+        changes no arithmetic."""
+        grads = []
+        for run in (ad.backward, retaining_backward):
+            params = ModelParams(tiny_config(dtype=dtype), seed=4)
+            for _ in range(2):
+                run(training_loss(params))
+            grads.append({k: p.grad.tobytes() for k, p in params.named_params().items()})
+        assert grads[0] == grads[1]
 
     @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
     def test_decode_rows_with_past_match_unfused(self, monkeypatch, dtype, tol):

@@ -1,5 +1,8 @@
 import copy
 import json
+import re
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +11,8 @@ import pytest
 from joltsql import autodiff as ad
 from joltsql import model, pipeline
 from joltsql.corpus import CorpusConfig, generate_corpus
-from joltsql.errors import (DegenerateExample, EmptyPrediction, MalformedInput,
-                            MissingCacheEntry)
+from joltsql.errors import (DegenerateExample, EmptyPrediction, InvalidJson,
+                            MalformedInput, MissingCacheEntry)
 from joltsql.masks import build_joint_mask
 from joltsql.model import ModelConfig, ModelParams, forward, greedy_generate, prompt_pass
 from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
@@ -290,6 +293,39 @@ class TestTrainLoop:
         assert [e["grad_norm"] for e in res.log if "grad_norm" in e] == norms
         assert all(np.isfinite(n) and n > 0 for n in norms)
         assert events == res.log
+
+    def test_a_step_leaves_no_spent_graph_alive(self, example, join_example, vocab,
+                                                monkeypatch):
+        """At each `log_fn` callback backward has consumed the step's graph:
+        the only op outputs alive are those `train` still names, and none
+        holds a gradient, a closure or parents."""
+        class Tracked(ad.Tensor):
+            __slots__ = ("__weakref__",)
+        made = []
+
+        def tracked_op(data, parents, backward):
+            if not any(p.requires_grad for p in parents):
+                return ad.Tensor(data)
+            out = Tracked(data, True, parents, backward)
+            made.append(weakref.ref(out))
+            return out
+
+        def log_fn(stage, entry):
+            named = sys._getframe(1).f_locals  # train's
+            allowed = {id(named["out"].lm_logits), id(named["out"].marker_probs),
+                       *(id(named[k]) for k in ("l_sl", "l_ntp", "loss"))}
+            alive = [t for t in (ref() for ref in made) if t is not None]
+            assert alive and {id(t) for t in alive} <= allowed, len(alive)
+            for t in alive:
+                assert t.grad is None and t._parents == () and t._backward is ad._released
+            made.clear()
+            steps.append(entry["step"])
+
+        monkeypatch.setattr(ad, "_op", tracked_op)
+        steps = []
+        train([example, join_example], tiny_model(vocab),
+              TrainConfig(epochs=2, learning_rate=1e-3, grad_accum=2, seed=9), log_fn=log_fn)
+        assert steps == [0, 1, 2, 3]
 
     def test_deterministic_training(self, example, join_example, vocab):
         cfg = TrainConfig(epochs=2, learning_rate=1e-3, grad_accum=2, seed=7)
@@ -816,6 +852,27 @@ class TestSerialization:
         half = load_corpus(str(path), vocab, {"db-0": concert_schema}, fraction=0.5)
         assert len(full) == 2 and len(half) == 1
         assert half[0].example_id == "ex-0"
+
+    def test_load_corpus_builds_each_example_before_reading_the_next_record(
+            self, example, join_example, vocab, concert_schema, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(json.dumps(dict(example_to_json(ex), db_id="db-0"))
+                                  for ex in (example, join_example, example)) + "\n")
+        parsed, built = [], []
+        loads, build = json.loads, pipeline.build_training_example
+        monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+        monkeypatch.setattr(pipeline, "build_training_example",
+                            lambda *args: built.append(len(parsed)) or build(*args))
+        load_corpus(str(path), vocab, {"db-0": concert_schema})
+        assert built == [1, 2, 3]
+
+    def test_load_corpus_names_the_line_that_is_not_json(self, example, vocab,
+                                                        concert_schema, tmp_path):
+        good = json.dumps(dict(example_to_json(example), db_id="db-0"))
+        path = tmp_path / "c.jsonl"
+        path.write_text(f"{good}\n\n{good}\n{{\"a\": \n{good}\n")
+        with pytest.raises(InvalidJson, match=f"^{re.escape(str(path))}, line 4: "):
+            load_corpus(str(path), vocab, {"db-0": concert_schema})
 
     @pytest.mark.parametrize("change,named", [
         ({"db_id": "nope"}, "no schema for db_id 'nope'"),
