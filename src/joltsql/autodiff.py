@@ -51,8 +51,6 @@ class Tensor:
                  parents: tuple = (), backward=None):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
-        if not requires_grad and parents:
-            requires_grad = any(p.requires_grad for p in parents)
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward

@@ -21,7 +21,7 @@ from . import evaluation, pipeline
 from .errors import ConfigError, JoltError, ShapeMismatch
 from .jsonfile import read_json
 from .masks import build_causal_mask, build_joint_mask, render_ascii, render_ppm, render_svg
-from .model import ModelConfig, ModelParams
+from .model import MAX_LEN, ModelConfig, ModelParams
 from .sampling import WeightCache
 from .schema import SchemaDocument, SpanIndex, serialize_schema, with_value_examples
 from .sqlscope import extract_ground_truth
@@ -137,8 +137,8 @@ def cmd_encode(args) -> int:
 
 def cmd_mask_viz(args) -> int:
     if args.corpus_dir is None:
-        if args.causal < 1:
-            raise JoltError(f"--causal must be at least 1, got {args.causal}")
+        if not 1 <= args.causal <= MAX_LEN:
+            raise JoltError(f"--causal must be in [1, {MAX_LEN}], got {args.causal}")
         mask = build_causal_mask(args.causal)
         seg = None
     else:
@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mask-viz", help="render an attention mask")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--causal", type=int, help="causal mask over this many tokens")
+    source.add_argument("--causal", type=int,
+                        help=f"causal mask over this many tokens, 1 to {MAX_LEN}")
     source.add_argument("--corpus-dir", help="joint mask of a training example")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--out", default=None, help="basename for .ppm/.svg output")

@@ -40,6 +40,12 @@ _WORD_POOL = [
     "west", "alpha", "beta", "gamma", "delta", "omega", "prime", "major",
     "minor", "solo", "duo", "trio",
 ]
+# the templates `_render_example` renders; `CorpusConfig` accepts no other
+TEMPLATES = ("projection", "filtered", "aggregate", "join", "order_limit")
+# the most columns per table the name pools can fill: `_make_schema` gives
+# the first table of n columns (id, no foreign key) 1 to (n - 1) // 2
+# numeric names and the rest, up to n - 2, text names
+_MAX_COLUMNS = min(len(_TEXT_COL_POOL) + 2, 2 * len(_NUM_COL_POOL) + 2)
 
 
 @dataclass
@@ -51,14 +57,21 @@ class CorpusConfig:
     examples_per_db: int = 150
     split: float = 500 / 600  # train fraction
     seed: int = 7
-    templates: tuple[str, ...] = (
-        "projection", "filtered", "aggregate", "join", "order_limit",
-    )
+    templates: tuple[str, ...] = TEMPLATES
 
     def __post_init__(self):
-        for lo, hi in (self.tables_per_db, self.columns_per_table, self.rows_per_table):
+        for key in ("tables_per_db", "columns_per_table", "rows_per_table"):
+            lo, hi = getattr(self, key)
             if lo > hi or lo < 1:
-                raise ConfigError("ranges must be non-empty")
+                raise ConfigError(f"{key} must be a non-empty range from 1, got [{lo}, {hi}]")
+        if self.tables_per_db[1] > len(_TABLE_POOL):
+            raise ConfigError(f"tables_per_db may not exceed {len(_TABLE_POOL)}, "
+                              "the number of table names")
+        if self.columns_per_table[1] > _MAX_COLUMNS:
+            raise ConfigError(f"columns_per_table may not exceed {_MAX_COLUMNS}, "
+                              "the most the column names can fill")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0 < self.split < 1:
             raise ConfigError("split must be in (0, 1)")
         if self.num_databases < 1 or self.examples_per_db < 1:
@@ -69,6 +82,9 @@ class CorpusConfig:
                               "the train or the dev split empty")
         if not self.templates:
             raise ConfigError("at least one template must be enabled")
+        unknown = [t for t in self.templates if t not in TEMPLATES]
+        if unknown:
+            raise ConfigError(f"templates: unknown {unknown}, expected some of {list(TEMPLATES)}")
 
     @staticmethod
     def from_json(obj: dict) -> "CorpusConfig":
@@ -226,7 +242,7 @@ def _render_example(doc: SchemaDocument, template: str,
             q = f"show the {col} of the {k} {t.name} rows with the smallest {num}"
             d = "ASC"
         return q, f"SELECT {col} FROM {t.name} ORDER BY {num} {d} LIMIT {k}"
-    raise ConfigError(f"unknown template {template!r}")
+    return None
 
 
 @dataclass

@@ -6,8 +6,9 @@ one prompt encoding, and one stacked decode of the distinct predicted
 sets. This module only executes SQL and aggregates: an example's gold SQL
 runs once and each distinct result's SQL once against its rows, and every
 record of an example carries that call's one timings dict and, for a
-pred_error, SQLite's error text. Corpus databases are opened read-only,
-so SQL the model writes cannot change them.
+pred_error, SQLite's error text; EX and its counts are read off those
+records' verdicts. Corpus databases are opened read-only, so SQL the
+model writes cannot change them.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DbUnavailable, LengthMismatch
-from .metrics import ExReport, execution_verdicts, pr_auc, precision_recall, roc_auc
+from .metrics import ex_summary, execution_verdicts, pr_auc, precision_recall, roc_auc
 from .model import ModelParams
 from .pipeline import DEFAULT_MAX_NEW, DEFAULT_THRESHOLD, TrainingExample, infer_thresholds
 from .tokenizer import Vocab
@@ -40,20 +41,6 @@ class EvalResult:
         return {k: v for k, v in vars(self).items() if k != "per_example"}
 
 
-@dataclass
-class _Pass:
-    """One pass over the examples at several thresholds."""
-    scores: list[list[float]]   # per example, marker scores in column order
-    labels: list[list[int]]     # per example, gold labels aligned with scores
-    reports: list[ExReport]     # per threshold
-    records: list[list[dict]]   # per threshold, one record per example
-
-    def pooled(self) -> tuple[list[float], list[int]]:
-        """Micro-averaging pools: every example's scores and labels."""
-        return ([s for scores in self.scores for s in scores],
-                [y for labels in self.labels for y in labels])
-
-
 def connect_readonly(path: str) -> sqlite3.Connection:
     """Open an existing database file read-only; DbUnavailable naming the
     path otherwise, and no file is created."""
@@ -64,26 +51,28 @@ def connect_readonly(path: str) -> sqlite3.Connection:
 
 
 def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
-         db_paths: dict[str, str], thresholds: list[float], max_new: int) -> _Pass:
-    """The loop evaluate and threshold_sweep share. Examples run one at a
-    time, so only one prompt encoding's K/V is alive at once. Raises
-    LengthMismatch before any work when there are no examples, which
-    neither average could score."""
+         db_paths: dict[str, str], thresholds: list[float],
+         max_new: int) -> tuple[list[list[float]], list[list[dict]]]:
+    """The loop evaluate and threshold_sweep share: per example, its marker
+    scores in column order, and per threshold, one record per example.
+    Examples run one at a time, so only one prompt encoding's K/V is alive
+    at once. Raises LengthMismatch before any work when there are no
+    examples, which neither average could score."""
     if not examples:
         raise LengthMismatch("empty inputs")
-    out = _Pass([], [], [ExReport() for _ in thresholds], [[] for _ in thresholds])
+    scores: list[list[float]] = []
+    records: list[list[dict]] = [[] for _ in thresholds]
     connections: dict[str, sqlite3.Connection] = {}
     try:
         for ex in examples:
             if ex.db_id not in connections:
                 connections[ex.db_id] = connect_readonly(db_paths[ex.db_id])
             scored, results = infer_thresholds(params, ex, vocab, thresholds, max_new)
-            out.scores.append([s for _, _, s in scored])
-            out.labels.append(ex.label)
+            scores.append([s for _, _, s in scored])
             distinct = list({id(result): result for result in results}.values())
             verdicts = execution_verdicts([result.sql for result in distinct], ex.gold_sql,
                                           connections[ex.db_id])
-            records = {id(result): {  # one per distinct result, executed once
+            shared = {id(result): {  # one per distinct result, executed once
                 "example_id": ex.example_id,
                 "verdict": verdict,
                 "sqlite_error": error,
@@ -93,14 +82,18 @@ def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
                 "predicted_columns": result.predicted_columns,
                 "used_fallback": result.used_fallback,
             } for result, (verdict, error) in zip(distinct, verdicts)}
-            for report, per_threshold, result in zip(out.reports, out.records, results):
-                record = records[id(result)]
-                report.add(record["verdict"])
-                per_threshold.append(record)
+            for per_threshold, result in zip(records, results):
+                per_threshold.append(shared[id(result)])
     finally:
         for conn in connections.values():
             conn.close()
-    return out
+    return scores, records
+
+
+def _pooled(scores: list[list[float]],
+            examples: list[TrainingExample]) -> tuple[list[float], list[int]]:
+    """Micro-averaging pools: every example's scores and gold labels."""
+    return [s for per in scores for s in per], [y for ex in examples for y in ex.label]
 
 
 def evaluate(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
@@ -108,18 +101,18 @@ def evaluate(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
              max_new: int = DEFAULT_MAX_NEW, average: str = "micro") -> EvalResult:
     if average not in ("micro", "macro"):
         raise ValueError("average must be micro or macro")
-    run = _run(params, examples, vocab, db_paths, [threshold], max_new)
-    scores, labels = run.pooled()
+    scores, records = _run(params, examples, vocab, db_paths, [threshold], max_new)
+    pooled = _pooled(scores, examples)
     if average == "macro":
         # per-example precision/recall, then mean; AUCs stay pooled because
         # single-example pools can be single-class
-        per = [precision_recall(s, l, threshold) for s, l in zip(run.scores, run.labels)]
+        per = [precision_recall(s, ex.label, threshold) for s, ex in zip(scores, examples)]
         p, r = (sum(column) / len(per) for column in zip(*per))
     else:
-        p, r = precision_recall(scores, labels, threshold)
-    report = run.reports[0]
-    return EvalResult(threshold, p, r, roc_auc(scores, labels), pr_auc(scores, labels),
-                      report.accuracy, report.counts(), run.records[0])
+        p, r = precision_recall(*pooled, threshold)
+    accuracy, counts = ex_summary(record["verdict"] for record in records[0])
+    return EvalResult(threshold, p, r, roc_auc(*pooled), pr_auc(*pooled), accuracy, counts,
+                      records[0])
 
 
 def threshold_sweep(params: ModelParams, examples: list[TrainingExample],
@@ -130,13 +123,13 @@ def threshold_sweep(params: ModelParams, examples: list[TrainingExample],
     pooled marker scores; EX at each threshold decodes from the predicted
     set at that threshold. One `infer_thresholds` call per example serves
     every threshold, and each distinct predicted set's SQL is executed once."""
-    run = _run(params, examples, vocab, db_paths, SWEEP_THRESHOLDS, max_new)
-    scores, labels = run.pooled()
+    scores, records = _run(params, examples, vocab, db_paths, SWEEP_THRESHOLDS, max_new)
+    pooled = _pooled(scores, examples)
     rows = []
-    for t, report in zip(SWEEP_THRESHOLDS, run.reports):
-        p, r = precision_recall(scores, labels, t)
+    for t, per_threshold in zip(SWEEP_THRESHOLDS, records):
+        p, r = precision_recall(*pooled, t)
         rows.append({"threshold": t, "precision": p, "recall": r,
-                     "ex": report.accuracy})
+                     "ex": ex_summary(record["verdict"] for record in per_threshold)[0]})
     return rows
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import sqlite3
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 
 from .errors import DbUnavailable, DegenerateLabels, LengthMismatch
 from .sqlscope import read_only
@@ -83,22 +83,13 @@ def pr_auc(scores: list[float], labels: list[int]) -> float:
     return ap
 
 
-@dataclass
-class ExReport:
-    verdicts: list[str] = field(default_factory=list)  # match/mismatch/pred_error/gold_error
-
-    def add(self, verdict: str):
-        self.verdicts.append(verdict)
-
-    @property
-    def accuracy(self) -> float:
-        scored = [v for v in self.verdicts if v != "gold_error"]
-        if not scored:
-            return 0.0
-        return sum(1 for v in scored if v == "match") / len(scored)
-
-    def counts(self) -> dict[str, int]:
-        return dict(Counter(self.verdicts))
+def ex_summary(verdicts: Iterable[str]) -> tuple[float, dict[str, int]]:
+    """Execution accuracy over match / mismatch / pred_error / gold_error
+    verdicts, and each verdict's count in first-seen order. gold_error is
+    out of the denominator; EX is 0.0 when nothing was scored."""
+    counts = Counter(verdicts)
+    scored = sum(counts.values()) - counts["gold_error"]
+    return (counts["match"] / scored if scored else 0.0), dict(counts)
 
 
 def _canonical_value(v):

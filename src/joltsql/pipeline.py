@@ -91,6 +91,8 @@ class TrainConfig:
             raise ValueError("beta must be in (0, 1)")
         if self.noise_mode not in ("confusion", "random", "none"):
             raise ValueError("noise_mode must be confusion, random, or none")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from joltsql.cli import EventLog, main
+from joltsql.model import MAX_LEN
 from joltsql.pipeline import PREFIX_TEMPLATE
 from joltsql.schema import serialize_schema
 from joltsql.tokenizer import build_vocab, encode, tokenize_schema
@@ -413,6 +414,11 @@ class TestMaskViz:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "--causal" in err
 
+    def test_causal_size_above_the_model_length_is_an_error_line(self, capsys):
+        code, out, err = run(capsys, "mask-viz", "--causal", str(MAX_LEN + 1))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--causal" in err and str(MAX_LEN) in err
+
     @pytest.mark.parametrize("index", ["1000", "-1"])
     def test_index_outside_the_split_is_an_error_line(self, capsys, workspace, index):
         code, out, err = run(capsys, "mask-viz", "--corpus-dir", str(workspace["corpus"]),
@@ -548,6 +554,23 @@ class TestTrainArtifacts:
                            "--out", str(tmp_path / "corpus"))
         assert code == 1
         assert err.startswith("error: config section 'corpus'") and "empty" in err
+        assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("key, value", [("tables_per_db", [21, 22]),
+                                            ("columns_per_table", [13, 13]),
+                                            ("templates", ["projection", "joins"])],
+                             ids=["tables", "columns", "templates"])
+    def test_corpus_the_generator_cannot_draw_writes_nothing(self, capsys, tmp_path,
+                                                             key, value):
+        """Ranges the name pools cannot fill and unknown templates are
+        rejected before any file is written."""
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"corpus": {"num_databases": 1, "examples_per_db": 6,
+                                              "split": 0.5, "seed": 1, key: value}}))
+        code, out, err = run(capsys, "gen-corpus", "--config", str(cfg),
+                             "--out", str(tmp_path / "corpus"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: config section 'corpus'") and key in err
         assert not (tmp_path / "corpus").exists()
 
     def test_empty_corpus_file_writes_nothing(self, capsys, workspace, tmp_path):
@@ -736,6 +759,22 @@ class TestSeedPlumbing:
                                                    workspace["config"]))
         assert code == 1
         assert err.startswith("error:") and "JOLT_SEED" in err
+
+    @pytest.mark.parametrize("command, flag, section", [
+        ("gen-corpus", False, "corpus"), ("train", False, "train"), ("train", True, "train")],
+        ids=["gen-corpus-env", "train-env", "train-flag"])
+    def test_negative_seed_is_an_error_line_and_writes_nothing(self, capsys, tmp_path,
+                                                               workspace, monkeypatch,
+                                                               command, flag, section):
+        argv = config_command(command, workspace, tmp_path, workspace["config"])
+        if flag:
+            argv += ("--seed", "-1")
+        else:
+            monkeypatch.setenv("JOLT_SEED", "-1")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: config section '{section}'") and "seed" in err
+        assert not (tmp_path / "corpus").exists() and not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("command", ["train", "gen-corpus"])
     @pytest.mark.parametrize("config, named", [(["train"], "top level"),

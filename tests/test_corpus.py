@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from joltsql import corpus as corpus_mod
@@ -145,9 +146,9 @@ class TestConfig:
         assert total - round(total * cfg.split) == 100
 
     def test_bad_ranges_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="tables_per_db"):
             tiny_config(tables_per_db=(3, 2))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="columns_per_table"):
             tiny_config(columns_per_table=(0, 4))
 
     def test_bad_split_rejected(self):
@@ -173,6 +174,22 @@ class TestConfig:
     def test_empty_templates_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(templates=())
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            tiny_config(seed=seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_largest_ranges_the_name_pools_allow_fill(self, seed):
+        """The bounds are tight: at the largest table and column counts
+        every draw still finds enough distinct names."""
+        top = corpus_mod._MAX_COLUMNS
+        cfg = tiny_config(tables_per_db=(len(corpus_mod._TABLE_POOL),) * 2,
+                          columns_per_table=(top, top), seed=seed)
+        doc = corpus_mod._make_schema(0, cfg, np.random.default_rng(seed))
+        assert len(doc.tables) == len(corpus_mod._TABLE_POOL)
+        assert doc.tables[0].columns[-1].sql_type == "TEXT"
 
     def test_from_json_round_trip(self):
         cfg = tiny_config()

@@ -12,8 +12,7 @@ from joltsql import evaluation, metrics, pipeline
 from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import DbUnavailable, LengthMismatch
 from joltsql.evaluation import SWEEP_THRESHOLDS, evaluate, threshold_sweep
-from joltsql.metrics import (ExReport, execution_accuracy, pr_auc,
-                             precision_recall, roc_auc)
+from joltsql.metrics import execution_accuracy, pr_auc, precision_recall, roc_auc
 from joltsql.model import ModelConfig
 from joltsql.pipeline import (TrainConfig, infer, infer_thresholds, link_schema,
                               load_corpus, train)
@@ -60,20 +59,24 @@ def reference_evaluate(params, examples, vocab, db_paths, threshold, average="mi
         p, r = sum(ps) / len(ps), sum(rs) / len(rs)
     else:
         p, r = precision_recall(scores, labels, threshold)
-    report = ExReport()
-    results = []
+    verdicts, results = [], []
     for ex in examples:
         result = infer(params, ex, vocab, threshold=threshold, max_new=MAX_NEW)
         conn = sqlite3.connect(db_paths[ex.db_id])
         try:
-            report.add(execution_accuracy(result.sql, ex.gold_sql, conn))
+            verdicts.append(execution_accuracy(result.sql, ex.gold_sql, conn))
         finally:
             conn.close()
         results.append(result)
+    scored = [v for v in verdicts if v != "gold_error"]
+    counts = {}
+    for v in verdicts:
+        counts[v] = counts.get(v, 0) + 1
     metrics = {"threshold": threshold, "precision": p, "recall": r,
                "roc_auc": roc_auc(scores, labels), "pr_auc": pr_auc(scores, labels),
-               "ex": report.accuracy, "ex_counts": report.counts()}
-    return metrics, report, results
+               "ex": scored.count("match") / len(scored) if scored else 0.0,
+               "ex_counts": counts}
+    return metrics, verdicts, results
 
 
 @pytest.mark.parametrize("index", range(6))
@@ -147,10 +150,10 @@ def test_evaluate_equals_reference(desk, average, threshold):
     params, examples, vocab, generated = desk
     got = evaluate(params, examples, vocab, generated.db_paths, threshold=threshold,
                    max_new=MAX_NEW, average=average)
-    metrics, report, results = reference_evaluate(
+    metrics, verdicts, results = reference_evaluate(
         params, examples, vocab, generated.db_paths, threshold, average)
     assert got.to_json() == metrics
-    assert [pe["verdict"] for pe in got.per_example] == report.verdicts
+    assert [pe["verdict"] for pe in got.per_example] == verdicts
     for pe, ex, result in zip(got.per_example, examples, results):
         assert pe["example_id"] == ex.example_id
         assert pe["gold_sql"] == ex.gold_sql
@@ -253,11 +256,34 @@ def test_pred_error_records_keep_sqlites_error_text(desk, monkeypatch, sql, erro
 
 def test_records_of_an_example_share_its_one_decode_time(desk):
     params, examples, vocab, generated = desk
-    run = evaluation._run(params, examples, vocab, generated.db_paths,
-                          SWEEP_THRESHOLDS, MAX_NEW)
+    _, records = evaluation._run(params, examples, vocab, generated.db_paths,
+                                 SWEEP_THRESHOLDS, MAX_NEW)
     for i in range(len(examples)):
-        timings = {tuple(records[i]["timings_ms"].items()) for records in run.records}
+        timings = {tuple(per_threshold[i]["timings_ms"].items()) for per_threshold in records}
         assert len(timings) == 1
+
+
+def test_gold_error_examples_are_out_of_the_ex_denominator(desk, monkeypatch):
+    """EX and its counts are read off the records: an example whose gold
+    query fails counts as gold_error and is not scored."""
+    params, examples, vocab, generated = desk
+    execute = evaluation.execution_verdicts
+    broken = examples[1].gold_sql
+
+    def one_gold_fails(pred_sqls, gold_sql, db):
+        if gold_sql == broken:
+            return [("gold_error", None)] * len(pred_sqls)
+        return execute(pred_sqls, gold_sql, db)
+
+    monkeypatch.setattr(evaluation, "execution_verdicts", one_gold_fails)
+    result = evaluate(params, examples, vocab, generated.db_paths, threshold=0.05,
+                      max_new=MAX_NEW)
+    verdicts = [pe["verdict"] for pe in result.per_example]
+    assert verdicts.count("gold_error") == sum(ex.gold_sql == broken for ex in examples) >= 1
+    scored = [v for v in verdicts if v != "gold_error"]
+    assert result.ex == scored.count("match") / len(scored)
+    assert list(result.ex_counts.items()) == [(v, verdicts.count(v))
+                                              for v in dict.fromkeys(verdicts)]
 
 
 def sha256(path):

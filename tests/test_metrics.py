@@ -8,9 +8,8 @@ import pytest
 
 from joltsql import metrics
 from joltsql.errors import DbUnavailable, DegenerateLabels, LengthMismatch
-from joltsql.metrics import (ExReport, _has_top_level_order_by,
-                             execution_accuracy, pr_auc, precision_recall,
-                             roc_auc)
+from joltsql.metrics import (_has_top_level_order_by, ex_summary, execution_accuracy,
+                             pr_auc, precision_recall, roc_auc)
 
 
 def oracle_roc(scores, labels):
@@ -325,19 +324,21 @@ class TestTopLevelOrderBy:
         assert _has_top_level_order_by(sql)
 
 
-class TestExReport:
+class TestExSummary:
     def test_accuracy_counts(self):
-        r = ExReport()
-        for v in ["match", "mismatch", "match", "pred_error"]:
-            r.add(v)
-        assert r.accuracy == 0.5
-        assert r.counts() == {"match": 2, "mismatch": 1, "pred_error": 1}
+        assert ex_summary(["match", "mismatch", "match", "pred_error"]) == \
+            (0.5, {"match": 2, "mismatch": 1, "pred_error": 1})
+
+    def test_counts_keep_first_seen_order(self):
+        _, counts = ex_summary(["pred_error", "match", "mismatch", "match"])
+        assert list(counts) == ["pred_error", "match", "mismatch"]
 
     def test_gold_error_excluded_from_denominator(self):
-        r = ExReport()
-        for v in ["match", "gold_error", "gold_error"]:
-            r.add(v)
-        assert r.accuracy == 1.0
+        assert ex_summary(["match", "gold_error", "gold_error"]) == \
+            (1.0, {"match": 1, "gold_error": 2})
+
+    def test_only_gold_errors_score_zero(self):
+        assert ex_summary(["gold_error"]) == (0.0, {"gold_error": 1})
 
     def test_empty(self):
-        assert ExReport().accuracy == 0.0
+        assert ex_summary([]) == (0.0, {})

@@ -342,7 +342,8 @@ class TestTrainLoop:
             TrainConfig(noise_mode="bogus")
         for bad in ({"epochs": 0}, {"grad_accum": 0}, {"learning_rate": 0.0},
                     {"learning_rate": float("nan")}, {"max_grad_norm": -1.0},
-                    {"max_grad_norm": 0.0}, {"weight_decay": -1.0}):
+                    {"max_grad_norm": 0.0}, {"weight_decay": -1.0}, {"seed": -1},
+                    {"seed": 1.5}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
         for bad in ({"dim": -4}, {"dim": 0}, {"dtype": "float16"}, {"ffn_mult": 0},
