@@ -162,7 +162,7 @@ def cmd_mask_viz(args) -> int:
 
 def cmd_gen_corpus(args) -> int:
     cfg = _load_run_config(args.config, {})
-    corpus_cfg = _section("corpus", lambda: corpus_mod.CorpusConfig.from_json(cfg["corpus"]))
+    corpus_cfg = _section("corpus", lambda: corpus_mod.CorpusConfig(**cfg["corpus"]))
     generated = corpus_mod.generate_corpus(corpus_cfg, args.out)
     stats = corpus_mod.corpus_stats(generated.train_path)
     print(json.dumps({"out": args.out, "train_stats": stats}))
@@ -190,7 +190,7 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args.config, overrides)
     # every section is checked before the corpus loads
     train_cfg = _section("train", lambda: pipeline.TrainConfig(**cfg["train"]))
-    _section("corpus", lambda: corpus_mod.CorpusConfig.from_json(cfg["corpus"]))
+    _section("corpus", lambda: corpus_mod.CorpusConfig(**cfg["corpus"]))
     corpus_dir = os.path.dirname(os.path.abspath(args.corpus))
     schema_dir = args.schema_dir or os.path.join(corpus_dir, "schema")
     vocab = Vocab.load(args.vocab or os.path.join(corpus_dir, "vocab.json"))

@@ -60,43 +60,46 @@ class CorpusConfig:
     templates: tuple[str, ...] = TEMPLATES
 
     def __post_init__(self):
+        for key in ("num_databases", "examples_per_db"):
+            value = getattr(self, key)
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{key} must be an integer of at least 1, got {value!r}")
         for key in ("tables_per_db", "columns_per_table", "rows_per_table"):
-            lo, hi = getattr(self, key)
+            pair = getattr(self, key)
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(type(v) is int for v in pair)):
+                raise ConfigError(f"{key} must be a pair of integers, got {pair!r}")
+            lo, hi = pair
             if lo > hi or lo < 1:
                 raise ConfigError(f"{key} must be a non-empty range from 1, got [{lo}, {hi}]")
+            setattr(self, key, (lo, hi))
         if self.tables_per_db[1] > len(_TABLE_POOL):
             raise ConfigError(f"tables_per_db may not exceed {len(_TABLE_POOL)}, "
                               "the number of table names")
         if self.columns_per_table[1] > _MAX_COLUMNS:
             raise ConfigError(f"columns_per_table may not exceed {_MAX_COLUMNS}, "
                               "the most the column names can fill")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0 < self.split < 1:
             raise ConfigError("split must be in (0, 1)")
-        if self.num_databases < 1 or self.examples_per_db < 1:
-            raise ConfigError("need at least one database and one example")
         total = self.num_databases * self.examples_per_db
         if not 0 < round(total * self.split) < total:
             raise ConfigError(f"split {self.split} of {total} examples leaves "
                               "the train or the dev split empty")
+        self.templates = tuple(self.templates)
         if not self.templates:
             raise ConfigError("at least one template must be enabled")
         unknown = [t for t in self.templates if t not in TEMPLATES]
         if unknown:
             raise ConfigError(f"templates: unknown {unknown}, expected some of {list(TEMPLATES)}")
-
-    @staticmethod
-    def from_json(obj: dict) -> "CorpusConfig":
-        kwargs = dict(obj)
-        for key in ("tables_per_db", "columns_per_table", "rows_per_table", "templates"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return CorpusConfig(**kwargs)
+        # every other template fills any table `_make_schema` draws
+        if set(self.templates) == {"join"} and self.tables_per_db[0] < 2:
+            raise ConfigError("templates: 'join' alone needs two tables in every database, "
+                              f"but tables_per_db starts at {self.tables_per_db[0]}")
 
 
-def _make_schema(db_index: int, cfg: CorpusConfig,
-                 rng: np.random.Generator) -> SchemaDocument:
+def _make_schema(cfg: CorpusConfig, rng: np.random.Generator) -> SchemaDocument:
     n_tables = int(rng.integers(cfg.tables_per_db[0], cfg.tables_per_db[1] + 1))
     table_names = list(rng.choice(_TABLE_POOL, size=n_tables, replace=False))
     tables = []
@@ -140,15 +143,15 @@ def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
             conn.execute(f'CREATE TABLE "{t.name}" ({cols_sql}{pk}{fk})')
             n_rows = int(rng.integers(cfg.rows_per_table[0], cfg.rows_per_table[1] + 1))
             row_counts[t.name] = n_rows
+            parents = {local: ftable for local, ftable, _ in t.foreign_keys}
             rows = []
             for rid in range(1, n_rows + 1):
                 row = []
                 for c in t.columns:
                     if c.name == "id":
                         row.append(rid)
-                    elif any(fk_[0] == c.name for fk_ in t.foreign_keys):
-                        parent = next(fk_[1] for fk_ in t.foreign_keys if fk_[0] == c.name)
-                        row.append(int(rng.integers(1, row_counts[parent] + 1)))
+                    elif c.name in parents:
+                        row.append(int(rng.integers(1, row_counts[parents[c.name]] + 1)))
                     elif c.sql_type == "INTEGER":
                         row.append(int(rng.integers(1, 100)))
                     else:
@@ -269,7 +272,7 @@ def generate_corpus(cfg: CorpusConfig, out_dir: str) -> GeneratedCorpus:
     for di in range(cfg.num_databases):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, di]))
         db_id = f"db{di:03d}"
-        doc = _make_schema(di, cfg, rng)
+        doc = _make_schema(cfg, rng)
         db_path = os.path.join(db_dir, f"{db_id}.sqlite")
         doc = _materialize_db(db_path, doc, cfg, rng)
         schemas[db_id] = doc

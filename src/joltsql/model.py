@@ -34,8 +34,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("dim", "layers", "heads", "ffn_mult", "max_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
         if self.dim % self.heads != 0:

@@ -77,10 +77,10 @@ class TrainConfig:
     noise_mode: str = "confusion"  # confusion | random | none
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.grad_accum < 1:
-            raise ValueError("grad_accum must be at least 1")
+        for name in ("epochs", "grad_accum"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not self.max_grad_norm > 0:
@@ -91,7 +91,7 @@ class TrainConfig:
             raise ValueError("beta must be in (0, 1)")
         if self.noise_mode not in ("confusion", "random", "none"):
             raise ValueError("noise_mode must be confusion, random, or none")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -144,8 +144,8 @@ def build_training_example(question: str, schema_doc: SchemaDocument, gold_sql: 
         raise DegenerateExample(f"gold SQL references no columns: {gold_sql!r}")
     ex = _build_example(question, schema_doc, gold_sql, links, vocab, example_id, db_id)
     # terminate the query with EOS so generation learns to stop
-    ex.tokens.ids.append(EOS)
-    ex.seg.n += 1
+    ex.tokens = TokenSequence(ex.tokens.ids + [EOS])
+    ex.seg = replace(ex.seg, n=ex.seg.n + 1)
     return ex
 
 

@@ -46,8 +46,6 @@ class Vocab:
         return max(self.id_to_token) + 1
 
     def lookup(self, token: str) -> int:
-        if token == MARKER_TEXT:
-            return MARKER
         return self.token_to_id.get(token, UNK)
 
     def save(self, path: str):
@@ -86,12 +84,12 @@ class TokenSequence:
     ids: list[int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentMap:
     """An example's token layout over positions 0..n-1, cut at
     `schema_start` and `query_start` into the contiguous ranges `prefix`,
     `schema` and `query`, with its database's shared table layout read at
-    `schema_start`. Only read once built: the schema tokens a query row
+    `schema_start`. Frozen once built: the schema tokens a query row
     attends to are an argument of the mask, not part of the layout."""
 
     n: int
@@ -107,7 +105,8 @@ class SegmentMap:
     def __post_init__(self):
         if not 0 <= self.schema_start <= self.query_start <= self.n:
             raise InvalidSegmentation(f"cut points out of order in 0..{self.n}")
-        if any(not self.schema_start <= m < self.query_start for m in self.markers):
+        if self.markers and not (self.schema_start <= min(self.markers)
+                                 and max(self.markers) < self.query_start):
             raise InvalidSegmentation("a marker lies outside the schema")
 
     @property

@@ -13,16 +13,15 @@ import pytest
 
 from joltsql import autodiff as ad
 from joltsql.autodiff import additive_bias
-from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.evaluation import evaluate, sweep_csv, threshold_sweep
 from joltsql.masks import build_joint_mask
 from joltsql.metrics import pr_auc, roc_auc
 from joltsql.model import (ModelConfig, ModelParams, forward, ntp_loss,
                            schema_linking_loss)
-from joltsql.pipeline import TrainConfig, load_corpus, train
+from joltsql.pipeline import TrainConfig, train
 from joltsql.sampling import draw_noise_count, sample_noisy
 from joltsql.sqlscope import extract_ground_truth
-from joltsql.tokenizer import SegmentMap, Vocab
+from joltsql.tokenizer import SegmentMap
 
 # training configuration for the generalization run (criterion 10); epochs
 # and corpus size are fixed by the criterion, the rest is recipe
@@ -43,18 +42,6 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" — {detail}" if detail else ""
     print(f"[{status}] criterion {num}: {name}{suffix}")
-
-
-# ------------------------------------------------------------ shared fixtures
-
-@pytest.fixture(scope="module")
-def desk_corpus(tmp_path_factory):
-    out = tmp_path_factory.mktemp("desk")
-    generated = generate_corpus(CorpusConfig(), str(out))
-    vocab = Vocab.load(generated.vocab_path)
-    train_set = load_corpus(generated.train_path, vocab, generated.schemas)
-    dev_set = load_corpus(generated.dev_path, vocab, generated.schemas)
-    return generated, vocab, train_set, dev_set
 
 
 def random_segment(rng, n_max=64):
@@ -310,7 +297,7 @@ def test_criterion_05_sampler_statistics():
 
 
 def test_criterion_06_weight_cache_contract(desk_corpus, tmp_path):
-    _, vocab, train_set, _ = desk_corpus
+    _, vocab, train_set, _ = desk_corpus()
     subset = train_set[:20]
     mc = ModelConfig(vocab_size=len(vocab), dim=16, heads=2, layers=1)
     tc = dict(learning_rate=1e-3, grad_accum=1, seed=0)
@@ -383,7 +370,7 @@ def test_criterion_08_metric_oracles():
 
 
 def test_criterion_09_overfit_smoke(desk_corpus):
-    generated, vocab, train_set, _ = desk_corpus
+    generated, vocab, train_set, _ = desk_corpus()
     subset = train_set[:8]
     t0 = time.time()
     res = train(subset, ModelConfig(vocab_size=len(vocab), **OVERFIT_MODEL),
@@ -404,7 +391,7 @@ def test_criterion_09_overfit_smoke(desk_corpus):
 
 
 def test_criterion_10_desk_scale_generalization(desk_corpus):
-    generated, vocab, train_set, dev_set = desk_corpus
+    generated, vocab, train_set, dev_set = desk_corpus()
     t0 = time.time()
     results = {}
     for mode in ("confusion", "random", "none"):
@@ -439,7 +426,7 @@ def test_criterion_10_recipe_is_the_benchmarks(monkeypatch):
 
 
 def test_criterion_11_threshold_sweep_monotonicity(desk_corpus):
-    generated, vocab, train_set, dev_set = desk_corpus
+    generated, vocab, train_set, dev_set = desk_corpus()
     subset_train, subset_dev = train_set[:30], dev_set[:15]
     res = train(subset_train, ModelConfig(vocab_size=len(vocab), dim=16,
                                           heads=2, layers=1),

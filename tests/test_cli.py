@@ -482,6 +482,13 @@ class TestTrainArtifacts:
         ("train", {"max_grad_norm": -1}, "max_grad_norm"),
         ("train", {"max_grad_norm": 0}, "max_grad_norm"),
         ("train", {"weight_decay": -1}, "weight_decay"),
+        ("train", {"epochs": 1.5}, "epochs"),
+        ("train", {"epochs": True}, "epochs"),
+        ("train", {"grad_accum": 1.5}, "grad_accum"),
+        ("train", {"seed": True}, "seed"),
+        ("model", {"layers": 1.0}, "layers"),
+        ("corpus", {"examples_per_db": 4.5}, "examples_per_db"),
+        ("corpus", {"rows_per_table": [5, 8.5]}, "rows_per_table"),
     ])
     def test_bad_section_rejected_before_corpus_loads(self, capsys, corpus_never_loads,
                                                       workspace, tmp_path,
@@ -495,6 +502,7 @@ class TestTrainArtifacts:
         assert err.startswith(f"error: config section '{section}'")
         assert named in err
         assert "Traceback" not in err
+        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--train-fraction", "-2"),
                                             ("--train-fraction", "0"),
@@ -556,17 +564,21 @@ class TestTrainArtifacts:
         assert err.startswith("error: config section 'corpus'") and "empty" in err
         assert not (tmp_path / "corpus").exists()
 
-    @pytest.mark.parametrize("key, value", [("tables_per_db", [21, 22]),
-                                            ("columns_per_table", [13, 13]),
-                                            ("templates", ["projection", "joins"])],
-                             ids=["tables", "columns", "templates"])
+    @pytest.mark.parametrize("values, key", [
+        ({"tables_per_db": [21, 22]}, "tables_per_db"),
+        ({"columns_per_table": [13, 13]}, "columns_per_table"),
+        ({"templates": ["projection", "joins"]}, "templates"),
+        ({"num_databases": 1.5}, "num_databases"),
+        ({"templates": ["join"], "tables_per_db": [1, 1]}, "tables_per_db")],
+        ids=["tables", "columns", "templates", "non-integer-count", "join-on-one-table"])
     def test_corpus_the_generator_cannot_draw_writes_nothing(self, capsys, tmp_path,
-                                                             key, value):
-        """Ranges the name pools cannot fill and unknown templates are
+                                                             values, key):
+        """Ranges the name pools cannot fill, counts that are not integers,
+        unknown templates and a join-only set over one-table databases are
         rejected before any file is written."""
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps({"corpus": {"num_databases": 1, "examples_per_db": 6,
-                                              "split": 0.5, "seed": 1, key: value}}))
+                                              "split": 0.5, "seed": 1, **values}}))
         code, out, err = run(capsys, "gen-corpus", "--config", str(cfg),
                              "--out", str(tmp_path / "corpus"))
         assert code == 1 and out == ""

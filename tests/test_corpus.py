@@ -2,6 +2,7 @@ import json
 import sqlite3
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +176,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(templates=())
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
     def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             tiny_config(seed=seed)
@@ -187,20 +188,11 @@ class TestConfig:
         top = corpus_mod._MAX_COLUMNS
         cfg = tiny_config(tables_per_db=(len(corpus_mod._TABLE_POOL),) * 2,
                           columns_per_table=(top, top), seed=seed)
-        doc = corpus_mod._make_schema(0, cfg, np.random.default_rng(seed))
+        doc = corpus_mod._make_schema(cfg, np.random.default_rng(seed))
         assert len(doc.tables) == len(corpus_mod._TABLE_POOL)
         assert doc.tables[0].columns[-1].sql_type == "TEXT"
 
     def test_from_json_round_trip(self):
+        """JSON turns the tuples into lists; the config turns them back."""
         cfg = tiny_config()
-        clone = CorpusConfig.from_json(json.loads(json.dumps({
-            "num_databases": cfg.num_databases,
-            "tables_per_db": list(cfg.tables_per_db),
-            "columns_per_table": list(cfg.columns_per_table),
-            "rows_per_table": list(cfg.rows_per_table),
-            "examples_per_db": cfg.examples_per_db,
-            "split": cfg.split,
-            "seed": cfg.seed,
-            "templates": list(cfg.templates),
-        })))
-        assert clone == cfg
+        assert CorpusConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg

@@ -9,26 +9,20 @@ import sqlite3
 import pytest
 
 from joltsql import evaluation, metrics, pipeline
-from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import DbUnavailable, LengthMismatch
 from joltsql.evaluation import SWEEP_THRESHOLDS, evaluate, threshold_sweep
 from joltsql.metrics import execution_accuracy, pr_auc, precision_recall, roc_auc
 from joltsql.model import ModelConfig
-from joltsql.pipeline import (TrainConfig, infer, infer_thresholds, link_schema,
-                              load_corpus, train)
-from joltsql.tokenizer import Vocab
+from joltsql.pipeline import TrainConfig, infer, infer_thresholds, link_schema, train
 
 MAX_NEW = 12
 
 
 @pytest.fixture(scope="module")
-def desk(tmp_path_factory):
+def desk(desk_corpus):
     """Six desk dev examples and a seeded model trained briefly on the train
     split; at 0.5 it predicts nothing for at least one of them."""
-    generated = generate_corpus(CorpusConfig(), str(tmp_path_factory.mktemp("desk")))
-    vocab = Vocab.load(generated.vocab_path)
-    train_set = load_corpus(generated.train_path, vocab, generated.schemas)
-    dev_set = load_corpus(generated.dev_path, vocab, generated.schemas)
+    generated, vocab, train_set, dev_set = desk_corpus()
     params = train(train_set[:40], ModelConfig(vocab_size=len(vocab), dim=16, heads=2, layers=1),
                    TrainConfig(epochs=2, learning_rate=3e-3, grad_accum=1, seed=0)).params
     examples = dev_set[:6]

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from joltsql import pipeline
-from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import InvalidSegmentation
 from joltsql.masks import (build_causal_mask, build_joint_mask, render_ascii,
                            render_ppm, render_svg)
 from joltsql.model import ModelConfig, ModelParams
 from joltsql.sampling import draw_noise_count, example_rng, sample_noisy
-from joltsql.tokenizer import SegmentMap, Vocab
+from joltsql.tokenizer import SegmentMap
 
 
 def random_segment(rng: np.random.Generator,
@@ -97,10 +96,9 @@ def assert_equals_prechange(seg: SegmentMap, attended: set[int]):
 
 
 @pytest.fixture(scope="module")
-def desk_examples(tmp_path_factory):
-    generated = generate_corpus(CorpusConfig(), str(tmp_path_factory.mktemp("desk")))
-    vocab = Vocab.load(generated.vocab_path)
-    return pipeline.load_corpus(generated.train_path, vocab, generated.schemas)[:40], vocab
+def desk_examples(desk_corpus):
+    _, vocab, train_set, _ = desk_corpus()
+    return train_set[:40], vocab
 
 
 class TestJointMaskOracle:
@@ -171,27 +169,25 @@ class TestBlockBuilderEqualsPrechange:
             assert_equals_prechange(replace(seg, n=seg.query_start), set())
 
     @pytest.mark.parametrize("corpus_seed", [3, 7])
-    def test_on_every_desk_example(self, tmp_path, corpus_seed):
+    def test_on_every_desk_example(self, desk_corpus, corpus_seed):
         """Every train and dev example: the `assemble_segments` attended set
         with sampled noise, which must equal the gold-plus-noisy split
         steps used to store on the layout, and the prompt-only layout
         `encode_prompt` builds."""
-        generated = generate_corpus(CorpusConfig(seed=corpus_seed), str(tmp_path))
-        vocab = Vocab.load(generated.vocab_path)
+        corpus = desk_corpus(corpus_seed)
         with_noise = 0
-        for path in (generated.train_path, generated.dev_path):
-            for ex in pipeline.load_corpus(path, vocab, generated.schemas):
-                rng = example_rng(corpus_seed, ex.example_id, 1)
-                pool = ex.non_gt_columns()
-                k = draw_noise_count(len(ex.seg.marker_columns), 0.2, rng)
-                drawn = sample_noisy(list(range(len(pool))), [1.0] * len(pool), k, rng)
-                noisy = {pool[i] for i in drawn}
-                gold, noisy_only = prechange_attended(ex, noisy)
-                attended = pipeline.assemble_segments(ex, noisy)
-                assert attended == gold | noisy_only
-                assert_equals_prechange(ex.seg, attended)
-                assert_equals_prechange(replace(ex.seg, n=ex.seg.query_start), set())
-                with_noise += bool(noisy_only)
+        for ex in corpus.train + corpus.dev:
+            rng = example_rng(corpus_seed, ex.example_id, 1)
+            pool = ex.non_gt_columns()
+            k = draw_noise_count(len(ex.seg.marker_columns), 0.2, rng)
+            drawn = sample_noisy(list(range(len(pool))), [1.0] * len(pool), k, rng)
+            noisy = {pool[i] for i in drawn}
+            gold, noisy_only = prechange_attended(ex, noisy)
+            attended = pipeline.assemble_segments(ex, noisy)
+            assert attended == gold | noisy_only
+            assert_equals_prechange(ex.seg, attended)
+            assert_equals_prechange(replace(ex.seg, n=ex.seg.query_start), set())
+            with_noise += bool(noisy_only)
         assert with_noise > 100
 
 

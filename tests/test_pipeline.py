@@ -10,7 +10,6 @@ import pytest
 
 from joltsql import autodiff as ad
 from joltsql import model, pipeline
-from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import (DegenerateExample, EmptyPrediction, InvalidJson,
                             MalformedInput, MissingCacheEntry)
 from joltsql.masks import build_joint_mask
@@ -25,7 +24,7 @@ from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
                               prune_prompt, train)
 from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, SpanIndex, Table,
                             TableSpans, serialize_schema)
-from joltsql.tokenizer import EOS, MARKER, Vocab, build_vocab, decode
+from joltsql.tokenizer import EOS, MARKER, build_vocab, decode
 from test_model import tape_spy
 
 GOLD = "SELECT name FROM singer WHERE age > 30"
@@ -91,14 +90,12 @@ class TestBuildExample:
         assert ex.label == [int((t, c) in ex.link) for t, c, _ in ex.seg.marker_columns]
 
     @pytest.mark.parametrize("corpus_seed", [3, 7])
-    def test_label_equals_schema_walk_on_desk_corpora(self, tmp_path, corpus_seed):
+    def test_label_equals_schema_walk_on_desk_corpora(self, desk_corpus, corpus_seed):
         """Labels read off the markers equal the walk of the schema's tables
         and columns they were once built from, on every desk example."""
-        generated = generate_corpus(CorpusConfig(seed=corpus_seed), str(tmp_path))
-        vocab = Vocab.load(generated.vocab_path)
-        for path in (generated.train_path, generated.dev_path):
-            for ex in load_corpus(path, vocab, generated.schemas):
-                assert ex.label == schema_walk_label(ex.link, ex.schema_doc)
+        corpus = desk_corpus(corpus_seed)
+        for ex in corpus.train + corpus.dev:
+            assert ex.label == schema_walk_label(ex.link, ex.schema_doc)
 
     def test_query_ends_with_eos(self, example):
         last = max(example.seg.query)
@@ -181,13 +178,12 @@ class TestAssembleSegments:
 
 class TestOneLayoutPerDatabase:
     @pytest.mark.parametrize("corpus_seed", [3, 7])
-    def test_examples_read_the_shared_layout_at_schema_start(self, tmp_path, monkeypatch,
+    def test_examples_read_the_shared_layout_at_schema_start(self, desk_corpus, monkeypatch,
                                                              corpus_seed):
         """Every train example, dev example and inference shell holds its
         database's one layout, built without mapping or indexing it again,
         and reads the absolute positions of a shifted copy of it."""
-        generated = generate_corpus(CorpusConfig(seed=corpus_seed), str(tmp_path))
-        vocab = Vocab.load(generated.vocab_path)
+        generated, vocab, _, _ = desk_corpus(corpus_seed)
         layouts = {db: pipeline.tokenized_schema(doc).tables
                    for db, doc in generated.schemas.items()}
 
@@ -376,12 +372,10 @@ class TestCaptureWeights:
         want = [s for t, c, s in link_schema(params, ex) if (t, c) not in ex.link]
         assert capture_sampling_weights(params, ex) == want
 
-    def test_matches_full_sequence_capture(self, tmp_path):
+    def test_matches_full_sequence_capture(self, desk_corpus):
         """The prompt-only pass agrees with the capture's former forward of
         the whole sequence to rounding: marker rows never see query rows."""
-        generated = generate_corpus(CorpusConfig(), str(tmp_path))
-        vocab = Vocab.load(generated.vocab_path)
-        train_set = load_corpus(generated.train_path, vocab, generated.schemas)
+        _, vocab, train_set, _ = desk_corpus()
         params = train(train_set[:20], ModelConfig(vocab_size=len(vocab), dim=32, heads=4,
                                                    layers=2),
                        TrainConfig(epochs=1, learning_rate=3e-3, grad_accum=1)).params
@@ -412,11 +406,9 @@ class TestCaptureWeights:
 
 
 @pytest.fixture(scope="module")
-def desk_examples(tmp_path_factory):
+def desk_examples(desk_corpus):
     """One dev example per database of the desk corpus, and its vocab."""
-    generated = generate_corpus(CorpusConfig(), str(tmp_path_factory.mktemp("desk")))
-    vocab = Vocab.load(generated.vocab_path)
-    dev = load_corpus(generated.dev_path, vocab, generated.schemas)
+    _, vocab, _, dev = desk_corpus()
     examples = list({ex.db_id: ex for ex in dev[:20]}.values())
     assert max(ex.seg.query_start for ex in examples) >= 224
     return examples, vocab

@@ -4,7 +4,6 @@ from dataclasses import asdict
 
 import pytest
 
-from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import InvalidSchema, UnknownColumn
 from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example,
                               prepare_inference_example)
@@ -72,15 +71,9 @@ class TestSerialize:
 
 
 @pytest.fixture(scope="module")
-def desk_schemas(tmp_path_factory):
-    """The desk corpus schemas at seeds 3 and 7: they do not depend on the
-    number of examples drawn from them."""
-    docs = []
-    for seed in (3, 7):
-        out = tmp_path_factory.mktemp(f"desk{seed}")
-        docs += generate_corpus(CorpusConfig(seed=seed, examples_per_db=1),
-                                str(out)).schemas.values()
-    return docs
+def desk_schemas(desk_corpus):
+    """The desk corpus schemas at seeds 3 and 7."""
+    return [doc for seed in (3, 7) for doc in desk_corpus(seed).generated.schemas.values()]
 
 
 class TestSpanIndexJson:

@@ -177,16 +177,14 @@ def _both(spans, text):
 
 
 @pytest.fixture(scope="module")
-def desk_schemas(tmp_path_factory):
+def desk_schemas(desk_corpus, tmp_path_factory):
     """The desk corpus schemas for seeds 3, 7 and 11. Schemas and their
     value examples are drawn before any question, so one example per
-    database gives the same schemas as the full corpus."""
-    out = {}
-    for seed in (3, 7, 11):
-        generated = generate_corpus(CorpusConfig(seed=seed, examples_per_db=1),
-                                    str(tmp_path_factory.mktemp(f"seed{seed}")))
-        out.update({f"seed{seed}/{db}": doc for db, doc in generated.schemas.items()})
-    return out
+    database gives seed 11 the same schemas as its full corpus."""
+    schemas = {seed: desk_corpus(seed).generated.schemas for seed in (3, 7)}
+    schemas[11] = generate_corpus(CorpusConfig(seed=11, examples_per_db=1),
+                                  str(tmp_path_factory.mktemp("seed11"))).schemas
+    return {f"seed{seed}/{db}": doc for seed, docs in schemas.items() for db, doc in docs.items()}
 
 
 class TestSpanToTokenRange:
