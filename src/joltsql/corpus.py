@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sqlite3
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .jsonfile import iter_jsonl
 from .model import MAX_LEN
-from .pipeline import (PREFIX_TEMPLATE, build_training_example, example_to_json,
-                       tokenized_schema)
+from .pipeline import PREFIX_TEMPLATE, build_training_example, example_jsonl, tokenized_schema
 from .schema import Column, SchemaDocument, Table, with_value_examples
 from .tokenizer import build_vocab
 
@@ -128,8 +129,6 @@ def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
                     rng: np.random.Generator) -> SchemaDocument:
     """Create the sqlite file, fill rows, and return the schema with value
     examples sampled back from the database."""
-    if os.path.exists(path):
-        os.remove(path)
     conn = sqlite3.connect(path)
     try:
         row_counts: dict[str, int] = {}
@@ -261,22 +260,50 @@ class GeneratedCorpus:
 
 
 def generate_corpus(cfg: CorpusConfig, out_dir: str) -> GeneratedCorpus:
+    """Write the corpus under `out_dir`: `dbs/`, `schema/`, `vocab.json`,
+    `train.jsonl` and `dev.jsonl`. The files are written into a staging
+    directory inside `out_dir` and moved into place once all are written,
+    so a failure (an example over MAX_LEN, say) leaves `out_dir` as it was,
+    and does not leave it created."""
+    created = not os.path.isdir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".partial-", dir=out_dir)
+    try:
+        schemas = _write_corpus(cfg, stage)
+    except BaseException:
+        shutil.rmtree(stage)
+        if created:
+            os.rmdir(out_dir)
+        raise
+    for root, _, files in os.walk(stage):
+        dest = os.path.join(out_dir, os.path.relpath(root, stage))
+        os.makedirs(dest, exist_ok=True)
+        for name in files:
+            os.replace(os.path.join(root, name), os.path.join(dest, name))
+    shutil.rmtree(stage)
+    db_dir = os.path.join(out_dir, "dbs")
+    return GeneratedCorpus(out_dir, os.path.join(out_dir, "train.jsonl"),
+                           os.path.join(out_dir, "dev.jsonl"),
+                           os.path.join(out_dir, "vocab.json"),
+                           os.path.join(out_dir, "schema"), db_dir, schemas,
+                           {db_id: os.path.join(db_dir, f"{db_id}.sqlite") for db_id in schemas})
+
+
+def _write_corpus(cfg: CorpusConfig, out_dir: str) -> dict[str, SchemaDocument]:
+    """Write every corpus file under `out_dir`; returns the schemas by db id."""
     db_dir = os.path.join(out_dir, "dbs")
     schema_dir = os.path.join(out_dir, "schema")
-    os.makedirs(db_dir, exist_ok=True)
-    os.makedirs(schema_dir, exist_ok=True)
+    os.makedirs(db_dir)
+    os.makedirs(schema_dir)
 
     raw: list[dict] = []  # db_id, question, gold_sql
     schemas: dict[str, SchemaDocument] = {}
-    db_paths: dict[str, str] = {}
     for di in range(cfg.num_databases):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, di]))
         db_id = f"db{di:03d}"
         doc = _make_schema(cfg, rng)
-        db_path = os.path.join(db_dir, f"{db_id}.sqlite")
-        doc = _materialize_db(db_path, doc, cfg, rng)
+        doc = _materialize_db(os.path.join(db_dir, f"{db_id}.sqlite"), doc, cfg, rng)
         schemas[db_id] = doc
-        db_paths[db_id] = db_path
         with open(os.path.join(schema_dir, f"{db_id}.json"), "w") as f:
             json.dump(doc.to_json(), f, indent=1)
         made = 0
@@ -308,8 +335,7 @@ def generate_corpus(cfg: CorpusConfig, out_dir: str) -> GeneratedCorpus:
     for doc in schemas.values():
         texts.append(tokenized_schema(doc).text)
     vocab = build_vocab(texts)
-    vocab_path = os.path.join(out_dir, "vocab.json")
-    vocab.save(vocab_path)
+    vocab.save(os.path.join(out_dir, "vocab.json"))
 
     def write_jsonl(path: str, records: list[dict]):
         with open(path, "w") as f:
@@ -320,14 +346,11 @@ def generate_corpus(cfg: CorpusConfig, out_dir: str) -> GeneratedCorpus:
                 if len(ex.tokens.ids) > MAX_LEN:
                     raise ConfigError(f"example {r['example_id']} is {len(ex.tokens.ids)} "
                                       f"tokens (max {MAX_LEN})")
-                f.write(json.dumps(example_to_json(ex)) + "\n")
+                f.write(example_jsonl(ex) + "\n")
 
-    train_path = os.path.join(out_dir, "train.jsonl")
-    dev_path = os.path.join(out_dir, "dev.jsonl")
-    write_jsonl(train_path, train_raw)
-    write_jsonl(dev_path, dev_raw)
-    return GeneratedCorpus(out_dir, train_path, dev_path, vocab_path,
-                           schema_dir, db_dir, schemas, db_paths)
+    write_jsonl(os.path.join(out_dir, "train.jsonl"), train_raw)
+    write_jsonl(os.path.join(out_dir, "dev.jsonl"), dev_raw)
+    return schemas
 
 
 def corpus_stats(jsonl_path: str) -> dict:

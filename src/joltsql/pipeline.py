@@ -1,8 +1,10 @@
 """End-to-end training and inference.
 
 The examples over a database share its one serialized and tokenized
-schema (`tokenized_schema`), so an example tokenizes only its prefix and
-query.
+schema (`tokenized_schema`), so an example tokenizes and looks up only its
+prefix and query; its gold links are compiled once per distinct gold SQL
+(`sqlscope.extract_ground_truth`), and its corpus record splices in the
+per-database fields as text made once (`example_jsonl`).
 
 Training follows the joint recipe: in epoch 1 the linking pass fills the
 weight cache with linking probabilities; every step draws a noisy column
@@ -35,6 +37,7 @@ threshold; evaluation runs it at every threshold it scores.
 """
 from __future__ import annotations
 
+import json
 import time
 import weakref
 from dataclasses import dataclass, field, replace
@@ -43,7 +46,8 @@ from itertools import islice
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegenerateExample, EmptyPrediction, MalformedInput, NonFiniteLoss
+from .errors import (DegenerateExample, EmptyPrediction, InvalidSchema, JoltError,
+                     MalformedInput, NonFiniteLoss)
 from .jsonfile import count_jsonl, iter_jsonl
 from .masks import build_joint_mask, query_view
 from .model import (ModelConfig, ModelParams, PromptEncoding, forward, greedy_generate,
@@ -118,7 +122,11 @@ class TrainingExample:
 
 def tokenized_schema(schema_doc: SchemaDocument) -> SchemaTokens:
     """The document's serialized and tokenized schema, made once while the
-    document (or an equal one) lives."""
+    document (or an equal one) lives. The lookup hashes only the table
+    names (`SchemaDocument.__hash__`); equal documents share the result.
+    What its examples share rides with it: `Vocab.schema_ids` keys its word
+    ids on its `words`, and its `record_fields` holds the corpus record
+    fields by `schema_start`."""
     found = _tokenized.get(schema_doc)
     if found is None:
         found = _tokenized[schema_doc] = tokenize_schema(*serialize_schema(schema_doc))
@@ -364,15 +372,29 @@ def prepare_inference_example(question: str, schema_doc: SchemaDocument,
 
 # ---------------------------------------------------------------- serialization
 
-def example_to_json(ex: TrainingExample) -> dict:
-    """JSON-lines record mirroring the training-data file format."""
+def _record_fields(schema: SchemaTokens, base: int) -> tuple[str, str]:
+    """The JSON text of the two record fields every example over `schema`
+    with `schema_start` `base` shares: its layout's token spans made
+    absolute (markers left out), and the character spans. Made once per
+    database and `base`, held in `schema.record_fields`."""
+    found = schema.record_fields.get(base)
+    if found is None:
+        token_spans = {t: {k: v for k, v in vars(ts.map(lambda s: [base + s[0], base + s[1]])).items()
+                           if k != "markers"}
+                       for t, ts in schema.tables.items()}
+        found = schema.record_fields[base] = (json.dumps(token_spans),
+                                              json.dumps(schema.spans.to_json()))
+    return found
+
+
+def example_jsonl(ex: TrainingExample) -> str:
+    """The example's corpus record as one line of JSON, exactly as
+    `json.dumps` writes `example_to_json`'s dict. The example's own fields
+    are dumped; the two per-database fields are `_record_fields`' text,
+    spliced in."""
     prefix_text = PREFIX_TEMPLATE.format(question=ex.question)
     schema = tokenized_schema(ex.schema_doc)
-    base = ex.seg.schema_start  # the file's token spans are absolute
-    token_spans = {t: {k: v for k, v in vars(ts.map(lambda s: [base + s[0], base + s[1]])).items()
-                       if k != "markers"}
-                   for t, ts in ex.seg.table_elements.items()}
-    return {
+    own = json.dumps({
         "example_id": ex.example_id,
         "db_id": ex.db_id,
         "question": ex.question,
@@ -382,10 +404,17 @@ def example_to_json(ex: TrainingExample) -> dict:
         "gold_sql": ex.gold_sql,
         "link": sorted(f"{t}.{c}" for t, c in ex.link),
         "label": ex.label,
-        "schema_element_token_spans": token_spans,
-        "query_span": [ex.seg.query_start, ex.seg.n] if ex.seg.query else [0, 0],
-        "char_spans": schema.spans.to_json(),
-    }
+    })
+    token_spans, char_spans = _record_fields(schema, ex.seg.schema_start)
+    query_span = [ex.seg.query_start, ex.seg.n] if ex.seg.query else [0, 0]
+    return (f'{own[:-1]}, "schema_element_token_spans": {token_spans}, '
+            f'"query_span": {json.dumps(query_span)}, "char_spans": {char_spans}}}')
+
+
+def example_to_json(ex: TrainingExample) -> dict:
+    """JSON-lines record mirroring the training-data file format: the
+    parsed `example_jsonl` line, so no two records share an object."""
+    return json.loads(example_jsonl(ex))
 
 
 def load_corpus(path: str, vocab: Vocab,
@@ -395,8 +424,10 @@ def load_corpus(path: str, vocab: Vocab,
     record at a time as the file is read; a `fraction` below 1 keeps that
     share of the records (at least one), counted first. Raises
     MalformedInput naming the file and the record (counted from 1) when a
-    record is not an object, lacks a key or names a database that has no
-    schema."""
+    record is not an object, lacks a key, holds a key's value that is not a
+    string or names a database that has no schema; a gold SQL's error
+    (`extract_ground_truth`'s, or DegenerateExample) is raised again with
+    that location and the key."""
     examples = []
     records = iter_jsonl(path)
     if fraction < 1.0:
@@ -408,9 +439,17 @@ def load_corpus(path: str, vocab: Vocab,
         for key in ("example_id", "db_id", "question", "gold_sql"):
             if key not in obj:
                 raise MalformedInput(f"{where}: missing key {key!r}")
+            if not isinstance(obj[key], str):
+                raise MalformedInput(f"{where}, key {key!r}: expected a string, "
+                                     f"got {type(obj[key]).__name__}")
         if obj["db_id"] not in schemas:
             raise MalformedInput(f"{where}: no schema for db_id {obj['db_id']!r}")
-        examples.append(build_training_example(obj["question"], schemas[obj["db_id"]],
-                                               obj["gold_sql"], vocab, obj["example_id"],
-                                               obj["db_id"]))
+        try:
+            examples.append(build_training_example(obj["question"], schemas[obj["db_id"]],
+                                                   obj["gold_sql"], vocab, obj["example_id"],
+                                                   obj["db_id"]))
+        except InvalidSchema:
+            raise  # the database's schema, not the record
+        except JoltError as e:
+            raise type(e)(f"{where}, key 'gold_sql': {e}") from None
     return examples

@@ -53,6 +53,14 @@ class SchemaDocument:
         if len(set(names)) != len(names):
             raise ValueError("duplicate table names in schema")
 
+    def __hash__(self) -> int:
+        """The hash of the table names alone, a few strings however many
+        columns there are. Equality stays structural, so equal documents
+        share the caches keyed on them (`pipeline.tokenized_schema`,
+        `sqlscope`'s compilers) and documents that differ only in a column
+        get their own."""
+        return hash(tuple(t.name for t in self.tables))
+
     def table(self, name: str) -> Table | None:
         low = name.lower()
         for t in self.tables:

@@ -16,7 +16,11 @@ authorizer stays the write guard and records the columns the optimizer
 drops from the program, as in `SELECT count(*) FROM (SELECT name FROM t)`.
 
 A schema's database belongs to the thread that first labels the schema;
-labelling it from another thread raises SqlSyntaxError.
+compiling a query for it from another thread raises SqlSyntaxError.
+
+Each schema's links are memoised per SQL string beside its database, so a
+gold query that many examples share compiles once while the schema (or an
+equal one) lives.
 """
 from __future__ import annotations
 
@@ -51,7 +55,8 @@ _SELECT_RE = re.compile(r"(?:\s|--[^\n]*|/\*.*?\*/)*(?:SELECT|WITH|VALUES)\b", r
 # joins whose keys only the program shows; reading it costs 3x the compile
 _PAIRED_JOIN_RE = re.compile(r"\b(?:USING|NATURAL)\b", re.I)
 
-# one empty copy of each live schema, closed once the schema is collected
+# one empty copy of each live schema, closed once the schema is collected,
+# with its links by SQL string
 _compilers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -59,9 +64,10 @@ def _quoted(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list, dict]:
+def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list, dict, dict]:
     """The schema's connection, the list its authorizer appends each
-    (table, column) a statement reads to, and its tables by root page."""
+    (table, column) a statement reads to, its tables by root page, and its
+    links memo: SQL string -> frozenset of the links it compiled to."""
     found = _compilers.get(schema)
     if found is not None:
         return found
@@ -87,8 +93,8 @@ def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list, dict]:
         return read_only(action)
 
     conn.set_authorizer(authorize)
-    _compilers[schema] = conn, reads, tables
-    return conn, reads, tables
+    found = _compilers[schema] = conn, reads, tables, {}
+    return found
 
 
 def extract_ground_truth(sql: str, schema: SchemaDocument) -> set[tuple[str, str]]:
@@ -100,8 +106,14 @@ def extract_ground_truth(sql: str, schema: SchemaDocument) -> set[tuple[str, str
     Raises UnknownTable, UnknownColumn or AmbiguousColumn as SQLite resolves
     names (a compound's ORDER BY term that names no output column is an
     UnknownColumn), and SqlSyntaxError with SQLite's message otherwise.
+
+    A SQL string compiles once per schema: later calls return a fresh set
+    of its memoised links. An error is not memoised, so it raises again.
     """
-    conn, reads, tables = _compiler(schema)
+    conn, reads, tables, memo = _compiler(schema)
+    found = memo.get(sql)
+    if found is not None:
+        return set(found)
     reads.clear()
     try:
         program = conn.execute("EXPLAIN " + sql)
@@ -122,4 +134,5 @@ def extract_ground_truth(sql: str, schema: SchemaDocument) -> set[tuple[str, str
             raise UnknownTable(f"no such table in the schema: {table}")
         if not schema.has_column(table, column):
             raise UnknownColumn(f"no such column in the schema: {table}.{column}")
+    memo[sql] = frozenset(links)
     return links

@@ -6,6 +6,8 @@ where a column's marker stands. Deterministic vocab: reserved ids first,
 then corpus tokens by descending frequency, ties broken lexicographically.
 A schema is split and its layout bisected once (`tokenize_schema`); an example
 tokenizes only its prefix and query around it and reads that layout in place.
+Its words' ids are looked up once per vocab (`Vocab.schema_ids`, keyed on the
+words), so encoding an example looks up only its prefix and query words.
 """
 from __future__ import annotations
 
@@ -36,6 +38,9 @@ def split_words(text: str) -> list[tuple[str, int, int]]:
 class Vocab:
     token_to_id: dict[str, int]
     id_to_token: dict[int, str] = field(init=False)
+    # a schema's words -> their ids, filled by `schema_ids`
+    _schema_ids: dict[tuple[str, ...], tuple[int, ...]] = field(
+        init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.id_to_token = {i: t for t, i in self.token_to_id.items()}
@@ -47,6 +52,16 @@ class Vocab:
 
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK)
+
+    def schema_ids(self, words: tuple[str, ...]) -> tuple[int, ...]:
+        """The ids of a schema's words, the marker literal unknown as
+        `encode` gives it anywhere, looked up once per distinct `words`."""
+        found = self._schema_ids.get(words)
+        if found is None:
+            get = self.token_to_id.get
+            found = self._schema_ids[words] = tuple(
+                UNK if w == MARKER_TEXT else get(w, UNK) for w in words)
+        return found
 
     def save(self, path: str):
         with open(path, "w") as f:
@@ -66,7 +81,7 @@ class Vocab:
 def build_vocab(corpus: list[str]) -> Vocab:
     counts: Counter[str] = Counter()
     for text in corpus:
-        for tok, _, _ in split_words(text):
+        for tok in _WORD_RE.findall(text):
             if tok != MARKER_TEXT:
                 counts[tok] += 1
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -167,12 +182,16 @@ def _span_to_token_range(span: tuple[int, int], starts: list[int],
 class SchemaTokens:
     """A database's marked schema, shared and only read by every example
     over it: its text and character spans, its words (not ids, so any vocab
-    serves), and each table's layout in positions from its first word."""
+    serves), and each table's layout in positions from its first word.
+    Only its memo `record_fields` grows: `pipeline.example_jsonl` keeps
+    there, by `schema_start`, the text its examples' corpus records share."""
 
     text: str
     spans: SpanIndex
     words: tuple[str, ...]
     tables: dict[str, TableSpans]
+    record_fields: dict[int, tuple[str, str]] = field(default_factory=dict, repr=False,
+                                                      compare=False)
 
 
 def tokenize_schema(schema_text: str, spans: SpanIndex) -> SchemaTokens:
@@ -190,6 +209,10 @@ def tokenize_schema(schema_text: str, spans: SpanIndex) -> SchemaTokens:
     return SchemaTokens(schema_text, spans, tuple(w for w, _, _ in words), tables)
 
 
+def _word_ids(text: str, vocab: Vocab) -> list[int]:
+    return [UNK if w == MARKER_TEXT else vocab.lookup(w) for w in _WORD_RE.findall(text)]
+
+
 def encode(prefix: str, schema: SchemaTokens, query: str,
            vocab: Vocab) -> tuple[TokenSequence, SegmentMap]:
     """Tokenize the prefix and the query around the tokenized schema and
@@ -197,11 +220,12 @@ def encode(prefix: str, schema: SchemaTokens, query: str,
     `SegmentMap.table_elements` is `schema.tables`, read at `schema_start`,
     and each column's marker position is its layout's marker plus
     `schema_start`. Only the columns' markers get the marker id; a marker
-    literal anywhere else (in the question or a value example) is unknown."""
-    prefix_words = [w for w, _, _ in split_words(prefix)]
-    base = len(prefix_words)  # position of the first schema token
-    words = prefix_words + list(schema.words) + [w for w, _, _ in split_words(query)]
-    ids = [UNK if w == MARKER_TEXT else vocab.lookup(w) for w in words]
+    literal anywhere else (in the question or a value example) is unknown.
+    Only the prefix and query words are looked up; the schema's ids are
+    `vocab.schema_ids(schema.words)`."""
+    prefix_ids = _word_ids(prefix, vocab)
+    base = len(prefix_ids)  # position of the first schema token
+    ids = [*prefix_ids, *vocab.schema_ids(schema.words), *_word_ids(query, vocab)]
     marker_columns = [(t, c, base + lo) for t, ts in schema.tables.items()
                       for c, (lo, _) in ts.markers.items()]
     for _, _, pos in marker_columns:

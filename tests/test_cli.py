@@ -585,6 +585,52 @@ class TestTrainArtifacts:
         assert err.startswith("error: config section 'corpus'") and key in err
         assert not (tmp_path / "corpus").exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_over_long_example_writes_nothing(self, capsys, tmp_path, existing):
+        """An example over MAX_LEN, found only once the databases exist,
+        leaves --out as it was: not created, or holding only what it held."""
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"corpus": {"tables_per_db": [6, 6],
+                                              "columns_per_table": [9, 9],
+                                              "num_databases": 1, "examples_per_db": 3}}))
+        out_dir = tmp_path / "corpus"
+        if existing:
+            out_dir.mkdir()
+            (out_dir / "keep.txt").write_text("kept")
+        code, out, err = run(capsys, "gen-corpus", "--config", str(cfg),
+                             "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err.startswith("error: example db000-") and err.endswith(f"(max {MAX_LEN})\n")
+        if existing:
+            assert sorted(os.listdir(out_dir)) == ["keep.txt"]
+            assert (out_dir / "keep.txt").read_text() == "kept"
+        else:
+            assert not out_dir.exists()
+
+    @pytest.mark.parametrize("change,named", [
+        ({"gold_sql": 5}, "key 'gold_sql': expected a string, got int"),
+        ({"db_id": ["x"]}, "key 'db_id': expected a string, got list"),
+        ({"question": 7}, "key 'question': expected a string, got int"),
+        ({"gold_sql": "SELECT nosuch FROM {table}"}, "key 'gold_sql': no such column: nosuch")],
+        ids=["int-gold-sql", "list-db-id", "int-question", "unknown-column"])
+    def test_bad_record_named_by_file_record_and_key(self, capsys, workspace, tmp_path,
+                                                     change, named):
+        record = json.loads((workspace["corpus"] / "train.jsonl").read_text().splitlines()[0])
+        table = json.loads((workspace["corpus"] / "schema" / f"{record['db_id']}.json")
+                           .read_text())["tables"][0]["name"]
+        record.update({k: v.format(table=table) if isinstance(v, str) else v
+                       for k, v in change.items()})
+        corpus = tmp_path / "train.jsonl"
+        corpus.write_text(json.dumps(record) + "\n")
+        out_dir = tmp_path / "ckpt"
+        code, out, err = run(capsys, "train", "--corpus", str(corpus),
+                             "--vocab", str(workspace["corpus"] / "vocab.json"),
+                             "--schema-dir", str(workspace["corpus"] / "schema"),
+                             "--config", str(workspace["config"]), "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err == f"error: {corpus}, record 1, {named}\n"
+        assert not out_dir.exists()
+
     def test_empty_corpus_file_writes_nothing(self, capsys, workspace, tmp_path):
         empty = tmp_path / "train.jsonl"
         empty.write_text("")

@@ -10,14 +10,14 @@ import pytest
 
 from joltsql import autodiff as ad
 from joltsql import model, pipeline
-from joltsql.errors import (DegenerateExample, EmptyPrediction, InvalidJson,
+from joltsql.errors import (DegenerateExample, EmptyPrediction, InvalidJson, InvalidSchema,
                             MalformedInput, MissingCacheEntry)
 from joltsql.masks import build_joint_mask
 from joltsql.model import ModelConfig, ModelParams, forward, greedy_generate, prompt_pass
 from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
                               assemble_segments, build_training_example,
                               capture_sampling_weights, encode_prompt,
-                              example_to_json,
+                              example_jsonl, example_to_json,
                               full_schema_prompt, generate_sql, infer, infer_thresholds,
                               link_schema,
                               load_corpus, prepare_inference_example,
@@ -829,6 +829,28 @@ class TestSerialization:
             assert decode(ex.tokens.ids[a:b], vocab).startswith(
                 f"FOREIGN KEY ( p{i}_id )")
 
+    def test_records_share_no_object(self, example, join_example):
+        """The per-database fields are built once, yet mutating one record
+        at any depth leaves the next record of either example as it was."""
+        want = {ex.example_id: json.dumps(example_to_json(ex))
+                for ex in (example, join_example)}
+        first = example_to_json(example)
+        first["char_spans"]["singer"]["header"].append(0)
+        first["char_spans"]["singer"]["columns"].clear()
+        first["schema_element_token_spans"]["singer"]["fk"].append([0, 1])
+        first["schema_element_token_spans"].pop("concert")
+        first["label"].append(1)
+        for ex in (example, join_example):
+            assert json.dumps(example_to_json(ex)) == want[ex.example_id]
+
+    def test_line_is_what_json_dumps_writes(self, desk_corpus, example, join_example):
+        """The spliced line is byte for byte `json.dumps` of its record, on
+        every example of a desk corpus: each schema_start, each database."""
+        desk = desk_corpus(3)
+        for ex in [example, join_example, *desk.train, *desk.dev]:
+            line = example_jsonl(ex)
+            assert line == json.dumps(json.loads(line)), ex.example_id
+
     def test_link_serialized_sorted_dotted(self, example):
         obj = example_to_json(example)
         assert obj["link"] == ["singer.age", "singer.name"]
@@ -883,6 +905,17 @@ class TestSerialization:
         with pytest.raises(MalformedInput) as e:
             load_corpus(str(path), vocab, {"db-0": concert_schema})
         assert str(e.value) == f"{path}, record 2: {named}"
+
+    def test_load_corpus_leaves_a_schema_error_to_the_schema(self, example, vocab, tmp_path):
+        """A schema SQLite cannot create fails every record over it; its
+        error names the table, and no record key."""
+        broken = SchemaDocument((Table("ok", (Column("a", "TEXT"),)), Table("empty", ())))
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(dict(example_to_json(example), db_id="db-0",
+                                        gold_sql="SELECT a FROM ok")) + "\n")
+        with pytest.raises(InvalidSchema) as e:
+            load_corpus(str(path), vocab, {"db-0": broken})
+        assert str(e.value).startswith("table 'empty': ")
 
     def test_load_corpus_rejects_a_record_that_is_not_an_object(self, vocab, concert_schema,
                                                                 tmp_path):

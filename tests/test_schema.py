@@ -1,14 +1,16 @@
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
+from joltsql import sqlscope
 from joltsql.errors import InvalidSchema, UnknownColumn
 from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example,
-                              prepare_inference_example)
+                              prepare_inference_example, tokenized_schema)
 from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, SpanIndex, Table,
                             sample_value_examples, serialize_schema)
+from joltsql.sqlscope import extract_ground_truth
 from joltsql.tokenizer import build_vocab, encode, tokenize_schema
 
 
@@ -96,6 +98,38 @@ class TestSpanIndexJson:
         out["singer"]["fk"].append([0, 1])
         assert spans.to_json() != out
         assert SpanIndex.from_json(spans.to_json()) == spans
+
+
+class TestSchemaHash:
+    def test_equal_documents_hash_alike_and_share_caches(self, concert_schema):
+        copy = SchemaDocument.from_json(json.loads(json.dumps(concert_schema.to_json())))
+        assert copy == concert_schema and copy is not concert_schema
+        assert hash(copy) == hash(concert_schema)
+        assert tokenized_schema(copy) is tokenized_schema(concert_schema)
+        extract_ground_truth("SELECT name FROM singer", copy)
+        assert sqlscope._compilers[copy] is sqlscope._compilers[concert_schema]
+
+    @pytest.mark.parametrize("change", [dict(name="nick"), dict(sql_type="INTEGER"),
+                                        dict(examples=("'x'",))],
+                             ids=["name", "type", "examples"])
+    def test_documents_differing_in_one_column_get_their_own_caches(self, concert_schema,
+                                                                     change):
+        """The hash reads only the table names, so these collide; equality
+        still tells them apart."""
+        singer = concert_schema.tables[0]
+        columns = (replace(singer.columns[1], **change), *singer.columns[2:])
+        other = SchemaDocument((replace(singer, columns=(singer.columns[0], *columns)),
+                                *concert_schema.tables[1:]))
+        assert other != concert_schema and hash(other) == hash(concert_schema)
+        assert tokenized_schema(other) is not tokenized_schema(concert_schema)
+        assert tokenized_schema(other).text != tokenized_schema(concert_schema).text
+        sql = f"SELECT {columns[0].name} FROM singer"
+        assert extract_ground_truth(sql, other) == {("singer", columns[0].name)}
+        extract_ground_truth("SELECT id FROM singer", concert_schema)
+        assert sqlscope._compilers[other][0] is not sqlscope._compilers[concert_schema][0]
+        if "name" in change:
+            with pytest.raises(UnknownColumn):
+                extract_ground_truth(sql, concert_schema)
 
 
 class TestSchemaFromJson:

@@ -1,5 +1,6 @@
 import gc
 import sqlite3
+import weakref
 
 import pytest
 
@@ -443,3 +444,61 @@ class TestProperties:
             extract_ground_truth("SELECT city FROM stadium", concert_schema),
         ]
         assert full == set().union(*parts)
+
+
+class TestLinksMemo:
+    def test_desk_corpus_compiles_each_distinct_gold_query_once(self, monkeypatch, tmp_path):
+        """Generating the seed-3 desk corpus and loading its train split
+        builds 1,100 examples over 272 distinct (database, gold SQL) pairs;
+        each pair compiles once. SQLite's trace callback never fires for an
+        EXPLAIN, so the compiles are counted at the connection."""
+        from joltsql.corpus import CorpusConfig, generate_corpus
+        from joltsql.jsonfile import iter_jsonl
+        from joltsql.pipeline import load_corpus
+        from joltsql.tokenizer import Vocab
+
+        compiled = []
+
+        class CountingConnection:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def execute(self, sql):
+                compiled.append(sql)
+                return self.conn.execute(sql)
+
+        compiler = sqlscope._compiler
+
+        def counting_compiler(schema):
+            conn, *rest = compiler(schema)
+            return (CountingConnection(conn), *rest)
+        # fresh compilers: the session's desk corpora hold equal schemas
+        monkeypatch.setattr(sqlscope, "_compilers", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(sqlscope, "_compiler", counting_compiler)
+        generated = generate_corpus(CorpusConfig(seed=3), str(tmp_path))
+        train = load_corpus(generated.train_path, Vocab.load(generated.vocab_path),
+                            generated.schemas)
+        pairs = {(r["db_id"], r["gold_sql"])
+                 for path in (generated.train_path, generated.dev_path)
+                 for r in iter_jsonl(path)}
+        assert len(train) == 500 and len(pairs) == 272
+        assert len(compiled) == len(pairs)
+        assert all(sql.startswith("EXPLAIN ") for sql in compiled)
+
+    def test_returned_set_is_fresh(self, concert_schema):
+        sql = "SELECT name FROM singer WHERE age > 30"
+        first = extract_ground_truth(sql, concert_schema)
+        first.add(("singer", "country"))
+        first.discard(("singer", "name"))
+        assert extract_ground_truth(sql, concert_schema) == {("singer", "name"),
+                                                             ("singer", "age")}
+
+    @pytest.mark.parametrize("sql,error,message", [
+        ("SELECT nosuch FROM singer", UnknownColumn, "no such column: nosuch"),
+        ("SELECT name FROM", SqlSyntaxError, "incomplete input"),
+        ("VACUUM", SqlSyntaxError, "not a SELECT statement")],
+        ids=["unknown-column", "syntax", "compiles-but-not-a-select"])
+    def test_error_raises_on_every_call(self, concert_schema, sql, error, message):
+        for _ in range(3):
+            with pytest.raises(error, match=message):
+                extract_ground_truth(sql, concert_schema)

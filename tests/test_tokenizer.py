@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import SpanMisaligned
+from joltsql.pipeline import PREFIX_TEMPLATE, tokenized_schema
 from joltsql.schema import MARKER_TEXT, Column, SchemaDocument, Table, serialize_schema
 from joltsql.tokenizer import (BOS, EOS, MARKER, PAD, UNK, Vocab,
                                _span_to_token_range, build_vocab, decode,
@@ -129,6 +130,61 @@ class TestEncode:
         bad = _shift_header(spans, next(iter(spans.tables)))
         with pytest.raises(SpanMisaligned):
             tokenize_schema(text, bad)
+
+
+def _reference_ids(prefix, schema, query, vocab):
+    """`encode`'s ids by one `Vocab.lookup` per word, the marker literal
+    unknown and the columns' markers the marker id."""
+    words = [w for text in (prefix, schema.text, query) for w, _, _ in split_words(text)]
+    ids = [UNK if w == MARKER_TEXT else vocab.lookup(w) for w in words]
+    base = len(split_words(prefix))
+    for ts in schema.tables.values():
+        for lo, _ in ts.markers.values():
+            ids[base + lo] = MARKER
+    return ids
+
+
+class TestSchemaIds:
+    def test_equal_per_word_lookup_on_every_desk_example(self, desk_corpus):
+        desk = desk_corpus(3)
+        for ex in desk.train + desk.dev:
+            want = _reference_ids(PREFIX_TEMPLATE.format(question=ex.question),
+                                  tokenized_schema(ex.schema_doc), ex.gold_sql, desk.vocab)
+            assert ex.tokens.ids == want + [EOS], ex.example_id
+
+    def test_equal_per_word_lookup_with_marker_literal_and_unknown_words(self):
+        schema_doc = SchemaDocument((Table("t", (Column("a", "TEXT", (MARKER_TEXT, "x")),
+                                                 Column("b", "TEXT"))),))
+        schema = tokenize_schema(*serialize_schema(schema_doc))
+        vocab = build_vocab([PREFIX, QUERY, schema.text])
+        for prefix, query in [(f"what is {MARKER_TEXT} zzyzx ?", "SELECT qqq FROM t"),
+                              (PREFIX, f"SELECT {MARKER_TEXT} , a FROM t")]:
+            tokens, _ = encode(prefix, schema, query, vocab)
+            assert tokens.ids == _reference_ids(prefix, schema, query, vocab)
+            assert UNK in tokens.ids
+
+    def test_lookup_sees_only_prefix_and_query_words(self, concert_schema, monkeypatch):
+        schema = tokenize_schema(*serialize_schema(concert_schema))
+        vocab = make_vocab(concert_schema)
+        seen = []
+        lookup = Vocab.lookup
+        monkeypatch.setattr(Vocab, "lookup", lambda self, w: seen.append(w) or lookup(self, w))
+        for _ in range(2):
+            seen.clear()
+            tokens, _ = encode(PREFIX, schema, QUERY, vocab)
+            assert seen == [w for text in (PREFIX, QUERY) for w, _, _ in split_words(text)]
+        assert tokens.ids == _reference_ids(PREFIX, schema, QUERY, vocab)
+
+    def test_memo_is_keyed_on_the_words(self, concert_schema):
+        """Equal word tuples share one id tuple, whichever tokenization
+        they came from; each vocab keeps its own."""
+        first = tokenize_schema(*serialize_schema(concert_schema))
+        second = tokenize_schema(*serialize_schema(concert_schema))
+        vocab = make_vocab(concert_schema)
+        assert first.words is not second.words
+        assert vocab.schema_ids(first.words) is vocab.schema_ids(second.words)
+        other = build_vocab([QUERY])
+        assert other.schema_ids(first.words) != vocab.schema_ids(first.words)
 
 
 def _shift_header(spans, table_name):

@@ -9,7 +9,10 @@ It reads the `joltsql` source next to it, so each checkout digests its own
 code. The first line is `cli.platform_record()`: outputs repeat only on one
 platform, so compare digests from one machine. Then, one line each:
 
-- every file `generate_corpus` writes (desk config) at corpus seeds 1-10;
+- every file `generate_corpus` writes (desk config) at corpus seeds 1-10,
+  and the train and dev examples `load_corpus` rebuilds from them: each
+  example's token ids, `SegmentMap` cut points, marker columns, label and
+  link;
 - at model seeds 3 and 7, the training log and the parameters of the desk
   model (the benchmark's criterion-10 recipe, `perfbench/workloads.py`) on
   the first 60 train examples, and on all dev examples: `threshold_sweep`
@@ -21,7 +24,7 @@ rounding shows apart from a changed outcome: `decisions` over each
 example's SQL, predicted column names, fallback flag and (records) verdict,
 and `scores` over the predicted columns' float scores.
 
-It takes about 25 seconds on a 2-core Xeon.
+It takes about 30 seconds on a 2-core Xeon.
 """
 from __future__ import annotations
 
@@ -62,14 +65,25 @@ def scores(predicted_columns) -> list:
     return [s for _, _, s in predicted_columns]
 
 
+def example_fields(ex) -> list:
+    seg = ex.seg
+    return [ex.example_id, ex.tokens.ids, [seg.n, seg.schema_start, seg.query_start],
+            seg.marker_columns, ex.label, sorted(ex.link)]
+
+
 def corpus_digests(seed: int, out: str):
-    generate_corpus(CorpusConfig(seed=seed), out)
+    generated = generate_corpus(CorpusConfig(seed=seed), out)
     for root, dirs, files in os.walk(out):
         dirs.sort()
         for name in sorted(files):
             path = os.path.join(root, name)
             with open(path, "rb") as f:
                 yield f"corpus seed={seed} {os.path.relpath(path, out)}", sha(f.read())
+    vocab = Vocab.load(generated.vocab_path)
+    examples = [ex for path in (generated.train_path, generated.dev_path)
+                for ex in pipeline.load_corpus(path, vocab, generated.schemas)]
+    yield f"corpus seed={seed} loaded examples", json_sha(
+        [example_fields(ex) for ex in examples])
 
 
 def model_digests(seed: int, out: str):
