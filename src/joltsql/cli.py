@@ -247,17 +247,8 @@ def cmd_infer(args) -> int:
     schema = SchemaDocument.load(args.schema)
     ex = pipeline.prepare_inference_example(args.question, schema, vocab)
     result = pipeline.infer(params, ex, vocab, threshold=args.threshold)
-    print(json.dumps({
-        "sql": result.sql,
-        "predicted_columns": _columns_json(result.predicted_columns),
-        "used_fallback": result.used_fallback,
-        "timings_ms": result.timings_ms,
-    }))
+    print(json.dumps(result.to_json()))
     return 0
-
-
-def _columns_json(predicted: list[tuple[str, str, float]]) -> list[dict]:
-    return [{"table": t, "column": c, "score": s} for t, c, s in predicted]
 
 
 def cmd_eval(args) -> int:
@@ -292,15 +283,7 @@ def cmd_eval(args) -> int:
         json.dump(metrics, f, indent=1, sort_keys=True)
     with open(os.path.join(args.out, "examples.jsonl"), "w") as f:
         for record in result.per_example:
-            f.write(json.dumps({
-                "example_id": record["example_id"],
-                "predicted_columns": _columns_json(record["predicted_columns"]),
-                "sql": record["pred_sql"],
-                "verdict": record["verdict"],
-                "used_fallback": record["used_fallback"],
-                "sqlite_error": record["sqlite_error"],
-                "timings_ms": record["timings_ms"],
-            }) + "\n")
+            f.write(json.dumps(record) + "\n")
     print(json.dumps(metrics))
     return 0
 

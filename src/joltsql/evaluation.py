@@ -4,11 +4,12 @@
 is `pipeline.infer_thresholds`, once per example at every threshold scored:
 one prompt encoding, and one stacked decode of the distinct predicted
 sets. This module only executes SQL and aggregates: an example's gold SQL
-runs once and each distinct result's SQL once against its rows, and every
-record of an example carries that call's one timings dict and, for a
-pred_error, SQLite's error text; EX and its counts are read off those
-records' verdicts. Corpus databases are opened read-only, so SQL the
-model writes cannot change them.
+runs once and each distinct result's SQL once against its rows. A record
+is the example id, the result's `InferenceResult.to_json` (what `jolt
+infer` prints), the verdict and, for a pred_error, SQLite's error text;
+every record of an example carries that call's one timings dict. EX and
+its counts are read off those records' verdicts. Corpus databases are
+opened read-only, so SQL the model writes cannot change them.
 """
 from __future__ import annotations
 
@@ -73,14 +74,8 @@ def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
             verdicts = execution_verdicts([result.sql for result in distinct], ex.gold_sql,
                                           connections[ex.db_id])
             shared = {id(result): {  # one per distinct result, executed once
-                "example_id": ex.example_id,
-                "verdict": verdict,
-                "sqlite_error": error,
-                "pred_sql": result.sql,
-                "gold_sql": ex.gold_sql,
-                "timings_ms": result.timings_ms,
-                "predicted_columns": result.predicted_columns,
-                "used_fallback": result.used_fallback,
+                "example_id": ex.example_id, **result.to_json(),
+                "verdict": verdict, "sqlite_error": error,
             } for result, (verdict, error) in zip(distinct, verdicts)}
             for per_threshold, result in zip(records, results):
                 per_threshold.append(shared[id(result)])

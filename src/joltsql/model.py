@@ -299,21 +299,22 @@ def greedy_generate(params: ModelParams, prompt: list[int], max_new: int,
     further tokens are dropped. No token is placed at position max_len or
     beyond.
 
-    One B x (n + max_new) mask has its bias built once; step t reads its
-    first n + t columns. Per-layer (B x) (n + max_new) x d K/V buffers are
-    filled once from `encoded`, and each step writes its rows into them in
-    place. `encoded` itself is never written, so one encoding serves any
-    number of decodes.
+    m = min(n + max_new, max_len) is the number of positions a decode can
+    reach. One B x m mask has its bias built once; step t reads its first
+    n + t columns. Per-layer (B x) m x d K/V buffers are filled once from
+    `encoded`, and each step writes its rows into them in place. `encoded`
+    itself is never written, so one encoding serves any number of decodes.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
     cfg = params.config
     n = len(prompt)
+    m = min(n + max_new, cfg.max_len)
     lead = (len(attends),) if len(attends) > 1 else ()
-    visible = np.ones((len(attends), n + max_new), dtype=bool)
+    visible = np.ones((len(attends), m), dtype=bool)
     visible[:, :n] = attends
-    bias = ad.additive_bias(visible, cfg.np_dtype).reshape(*lead, 1, n + max_new)
-    past = np.empty((len(encoded.kv), 2, *lead, n + max_new, cfg.dim), dtype=cfg.np_dtype)
+    bias = ad.additive_bias(visible, cfg.np_dtype).reshape(*lead, 1, m)
+    past = np.empty((len(encoded.kv), 2, *lead, m, cfg.dim), dtype=cfg.np_dtype)
     for buf, (k, v) in zip(past, encoded.kv):
         buf[0, ..., :n, :] = k
         buf[1, ..., :n, :] = v

@@ -2,9 +2,8 @@
 
 The examples over a database share its one serialized and tokenized
 schema (`tokenized_schema`), so an example tokenizes and looks up only its
-prefix and query; its gold links are compiled once per distinct gold SQL
-(`sqlscope.extract_ground_truth`), and its corpus record splices in the
-per-database fields as text made once (`example_jsonl`).
+prefix and query, and its gold links are compiled once per distinct gold
+SQL (`sqlscope.extract_ground_truth`).
 
 Training follows the joint recipe: in epoch 1 the linking pass fills the
 weight cache with linking probabilities; every step draws a noisy column
@@ -37,7 +36,6 @@ threshold; evaluation runs it at every threshold it scores.
 """
 from __future__ import annotations
 
-import json
 import time
 import weakref
 from dataclasses import dataclass, field, replace
@@ -124,9 +122,8 @@ def tokenized_schema(schema_doc: SchemaDocument) -> SchemaTokens:
     """The document's serialized and tokenized schema, made once while the
     document (or an equal one) lives. The lookup hashes only the table
     names (`SchemaDocument.__hash__`); equal documents share the result.
-    What its examples share rides with it: `Vocab.schema_ids` keys its word
-    ids on its `words`, and its `record_fields` holds the corpus record
-    fields by `schema_start`."""
+    `Vocab.schema_ids` keys its word ids on its `words`, so its examples
+    share those too."""
     found = _tokenized.get(schema_doc)
     if found is None:
         found = _tokenized[schema_doc] = tokenize_schema(*serialize_schema(schema_doc))
@@ -182,6 +179,16 @@ class TrainResult:
     log: list[dict] = field(default_factory=list)
 
 
+def _check_ids(examples: list[TrainingExample]):
+    """Raises MalformedInput naming the first example id seen twice: the id
+    keys the weight cache, the noise stream and a resumed cache."""
+    seen: set[str] = set()
+    for ex in examples:
+        if ex.example_id in seen:
+            raise MalformedInput(f"example id {ex.example_id!r} is repeated")
+        seen.add(ex.example_id)
+
+
 def _check_cache(examples: list[TrainingExample], cache: WeightCache):
     """Raises MalformedInput naming the first example whose cached entry,
     resumed from a file, does not hold one weight per non-gold column."""
@@ -195,6 +202,7 @@ def _check_cache(examples: list[TrainingExample], cache: WeightCache):
 
 def train(examples: list[TrainingExample], model_config: ModelConfig,
           config: TrainConfig, log_fn=None, cache: WeightCache | None = None) -> TrainResult:
+    _check_ids(examples)
     params = ModelParams(model_config, seed=config.seed)
     opt = ad.AdamW(params.all_params(), lr=config.learning_rate,
                    weight_decay=config.weight_decay)
@@ -263,6 +271,16 @@ class InferenceResult:
     def used_fallback(self) -> bool:
         """Whether nothing was predicted, so the SQL was decoded over every column."""
         return not self.predicted_columns
+
+    def to_json(self) -> dict:
+        """The record `jolt infer` prints, and every evaluation record
+        holds: the SQL, the predicted columns as {table, column, score},
+        the fallback flag and the timings."""
+        return {"sql": self.sql,
+                "predicted_columns": [{"table": t, "column": c, "score": s}
+                                      for t, c, s in self.predicted_columns],
+                "used_fallback": self.used_fallback,
+                "timings_ms": self.timings_ms}
 
 
 def encode_prompt(params: ModelParams, example: TrainingExample) -> PromptEncoding:
@@ -370,52 +388,7 @@ def prepare_inference_example(question: str, schema_doc: SchemaDocument,
     return _build_example(question, schema_doc, "", set(), vocab, example_id, "")
 
 
-# ---------------------------------------------------------------- serialization
-
-def _record_fields(schema: SchemaTokens, base: int) -> tuple[str, str]:
-    """The JSON text of the two record fields every example over `schema`
-    with `schema_start` `base` shares: its layout's token spans made
-    absolute (markers left out), and the character spans. Made once per
-    database and `base`, held in `schema.record_fields`."""
-    found = schema.record_fields.get(base)
-    if found is None:
-        token_spans = {t: {k: v for k, v in vars(ts.map(lambda s: [base + s[0], base + s[1]])).items()
-                           if k != "markers"}
-                       for t, ts in schema.tables.items()}
-        found = schema.record_fields[base] = (json.dumps(token_spans),
-                                              json.dumps(schema.spans.to_json()))
-    return found
-
-
-def example_jsonl(ex: TrainingExample) -> str:
-    """The example's corpus record as one line of JSON, exactly as
-    `json.dumps` writes `example_to_json`'s dict. The example's own fields
-    are dumped; the two per-database fields are `_record_fields`' text,
-    spliced in."""
-    prefix_text = PREFIX_TEMPLATE.format(question=ex.question)
-    schema = tokenized_schema(ex.schema_doc)
-    own = json.dumps({
-        "example_id": ex.example_id,
-        "db_id": ex.db_id,
-        "question": ex.question,
-        "text": prefix_text + "\n" + schema.text + "\n" + ex.gold_sql,
-        "prefix_text": prefix_text,
-        "schema_text": schema.text,
-        "gold_sql": ex.gold_sql,
-        "link": sorted(f"{t}.{c}" for t, c in ex.link),
-        "label": ex.label,
-    })
-    token_spans, char_spans = _record_fields(schema, ex.seg.schema_start)
-    query_span = [ex.seg.query_start, ex.seg.n] if ex.seg.query else [0, 0]
-    return (f'{own[:-1]}, "schema_element_token_spans": {token_spans}, '
-            f'"query_span": {json.dumps(query_span)}, "char_spans": {char_spans}}}')
-
-
-def example_to_json(ex: TrainingExample) -> dict:
-    """JSON-lines record mirroring the training-data file format: the
-    parsed `example_jsonl` line, so no two records share an object."""
-    return json.loads(example_jsonl(ex))
-
+# ---------------------------------------------------------------- loading
 
 def load_corpus(path: str, vocab: Vocab,
                 schemas: dict[str, SchemaDocument],

@@ -296,9 +296,12 @@ def serialize_schema(doc: SchemaDocument) -> tuple[str, SpanIndex]:
 
 def sample_value_examples(db: sqlite3.Connection, table: str, column: str, limit: int = 2) -> list[str]:
     """Up to `limit` distinct non-null values in first-seen row order,
-    rendered with SQL literal quoting."""
+    rendered with SQL literal quoting. Raises DbError naming the table and
+    the column when SQLite cannot read them."""
+    # qualified, so SQLite cannot read a missing column as a string literal
+    quoted = quote_identifier(table)
     try:
-        cur = db.execute(f'SELECT "{column}" FROM "{table}"')
+        cur = db.execute(f"SELECT {quoted}.{quote_identifier(column)} FROM {quoted}")
         seen: list = []
         for (v,) in cur:
             if v is None or v in seen:
@@ -307,7 +310,7 @@ def sample_value_examples(db: sqlite3.Connection, table: str, column: str, limit
             if len(seen) >= limit:
                 break
     except sqlite3.Error as e:
-        raise DbError(str(e)) from e
+        raise DbError(f"table {table!r}, column {column!r}: {e}") from e
     return [_quote_value(v) for v in seen]
 
 
@@ -318,6 +321,11 @@ def with_value_examples(doc: SchemaDocument, db: sqlite3.Connection) -> SchemaDo
             replace(c, examples=tuple(sample_value_examples(db, t.name, c.name)))
             for c in t.columns))
         for t in doc.tables))
+
+
+def quote_identifier(name: str) -> str:
+    """`name` as an SQLite identifier: double-quoted, inner quotes doubled."""
+    return '"' + name.replace('"', '""') + '"'
 
 
 def _quote_value(v) -> str:

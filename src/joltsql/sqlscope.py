@@ -29,7 +29,7 @@ import sqlite3
 import weakref
 
 from .errors import AmbiguousColumn, InvalidSchema, SqlSyntaxError, UnknownColumn, UnknownTable
-from .schema import SchemaDocument
+from .schema import SchemaDocument, quote_identifier
 
 # the authorizer actions a read-only SELECT needs
 _READ_ONLY_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
@@ -60,10 +60,6 @@ _PAIRED_JOIN_RE = re.compile(r"\b(?:USING|NATURAL)\b", re.I)
 _compilers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _quoted(name: str) -> str:
-    return '"' + name.replace('"', '""') + '"'
-
-
 def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list, dict, dict]:
     """The schema's connection, the list its authorizer appends each
     (table, column) a statement reads to, its tables by root page, and its
@@ -74,9 +70,9 @@ def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list, dict, d
     # no statement cache: a reused statement is not authorized again
     conn = sqlite3.connect(":memory:", isolation_level=None, cached_statements=0)
     for table in schema.tables:
-        columns = ", ".join(_quoted(c.name) for c in table.columns)
+        columns = ", ".join(quote_identifier(c.name) for c in table.columns)
         try:
-            conn.execute(f"CREATE TABLE {_quoted(table.name)} ({columns})")
+            conn.execute(f"CREATE TABLE {quote_identifier(table.name)} ({columns})")
         except (sqlite3.Error, ValueError) as e:
             conn.close()
             raise InvalidSchema(f"table {table.name!r}: {e}") from None

@@ -182,16 +182,12 @@ def _span_to_token_range(span: tuple[int, int], starts: list[int],
 class SchemaTokens:
     """A database's marked schema, shared and only read by every example
     over it: its text and character spans, its words (not ids, so any vocab
-    serves), and each table's layout in positions from its first word.
-    Only its memo `record_fields` grows: `pipeline.example_jsonl` keeps
-    there, by `schema_start`, the text its examples' corpus records share."""
+    serves), and each table's layout in positions from its first word."""
 
     text: str
     spans: SpanIndex
     words: tuple[str, ...]
     tables: dict[str, TableSpans]
-    record_fields: dict[int, tuple[str, str]] = field(default_factory=dict, repr=False,
-                                                      compare=False)
 
 
 def tokenize_schema(schema_text: str, spans: SpanIndex) -> SchemaTokens:

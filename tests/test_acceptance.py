@@ -380,7 +380,7 @@ def test_criterion_09_overfit_smoke(desk_corpus):
     tail = res.log[-8:]
     l_sl = float(np.mean([e["l_sl"] for e in tail]))
     l_ntp = float(np.mean([e["l_ntp"] for e in tail]))
-    reproduced = sum(1 for pe in ev.per_example if pe["pred_sql"] == pe["gold_sql"])
+    reproduced = sum(1 for pe, ex in zip(ev.per_example, subset) if pe["sql"] == ex.gold_sql)
     ok = (l_sl < 0.05 and l_ntp < 0.1 and ev.recall == 1.0 and ev.ex == 1.0
           and reproduced == 8 and elapsed < 300.0)
     report(9, "overfit smoke", ok,

@@ -316,6 +316,21 @@ class TestExtractAndSerialize:
         assert got == want
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
+    def test_serialize_db_reads_a_column_named_with_a_quote(self, capsys, tmp_path):
+        db_file = tmp_path / "d.sqlite"
+        conn = sqlite3.connect(db_file)
+        conn.execute('CREATE TABLE t ("na""me" TEXT)')
+        conn.execute("INSERT INTO t VALUES ('x')")
+        conn.commit()
+        conn.close()
+        schema_file = tmp_path / "s.json"
+        schema_file.write_text(json.dumps(
+            {"tables": [{"name": "t", "columns": [{"name": 'na"me', "type": "TEXT"}]}]}))
+        code, out, err = run(capsys, "serialize", "--schema", str(schema_file),
+                             "--db", str(db_file), "--spans-out", str(tmp_path / "sp.json"))
+        assert (code, err) == (0, "")
+        assert """na"me TEXT -- examples: 'x'""" in out
+
     def test_serialize_db_that_does_not_exist_is_named(self, capsys, tmp_path, workspace):
         schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
         missing = tmp_path / "typo.sqlite"
@@ -631,6 +646,22 @@ class TestTrainArtifacts:
         assert err == f"error: {corpus}, record 1, {named}\n"
         assert not out_dir.exists()
 
+    def test_repeated_example_id_is_an_error_line(self, capsys, workspace, tmp_path):
+        """The id keys the weight cache and the noise stream, so a second
+        record under one id is refused before the first step."""
+        first, second = (json.loads(line) for line in
+                         (workspace["corpus"] / "train.jsonl").read_text().splitlines()[:2])
+        second["example_id"] = first["example_id"]
+        corpus = tmp_path / "train.jsonl"
+        corpus.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        code, out, err = run(capsys, "train", "--corpus", str(corpus),
+                             "--vocab", str(workspace["corpus"] / "vocab.json"),
+                             "--schema-dir", str(workspace["corpus"] / "schema"),
+                             "--config", str(workspace["config"]),
+                             "--out", str(tmp_path / "ckpt"))
+        assert code == 1 and out == ""
+        assert err == f"error: example id {first['example_id']!r} is repeated\n"
+
     def test_empty_corpus_file_writes_nothing(self, capsys, workspace, tmp_path):
         empty = tmp_path / "train.jsonl"
         empty.write_text("")
@@ -679,6 +710,30 @@ class TestInferEval:
         assert code == 0
         obj = json.loads(out)
         assert {"sql", "predicted_columns", "used_fallback", "timings_ms"} <= obj.keys()
+
+    def test_infer_prints_the_record_eval_writes(self, capsys, tmp_path, workspace):
+        """One record shape: `jolt infer` on a dev example's question and
+        schema prints its `examples.jsonl` record without the id, the
+        verdict and the SQLite error, key for key."""
+        out_dir = tmp_path / "eval"
+        corpus = workspace["corpus"]
+        code, _, _ = run(capsys, "eval", "--ckpt", str(workspace["ckpt"]),
+                         "--dev", str(corpus / "dev.jsonl"), "--dbs", str(corpus / "dbs"),
+                         "--out", str(out_dir))
+        assert code == 0
+        dev = json.loads((corpus / "dev.jsonl").read_text().splitlines()[0])
+        record = json.loads((out_dir / "examples.jsonl").read_text().splitlines()[0])
+        assert record["example_id"] == dev["example_id"]
+        code, out, _ = run(capsys, "infer", "--ckpt", str(workspace["ckpt"]),
+                           "--question", dev["question"],
+                           "--schema", str(corpus / "schema" / f"{dev['db_id']}.json"))
+        assert code == 0
+        printed = json.loads(out)
+        assert list(printed) == [k for k in record
+                                 if k not in ("example_id", "verdict", "sqlite_error")]
+        for key in ("sql", "predicted_columns", "used_fallback"):
+            assert printed[key] == record[key]
+        assert printed["timings_ms"].keys() == record["timings_ms"].keys()
 
     def test_vocab_size_mismatch_rejected(self, capsys, tmp_path, workspace):
         ckpt = tmp_path / "ckpt"

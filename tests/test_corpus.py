@@ -12,9 +12,11 @@ from joltsql import corpus as corpus_mod
 from joltsql.corpus import (CorpusConfig, corpus_stats, generate_corpus,
                             load_schemas)
 from joltsql.errors import ConfigError
+from joltsql.jsonfile import iter_jsonl
 from joltsql.model import ModelConfig
-from joltsql.pipeline import build_training_example, example_to_json, load_corpus
-from joltsql.tokenizer import Vocab
+from joltsql.pipeline import PREFIX_TEMPLATE, build_training_example, load_corpus
+from joltsql.schema import Column, SchemaDocument, Table, serialize_schema
+from joltsql.tokenizer import Vocab, build_vocab, decode
 
 
 def tiny_config(**kw):
@@ -82,11 +84,11 @@ class TestGeneration:
             records = [json.loads(line) for line in f if line.strip()]
         if fraction < 1.0:
             records = records[:max(1, int(len(records) * fraction))]
-        want = [example_to_json(build_training_example(
+        want = [corpus_mod._record_line(build_training_example(
             r["question"], schemas[r["db_id"]], r["gold_sql"], vocab, r["example_id"],
-            r["db_id"])) for r in records]
+            r["db_id"]), {}) for r in records]
         got = load_corpus(corpus.train_path, vocab, schemas, fraction=fraction)
-        assert [example_to_json(ex) for ex in got] == want
+        assert [corpus_mod._record_line(ex, {}) for ex in got] == want
         assert len(want) == {1.0: 12, 0.5: 6, 0.001: 1}[fraction]
 
     def test_one_schema_encoding_per_database(self, tmp_path, monkeypatch):
@@ -129,6 +131,81 @@ class TestGeneration:
                 rec = json.loads(line)
                 tables = {t.name for t in corpus.schemas[rec["db_id"]].tables}
                 assert any(t in rec["question"].split() for t in tables)
+
+
+class TestRecords:
+    """The record line the corpus writer writes for each example."""
+
+    GOLD = "SELECT name FROM singer WHERE age > 30"
+    QUESTION = "what is the name of singers older than 30 ?"
+
+    @pytest.fixture(scope="class")
+    def concert(self, concert_schema):
+        """A concert example and its vocab."""
+        text, _ = serialize_schema(concert_schema)
+        vocab = build_vocab([PREFIX_TEMPLATE.format(question=self.QUESTION), self.GOLD, text])
+        return build_training_example(self.QUESTION, concert_schema, self.GOLD, vocab,
+                                      "ex-0", "db-0"), vocab
+
+    def test_json_round_trip(self, concert, concert_schema):
+        example, vocab = concert
+        rec = json.loads(corpus_mod._record_line(example, {}))
+        clone = build_training_example(rec["question"], concert_schema, rec["gold_sql"],
+                                       vocab, rec["example_id"], rec["db_id"])
+        assert clone.tokens.ids == example.tokens.ids
+        assert clone.link == example.link
+        assert clone.label == example.label
+        assert clone.seg.marker_columns == example.seg.marker_columns
+        assert clone.seg.query == example.seg.query
+
+    def test_json_fields_present(self, corpus):
+        for path in (corpus.train_path, corpus.dev_path):
+            for rec in iter_jsonl(path):
+                assert list(rec) == ["example_id", "db_id", "question", "text",
+                                     "prefix_text", "schema_text", "gold_sql", "link",
+                                     "label", "schema_element_token_spans", "query_span",
+                                     "char_spans"]
+                for spans in rec["schema_element_token_spans"].values():
+                    assert set(spans) == {"header", "pk", "fk", "footer", "columns"}
+
+    def test_link_serialized_sorted_dotted(self, concert):
+        rec = json.loads(corpus_mod._record_line(concert[0], {}))
+        assert rec["link"] == ["singer.age", "singer.name"]
+
+    def test_fk_spans_keep_serialization_order(self):
+        """With 12 foreign keys, fk 10 and 11 follow fk 9 in the written
+        token spans, as in the text."""
+        parents = [Table(f"p{i}", (Column("id", "INTEGER"),), primary_key=("id",))
+                   for i in range(12)]
+        child = Table("child",
+                      (Column("id", "INTEGER"),
+                       *(Column(f"p{i}_id", "INTEGER") for i in range(12))),
+                      primary_key=("id",),
+                      foreign_keys=tuple((f"p{i}_id", f"p{i}", "id") for i in range(12)))
+        doc = SchemaDocument((child, *parents))
+        gold = "SELECT p11_id FROM child"
+        text, _ = serialize_schema(doc)
+        vocab = build_vocab([gold, text])
+        ex = build_training_example("which parent ?", doc, gold, vocab, "fk-0")
+        rec = json.loads(corpus_mod._record_line(ex, {}))
+        fk = rec["schema_element_token_spans"]["child"]["fk"]
+        assert len(fk) == 12
+        for i, (a, b) in enumerate(fk):
+            assert decode(ex.tokens.ids[a:b], vocab).startswith(
+                f"FOREIGN KEY ( p{i}_id )")
+
+    def test_line_is_what_json_dumps_writes(self, desk_corpus, concert):
+        """The spliced line is byte for byte `json.dumps` of its record, on
+        every record of the seed-3 desk corpus (each schema_start, each
+        database) and on a record of its own."""
+        generated = desk_corpus(3).generated
+        for path in (generated.train_path, generated.dev_path):
+            with open(path) as f:
+                for line in f:
+                    line = line.rstrip("\n")
+                    assert line == json.dumps(json.loads(line))
+        line = corpus_mod._record_line(concert[0], {})
+        assert line == json.dumps(json.loads(line))
 
 
 class TestStats:

@@ -149,12 +149,13 @@ def test_evaluate_equals_reference(desk, average, threshold):
     assert got.to_json() == metrics
     assert [pe["verdict"] for pe in got.per_example] == verdicts
     for pe, ex, result in zip(got.per_example, examples, results):
+        # the example id, what `jolt infer` prints, the verdict and error
+        want = result.to_json()
+        assert list(pe) == ["example_id", *want, "verdict", "sqlite_error"]
         assert pe["example_id"] == ex.example_id
-        assert pe["gold_sql"] == ex.gold_sql
-        assert pe["pred_sql"] == result.sql
-        assert pe["predicted_columns"] == result.predicted_columns
-        assert pe["used_fallback"] == result.used_fallback
-        assert pe["timings_ms"].keys() == result.timings_ms.keys()
+        for key in ("sql", "predicted_columns", "used_fallback"):
+            assert pe[key] == want[key]
+        assert pe["timings_ms"].keys() == want["timings_ms"].keys()
     if threshold == 0.5:
         assert any(pe["used_fallback"] for pe in got.per_example)
 

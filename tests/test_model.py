@@ -500,6 +500,27 @@ class TestDecodeCache:
         assert len(self.decode(params, encoded)) == 10
         assert builds == [(1, 10)]  # one row over prompt and max_new, for 5 decode rows
 
+    def test_a_budget_past_max_len_sizes_the_buffers_to_max_len(self, monkeypatch):
+        """A decode budget beyond max_len gives the tokens the reachable
+        budget gives, and builds its bias and K/V buffers no larger: the
+        traced peak stays that of the reachable budget (a 10,000-token
+        budget would otherwise hold about 5 MB of K/V)."""
+        params = ModelParams(tiny_config(dim=32, max_len=64), seed=0)
+        encoded = self.encoded(params)
+        reachable = 64 - len(self.PROMPT)
+        want = self.decode(params, encoded, reachable)
+        assert len(want) == 64
+        builds = []
+        build = ad.additive_bias
+        monkeypatch.setattr(ad, "additive_bias",
+                            lambda visible, dtype: builds.append(visible.shape)
+                            or build(visible, dtype))
+        assert self.decode(params, encoded, 10_000) == want
+        assert builds == [(1, 64)]
+        peaks = {max_new: traced_peak(lambda: self.decode(params, encoded, max_new))
+                 for max_new in (reachable, 10_000)}
+        assert peaks[10_000] <= peaks[reachable] + 4096, peaks
+
     def test_decode_rows_run_no_concat_and_no_linking_head(self, monkeypatch):
         params = ModelParams(tiny_config(), seed=0)
         encoded = self.encoded(params)

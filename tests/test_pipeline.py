@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from joltsql import autodiff as ad
-from joltsql import model, pipeline
+from joltsql import corpus, model, pipeline
 from joltsql.errors import (DegenerateExample, EmptyPrediction, InvalidJson, InvalidSchema,
                             MalformedInput, MissingCacheEntry)
+from joltsql.jsonfile import iter_jsonl
 from joltsql.masks import build_joint_mask
 from joltsql.model import ModelConfig, ModelParams, forward, greedy_generate, prompt_pass
 from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
                               assemble_segments, build_training_example,
                               capture_sampling_weights, encode_prompt,
-                              example_jsonl, example_to_json,
                               full_schema_prompt, generate_sql, infer, infer_thresholds,
                               link_schema,
                               load_corpus, prepare_inference_example,
@@ -53,6 +53,11 @@ def join_example(concert_schema, vocab):
     return build_training_example(
         "show stadium names with concert years", concert_schema, GOLD2,
         vocab, "ex-1", "db-0")
+
+
+def written(ex, **change) -> dict:
+    """`ex`'s record as the corpus writer writes it, with `change` applied."""
+    return dict(json.loads(corpus._record_line(ex, {})), **change)
 
 
 def flagged_ids(example, attend):
@@ -198,6 +203,9 @@ class TestOneLayoutPerDatabase:
             shells = [prepare_inference_example(ex.question, ex.schema_doc, vocab)
                       for ex in examples[-100:]]
         assert all(ex.seg.table_elements is layouts[ex.db_id] for ex in examples)
+        spans_in_file = {rec["example_id"]: rec["schema_element_token_spans"]
+                         for path in (generated.train_path, generated.dev_path)
+                         for rec in iter_jsonl(path)}
         for ex in examples + shells:
             seg = ex.seg
             assert seg.table_elements is pipeline.tokenized_schema(ex.schema_doc).tables
@@ -214,9 +222,9 @@ class TestOneLayoutPerDatabase:
             if ex in shells:
                 continue
             # the file keeps absolute token spans
-            written = json.loads(json.dumps(example_to_json(ex)["schema_element_token_spans"]))
-            assert written == {t: {k: v for k, v in spans.items() if k != "markers"}
-                               for t, spans in SpanIndex(shifted).to_json().items()}
+            assert spans_in_file[ex.example_id] == {
+                t: {k: v for k, v in spans.items() if k != "markers"}
+                for t, spans in SpanIndex(shifted).to_json().items()}
 
 
 class TestTrainLoop:
@@ -789,80 +797,12 @@ class TestDecodeUnderTrainingMask:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, example, vocab, concert_schema):
-        rec = json.loads(json.dumps(example_to_json(example)))
-        clone = build_training_example(rec["question"], concert_schema, rec["gold_sql"],
-                                       vocab, rec["example_id"], rec["db_id"])
-        assert clone.tokens.ids == example.tokens.ids
-        assert clone.link == example.link
-        assert clone.label == example.label
-        assert clone.seg.marker_columns == example.seg.marker_columns
-        assert clone.seg.query == example.seg.query
-
-    def test_json_fields_present(self, example):
-        obj = example_to_json(example)
-        for key in ("example_id", "db_id", "question", "text", "gold_sql",
-                    "link", "label", "schema_element_token_spans",
-                    "query_span", "char_spans"):
-            assert key in obj
-        spans = obj["schema_element_token_spans"]["singer"]
-        assert {"header", "pk", "fk", "footer", "columns"} <= spans.keys()
-
-    def test_fk_spans_keep_serialization_order(self):
-        """With 12 foreign keys, fk 10 and 11 follow fk 9 in the written
-        token spans, as in the text."""
-        parents = [Table(f"p{i}", (Column("id", "INTEGER"),), primary_key=("id",))
-                   for i in range(12)]
-        child = Table("child",
-                      (Column("id", "INTEGER"),
-                       *(Column(f"p{i}_id", "INTEGER") for i in range(12))),
-                      primary_key=("id",),
-                      foreign_keys=tuple((f"p{i}_id", f"p{i}", "id") for i in range(12)))
-        doc = SchemaDocument((child, *parents))
-        gold = "SELECT p11_id FROM child"
-        text, _ = serialize_schema(doc)
-        vocab = build_vocab([gold, text])
-        ex = build_training_example("which parent ?", doc, gold, vocab, "fk-0")
-        fk = example_to_json(ex)["schema_element_token_spans"]["child"]["fk"]
-        assert len(fk) == 12
-        for i, (a, b) in enumerate(fk):
-            assert decode(ex.tokens.ids[a:b], vocab).startswith(
-                f"FOREIGN KEY ( p{i}_id )")
-
-    def test_records_share_no_object(self, example, join_example):
-        """The per-database fields are built once, yet mutating one record
-        at any depth leaves the next record of either example as it was."""
-        want = {ex.example_id: json.dumps(example_to_json(ex))
-                for ex in (example, join_example)}
-        first = example_to_json(example)
-        first["char_spans"]["singer"]["header"].append(0)
-        first["char_spans"]["singer"]["columns"].clear()
-        first["schema_element_token_spans"]["singer"]["fk"].append([0, 1])
-        first["schema_element_token_spans"].pop("concert")
-        first["label"].append(1)
-        for ex in (example, join_example):
-            assert json.dumps(example_to_json(ex)) == want[ex.example_id]
-
-    def test_line_is_what_json_dumps_writes(self, desk_corpus, example, join_example):
-        """The spliced line is byte for byte `json.dumps` of its record, on
-        every example of a desk corpus: each schema_start, each database."""
-        desk = desk_corpus(3)
-        for ex in [example, join_example, *desk.train, *desk.dev]:
-            line = example_jsonl(ex)
-            assert line == json.dumps(json.loads(line)), ex.example_id
-
-    def test_link_serialized_sorted_dotted(self, example):
-        obj = example_to_json(example)
-        assert obj["link"] == ["singer.age", "singer.name"]
-
     def test_load_corpus_fraction(self, example, join_example, vocab,
                                   concert_schema, tmp_path):
         path = tmp_path / "c.jsonl"
         with open(path, "w") as f:
             for ex in (example, join_example):
-                rec = example_to_json(ex)
-                rec["db_id"] = "db-0"
-                f.write(json.dumps(rec) + "\n")
+                f.write(json.dumps(written(ex)) + "\n")
         full = load_corpus(str(path), vocab, {"db-0": concert_schema})
         half = load_corpus(str(path), vocab, {"db-0": concert_schema}, fraction=0.5)
         assert len(full) == 2 and len(half) == 1
@@ -871,7 +811,7 @@ class TestSerialization:
     def test_load_corpus_builds_each_example_before_reading_the_next_record(
             self, example, join_example, vocab, concert_schema, tmp_path, monkeypatch):
         path = tmp_path / "c.jsonl"
-        path.write_text("\n".join(json.dumps(dict(example_to_json(ex), db_id="db-0"))
+        path.write_text("\n".join(json.dumps(written(ex))
                                   for ex in (example, join_example, example)) + "\n")
         parsed, built = [], []
         loads, build = json.loads, pipeline.build_training_example
@@ -883,7 +823,7 @@ class TestSerialization:
 
     def test_load_corpus_names_the_line_that_is_not_json(self, example, vocab,
                                                         concert_schema, tmp_path):
-        good = json.dumps(dict(example_to_json(example), db_id="db-0"))
+        good = json.dumps(written(example))
         path = tmp_path / "c.jsonl"
         path.write_text(f"{good}\n\n{good}\n{{\"a\": \n{good}\n")
         with pytest.raises(InvalidJson, match=f"^{re.escape(str(path))}, line 4: "):
@@ -898,7 +838,7 @@ class TestSerialization:
     ], ids=["unknown-db", "no-db-id", "no-question", "no-gold-sql", "no-example-id"])
     def test_load_corpus_names_a_bad_record(self, example, vocab, concert_schema, tmp_path,
                                             change, named):
-        good = dict(example_to_json(example), db_id="db-0")
+        good = written(example)
         bad = {k: v for k, v in dict(good, **change).items() if v is not None}
         path = tmp_path / "c.jsonl"
         path.write_text(f"{json.dumps(good)}\n\n{json.dumps(bad)}\n")
@@ -911,8 +851,7 @@ class TestSerialization:
         error names the table, and no record key."""
         broken = SchemaDocument((Table("ok", (Column("a", "TEXT"),)), Table("empty", ())))
         path = tmp_path / "c.jsonl"
-        path.write_text(json.dumps(dict(example_to_json(example), db_id="db-0",
-                                        gold_sql="SELECT a FROM ok")) + "\n")
+        path.write_text(json.dumps(written(example, gold_sql="SELECT a FROM ok")) + "\n")
         with pytest.raises(InvalidSchema) as e:
             load_corpus(str(path), vocab, {"db-0": broken})
         assert str(e.value).startswith("table 'empty': ")

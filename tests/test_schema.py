@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from joltsql import sqlscope
-from joltsql.errors import InvalidSchema, UnknownColumn
+from joltsql.errors import DbError, InvalidSchema, UnknownColumn
 from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example,
                               prepare_inference_example, tokenized_schema)
 from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, SpanIndex, Table,
@@ -199,6 +199,23 @@ class TestValueSampling:
     def test_string_quoting(self, memory_db):
         self.setup_db(memory_db, ["it's"])
         assert sample_value_examples(memory_db, "t", "v") == ["'it''s'"]
+
+    def test_identifiers_with_quotes(self, memory_db):
+        """Names are quoted as `sqlscope` quotes them: a column `na"me` of a
+        table `t"1` is read, not cut at its quote."""
+        memory_db.execute('CREATE TABLE "t""1" ("na""me")')
+        memory_db.execute('INSERT INTO "t""1" VALUES (5)')
+        assert sample_value_examples(memory_db, 't"1', 'na"me') == ["5"]
+
+    @pytest.mark.parametrize("table,column,error", [
+        ("t", "nope", "no such column: t.nope"), ("u", "v", "no such table: u")],
+        ids=["no-column", "no-table"])
+    def test_error_names_the_table_and_column(self, memory_db, table, column, error):
+        """A missing column is an error, not its name read back as a value."""
+        self.setup_db(memory_db, [1])
+        with pytest.raises(DbError) as e:
+            sample_value_examples(memory_db, table, column)
+        assert str(e.value) == f"table {table!r}, column {column!r}: {error}"
 
 
 def labelled(schema, gold_sql):

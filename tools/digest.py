@@ -19,10 +19,11 @@ platform, so compare digests from one machine. Then, one line each:
   rows, micro and macro `evaluate` JSON and per-example records, and
   `infer` at 0.05 and 0.5.
 
-Records and `infer` results each give two lines, so that a score moved by
-rounding shows apart from a changed outcome: `decisions` over each
-example's SQL, predicted column names, fallback flag and (records) verdict,
-and `scores` over the predicted columns' float scores.
+Records and `infer` results (both read in `InferenceResult.to_json`'s
+form) each give two lines, so that a score moved by rounding shows apart
+from a changed outcome: `decisions` over each example's SQL, predicted
+column names as [table, column] pairs, fallback flag and (records)
+verdict, and `scores` over the predicted columns' float scores.
 
 It takes about 30 seconds on a 2-core Xeon.
 """
@@ -58,11 +59,11 @@ def json_sha(obj) -> str:
 
 
 def names(predicted_columns) -> list:
-    return [[t, c] for t, c, _ in predicted_columns]
+    return [[col["table"], col["column"]] for col in predicted_columns]
 
 
 def scores(predicted_columns) -> list:
-    return [s for _, _, s in predicted_columns]
+    return [col["score"] for col in predicted_columns]
 
 
 def example_fields(ex) -> list:
@@ -107,17 +108,17 @@ def model_digests(seed: int, out: str):
         yield f"{where} evaluate {average}", json_sha(result.to_json())
         records = result.per_example
         yield f"{where} evaluate {average} records decisions", json_sha(
-            [[r["example_id"], r["pred_sql"], names(r["predicted_columns"]),
+            [[r["example_id"], r["sql"], names(r["predicted_columns"]),
               r["used_fallback"], r["verdict"]] for r in records])
         yield f"{where} evaluate {average} records scores", json_sha(
             [scores(r["predicted_columns"]) for r in records])
     for threshold in INFER_THRESHOLDS:
-        results = [pipeline.infer(res.params, ex, vocab, threshold=threshold)
+        results = [pipeline.infer(res.params, ex, vocab, threshold=threshold).to_json()
                    for ex in dev_set]
         yield f"{where} infer {threshold} decisions", json_sha(
-            [[r.sql, names(r.predicted_columns), r.used_fallback] for r in results])
+            [[r["sql"], names(r["predicted_columns"]), r["used_fallback"]] for r in results])
         yield f"{where} infer {threshold} scores", json_sha(
-            [scores(r.predicted_columns) for r in results])
+            [scores(r["predicted_columns"]) for r in results])
 
 
 def main() -> int:
