@@ -29,18 +29,23 @@ from .tokenizer import Vocab, encode, tokenize_schema
 
 
 class EventLog:
-    """One JSON object per line with a monotonic counter and wall time."""
+    """One JSON object per line with a monotonic counter and wall time. The
+    file, and its directory, is made at the first event, so a run refused
+    before it leaves neither behind."""
 
     def __init__(self, path: str | None):
         self.path = path
         self.counter = 0
-        self._fh = open(path, "w") if path else None
+        self._fh = None
 
     def log_event(self, stage: str, fields: dict):
         record = {"event": self.counter, "stage": stage,
                   "wall_time": time.time(), **fields}
         line = json.dumps(record)
-        if self._fh:
+        if self.path:
+            if self._fh is None:
+                os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+                self._fh = open(self.path, "w")
             self._fh.write(line + "\n")
             self._fh.flush()
         self.counter += 1
@@ -201,7 +206,6 @@ def cmd_train(args) -> int:
                                     fraction=args.train_fraction)
     if not examples:
         raise JoltError(f"{args.corpus}: no examples to train on")
-    os.makedirs(args.out, exist_ok=True)
     cache = None
     cache_path = os.path.join(args.out, "weights.cache.json")
     if os.path.exists(cache_path) and args.resume:
@@ -210,6 +214,7 @@ def cmd_train(args) -> int:
     try:
         result = pipeline.train(examples, model_cfg, train_cfg,
                                 log_fn=log.log_event, cache=cache)
+        # the first step's event made `--out`
         result.params.save(os.path.join(args.out, "params.npz"))
         result.cache.save(cache_path)
         vocab.save(os.path.join(args.out, "vocab.json"))

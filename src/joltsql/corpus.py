@@ -337,8 +337,6 @@ def _write_corpus(cfg: CorpusConfig, out_dir: str) -> dict[str, SchemaDocument]:
     vocab = build_vocab(texts)
     vocab.save(os.path.join(out_dir, "vocab.json"))
 
-    shared: dict[tuple[str, int], tuple[str, str]] = {}  # for `_record_line`
-
     def write_jsonl(path: str, records: list[dict]):
         with open(path, "w") as f:
             for r in records:
@@ -348,43 +346,24 @@ def _write_corpus(cfg: CorpusConfig, out_dir: str) -> dict[str, SchemaDocument]:
                 if len(ex.tokens.ids) > MAX_LEN:
                     raise ConfigError(f"example {r['example_id']} is {len(ex.tokens.ids)} "
                                       f"tokens (max {MAX_LEN})")
-                f.write(_record_line(ex, shared) + "\n")
+                f.write(_record_line(ex) + "\n")
 
     write_jsonl(os.path.join(out_dir, "train.jsonl"), train_raw)
     write_jsonl(os.path.join(out_dir, "dev.jsonl"), dev_raw)
     return schemas
 
 
-def _record_line(ex: TrainingExample, shared: dict[tuple[str, int], tuple[str, str]]) -> str:
-    """The example's corpus record as one line of JSON, byte for byte what
-    `json.dumps` writes for it. The example's own fields are dumped; the
-    two fields every example over its database with its `schema_start`
-    shares (the layout's token spans made absolute, markers left out, and
-    the character spans) are dumped once into `shared` and spliced in."""
-    prefix_text = PREFIX_TEMPLATE.format(question=ex.question)
-    schema = tokenized_schema(ex.schema_doc)
-    own = json.dumps({
+def _record_line(ex: TrainingExample) -> str:
+    """The example's corpus record as one line of JSON. Its database's
+    layout is not repeated: it lives once in `schema/<db_id>.json`."""
+    return json.dumps({
         "example_id": ex.example_id,
         "db_id": ex.db_id,
         "question": ex.question,
-        "text": prefix_text + "\n" + schema.text + "\n" + ex.gold_sql,
-        "prefix_text": prefix_text,
-        "schema_text": schema.text,
         "gold_sql": ex.gold_sql,
         "link": sorted(f"{t}.{c}" for t, c in ex.link),
         "label": ex.label,
     })
-    base = ex.seg.schema_start
-    key = (ex.db_id, base)
-    if key not in shared:
-        token_spans = {t: {k: v for k, v in vars(ts.map(lambda s: [base + s[0], base + s[1]])).items()
-                           if k != "markers"}
-                       for t, ts in schema.tables.items()}
-        shared[key] = (json.dumps(token_spans), json.dumps(schema.spans.to_json()))
-    token_spans, char_spans = shared[key]
-    query_span = [ex.seg.query_start, ex.seg.n] if ex.seg.query else [0, 0]
-    return (f'{own[:-1]}, "schema_element_token_spans": {token_spans}, '
-            f'"query_span": {json.dumps(query_span)}, "char_spans": {char_spans}}}')
 
 
 def corpus_stats(jsonl_path: str) -> dict:

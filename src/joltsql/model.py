@@ -115,8 +115,9 @@ class ModelParams:
     @staticmethod
     def load(path: str) -> "ModelParams":
         """Read a checkpoint written by `save`. Every array must be present
-        with the shape its stored config gives it. Raises MalformedInput
-        naming the file when the stored config is not one ModelConfig takes."""
+        with the shape and dtype its stored config gives it. Raises
+        MalformedInput naming the file when the stored config is not one
+        ModelConfig takes."""
         with np.load(path, allow_pickle=False) as z:
             try:
                 config = ModelConfig(**json.loads(str(z["__config__"])))
@@ -130,6 +131,9 @@ class ModelParams:
                 if stored.shape != v.data.shape:
                     raise ShapeMismatch(f"{path}: {k!r} has shape {stored.shape}, "
                                         f"config gives {v.data.shape}")
+                if stored.dtype != v.data.dtype:
+                    raise ShapeMismatch(f"{path}: {k!r} has dtype {stored.dtype}, "
+                                        f"config gives {v.data.dtype}")
                 v.data = stored.copy()
         return params
 

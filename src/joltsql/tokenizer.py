@@ -70,11 +70,18 @@ class Vocab:
     @staticmethod
     def load(path: str) -> "Vocab":
         """Raises MalformedInput unless the file holds an object of token ->
-        non-negative integer id."""
+        integer id, as `build_vocab` makes one: the ids are 0..N-1, each
+        used once, and the special tokens hold their reserved ids."""
         token_to_id = read_json(path)
         if not (isinstance(token_to_id, dict)
-                and all(type(i) is int and i >= 0 for i in token_to_id.values())):
+                and all(type(i) is int for i in token_to_id.values())):
             raise MalformedInput(f"{path}: expected an object of token -> integer id")
+        if sorted(token_to_id.values()) != list(range(len(token_to_id))):
+            raise MalformedInput(f"{path}: the ids must be 0..{len(token_to_id) - 1}, "
+                                 "each used once")
+        for i, t in _SPECIAL_TOKENS.items():
+            if token_to_id.get(t) != i:
+                raise MalformedInput(f"{path}: {t!r} must have its reserved id {i}")
         return Vocab(token_to_id)
 
 
@@ -181,11 +188,10 @@ def _span_to_token_range(span: tuple[int, int], starts: list[int],
 @dataclass(frozen=True)
 class SchemaTokens:
     """A database's marked schema, shared and only read by every example
-    over it: its text and character spans, its words (not ids, so any vocab
-    serves), and each table's layout in positions from its first word."""
+    over it: its text, its words (not ids, so any vocab serves), and each
+    table's layout in positions from its first word."""
 
     text: str
-    spans: SpanIndex
     words: tuple[str, ...]
     tables: dict[str, TableSpans]
 
@@ -202,7 +208,7 @@ def tokenize_schema(schema_text: str, spans: SpanIndex) -> SchemaTokens:
         for cname, (lo, hi) in ts.markers.items():
             if hi - lo != 1:
                 raise SpanMisaligned(f"marker for {tname}.{cname} spans {hi - lo} tokens")
-    return SchemaTokens(schema_text, spans, tuple(w for w, _, _ in words), tables)
+    return SchemaTokens(schema_text, tuple(w for w, _, _ in words), tables)
 
 
 def _word_ids(text: str, vocab: Vocab) -> list[int]:

@@ -547,19 +547,23 @@ class TestTrainArtifacts:
 
     def test_resumed_cache_entry_one_weight_short_is_named(self, capsys, workspace,
                                                            tmp_path):
+        """The cache is refused before the first step, so `--out`, which
+        holds only that cache, gets no training log."""
         out_dir = tmp_path / "ckpt"
         argv = ("train", "--corpus", str(workspace["corpus"] / "train.jsonl"),
                 "--config", str(workspace["config"]), "--out", str(out_dir))
         assert run(capsys, *argv)[0] == 0
         cache_path = out_dir / "weights.cache.json"
         store = json.loads(cache_path.read_text())
+        for path in out_dir.iterdir():
+            path.unlink()
         example_id = sorted(store)[0]
         store[example_id] = store[example_id][:-1]
         cache_path.write_text(json.dumps(store))
         code, out, err = run(capsys, *argv, "--resume")
         assert code == 1 and out == ""
         assert err.startswith(f"error: weight cache entry {example_id!r} holds ")
-        assert "train_step" not in (out_dir / "train_log.jsonl").read_text()  # no step ran
+        assert [p.name for p in out_dir.iterdir()] == ["weights.cache.json"]
 
     def test_bad_corpus_key_in_gen_corpus(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -648,7 +652,8 @@ class TestTrainArtifacts:
 
     def test_repeated_example_id_is_an_error_line(self, capsys, workspace, tmp_path):
         """The id keys the weight cache and the noise stream, so a second
-        record under one id is refused before the first step."""
+        record under one id is refused before the first step, and `--out`
+        is not made."""
         first, second = (json.loads(line) for line in
                          (workspace["corpus"] / "train.jsonl").read_text().splitlines()[:2])
         second["example_id"] = first["example_id"]
@@ -661,6 +666,7 @@ class TestTrainArtifacts:
                              "--out", str(tmp_path / "ckpt"))
         assert code == 1 and out == ""
         assert err == f"error: example id {first['example_id']!r} is repeated\n"
+        assert not (tmp_path / "ckpt").exists()
 
     def test_empty_corpus_file_writes_nothing(self, capsys, workspace, tmp_path):
         empty = tmp_path / "train.jsonl"
@@ -920,6 +926,14 @@ class TestEventLog:
         assert lines[0]["event"] == 0 and lines[0]["stage"] == "alpha"
         assert lines[1]["event"] == 1 and lines[1]["y"] == 2
         assert all("wall_time" in line for line in lines)
+
+    def test_file_and_directory_made_at_the_first_event(self, tmp_path):
+        path = tmp_path / "run" / "log.jsonl"
+        log = EventLog(str(path))
+        assert not path.parent.exists()
+        log.log_event("alpha", {})
+        log.close()
+        assert json.loads(path.read_text())["stage"] == "alpha"
 
     def test_null_path_noop(self):
         log = EventLog(None)

@@ -14,7 +14,8 @@ from joltsql.corpus import (CorpusConfig, corpus_stats, generate_corpus,
 from joltsql.errors import ConfigError
 from joltsql.jsonfile import iter_jsonl
 from joltsql.model import ModelConfig
-from joltsql.pipeline import PREFIX_TEMPLATE, build_training_example, load_corpus
+from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example, load_corpus,
+                              tokenized_schema)
 from joltsql.schema import Column, SchemaDocument, Table, serialize_schema
 from joltsql.tokenizer import Vocab, build_vocab, decode
 
@@ -86,9 +87,9 @@ class TestGeneration:
             records = records[:max(1, int(len(records) * fraction))]
         want = [corpus_mod._record_line(build_training_example(
             r["question"], schemas[r["db_id"]], r["gold_sql"], vocab, r["example_id"],
-            r["db_id"]), {}) for r in records]
+            r["db_id"])) for r in records]
         got = load_corpus(corpus.train_path, vocab, schemas, fraction=fraction)
-        assert [corpus_mod._record_line(ex, {}) for ex in got] == want
+        assert [corpus_mod._record_line(ex) for ex in got] == want
         assert len(want) == {1.0: 12, 0.5: 6, 0.001: 1}[fraction]
 
     def test_one_schema_encoding_per_database(self, tmp_path, monkeypatch):
@@ -149,7 +150,7 @@ class TestRecords:
 
     def test_json_round_trip(self, concert, concert_schema):
         example, vocab = concert
-        rec = json.loads(corpus_mod._record_line(example, {}))
+        rec = json.loads(corpus_mod._record_line(example))
         clone = build_training_example(rec["question"], concert_schema, rec["gold_sql"],
                                        vocab, rec["example_id"], rec["db_id"])
         assert clone.tokens.ids == example.tokens.ids
@@ -161,19 +162,15 @@ class TestRecords:
     def test_json_fields_present(self, corpus):
         for path in (corpus.train_path, corpus.dev_path):
             for rec in iter_jsonl(path):
-                assert list(rec) == ["example_id", "db_id", "question", "text",
-                                     "prefix_text", "schema_text", "gold_sql", "link",
-                                     "label", "schema_element_token_spans", "query_span",
-                                     "char_spans"]
-                for spans in rec["schema_element_token_spans"].values():
-                    assert set(spans) == {"header", "pk", "fk", "footer", "columns"}
+                assert list(rec) == ["example_id", "db_id", "question", "gold_sql",
+                                     "link", "label"]
 
     def test_link_serialized_sorted_dotted(self, concert):
-        rec = json.loads(corpus_mod._record_line(concert[0], {}))
+        rec = json.loads(corpus_mod._record_line(concert[0]))
         assert rec["link"] == ["singer.age", "singer.name"]
 
     def test_fk_spans_keep_serialization_order(self):
-        """With 12 foreign keys, fk 10 and 11 follow fk 9 in the written
+        """With 12 foreign keys, fk 10 and 11 follow fk 9 in the example's
         token spans, as in the text."""
         parents = [Table(f"p{i}", (Column("id", "INTEGER"),), primary_key=("id",))
                    for i in range(12)]
@@ -187,25 +184,41 @@ class TestRecords:
         text, _ = serialize_schema(doc)
         vocab = build_vocab([gold, text])
         ex = build_training_example("which parent ?", doc, gold, vocab, "fk-0")
-        rec = json.loads(corpus_mod._record_line(ex, {}))
-        fk = rec["schema_element_token_spans"]["child"]["fk"]
+        base = ex.seg.schema_start
+        fk = [(base + a, base + b) for a, b in ex.seg.table_elements["child"].fk]
         assert len(fk) == 12
         for i, (a, b) in enumerate(fk):
             assert decode(ex.tokens.ids[a:b], vocab).startswith(
                 f"FOREIGN KEY ( p{i}_id )")
 
-    def test_line_is_what_json_dumps_writes(self, desk_corpus, concert):
-        """The spliced line is byte for byte `json.dumps` of its record, on
-        every record of the seed-3 desk corpus (each schema_start, each
-        database) and on a record of its own."""
-        generated = desk_corpus(3).generated
-        for path in (generated.train_path, generated.dev_path):
-            with open(path) as f:
-                for line in f:
-                    line = line.rstrip("\n")
-                    assert line == json.dumps(json.loads(line))
-        line = corpus_mod._record_line(concert[0], {})
-        assert line == json.dumps(json.loads(line))
+    def test_parent_record_loads_into_the_same_example(self, concert, concert_schema,
+                                                       tmp_path):
+        """A record as written before the layout left the corpus lines, with
+        the schema text and spans repeated in twelve keys, loads into the
+        example its six-key line loads into."""
+        example, vocab = concert
+        rec = json.loads(corpus_mod._record_line(example))
+        schema = tokenized_schema(concert_schema)
+        prefix_text = PREFIX_TEMPLATE.format(question=example.question)
+        base = example.seg.schema_start
+        token_spans = {t: {k: v for k, v in vars(ts.map(lambda s: [base + s[0], base + s[1]]))
+                           .items() if k != "markers"}
+                       for t, ts in schema.tables.items()}
+        parent = {"example_id": rec["example_id"], "db_id": rec["db_id"],
+                  "question": rec["question"],
+                  "text": prefix_text + "\n" + schema.text + "\n" + example.gold_sql,
+                  "prefix_text": prefix_text, "schema_text": schema.text,
+                  "gold_sql": rec["gold_sql"], "link": rec["link"], "label": rec["label"],
+                  "schema_element_token_spans": token_spans,
+                  "query_span": [example.seg.query_start, example.seg.n],
+                  "char_spans": serialize_schema(concert_schema)[1].to_json()}
+        assert len(parent) == 12 and set(rec) < set(parent)
+        loaded = []
+        for name, record in (("parent.jsonl", parent), ("line.jsonl", rec)):
+            path = tmp_path / name
+            path.write_text(json.dumps(record) + "\n")
+            loaded += load_corpus(str(path), vocab, {example.db_id: concert_schema})
+        assert loaded == [example, example]
 
 
 class TestStats:

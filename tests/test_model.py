@@ -414,6 +414,16 @@ class TestCheckpoint:
         with pytest.raises(ShapeMismatch, match="layer1.wq"):
             ModelParams.load(str(p))
 
+    def test_load_rejects_arrays_of_another_dtype(self, tmp_path):
+        p = tmp_path / "params.npz"
+        ModelParams(tiny_config(dtype="float32"), seed=9).save(str(p))
+        with np.load(str(p)) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["layer1.wq"] = arrays["layer1.wq"].astype(np.float64)
+        np.savez(str(p), **arrays)
+        with pytest.raises(ShapeMismatch, match=r"params\.npz: 'layer1\.wq' has dtype float64"):
+            ModelParams.load(str(p))
+
     @pytest.mark.parametrize("stored", [
         {"heads": 3},           # dim 8 is not divisible by 3
         {"width": 16},          # unknown key

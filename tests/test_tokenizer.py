@@ -1,9 +1,12 @@
+import json
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from joltsql.corpus import CorpusConfig, generate_corpus
-from joltsql.errors import SpanMisaligned
+from joltsql.errors import MalformedInput, SpanMisaligned
 from joltsql.pipeline import PREFIX_TEMPLATE, tokenized_schema
 from joltsql.schema import MARKER_TEXT, Column, SchemaDocument, Table, serialize_schema
 from joltsql.tokenizer import (BOS, EOS, MARKER, PAD, UNK, Vocab,
@@ -68,6 +71,20 @@ class TestVocab:
         w = Vocab.load(str(p))
         assert w.token_to_id == v.token_to_id
         assert len(w) == len(v)
+
+    @pytest.mark.parametrize("change,named", [
+        ({"alpha": 1_000_000_000}, "each used once"),   # a gap
+        ({"alpha": 6, "beta": 6}, "each used once"),    # a shared id
+        ({"alpha": -1}, "each used once"),
+        ({"<pad>": 5, "alpha": 0}, "'<pad>' must have its reserved id 0"),
+        ({"<unk>": 6, "beta": 4}, "'<unk>' must have its reserved id 4"),
+    ], ids=["gap", "shared", "negative", "pad-moved", "unk-moved"])
+    def test_load_rejects_ids_no_built_vocab_has(self, tmp_path, change, named):
+        p = tmp_path / "vocab.json"
+        build_vocab(["alpha beta gamma"]).save(str(p))
+        p.write_text(json.dumps({**json.loads(p.read_text()), **change}))
+        with pytest.raises(MalformedInput, match=re.escape(f"{p}: ") + ".*" + re.escape(named)):
+            Vocab.load(str(p))
 
 
 class TestEncode:
