@@ -7,18 +7,19 @@ so the arrays saved for the backward are freed as it goes and a training
 step holds one graph at a time. Leaves (parameters, and any tensor without
 parents) keep their gradients; a second backward through a consumed graph
 raises GraphConsumed. Just enough surface for a small decoder-only
-transformer. Multi-head attention is one op, `attention`, over
-(heads, n, dh) arrays under one additive 0/-inf mask bias, with a
-hand-written backward; per head, `slice_cols`, `transpose`,
-`masked_softmax` and `concat` compose its slow reference.
+transformer, whose layer is one tape op in `model`.
 
-The tape is training's alone. `layer_norm_values` and `attention_values`
-are those ops' forward values on plain arrays, which inference (the prompt
-pass and every decode step, `model.forward_values`) calls with no tape, so
-each kernel exists once. Both take leading batch dimensions, which decoding
-uses to stack B sequences' one-token rows as (B, 1, d): numpy's stacked
-product runs each (1, d) item alone, so every row is rounded as a one-row
-product, while flattening the stack to (B, d) would round it as a block.
+That layer's kernels are plain-array pairs, a forward and its backward:
+`layer_norm_values`/`layer_norm_grads`, and multi-head attention over
+(heads, n, dh) views under one additive 0/-inf mask bias,
+`attention_values`/`attention_grads`. Inference calls the forwards with no
+tape, and the tape ops (`layer_norm`, `model`'s layer op) call both, so
+each kernel exists once. The forwards take leading batch dimensions, which
+decoding uses to stack B sequences' one-token rows as (B, 1, d): numpy's
+stacked product runs each (1, d) item alone, so every row is rounded as a
+one-row product, while flattening the stack to (B, d) would round it as a
+block. Per head, `slice_cols`, `transpose`, `masked_softmax` and `concat`
+compose attention's slow reference.
 
 The hot kernels make as few array passes as keep their results bit for
 bit: attention adds the mask bias into the score array its own product
@@ -36,8 +37,8 @@ from .errors import EmptyRow, GraphConsumed, ShapeMismatch
 __all__ = [
     "Tensor", "tensor", "matmul", "add", "mul", "scale", "transpose",
     "concat", "slice_cols", "gather_rows", "relu", "sigmoid", "additive_bias",
-    "masked_softmax", "attention", "attention_values", "layer_norm",
-    "layer_norm_values", "bce_loss", "cross_entropy_rows",
+    "masked_softmax", "attention_values", "attention_grads", "layer_norm",
+    "layer_norm_values", "layer_norm_grads", "bce_loss", "cross_entropy_rows",
     "sum_all", "add_scalars", "backward", "AdamW", "clip_grad_norm",
 ]
 
@@ -266,8 +267,16 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
 
 def attention_values(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray,
                      heads: int) -> tuple[np.ndarray, np.ndarray]:
-    """The forward of `attention` on plain arrays: its output and the
-    (..., heads, n, m) probabilities its backward reads."""
+    """Multi-head scaled dot-product attention: the output, and the
+    (..., heads, n, m) probabilities `attention_grads` reads.
+
+    q is n x d, k and v are m x d, and `bias` is the n x m additive mask of
+    `additive_bias`, shared by every head. Head h owns columns
+    h*dh..(h+1)*dh (dh = d / heads); all heads run as one batched product
+    over (heads, rows, dh) views, so the output equals, per head,
+    softmax(q_h k_h^T / sqrt(dh) + bias) v_h. The bias and the softmax go
+    into the score array the product allocated. Leading batch dimensions,
+    shared by q, k, v and the bias, run each item as that product alone."""
     *lead, n, d = q.shape
     m = k.shape[-2]
     if (k.shape != (*lead, m, d) or v.shape != k.shape or d % heads
@@ -281,46 +290,21 @@ def attention_values(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarr
     return _merge_heads(probs @ _split_heads(v, heads)), probs
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
-              heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention as one op.
-
-    q is n x d, k and v are m x d; `bias` is the n x m additive mask of
-    `additive_bias`, 0 where visible and -inf where hidden, and holds for
-    every head. Every row must see something; `additive_bias` checks that
-    when it builds the bias. Head h owns columns h*dh..(h+1)*dh
-    (dh = d / heads), and all heads run as one batched product over
-    (heads, rows, dh) views. The n x d output equals, per head,
-    softmax(q_h k_h^T / sqrt(dh)) over the visible entries times v_h, with
-    the heads concatenated. Leading batch dimensions, shared by q, k, v and
-    the bias, run each item as that product on its own.
-
-    The forward is `attention_values`: the bias is added into the score
-    array the product allocated, and the row max is subtracted, `exp` taken
-    and the rows normalized in that same array, so the forward allocates
-    one heads x n x m array per item. Backward, per head, from the saved
-    probabilities p: dV = p^T g,
-    dS = p * (g V^T - rowsum(g V^T * p)) / sqrt(dh), dQ = dS K, dK = (Q^T dS)^T.
-    """
-    out_data, probs = attention_values(q.data, k.data, v.data, bias, heads)
-    s = 1.0 / float(np.sqrt(q.shape[-1] // heads))
-
-    def backward(g):
-        gh = _split_heads(g, heads)
-        if v.requires_grad:
-            v.accumulate(_merge_heads(probs.swapaxes(-1, -2) @ gh))
-        if q.requires_grad or k.requires_grad:
-            ds = gh @ _split_heads(v.data, heads).swapaxes(-1, -2)
-            ds -= (ds * probs).sum(axis=-1, keepdims=True)
-            ds *= probs
-            ds *= s
-            if q.requires_grad:
-                q.accumulate(_merge_heads(ds @ _split_heads(k.data, heads)))
-            if k.requires_grad:
-                qh = _split_heads(q.data, heads)
-                k.accumulate(_merge_heads((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
-
-    return _op(out_data, (q, k, v), backward)
+def attention_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                    probs: np.ndarray, heads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The backward of `attention_values`, from the output's gradient g
+    and its probabilities p: per head dV = p^T g, dQ = dS K and
+    dK = (Q^T dS)^T, where dS = p * (g V^T - rowsum(g V^T * p)) / sqrt(dh)
+    is built in place."""
+    gh = _split_heads(g, heads)
+    dv = _merge_heads(probs.swapaxes(-1, -2) @ gh)
+    ds = gh @ _split_heads(v, heads).swapaxes(-1, -2)
+    ds -= (ds * probs).sum(axis=-1, keepdims=True)
+    ds *= probs
+    ds *= 1.0 / float(np.sqrt(q.shape[-1] // heads))
+    dq = _merge_heads(ds @ _split_heads(k, heads))
+    dk = _merge_heads((_split_heads(q, heads).swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
+    return dq, dk, dv
 
 
 def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -335,22 +319,26 @@ def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     return xhat * gain + bias, xhat, inv
 
 
+def layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                     gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The backward of `layer_norm_values`: the input's, gain's and bias's
+    gradients from the output's gradient `g` and the saved xhat and inv."""
+    d, lead = g.shape[-1], tuple(range(g.ndim - 1))
+    gx = g * gain
+    dx = inv * (gx - gx.sum(axis=-1, keepdims=True) / d
+                - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d))
+    return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Row-wise layer norm. Means are sums divided by the width, which is
     what `np.mean` and `np.var` compute, without their wrapper cost."""
-    d = x.data.shape[-1]
     out_data, xhat, inv = layer_norm_values(x.data, gain.data, bias.data, eps)
 
     def backward(g):
-        if gain.requires_grad:
-            gain.accumulate((g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            bias.accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            gx = g * gain.data
-            dx = inv * (gx - gx.sum(axis=-1, keepdims=True) / d
-                        - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d))
-            x.accumulate(dx)
+        for t, grad in zip((x, gain, bias), layer_norm_grads(g, xhat, inv, gain.data)):
+            if t.requires_grad:
+                t.accumulate(grad)
 
     return _op(out_data, (x, gain, bias), backward)
 

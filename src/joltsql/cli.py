@@ -18,7 +18,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, pipeline
-from .errors import ConfigError, JoltError, ShapeMismatch
+from .errors import ConfigError, JoltError, MalformedInput, ShapeMismatch
 from .jsonfile import read_json
 from .masks import build_causal_mask, build_joint_mask, render_ascii, render_ppm, render_svg
 from .model import MAX_LEN, ModelConfig, ModelParams
@@ -93,10 +93,15 @@ def _section(name: str, build):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as f:
-        return f.read()
+    """The text of `path`, or of stdin for "-"; raises MalformedInput
+    naming the file when its bytes do not decode as text."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise MalformedInput(f"{path}: cannot be decoded as text: {e}") from None
 
 
 # ------------------------------------------------------------ subcommands

@@ -38,7 +38,8 @@ class InvalidJson(JoltError):
 
 
 class MalformedInput(JoltError):
-    """A vocab, weight-cache or corpus file is JSON of the wrong shape."""
+    """A vocab, weight-cache or corpus file is JSON of the wrong shape, or
+    a text input's bytes do not decode as text."""
 
 
 class InvalidSegmentation(JoltError):

@@ -1,11 +1,11 @@
-"""Toy decoder-only transformer with pluggable attention masks, one fused
-multi-head attention op per layer, a marker-probability linking head, and
-the linking / next-token / joint losses.
+"""Toy decoder-only transformer: pluggable attention masks, one layer body
+on plain arrays (halves `_attend` and `_ffn`), a marker-probability linking
+head, and the linking / next-token / joint losses.
 
-Training runs `forward` on the autodiff tape. Inference never touches the
-tape: one layer loop on plain arrays, `forward_values`, runs the prompt
-pass (`prompt_pass`) and every decode step of `greedy_generate` over one
-K/V cache."""
+Training's `forward` runs each layer as one tape op over that body,
+`_block`. Inference never touches the tape: one layer loop,
+`forward_values`, runs the prompt pass (`prompt_pass`) and every decode
+step of `greedy_generate` over one K/V cache."""
 from __future__ import annotations
 
 import json
@@ -145,14 +145,63 @@ class ForwardOutput:
     marker_probs: Tensor  # n x 1, meaningful at marker positions
 
 
+def _attend(w: dict[str, np.ndarray], x: np.ndarray, bias: np.ndarray, kv,
+            heads: int, rows: list[int] | None = None):
+    """A layer's attention half: r rows `x` at positions m-r..m-1 under
+    `bias`, their additive mask over positions 0..m-1. Writes the rows' K/V
+    into `kv` at m-r..m-1; with `rows`, the rest runs on `rows` alone.
+    Returns the rows after the residual and what `_block`'s backward reads."""
+    m = bias.shape[-1]
+    h, xhat1, inv1 = ad.layer_norm_values(x, w["ln1_g"], w["ln1_b"])
+    kv[0][..., m - x.shape[-2]:m, :] = h @ w["wk"]
+    kv[1][..., m - x.shape[-2]:m, :] = h @ w["wv"]
+    if rows is not None:
+        x, h, bias = x[rows], h[rows], bias[rows]
+    q = h @ w["wq"]
+    a, probs = ad.attention_values(q, kv[0][..., :m, :], kv[1][..., :m, :], bias, heads)
+    return x + a @ w["wo"], (xhat1, inv1, h, q, probs, a)
+
+
+def _ffn(w: dict[str, np.ndarray], x: np.ndarray):
+    """A layer's FFN half: the output rows and what the backward reads."""
+    h2, xhat2, inv2 = ad.layer_norm_values(x, w["ln2_g"], w["ln2_b"])
+    r = h2 @ w["w1"]  # one wide array: the bias and ReLU go in place
+    np.maximum(np.add(r, w["b1"], out=r), 0, out=r)
+    return x + (r @ w["w2"] + w["b2"]), (xhat2, inv2, h2, r)
+
+
+def _block(x: Tensor, layer: dict[str, Tensor], bias: np.ndarray, heads: int) -> Tensor:
+    """One layer of training's tape as one op: `_attend` over a fresh K/V
+    buffer, then `_ffn`, and their backward, whose every gradient is byte
+    for byte what the layer's separate tape ops gave."""
+    w = {name: t.data for name, t in layer.items()}
+    kv = np.empty((2, *x.shape), dtype=x.data.dtype)
+    x1, (xhat1, inv1, h, q, probs, a) = _attend(w, x.data, bias, kv, heads)
+    out, (xhat2, inv2, h2, r) = _ffn(w, x1)
+
+    def backward(g):
+        gz = (g @ w["w2"].T) * (r > 0)
+        gx, dg2, db2 = ad.layer_norm_grads(gz @ w["w1"].T, xhat2, inv2, w["ln2_g"])
+        gx += g
+        dq, dk, dv = ad.attention_grads(gx @ w["wo"].T, q, kv[0], kv[1], probs, heads)
+        gh = dq @ w["wq"].T + dk @ w["wk"].T + dv @ w["wv"].T  # the tape's order
+        dx, dg1, db1 = ad.layer_norm_grads(gh, xhat1, inv1, w["ln1_g"])
+        grads = {"ln1_g": dg1, "ln1_b": db1, "wq": h.T @ dq, "wk": h.T @ dk, "wv": h.T @ dv,
+                 "wo": a.T @ gx, "ln2_g": dg2, "ln2_b": db2, "w1": h2.T @ gz,
+                 "b1": gz.sum(axis=0), "w2": r.T @ g, "b2": g.sum(axis=0)}
+        for t, grad in ((x, dx + gx), *((t, grads[k]) for k, t in layer.items())):
+            if t.requires_grad:
+                t.accumulate(grad)
+
+    return ad._op(out, (x, *layer.values()), backward)
+
+
 def forward(params: ModelParams, ids: list[int], visible: np.ndarray) -> ForwardOutput:
     """Training's tape forward: the sequence `ids` at positions 0..n-1
     through the transformer under the n x n boolean mask `visible`.
 
     The mask's additive bias is built once (`autodiff.additive_bias`) and
-    every layer's attention, one `autodiff.attention` op over (heads, n, dh)
-    views of Q, K and V, adds that same array. Inference runs the same
-    layers on plain arrays, off the tape (`forward_values`).
+    every layer, one `_block` op, adds that same array in its attention.
     """
     cfg = params.config
     n = len(ids)
@@ -164,16 +213,7 @@ def forward(params: ModelParams, ids: list[int], visible: np.ndarray) -> Forward
     x = ad.add(ad.gather_rows(params.emb, np.asarray(ids)),
                ad.gather_rows(params.pos, np.arange(n)))
     for layer in params.layers:
-        h = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-        k = ad.matmul(h, layer["wk"])
-        v = ad.matmul(h, layer["wv"])
-        q = ad.matmul(h, layer["wq"])
-        attn = ad.matmul(ad.attention(q, k, v, bias, cfg.heads), layer["wo"])
-        x = ad.add(x, attn)
-        h2 = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
-        ffn = ad.matmul(ad.relu(ad.add(ad.matmul(h2, layer["w1"]), layer["b1"])), layer["w2"])
-        ffn = ad.add(ffn, layer["b2"])
-        x = ad.add(x, ffn)
+        x = _block(x, layer, bias, cfg.heads)
     hidden = ad.layer_norm(x, params.lnf_g, params.lnf_b)
     lm_logits = ad.matmul(hidden, ad.transpose(params.emb))
     marker_probs = ad.sigmoid(ad.add(ad.matmul(hidden, params.link_w), params.link_b))
@@ -182,10 +222,10 @@ def forward(params: ModelParams, ids: list[int], visible: np.ndarray) -> Forward
 
 def forward_values(params: ModelParams, tokens: np.ndarray, bias: np.ndarray,
                    past: np.ndarray, rows: list[int] | None = None) -> np.ndarray:
-    """The inference pass: `forward`'s layers on plain arrays, through its
-    layer-norm and attention kernels, with no tape. Runs r new rows
-    `tokens` at positions m-r..m-1, m being `bias`'s last axis, and returns
-    their final-norm hidden rows; callers apply the heads.
+    """The inference pass: `forward`'s layer body, `_attend` then `_ffn`,
+    on plain arrays with no tape. Runs r new rows `tokens` at positions
+    m-r..m-1, m being `bias`'s last axis, and returns their final-norm
+    hidden rows; callers apply the heads.
 
     `bias` is the rows' additive mask over positions 0..m-1. `past` holds
     per layer a K and a V buffer (layers x 2 x ...) whose first m-r
@@ -211,18 +251,10 @@ def forward_values(params: ModelParams, tokens: np.ndarray, bias: np.ndarray,
         raise ShapeMismatch(f"position {m - 1} is past max_len {cfg.max_len}")
     x = params.emb.data[tokens] + params.pos.data[m - r:m]
     last = len(params.layers) - 1
-    for li, (layer, (k_buf, v_buf)) in enumerate(zip(params.layers, past)):
+    for li, (layer, kv) in enumerate(zip(params.layers, past)):
         w = {name: t.data for name, t in layer.items()}
-        h = ad.layer_norm_values(x, w["ln1_g"], w["ln1_b"])[0]
-        k_buf[..., m - r:m, :] = h @ w["wk"]
-        v_buf[..., m - r:m, :] = h @ w["wv"]
-        if rows is not None and li == last:
-            x, h, bias = x[rows], h[rows], bias[rows]
-        attn = ad.attention_values(h @ w["wq"], k_buf[..., :m, :], v_buf[..., :m, :],
-                                   bias, cfg.heads)[0]
-        x = x + attn @ w["wo"]
-        h2 = ad.layer_norm_values(x, w["ln2_g"], w["ln2_b"])[0]
-        x = x + (np.maximum(h2 @ w["w1"] + w["b1"], 0) @ w["w2"] + w["b2"])
+        # the attention probabilities go before the FFN runs, which reuses their memory
+        x = _ffn(w, _attend(w, x, bias, kv, cfg.heads, rows if li == last else None)[0])[0]
     return ad.layer_norm_values(x, params.lnf_g.data, params.lnf_b.data)[0]
 
 

@@ -83,12 +83,12 @@ class TrainConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not self.max_grad_norm > 0:
             raise ValueError("max_grad_norm must be positive")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError("weight_decay must be non-negative and finite")
         if not 0 < self.beta < 1:
             raise ValueError("beta must be in (0, 1)")
         if self.noise_mode not in ("confusion", "random", "none"):
@@ -219,7 +219,11 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
         for idx in order:
             ex = examples[int(idx)]
             if config.noise_mode == "confusion" and epoch == 1 and ex.example_id not in cache:
-                cache.record(ex.example_id, capture_sampling_weights(params, ex))
+                weights = capture_sampling_weights(params, ex)
+                if not np.isfinite(weights).all():
+                    raise NonFiniteLoss(f"step {step}: example {ex.example_id!r}: "
+                                        "captured sampling weights are not finite")
+                cache.record(ex.example_id, weights)
 
             rng = example_rng(config.seed, ex.example_id, epoch, step)
             pool = ex.non_gt_columns()

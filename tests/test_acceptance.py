@@ -16,7 +16,7 @@ from joltsql.autodiff import additive_bias
 from joltsql.evaluation import evaluate, sweep_csv, threshold_sweep
 from joltsql.masks import build_joint_mask
 from joltsql.metrics import pr_auc, roc_auc
-from joltsql.model import (ModelConfig, ModelParams, forward, ntp_loss,
+from joltsql.model import (ModelConfig, ModelParams, _block, forward, ntp_loss,
                            schema_linking_loss)
 from joltsql.pipeline import TrainConfig, train
 from joltsql.sampling import draw_noise_count, sample_noisy
@@ -160,6 +160,16 @@ def test_criterion_03_gradient_checks():
     bias = ad.tensor(np.zeros(4), dtype=np.float64)
     y = np.array([[1.0], [0.0], [1.0]])
     idx = np.array([0, 2, 1])
+    # one transformer layer as its tape op, under a causal mask, with every
+    # parameter drawn at random so that gains, biases and the ReLU all vary
+    block_cfg = ModelConfig(vocab_size=4, dim=4, heads=2, layers=1, max_len=4, dtype="float64")
+    layer = {k: ad.tensor(rng.normal(1.0 if k.endswith("_g") else 0.0, 0.5, p.shape),
+                          requires_grad=True, dtype=np.float64)
+             for k, p in ModelParams(block_cfg).layers[0].items()}
+
+    def block_value(t):
+        return ad.sum_all(ad.mul(_block(t, layer, causal_bias, 2), ad.transpose(b)))
+
     ops = {
         "matmul": (lambda t: ad.sum_all(ad.matmul(t, b)), (5, 4)),
         "add": (lambda t: ad.sum_all(ad.mul(ad.add(t, b), ad.add(t, b))), (4, 3)),
@@ -179,14 +189,26 @@ def test_criterion_03_gradient_checks():
         "layer_norm": (lambda t: ad.sum_all(ad.mul(ad.layer_norm(t, gain, bias),
                                                    ad.layer_norm(t, gain, bias))), (3, 4)),
         "cross_entropy_rows": (lambda t: ad.cross_entropy_rows(t, idx), (3, 5)),
-        "attention": (lambda t: ad.sum_all(ad.mul(ad.attention(t, t, t, causal_bias, 2),
-                                                  ad.transpose(b))), (3, 4)),
+        "relu": (lambda t: ad.sum_all(ad.mul(ad.relu(t), ad.relu(t))), (4, 3)),
+        "block": (block_value, (3, 4)),
     }
     worst_overall, worst_name = 0.0, ""
     for name, (build, shape) in ops.items():
         worst = check(build, shape)
         if worst > worst_overall:
             worst_overall, worst_name = worst, name
+
+    # the block's parameters, at one random input
+    x = ad.tensor(rng.normal(0, 1, (3, 4)), dtype=np.float64)
+    for p in layer.values():
+        p.grad = None
+    ad.backward(block_value(x))
+    for name, p in layer.items():
+        want = fd(lambda: float(block_value(x).data), p.data)
+        denom = np.maximum(np.maximum(np.abs(p.grad), np.abs(want)), 1.0)
+        err = float(np.max(np.abs(p.grad - want) / denom))
+        if err > worst_overall:
+            worst_overall, worst_name = err, f"block:{name}"
 
     # bce on probabilities, away from the clamp
     def bce_build(t):

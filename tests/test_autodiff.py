@@ -213,9 +213,24 @@ class TestGradientChecks:
             assert rel_err(got, want) < REL_TOL, name
 
 
+def tape_attention(q, k, v, bias, heads):
+    """Multi-head attention as one tape op over `ad.attention_values` and
+    `ad.attention_grads`, the kernels the model's layer op runs: what the
+    tests check those kernels through."""
+    out, probs = ad.attention_values(q.data, k.data, v.data, bias, heads)
+
+    def backward(g):
+        dq, dk, dv = ad.attention_grads(g, q.data, k.data, v.data, probs, heads)
+        for t, grad in ((v, dv), (q, dq), (k, dk)):
+            if t.requires_grad:
+                t.accumulate(grad)
+
+    return ad._op(out, (q, k, v), backward)
+
+
 def unfused_attention(q, k, v, bias, heads):
-    """The per-head composition `ad.attention` replaces: the slow reference.
-    It reads the mask bias as the boolean mask it encodes."""
+    """The per-head composition the fused attention kernels replace: the
+    slow reference. It reads the mask bias as the boolean mask it encodes."""
     visible = bias == 0
     dh = q.shape[1] // heads
     outs = []
@@ -256,8 +271,8 @@ class TestFusedAttention:
 
         def build(t):
             args = dict(fixed, **{wrt: t})
-            out = ad.attention(args["q"], args["k"], args["v"],
-                               additive_bias(visible, np.float64), heads)
+            out = tape_attention(args["q"], args["k"], args["v"],
+                                 additive_bias(visible, np.float64), heads)
             return ad.sum_all(ad.mul(out, w))
         check_op(build, (rows[wrt], self.D), rng)
 
@@ -273,7 +288,7 @@ class TestFusedAttention:
             data = [rng.normal(0, 1, (r, d)) for r in (n, m, m)]
             w = rng.normal(0, 1, (n, d))
             results = []
-            for op in (ad.attention, unfused_attention):
+            for op in (tape_attention, unfused_attention):
                 q, k, v = (ad.tensor(x, requires_grad=True, dtype=dtype) for x in data)
                 out = op(q, k, v, additive_bias(visible, dtype), heads)
                 ad.backward(ad.sum_all(ad.mul(out, ad.tensor(w, dtype=dtype))))
@@ -286,14 +301,12 @@ class TestFusedAttention:
         rng = np.random.default_rng(3)
         visible = attention_masks()["past"].copy()
         visible[:, 0] = False  # no query row may see cached row 0
-        q = ad.tensor(rng.normal(0, 1, (2, 4)), dtype=np.float64)
-        k = ad.tensor(rng.normal(0, 1, (5, 4)), dtype=np.float64)
-        v = ad.tensor(rng.normal(0, 1, (5, 4)), dtype=np.float64)
+        q, k, v = (rng.normal(0, 1, (r, 4)) for r in (2, 5, 5))
         bias = additive_bias(visible, np.float64)
-        base = ad.attention(q, k, v, bias, 2).data
-        k.data[0] += 100.0
-        v.data[0] -= 100.0
-        assert np.array_equal(ad.attention(q, k, v, bias, 2).data, base)
+        base = ad.attention_values(q, k, v, bias, 2)[0]
+        k[0] += 100.0
+        v[0] -= 100.0
+        assert np.array_equal(ad.attention_values(q, k, v, bias, 2)[0], base)
 
     def test_empty_row_rejected(self):
         # rejected where the mask's bias is built, before any attention
@@ -307,20 +320,19 @@ class TestFusedAttention:
         rng = np.random.default_rng(0)
         n, d, heads = 192, 80, 4
         bias = additive_bias(np.tri(n, dtype=bool), np.float32)
-        q, k, v = (ad.tensor(rng.normal(0, 1, (n, d)), dtype=np.float32) for _ in range(3))
-        peak = traced_peak(lambda: ad.attention(q, k, v, bias, heads))
+        q, k, v = (rng.normal(0, 1, (n, d)).astype(np.float32) for _ in range(3))
+        peak = traced_peak(lambda: ad.attention_values(q, k, v, bias, heads))
         scores = heads * n * n * 4
         assert peak <= 1.25 * scores, peak / scores
 
     def test_shape_mismatch_rejected(self):
-        q = ad.tensor(np.zeros((2, 4)))
-        kv = ad.tensor(np.zeros((3, 4)))
+        q, kv = np.zeros((2, 4)), np.zeros((3, 4))
         with pytest.raises(ShapeMismatch):  # mask not n x m
-            ad.attention(q, kv, kv, np.zeros((2, 2), dtype=np.float32), 2)
+            ad.attention_values(q, kv, kv, np.zeros((2, 2)), 2)
         with pytest.raises(ShapeMismatch):  # k and v differ
-            ad.attention(q, kv, ad.tensor(np.zeros((2, 4))), np.zeros((2, 3), dtype=np.float32), 2)
+            ad.attention_values(q, kv, np.zeros((2, 4)), np.zeros((2, 3)), 2)
         with pytest.raises(ShapeMismatch):  # width not divisible by heads
-            ad.attention(q, kv, kv, np.zeros((2, 3), dtype=np.float32), 3)
+            ad.attention_values(q, kv, kv, np.zeros((2, 3)), 3)
 
 
 class TestWorkedValues:
@@ -617,12 +629,11 @@ class TestKernelsMatchSlowReferences:
             n, m = visible.shape
             data = [rng.normal(0, 1, (r, d)).astype(dtype) for r in (n, m, m)]
             g = rng.normal(0, 1, (n, d)).astype(dtype)
-            q, k, v = (ad.tensor(x, requires_grad=True, dtype=dtype) for x in data)
-            out = ad.attention(q, k, v, additive_bias(visible, dtype), heads)
-            ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g, dtype=dtype))))
+            out, probs = ad.attention_values(*data, additive_bias(visible, dtype), heads)
+            grads = ad.attention_grads(g, *data, probs, heads)
             for reference in (reference_attention, prechange_attention):
                 want = reference(*data, visible, heads, g)
-                for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+                for got, ref in zip((out, *grads), want):
                     same_bytes(got, ref)
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -639,10 +650,8 @@ class TestKernelsMatchSlowReferences:
             g = rng.normal(0, 1, (items, n, d)).astype(dtype)
 
             def run(arrays, bias, g):
-                q, k, v = (ad.tensor(x, requires_grad=True, dtype=dtype) for x in arrays)
-                out = ad.attention(q, k, v, bias, heads)
-                ad.backward(ad.sum_all(ad.mul(out, ad.tensor(g, dtype=dtype))))
-                return out.data, q.grad, k.grad, v.grad
+                out, probs = ad.attention_values(*arrays, bias, heads)
+                return (out, *ad.attention_grads(g, *arrays, probs, heads))
 
             stacked = run(data, bias, g)
             for b in range(items):

@@ -193,6 +193,37 @@ class TestInputFiles:
         if kind == "corpus":
             assert err.startswith(f"error: {path}, line 2: ")
 
+    @pytest.mark.parametrize("kind", ["corpus", "sql", "prefix"])
+    def test_input_that_is_not_utf8_is_named(self, capsys, tmp_path, workspace, kind):
+        """A corpus line, or a text file, whose bytes are not UTF-8 is an
+        error line naming the file (and the line), not a traceback."""
+        corpus = workspace["corpus"]
+        schema_file = next((corpus / "schema").glob("*.json"))
+        binary = b"\xff\xfe\x9c binary \xc3\n"
+        path = tmp_path / "input.bin"
+        if kind == "corpus":
+            first = (corpus / "train.jsonl").read_bytes().splitlines(keepends=True)[0]
+            path.write_bytes(first + binary)
+            argv = self.argv_reading("corpus", path, workspace, tmp_path)
+        elif kind == "sql":
+            path.write_bytes(binary)
+            argv = ("extract-gt", "--sql", path, "--schema", schema_file)
+        else:
+            path.write_bytes(binary)
+            spans = tmp_path / "spans.json"
+            code, schema_text, _ = run(capsys, "serialize", "--schema", str(schema_file),
+                                       "--spans-out", str(spans))
+            assert code == 0
+            (tmp_path / "schema.txt").write_text(schema_text[:-1])
+            (tmp_path / "query.txt").write_text("SELECT")
+            argv = ("encode", "--prefix", path, "--schema", tmp_path / "schema.txt",
+                    "--spans", spans, "--query", tmp_path / "query.txt",
+                    "--vocab", corpus / "vocab.json")
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}, line 2: " if kind == "corpus"
+                              else f"error: {path}: ")
+
     @pytest.mark.parametrize("schema,named", [
         ({}, "schema: missing key 'tables'"),
         ({"tables": [{"name": "t"}]}, "table 't': missing key 'columns'"),

@@ -12,7 +12,7 @@ from joltsql.model import (ModelConfig, ModelParams, forward, forward_values,
                            greedy_generate, joint_loss, ntp_loss, prompt_pass,
                            schema_linking_loss)
 from joltsql.tokenizer import SegmentMap
-from test_autodiff import traced_peak, unfused_attention
+from test_autodiff import tape_attention, traced_peak, unfused_attention
 
 
 def tiny_config(**kw):
@@ -41,6 +41,35 @@ def kv_buffers(kv, rows, lead=()):
     return past
 
 
+def tape_forward(params, ids, visible, attention=tape_attention):
+    """Training's forward as it ran before each layer became one tape op:
+    the layer as separate autodiff ops, with `attention` as its attention
+    op. Kept as the slow reference for `forward`'s layer op. Returns the
+    `ForwardOutput` and each layer's K and V (layers x 2 x n x d)."""
+    cfg = params.config
+    n = len(ids)
+    bias = ad.additive_bias(visible, cfg.np_dtype)
+    x = ad.add(ad.gather_rows(params.emb, np.asarray(ids)),
+               ad.gather_rows(params.pos, np.arange(n)))
+    kv = []
+    for layer in params.layers:
+        h = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
+        k = ad.matmul(h, layer["wk"])
+        v = ad.matmul(h, layer["wv"])
+        q = ad.matmul(h, layer["wq"])
+        kv.append([k.data, v.data])
+        attn = ad.matmul(attention(q, k, v, bias, cfg.heads), layer["wo"])
+        x = ad.add(x, attn)
+        h2 = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
+        ffn = ad.matmul(ad.relu(ad.add(ad.matmul(h2, layer["w1"]), layer["b1"])), layer["w2"])
+        ffn = ad.add(ffn, layer["b2"])
+        x = ad.add(x, ffn)
+    hidden = ad.layer_norm(x, params.lnf_g, params.lnf_b)
+    lm_logits = ad.matmul(hidden, ad.transpose(params.emb))
+    marker_probs = ad.sigmoid(ad.add(ad.matmul(hidden, params.link_w), params.link_b))
+    return model.ForwardOutput(lm_logits, marker_probs), np.array(kv)
+
+
 def tape_decode_step(params, ids, visible, past):
     """The decode step as `forward(..., past=)` ran it before decoding left
     the tape, kept as the slow reference for a `forward_values` step: one
@@ -61,7 +90,7 @@ def tape_decode_step(params, ids, visible, past):
         k_buf[:, p:p + 1] = k.data
         v_buf[:, p:p + 1] = v.data
         k, v = ad.Tensor(k_buf[:, :p + 1]), ad.Tensor(v_buf[:, :p + 1])
-        attn = ad.matmul(ad.attention(q, k, v, bias, cfg.heads), layer["wo"])
+        attn = ad.matmul(tape_attention(q, k, v, bias, cfg.heads), layer["wo"])
         x = ad.add(x, attn)
         h2 = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
         ffn = ad.matmul(ad.relu(ad.add(ad.matmul(h2, layer["w1"]), layer["b1"])), layer["w2"])
@@ -206,10 +235,10 @@ class TestForward:
                                    rtol=0, atol=1e-6)
 
 
-def training_loss(params):
+def training_loss(params, run=forward):
     seg = tiny_segment()
     ids = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-    out = forward(params, ids, build_joint_mask(seg, TINY_ATTENDED))
+    out = run(params, ids, build_joint_mask(seg, TINY_ATTENDED))
     l_sl = schema_linking_loss(out.marker_probs, [1, 0], [4, 6])
     l_ntp = ntp_loss(out.lm_logits, ids, sorted(seg.query))
     return joint_loss(l_sl, l_ntp)
@@ -252,14 +281,15 @@ class TestAttentionOp:
         assert len(set(counts.values())) == 1, counts
 
     @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
-    def test_training_gradients_match_unfused(self, monkeypatch, dtype, tol):
-        def grads():
+    def test_training_gradients_match_unfused(self, dtype, tol):
+        """`forward`'s layer op against the layer as separate tape ops with
+        the per-head composition for attention."""
+        def grads(run):
             params = ModelParams(tiny_config(dtype=dtype), seed=4)
-            ad.backward(training_loss(params))
+            ad.backward(training_loss(params, run))
             return {k: p.grad for k, p in params.named_params().items()}
-        fused = grads()
-        monkeypatch.setattr(ad, "attention", unfused_attention)
-        reference = grads()
+        fused = grads(forward)
+        reference = grads(lambda *args: tape_forward(*args, attention=unfused_attention)[0])
         for k in reference:
             np.testing.assert_allclose(fused[k], reference[k], rtol=0, atol=tol, err_msg=k)
 
@@ -300,6 +330,56 @@ class TestAttentionOp:
         assert len(fused) == 4
         for got, want in zip(fused, reference):
             np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+class TestLayerOp:
+    """Each layer of `forward` is one tape op over the layer body inference
+    runs; its outputs and gradients are byte for byte those of the layer
+    as separate tape ops (`tape_forward`)."""
+
+    SEG = SegmentMap(n=30, schema_start=6, query_start=20, markers={8, 12, 16},
+                     table_elements={}, marker_columns=[])
+
+    def step_loss(self, run, params, step):
+        """One training step's joint loss, each step its own tokens and
+        attended schema tokens; the forward's output too."""
+        rng = np.random.default_rng(step)
+        ids = [int(t) for t in rng.integers(0, params.config.vocab_size, self.SEG.n)]
+        attended = {int(i) for i in rng.choice([7, 9, 10, 11, 13, 14, 17, 18], 4)}
+        out = run(params, ids, build_joint_mask(self.SEG, attended))
+        l_sl = schema_linking_loss(out.marker_probs, [1, 0, 1], sorted(self.SEG.markers))
+        return joint_loss(l_sl, ntp_loss(out.lm_logits, ids, list(self.SEG.query))), out
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_outputs_and_two_accumulated_steps_byte_equal_to_the_tape(self, dtype):
+        runs = []
+        for run in (forward, lambda *args: tape_forward(*args)[0]):
+            params = TestDecodeStep.lively_params(dtype)
+            outputs = []
+            for step in range(2):
+                loss, out = self.step_loss(run, params, step)
+                outputs += [out.lm_logits.data.tobytes(), out.marker_probs.data.tobytes()]
+                ad.backward(loss)
+            runs.append((outputs, {k: p.grad.tobytes()
+                                   for k, p in params.named_params().items()}))
+        (got, got_grads), (want, want_grads) = runs
+        assert got == want
+        assert got_grads.keys() == want_grads.keys()
+        for k in want_grads:
+            assert got_grads[k] == want_grads[k], k
+
+    def test_inference_runs_the_same_layer_body(self, monkeypatch):
+        """`forward` and `forward_values` call `_attend` then `_ffn` once
+        per layer."""
+        params = ModelParams(tiny_config(layers=3), seed=0)
+        calls = []
+        for name in ("_attend", "_ffn"):
+            half = getattr(model, name)
+            monkeypatch.setattr(model, name, lambda *args, name=name, half=half:
+                                calls.append(name) or half(*args))
+        forward(params, [1, 2, 3], build_causal_mask(3))
+        prompt_pass(params, [1, 2, 3], build_causal_mask(3))
+        assert calls == ["_attend", "_ffn"] * 6
 
 
 class TestLosses:

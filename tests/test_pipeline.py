@@ -11,7 +11,7 @@ import pytest
 from joltsql import autodiff as ad
 from joltsql import corpus, model, pipeline
 from joltsql.errors import (DegenerateExample, EmptyPrediction, InvalidJson, InvalidSchema,
-                            MalformedInput, MissingCacheEntry)
+                            MalformedInput, MissingCacheEntry, NonFiniteLoss)
 from joltsql.masks import build_joint_mask
 from joltsql.model import ModelConfig, ModelParams, forward, greedy_generate, prompt_pass
 from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
@@ -24,7 +24,7 @@ from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
 from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, SpanIndex, Table,
                             TableSpans, serialize_schema)
 from joltsql.tokenizer import EOS, MARKER, build_vocab, decode
-from test_model import tape_spy
+from test_model import tape_forward, tape_spy
 
 GOLD = "SELECT name FROM singer WHERE age > 30"
 GOLD2 = "SELECT T1 . name , T2 . year FROM stadium AS T1 JOIN concert AS T2 ON T1 . id = T2 . stadium_id"
@@ -321,6 +321,16 @@ class TestTrainLoop:
               TrainConfig(epochs=2, learning_rate=1e-3, grad_accum=2, seed=9), log_fn=log_fn)
         assert steps == [0, 1, 2, 3]
 
+    def test_non_finite_capture_weights_raise_non_finite_loss(self, example, join_example,
+                                                              vocab):
+        """A run that diverges in epoch 1 under confusion sampling stops at
+        the first capture whose weights are not finite, naming the step and
+        the example. Its overflows are expected, not errors."""
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(NonFiniteLoss, match=r"step 1: example 'ex-\d'.*not finite")):
+            train([example, join_example], tiny_model(vocab),
+                  TrainConfig(epochs=1, learning_rate=1e30, grad_accum=1, seed=0))
+
     def test_deterministic_training(self, example, join_example, vocab):
         cfg = TrainConfig(epochs=2, learning_rate=1e-3, grad_accum=2, seed=7)
         a = train([example, join_example], tiny_model(vocab), cfg)
@@ -335,9 +345,9 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(noise_mode="bogus")
         for bad in ({"epochs": 0}, {"grad_accum": 0}, {"learning_rate": 0.0},
-                    {"learning_rate": float("nan")}, {"max_grad_norm": -1.0},
-                    {"max_grad_norm": 0.0}, {"weight_decay": -1.0}, {"seed": -1},
-                    {"seed": 1.5}):
+                    {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+                    {"max_grad_norm": -1.0}, {"max_grad_norm": 0.0}, {"weight_decay": -1.0},
+                    {"weight_decay": float("inf")}, {"seed": -1}, {"seed": 1.5}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
         for bad in ({"dim": -4}, {"dim": 0}, {"dtype": "float16"}, {"ffn_mult": 0},
@@ -430,7 +440,7 @@ class TestRowGather:
     """`prompt_pass(..., rows=R)` runs the last layer on R alone: in float64
     its rows equal the full pass's rows R to 1e-12 (relative), and its K/V
     are the full pass's, byte for byte. The full pass is the tape
-    `forward`'s, byte for byte."""
+    reference's (`tape_forward`), byte for byte."""
 
     @staticmethod
     def close(got, want):
@@ -455,29 +465,18 @@ class TestRowGather:
             assert self.close(np.array(scores), full.marker_probs[ex.marker_positions, 0])
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_full_pass_byte_equal_to_the_tape_forward(self, desk_examples, monkeypatch,
-                                                      dtype):
+    def test_full_pass_byte_equal_to_the_tape_forward(self, desk_examples, dtype):
         """Over every prompt row, the array pass gives the tape forward's
         K/V (the outputs of its K and V projections), LM logits and marker
-        probabilities, byte for byte."""
+        probabilities, byte for byte; the tape forward is the layer as
+        separate tape ops (`tape_forward`)."""
         examples, vocab = desk_examples
         params = lively_desk_params(vocab, dtype)
-        projected = {}
-        matmul = ad.matmul
-
-        def spy(a, b):
-            out = matmul(a, b)
-            projected[id(b)] = out.data
-            return out
-
         for ex in examples[:3]:
             ids, visible = ex.tokens.ids[:ex.seg.query_start], prompt_mask(ex)
-            with monkeypatch.context() as patch:
-                patch.setattr(ad, "matmul", spy)
-                tape = forward(params, ids, visible)
+            tape, kv = tape_forward(params, ids, visible)
             got = prompt_pass(params, ids, visible)
-            kv = [[projected[id(layer[w])] for w in ("wk", "wv")] for layer in params.layers]
-            assert got.kv.tobytes() == np.array(kv).tobytes()
+            assert got.kv.tobytes() == kv.tobytes()
             assert got.lm_logits.tobytes() == tape.lm_logits.data.tobytes()
             assert got.marker_probs.tobytes() == tape.marker_probs.data.tobytes()
 
