@@ -217,8 +217,11 @@ def cmd_train(args) -> int:
         cache = WeightCache.load(cache_path)
     log = EventLog(os.path.join(args.out, "train_log.jsonl"))
     try:
-        result = pipeline.train(examples, model_cfg, train_cfg,
-                                log_fn=log.log_event, cache=cache)
+        # a diverging run overflows on its way to the loss and capture
+        # checks, which stop it with one error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = pipeline.train(examples, model_cfg, train_cfg,
+                                    log_fn=log.log_event, cache=cache)
         # the first step's event made `--out`
         result.params.save(os.path.join(args.out, "params.npz"))
         result.cache.save(cache_path)

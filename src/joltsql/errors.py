@@ -38,8 +38,9 @@ class InvalidJson(JoltError):
 
 
 class MalformedInput(JoltError):
-    """A vocab, weight-cache or corpus file is JSON of the wrong shape, or
-    a text input's bytes do not decode as text."""
+    """A vocab, weight-cache or corpus file is JSON of the wrong shape, a
+    checkpoint is not an intact archive, or a text input's bytes do not
+    decode as text."""
 
 
 class InvalidSegmentation(JoltError):

@@ -44,11 +44,20 @@ class EvalResult:
 
 def connect_readonly(path: str) -> sqlite3.Connection:
     """Open an existing database file read-only; DbUnavailable naming the
-    path otherwise, and no file is created."""
+    path when it cannot be opened or read, or holds no table, and no file
+    is created."""
     try:
-        return sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
+        conn = sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
     except sqlite3.OperationalError as e:
         raise DbUnavailable(f"cannot open {path} read-only: {e}") from e
+    try:
+        if conn.execute("SELECT count(*) FROM sqlite_master WHERE type = 'table'").fetchone()[0]:
+            return conn
+        problem = "it holds no tables"
+    except sqlite3.DatabaseError as e:
+        problem = str(e)
+    conn.close()
+    raise DbUnavailable(f"cannot read {path}: {problem}")
 
 
 def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,

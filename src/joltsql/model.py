@@ -9,6 +9,7 @@ step of `greedy_generate` over one K/V cache."""
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,6 +18,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import EmptyQuery, MalformedInput, NoMarkers, ShapeMismatch
 
+
+# what numpy raises on a file that is not an intact `.npz` archive: pickled
+# or unreadable bytes, a truncated array, a damaged zip member
+_CORRUPT = (ValueError, EOFError, zipfile.BadZipFile)
 
 # ModelConfig.max_len's default, and the longest example a corpus may hold
 MAX_LEN = 512
@@ -116,18 +121,31 @@ class ModelParams:
     def load(path: str) -> "ModelParams":
         """Read a checkpoint written by `save`. Every array must be present
         with the shape and dtype its stored config gives it. Raises
-        MalformedInput naming the file when the stored config is not one
-        ModelConfig takes."""
-        with np.load(path, allow_pickle=False) as z:
+        MalformedInput naming the file when it is not an intact `.npz`
+        archive (naming the array that cannot be read, where one is known)
+        or the stored config is not one ModelConfig takes."""
+        try:
+            z = np.load(path, allow_pickle=False)
+        except _CORRUPT:
+            raise MalformedInput(f"{path}: not a checkpoint archive") from None
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise MalformedInput(f"{path}: a single array, not a checkpoint archive")
+
+        def read(key: str) -> np.ndarray:
             try:
-                config = ModelConfig(**json.loads(str(z["__config__"])))
+                return z[key]
+            except _CORRUPT as e:
+                raise MalformedInput(f"{path}: array {key!r}: {e}") from None
+        with z:
+            try:
+                config = ModelConfig(**json.loads(str(read("__config__"))))
             except (KeyError, TypeError, ValueError) as e:
                 raise MalformedInput(f"{path}: stored config: {e}") from None
             params = ModelParams(config)
             for k, v in params.named_params().items():
                 if k not in z:
                     raise ShapeMismatch(f"{path}: missing array {k!r}")
-                stored = z[k]
+                stored = read(k)
                 if stored.shape != v.data.shape:
                     raise ShapeMismatch(f"{path}: {k!r} has shape {stored.shape}, "
                                         f"config gives {v.data.shape}")

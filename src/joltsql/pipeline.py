@@ -37,7 +37,6 @@ threshold; evaluation runs it at every threshold it scores.
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -61,9 +60,6 @@ PREFIX_TEMPLATE = "translate the question to sql . question : {question}"
 # the linking threshold and the decode budget of `infer`, evaluation and the CLI
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_MAX_NEW = 64
-
-# one tokenized schema per live schema document; equal documents share it
-_tokenized: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -119,15 +115,10 @@ class TrainingExample:
 
 
 def tokenized_schema(schema_doc: SchemaDocument) -> SchemaTokens:
-    """The document's serialized and tokenized schema, made once while the
-    document (or an equal one) lives. The lookup hashes only the table
-    names (`SchemaDocument.__hash__`); equal documents share the result.
-    `Vocab.schema_ids` keys its word ids on its `words`, so its examples
-    share those too."""
-    found = _tokenized.get(schema_doc)
-    if found is None:
-        found = _tokenized[schema_doc] = tokenize_schema(*serialize_schema(schema_doc))
-    return found
+    """The document's serialized and tokenized schema, made once per
+    document (`SchemaDocument.memo`). `Vocab.schema_ids` keys its word ids
+    on its `words`, so its examples share those too."""
+    return schema_doc.memo("tokens", lambda doc: tokenize_schema(*serialize_schema(doc)))
 
 
 def _build_example(question: str, schema_doc: SchemaDocument, gold_sql: str,

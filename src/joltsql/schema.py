@@ -47,19 +47,23 @@ class Table:
 @dataclass(frozen=True)
 class SchemaDocument:
     tables: tuple[Table, ...]
+    # what `memo` derived from this document: its tokenization, its compiler
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [t.name.lower() for t in self.tables]
         if len(set(names)) != len(names):
             raise ValueError("duplicate table names in schema")
 
-    def __hash__(self) -> int:
-        """The hash of the table names alone, a few strings however many
-        columns there are. Equality stays structural, so equal documents
-        share the caches keyed on them (`pipeline.tokenized_schema`,
-        `sqlscope`'s compilers) and documents that differ only in a column
-        get their own."""
-        return hash(tuple(t.name for t in self.tables))
+    def memo(self, key: str, make):
+        """`make(self)`, made once per key while this document lives."""
+        if key not in self._derived:
+            self._derived[key] = make(self)
+        return self._derived[key]
+
+    def __getstate__(self) -> dict:
+        # a copy or unpickled document derives its own state
+        return {"tables": self.tables, "_derived": {}}
 
     def table(self, name: str) -> Table | None:
         low = name.lower()

@@ -18,9 +18,9 @@ drops from the program, as in `SELECT count(*) FROM (SELECT name FROM t)`.
 A schema's database belongs to the thread that first labels the schema;
 compiling a query for it from another thread raises SqlSyntaxError.
 
-Each schema's links are memoised per SQL string beside its database, so a
-gold query that many examples share compiles once while the schema (or an
-equal one) lives.
+Each schema's links are memoised per SQL string beside its database, in
+the schema document's own memo, so a gold query that many examples share
+compiles once while that document lives.
 """
 from __future__ import annotations
 
@@ -55,18 +55,12 @@ _SELECT_RE = re.compile(r"(?:\s|--[^\n]*|/\*.*?\*/)*(?:SELECT|WITH|VALUES)\b", r
 # joins whose keys only the program shows; reading it costs 3x the compile
 _PAIRED_JOIN_RE = re.compile(r"\b(?:USING|NATURAL)\b", re.I)
 
-# one empty copy of each live schema, closed once the schema is collected,
-# with its links by SQL string
-_compilers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list, dict, dict]:
-    """The schema's connection, the list its authorizer appends each
-    (table, column) a statement reads to, its tables by root page, and its
-    links memo: SQL string -> frozenset of the links it compiled to."""
-    found = _compilers.get(schema)
-    if found is not None:
-        return found
+    """The schema's empty copy, closed once the schema is collected: its
+    connection, the list its authorizer appends each (table, column) a
+    statement reads to, its tables by root page, and its links memo: SQL
+    string -> frozenset of the links it compiled to."""
     # no statement cache: a reused statement is not authorized again
     conn = sqlite3.connect(":memory:", isolation_level=None, cached_statements=0)
     for table in schema.tables:
@@ -89,8 +83,7 @@ def _compiler(schema: SchemaDocument) -> tuple[sqlite3.Connection, list, dict, d
         return read_only(action)
 
     conn.set_authorizer(authorize)
-    found = _compilers[schema] = conn, reads, tables, {}
-    return found
+    return conn, reads, tables, {}
 
 
 def extract_ground_truth(sql: str, schema: SchemaDocument) -> set[tuple[str, str]]:
@@ -106,7 +99,7 @@ def extract_ground_truth(sql: str, schema: SchemaDocument) -> set[tuple[str, str
     A SQL string compiles once per schema: later calls return a fresh set
     of its memoised links. An error is not memoised, so it raises again.
     """
-    conn, reads, tables, memo = _compiler(schema)
+    conn, reads, tables, memo = schema.memo("compiler", _compiler)
     found = memo.get(sql)
     if found is not None:
         return set(found)

@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import platform
 import shutil
 import sqlite3
+import zipfile
 from collections import Counter
 
 import numpy as np
@@ -144,6 +146,55 @@ class TestInputFiles:
         assert code == 1
         assert err.startswith("error:") and "params.npz" in err and "heads" in err
         assert "Traceback" not in err
+
+    @staticmethod
+    def corrupt_text(path, raw):
+        path.write_text("not a checkpoint\n")
+
+    @staticmethod
+    def corrupt_random_bytes(path, raw):
+        path.write_bytes(np.random.default_rng(0).bytes(256))
+
+    @staticmethod
+    def corrupt_plain_npy(path, raw):
+        with open(path, "wb") as f:
+            np.save(f, np.zeros(3))
+
+    @staticmethod
+    def corrupt_truncated_member(path, raw):
+        with zipfile.ZipFile(io.BytesIO(raw)) as src, zipfile.ZipFile(path, "w") as dst:
+            for name in src.namelist():
+                data = src.read(name)
+                dst.writestr(name, data[:20] if name == "emb.npy" else data)
+
+    @staticmethod
+    def corrupt_flipped_byte(path, raw):
+        with zipfile.ZipFile(io.BytesIO(raw)) as src:
+            data = src.read("emb.npy")
+        at = raw.index(data) + len(data) // 2
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:])
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    @pytest.mark.parametrize("form,array", [("text", None), ("random_bytes", None),
+                                            ("plain_npy", None), ("truncated_member", "emb"),
+                                            ("flipped_byte", "emb")])
+    def test_corrupt_checkpoint_is_named(self, capsys, tmp_path, workspace, command, form,
+                                         array):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace["ckpt"], ckpt)
+        params = ckpt / "params.npz"
+        getattr(self, f"corrupt_{form}")(params, params.read_bytes())
+        schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
+        args = {"infer": ["--question", "show the name of each row",
+                          "--schema", str(schema_file)],
+                "eval": ["--dev", str(workspace["corpus"] / "dev.jsonl"),
+                         "--dbs", str(workspace["corpus"] / "dbs"),
+                         "--out", str(tmp_path / "eval")]}[command]
+        code, out, err = run(capsys, command, "--ckpt", str(ckpt), *args)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {params}: ") and err.count("\n") == 1
+        if array:
+            assert f"array {array!r}" in err
 
     def test_missing_schema_in_extract_gt(self, capsys, tmp_path):
         sql = tmp_path / "q.sql"
@@ -361,6 +412,18 @@ class TestExtractAndSerialize:
                              "--db", str(db_file), "--spans-out", str(tmp_path / "sp.json"))
         assert (code, err) == (0, "")
         assert """na"me TEXT -- examples: 'x'""" in out
+
+    @pytest.mark.parametrize("content", [b"not a database\n", b""], ids=["text", "empty"])
+    def test_serialize_db_that_cannot_be_read_is_named(self, capsys, tmp_path, workspace,
+                                                       content):
+        schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
+        db_file = tmp_path / "d.sqlite"
+        db_file.write_bytes(content)
+        code, out, err = run(capsys, "serialize", "--schema", str(schema_file),
+                             "--db", str(db_file), "--spans-out", str(tmp_path / "s.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {db_file}")
+        assert db_file.read_bytes() == content
 
     def test_serialize_db_that_does_not_exist_is_named(self, capsys, tmp_path, workspace):
         schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
@@ -738,6 +801,20 @@ class TestTrainArtifacts:
         assert [json.loads(e)["stage"] for e in events] == ["train_step"]
 
 
+    def test_diverging_run_is_one_error_line(self, capsys, workspace, tmp_path):
+        """A learning rate that overflows the parameters stops at the loss
+        or capture check with one `error:` line and no numpy warning."""
+        cfg = json.loads(workspace["config"].read_text())
+        cfg["train"].update(learning_rate=1e30, epochs=1)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "train",
+                             "--corpus", str(workspace["corpus"] / "train.jsonl"),
+                             "--config", str(cfg_path), "--out", str(tmp_path / "ckpt"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: step ") and err.count("\n") == 1
+
+
 class TestInferEval:
     def test_infer_outputs_sql_json(self, capsys, workspace):
         schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
@@ -796,6 +873,23 @@ class TestInferEval:
         for key in ("precision", "recall", "roc_auc", "pr_auc", "ex"):
             assert key in metrics
         assert "platform" not in metrics  # it goes to config.snapshot.json
+
+    @pytest.mark.parametrize("content", [b"not a database\n", b""], ids=["text", "empty"])
+    def test_eval_on_unreadable_databases_is_named(self, capsys, tmp_path, workspace,
+                                                   content):
+        """A database file that holds text, or nothing, is an error naming
+        it, not an EX of 0 over gold errors; the file is left as it was."""
+        dbs = tmp_path / "dbs"
+        dbs.mkdir()
+        for db in (workspace["corpus"] / "dbs").glob("*.sqlite"):
+            (dbs / db.name).write_bytes(content)
+        code, out, err = run(capsys, "eval", "--ckpt", str(workspace["ckpt"]),
+                             "--dev", str(workspace["corpus"] / "dev.jsonl"),
+                             "--dbs", str(dbs), "--out", str(tmp_path / "eval"),
+                             "--max-new", "16")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {dbs}") and err.count("\n") == 1
+        assert all(db.read_bytes() == content for db in dbs.iterdir())
 
     def test_eval_writes_one_record_per_example(self, capsys, tmp_path, workspace):
         """`examples.jsonl` next to `metrics.json`: one line per dev example,

@@ -93,10 +93,11 @@ class TestGeneration:
         assert len(want) == {1.0: 12, 0.5: 6, 0.001: 1}[fraction]
 
     def test_one_schema_encoding_per_database(self, tmp_path, monkeypatch):
-        """Generating a corpus and loading both splits from its schema files
-        serializes and tokenizes each database's schema once: the examples
-        over a database, and the equal documents read back from its file,
-        share one tokenized schema."""
+        """Generating a corpus and loading both splits with its schema
+        documents serializes and tokenizes each database's schema once: the
+        examples over a database share its document's tokenized schema. A
+        document read back from the schema files is another document, so
+        it tokenizes again."""
         calls = Counter()
         for name in ("serialize_schema", "tokenize_schema"):
             original = getattr(sys.modules["joltsql.pipeline"], name)
@@ -107,15 +108,16 @@ class TestGeneration:
             for module in [m for n, m in sys.modules.items() if n.startswith("joltsql")]:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-        # a config no other test builds: tokenized schemas are held per live
-        # schema document, for the whole process
         generated = generate_corpus(tiny_config(seed=41), str(tmp_path))
         vocab = Vocab.load(generated.vocab_path)
-        schemas = load_schemas(generated.schema_dir)
-        loaded = [load_corpus(path, vocab, schemas)
-                  for path in (generated.train_path, generated.dev_path)]
+        splits = (generated.train_path, generated.dev_path)
+        loaded = [load_corpus(path, vocab, generated.schemas) for path in splits]
         assert [len(examples) for examples in loaded] == [12, 3]
         assert calls == {"serialize_schema": 3, "tokenize_schema": 3}
+        schemas = load_schemas(generated.schema_dir)
+        for path in splits:
+            load_corpus(path, vocab, schemas)
+        assert calls == {"serialize_schema": 6, "tokenize_schema": 6}
 
     def test_schema_files_match_memory(self, corpus):
         loaded = load_schemas(corpus.schema_dir)

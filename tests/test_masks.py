@@ -11,48 +11,8 @@ from joltsql.model import ModelConfig, ModelParams
 from joltsql.sampling import draw_noise_count, example_rng, sample_noisy
 from joltsql.tokenizer import SegmentMap
 
-
-def random_segment(rng: np.random.Generator,
-                   n_max: int = 64) -> tuple[SegmentMap, set[int]]:
-    """Random contiguous prefix/schema/query split with random markers, and
-    the attended schema tokens: random GT and noisy subsets of the schema
-    region."""
-    n = int(rng.integers(3, n_max + 1))
-    cut1 = int(rng.integers(1, n - 1))
-    cut2 = int(rng.integers(cut1 + 1, n))
-    schema = set(range(cut1, cut2))
-    k_markers = int(rng.integers(0, len(schema) + 1))
-    markers = set(int(i) for i in rng.choice(sorted(schema), size=k_markers, replace=False))
-    non_marker = sorted(schema - markers)
-    gt = set(int(i) for i in rng.choice(non_marker, size=int(rng.integers(0, len(non_marker) + 1)), replace=False)) if non_marker else set()
-    rest = sorted(set(non_marker) - gt)
-    noisy = set(int(i) for i in rng.choice(rest, size=int(rng.integers(0, len(rest) + 1)), replace=False)) if rest else set()
-    seg = SegmentMap(n=n, schema_start=cut1, query_start=cut2,
-                     markers=markers, table_elements={}, marker_columns=[])
-    return seg, gt | noisy
-
-
-def oracle_visible(seg: SegmentMap, attended: set[int]) -> np.ndarray:
-    """Row-by-row set expressions, written independently of the vectorized
-    builder: prefix rows are causal over the prefix; non-marker schema rows
-    see (prefix ∪ schema) minus markers; marker rows see prefix ∪ schema;
-    query rows see prefix, the attended schema subset, and the causal query
-    prefix, all minus markers. Every row sees itself."""
-    n = seg.n
-    out = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        if i in seg.prefix:
-            allowed = {j for j in seg.prefix if j <= i}
-        elif i in seg.markers:
-            allowed = set(seg.prefix) | set(seg.schema)
-        elif i in seg.schema:
-            allowed = (set(seg.prefix) | set(seg.schema)) - seg.markers
-        else:
-            causal_q = {j for j in seg.query if j <= i}
-            allowed = (set(seg.prefix) | attended | causal_q) - seg.markers
-        allowed.add(i)
-        out[i, sorted(allowed)] = True
-    return out
+# criterion 1's random segmentations and its row-by-row oracle
+from test_acceptance import oracle_visible, random_segment
 
 
 def prechange_joint_mask(seg: SegmentMap, attended: set[int]) -> np.ndarray:

@@ -1,10 +1,11 @@
+import copy
 import json
+import pickle
 import re
 from dataclasses import asdict, replace
 
 import pytest
 
-from joltsql import sqlscope
 from joltsql.errors import DbError, InvalidSchema, UnknownColumn
 from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example,
                               prepare_inference_example, tokenized_schema)
@@ -100,36 +101,66 @@ class TestSpanIndexJson:
         assert SpanIndex.from_json(spans.to_json()) == spans
 
 
-class TestSchemaHash:
-    def test_equal_documents_hash_alike_and_share_caches(self, concert_schema):
-        copy = SchemaDocument.from_json(json.loads(json.dumps(concert_schema.to_json())))
-        assert copy == concert_schema and copy is not concert_schema
-        assert hash(copy) == hash(concert_schema)
-        assert tokenized_schema(copy) is tokenized_schema(concert_schema)
-        extract_ground_truth("SELECT name FROM singer", copy)
-        assert sqlscope._compilers[copy] is sqlscope._compilers[concert_schema]
+class TestSchemaMemo:
+    """Each document memoises its own tokenization and SQLite compiler;
+    nothing is shared between documents, however equal."""
 
-    @pytest.mark.parametrize("change", [dict(name="nick"), dict(sql_type="INTEGER"),
+    @staticmethod
+    def use(doc):
+        tokens = tokenized_schema(doc)
+        links = extract_ground_truth("SELECT name FROM singer", doc)
+        return tokens, links
+
+    def test_one_document_tokenizes_and_connects_once(self, concert_schema):
+        doc = SchemaDocument.from_json(concert_schema.to_json())
+        tokens, _ = self.use(doc)
+        conn = doc._derived["compiler"][0]
+        assert tokenized_schema(doc) is tokens
+        extract_ground_truth("SELECT age FROM singer", doc)
+        assert doc._derived["compiler"][0] is conn
+        assert sorted(doc._derived) == ["compiler", "tokens"]
+
+    def test_equal_copy_builds_its_own_entries(self, concert_schema):
+        doc = SchemaDocument.from_json(concert_schema.to_json())
+        copy = SchemaDocument.from_json(json.loads(json.dumps(concert_schema.to_json())))
+        assert copy == doc and copy is not doc
+        (tokens, links), (copy_tokens, copy_links) = self.use(doc), self.use(copy)
+        assert copy_tokens is not tokens
+        assert (copy_tokens.text, copy_tokens.tables) == (tokens.text, tokens.tables)
+        assert copy_links == links == {("singer", "name")}
+        assert copy._derived["compiler"][0] is not doc._derived["compiler"][0]
+
+    @pytest.mark.parametrize("change", [dict(), dict(name="nick"), dict(sql_type="INTEGER"),
                                         dict(examples=("'x'",))],
-                             ids=["name", "type", "examples"])
-    def test_documents_differing_in_one_column_get_their_own_caches(self, concert_schema,
-                                                                     change):
-        """The hash reads only the table names, so these collide; equality
-        still tells them apart."""
-        singer = concert_schema.tables[0]
+                             ids=["none", "name", "type", "examples"])
+    def test_replaced_document_starts_with_an_empty_memo(self, concert_schema, change):
+        doc = SchemaDocument.from_json(concert_schema.to_json())
+        self.use(doc)
+        singer = doc.tables[0]
         columns = (replace(singer.columns[1], **change), *singer.columns[2:])
-        other = SchemaDocument((replace(singer, columns=(singer.columns[0], *columns)),
-                                *concert_schema.tables[1:]))
-        assert other != concert_schema and hash(other) == hash(concert_schema)
-        assert tokenized_schema(other) is not tokenized_schema(concert_schema)
-        assert tokenized_schema(other).text != tokenized_schema(concert_schema).text
+        other = replace(doc, tables=(replace(singer, columns=(singer.columns[0], *columns)),
+                                     *doc.tables[1:]))
+        assert (other == doc) == (not change)
+        assert other._derived == {}
+        assert (tokenized_schema(other).text == tokenized_schema(doc).text) == (not change)
         sql = f"SELECT {columns[0].name} FROM singer"
         assert extract_ground_truth(sql, other) == {("singer", columns[0].name)}
-        extract_ground_truth("SELECT id FROM singer", concert_schema)
-        assert sqlscope._compilers[other][0] is not sqlscope._compilers[concert_schema][0]
+        assert other._derived["compiler"][0] is not doc._derived["compiler"][0]
         if "name" in change:
             with pytest.raises(UnknownColumn):
-                extract_ground_truth(sql, concert_schema)
+                extract_ground_truth(sql, doc)
+
+    @pytest.mark.parametrize("duplicate", [lambda d: pickle.loads(pickle.dumps(d)),
+                                           copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_used_document_duplicates_with_an_empty_memo(self, concert_schema, duplicate):
+        doc = SchemaDocument.from_json(concert_schema.to_json())
+        tokens, links = self.use(doc)
+        twin = duplicate(doc)
+        assert twin == doc and twin is not doc
+        assert twin._derived == {} and sorted(doc._derived) == ["compiler", "tokens"]
+        assert self.use(twin)[1] == links
+        assert tokenized_schema(twin).text == tokens.text
 
 
 class TestSchemaFromJson:

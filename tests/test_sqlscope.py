@@ -1,6 +1,5 @@
 import gc
 import sqlite3
-import weakref
 
 import pytest
 
@@ -400,10 +399,9 @@ class TestReadOnly:
     def test_connection_closed_with_its_schema(self):
         schema = SchemaDocument((Table("t", (Column("a", "TEXT"),)),))
         assert extract_ground_truth("SELECT a FROM t", schema) == {("t", "a")}
-        conn = sqlscope._compilers[schema][0]
+        conn = schema._derived["compiler"][0]
         del schema
         gc.collect()
-        assert all(c is not conn for c, *_ in sqlscope._compilers.values())
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             conn.execute("SELECT 1")
 
@@ -472,8 +470,6 @@ class TestLinksMemo:
         def counting_compiler(schema):
             conn, *rest = compiler(schema)
             return (CountingConnection(conn), *rest)
-        # fresh compilers: the session's desk corpora hold equal schemas
-        monkeypatch.setattr(sqlscope, "_compilers", weakref.WeakKeyDictionary())
         monkeypatch.setattr(sqlscope, "_compiler", counting_compiler)
         generated = generate_corpus(CorpusConfig(seed=3), str(tmp_path))
         train = load_corpus(generated.train_path, Vocab.load(generated.vocab_path),
