@@ -18,11 +18,10 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, pipeline
-from .errors import ConfigError, JoltError, MalformedInput, ShapeMismatch
+from .errors import ConfigError, DbError, JoltError, MalformedInput, ShapeMismatch
 from .jsonfile import read_json
 from .masks import build_causal_mask, build_joint_mask, render_ascii, render_ppm, render_svg
 from .model import MAX_LEN, ModelConfig, ModelParams
-from .sampling import WeightCache
 from .schema import SchemaDocument, SpanIndex, serialize_schema, with_value_examples
 from .sqlscope import extract_ground_truth
 from .tokenizer import Vocab, encode, tokenize_schema
@@ -120,6 +119,8 @@ def cmd_serialize(args) -> int:
         conn = evaluation.connect_readonly(args.db)
         try:
             schema = with_value_examples(schema, conn)
+        except DbError as e:
+            raise DbError(f"{args.db}: {e}") from e
         finally:
             conn.close()
     text, spans = serialize_schema(schema)
@@ -211,20 +212,16 @@ def cmd_train(args) -> int:
                                     fraction=args.train_fraction)
     if not examples:
         raise JoltError(f"{args.corpus}: no examples to train on")
-    cache = None
-    cache_path = os.path.join(args.out, "weights.cache.json")
-    if os.path.exists(cache_path) and args.resume:
-        cache = WeightCache.load(cache_path)
     log = EventLog(os.path.join(args.out, "train_log.jsonl"))
     try:
         # a diverging run overflows on its way to the loss and capture
         # checks, which stop it with one error line
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             result = pipeline.train(examples, model_cfg, train_cfg,
-                                    log_fn=log.log_event, cache=cache)
+                                    log_fn=log.log_event)
         # the first step's event made `--out`
         result.params.save(os.path.join(args.out, "params.npz"))
-        result.cache.save(cache_path)
+        result.cache.save(os.path.join(args.out, "weights.cache.json"))
         vocab.save(os.path.join(args.out, "vocab.json"))
         snapshot = {"train": cfg["train"], "model": cfg["model"],
                     "corpus_path": os.path.abspath(args.corpus),
@@ -348,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--train-fraction", type=float, default=1.0)
-    p.add_argument("--resume", action="store_true")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("infer", help="link, prune, and generate SQL")

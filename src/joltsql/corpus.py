@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .jsonfile import iter_jsonl
 from .model import MAX_LEN
 from .pipeline import PREFIX_TEMPLATE, TrainingExample, build_training_example, tokenized_schema
-from .schema import Column, SchemaDocument, Table, with_value_examples
+from .schema import Column, SchemaDocument, Table, quote_identifier, with_value_examples
 from .tokenizer import build_vocab
 
 _TABLE_POOL = [
@@ -133,13 +133,15 @@ def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
     try:
         row_counts: dict[str, int] = {}
         for t in doc.tables:
-            cols_sql = ", ".join(f'"{c.name}" {c.sql_type}' for c in t.columns)
+            cols_sql = ", ".join(f"{quote_identifier(c.name)} {c.sql_type}"
+                                 for c in t.columns)
             pk = f", PRIMARY KEY ({', '.join(t.primary_key)})" if t.primary_key else ""
             fk = "".join(
-                f', FOREIGN KEY ("{local}") REFERENCES "{ftable}" ("{fcol}")'
+                f", FOREIGN KEY ({quote_identifier(local)}) REFERENCES "
+                f"{quote_identifier(ftable)} ({quote_identifier(fcol)})"
                 for local, ftable, fcol in t.foreign_keys
             )
-            conn.execute(f'CREATE TABLE "{t.name}" ({cols_sql}{pk}{fk})')
+            conn.execute(f"CREATE TABLE {quote_identifier(t.name)} ({cols_sql}{pk}{fk})")
             n_rows = int(rng.integers(cfg.rows_per_table[0], cfg.rows_per_table[1] + 1))
             row_counts[t.name] = n_rows
             parents = {local: ftable for local, ftable, _ in t.foreign_keys}
@@ -157,7 +159,7 @@ def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
                         row.append(str(rng.choice(_WORD_POOL)))
                 rows.append(tuple(row))
             ph = ", ".join("?" * len(t.columns))
-            conn.executemany(f'INSERT INTO "{t.name}" VALUES ({ph})', rows)
+            conn.executemany(f"INSERT INTO {quote_identifier(t.name)} VALUES ({ph})", rows)
         conn.commit()
         return with_value_examples(doc, conn)
     finally:

@@ -38,9 +38,8 @@ class InvalidJson(JoltError):
 
 
 class MalformedInput(JoltError):
-    """A vocab, weight-cache or corpus file is JSON of the wrong shape, a
-    checkpoint is not an intact archive, or a text input's bytes do not
-    decode as text."""
+    """A vocab or corpus file is JSON of the wrong shape, a checkpoint is
+    not an intact archive, or a text input's bytes do not decode as text."""
 
 
 class InvalidSegmentation(JoltError):

@@ -1,6 +1,6 @@
-"""The one reader of JSON input files: config, vocab, schema, spans,
-weight cache and corpus JSON lines. A file that is not JSON raises
-InvalidJson naming the file, and the line for JSON lines."""
+"""The one reader of JSON input files: config, vocab, schema, spans and
+corpus JSON lines. A file that is not JSON raises InvalidJson naming the
+file, and the line for JSON lines."""
 from __future__ import annotations
 
 import json

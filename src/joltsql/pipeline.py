@@ -172,7 +172,7 @@ class TrainResult:
 
 def _check_ids(examples: list[TrainingExample]):
     """Raises MalformedInput naming the first example id seen twice: the id
-    keys the weight cache, the noise stream and a resumed cache."""
+    keys the weight cache and the noise stream."""
     seen: set[str] = set()
     for ex in examples:
         if ex.example_id in seen:
@@ -180,26 +180,17 @@ def _check_ids(examples: list[TrainingExample]):
         seen.add(ex.example_id)
 
 
-def _check_cache(examples: list[TrainingExample], cache: WeightCache):
-    """Raises MalformedInput naming the first example whose cached entry,
-    resumed from a file, does not hold one weight per non-gold column."""
-    for ex in examples:
-        if ex.example_id in cache:
-            have, want = len(cache.lookup(ex.example_id)), len(ex.non_gt_columns())
-            if have != want:
-                raise MalformedInput(f"weight cache entry {ex.example_id!r} holds "
-                                     f"{have} weights for {want} non-gold columns")
-
-
 def train(examples: list[TrainingExample], model_config: ModelConfig,
           config: TrainConfig, log_fn=None, cache: WeightCache | None = None) -> TrainResult:
+    """Train from the initial parameters. Confusion sampling's epoch 1
+    fills `cache` (a fresh one when None); a filled cache is refused."""
     _check_ids(examples)
+    cache = cache if cache is not None else WeightCache()
+    if cache.capture_count:
+        raise ValueError("train fills its own weight cache; it was given a filled one")
     params = ModelParams(model_config, seed=config.seed)
     opt = ad.AdamW(params.all_params(), lr=config.learning_rate,
                    weight_decay=config.weight_decay)
-    cache = cache if cache is not None else WeightCache()
-    if config.noise_mode == "confusion":
-        _check_cache(examples, cache)
     log: list[dict] = []
     step = 0
     last_step = config.epochs * len(examples) - 1
@@ -209,7 +200,7 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
         order = order_rng.permutation(len(examples))
         for idx in order:
             ex = examples[int(idx)]
-            if config.noise_mode == "confusion" and epoch == 1 and ex.example_id not in cache:
+            if config.noise_mode == "confusion" and epoch == 1:
                 weights = capture_sampling_weights(params, ex)
                 if not np.isfinite(weights).all():
                     raise NonFiniteLoss(f"step {step}: example {ex.example_id!r}: "

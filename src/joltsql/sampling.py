@@ -8,12 +8,10 @@ predicted relevance probabilities captured once in epoch 1.
 from __future__ import annotations
 
 import json
-import sys
 
 import numpy as np
 
-from .errors import MalformedInput, MissingCacheEntry
-from .jsonfile import read_json
+from .errors import MissingCacheEntry
 
 
 def example_rng(global_seed: int, example_id: str, epoch: int, step: int = 0) -> np.random.Generator:
@@ -61,27 +59,21 @@ def sample_noisy(pool: list, weights: list[float], k: int,
     return chosen
 
 
-def _is_weight(x) -> bool:
-    """A finite, non-negative JSON number; NaN fails both comparisons."""
-    return type(x) in (int, float) and 0 <= x <= sys.float_info.max
-
-
 class WeightCache:
     """Per-example sampling weights (predicted probabilities at non-GT
     markers), written once during epoch 1 and read-only afterwards."""
 
     def __init__(self):
         self._store: dict[str, list[float]] = {}
-        self.capture_count = 0
 
-    def __contains__(self, example_id: str) -> bool:
-        return example_id in self._store
+    @property
+    def capture_count(self) -> int:
+        return len(self._store)
 
     def record(self, example_id: str, weights: list[float]):
         if example_id in self._store:
             raise ValueError(f"weights for {example_id!r} already recorded")
         self._store[example_id] = [float(w) for w in weights]
-        self.capture_count += 1
 
     def lookup(self, example_id: str) -> list[float]:
         if example_id not in self._store:
@@ -91,17 +83,3 @@ class WeightCache:
     def save(self, path: str):
         with open(path, "w") as f:
             json.dump(self._store, f)
-
-    @staticmethod
-    def load(path: str) -> "WeightCache":
-        """Raises MalformedInput unless the file holds an object of example
-        id -> list of finite, non-negative numbers."""
-        store = read_json(path)
-        if not (isinstance(store, dict) and all(
-                isinstance(v, list) and all(_is_weight(x) for x in v)
-                for v in store.values())):
-            raise MalformedInput(f"{path}: expected an object of example id -> "
-                                 "list of finite, non-negative numbers")
-        cache = WeightCache()
-        cache._store = {k: [float(x) for x in v] for k, v in store.items()}
-        return cache

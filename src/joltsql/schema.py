@@ -81,8 +81,9 @@ class SchemaDocument:
         """Read `to_json`'s form. Raises InvalidSchema naming the entry and
         the key when an entry lacks a required key or is not an object, the
         tables, a table's columns or its foreign keys are not a list, a
-        name, type, value example or primary-key entry is not a string, or
-        a foreign key is not three strings."""
+        name, type, value example or primary-key entry is not a string, a
+        foreign key is not three strings, or the schema lists no table or a
+        table no column."""
         tables = []
         listed = _list(_required(obj, "tables", "schema"), "schema, key 'tables'")
         for i, t in enumerate(listed):
@@ -91,15 +92,14 @@ class SchemaDocument:
             columns = _list(_required(t, "columns", where), f"{where}, key 'columns'")
             cols = tuple(_column(c, f"column {j} of {where}") for j, c in enumerate(columns))
             fks = _list(t.get("foreign_keys", []), f"{where}, key 'foreign_keys'")
-            tables.append(
-                Table(
-                    name,
-                    cols,
-                    _strings(t.get("primary_key", []), f"{where}, key 'primary_key'"),
-                    tuple(_strings(fk, f"{where}, foreign key {k}", 3)
-                          for k, fk in enumerate(fks)),
-                )
-            )
+            pk = _strings(t.get("primary_key", []), f"{where}, key 'primary_key'")
+            fks = tuple(_strings(fk, f"{where}, foreign key {k}", 3)
+                        for k, fk in enumerate(fks))
+            if not cols:
+                raise InvalidSchema(f"{where}: lists no columns")
+            tables.append(Table(name, cols, pk, fks))
+        if not tables:
+            raise InvalidSchema("schema: lists no tables")
         return SchemaDocument(tuple(tables))
 
     @staticmethod

@@ -81,6 +81,14 @@ class TestUsage:
         assert e.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_train_resume_exits_two(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--corpus", "train.jsonl", "--out", str(tmp_path / "ckpt"),
+                  "--resume"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_domain_error_exits_one(self, capsys, tmp_path):
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps({"tables": [
@@ -219,7 +227,6 @@ class TestInputFiles:
             "schema": ("extract-gt", "--sql", text, "--schema", path),
             "spans": ("encode", "--prefix", text, "--schema", text, "--spans", path,
                       "--query", text, "--vocab", corpus / "vocab.json"),
-            "weight cache": (*train, "--corpus", corpus / "train.jsonl", "--resume"),
             "train vocab": (*train, "--corpus", corpus / "train.jsonl", "--vocab", path),
             "corpus": (*train, "--corpus", path, "--vocab", corpus / "vocab.json",
                        "--schema-dir", corpus / "schema"),
@@ -227,9 +234,8 @@ class TestInputFiles:
 
     @pytest.mark.parametrize("kind,name", [
         ("config", "run.json"), ("vocab", "ckpt/vocab.json"), ("schema", "schema.json"),
-        ("spans", "spans.json"), ("weight cache", "ckpt/weights.cache.json"),
-        ("corpus", "train.jsonl"),
-    ], ids=["config", "vocab", "schema", "spans", "weight-cache", "corpus"])
+        ("spans", "spans.json"), ("corpus", "train.jsonl"),
+    ], ids=["config", "vocab", "schema", "spans", "corpus"])
     def test_file_that_is_not_json_is_named(self, capsys, tmp_path, workspace, kind, name):
         path = tmp_path / name
         if kind == "vocab":
@@ -298,20 +304,32 @@ class TestInputFiles:
         assert code == 1
         assert err == f"error: {schema_file}: {named}\n"
 
+    @pytest.mark.parametrize("command", ["extract-gt", "serialize", "infer"])
+    @pytest.mark.parametrize("schema,named", [
+        ({"tables": []}, "schema: lists no tables"),
+        ({"tables": [{"name": "t", "columns": []}]}, "table 't': lists no columns"),
+    ], ids=["no-table", "table-without-a-column"])
+    def test_schema_listing_nothing_is_an_error_line(self, capsys, tmp_path, workspace,
+                                                     command, schema, named):
+        schema_file = tmp_path / "schema.json"
+        schema_file.write_text(json.dumps(schema))
+        sql = tmp_path / "q.sql"
+        sql.write_text("SELECT a FROM t")
+        argv = {"extract-gt": ("--sql", sql),
+                "serialize": ("--spans-out", tmp_path / "spans.json"),
+                "infer": ("--ckpt", workspace["ckpt"], "--question", "q")}[command]
+        code, out, err = run(capsys, command, "--schema", str(schema_file),
+                             *map(str, argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: {schema_file}: {named}\n"
+        assert not (tmp_path / "spans.json").exists()
 
     @pytest.mark.parametrize("kind,name,content", [
         ("vocab", "ckpt/vocab.json", [1, 2]),
         ("train vocab", "vocab.json", [1, 2]),
         ("train vocab", "vocab.json", {"a": 5, "b": "x"}),
         ("train vocab", "vocab.json", {"a": 5, "b": True}),
-        ("weight cache", "ckpt/weights.cache.json", [1, 2]),
-        ("weight cache", "ckpt/weights.cache.json", {"ex-0": 0.5}),
-        ("weight cache", "ckpt/weights.cache.json", {"ex-0": [0.5, "x"]}),
-        ("weight cache", "ckpt/weights.cache.json", {"ex-0": [-1.0, 0.5]}),
-        ("weight cache", "ckpt/weights.cache.json", {"ex-0": [float("nan"), 0.5]}),
-    ], ids=["vocab-list", "train-vocab-list", "train-vocab-string-id", "train-vocab-bool-id",
-            "weight-cache-list", "weight-cache-number", "weight-cache-string-weight",
-            "weight-cache-negative-weight", "weight-cache-nan-weight"])
+    ], ids=["vocab-list", "train-vocab-list", "train-vocab-string-id", "train-vocab-bool-id"])
     def test_file_of_the_wrong_shape_is_named(self, capsys, tmp_path, workspace, kind, name,
                                               content):
         path = tmp_path / name
@@ -424,6 +442,20 @@ class TestExtractAndSerialize:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot read {db_file}")
         assert db_file.read_bytes() == content
+
+    def test_serialize_db_lacking_a_schema_table_is_named(self, capsys, tmp_path):
+        db_file = tmp_path / "d.sqlite"
+        conn = sqlite3.connect(db_file)
+        conn.execute("CREATE TABLE x (a TEXT)")
+        conn.commit()
+        conn.close()
+        schema_file = tmp_path / "s.json"
+        schema_file.write_text(json.dumps(
+            {"tables": [{"name": "t", "columns": [{"name": "a", "type": "TEXT"}]}]}))
+        code, out, err = run(capsys, "serialize", "--schema", str(schema_file),
+                             "--db", str(db_file), "--spans-out", str(tmp_path / "sp.json"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {db_file}: table 't', column 'a': no such table: t\n"
 
     def test_serialize_db_that_does_not_exist_is_named(self, capsys, tmp_path, workspace):
         schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
@@ -627,7 +659,9 @@ class TestTrainArtifacts:
         assert err.startswith("error:") and flag.lstrip("-") in err
         assert not out_dir.exists()
 
-    def test_resume_into_own_output_reproduces_it(self, capsys, workspace, tmp_path):
+    def test_rerun_into_own_output_reproduces_it(self, capsys, workspace, tmp_path):
+        """A second run into the same `--out` reads nothing from it and
+        rewrites the same bytes."""
         out_dir = tmp_path / "ckpt"
         argv = ("train", "--corpus", str(workspace["corpus"] / "train.jsonl"),
                 "--config", str(workspace["config"]), "--out", str(out_dir),
@@ -635,29 +669,11 @@ class TestTrainArtifacts:
         assert run(capsys, *argv)[0] == 0
         first = {name: (out_dir / name).read_bytes()
                  for name in ("weights.cache.json", "params.npz")}
-        assert run(capsys, *argv, "--resume")[0] == 0
+        for name in first:
+            (out_dir / name).write_bytes(b"")
+        assert run(capsys, *argv)[0] == 0
         for name, data in first.items():
             assert (out_dir / name).read_bytes() == data, name
-
-    def test_resumed_cache_entry_one_weight_short_is_named(self, capsys, workspace,
-                                                           tmp_path):
-        """The cache is refused before the first step, so `--out`, which
-        holds only that cache, gets no training log."""
-        out_dir = tmp_path / "ckpt"
-        argv = ("train", "--corpus", str(workspace["corpus"] / "train.jsonl"),
-                "--config", str(workspace["config"]), "--out", str(out_dir))
-        assert run(capsys, *argv)[0] == 0
-        cache_path = out_dir / "weights.cache.json"
-        store = json.loads(cache_path.read_text())
-        for path in out_dir.iterdir():
-            path.unlink()
-        example_id = sorted(store)[0]
-        store[example_id] = store[example_id][:-1]
-        cache_path.write_text(json.dumps(store))
-        code, out, err = run(capsys, *argv, "--resume")
-        assert code == 1 and out == ""
-        assert err.startswith(f"error: weight cache entry {example_id!r} holds ")
-        assert [p.name for p in out_dir.iterdir()] == ["weights.cache.json"]
 
     def test_bad_corpus_key_in_gen_corpus(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -393,15 +393,14 @@ class TestCaptureWeights:
             assert len(got) == len(want) == len(ex.non_gt_columns())
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("extra", [-1, 1])
-    def test_cache_entry_of_the_wrong_length_rejected_before_any_step(
-            self, example, join_example, vocab, extra):
+    def test_filled_cache_rejected_before_any_step(self, example, join_example, vocab):
+        """Epoch 1 captures every example's weights itself, so a cache that
+        already holds an entry, even one that fits, is refused."""
         from joltsql.sampling import WeightCache
         cache = WeightCache()
-        cache.record(join_example.example_id, [0.5] * (len(join_example.non_gt_columns())
-                                                       + extra))
+        cache.record(join_example.example_id, [0.5] * len(join_example.non_gt_columns()))
         steps = []
-        with pytest.raises(MalformedInput, match=repr(join_example.example_id)):
+        with pytest.raises(ValueError, match="filled"):
             train([example, join_example], tiny_model(vocab),
                   TrainConfig(epochs=1, grad_accum=1), cache=cache,
                   log_fn=lambda stage, entry: steps.append(entry))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -146,14 +147,13 @@ class TestWeightCache:
         cache = WeightCache()
         cache.record("e1", [0.5, 0.25])
         assert cache.lookup("e1") == [0.5, 0.25]
-        assert "e1" in cache and "e2" not in cache
+        assert cache.capture_count == 1
 
-    def test_save_load_round_trip(self, tmp_path):
+    def test_save_writes_an_object_of_id_to_weights(self, tmp_path):
         cache = WeightCache()
         cache.record("e1", [0.125, 0.875])
         cache.record("e2", [])
         p = tmp_path / "weights.json"
         cache.save(str(p))
-        loaded = WeightCache.load(str(p))
-        assert loaded.lookup("e1") == [0.125, 0.875]
-        assert loaded.lookup("e2") == []
+        with open(p) as f:
+            assert json.load(f) == {"e1": [0.125, 0.875], "e2": []}

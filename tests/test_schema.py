@@ -195,12 +195,14 @@ class TestSchemaFromJson:
         ({"tables": [{"name": "t", "columns": 5}]}, "table 't', key 'columns': expected a list"),
         ({"tables": [{"name": "t", "columns": [], "foreign_keys": {"a": "b"}}]},
          "table 't', key 'foreign_keys': expected a list"),
+        ({"tables": []}, "schema: lists no tables"),
+        ({"tables": [{"name": "t", "columns": []}]}, "table 't': lists no columns"),
     ], ids=["no-tables", "not-an-object", "table-without-name", "table-without-columns",
             "column-without-name", "table-not-an-object", "table-name-not-a-string",
             "column-name-not-a-string", "type-not-a-string", "example-not-a-string",
             "primary-key-not-a-list", "foreign-key-of-two", "foreign-key-of-one",
             "foreign-key-entry-not-a-string", "tables-not-a-list", "columns-not-a-list",
-            "foreign-keys-not-a-list"])
+            "foreign-keys-not-a-list", "empty-tables", "empty-columns"])
     def test_shape_error_names_the_entry_and_key(self, obj, message):
         with pytest.raises(InvalidSchema, match=re.escape(message)):
             SchemaDocument.from_json(obj)
