@@ -275,10 +275,11 @@ def cmd_eval(args) -> int:
         raise JoltError(f"{args.dev}: no examples to evaluate")
     db_paths = {db_id: os.path.join(args.dbs, f"{db_id}.sqlite")
                 for db_id in schemas}
-    os.makedirs(args.out, exist_ok=True)
+    # `--out` is made only once there is something to write
     if args.command == "sweep":
         rows = evaluation.threshold_sweep(params, examples, vocab, db_paths,
                                           max_new=args.max_new)
+        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "sweep.csv"), "w") as f:
             f.write(evaluation.sweep_csv(rows))
         with open(os.path.join(args.out, "sweep.svg"), "w") as f:
@@ -289,6 +290,7 @@ def cmd_eval(args) -> int:
                                  threshold=args.threshold, max_new=args.max_new,
                                  average=args.average)
     metrics = result.to_json()
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.json"), "w") as f:
         json.dump(metrics, f, indent=1, sort_keys=True)
     with open(os.path.join(args.out, "examples.jsonl"), "w") as f:

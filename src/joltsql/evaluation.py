@@ -20,7 +20,8 @@ from pathlib import Path
 from .errors import DbUnavailable, LengthMismatch
 from .metrics import ex_summary, execution_verdicts, pr_auc, precision_recall, roc_auc
 from .model import ModelParams
-from .pipeline import DEFAULT_MAX_NEW, DEFAULT_THRESHOLD, TrainingExample, infer_thresholds
+from .pipeline import (DEFAULT_MAX_NEW, DEFAULT_THRESHOLD, TrainingExample, check_max_len,
+                       infer_thresholds)
 from .tokenizer import Vocab
 
 SWEEP_THRESHOLDS = [0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.01]
@@ -66,10 +67,12 @@ def _run(params: ModelParams, examples: list[TrainingExample], vocab: Vocab,
     """The loop evaluate and threshold_sweep share: per example, its marker
     scores in column order, and per threshold, one record per example.
     Examples run one at a time, so only one prompt encoding's K/V is alive
-    at once. Raises LengthMismatch before any work when there are no
-    examples, which neither average could score."""
+    at once. Raises before any work LengthMismatch when there are no
+    examples, which neither average could score, and ShapeMismatch naming
+    an example whose prompt is longer than the model's max_len."""
     if not examples:
         raise LengthMismatch("empty inputs")
+    check_max_len(examples, params.config.max_len, prompts=True)
     scores: list[list[float]] = []
     records: list[list[dict]] = [[] for _ in thresholds]
     connections: dict[str, sqlite3.Connection] = {}

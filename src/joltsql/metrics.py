@@ -106,13 +106,14 @@ def _canonical_rows(rows) -> list[tuple]:
 
 def _execute(db: sqlite3.Connection, sql: str) -> list[tuple]:
     """All rows of one read-only statement, whatever the connection allows:
-    a write or any other statement but a SELECT fails to prepare, and an
-    execution that takes more than `QUERY_STEP_BUDGET` steps is interrupted,
-    both with a sqlite3.Error. The budget counts this execution's own steps:
-    sqlite's step count runs on across the executions of one cached
-    statement, so a handler called at the budget itself would stop a cheap
-    query that was run often enough. The caller's progress handler and
-    authorizer are cleared afterwards."""
+    a write or any other statement but a SELECT fails to prepare, text that
+    holds no statement (blank, or only comments and semicolons) runs
+    nothing, and an execution that takes more than `QUERY_STEP_BUDGET`
+    steps is interrupted, each with a sqlite3.Error. The budget counts this
+    execution's own steps: sqlite's step count runs on across the
+    executions of one cached statement, so a handler called at the budget
+    itself would stop a cheap query that was run often enough. The caller's
+    progress handler and authorizer are cleared afterwards."""
     steps = 0
 
     def over_budget() -> bool:  # a true return interrupts the statement
@@ -123,7 +124,10 @@ def _execute(db: sqlite3.Connection, sql: str) -> list[tuple]:
     db.set_progress_handler(over_budget, _STEPS_PER_CHECK)
     db.set_authorizer(read_only)
     try:
-        return db.execute(sql).fetchall()
+        cursor = db.execute(sql)
+        if cursor.description is None:  # no statement ran, not zero rows
+            raise sqlite3.ProgrammingError("the SQL holds no statement")
+        return cursor.fetchall()
     finally:
         db.set_authorizer(None)
         db.set_progress_handler(None, 0)
@@ -155,8 +159,9 @@ def execution_verdicts(pred_sqls: list[str], gold_sql: str,
                        db: sqlite3.Connection) -> list[tuple[str, str | None]]:
     """Each prediction's verdict against one gold query, which runs once:
     (match / mismatch / pred_error / gold_error, SQLite's error text for a
-    pred_error and None otherwise). A refused write, a syntax error and a
-    step-budget interrupt are all pred_error, told apart by their text."""
+    pred_error and None otherwise). A refused write, a syntax error, text
+    with no statement and a step-budget interrupt are all pred_error, told
+    apart by their text; a gold query that fails any of them is gold_error."""
     if db is None:
         raise DbUnavailable("no database connection")
     try:

@@ -253,10 +253,11 @@ def forward_values(params: ModelParams, tokens: np.ndarray, bias: np.ndarray,
     `rows`, in that order: what a caller reads, such as a prompt's marker
     rows and its last row. Their values equal the full pass's to rounding.
 
-    A lone sequence runs as 2-D rows: `tokens` (r,), `bias` r x m, buffers
-    positions x d. B sequences run as a B x 1 x d stack (`tokens` B x 1,
-    `bias` B x 1 x m, buffers B x positions x d), so each keeps the one-row
-    products it would get alone.
+    The prompt pass runs 2-D rows: `tokens` (r,), `bias` r x m, buffers
+    positions x d. A decode step runs B sequences, one included, as a
+    B x 1 x d stack (`tokens` B x 1, `bias` B x 1 x m, buffers
+    B x positions x d), so each keeps the one-row products it would get
+    alone; a stack of one rounds as the 2-D row does.
     """
     cfg = params.config
     r, m = tokens.shape[-1], bias.shape[-1]
@@ -335,57 +336,50 @@ def greedy_generate(params: ModelParams, prompt: list[int], max_new: int,
                     attends: np.ndarray) -> list[list[int]]:
     """Argmax decoding from a cached prompt encoding, one sequence per row
     of `attends`, all B of them in one stacked pass; ties break toward the
-    lowest token id. Deterministic. Returns, per row, the prompt followed
-    by that sequence's new tokens, the stop id included when it was
-    generated.
+    lowest token id. Deterministic. Returns, per row, that sequence's new
+    tokens, the stop id included when it was generated.
 
     `encoded` is a `prompt_pass` of `prompt` whose rows never attend past
     the prompt (the pipeline passes its linking pass, made under the joint
     mask). Its last row gives every sequence's first token. Each later step
-    is one `forward_values` of B rows at the next position, whose hidden
-    rows times the tied embedding are its logits: sequence b's row sees the
-    prompt positions flagged in `attends[b]`, its tokens generated before
-    and itself, which is the query row of the joint mask. Pruning is thus a
-    mask over the full prompt, never an edit of its text. Each sequence's
-    products stay one-row products, so its tokens are those it would get
-    decoded alone; a lone sequence runs as 2-D rows, a stack as B x 1 x d.
-    A sequence that has stopped stays in the stack until all have, and its
-    further tokens are dropped. No token is placed at position max_len or
-    beyond.
+    is one `forward_values` of a B x 1 x d stack at the next position, whose
+    hidden rows times the tied embedding are its logits: sequence b's row
+    sees the prompt positions flagged in `attends[b]`, its tokens generated
+    before and itself, which is the query row of the joint mask. Pruning is
+    thus a mask over the full prompt, never an edit of its text. A stack
+    keeps each sequence's products one-row products, one sequence included,
+    so its tokens are those it would get decoded alone. A sequence whose
+    last token is the stop id stays in the stack until all have stopped,
+    and its further tokens are dropped. No token is placed at position
+    max_len or beyond.
 
     m = min(n + max_new, max_len) is the number of positions a decode can
-    reach. One B x m mask has its bias built once; step t reads its first
-    n + t columns. Per-layer (B x) m x d K/V buffers are filled once from
-    `encoded`, and each step writes its rows into them in place. `encoded`
-    itself is never written, so one encoding serves any number of decodes.
+    reach. One B x m mask has its bias built once; the step that places
+    position p reads its first p columns. Per-layer B x m x d K/V buffers
+    take the prompt's K/V from `encoded` in one assignment, and each step
+    writes its rows into them in place. `encoded` itself is never written,
+    so one encoding serves any number of decodes.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
     cfg = params.config
     n = len(prompt)
     m = min(n + max_new, cfg.max_len)
-    lead = (len(attends),) if len(attends) > 1 else ()
     visible = np.ones((len(attends), m), dtype=bool)
     visible[:, :n] = attends
-    bias = ad.additive_bias(visible, cfg.np_dtype).reshape(*lead, 1, m)
-    past = np.empty((len(encoded.kv), 2, *lead, m, cfg.dim), dtype=cfg.np_dtype)
-    for buf, (k, v) in zip(past, encoded.kv):
-        buf[0, ..., :n, :] = k
-        buf[1, ..., :n, :] = v
-    seqs = [list(prompt) for _ in attends]
-    live = [True] * len(seqs)
-    nxt = [np.argmax(encoded.lm_logits[-1])] * len(seqs)
-    for step in range(max_new):
-        if n + step >= cfg.max_len:
+    bias = ad.additive_bias(visible, cfg.np_dtype)[:, None]
+    past = np.empty((cfg.layers, 2, len(attends), m, cfg.dim), dtype=cfg.np_dtype)
+    past[..., :n, :] = encoded.kv[:, :, None]
+    new: list[list[int]] = [[] for _ in attends]
+    nxt = [np.argmax(encoded.lm_logits[-1])] * len(new)
+    for p in range(n, m):  # place each sequence's token at position p
+        if p > n:  # from its previous token, at p - 1, as one new row
+            tokens = np.array([seq[-1] for seq in new])[:, None]
+            logits = forward_values(params, tokens, bias[..., :p], past) @ params.emb.data.T
+            nxt = np.argmax(logits[:, 0], axis=-1)
+        for seq, token in zip(new, nxt):
+            if not seq or seq[-1] != stop_id:
+                seq.append(int(token))
+        if all(seq[-1] == stop_id for seq in new):
             break
-        if step:  # feed each sequence's previous token as one new row
-            tokens = np.array([seq[-1] for seq in seqs]).reshape(*lead, 1)
-            logits = forward_values(params, tokens, bias[..., :n + step], past) @ params.emb.data.T
-            nxt = np.argmax(logits.reshape(len(seqs), -1), axis=-1)
-        for b, seq in enumerate(seqs):
-            if live[b]:
-                seq.append(int(nxt[b]))
-                live[b] = seq[-1] != stop_id
-        if not any(live):
-            break
-    return seqs
+    return new

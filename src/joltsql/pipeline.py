@@ -30,9 +30,10 @@ layout training never showed the model.
 
 `infer_thresholds` is the one inference step: one prompt encoding, then
 one stacked `generate_sql` over the distinct sets the thresholds predict.
-Each decode step runs one row per set, stacked B x 1 x d (a lone set as
-2-D rows), so every set gets the SQL it would get decoded alone. `infer` is that step at one
-threshold; evaluation runs it at every threshold it scores.
+Each decode step runs one row per set, stacked B x 1 x d (one set
+included), so every set gets the SQL it would get decoded alone. `infer`
+is that step at one threshold; evaluation runs it at every threshold it
+scores.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import (DegenerateExample, EmptyPrediction, InvalidSchema, JoltError,
-                     MalformedInput, NonFiniteLoss)
+                     MalformedInput, NonFiniteLoss, ShapeMismatch)
 from .jsonfile import count_jsonl, iter_jsonl
 from .masks import build_joint_mask, query_view
 from .model import (ModelConfig, ModelParams, PromptEncoding, forward, greedy_generate,
@@ -180,11 +181,24 @@ def _check_ids(examples: list[TrainingExample]):
         seen.add(ex.example_id)
 
 
+def check_max_len(examples: list[TrainingExample], max_len: int, prompts: bool = False):
+    """Raises ShapeMismatch naming the first example whose tokens, or with
+    `prompts` whose prompt (the prefix and schema inference runs), take
+    more than `max_len` positions. Run before any work, so a refused run
+    has trained or scored nothing."""
+    for ex in examples:
+        n = ex.seg.query_start if prompts else len(ex.tokens.ids)
+        if n > max_len:
+            raise ShapeMismatch(f"example {ex.example_id!r}: {'prompt' if prompts else 'sequence'}"
+                                f" of {n} tokens is longer than max_len {max_len}")
+
+
 def train(examples: list[TrainingExample], model_config: ModelConfig,
           config: TrainConfig, log_fn=None, cache: WeightCache | None = None) -> TrainResult:
     """Train from the initial parameters. Confusion sampling's epoch 1
     fills `cache` (a fresh one when None); a filled cache is refused."""
     _check_ids(examples)
+    check_max_len(examples, model_config.max_len)
     cache = cache if cache is not None else WeightCache()
     if cache.capture_count:
         raise ValueError("train fills its own weight cache; it was given a filled one")
@@ -194,7 +208,6 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
     log: list[dict] = []
     step = 0
     last_step = config.epochs * len(examples) - 1
-    accum = 0
     for epoch in range(1, config.epochs + 1):
         order_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 7919, epoch]))
         order = order_rng.permutation(len(examples))
@@ -227,17 +240,15 @@ def train(examples: list[TrainingExample], model_config: ModelConfig,
                 raise NonFiniteLoss(
                     f"step {step}: L_SL={l_sl.item()}, L_NTP={l_ntp.item()}")
             ad.backward(ad.scale(loss, 1.0 / config.grad_accum))
-            accum += 1
             entry = {"step": step, "epoch": epoch, "example_id": ex.example_id,
                      "l_sl": l_sl.item(), "l_ntp": l_ntp.item(),
                      "k_noisy": len(noisy_cols)}
-            if accum >= config.grad_accum or step == last_step:
+            if (step + 1) % config.grad_accum == 0 or step == last_step:
                 # norm of the accumulated gradient, before clipping
                 entry["grad_norm"] = ad.clip_grad_norm(params.all_params(),
                                                        config.max_grad_norm)
                 opt.step()
                 opt.zero_grad()
-                accum = 0
             log.append(entry)
             if log_fn is not None:
                 log_fn("train_step", entry)
@@ -328,11 +339,11 @@ def generate_sql(params: ModelParams, example: TrainingExample,
     """
     attends = [prune_prompt(example, predicted) if predicted else full_schema_prompt(example)
                for predicted in predicted_sets]
-    n = example.seg.query_start
-    generated = greedy_generate(params, example.tokens.ids[:n], max_new=max_new,
-                                stop_id=EOS, encoded=encoded, attends=attends)
+    generated = greedy_generate(params, example.tokens.ids[:example.seg.query_start],
+                                max_new=max_new, stop_id=EOS, encoded=encoded,
+                                attends=attends)
     # a sequence stops at its first EOS, so EOS can only end it
-    return [decode([i for i in ids[n:] if i != EOS], vocab) for ids in generated]
+    return [decode([i for i in new if i != EOS], vocab) for new in generated]
 
 
 def infer_thresholds(params: ModelParams, example: TrainingExample, vocab: Vocab,

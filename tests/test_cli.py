@@ -790,6 +790,24 @@ class TestTrainArtifacts:
         assert err == f"error: {empty}: no examples to train on\n"
         assert not out_dir.exists()
 
+    def test_over_long_record_is_named_before_any_step(self, capsys, workspace, tmp_path):
+        """A record longer than the model's max_len is refused with its id
+        before the first step, so no log or checkpoint is written."""
+        first, second = (json.loads(line) for line in
+                         (workspace["corpus"] / "train.jsonl").read_text().splitlines()[:2])
+        second["question"] += " and the name" * 100
+        corpus = tmp_path / "train.jsonl"
+        corpus.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        out_dir = tmp_path / "ckpt"
+        code, out, err = run(capsys, "train", "--corpus", str(corpus),
+                             "--vocab", str(workspace["corpus"] / "vocab.json"),
+                             "--schema-dir", str(workspace["corpus"] / "schema"),
+                             "--config", str(workspace["config"]), "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: example {second['example_id']!r}: sequence of ")
+        assert err.endswith(" tokens is longer than max_len 256\n")
+        assert not out_dir.exists()
+
     def test_log_closed_when_training_fails(self, capsys, monkeypatch, workspace, tmp_path):
         from joltsql import cli, pipeline
         from joltsql.errors import NonFiniteLoss
@@ -928,6 +946,46 @@ class TestInferEval:
             assert r["used_fallback"] == (r["predicted_columns"] == [])
             assert set(r["timings_ms"]) == {"linking", "generation", "end_to_end"}
         assert dict(Counter(r["verdict"] for r in records)) == metrics["ex_counts"]
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_failed_run_leaves_no_out(self, capsys, tmp_path, workspace, command):
+        """`--out` is made only once there is something to write in it."""
+        out_dir = tmp_path / "eval"
+        missing = tmp_path / "nonexistent"
+        code, out, err = run(capsys, command, "--ckpt", str(workspace["ckpt"]),
+                             "--dev", str(workspace["corpus"] / "dev.jsonl"),
+                             "--dbs", str(missing), "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot open {missing}")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_over_long_prompt_is_named_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                       workspace, command):
+        """A dev record whose prompt is longer than the checkpoint's max_len
+        is refused with its id before any example is scored, and `--out` is
+        not made."""
+        from joltsql import evaluation
+
+        records = [json.loads(line) for line in
+                   (workspace["corpus"] / "dev.jsonl").read_text().splitlines()[:2]]
+        records[-1]["question"] += " and the name" * 100
+        dev = tmp_path / "dev.jsonl"
+        dev.write_text("".join(json.dumps(r) + "\n" for r in records))
+        scored = []
+        infer_thresholds = evaluation.infer_thresholds
+        monkeypatch.setattr(evaluation, "infer_thresholds",
+                            lambda *args: scored.append(args) or infer_thresholds(*args))
+        out_dir = tmp_path / "eval"
+        code, out, err = run(capsys, command, "--ckpt", str(workspace["ckpt"]),
+                             "--dev", str(dev), "--dbs", str(workspace["corpus"] / "dbs"),
+                             "--schema-dir", str(workspace["corpus"] / "schema"),
+                             "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: example {records[-1]['example_id']!r}: prompt of ")
+        assert err.endswith(" tokens is longer than max_len 256\n")
+        assert scored == []
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("argv", [("eval",), ("eval", "--average", "macro"), ("sweep",)],
                              ids=["eval-micro", "eval-macro", "sweep"])

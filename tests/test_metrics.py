@@ -9,7 +9,7 @@ import pytest
 from joltsql import metrics
 from joltsql.errors import DbUnavailable, DegenerateLabels, LengthMismatch
 from joltsql.metrics import (_has_top_level_order_by, ex_summary, execution_accuracy,
-                             pr_auc, precision_recall, roc_auc)
+                             execution_verdicts, pr_auc, precision_recall, roc_auc)
 
 
 def oracle_roc(scores, labels):
@@ -211,6 +211,26 @@ class TestExecutionAccuracy:
         assert execution_accuracy("SELECT name FROM t ORDER BY age DESC", gold,
                                   people_db) == "mismatch"
         assert execution_accuracy("SELECT name FROM t ORDER BY age", gold,
+                                  people_db) == "match"
+
+
+class TestNoStatement:
+    """Text that holds no statement (blank, or only comments and
+    semicolons) runs nothing: it is not the zero rows of an empty result."""
+
+    NO_STATEMENT = ["", "   ", "-- nothing", "/* c */", ";"]
+    EMPTY_GOLD = "SELECT name FROM t WHERE age > 1000"
+
+    def test_prediction_is_pred_error_against_an_empty_gold_result(self, people_db):
+        verdicts = execution_verdicts(self.NO_STATEMENT, self.EMPTY_GOLD, people_db)
+        assert verdicts == [("pred_error", "the SQL holds no statement")] * 5
+
+    @pytest.mark.parametrize("gold", NO_STATEMENT)
+    def test_gold_is_gold_error(self, people_db, gold):
+        assert execution_accuracy(self.EMPTY_GOLD, gold, people_db) == "gold_error"
+
+    def test_a_statement_with_a_comment_still_matches(self, people_db):
+        assert execution_accuracy(self.EMPTY_GOLD + " -- none; ", self.EMPTY_GOLD,
                                   people_db) == "match"
 
 

@@ -32,7 +32,7 @@ def tiny_segment():
 def kv_buffers(kv, rows, lead=()):
     """`forward_values`'s `past`: per layer, K and V buffers of shape
     lead x `rows` x d, each sequence's first rows copies of `kv`; no
-    `lead` is a lone sequence's 2-D layout."""
+    `lead` is the prompt pass's 2-D layout."""
     past = []
     for k, v in kv:
         buf = np.zeros((2, *lead, rows, k.shape[1]), dtype=k.dtype)
@@ -523,7 +523,7 @@ class TestCheckpoint:
 
 def generate(params, prompt, max_new, stop_id):
     """Greedy decoding of a causally encoded prompt, every prompt token
-    visible to the decode rows."""
+    visible to the decode rows: the new tokens."""
     encoded = prompt_pass(params, prompt, build_causal_mask(len(prompt)))
     [ids] = greedy_generate(params, prompt, max_new, stop_id, encoded=encoded,
                             attends=np.ones((1, len(prompt)), dtype=bool))
@@ -534,9 +534,9 @@ class TestGreedyGenerate:
     def test_stops_at_stop_id(self):
         params = ModelParams(tiny_config(), seed=0)
         out = generate(params, [1, 2], max_new=20, stop_id=-1)
-        assert len(out) <= 22
-        out2 = generate(params, [1, 2], max_new=20, stop_id=out[2])
-        assert out2[2] == out[2] and len(out2) == 3
+        assert len(out) == 20
+        # the first token is the stop id: it is kept, and decoding ends
+        assert generate(params, [1, 2], max_new=20, stop_id=out[0]) == out[:1]
 
     def test_deterministic(self):
         params = ModelParams(tiny_config(), seed=0)
@@ -547,7 +547,15 @@ class TestGreedyGenerate:
     def test_max_len_respected(self):
         params = ModelParams(tiny_config(max_len=6), seed=0)
         out = generate(params, [1, 2, 3], max_new=50, stop_id=-1)
-        assert len(out) <= 6
+        assert len(out) == 3  # positions 3, 4 and 5
+        assert generate(params, [1, 2, 3, 4, 5, 6], max_new=50, stop_id=-1) == []
+
+    def test_no_budget_gives_no_tokens(self):
+        params = ModelParams(tiny_config(), seed=0)
+        encoded = prompt_pass(params, [1, 2, 3], build_causal_mask(3))
+        views = np.ones((2, 3), dtype=bool)
+        assert greedy_generate(params, [1, 2, 3], max_new=0, stop_id=-1, encoded=encoded,
+                               attends=views) == [[], []]
 
     def test_empty_prompt_rejected(self):
         params = ModelParams(tiny_config(), seed=0)
@@ -587,7 +595,7 @@ class TestDecodeCache:
         encoded = self.encoded(params)
         assert builds == [(4, 4)]  # the prompt pass: one bias for both layers
         builds.clear()
-        assert len(self.decode(params, encoded)) == 10
+        assert len(self.decode(params, encoded)) == 6
         assert builds == [(1, 10)]  # one row over prompt and max_new, for 5 decode rows
 
     def test_a_budget_past_max_len_sizes_the_buffers_to_max_len(self, monkeypatch):
@@ -599,7 +607,7 @@ class TestDecodeCache:
         encoded = self.encoded(params)
         reachable = 64 - len(self.PROMPT)
         want = self.decode(params, encoded, reachable)
-        assert len(want) == 64
+        assert len(want) == reachable
         builds = []
         build = ad.additive_bias
         monkeypatch.setattr(ad, "additive_bias",
@@ -624,7 +632,7 @@ class TestDecodeCache:
 
         for name in ("concat", "sigmoid"):
             monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
-        assert len(self.decode(params, encoded)) == 10
+        assert len(self.decode(params, encoded)) == 6
         assert calls == []
 
     def test_decode_step_contract_checked(self):
@@ -649,28 +657,29 @@ class TestDecodeCache:
             forward_values(short, np.array([5]), bias, kv_buffers(encoded.kv, 5))
 
     def test_decode_step_memory_does_not_grow_with_the_past(self):
-        """One decode step's traced peak grows with the prompt length by
-        about the heads x 1 x m score row, far less than one copy of a
-        layer's past K would add (concatenating the past made two per
-        layer)."""
+        """One decode step's traced peak, a stack of one sequence, grows
+        with the prompt length by about the heads x 1 x m score row, far
+        less than one copy of a layer's past K would add (concatenating the
+        past made two per layer)."""
         cfg = tiny_config(dim=32, heads=2, max_len=128)
         params = ModelParams(cfg, seed=0)
         peaks = {}
         for n in (8, 72):
             prompt = list(range(1, 15)) * 6
             encoded = prompt_pass(params, prompt[:n], build_causal_mask(n))
-            past = kv_buffers(encoded.kv, n + 2)
-            bias = np.zeros((1, n + 2), dtype=cfg.np_dtype)
-            forward_values(params, np.array([5]), bias[:, :n + 1], past)  # warm-up
+            past = kv_buffers(encoded.kv, n + 2, lead=(1,))
+            bias = np.zeros((1, 1, n + 2), dtype=cfg.np_dtype)
+            forward_values(params, np.array([[5]]), bias[..., :n + 1], past)  # warm-up
             peaks[n] = traced_peak(
-                lambda: forward_values(params, np.array([6]), bias[:, :n + 2], past))
+                lambda: forward_values(params, np.array([[6]]), bias[..., :n + 2], past))
         one_k_copy = (72 - 8) * cfg.dim * 4
         assert peaks[72] - peaks[8] < one_k_copy / 4, peaks
 
 
 class TestDecodeStep:
     """A decode step of `forward_values` runs on plain arrays, byte for
-    byte what the tape-based step (`tape_decode_step`) gave."""
+    byte what the tape-based step (`tape_decode_step`) gave, and a stack of
+    one sequence rounds as the 2-D rows of the prompt pass's layout."""
 
     PROMPT = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
 
@@ -685,30 +694,56 @@ class TestDecodeStep:
             p.data = rng.normal(0, 0.3, p.data.shape).astype(p.data.dtype)
         return params
 
+    def views(self, sequences, steps):
+        """B random views of the prompt, each then seeing every decode
+        position, and `steps` tokens per sequence."""
+        n = len(self.PROMPT)
+        rng = np.random.default_rng(sequences)
+        visible = np.ones((sequences, n + steps), dtype=bool)
+        visible[:, :n] = rng.random((sequences, n)) > 0.4
+        visible[:, 0] = True
+        return visible, rng.integers(0, 64, (steps, sequences))
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("sequences", [1, 4])
     def test_logits_and_kv_byte_equal_to_the_tape_step(self, dtype, sequences):
         params = self.lively_params(dtype)
         n, steps = len(self.PROMPT), 6
         encoded = prompt_pass(params, self.PROMPT, build_causal_mask(n))
-        rng = np.random.default_rng(sequences)
-        visible = np.ones((sequences, n + steps), dtype=bool)
-        visible[:, :n] = rng.random((sequences, n)) > 0.4
-        visible[:, 0] = True
-        bias = ad.additive_bias(visible, params.config.np_dtype)
-        lead = (sequences,) if sequences > 1 else ()
-        past = kv_buffers(encoded.kv, n + steps, lead)
+        visible, tokens = self.views(sequences, steps)
+        bias = ad.additive_bias(visible, params.config.np_dtype)[:, None]
+        past = kv_buffers(encoded.kv, n + steps, (sequences,))
         reference = kv_buffers(encoded.kv, n + steps, (sequences,))
-        tokens = rng.integers(0, 64, (steps, sequences))
         for t in range(steps):
             m = n + t + 1
-            got = forward_values(params, tokens[t].reshape(*lead, 1),
-                                 bias[:, :m].reshape(*lead, 1, m), past) @ params.emb.data.T
+            got = forward_values(params, tokens[t][:, None], bias[..., :m],
+                                 past) @ params.emb.data.T
             want = tape_decode_step(params, tokens[t], visible[:, :m], reference)
-            assert got.shape == (*lead, 1, 64)
+            assert got.shape == (sequences, 1, 64)
             assert got.tobytes() == want.tobytes()
         for (k, v), (k_ref, v_ref) in zip(past, reference):
             assert k.tobytes() == k_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_stack_of_one_rounds_as_the_2d_rows(self, dtype):
+        """One sequence decoded as a 1 x 1 x d stack gives, step after step,
+        the hidden row and K/V a 2-D step over buffers of the same contents
+        gives, byte for byte: one decode layout serves B = 1."""
+        params = self.lively_params(dtype)
+        n, steps = len(self.PROMPT), 6
+        encoded = prompt_pass(params, self.PROMPT, build_causal_mask(n))
+        visible, tokens = self.views(1, steps)
+        bias = ad.additive_bias(visible, params.config.np_dtype)
+        flat = kv_buffers(encoded.kv, n + steps)
+        stacked = kv_buffers(encoded.kv, n + steps, (1,))
+        for t in range(steps):
+            m = n + t + 1
+            want = forward_values(params, tokens[t], bias[:, :m], flat)
+            got = forward_values(params, tokens[t][:, None], bias[:, None, :m], stacked)
+            assert want.shape == (1, 80) and got.shape == (1, 1, 80)
+            assert got.tobytes() == want.tobytes()
+        for (k, v), (k_flat, v_flat) in zip(stacked, flat):
+            assert k.tobytes() == k_flat.tobytes() and v.tobytes() == v_flat.tobytes()
 
     @pytest.mark.parametrize("sequences", [1, 3])
     def test_no_tape_op_runs_while_decoding(self, monkeypatch, sequences):
@@ -719,7 +754,7 @@ class TestDecodeStep:
         encoded = prompt_pass(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
         views = np.ones((sequences, len(self.PROMPT)), dtype=bool)
         seqs = greedy_generate(params, self.PROMPT, 8, -1, encoded=encoded, attends=views)
-        assert all(len(seq) == len(self.PROMPT) + 8 for seq in seqs)
+        assert [len(seq) for seq in seqs] == [8] * sequences
         assert made == []
         forward(params, self.PROMPT, build_causal_mask(len(self.PROMPT)))
         assert "op" in made and "tensor" in made  # the spies see the tape forward
@@ -775,22 +810,22 @@ class TestStackedDecode:
             assert len(steps) >= len(alone_steps)
             for step, alone_step in zip(steps, alone_steps):
                 assert step.shape == (len(views), 1, params.config.vocab_size)
+                assert alone_step.shape == (1, 1, params.config.vocab_size)
                 assert step[b].tobytes() == alone_step[0].tobytes()
         return stacked
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_sequences_stopping_at_different_steps(self, monkeypatch, dtype):
         params = self.lively_params(dtype=dtype)
-        n = len(self.PROMPT)
         endless = self.stacked_equals_single(params, -1, 12, monkeypatch)
+        assert [len(seq) for seq in endless] == [12] * 4
         assert len({tuple(seq) for seq in endless}) > 1  # the views decode differently
 
         def stopped_length(seq, stop):
-            new = seq[n:]
-            return n + (new.index(stop) + 1 if stop in new else len(new))
+            return seq.index(stop) + 1 if stop in seq else len(seq)
 
         # a stop id that ends the sequences at different steps
-        stop = next(t for t in sorted({t for seq in endless for t in seq[n:]})
+        stop = next(t for t in sorted({t for seq in endless for t in seq})
                     if len({stopped_length(seq, t) for seq in endless}) > 1)
         stopped = self.stacked_equals_single(params, stop, 12, monkeypatch)
         assert [len(seq) for seq in stopped] == [stopped_length(seq, stop)
@@ -799,7 +834,7 @@ class TestStackedDecode:
     def test_max_len_cuts_every_sequence(self, monkeypatch):
         params = self.lively_params(max_len=len(self.PROMPT) + 3)
         stacked = self.stacked_equals_single(params, -1, 10, monkeypatch)
-        assert [len(seq) for seq in stacked] == [len(self.PROMPT) + 3] * 4
+        assert [len(seq) for seq in stacked] == [3] * 4
 
     @pytest.mark.parametrize("d,k,transposed", [(80, 80, False), (80, 320, False),
                                                 (320, 80, False), (80, 185, True)])

@@ -684,8 +684,9 @@ class TestDecodeUnderTrainingMask:
         def spy(params, *args):
             hidden = step(params, *args)
             # the last row's logits: the prompt pass's last gathered row,
-            # or a lone decode step's one row
-            seen.append((hidden @ params.emb.data.T)[-1])
+            # or the one row of a decode step's stack of one
+            logits = hidden @ params.emb.data.T
+            seen.append(logits.reshape(-1, params.config.vocab_size)[-1])
             return hidden
 
         monkeypatch.setattr(model, "forward_values", spy)
@@ -758,10 +759,10 @@ class TestDecodeUnderTrainingMask:
         columns = {("singer", "name"), ("stadium", "city")}
 
         def cached(params, max_new, stop_id):
-            [out] = greedy_generate(params, prompt, max_new, stop_id,
+            [new] = greedy_generate(params, prompt, max_new, stop_id,
                                     encoded=encode_prompt(params, example),
                                     attends=[prune_prompt(example, columns)])
-            return out[n_ps:]
+            return new
 
         def reference(params, max_new, stop_id):
             return uncached_joint_decode(params, example, columns, max_new, stop_id)
