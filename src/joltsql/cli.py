@@ -256,6 +256,7 @@ def cmd_infer(args) -> int:
     params, vocab = _load_ckpt(args.ckpt)
     schema = SchemaDocument.load(args.schema)
     ex = pipeline.prepare_inference_example(args.question, schema, vocab)
+    pipeline.check_max_len([ex], params.config.max_len, prompts=True)
     result = pipeline.infer(params, ex, vocab, threshold=args.threshold)
     print(json.dumps(result.to_json()))
     return 0

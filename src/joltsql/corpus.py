@@ -19,9 +19,9 @@ import numpy as np
 from .errors import ConfigError
 from .jsonfile import iter_jsonl
 from .model import MAX_LEN
-from .pipeline import PREFIX_TEMPLATE, TrainingExample, build_training_example, tokenized_schema
+from .pipeline import PREFIX_TEMPLATE, gold_links, tokenized_schema
 from .schema import Column, SchemaDocument, Table, quote_identifier, with_value_examples
-from .tokenizer import build_vocab
+from .tokenizer import SchemaTokens, build_vocab, count_words
 
 _TABLE_POOL = [
     "singer", "concert", "album", "track", "student", "course", "employee",
@@ -266,7 +266,9 @@ def generate_corpus(cfg: CorpusConfig, out_dir: str) -> GeneratedCorpus:
     `train.jsonl` and `dev.jsonl`. The files are written into a staging
     directory inside `out_dir` and moved into place once all are written,
     so a failure (an example over MAX_LEN, say) leaves `out_dir` as it was,
-    and does not leave it created."""
+    and does not leave it created. A record is written from its gold links
+    and its token count, without building its example: `load_corpus`
+    builds each example once."""
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=".partial-", dir=out_dir)
@@ -319,8 +321,8 @@ def _write_corpus(cfg: CorpusConfig, out_dir: str) -> dict[str, SchemaDocument]:
             if rendered is None:
                 continue
             question, sql = rendered
-            raw.append({"db_id": db_id, "question": question, "gold_sql": sql,
-                        "example_id": f"{db_id}-{made:03d}"})
+            raw.append({"example_id": f"{db_id}-{made:03d}", "db_id": db_id,
+                        "question": question, "gold_sql": sql})
             made += 1
 
     split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 99991]))
@@ -340,32 +342,30 @@ def _write_corpus(cfg: CorpusConfig, out_dir: str) -> dict[str, SchemaDocument]:
     vocab.save(os.path.join(out_dir, "vocab.json"))
 
     def write_jsonl(path: str, records: list[dict]):
+        """Each record with its `link` (sorted `table.column` names) and
+        `label` (one 0/1 per column, in marker order), as the example
+        `load_corpus` builds from it has them; the example is not built."""
         with open(path, "w") as f:
             for r in records:
-                ex = build_training_example(r["question"], schemas[r["db_id"]],
-                                            r["gold_sql"], vocab,
-                                            r["example_id"], r["db_id"])
-                if len(ex.tokens.ids) > MAX_LEN:
-                    raise ConfigError(f"example {r['example_id']} is {len(ex.tokens.ids)} "
-                                      f"tokens (max {MAX_LEN})")
-                f.write(_record_line(ex) + "\n")
+                link = gold_links(r["gold_sql"], schemas[r["db_id"]])
+                schema = tokenized_schema(schemas[r["db_id"]])
+                n = _token_count(r["question"], schema, r["gold_sql"])
+                if n > MAX_LEN:
+                    raise ConfigError(f"example {r['example_id']} is {n} tokens (max {MAX_LEN})")
+                f.write(json.dumps({**r, "link": sorted(f"{t}.{c}" for t, c in link),
+                                    "label": [int((t, c) in link)
+                                              for t, c, _ in schema.marker_columns]}) + "\n")
 
     write_jsonl(os.path.join(out_dir, "train.jsonl"), train_raw)
     write_jsonl(os.path.join(out_dir, "dev.jsonl"), dev_raw)
     return schemas
 
 
-def _record_line(ex: TrainingExample) -> str:
-    """The example's corpus record as one line of JSON. Its database's
-    layout is not repeated: it lives once in `schema/<db_id>.json`."""
-    return json.dumps({
-        "example_id": ex.example_id,
-        "db_id": ex.db_id,
-        "question": ex.question,
-        "gold_sql": ex.gold_sql,
-        "link": sorted(f"{t}.{c}" for t, c in ex.link),
-        "label": ex.label,
-    })
+def _token_count(question: str, schema: SchemaTokens, gold_sql: str) -> int:
+    """The length of the example `load_corpus` builds from a record: its
+    prefix, schema and SQL words, then EOS."""
+    return (count_words(PREFIX_TEMPLATE.format(question=question)) + len(schema.words)
+            + count_words(gold_sql) + 1)
 
 
 def corpus_stats(jsonl_path: str) -> dict:

@@ -63,52 +63,53 @@ def _sinusoid_table(max_len: int, dim: int) -> np.ndarray:
     return table
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape by name, in `ModelParams.named_params` order."""
+    d, f = config.dim, config.dim * config.ffn_mult
+    layer = {"ln1_g": (d,), "ln1_b": (d,), "wq": (d, d), "wk": (d, d), "wv": (d, d),
+             "wo": (d, d), "ln2_g": (d,), "ln2_b": (d,), "w1": (d, f), "b1": (f,),
+             "w2": (f, d), "b2": (d,)}
+    shapes = {"emb": (config.vocab_size, d), "pos": (config.max_len, d)}
+    for i in range(config.layers):
+        shapes.update({f"layer{i}.{k}": shape for k, shape in layer.items()})
+    return {**shapes, "lnf_g": (d,), "lnf_b": (d,), "link_w": (d, 1), "link_b": (1,)}
+
+
 class ModelParams:
     """Named parameter tensors. The LM head is tied to the token embedding;
     the linking head bias starts at -2.0 so initial probabilities sit near
     0.12 instead of a saturated 0.5."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        self.config = config
         rng = np.random.default_rng(seed)
-        d, V = config.dim, config.vocab_size
-        dt = config.np_dtype
 
-        def p(*shape, std=0.02):
-            return ad.tensor(rng.normal(0, std, shape), requires_grad=True, dtype=dt)
+        def initial(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            key = name.rpartition(".")[2]
+            if key == "pos":
+                return _sinusoid_table(config.max_len, config.dim) * 0.1
+            if key in ("emb", "wq", "wk", "wv", "wo", "w1", "w2", "link_w"):
+                return rng.normal(0, 0.02, shape)  # drawn in `param_shapes` order
+            # layer-norm gains start at 1, the linking bias at -2, other biases at 0
+            return np.full(shape, -2.0 if key == "link_b" else float(key.endswith("_g")))
+        self._adopt(config, {name: initial(name, shape)
+                             for name, shape in param_shapes(config).items()})
 
-        self.emb = p(V, d)
-        self.pos = ad.tensor(_sinusoid_table(config.max_len, d) * 0.1,
-                             requires_grad=True, dtype=dt)
-        self.layers = []
-        for _ in range(config.layers):
-            layer = {
-                "ln1_g": ad.tensor(np.ones(d), requires_grad=True, dtype=dt),
-                "ln1_b": ad.tensor(np.zeros(d), requires_grad=True, dtype=dt),
-                "wq": p(d, d), "wk": p(d, d), "wv": p(d, d), "wo": p(d, d),
-                "ln2_g": ad.tensor(np.ones(d), requires_grad=True, dtype=dt),
-                "ln2_b": ad.tensor(np.zeros(d), requires_grad=True, dtype=dt),
-                "w1": p(d, d * config.ffn_mult),
-                "b1": ad.tensor(np.zeros(d * config.ffn_mult), requires_grad=True, dtype=dt),
-                "w2": p(d * config.ffn_mult, d),
-                "b2": ad.tensor(np.zeros(d), requires_grad=True, dtype=dt),
-            }
-            self.layers.append(layer)
-        self.lnf_g = ad.tensor(np.ones(d), requires_grad=True, dtype=dt)
-        self.lnf_b = ad.tensor(np.zeros(d), requires_grad=True, dtype=dt)
-        self.link_w = p(d, 1)
-        self.link_b = ad.tensor(np.full(1, -2.0), requires_grad=True, dtype=dt)
+    def _adopt(self, config: ModelConfig, arrays: dict[str, np.ndarray]):
+        """Hold `arrays`, by `param_shapes` name, as the parameters in the
+        config's dtype; an array already in that dtype is held, not copied."""
+        self.config = config
+        self._named = t = {k: ad.tensor(v, requires_grad=True, dtype=config.np_dtype)
+                           for k, v in arrays.items()}
+        self.emb, self.pos = t["emb"], t["pos"]
+        self.layers = [{k.partition(".")[2]: v for k, v in t.items()
+                        if k.startswith(f"layer{i}.")} for i in range(config.layers)]
+        self.lnf_g, self.lnf_b, self.link_w, self.link_b = (
+            t["lnf_g"], t["lnf_b"], t["link_w"], t["link_b"])
 
     def named_params(self) -> dict[str, Tensor]:
         """Every parameter by name, in the order AdamW and gradient
-        clipping walk them."""
-        out = {"emb": self.emb, "pos": self.pos}
-        for i, layer in enumerate(self.layers):
-            for k, v in layer.items():
-                out[f"layer{i}.{k}"] = v
-        out.update({"lnf_g": self.lnf_g, "lnf_b": self.lnf_b,
-                    "link_w": self.link_w, "link_b": self.link_b})
-        return out
+        clipping walk them: `param_shapes` order."""
+        return dict(self._named)
 
     def all_params(self) -> list[Tensor]:
         return list(self.named_params().values())
@@ -120,10 +121,11 @@ class ModelParams:
     @staticmethod
     def load(path: str) -> "ModelParams":
         """Read a checkpoint written by `save`. Every array must be present
-        with the shape and dtype its stored config gives it. Raises
-        MalformedInput naming the file when it is not an intact `.npz`
-        archive (naming the array that cannot be read, where one is known)
-        or the stored config is not one ModelConfig takes."""
+        with the shape (`param_shapes`) and dtype its stored config gives
+        it; each is held as `np.load` reads it, and no initialisation is
+        drawn. Raises MalformedInput naming the file when it is not an
+        intact `.npz` archive (naming the array that cannot be read, where
+        one is known) or the stored config is not one ModelConfig takes."""
         try:
             z = np.load(path, allow_pickle=False)
         except _CORRUPT:
@@ -141,18 +143,20 @@ class ModelParams:
                 config = ModelConfig(**json.loads(str(read("__config__"))))
             except (KeyError, TypeError, ValueError) as e:
                 raise MalformedInput(f"{path}: stored config: {e}") from None
-            params = ModelParams(config)
-            for k, v in params.named_params().items():
+            dtype = np.dtype(config.np_dtype)
+            arrays = {}
+            for k, shape in param_shapes(config).items():
                 if k not in z:
                     raise ShapeMismatch(f"{path}: missing array {k!r}")
-                stored = read(k)
-                if stored.shape != v.data.shape:
+                stored = arrays[k] = read(k)
+                if stored.shape != shape:
                     raise ShapeMismatch(f"{path}: {k!r} has shape {stored.shape}, "
-                                        f"config gives {v.data.shape}")
-                if stored.dtype != v.data.dtype:
+                                        f"config gives {shape}")
+                if stored.dtype != dtype:
                     raise ShapeMismatch(f"{path}: {k!r} has dtype {stored.dtype}, "
-                                        f"config gives {v.data.dtype}")
-                v.data = stored.copy()
+                                        f"config gives {dtype}")
+        params = object.__new__(ModelParams)
+        params._adopt(config, arrays)
         return params
 
 

@@ -134,11 +134,17 @@ def _build_example(question: str, schema_doc: SchemaDocument, gold_sql: str,
                            label, tokens, seg, schema_doc)
 
 
-def build_training_example(question: str, schema_doc: SchemaDocument, gold_sql: str,
-                           vocab: Vocab, example_id: str, db_id: str = "") -> TrainingExample:
+def gold_links(gold_sql: str, schema_doc: SchemaDocument) -> set[tuple[str, str]]:
+    """`extract_ground_truth`'s links; raises DegenerateExample when there are none."""
     links = extract_ground_truth(gold_sql, schema_doc)
     if not links:
         raise DegenerateExample(f"gold SQL references no columns: {gold_sql!r}")
+    return links
+
+
+def build_training_example(question: str, schema_doc: SchemaDocument, gold_sql: str,
+                           vocab: Vocab, example_id: str, db_id: str = "") -> TrainingExample:
+    links = gold_links(gold_sql, schema_doc)
     ex = _build_example(question, schema_doc, gold_sql, links, vocab, example_id, db_id)
     # terminate the query with EOS so generation learns to stop
     ex.tokens = TokenSequence(ex.tokens.ids + [EOS])

@@ -195,6 +195,12 @@ class SchemaTokens:
     words: tuple[str, ...]
     tables: dict[str, TableSpans]
 
+    @property
+    def marker_columns(self) -> list[tuple[str, str, int]]:
+        """(table, column, its marker's position from the first word) in
+        serialization order: the order of an example's markers and labels."""
+        return [(t, c, lo) for t, ts in self.tables.items() for c, (lo, _) in ts.markers.items()]
+
 
 def tokenize_schema(schema_text: str, spans: SpanIndex) -> SchemaTokens:
     """Split the schema text into words and map each table's layout to word
@@ -209,6 +215,11 @@ def tokenize_schema(schema_text: str, spans: SpanIndex) -> SchemaTokens:
             if hi - lo != 1:
                 raise SpanMisaligned(f"marker for {tname}.{cname} spans {hi - lo} tokens")
     return SchemaTokens(schema_text, tuple(w for w, _, _ in words), tables)
+
+
+def count_words(text: str) -> int:
+    """How many ids `encode` gives `text` as its prefix or query."""
+    return len(_WORD_RE.findall(text))
 
 
 def _word_ids(text: str, vocab: Vocab) -> list[int]:
@@ -228,8 +239,7 @@ def encode(prefix: str, schema: SchemaTokens, query: str,
     prefix_ids = _word_ids(prefix, vocab)
     base = len(prefix_ids)  # position of the first schema token
     ids = [*prefix_ids, *vocab.schema_ids(schema.words), *_word_ids(query, vocab)]
-    marker_columns = [(t, c, base + lo) for t, ts in schema.tables.items()
-                      for c, (lo, _) in ts.markers.items()]
+    marker_columns = [(t, c, base + lo) for t, c, lo in schema.marker_columns]
     for _, _, pos in marker_columns:
         ids[pos] = MARKER
 

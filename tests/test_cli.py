@@ -883,6 +883,20 @@ class TestInferEval:
             assert printed[key] == record[key]
         assert printed["timings_ms"].keys() == record["timings_ms"].keys()
 
+    def test_infer_refuses_an_over_long_prompt_by_name(self, capsys, monkeypatch, workspace):
+        """A question whose prompt is longer than the checkpoint's max_len is
+        refused as the example's, before the prompt pass runs."""
+        from joltsql import pipeline
+
+        schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
+        monkeypatch.setattr(pipeline, "infer", lambda *args, **kw: pytest.fail("inferred"))
+        code, out, err = run(capsys, "infer", "--ckpt", str(workspace["ckpt"]),
+                             "--question", "show the name" + " and the name" * 100,
+                             "--schema", str(schema_file))
+        assert code == 1 and out == ""
+        assert err.startswith("error: example 'query': prompt of ")
+        assert err.endswith(" tokens is longer than max_len 256\n")
+
     def test_vocab_size_mismatch_rejected(self, capsys, tmp_path, workspace):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(workspace["ckpt"], ckpt)

@@ -11,13 +11,22 @@ import pytest
 from joltsql import corpus as corpus_mod
 from joltsql.corpus import (CorpusConfig, corpus_stats, generate_corpus,
                             load_schemas)
-from joltsql.errors import ConfigError
+from joltsql.errors import ConfigError, DegenerateExample
 from joltsql.jsonfile import iter_jsonl
 from joltsql.model import ModelConfig
 from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example, load_corpus,
                               tokenized_schema)
 from joltsql.schema import Column, SchemaDocument, Table, serialize_schema
 from joltsql.tokenizer import Vocab, build_vocab, decode
+
+
+def example_record(ex) -> dict:
+    """The corpus record of a built example, read off the example: the
+    slow reference for the record the corpus writer writes without
+    building it."""
+    return {"example_id": ex.example_id, "db_id": ex.db_id, "question": ex.question,
+            "gold_sql": ex.gold_sql, "link": sorted(f"{t}.{c}" for t, c in ex.link),
+            "label": ex.label}
 
 
 def tiny_config(**kw):
@@ -85,11 +94,11 @@ class TestGeneration:
             records = [json.loads(line) for line in f if line.strip()]
         if fraction < 1.0:
             records = records[:max(1, int(len(records) * fraction))]
-        want = [corpus_mod._record_line(build_training_example(
+        want = [example_record(build_training_example(
             r["question"], schemas[r["db_id"]], r["gold_sql"], vocab, r["example_id"],
             r["db_id"])) for r in records]
         got = load_corpus(corpus.train_path, vocab, schemas, fraction=fraction)
-        assert [corpus_mod._record_line(ex) for ex in got] == want
+        assert [example_record(ex) for ex in got] == want
         assert len(want) == {1.0: 12, 0.5: 6, 0.001: 1}[fraction]
 
     def test_one_schema_encoding_per_database(self, tmp_path, monkeypatch):
@@ -152,7 +161,7 @@ class TestRecords:
 
     def test_json_round_trip(self, concert, concert_schema):
         example, vocab = concert
-        rec = json.loads(corpus_mod._record_line(example))
+        rec = example_record(example)
         clone = build_training_example(rec["question"], concert_schema, rec["gold_sql"],
                                        vocab, rec["example_id"], rec["db_id"])
         assert clone.tokens.ids == example.tokens.ids
@@ -168,7 +177,7 @@ class TestRecords:
                                      "link", "label"]
 
     def test_link_serialized_sorted_dotted(self, concert):
-        rec = json.loads(corpus_mod._record_line(concert[0]))
+        rec = example_record(concert[0])
         assert rec["link"] == ["singer.age", "singer.name"]
 
     def test_fk_spans_keep_serialization_order(self):
@@ -199,7 +208,7 @@ class TestRecords:
         the schema text and spans repeated in twelve keys, loads into the
         example its six-key line loads into."""
         example, vocab = concert
-        rec = json.loads(corpus_mod._record_line(example))
+        rec = example_record(example)
         schema = tokenized_schema(concert_schema)
         prefix_text = PREFIX_TEMPLATE.format(question=example.question)
         base = example.seg.schema_start
@@ -221,6 +230,64 @@ class TestRecords:
             path.write_text(json.dumps(record) + "\n")
             loaded += load_corpus(str(path), vocab, {example.db_id: concert_schema})
         assert loaded == [example, example]
+
+
+WIDE = dict(tables_per_db=(4, 5), columns_per_table=(5, 7))
+
+
+class TestRecordWriter:
+    """The writer builds no example: each record it writes equals the one
+    read off the example `build_training_example` builds from it, and the
+    length it checks is that example's."""
+
+    def check_records(self, generated):
+        vocab = Vocab.load(generated.vocab_path)
+        for path in (generated.train_path, generated.dev_path):
+            with open(path) as f:
+                lines = f.read().splitlines()
+            assert lines
+            for line in lines:
+                rec = json.loads(line)
+                doc = generated.schemas[rec["db_id"]]
+                ex = build_training_example(rec["question"], doc, rec["gold_sql"], vocab,
+                                            rec["example_id"], rec["db_id"])
+                assert line == json.dumps(example_record(ex))
+                assert corpus_mod._token_count(rec["question"], tokenized_schema(doc),
+                                               rec["gold_sql"]) == len(ex.tokens.ids)
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_desk_records_equal_the_built_examples(self, desk_corpus, seed):
+        self.check_records(desk_corpus(seed).generated)
+
+    @pytest.mark.parametrize("seed", [3, 7, 9])
+    def test_wide_records_equal_the_built_examples(self, tmp_path, seed):
+        self.check_records(generate_corpus(CorpusConfig(seed=seed, **WIDE), str(tmp_path)))
+
+    def test_wide_example_over_max_len_is_named_with_its_length(self, tmp_path):
+        """Wide seed 1 holds an example of 538 tokens, which building it
+        counts too; the refused corpus's directory is not left created."""
+        out = tmp_path / "wide"
+        with pytest.raises(ConfigError, match=r"^example db001-148 is 538 tokens \(max 512\)$"):
+            generate_corpus(CorpusConfig(seed=1, **WIDE), str(out))
+        assert not out.exists()
+
+    def test_degenerate_gold_is_refused_and_out_dir_left_as_it_was(self, tmp_path,
+                                                                   monkeypatch):
+        """A gold SQL that reads no column raises DegenerateExample, as
+        building its example does, and nothing is moved into `out_dir`."""
+        render = corpus_mod._render_example
+        calls = Counter()
+
+        def one_degenerate(doc, template, rng):
+            calls["n"] += 1
+            if calls["n"] == 7:
+                return "count the rows", f"SELECT count ( * ) FROM {doc.tables[0].name}"
+            return render(doc, template, rng)
+        monkeypatch.setattr(corpus_mod, "_render_example", one_degenerate)
+        (tmp_path / "keep.txt").write_text("kept")
+        with pytest.raises(DegenerateExample, match="references no columns"):
+            generate_corpus(tiny_config(), str(tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
 
 
 class TestStats:
@@ -263,6 +330,7 @@ class TestConfig:
         monkeypatch.setattr(corpus_mod, "MAX_LEN", 8)
         with pytest.raises(ConfigError, match=r"example db\d{3}-\d{3} is \d+ tokens \(max 8\)"):
             generate_corpus(tiny_config(), str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_templates_rejected(self):
         with pytest.raises(ConfigError):

@@ -459,7 +459,70 @@ class TestLosses:
         assert joint_loss(a, b).item() == pytest.approx(0.75)
 
 
+def drawn_inline(config, seed):
+    """The initial parameters by name, drawn as `ModelParams` drew them
+    when each was written out inline: weights from one normal(0, 0.02)
+    stream in name order, the positions from the sinusoid table, gains 1,
+    biases 0 and the linking bias -2, each cast to the config's dtype."""
+    rng = np.random.default_rng(seed)
+    d, f, dt = config.dim, config.dim * config.ffn_mult, config.np_dtype
+
+    def drawn(*shape):
+        return np.asarray(rng.normal(0, 0.02, shape), dtype=dt)
+
+    def const(a):
+        return np.asarray(a, dtype=dt)
+    out = {"emb": drawn(config.vocab_size, d),
+           "pos": const(model._sinusoid_table(config.max_len, d) * 0.1)}
+    for i in range(config.layers):
+        layer = {"ln1_g": const(np.ones(d)), "ln1_b": const(np.zeros(d)),
+                 "wq": drawn(d, d), "wk": drawn(d, d), "wv": drawn(d, d), "wo": drawn(d, d),
+                 "ln2_g": const(np.ones(d)), "ln2_b": const(np.zeros(d)),
+                 "w1": drawn(d, f), "b1": const(np.zeros(f)),
+                 "w2": drawn(f, d), "b2": const(np.zeros(d))}
+        out.update({f"layer{i}.{k}": v for k, v in layer.items()})
+    out.update({"lnf_g": const(np.ones(d)), "lnf_b": const(np.zeros(d)),
+                "link_w": drawn(d, 1), "link_b": const(np.full(1, -2.0))})
+    return out
+
+
+def array_bytes(arrays: dict) -> list:
+    return [(k, a.dtype.str, a.shape, a.tobytes()) for k, a in arrays.items()]
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kw", [{}, {"layers": 3, "ffn_mult": 2, "max_len": 40}])
+    def test_seeded_params_equal_the_inline_draw(self, dtype, kw):
+        """`param_shapes` orders the draws, so seeded parameters are byte
+        for byte those the inline initialisation drew, in the same order."""
+        for seed in (0, 7):
+            params = ModelParams(tiny_config(dtype=dtype, **kw), seed=seed)
+            named = {k: t.data for k, t in params.named_params().items()}
+            assert array_bytes(named) == array_bytes(drawn_inline(params.config, seed))
+            assert list(named) == list(model.param_shapes(params.config))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_round_trip_is_byte_equal_per_array(self, tmp_path, dtype):
+        params = ModelParams(tiny_config(dtype=dtype), seed=5)
+        p = tmp_path / "params.npz"
+        params.save(str(p))
+        loaded = ModelParams.load(str(p))
+        assert loaded.config == params.config
+        assert (array_bytes({k: t.data for k, t in loaded.named_params().items()})
+                == array_bytes({k: t.data for k, t in params.named_params().items()}))
+        assert all(t.requires_grad and t.grad is None for t in loaded.all_params())
+
+    def test_loaded_arrays_are_writeable_and_share_no_memory(self, tmp_path):
+        """Training updates parameters in place, so each loaded array is
+        its own writeable buffer."""
+        p = tmp_path / "params.npz"
+        ModelParams(tiny_config(), seed=5).save(str(p))
+        arrays = [t.data for t in ModelParams.load(str(p)).all_params()]
+        assert all(a.flags.writeable for a in arrays)
+        for i, a in enumerate(arrays):
+            assert not any(np.may_share_memory(a, b) for b in arrays[i + 1:])
+
     def test_save_load_round_trip(self, tmp_path):
         params = ModelParams(tiny_config(), seed=7)
         p = tmp_path / "params.npz"

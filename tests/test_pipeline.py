@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from joltsql import autodiff as ad
-from joltsql import corpus, model, pipeline
+from joltsql import model, pipeline
 from joltsql.errors import (DegenerateExample, EmptyPrediction, InvalidJson, InvalidSchema,
                             MalformedInput, MissingCacheEntry, NonFiniteLoss)
 from joltsql.masks import build_joint_mask
@@ -24,6 +24,7 @@ from joltsql.pipeline import (PREFIX_TEMPLATE, TrainConfig,
 from joltsql.schema import (MARKER_TEXT, Column, SchemaDocument, SpanIndex, Table,
                             TableSpans, serialize_schema)
 from joltsql.tokenizer import EOS, MARKER, build_vocab, decode
+from test_corpus import example_record
 from test_model import tape_forward, tape_spy
 
 GOLD = "SELECT name FROM singer WHERE age > 30"
@@ -56,7 +57,7 @@ def join_example(concert_schema, vocab):
 
 def written(ex, **change) -> dict:
     """`ex`'s record as the corpus writer writes it, with `change` applied."""
-    return dict(json.loads(corpus._record_line(ex)), **change)
+    return dict(example_record(ex), **change)
 
 
 def flagged_ids(example, attend):

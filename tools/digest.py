@@ -5,6 +5,18 @@ keeps every output byte-identical.
     python tools/digest.py > after.txt     # in the change's checkout
     diff before.txt after.txt
 
+    python tools/digest.py --check DIGEST.txt
+
+`DIGEST.txt` at the repository root is this script's output for the
+committed code; a change that means to change outputs updates it in the same
+commit, so `git log -p DIGEST.txt` is the history of the outputs. `--check`
+compares the platform lines first: when they differ it prints that it cannot
+check and exits 2, since outputs repeat only on one platform; otherwise it
+prints a unified diff of the digest lines and exits 1 when there is one, 0
+when there is none. The platform line does not name the CPU, and OpenBLAS
+picks its kernels per CPU, so a diff on another CPU model with the same
+line may be rounding rather than a change.
+
 It reads the `joltsql` source next to it, so each checkout digests its own
 code. The first line is `cli.platform_record()`: outputs repeat only on one
 platform, so compare digests from one machine. Then, one line each:
@@ -25,10 +37,12 @@ from a changed outcome: `decisions` over each example's SQL, predicted
 column names as [table, column] pairs, fallback flag and (records)
 verdict, and `scores` over the predicted columns' float scores.
 
-It takes about 30 seconds on a 2-core Xeon.
+It takes about 12 seconds on a 2-core Xeon with OPENBLAS_NUM_THREADS=1.
 """
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import json
 import os
@@ -121,15 +135,41 @@ def model_digests(seed: int, out: str):
             [scores(r["predicted_columns"]) for r in results])
 
 
-def main() -> int:
-    print(json.dumps(cli.platform_record(), sort_keys=True))
+def digest_lines():
+    """The platform line, then one line per output, as they are made."""
+    yield json.dumps(cli.platform_record(), sort_keys=True)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in CORPUS_SEEDS:
             for name, digest in corpus_digests(seed, os.path.join(tmp, f"corpus{seed}")):
-                print(digest, name)
+                yield f"{digest} {name}"
         for seed in MODEL_SEEDS:
             for name, digest in model_digests(seed, os.path.join(tmp, f"model{seed}")):
-                print(digest, name, flush=True)
+                yield f"{digest} {name}"
+
+
+def check(path: str) -> int:
+    with open(path) as f:
+        want = f.read().splitlines()
+    platform_line = json.dumps(cli.platform_record(), sort_keys=True)
+    if not want or want[0] != platform_line:
+        print(f"cannot check: {path} was made on {want[0] if want else 'nothing'}; "
+              f"this platform is {platform_line}")
+        return 2
+    got = list(digest_lines())
+    diff = list(difflib.unified_diff(want, got, path, "this checkout", lineterm=""))
+    print("\n".join(diff) if diff else f"{len(got)} lines match {path}")
+    return 1 if diff else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", metavar="DIGEST_FILE",
+                    help="compare with a stored digest instead of printing one")
+    args = ap.parse_args(argv)
+    if args.check:
+        return check(args.check)
+    for line in digest_lines():
+        print(line, flush=True)
     return 0
 
 
