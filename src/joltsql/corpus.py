@@ -156,7 +156,7 @@ def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
                     elif c.sql_type == "INTEGER":
                         row.append(int(rng.integers(1, 100)))
                     else:
-                        row.append(str(rng.choice(_WORD_POOL)))
+                        row.append(_pick(rng, _WORD_POOL))
                 rows.append(tuple(row))
             ph = ", ".join("?" * len(t.columns))
             conn.executemany(f"INSERT INTO {quote_identifier(t.name)} VALUES ({ph})", rows)
@@ -164,6 +164,11 @@ def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
         return with_value_examples(doc, conn)
     finally:
         conn.close()
+
+
+def _pick(rng: np.random.Generator, names: list[str]) -> str:
+    """`str(rng.choice(names))`, the same draw, without the array `choice` makes."""
+    return str(names[int(rng.integers(0, len(names)))])
 
 
 def _numeric_columns(t: Table) -> list[str]:
@@ -188,7 +193,7 @@ def _render_example(doc: SchemaDocument, template: str,
         cols = _plain_columns(t)
         if not cols:
             return None
-        col = str(rng.choice(cols))
+        col = _pick(rng, cols)
         if rng.integers(0, 2) == 0:
             q = f"show the {col} of each {t.name}"
         else:
@@ -198,7 +203,7 @@ def _render_example(doc: SchemaDocument, template: str,
         cols, nums = _plain_columns(t), _numeric_columns(t)
         if not cols or not nums:
             return None
-        col, num = str(rng.choice(cols)), str(rng.choice(nums))
+        col, num = _pick(rng, cols), _pick(rng, nums)
         v = int(rng.integers(10, 90))
         if rng.integers(0, 2) == 0:
             q = f"show the {col} of each {t.name} whose {num} is greater than {v}"
@@ -211,7 +216,7 @@ def _render_example(doc: SchemaDocument, template: str,
         texts = _text_columns(t)
         if not texts:
             return None
-        col = str(rng.choice(texts))
+        col = _pick(rng, texts)
         if rng.integers(0, 2) == 0:
             q = f"for each {col} count the rows of {t.name}"
         else:
@@ -228,7 +233,7 @@ def _render_example(doc: SchemaDocument, template: str,
         pcols, ccols = _plain_columns(parent), _plain_columns(child)
         if not pcols or not ccols:
             return None
-        ca, cb = str(rng.choice(pcols)), str(rng.choice(ccols))
+        ca, cb = _pick(rng, pcols), _pick(rng, ccols)
         q = f"show the {ca} of each {parent.name} together with the {cb} of its {child.name}"
         sql = (f"SELECT T1 . {ca} , T2 . {cb} FROM {parent.name} AS T1 "
                f"JOIN {child.name} AS T2 ON T1 . id = T2 . {fk_col}")
@@ -237,7 +242,7 @@ def _render_example(doc: SchemaDocument, template: str,
         cols, nums = _plain_columns(t), _numeric_columns(t)
         if not cols or not nums:
             return None
-        col, num = str(rng.choice(cols)), str(rng.choice(nums))
+        col, num = _pick(rng, cols), _pick(rng, nums)
         k = int(rng.integers(2, 6))
         if rng.integers(0, 2) == 0:
             q = f"show the {col} of the {k} {t.name} rows with the largest {num}"
@@ -266,9 +271,9 @@ def generate_corpus(cfg: CorpusConfig, out_dir: str) -> GeneratedCorpus:
     `train.jsonl` and `dev.jsonl`. The files are written into a staging
     directory inside `out_dir` and moved into place once all are written,
     so a failure (an example over MAX_LEN, say) leaves `out_dir` as it was,
-    and does not leave it created. A record is written from its gold links
-    and its token count, without building its example: `load_corpus`
-    builds each example once."""
+    and does not leave it created. A record is written from its gold links,
+    its label in marker order and its token count, without building its
+    example: `load_corpus` builds each example once."""
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=".partial-", dir=out_dir)
@@ -342,9 +347,6 @@ def _write_corpus(cfg: CorpusConfig, out_dir: str) -> dict[str, SchemaDocument]:
     vocab.save(os.path.join(out_dir, "vocab.json"))
 
     def write_jsonl(path: str, records: list[dict]):
-        """Each record with its `link` (sorted `table.column` names) and
-        `label` (one 0/1 per column, in marker order), as the example
-        `load_corpus` builds from it has them; the example is not built."""
         with open(path, "w") as f:
             for r in records:
                 link = gold_links(r["gold_sql"], schemas[r["db_id"]])

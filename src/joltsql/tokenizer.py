@@ -197,8 +197,7 @@ class SchemaTokens:
 
     @property
     def marker_columns(self) -> list[tuple[str, str, int]]:
-        """(table, column, its marker's position from the first word) in
-        serialization order: the order of an example's markers and labels."""
+        """(table, column, marker position from the first word), in marker order."""
         return [(t, c, lo) for t, ts in self.tables.items() for c, (lo, _) in ts.markers.items()]
 
 

@@ -271,6 +271,15 @@ class TestRecordWriter:
             generate_corpus(CorpusConfig(seed=1, **WIDE), str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pick_is_the_choice_draw(self, seed):
+        """`_pick` draws what `rng.choice` draws and leaves the stream where
+        it leaves it, so the corpus bytes do not move."""
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for names in (corpus_mod._WORD_POOL, ["id"], corpus_mod._NUM_COL_POOL) * 200:
+            assert corpus_mod._pick(fast, names) == str(slow.choice(names))
+        assert fast.bit_generator.state == slow.bit_generator.state
+
     def test_degenerate_gold_is_refused_and_out_dir_left_as_it_was(self, tmp_path,
                                                                    monkeypatch):
         """A gold SQL that reads no column raises DegenerateExample, as
