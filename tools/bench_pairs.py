@@ -25,7 +25,8 @@ For the workload, the file records:
 time, the CPU time of the suite's processes and pytest's summary line.
 
 The file is read first and updated in place, one workload or the tier-1
-block at a time, so several invocations build one file.
+block at a time, so several invocations build one file; `checkouts` names
+the two sides (`--labels`).
 """
 from __future__ import annotations
 
@@ -87,14 +88,14 @@ def pairs(args, spec: dict) -> dict:
             runs[side].append(run_bench(sides[side], args.workload, args.seed, args.seconds))
             print(f"pair {i} {side}: {runs[side][-1]['result']['metrics']}", file=sys.stderr)
 
-    def values(side, get):
-        return [get(r) for r in runs[side]]
-    metrics = {m["name"]: {"unit": m["unit"], "better": m["better"], **compare(
-        values("parent", lambda r: r["result"]["metrics"][m["name"]]["value"]),
-        values("change", lambda r: r["result"]["metrics"][m["name"]]["value"]), m["better"])}
-        for m in spec["end_to_end"]}
+    metrics = {}
+    for m in spec["end_to_end"]:
+        parent, change = ([r["result"]["metrics"][m["name"]]["value"] for r in runs[side]]
+                          for side in ("parent", "change"))
+        metrics[m["name"]] = {"unit": m["unit"], "better": m["better"],
+                              **compare(parent, change, m["better"])}
     names = set.intersection(*(set(r["figures"]) for side in runs for r in runs[side]))
-    figures = {name: {side: summary(values(side, lambda r: r["figures"][name]))
+    figures = {name: {side: summary([r["figures"][name] for r in runs[side]])
                       for side in runs} for name in sorted(names)}
     return {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
             "metrics": metrics, "figures": figures,
@@ -128,6 +129,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float)
     ap.add_argument("--tier1", action="store_true", help="time the tier-1 suite instead")
     ap.add_argument("--out", required=True, help="the JSON file to update")
+    ap.add_argument("--labels", nargs=2, metavar=("PARENT_LABEL", "CHANGE_LABEL"),
+                    help="what the file calls the two checkouts, commit ids say "
+                         "(default: their directory names)")
     args = ap.parse_args(argv)
     if args.tier1 == (args.workload is not None):
         ap.error("give --workload or --tier1")
@@ -141,6 +145,9 @@ def main(argv=None) -> int:
     if os.path.exists(args.out):
         with open(args.out) as f:
             record = json.load(f)
+    labels = args.labels or [os.path.basename(os.path.abspath(d))
+                             for d in (args.parent, args.change)]
+    record["checkouts"] = dict(zip(("parent", "change"), labels))
     if args.tier1:
         record["tier1"] = {side: {"pinned": tier1(root, True), "unpinned": tier1(root, False)}
                            for side, root in (("parent", args.parent), ("change", args.change))}
