@@ -19,9 +19,9 @@ import numpy as np
 from .errors import ConfigError
 from .jsonfile import iter_jsonl
 from .model import MAX_LEN
-from .pipeline import PREFIX_TEMPLATE, gold_links, tokenized_schema
+from .pipeline import PREFIX_TEMPLATE, example_length, gold_links, tokenized_schema
 from .schema import Column, SchemaDocument, Table, quote_identifier, with_value_examples
-from .tokenizer import SchemaTokens, build_vocab, count_words
+from .tokenizer import build_vocab
 
 _TABLE_POOL = [
     "singer", "concert", "album", "track", "student", "course", "employee",
@@ -156,7 +156,7 @@ def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
                     elif c.sql_type == "INTEGER":
                         row.append(int(rng.integers(1, 100)))
                     else:
-                        row.append(_pick(rng, _WORD_POOL))
+                        row.append(str(rng.choice(_WORD_POOL)))
                 rows.append(tuple(row))
             ph = ", ".join("?" * len(t.columns))
             conn.executemany(f"INSERT INTO {quote_identifier(t.name)} VALUES ({ph})", rows)
@@ -164,11 +164,6 @@ def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
         return with_value_examples(doc, conn)
     finally:
         conn.close()
-
-
-def _pick(rng: np.random.Generator, names: list[str]) -> str:
-    """`str(rng.choice(names))`, the same draw, without the array `choice` makes."""
-    return str(names[int(rng.integers(0, len(names)))])
 
 
 def _numeric_columns(t: Table) -> list[str]:
@@ -193,7 +188,7 @@ def _render_example(doc: SchemaDocument, template: str,
         cols = _plain_columns(t)
         if not cols:
             return None
-        col = _pick(rng, cols)
+        col = str(rng.choice(cols))
         if rng.integers(0, 2) == 0:
             q = f"show the {col} of each {t.name}"
         else:
@@ -203,7 +198,7 @@ def _render_example(doc: SchemaDocument, template: str,
         cols, nums = _plain_columns(t), _numeric_columns(t)
         if not cols or not nums:
             return None
-        col, num = _pick(rng, cols), _pick(rng, nums)
+        col, num = str(rng.choice(cols)), str(rng.choice(nums))
         v = int(rng.integers(10, 90))
         if rng.integers(0, 2) == 0:
             q = f"show the {col} of each {t.name} whose {num} is greater than {v}"
@@ -216,7 +211,7 @@ def _render_example(doc: SchemaDocument, template: str,
         texts = _text_columns(t)
         if not texts:
             return None
-        col = _pick(rng, texts)
+        col = str(rng.choice(texts))
         if rng.integers(0, 2) == 0:
             q = f"for each {col} count the rows of {t.name}"
         else:
@@ -233,7 +228,7 @@ def _render_example(doc: SchemaDocument, template: str,
         pcols, ccols = _plain_columns(parent), _plain_columns(child)
         if not pcols or not ccols:
             return None
-        ca, cb = _pick(rng, pcols), _pick(rng, ccols)
+        ca, cb = str(rng.choice(pcols)), str(rng.choice(ccols))
         q = f"show the {ca} of each {parent.name} together with the {cb} of its {child.name}"
         sql = (f"SELECT T1 . {ca} , T2 . {cb} FROM {parent.name} AS T1 "
                f"JOIN {child.name} AS T2 ON T1 . id = T2 . {fk_col}")
@@ -242,7 +237,7 @@ def _render_example(doc: SchemaDocument, template: str,
         cols, nums = _plain_columns(t), _numeric_columns(t)
         if not cols or not nums:
             return None
-        col, num = _pick(rng, cols), _pick(rng, nums)
+        col, num = str(rng.choice(cols)), str(rng.choice(nums))
         k = int(rng.integers(2, 6))
         if rng.integers(0, 2) == 0:
             q = f"show the {col} of the {k} {t.name} rows with the largest {num}"
@@ -349,25 +344,18 @@ def _write_corpus(cfg: CorpusConfig, out_dir: str) -> dict[str, SchemaDocument]:
     def write_jsonl(path: str, records: list[dict]):
         with open(path, "w") as f:
             for r in records:
-                link = gold_links(r["gold_sql"], schemas[r["db_id"]])
-                schema = tokenized_schema(schemas[r["db_id"]])
-                n = _token_count(r["question"], schema, r["gold_sql"])
+                doc = schemas[r["db_id"]]
+                link = gold_links(r["gold_sql"], doc)
+                n = example_length(r["question"], doc, r["gold_sql"])
                 if n > MAX_LEN:
                     raise ConfigError(f"example {r['example_id']} is {n} tokens (max {MAX_LEN})")
+                markers = tokenized_schema(doc).marker_columns
                 f.write(json.dumps({**r, "link": sorted(f"{t}.{c}" for t, c in link),
-                                    "label": [int((t, c) in link)
-                                              for t, c, _ in schema.marker_columns]}) + "\n")
+                                    "label": [int((t, c) in link) for t, c, _ in markers]}) + "\n")
 
     write_jsonl(os.path.join(out_dir, "train.jsonl"), train_raw)
     write_jsonl(os.path.join(out_dir, "dev.jsonl"), dev_raw)
     return schemas
-
-
-def _token_count(question: str, schema: SchemaTokens, gold_sql: str) -> int:
-    """The length of the example `load_corpus` builds from a record: its
-    prefix, schema and SQL words, then EOS."""
-    return (count_words(PREFIX_TEMPLATE.format(question=question)) + len(schema.words)
-            + count_words(gold_sql) + 1)
 
 
 def corpus_stats(jsonl_path: str) -> dict:

@@ -91,7 +91,8 @@ class ModelParams:
                 return rng.normal(0, 0.02, shape)  # drawn in `param_shapes` order
             # layer-norm gains start at 1, the linking bias at -2, other biases at 0
             return np.full(shape, -2.0 if key == "link_b" else float(key.endswith("_g")))
-        self._adopt(config, {name: initial(name, shape)
+        # each draw is cast as it is made, so one float64 temporary is alive at a time
+        self._adopt(config, {name: np.asarray(initial(name, shape), dtype=config.np_dtype)
                              for name, shape in param_shapes(config).items()})
 
     def _adopt(self, config: ModelConfig, arrays: dict[str, np.ndarray]):

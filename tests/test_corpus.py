@@ -14,8 +14,8 @@ from joltsql.corpus import (CorpusConfig, corpus_stats, generate_corpus,
 from joltsql.errors import ConfigError, DegenerateExample
 from joltsql.jsonfile import iter_jsonl
 from joltsql.model import ModelConfig
-from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example, load_corpus,
-                              tokenized_schema)
+from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example, example_length,
+                              load_corpus, tokenized_schema)
 from joltsql.schema import Column, SchemaDocument, Table, serialize_schema
 from joltsql.tokenizer import Vocab, build_vocab, decode
 
@@ -252,8 +252,7 @@ class TestRecordWriter:
                 ex = build_training_example(rec["question"], doc, rec["gold_sql"], vocab,
                                             rec["example_id"], rec["db_id"])
                 assert line == json.dumps(example_record(ex))
-                assert corpus_mod._token_count(rec["question"], tokenized_schema(doc),
-                                               rec["gold_sql"]) == len(ex.tokens.ids)
+                assert example_length(rec["question"], doc, rec["gold_sql"]) == len(ex.tokens.ids)
 
     @pytest.mark.parametrize("seed", [1, 3, 7])
     def test_desk_records_equal_the_built_examples(self, desk_corpus, seed):
@@ -270,15 +269,6 @@ class TestRecordWriter:
         with pytest.raises(ConfigError, match=r"^example db001-148 is 538 tokens \(max 512\)$"):
             generate_corpus(CorpusConfig(seed=1, **WIDE), str(out))
         assert not out.exists()
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_pick_is_the_choice_draw(self, seed):
-        """`_pick` draws what `rng.choice` draws and leaves the stream where
-        it leaves it, so the corpus bytes do not move."""
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        for names in (corpus_mod._WORD_POOL, ["id"], corpus_mod._NUM_COL_POOL) * 200:
-            assert corpus_mod._pick(fast, names) == str(slow.choice(names))
-        assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_degenerate_gold_is_refused_and_out_dir_left_as_it_was(self, tmp_path,
                                                                    monkeypatch):

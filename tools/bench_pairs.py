@@ -5,7 +5,8 @@
 
 PARENT and CHANGE are the roots of two checkouts, each with its own `src/`
 and `perfbench/`. A run is `python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0` in one checkout. Before the pairs, one run of each
+--seconds T --trace 0` in one checkout, T being `run_seconds` of CHANGE's
+`BENCHMARK.json`. Before the pairs, one run of each
 side fills that side's set-up checkpoint and output digests; it is not
 counted. Pair i then runs the parent first when i is even and the change
 first when it is odd, one run at a time.
@@ -26,7 +27,8 @@ time, the CPU time of the suite's processes and pytest's summary line.
 
 The file is read first and updated in place, one workload or the tier-1
 block at a time, so several invocations build one file; `checkouts` names
-the two sides (`--labels`).
+the two sides by commit (`git rev-parse --short HEAD` in each, or the
+directory name where that fails).
 """
 from __future__ import annotations
 
@@ -48,6 +50,12 @@ def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"runs": values, "median": median, "q1": q1, "q3": q3,
             "spread": (q3 - q1) / median if median else None}
+
+
+def checkout_label(root: str) -> str:
+    proc = subprocess.run(["git", "-C", root, "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() or os.path.basename(os.path.abspath(root))
 
 
 def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -80,12 +88,13 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
 
 def pairs(args, spec: dict) -> dict:
     sides = {"parent": args.parent, "change": args.change}
+    seconds = spec["run_seconds"]
     for root in sides.values():  # fills the checkpoint and the digests
-        run_bench(root, args.workload, args.seed, args.seconds)
+        run_bench(root, args.workload, args.seed, seconds)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            runs[side].append(run_bench(sides[side], args.workload, args.seed, args.seconds))
+            runs[side].append(run_bench(sides[side], args.workload, args.seed, seconds))
             print(f"pair {i} {side}: {runs[side][-1]['result']['metrics']}", file=sys.stderr)
 
     metrics = {}
@@ -97,7 +106,7 @@ def pairs(args, spec: dict) -> dict:
     names = set.intersection(*(set(r["figures"]) for side in runs for r in runs[side]))
     figures = {name: {side: summary([r["figures"][name] for r in runs[side]])
                       for side in runs} for name in sorted(names)}
-    return {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+    return {"seed": args.seed, "seconds": seconds, "pairs": args.pairs,
             "metrics": metrics, "figures": figures,
             "operations": {side: [{k: r["result"][k] for k in ("attempted", "failed", "correct")}
                                   for r in runs[side]] for side in runs},
@@ -126,12 +135,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=["train-desk", "infer-desk", "sweep-desk"])
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
     ap.add_argument("--tier1", action="store_true", help="time the tier-1 suite instead")
     ap.add_argument("--out", required=True, help="the JSON file to update")
-    ap.add_argument("--labels", nargs=2, metavar=("PARENT_LABEL", "CHANGE_LABEL"),
-                    help="what the file calls the two checkouts, commit ids say "
-                         "(default: their directory names)")
     args = ap.parse_args(argv)
     if args.tier1 == (args.workload is not None):
         ap.error("give --workload or --tier1")
@@ -139,15 +144,12 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 2")
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    if args.seconds is None:
-        args.seconds = spec["run_seconds"]
     record = {}
     if os.path.exists(args.out):
         with open(args.out) as f:
             record = json.load(f)
-    labels = args.labels or [os.path.basename(os.path.abspath(d))
-                             for d in (args.parent, args.change)]
-    record["checkouts"] = dict(zip(("parent", "change"), labels))
+    record["checkouts"] = {"parent": checkout_label(args.parent),
+                           "change": checkout_label(args.change)}
     if args.tier1:
         record["tier1"] = {side: {"pinned": tier1(root, True), "unpinned": tier1(root, False)}
                            for side, root in (("parent", args.parent), ("change", args.change))}
