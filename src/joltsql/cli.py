@@ -180,12 +180,25 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
+def _cpu_model() -> str:
+    """/proc/cpuinfo's first `model name`, else what `platform` knows."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
 def platform_record() -> dict:
     """What the byte-for-byte promise depends on: outputs repeat only on
-    the same Python, numpy, BLAS and SQLite build (SQLite resolves the gold
-    links and executes the queries)."""
+    the same CPU model (OpenBLAS picks its kernels per CPU), Python, numpy,
+    BLAS and SQLite build (SQLite resolves the gold links and executes the
+    queries)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"python": platform.python_version(), "numpy": np.__version__,
+    return {"cpu": _cpu_model(), "python": platform.python_version(), "numpy": np.__version__,
             "blas": blas.get("name"), "blas_version": blas.get("version"),
             "sqlite": sqlite3.sqlite_version}
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .jsonfile import iter_jsonl
-from .model import MAX_LEN
-from .pipeline import PREFIX_TEMPLATE, example_length, gold_links, tokenized_schema
+from .pipeline import PREFIX_TEMPLATE, gold_links, tokenized_schema
 from .schema import Column, SchemaDocument, Table, quote_identifier, with_value_examples
 from .tokenizer import build_vocab
 
@@ -182,23 +181,20 @@ def _plain_columns(t: Table) -> list[str]:
 
 def _render_example(doc: SchemaDocument, template: str,
                     rng: np.random.Generator) -> tuple[str, str] | None:
-    """(question, gold SQL) or None when the template does not apply."""
+    """(question, gold SQL), or None for a join on a one-table database.
+    `_make_schema` gives every table a numeric and a text column besides
+    its keys, and every table after the first a foreign key to the first,
+    so every other template fills any table it draws."""
     t = doc.tables[int(rng.integers(0, len(doc.tables)))]
     if template == "projection":
-        cols = _plain_columns(t)
-        if not cols:
-            return None
-        col = str(rng.choice(cols))
+        col = str(rng.choice(_plain_columns(t)))
         if rng.integers(0, 2) == 0:
             q = f"show the {col} of each {t.name}"
         else:
             q = f"list the {col} of every {t.name}"
         return q, f"SELECT {col} FROM {t.name}"
     if template == "filtered":
-        cols, nums = _plain_columns(t), _numeric_columns(t)
-        if not cols or not nums:
-            return None
-        col, num = str(rng.choice(cols)), str(rng.choice(nums))
+        col, num = str(rng.choice(_plain_columns(t))), str(rng.choice(_numeric_columns(t)))
         v = int(rng.integers(10, 90))
         if rng.integers(0, 2) == 0:
             q = f"show the {col} of each {t.name} whose {num} is greater than {v}"
@@ -208,10 +204,7 @@ def _render_example(doc: SchemaDocument, template: str,
             op = "<"
         return q, f"SELECT {col} FROM {t.name} WHERE {num} {op} {v}"
     if template == "aggregate":
-        texts = _text_columns(t)
-        if not texts:
-            return None
-        col = str(rng.choice(texts))
+        col = str(rng.choice(_text_columns(t)))
         if rng.integers(0, 2) == 0:
             q = f"for each {col} count the rows of {t.name}"
         else:
@@ -221,32 +214,23 @@ def _render_example(doc: SchemaDocument, template: str,
         if len(doc.tables) < 2:
             return None
         child = doc.tables[int(rng.integers(1, len(doc.tables)))]
-        if not child.foreign_keys:
-            return None
         fk_col, parent_name, _ = child.foreign_keys[0]
         parent = doc.table(parent_name)
-        pcols, ccols = _plain_columns(parent), _plain_columns(child)
-        if not pcols or not ccols:
-            return None
-        ca, cb = str(rng.choice(pcols)), str(rng.choice(ccols))
+        ca, cb = str(rng.choice(_plain_columns(parent))), str(rng.choice(_plain_columns(child)))
         q = f"show the {ca} of each {parent.name} together with the {cb} of its {child.name}"
         sql = (f"SELECT T1 . {ca} , T2 . {cb} FROM {parent.name} AS T1 "
                f"JOIN {child.name} AS T2 ON T1 . id = T2 . {fk_col}")
         return q, sql
-    if template == "order_limit":
-        cols, nums = _plain_columns(t), _numeric_columns(t)
-        if not cols or not nums:
-            return None
-        col, num = str(rng.choice(cols)), str(rng.choice(nums))
-        k = int(rng.integers(2, 6))
-        if rng.integers(0, 2) == 0:
-            q = f"show the {col} of the {k} {t.name} rows with the largest {num}"
-            d = "DESC"
-        else:
-            q = f"show the {col} of the {k} {t.name} rows with the smallest {num}"
-            d = "ASC"
-        return q, f"SELECT {col} FROM {t.name} ORDER BY {num} {d} LIMIT {k}"
-    return None
+    # order_limit, the one template left
+    col, num = str(rng.choice(_plain_columns(t))), str(rng.choice(_numeric_columns(t)))
+    k = int(rng.integers(2, 6))
+    if rng.integers(0, 2) == 0:
+        q = f"show the {col} of the {k} {t.name} rows with the largest {num}"
+        d = "DESC"
+    else:
+        q = f"show the {col} of the {k} {t.name} rows with the smallest {num}"
+        d = "ASC"
+    return q, f"SELECT {col} FROM {t.name} ORDER BY {num} {d} LIMIT {k}"
 
 
 @dataclass
@@ -265,10 +249,12 @@ def generate_corpus(cfg: CorpusConfig, out_dir: str) -> GeneratedCorpus:
     """Write the corpus under `out_dir`: `dbs/`, `schema/`, `vocab.json`,
     `train.jsonl` and `dev.jsonl`. The files are written into a staging
     directory inside `out_dir` and moved into place once all are written,
-    so a failure (an example over MAX_LEN, say) leaves `out_dir` as it was,
-    and does not leave it created. A record is written from its gold links,
-    its label in marker order and its token count, without building its
-    example: `load_corpus` builds each example once."""
+    so a failure (a gold SQL that reads no column, say) leaves `out_dir` as
+    it was, and does not leave it created. A record is written from its
+    gold links and its label in marker order, without building its example:
+    `load_corpus` builds each example once. No tokens are counted here;
+    `pipeline.check_max_len` refuses an example longer than the model's
+    `max_len` when a run loads it."""
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=".partial-", dir=out_dir)
@@ -346,9 +332,6 @@ def _write_corpus(cfg: CorpusConfig, out_dir: str) -> dict[str, SchemaDocument]:
             for r in records:
                 doc = schemas[r["db_id"]]
                 link = gold_links(r["gold_sql"], doc)
-                n = example_length(r["question"], doc, r["gold_sql"])
-                if n > MAX_LEN:
-                    raise ConfigError(f"example {r['example_id']} is {n} tokens (max {MAX_LEN})")
                 markers = tokenized_schema(doc).marker_columns
                 f.write(json.dumps({**r, "link": sorted(f"{t}.{c}" for t, c in link),
                                     "label": [int((t, c) in link) for t, c, _ in markers]}) + "\n")

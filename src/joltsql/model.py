@@ -23,7 +23,8 @@ from .errors import EmptyQuery, MalformedInput, NoMarkers, ShapeMismatch
 # or unreadable bytes, a truncated array, a damaged zip member
 _CORRUPT = (ValueError, EOFError, zipfile.BadZipFile)
 
-# ModelConfig.max_len's default, and the longest example a corpus may hold
+# ModelConfig.max_len's default. A corpus may hold longer examples;
+# `pipeline.check_max_len` refuses them against the configured max_len.
 MAX_LEN = 512
 
 

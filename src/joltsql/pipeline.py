@@ -53,8 +53,8 @@ from .model import (ModelConfig, ModelParams, PromptEncoding, forward, greedy_ge
 from .sampling import WeightCache, draw_noise_count, example_rng, sample_noisy
 from .schema import SchemaDocument, serialize_schema
 from .sqlscope import extract_ground_truth
-from .tokenizer import (EOS, SchemaTokens, SegmentMap, TokenSequence, Vocab, count_words,
-                        decode, encode, tokenize_schema)
+from .tokenizer import (EOS, SchemaTokens, SegmentMap, TokenSequence, Vocab, decode, encode,
+                        tokenize_schema)
 
 PREFIX_TEMPLATE = "translate the question to sql . question : {question}"
 
@@ -150,13 +150,6 @@ def build_training_example(question: str, schema_doc: SchemaDocument, gold_sql: 
     ex.tokens = TokenSequence(ex.tokens.ids + [EOS])
     ex.seg = replace(ex.seg, n=ex.seg.n + 1)
     return ex
-
-
-def example_length(question: str, schema_doc: SchemaDocument, gold_sql: str) -> int:
-    """`len(build_training_example(...).tokens.ids)` without building it:
-    prefix, schema and query words, then EOS."""
-    return (count_words(PREFIX_TEMPLATE.format(question=question))
-            + len(tokenized_schema(schema_doc).words) + count_words(gold_sql) + 1)
 
 
 def assemble_segments(example: TrainingExample,

@@ -216,11 +216,6 @@ def tokenize_schema(schema_text: str, spans: SpanIndex) -> SchemaTokens:
     return SchemaTokens(schema_text, tuple(w for w, _, _ in words), tables)
 
 
-def count_words(text: str) -> int:
-    """How many ids `encode` gives `text` as its prefix or query."""
-    return len(_WORD_RE.findall(text))
-
-
 def _word_ids(text: str, vocab: Vocab) -> list[int]:
     return [UNK if w == MARKER_TEXT else vocab.lookup(w) for w in _WORD_RE.findall(text)]
 

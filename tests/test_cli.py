@@ -589,11 +589,38 @@ class TestTrainArtifacts:
     def test_snapshot_records_platform(self, workspace):
         snap = json.loads((workspace["ckpt"] / "config.snapshot.json").read_text())
         record = snap["platform"]
-        assert record.keys() == {"python", "numpy", "blas", "blas_version", "sqlite"}
+        assert record.keys() == {"cpu", "python", "numpy", "blas", "blas_version", "sqlite"}
         assert record["python"] == platform.python_version()
         assert record["numpy"] == np.__version__
         assert record["sqlite"] == sqlite3.sqlite_version
         assert all(isinstance(v, str) and v for v in record.values())
+
+    def test_platform_cpu_falls_back_without_cpuinfo(self, monkeypatch):
+        from joltsql import cli
+
+        def unreadable(path, *args, **kwargs):
+            raise OSError(f"cannot open {path}")
+        monkeypatch.setattr(cli, "open", unreadable, raising=False)
+        assert cli.platform_record()["cpu"] == (platform.processor() or platform.machine())
+
+    def test_digest_check_refuses_another_cpu(self, monkeypatch, tmp_path, capsys):
+        """`tools/digest.py --check` digests nothing when the stored platform
+        line names another CPU model: OpenBLAS rounds per CPU."""
+        import importlib.util
+        import sys
+
+        from joltsql import cli
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        path = os.path.join(os.path.dirname(__file__), "..", "tools", "digest.py")
+        spec = importlib.util.spec_from_file_location("digest_tool", path)
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        stored = tmp_path / "DIGEST.txt"
+        stored.write_text(json.dumps({**cli.platform_record(), "cpu": "Another CPU"},
+                                     sort_keys=True) + "\n")
+        monkeypatch.setattr(digest, "digest_lines", None)  # never reached
+        assert digest.check(str(stored)) == 2
+        assert capsys.readouterr().out.startswith(f"cannot check: {stored} was made on ")
 
     def test_removed_link_threshold_key_rejected(self, capsys, workspace, tmp_path):
         cfg = tmp_path / "old.json"
@@ -715,21 +742,31 @@ class TestTrainArtifacts:
         assert not (tmp_path / "corpus").exists()
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
-    def test_over_long_example_writes_nothing(self, capsys, tmp_path, existing):
-        """An example over MAX_LEN, found only once the databases exist,
-        leaves --out as it was: not created, or holding only what it held."""
-        cfg = tmp_path / "wide.json"
-        cfg.write_text(json.dumps({"corpus": {"tables_per_db": [6, 6],
-                                              "columns_per_table": [9, 9],
-                                              "num_databases": 1, "examples_per_db": 3}}))
+    def test_failure_after_the_databases_exist_writes_nothing(self, capsys, monkeypatch,
+                                                              tmp_path, existing):
+        """A record that fails once the databases are written (here a gold
+        SQL made to read no column) leaves --out as it was: not created, or
+        holding only what it held."""
+        from joltsql import corpus
+        from joltsql.errors import DegenerateExample
+
         out_dir = tmp_path / "corpus"
+        written = []
+
+        def degenerate(gold_sql, doc):
+            written.extend(out_dir.glob(".partial-*/dbs/db000.sqlite"))
+            raise DegenerateExample(f"gold SQL references no columns: {gold_sql!r}")
+        monkeypatch.setattr(corpus, "gold_links", degenerate)
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps({"corpus": {"num_databases": 1, "examples_per_db": 3}}))
         if existing:
             out_dir.mkdir()
             (out_dir / "keep.txt").write_text("kept")
         code, out, err = run(capsys, "gen-corpus", "--config", str(cfg),
                              "--out", str(out_dir))
         assert code == 1 and out == ""
-        assert err.startswith("error: example db000-") and err.endswith(f"(max {MAX_LEN})\n")
+        assert err.startswith("error: gold SQL references no columns: 'SELECT ")
+        assert written
         if existing:
             assert sorted(os.listdir(out_dir)) == ["keep.txt"]
             assert (out_dir / "keep.txt").read_text() == "kept"
@@ -806,6 +843,25 @@ class TestTrainArtifacts:
         assert code == 1 and out == ""
         assert err.startswith(f"error: example {second['example_id']!r}: sequence of ")
         assert err.endswith(" tokens is longer than max_len 256\n")
+        assert not out_dir.exists()
+
+    def test_wide_corpus_over_the_default_max_len_is_refused_before_any_step(self, capsys,
+                                                                               tmp_path):
+        """Wide seed 1 generates, and training it with the default model
+        (max_len 512) names an example longer than that before the first
+        step, so `--out` is not made."""
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"corpus": {"tables_per_db": [4, 5],
+                                              "columns_per_table": [5, 7], "seed": 1}}))
+        corpus_dir = tmp_path / "corpus"
+        assert main(["gen-corpus", "--config", str(cfg), "--out", str(corpus_dir)]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "ckpt"
+        code, out, err = run(capsys, "train", "--corpus", str(corpus_dir / "train.jsonl"),
+                             "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err.startswith("error: example 'db00") and ": sequence of " in err
+        assert err.endswith(f" tokens is longer than max_len {MAX_LEN}\n") and MAX_LEN == 512
         assert not out_dir.exists()
 
     def test_log_closed_when_training_fails(self, capsys, monkeypatch, workspace, tmp_path):

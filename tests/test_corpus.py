@@ -11,10 +11,10 @@ import pytest
 from joltsql import corpus as corpus_mod
 from joltsql.corpus import (CorpusConfig, corpus_stats, generate_corpus,
                             load_schemas)
-from joltsql.errors import ConfigError, DegenerateExample
+from joltsql.errors import ConfigError, DegenerateExample, ShapeMismatch
 from joltsql.jsonfile import iter_jsonl
-from joltsql.model import ModelConfig
-from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example, example_length,
+from joltsql.model import MAX_LEN
+from joltsql.pipeline import (PREFIX_TEMPLATE, build_training_example, check_max_len,
                               load_corpus, tokenized_schema)
 from joltsql.schema import Column, SchemaDocument, Table, serialize_schema
 from joltsql.tokenizer import Vocab, build_vocab, decode
@@ -236,9 +236,9 @@ WIDE = dict(tables_per_db=(4, 5), columns_per_table=(5, 7))
 
 
 class TestRecordWriter:
-    """The writer builds no example: each record it writes equals the one
-    read off the example `build_training_example` builds from it, and the
-    length it checks is that example's."""
+    """The writer builds no example and counts no tokens: each record it
+    writes equals the one read off the example `build_training_example`
+    builds from it, however long that example is."""
 
     def check_records(self, generated):
         vocab = Vocab.load(generated.vocab_path)
@@ -252,23 +252,32 @@ class TestRecordWriter:
                 ex = build_training_example(rec["question"], doc, rec["gold_sql"], vocab,
                                             rec["example_id"], rec["db_id"])
                 assert line == json.dumps(example_record(ex))
-                assert example_length(rec["question"], doc, rec["gold_sql"]) == len(ex.tokens.ids)
 
     @pytest.mark.parametrize("seed", [1, 3, 7])
     def test_desk_records_equal_the_built_examples(self, desk_corpus, seed):
         self.check_records(desk_corpus(seed).generated)
 
-    @pytest.mark.parametrize("seed", [3, 7, 9])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5, 7, 8, 9])
     def test_wide_records_equal_the_built_examples(self, tmp_path, seed):
+        """Seeds 1, 2, 5 and 8 hold examples longer than the default
+        max_len; they generate as the others do."""
         self.check_records(generate_corpus(CorpusConfig(seed=seed, **WIDE), str(tmp_path)))
 
-    def test_wide_example_over_max_len_is_named_with_its_length(self, tmp_path):
-        """Wide seed 1 holds an example of 538 tokens, which building it
-        counts too; the refused corpus's directory is not left created."""
-        out = tmp_path / "wide"
-        with pytest.raises(ConfigError, match=r"^example db001-148 is 538 tokens \(max 512\)$"):
-            generate_corpus(CorpusConfig(seed=1, **WIDE), str(out))
-        assert not out.exists()
+    @pytest.mark.parametrize("seed, longest", [(1, 538), (2, 552), (5, 552), (8, 520)])
+    def test_wide_examples_over_the_default_max_len_fit_a_longer_one(self, tmp_path, seed,
+                                                                     longest):
+        """The length is the model's to refuse: `check_max_len` names an
+        example of these corpora against the default max_len, and passes
+        them all at 552."""
+        generated = generate_corpus(CorpusConfig(seed=seed, **WIDE), str(tmp_path))
+        vocab = Vocab.load(generated.vocab_path)
+        examples = [ex for path in (generated.train_path, generated.dev_path)
+                    for ex in load_corpus(path, vocab, generated.schemas)]
+        assert max(len(ex.tokens.ids) for ex in examples) == longest
+        with pytest.raises(ShapeMismatch, match=rf"^example 'db\d{{3}}-\d{{3}}': sequence of "
+                                                rf"\d+ tokens is longer than max_len {MAX_LEN}$"):
+            check_max_len(examples, MAX_LEN)
+        check_max_len(examples, 552)
 
     def test_degenerate_gold_is_refused_and_out_dir_left_as_it_was(self, tmp_path,
                                                                    monkeypatch):
@@ -322,15 +331,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="empty"):
             tiny_config(num_databases=1, examples_per_db=1, split=split)
 
-    def test_example_longer_than_the_model_default_named(self, tmp_path, monkeypatch):
-        """The limit is ModelConfig.max_len's default; the first example
-        over it stops generation with its id."""
-        assert ModelConfig(vocab_size=1).max_len == corpus_mod.MAX_LEN
-        monkeypatch.setattr(corpus_mod, "MAX_LEN", 8)
-        with pytest.raises(ConfigError, match=r"example db\d{3}-\d{3} is \d+ tokens \(max 8\)"):
-            generate_corpus(tiny_config(), str(tmp_path))
-        assert list(tmp_path.iterdir()) == []
-
     def test_empty_templates_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(templates=())
@@ -350,6 +350,30 @@ class TestConfig:
         doc = corpus_mod._make_schema(cfg, np.random.default_rng(seed))
         assert len(doc.tables) == len(corpus_mod._TABLE_POOL)
         assert doc.tables[0].columns[-1].sql_type == "TEXT"
+
+    @pytest.mark.parametrize("shape", [{}, WIDE,
+                                       {"tables_per_db": (1, 1), "columns_per_table": (1, 1)},
+                                       {"tables_per_db": (1, len(corpus_mod._TABLE_POOL)),
+                                        "columns_per_table": (1, corpus_mod._MAX_COLUMNS)}],
+                             ids=["desk", "wide", "1x1", "1-20x1-12"])
+    def test_every_drawn_table_fills_every_template(self, shape):
+        """What `_render_example` rests on: every table `_make_schema` draws
+        has a numeric and a text column besides its keys, and every table
+        after the first a foreign key to the first. So every template
+        renders on every draw but a join on a one-table database."""
+        cfg = CorpusConfig(**shape)
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            doc = corpus_mod._make_schema(cfg, rng)
+            first = doc.tables[0]
+            assert not first.foreign_keys
+            for t in doc.tables:
+                assert corpus_mod._numeric_columns(t) and corpus_mod._text_columns(t)
+            for t in doc.tables[1:]:
+                assert t.foreign_keys and t.foreign_keys[0][1:] == (first.name, "id")
+            for template in corpus_mod.TEMPLATES:
+                rendered = corpus_mod._render_example(doc, template, rng)
+                assert (rendered is None) == (template == "join" and len(doc.tables) == 1)
 
     def test_from_json_round_trip(self):
         """JSON turns the tuples into lists; the config turns them back."""

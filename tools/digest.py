@@ -13,9 +13,8 @@ commit, so `git log -p DIGEST.txt` is the history of the outputs. `--check`
 compares the platform lines first: when they differ it prints that it cannot
 check and exits 2, since outputs repeat only on one platform; otherwise it
 prints a unified diff of the digest lines and exits 1 when there is one, 0
-when there is none. The platform line does not name the CPU, and OpenBLAS
-picks its kernels per CPU, so a diff on another CPU model with the same
-line may be rounding rather than a change.
+when there is none. The platform line names the CPU model, since OpenBLAS
+picks its kernels per CPU.
 
 It reads the `joltsql` source next to it, so each checkout digests its own
 code. The first line is `cli.platform_record()`: outputs repeat only on one
@@ -25,6 +24,8 @@ platform, so compare digests from one machine. Then, one line each:
   and the train and dev examples `load_corpus` rebuilds from them: each
   example's token ids, `SegmentMap` cut points, marker columns, label and
   link;
+- the same for the wide shape (`WIDE`: 4-5 tables of 5-7 columns) at
+  corpus seeds 1-10;
 - at model seeds 3 and 7, the training log and the parameters of the desk
   model (the benchmark's criterion-10 recipe, `perfbench/workloads.py`) on
   the first 60 train examples, and on all dev examples: `threshold_sweep`
@@ -37,7 +38,8 @@ from a changed outcome: `decisions` over each example's SQL, predicted
 column names as [table, column] pairs, fallback flag and (records)
 verdict, and `scores` over the predicted columns' float scores.
 
-It takes about 12 seconds on a 2-core Xeon with OPENBLAS_NUM_THREADS=1.
+It takes about 11 seconds on a 2-core Xeon with OPENBLAS_NUM_THREADS=1,
+about 13 with OpenBLAS's default threads (measured: 11.0-11.8 s and 13.0 s).
 """
 from __future__ import annotations
 
@@ -59,6 +61,7 @@ from joltsql.tokenizer import Vocab  # noqa: E402
 from workloads import DESK_MODEL, DESK_TRAIN, NOISE_MODE  # noqa: E402
 
 CORPUS_SEEDS = range(1, 11)
+WIDE = {"tables_per_db": (4, 5), "columns_per_table": (5, 7)}
 MODEL_SEEDS = (3, 7)
 TRAIN_EXAMPLES = 60
 INFER_THRESHOLDS = (0.05, 0.5)
@@ -86,18 +89,18 @@ def example_fields(ex) -> list:
             seg.marker_columns, ex.label, sorted(ex.link)]
 
 
-def corpus_digests(seed: int, out: str):
-    generated = generate_corpus(CorpusConfig(seed=seed), out)
+def corpus_digests(where: str, cfg: CorpusConfig, out: str):
+    generated = generate_corpus(cfg, out)
     for root, dirs, files in os.walk(out):
         dirs.sort()
         for name in sorted(files):
             path = os.path.join(root, name)
             with open(path, "rb") as f:
-                yield f"corpus seed={seed} {os.path.relpath(path, out)}", sha(f.read())
+                yield f"{where} {os.path.relpath(path, out)}", sha(f.read())
     vocab = Vocab.load(generated.vocab_path)
     examples = [ex for path in (generated.train_path, generated.dev_path)
                 for ex in pipeline.load_corpus(path, vocab, generated.schemas)]
-    yield f"corpus seed={seed} loaded examples", json_sha(
+    yield f"{where} loaded examples", json_sha(
         [example_fields(ex) for ex in examples])
 
 
@@ -139,9 +142,12 @@ def digest_lines():
     """The platform line, then one line per output, as they are made."""
     yield json.dumps(cli.platform_record(), sort_keys=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in CORPUS_SEEDS:
-            for name, digest in corpus_digests(seed, os.path.join(tmp, f"corpus{seed}")):
-                yield f"{digest} {name}"
+        for shape, extra in (("corpus", {}), ("wide corpus", WIDE)):
+            for seed in CORPUS_SEEDS:
+                where = f"{shape} seed={seed}"
+                for name, digest in corpus_digests(where, CorpusConfig(seed=seed, **extra),
+                                                   os.path.join(tmp, where)):
+                    yield f"{digest} {name}"
         for seed in MODEL_SEEDS:
             for name, digest in model_digests(seed, os.path.join(tmp, f"model{seed}")):
                 yield f"{digest} {name}"
