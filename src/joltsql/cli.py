@@ -2,11 +2,13 @@
 
 Subcommands: extract-gt, serialize, encode, mask-viz, gen-corpus, train,
 infer, eval, sweep. Exit codes: 0 success, 1 domain error, 2 usage error.
-All randomness flows from one root seed (flag, config file, or JOLT_SEED).
+All randomness flows from one root seed: the --seed flag, else JOLT_SEED,
+else the config file.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -32,7 +34,7 @@ class EventLog:
     file, and its directory, is made at the first event, so a run refused
     before it leaves neither behind."""
 
-    def __init__(self, path: str | None):
+    def __init__(self, path: str):
         self.path = path
         self.counter = 0
         self._fh = None
@@ -40,13 +42,11 @@ class EventLog:
     def log_event(self, stage: str, fields: dict):
         record = {"event": self.counter, "stage": stage,
                   "wall_time": time.time(), **fields}
-        line = json.dumps(record)
-        if self.path:
-            if self._fh is None:
-                os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-                self._fh = open(self.path, "w")
-            self._fh.write(line + "\n")
-            self._fh.flush()
+        if self._fh is None:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            self._fh = open(self.path, "w")
+        self._fh.write(json.dumps(record) + "\n")
+        self._fh.flush()
         self.counter += 1
 
     def close(self):
@@ -55,8 +55,9 @@ class EventLog:
 
 
 def _load_run_config(path: str | None, overrides: dict) -> dict:
-    """Merge config file sections with CLI overrides; `_section` checks
-    each section's keys and values when its dataclass is built."""
+    """Merge config file sections, then JOLT_SEED, then CLI overrides, each
+    winning over the one before; `_section` checks each section's keys and
+    values when its dataclass is built."""
     cfg: dict = {"train": {}, "model": {}, "corpus": {}}
     if path:
         loaded = read_json(path)
@@ -68,8 +69,6 @@ def _load_run_config(path: str | None, overrides: dict) -> dict:
             if not isinstance(values, dict):
                 raise ConfigError(f"config section {key!r} must be an object")
             cfg[key].update(values)
-    for section, kv in overrides.items():
-        cfg[section].update(kv)
     env_seed = os.environ.get("JOLT_SEED")
     if env_seed is not None:
         try:
@@ -78,6 +77,8 @@ def _load_run_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"JOLT_SEED must be an integer, got {env_seed!r}") from None
         cfg["train"]["seed"] = seed
         cfg["corpus"]["seed"] = seed
+    for section, kv in overrides.items():
+        cfg[section].update(kv)
     return cfg
 
 
@@ -236,7 +237,8 @@ def cmd_train(args) -> int:
         result.params.save(os.path.join(args.out, "params.npz"))
         result.cache.save(os.path.join(args.out, "weights.cache.json"))
         vocab.save(os.path.join(args.out, "vocab.json"))
-        snapshot = {"train": cfg["train"], "model": cfg["model"],
+        snapshot = {"train": dataclasses.asdict(train_cfg),
+                    "model": dataclasses.asdict(model_cfg),
                     "corpus_path": os.path.abspath(args.corpus),
                     "platform": platform_record()}
         with open(os.path.join(args.out, "config.snapshot.json"), "w") as f:

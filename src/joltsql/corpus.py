@@ -93,7 +93,7 @@ class CorpusConfig:
         unknown = [t for t in self.templates if t not in TEMPLATES]
         if unknown:
             raise ConfigError(f"templates: unknown {unknown}, expected some of {list(TEMPLATES)}")
-        # every other template fills any table `_make_schema` draws
+        # `_write_corpus` offers a one-table database every template but join
         if set(self.templates) == {"join"} and self.tables_per_db[0] < 2:
             raise ConfigError("templates: 'join' alone needs two tables in every database, "
                               f"but tables_per_db starts at {self.tables_per_db[0]}")
@@ -180,11 +180,11 @@ def _plain_columns(t: Table) -> list[str]:
 
 
 def _render_example(doc: SchemaDocument, template: str,
-                    rng: np.random.Generator) -> tuple[str, str] | None:
-    """(question, gold SQL), or None for a join on a one-table database.
-    `_make_schema` gives every table a numeric and a text column besides
-    its keys, and every table after the first a foreign key to the first,
-    so every other template fills any table it draws."""
+                    rng: np.random.Generator) -> tuple[str, str]:
+    """(question, gold SQL). `_make_schema` gives every table a numeric and
+    a text column besides its keys, and every table after the first a
+    foreign key to the first, so every template fills any table it draws;
+    `join` is offered only to a database of two or more tables."""
     t = doc.tables[int(rng.integers(0, len(doc.tables)))]
     if template == "projection":
         col = str(rng.choice(_plain_columns(t)))
@@ -211,8 +211,6 @@ def _render_example(doc: SchemaDocument, template: str,
             q = f"count the rows of {t.name} grouped by {col}"
         return q, f"SELECT {col} , count ( * ) FROM {t.name} GROUP BY {col}"
     if template == "join":
-        if len(doc.tables) < 2:
-            return None
         child = doc.tables[int(rng.integers(1, len(doc.tables)))]
         fk_col, parent_name, _ = child.foreign_keys[0]
         parent = doc.table(parent_name)
@@ -296,20 +294,14 @@ def _write_corpus(cfg: CorpusConfig, out_dir: str) -> dict[str, SchemaDocument]:
         schemas[db_id] = doc
         with open(os.path.join(schema_dir, f"{db_id}.json"), "w") as f:
             json.dump(doc.to_json(), f, indent=1)
-        made = 0
-        attempts = 0
-        while made < cfg.examples_per_db:
-            attempts += 1
-            if attempts > cfg.examples_per_db * 50:
-                raise ConfigError(f"could not fill templates for {db_id}")
-            template = cfg.templates[int(rng.integers(0, len(cfg.templates)))]
-            rendered = _render_example(doc, template, rng)
-            if rendered is None:
-                continue
-            question, sql = rendered
+        templates = cfg.templates
+        if len(doc.tables) == 1:  # no join; `CorpusConfig` keeps this non-empty
+            templates = tuple(t for t in templates if t != "join")
+        for made in range(cfg.examples_per_db):
+            template = templates[int(rng.integers(0, len(templates)))]
+            question, sql = _render_example(doc, template, rng)
             raw.append({"example_id": f"{db_id}-{made:03d}", "db_id": db_id,
                         "question": question, "gold_sql": sql})
-            made += 1
 
     split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 99991]))
     order = split_rng.permutation(len(raw))

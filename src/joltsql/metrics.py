@@ -93,8 +93,6 @@ def ex_summary(verdicts: Iterable[str]) -> tuple[float, dict[str, int]]:
 
 
 def _canonical_value(v):
-    if isinstance(v, bool):
-        return v
     if isinstance(v, (int, float)):
         return f"{float(v):.6g}" if v != 0 else "0"
     return v

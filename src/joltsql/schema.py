@@ -14,6 +14,8 @@ from .errors import DbError, InvalidSchema, InvalidSpans
 from .jsonfile import read_json
 
 MARKER_TEXT = "<|marker|>"
+# the most value examples a column carries, and `sample_value_examples` draws
+MAX_VALUE_EXAMPLES = 2
 
 
 @dataclass(frozen=True)
@@ -23,8 +25,8 @@ class Column:
     examples: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if len(self.examples) > 2:
-            raise ValueError("at most two value examples per column")
+        if len(self.examples) > MAX_VALUE_EXAMPLES:
+            raise ValueError(f"at most {MAX_VALUE_EXAMPLES} value examples per column")
 
 
 @dataclass(frozen=True)
@@ -298,8 +300,8 @@ def serialize_schema(doc: SchemaDocument) -> tuple[str, SpanIndex]:
     return text, SpanIndex(index)
 
 
-def sample_value_examples(db: sqlite3.Connection, table: str, column: str, limit: int = 2) -> list[str]:
-    """Up to `limit` distinct non-null values in first-seen row order,
+def sample_value_examples(db: sqlite3.Connection, table: str, column: str) -> list[str]:
+    """Up to `MAX_VALUE_EXAMPLES` distinct non-null values in first-seen row order,
     rendered with SQL literal quoting. Raises DbError naming the table and
     the column when SQLite cannot read them."""
     # qualified, so SQLite cannot read a missing column as a string literal
@@ -311,7 +313,7 @@ def sample_value_examples(db: sqlite3.Connection, table: str, column: str, limit
             if v is None or v in seen:
                 continue
             seen.append(v)
-            if len(seen) >= limit:
+            if len(seen) >= MAX_VALUE_EXAMPLES:
                 break
     except sqlite3.Error as e:
         raise DbError(f"table {table!r}, column {column!r}: {e}") from e

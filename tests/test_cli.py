@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 from joltsql.cli import EventLog, main
-from joltsql.model import MAX_LEN
-from joltsql.pipeline import PREFIX_TEMPLATE
+from joltsql.model import MAX_LEN, ModelConfig
+from joltsql.pipeline import PREFIX_TEMPLATE, TrainConfig
 from joltsql.schema import serialize_schema
-from joltsql.tokenizer import build_vocab, encode, tokenize_schema
+from joltsql.tokenizer import Vocab, build_vocab, encode, tokenize_schema
 
 
 def run(capsys, *argv):
@@ -383,6 +384,33 @@ class TestExtractAndSerialize:
         assert code == 0
         assert json.loads(out) == ["t.a", "t.b"]
 
+    def test_extract_gt_reads_the_sql_from_stdin(self, capsys, monkeypatch, tmp_path):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"tables": [
+            {"name": "t", "columns": [{"name": "a"}, {"name": "b"}]}]}))
+        monkeypatch.setattr("sys.stdin", io.StringIO("SELECT b FROM t"))
+        code, out, _ = run(capsys, "extract-gt", "--sql", "-", "--schema", str(schema))
+        assert code == 0
+        assert json.loads(out) == ["t.b"]
+
+    @pytest.mark.parametrize("tables, named", [
+        ([{"name": "t", "columns": [{"name": "a"}, {"name": "A"}]}], "duplicate column names"),
+        ([{"name": "t", "columns": [{"name": "a"}]}, {"name": "T", "columns": [{"name": "b"}]}],
+         "duplicate table names"),
+        ([{"name": "t", "columns": [{"name": "a", "examples": ["1", "2", "3"]}]}],
+         "at most 2 value examples")],
+        ids=["duplicate-columns", "duplicate-tables", "three-value-examples"])
+    def test_serialize_refuses_an_invalid_schema(self, capsys, tmp_path, tables, named):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"tables": tables}))
+        spans_out = tmp_path / "spans.json"
+        code, out, err = run(capsys, "serialize", "--schema", str(schema),
+                             "--spans-out", str(spans_out))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {schema}: ") and named in err
+        assert err.count("\n") == 1
+        assert not spans_out.exists()
+
     def test_serialize_writes_spans(self, capsys, tmp_path, workspace):
         schema_file = next((workspace["corpus"] / "schema").glob("*.json"))
         spans_out = tmp_path / "spans.json"
@@ -586,6 +614,20 @@ class TestTrainArtifacts:
         assert snap["train"]["epochs"] == 1
         assert snap["model"]["dim"] == 16
 
+    def test_snapshot_of_a_run_on_defaults_lists_every_field(self, capsys, workspace,
+                                                             tmp_path):
+        """With no config file the snapshot still records each setting the
+        run used, at its default."""
+        out_dir = tmp_path / "ckpt"
+        code, _, _ = run(capsys, "train", "--corpus", str(workspace["corpus"] / "train.jsonl"),
+                         "--train-fraction", "0.2", "--out", str(out_dir))
+        assert code == 0
+        snap = json.loads((out_dir / "config.snapshot.json").read_text())
+        vocab = Vocab.load(str(workspace["corpus"] / "vocab.json"))
+        assert snap["train"] == dataclasses.asdict(TrainConfig())
+        assert snap["model"] == dataclasses.asdict(ModelConfig(vocab_size=len(vocab)))
+        assert snap["corpus_path"] == str(workspace["corpus"] / "train.jsonl")
+
     def test_snapshot_records_platform(self, workspace):
         snap = json.loads((workspace["ckpt"] / "config.snapshot.json").read_text())
         record = snap["platform"]
@@ -621,6 +663,27 @@ class TestTrainArtifacts:
         monkeypatch.setattr(digest, "digest_lines", None)  # never reached
         assert digest.check(str(stored)) == 2
         assert capsys.readouterr().out.startswith(f"cannot check: {stored} was made on ")
+
+    def test_bench_pairs_shows_why_a_run_failed(self, tmp_path, capsys):
+        """`tools/bench_pairs.py` names the checkout, the workload and the
+        exit code of a failed benchmark run, and shows its stderr."""
+        import importlib.util
+        import subprocess
+
+        path = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_pairs.py")
+        spec = importlib.util.spec_from_file_location("bench_pairs_tool", path)
+        bench_pairs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_pairs)
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").write_text(
+            "import sys\nprint('early line', file=sys.stderr)\n"
+            "print('the run broke here', file=sys.stderr)\nsys.exit(3)\n")
+        with pytest.raises(subprocess.CalledProcessError) as e:
+            bench_pairs.run_bench(str(tmp_path), "infer-desk", 3, 1.0)
+        assert e.value.returncode == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{tmp_path}: workload infer-desk exited 3;")
+        assert err.endswith("early line\nthe run broke here\n")
 
     def test_removed_link_threshold_key_rejected(self, capsys, workspace, tmp_path):
         cfg = tmp_path / "old.json"
@@ -1139,6 +1202,16 @@ class TestSeedPlumbing:
         snap = json.loads((out_dir / "config.snapshot.json").read_text())
         assert snap["train"]["seed"] == 99
 
+    def test_seed_flag_wins_over_env_seed(self, capsys, tmp_path, workspace, monkeypatch):
+        monkeypatch.setenv("JOLT_SEED", "99")
+        out_dir = tmp_path / "ckpt5"
+        code, _, _ = run(capsys, "train", "--corpus", str(workspace["corpus"] / "train.jsonl"),
+                         "--config", str(workspace["config"]), "--seed", "5",
+                         "--out", str(out_dir))
+        assert code == 0
+        snap = json.loads((out_dir / "config.snapshot.json").read_text())
+        assert snap["train"]["seed"] == 5
+
     @pytest.mark.parametrize("command", ["train", "gen-corpus"])
     def test_non_integer_env_seed_is_an_error_line(self, capsys, tmp_path, workspace,
                                                     monkeypatch, command):
@@ -1203,8 +1276,3 @@ class TestEventLog:
         log.log_event("alpha", {})
         log.close()
         assert json.loads(path.read_text())["stage"] == "alpha"
-
-    def test_null_path_noop(self):
-        log = EventLog(None)
-        log.log_event("alpha", {})
-        log.close()

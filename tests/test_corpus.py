@@ -356,11 +356,12 @@ class TestConfig:
                                        {"tables_per_db": (1, len(corpus_mod._TABLE_POOL)),
                                         "columns_per_table": (1, corpus_mod._MAX_COLUMNS)}],
                              ids=["desk", "wide", "1x1", "1-20x1-12"])
-    def test_every_drawn_table_fills_every_template(self, shape):
+    def test_every_drawn_table_fills_every_template(self, shape, tmp_path, monkeypatch):
         """What `_render_example` rests on: every table `_make_schema` draws
         has a numeric and a text column besides its keys, and every table
-        after the first a foreign key to the first. So every template
-        renders on every draw but a join on a one-table database."""
+        after the first a foreign key to the first. So every template a
+        database is offered renders a pair, and the generator offers a
+        one-table database every template but a join."""
         cfg = CorpusConfig(**shape)
         for seed in range(300):
             rng = np.random.default_rng(seed)
@@ -372,8 +373,33 @@ class TestConfig:
             for t in doc.tables[1:]:
                 assert t.foreign_keys and t.foreign_keys[0][1:] == (first.name, "id")
             for template in corpus_mod.TEMPLATES:
-                rendered = corpus_mod._render_example(doc, template, rng)
-                assert (rendered is None) == (template == "join" and len(doc.tables) == 1)
+                if template != "join" or len(doc.tables) > 1:
+                    question, sql = corpus_mod._render_example(doc, template, rng)
+                    assert question and sql.startswith("SELECT ")
+        render = corpus_mod._render_example
+        offered = Counter()
+
+        def counting(doc, template, rng):
+            offered[len(doc.tables) > 1, template] += 1
+            return render(doc, template, rng)
+        monkeypatch.setattr(corpus_mod, "_render_example", counting)
+        generate_corpus(CorpusConfig(**{**shape, "num_databases": 30, "examples_per_db": 20,
+                                        "rows_per_table": (1, 2)}), str(tmp_path))
+        by_size = {multi: {t for m, t in offered if m == multi} for multi in (False, True)}
+        assert by_size[False] in (set(), set(corpus_mod.TEMPLATES) - {"join"})
+        assert by_size[True] in (set(), set(corpus_mod.TEMPLATES))
+
+    def test_one_table_databases_are_offered_no_join(self, tmp_path):
+        """With `join` enabled on one-table databases every database still
+        gets `examples_per_db` examples, none of them a join."""
+        cfg = tiny_config(tables_per_db=(1, 1), templates=("projection", "join"))
+        generated = generate_corpus(cfg, str(tmp_path))
+        records = [r for path in (generated.train_path, generated.dev_path)
+                   for r in iter_jsonl(path)]
+        assert Counter(r["db_id"] for r in records) == \
+            {f"db{i:03d}": cfg.examples_per_db for i in range(cfg.num_databases)}
+        assert all(r["gold_sql"].startswith("SELECT ") and " JOIN " not in r["gold_sql"]
+                   for r in records)
 
     def test_from_json_round_trip(self):
         """JSON turns the tuples into lists; the config turns them back."""

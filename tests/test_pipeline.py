@@ -332,6 +332,15 @@ class TestTrainLoop:
             train([example, join_example], tiny_model(vocab),
                   TrainConfig(epochs=1, learning_rate=1e30, grad_accum=1, seed=0))
 
+    def test_non_finite_loss_raises_non_finite_loss(self, example, join_example, vocab):
+        """Without captures a diverging run stops at the first loss that is
+        not finite, naming the step and both losses."""
+        with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+              pytest.raises(NonFiniteLoss, match=r"^step 1: L_SL=\S+, L_NTP=\S+$")):
+            train([example, join_example], tiny_model(vocab),
+                  TrainConfig(epochs=1, learning_rate=1e30, grad_accum=1, seed=0,
+                              noise_mode="none"))
+
     def test_deterministic_training(self, example, join_example, vocab):
         cfg = TrainConfig(epochs=2, learning_rate=1e-3, grad_accum=2, seed=7)
         a = train([example, join_example], tiny_model(vocab), cfg)

@@ -220,6 +220,14 @@ class TestResolve:
         with pytest.raises(UnknownColumn):
             extract_ground_truth("SELECT bogus FROM singer", concert_schema)
 
+    @pytest.mark.parametrize("name", ["rowid", "_rowid_", "oid"])
+    def test_rowid_is_not_a_schema_column(self, name):
+        """SQLite reads a rowid alias as the column `rowid`, which the
+        schema does not list."""
+        doc = SchemaDocument((Table("t", (Column("a", "INTEGER"),)),))
+        with pytest.raises(UnknownColumn, match=r"t\.rowid$"):
+            extract_ground_truth(f"SELECT {name} FROM t", doc)
+
     def test_unknown_qualifier(self, concert_schema):
         with pytest.raises(UnknownColumn, match="T9.name"):
             extract_ground_truth("SELECT T9.name FROM singer AS T1", concert_schema)

@@ -60,10 +60,17 @@ def checkout_label(root: str) -> str:
 
 def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in checkout `root`: its result object, its numeric
-    `#` figures and its platform record."""
+    `#` figures and its platform record. A failed run prints the checkout,
+    the workload, the exit code and the end of its stderr, then raises
+    CalledProcessError."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, capture_output=True, text=True, check=True)
+                          cwd=root, capture_output=True, text=True)
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        print(f"{root}: workload {workload} exited {proc.returncode}; "
+              f"the end of its stderr:\n{tail}", file=sys.stderr)
+        proc.check_returncode()
     lines = proc.stdout.splitlines()
     figures, platform = {}, None
     for line in lines[:-1]:
