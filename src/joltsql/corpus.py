@@ -99,6 +99,12 @@ class CorpusConfig:
                               f"but tables_per_db starts at {self.tables_per_db[0]}")
 
 
+def _pick(rng: np.random.Generator, names: list[str]) -> str:
+    """One of `names`, the draw `str(rng.choice(names))` takes, leaving
+    `rng` in the same state, without turning the list into an array."""
+    return names[int(rng.integers(0, len(names)))]
+
+
 def _make_schema(cfg: CorpusConfig, rng: np.random.Generator) -> SchemaDocument:
     n_tables = int(rng.integers(cfg.tables_per_db[0], cfg.tables_per_db[1] + 1))
     table_names = list(rng.choice(_TABLE_POOL, size=n_tables, replace=False))
@@ -127,9 +133,12 @@ def _make_schema(cfg: CorpusConfig, rng: np.random.Generator) -> SchemaDocument:
 def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
                     rng: np.random.Generator) -> SchemaDocument:
     """Create the sqlite file, fill rows, and return the schema with value
-    examples sampled back from the database."""
+    examples sampled back from the database. The connection writes with
+    `synchronous=OFF`: the file is the same, but nothing waits on fsync, as
+    no corpus file is synced (a corpus can be rebuilt from its config)."""
     conn = sqlite3.connect(path)
     try:
+        conn.execute("PRAGMA synchronous=OFF")
         row_counts: dict[str, int] = {}
         for t in doc.tables:
             cols_sql = ", ".join(f"{quote_identifier(c.name)} {c.sql_type}"
@@ -155,7 +164,7 @@ def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
                     elif c.sql_type == "INTEGER":
                         row.append(int(rng.integers(1, 100)))
                     else:
-                        row.append(str(rng.choice(_WORD_POOL)))
+                        row.append(_pick(rng, _WORD_POOL))
                 rows.append(tuple(row))
             ph = ", ".join("?" * len(t.columns))
             conn.executemany(f"INSERT INTO {quote_identifier(t.name)} VALUES ({ph})", rows)
@@ -187,14 +196,14 @@ def _render_example(doc: SchemaDocument, template: str,
     `join` is offered only to a database of two or more tables."""
     t = doc.tables[int(rng.integers(0, len(doc.tables)))]
     if template == "projection":
-        col = str(rng.choice(_plain_columns(t)))
+        col = _pick(rng, _plain_columns(t))
         if rng.integers(0, 2) == 0:
             q = f"show the {col} of each {t.name}"
         else:
             q = f"list the {col} of every {t.name}"
         return q, f"SELECT {col} FROM {t.name}"
     if template == "filtered":
-        col, num = str(rng.choice(_plain_columns(t))), str(rng.choice(_numeric_columns(t)))
+        col, num = _pick(rng, _plain_columns(t)), _pick(rng, _numeric_columns(t))
         v = int(rng.integers(10, 90))
         if rng.integers(0, 2) == 0:
             q = f"show the {col} of each {t.name} whose {num} is greater than {v}"
@@ -204,7 +213,7 @@ def _render_example(doc: SchemaDocument, template: str,
             op = "<"
         return q, f"SELECT {col} FROM {t.name} WHERE {num} {op} {v}"
     if template == "aggregate":
-        col = str(rng.choice(_text_columns(t)))
+        col = _pick(rng, _text_columns(t))
         if rng.integers(0, 2) == 0:
             q = f"for each {col} count the rows of {t.name}"
         else:
@@ -214,13 +223,13 @@ def _render_example(doc: SchemaDocument, template: str,
         child = doc.tables[int(rng.integers(1, len(doc.tables)))]
         fk_col, parent_name, _ = child.foreign_keys[0]
         parent = doc.table(parent_name)
-        ca, cb = str(rng.choice(_plain_columns(parent))), str(rng.choice(_plain_columns(child)))
+        ca, cb = _pick(rng, _plain_columns(parent)), _pick(rng, _plain_columns(child))
         q = f"show the {ca} of each {parent.name} together with the {cb} of its {child.name}"
         sql = (f"SELECT T1 . {ca} , T2 . {cb} FROM {parent.name} AS T1 "
                f"JOIN {child.name} AS T2 ON T1 . id = T2 . {fk_col}")
         return q, sql
     # order_limit, the one template left
-    col, num = str(rng.choice(_plain_columns(t))), str(rng.choice(_numeric_columns(t)))
+    col, num = _pick(rng, _plain_columns(t)), _pick(rng, _numeric_columns(t))
     k = int(rng.integers(2, 6))
     if rng.integers(0, 2) == 0:
         q = f"show the {col} of the {k} {t.name} rows with the largest {num}"
@@ -319,14 +328,14 @@ def _write_corpus(cfg: CorpusConfig, out_dir: str) -> dict[str, SchemaDocument]:
     vocab = build_vocab(texts)
     vocab.save(os.path.join(out_dir, "vocab.json"))
 
+    markers = {db_id: tokenized_schema(doc).marker_columns for db_id, doc in schemas.items()}
+
     def write_jsonl(path: str, records: list[dict]):
         with open(path, "w") as f:
             for r in records:
-                doc = schemas[r["db_id"]]
-                link = gold_links(r["gold_sql"], doc)
-                markers = tokenized_schema(doc).marker_columns
+                link = gold_links(r["gold_sql"], schemas[r["db_id"]])
                 f.write(json.dumps({**r, "link": sorted(f"{t}.{c}" for t, c in link),
-                                    "label": [int((t, c) in link) for t, c, _ in markers]}) + "\n")
+                                    "label": [int((t, c) in link) for t, c, _ in markers[r["db_id"]]]}) + "\n")
 
     write_jsonl(os.path.join(out_dir, "train.jsonl"), train_raw)
     write_jsonl(os.path.join(out_dir, "dev.jsonl"), dev_raw)

@@ -88,9 +88,8 @@ class Vocab:
 def build_vocab(corpus: list[str]) -> Vocab:
     counts: Counter[str] = Counter()
     for text in corpus:
-        for tok in _WORD_RE.findall(text):
-            if tok != MARKER_TEXT:
-                counts[tok] += 1
+        counts.update(_WORD_RE.findall(text))
+    del counts[MARKER_TEXT]  # the marker keeps only its reserved id
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     mapping = dict(_SPECIAL_TOKENS.items())
     token_to_id = {t: i for i, t in mapping.items()}

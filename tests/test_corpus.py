@@ -298,6 +298,45 @@ class TestRecordWriter:
         assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
 
 
+class TestNameDraws:
+    @pytest.mark.parametrize("size", range(1, 21))
+    def test_pick_takes_the_draw_of_rng_choice(self, size):
+        """`_pick` returns what `str(rng.choice(names))` returns and leaves
+        the generator where `rng.choice` leaves it."""
+        names = [f"name{i}" for i in range(size)]
+        for seed in range(50):
+            picked, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+            name = corpus_mod._pick(picked, names)
+            assert type(name) is str and name == str(chosen.choice(names))
+            assert picked.integers(0, 2**40) == chosen.integers(0, 2**40)
+
+
+class TestDatabaseFiles:
+    def test_databases_are_sound_rollback_files_with_no_saved_sync_setting(self, corpus,
+                                                                          tmp_path):
+        """`_materialize_db` writes with `synchronous=OFF`, which is a setting
+        of its connection alone: each file passes the integrity check, its
+        header still names a rollback journal (bytes 18 and 19, the write
+        and read format versions, are 1), and a new connection reads the
+        default `synchronous` of a new database."""
+        fresh = sqlite3.connect(tmp_path / "fresh.sqlite")
+        try:
+            default_sync = fresh.execute("PRAGMA synchronous").fetchone()[0]
+        finally:
+            fresh.close()
+        assert default_sync != 0
+        paths = sorted(Path(corpus.db_dir).glob("*.sqlite"))
+        assert [p.stem for p in paths] == sorted(corpus.db_paths)
+        for path in paths:
+            assert path.read_bytes()[18:20] == b"\x01\x01"
+            conn = sqlite3.connect(path)
+            try:
+                assert conn.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+                assert conn.execute("PRAGMA synchronous").fetchone()[0] == default_sync
+            finally:
+                conn.close()
+
+
 class TestStats:
     def test_keys_and_ranges(self, corpus):
         stats = corpus_stats(corpus.train_path)

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from joltsql.corpus import CorpusConfig, generate_corpus
 from joltsql.errors import MalformedInput, SpanMisaligned
+from joltsql.jsonfile import iter_jsonl
 from joltsql.pipeline import PREFIX_TEMPLATE, tokenized_schema
 from joltsql.schema import MARKER_TEXT, Column, SchemaDocument, Table, serialize_schema
 from joltsql.tokenizer import (BOS, EOS, MARKER, PAD, UNK, Vocab,
@@ -63,6 +65,52 @@ class TestVocab:
     def test_marker_never_counted(self):
         v = build_vocab([f"{MARKER_TEXT} {MARKER_TEXT} x"])
         assert v.lookup("x") == 5
+
+    @staticmethod
+    def reference_vocab(corpus):
+        """`build_vocab` by one count per word, skipping the marker literal:
+        the slow reference for counting each text in one call."""
+        counts = Counter()
+        for text in corpus:
+            for tok, _, _ in split_words(text):
+                if tok != MARKER_TEXT:
+                    counts[tok] += 1
+        token_to_id = {"<pad>": PAD, "<bos>": BOS, "<eos>": EOS, MARKER_TEXT: MARKER, "<unk>": UNK}
+        for tok, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
+            token_to_id[tok] = len(token_to_id)
+        return token_to_id
+
+    def check_against_reference(self, corpus):
+        v = build_vocab(corpus)
+        want = self.reference_vocab(corpus)
+        assert list(v.token_to_id.items()) == list(want.items())
+        assert v.token_to_id[MARKER_TEXT] == MARKER
+        assert sorted(v.token_to_id.values()) == list(range(len(v.token_to_id)))
+        return v
+
+    def test_equals_per_word_counts_on_the_desk_corpus(self, desk_corpus):
+        """On the seed-7 desk corpus's texts, both splits and every schema,
+        and on its training-side texts, which give the vocab it wrote."""
+        generated = desk_corpus().generated
+        schema_texts = [tokenized_schema(doc).text for doc in generated.schemas.values()]
+        sides = {path: [t for r in iter_jsonl(path)
+                        for t in (PREFIX_TEMPLATE.format(question=r["question"]), r["gold_sql"])]
+                 for path in (generated.train_path, generated.dev_path)}
+        self.check_against_reference([*sides[generated.train_path],
+                                      *sides[generated.dev_path], *schema_texts])
+        written = self.check_against_reference([*sides[generated.train_path], *schema_texts])
+        assert written.token_to_id == desk_corpus().vocab.token_to_id
+
+    def test_equals_per_word_counts_with_marker_literals_and_ties(self):
+        schema_doc = SchemaDocument((Table("t", (Column("a", "TEXT", (MARKER_TEXT, "x")),
+                                                 Column("b", "TEXT"))),))
+        schema_text, _ = serialize_schema(schema_doc)
+        assert schema_text.count(MARKER_TEXT) == 3  # two column markers, one value example
+        v = self.check_against_reference([
+            PREFIX_TEMPLATE.format(question=f"which {MARKER_TEXT} is b ?"),
+            f"SELECT a FROM t WHERE b = '{MARKER_TEXT}'", schema_text,
+            "zeta yak yak zeta xi", MARKER_TEXT])
+        assert v.lookup("yak") < v.lookup("zeta")  # tied counts order by token
 
     def test_save_load_round_trip(self, tmp_path):
         v = build_vocab(["alpha beta gamma"])
