@@ -133,9 +133,10 @@ def _make_schema(cfg: CorpusConfig, rng: np.random.Generator) -> SchemaDocument:
 def _materialize_db(path: str, doc: SchemaDocument, cfg: CorpusConfig,
                     rng: np.random.Generator) -> SchemaDocument:
     """Create the sqlite file, fill rows, and return the schema with value
-    examples sampled back from the database. The connection writes with
-    `synchronous=OFF`: the file is the same, but nothing waits on fsync, as
-    no corpus file is synced (a corpus can be rebuilt from its config)."""
+    examples sampled back from the database. The connection runs with
+    `synchronous=OFF`, so no write waits on fsync and the file's bytes are
+    the same. No corpus file is fsynced: a corpus is rebuilt byte for byte
+    from its config and seed."""
     conn = sqlite3.connect(path)
     try:
         conn.execute("PRAGMA synchronous=OFF")
@@ -334,8 +335,9 @@ def _write_corpus(cfg: CorpusConfig, out_dir: str) -> dict[str, SchemaDocument]:
         with open(path, "w") as f:
             for r in records:
                 link = gold_links(r["gold_sql"], schemas[r["db_id"]])
+                label = [int((t, c) in link) for t, c, _ in markers[r["db_id"]]]
                 f.write(json.dumps({**r, "link": sorted(f"{t}.{c}" for t, c in link),
-                                    "label": [int((t, c) in link) for t, c, _ in markers[r["db_id"]]]}) + "\n")
+                                    "label": label}) + "\n")
 
     write_jsonl(os.path.join(out_dir, "train.jsonl"), train_raw)
     write_jsonl(os.path.join(out_dir, "dev.jsonl"), dev_raw)

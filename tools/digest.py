@@ -38,8 +38,9 @@ from a changed outcome: `decisions` over each example's SQL, predicted
 column names as [table, column] pairs, fallback flag and (records)
 verdict, and `scores` over the predicted columns' float scores.
 
-It takes about 11 seconds on a 2-core Xeon with OPENBLAS_NUM_THREADS=1,
-about 13 with OpenBLAS's default threads (measured: 11.0-11.8 s and 13.0 s).
+It takes 12 to 14 seconds on a 2-core Xeon with OPENBLAS_NUM_THREADS=1,
+about 13 with OpenBLAS's default threads (measured: 11.6-13.7 s over three
+runs and 13.1 s).
 """
 from __future__ import annotations
 
